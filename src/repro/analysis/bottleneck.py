@@ -11,11 +11,12 @@ Two complementary views:
 
 The audit bench cross-checks the two.
 
-The model view runs on the batched engine
-(:meth:`repro.core.batch.BatchedModel.resource_utilizations`), which shares
-the precomputed decomposition with sweeps and saturation searches instead
-of re-deriving every pair's rates from scratch; the attached saturation
-load is the engine's exact per-resource minimum.
+The model view runs on the vectorised engine
+(:meth:`repro.core.batch.BatchedModel.resource_utilizations`, read off the
+stacked engine's per-term planes), sharing the packed cell with sweeps and
+saturation searches instead of re-deriving every pair's rates from
+scratch; the attached saturation load is the engine's exact per-resource
+minimum.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def model_bottlenecks(
     """Enumerate and rank every modelled queue/channel utilisation at *load*.
 
     Pass an existing *engine* (built for the same system/message) to reuse
-    its precompute and saturation cache instead of rebuilding them; leave
+    its packed cell and saturation cache instead of rebuilding them; leave
     *options* as ``None`` to adopt the engine's own options, or pass them
     explicitly to have the match checked.  An engine carrying a non-uniform
     traffic pattern is accepted — the report then ranks the pattern-aware

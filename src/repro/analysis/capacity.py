@@ -10,11 +10,12 @@ Answers the questions a system designer actually asks of the paper's model
 * :func:`headroom_report` — utilisation headroom of every modelled
   resource at the operating point.
 
-All answers run on the batched engine (:mod:`repro.core.batch`): the
-load-independent decomposition is built once per system variant, the
-latency search refines a vectorised load grid instead of bisecting with
-scalar evaluations, and saturation loads come from the per-resource closed
-forms — so a full design-space sweep costs milliseconds per point.
+All answers run on the vectorised engine through its one-cell view
+(:class:`repro.core.batch.BatchedModel`): each system variant is packed
+once, the latency search refines a vectorised load grid instead of
+bisecting with scalar evaluations, and saturation loads come from the
+per-resource closed forms — so a full design-space sweep costs
+milliseconds per point.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def max_load_for_latency(
     crossing.
 
     Pass an existing *engine* (built for the same system/message) to reuse
-    its precompute and saturation cache instead of rebuilding them — this
+    its packed cell and saturation cache instead of rebuilding them — this
     is also the only way to plan capacity under a non-uniform traffic
     pattern, since the pattern lives on the engine.
     """
@@ -124,7 +125,7 @@ def required_upgrade_factor(
     so bisection applies; roles that cannot reach the target within
     *max_factor* (they are not the binding resource) are reported
     infeasible.  Every probed factor's saturation load is computed once
-    (closed form, via the batched engine) and cached — the reported
+    (closed form, via the vectorised engine) and cached — the reported
     ``detail`` strings reuse the cached knees instead of re-running the
     search.
     """
@@ -180,7 +181,7 @@ def headroom_report(
     A non-uniform *pattern* (see :mod:`repro.workloads.patterns`) ranks the
     pattern-aware utilisations — without it a hotspot operating point would
     silently be ranked as uniform traffic.  Pass an existing *engine* to
-    reuse its precompute instead; its pattern must match when both are
+    reuse its packed cell instead; its pattern must match when both are
     given.
     """
     if engine is None:

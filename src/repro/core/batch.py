@@ -1,54 +1,15 @@
-"""Batched load-grid evaluation engine (precompute / vectorize split).
+"""One-cell view of the stacked closed-form engine.
 
-:class:`repro.core.model.AnalyticalModel` is the scalar *reference*
-implementation: one :meth:`~repro.core.model.AnalyticalModel.evaluate` call
-walks every cluster class, destination pair and journey length, rebuilding
-all load-independent structure (service times, journey pmfs, visit ratios,
-stage layouts) from scratch.  Every analysis entry point — saturation
-search, capacity planning, what-if studies, figure sweeps — drives hundreds
-of such calls over a *load grid*, so the load-independent work is repaid
-hundreds of times per study.
-
-:class:`BatchedModel` splits that cost exactly once per
-``(system, message, options, pattern)``:
-
-* **precompute** — the per-class/per-pair decomposition that does not
-  depend on ``λ_g``: journey-length pmfs, per-stage flit-time arrays,
-  per-stage rate *slopes* (every channel/queue arrival rate in the model is
-  linear in ``λ_g``), tail times, destination weights and M/G/1 service
-  constants (see ``docs/batched_engine.md``);
-* **vectorize** — the load-dependent terms (the Eq. 13/14 backward stage
-  recursion and the Eq. 15 M/G/1 waits) evaluated with NumPy across the
-  entire load grid at once.  The recursion runs backwards over the ≤ K
-  stages of each journey exactly as the scalar solver does, but each step
-  operates on the whole grid, so the Python-level work is O(journeys ×
-  stages) instead of O(journeys × stages × loads).
-
-The arithmetic mirrors the scalar code expression-for-expression (same
-association order, same clamping), so batched and scalar results agree to
-float64 round-off; ``tests/test_batch.py`` locks the equivalence at 1e-9.
-
-Closed-form saturation
-----------------------
-Saturation is the only divergence mechanism of the model (an M/G/1 queue
-reaching ``ρ >= 1``), and each queue's utilisation is a *monotone* function
-of ``λ_g`` with a known structure:
-
-* concentrator/dispatcher queues have a **constant** service time
-  ``M t_cs^{I2}`` (Eq. 36), so ``ρ = slope · λ_g`` is exactly linear and
-  the per-resource saturation rate is the closed form
-  ``λ* = 1 / (slope · M t_cs^{I2})``;
-* source queues serve the load-dependent pipeline latency ``T(λ_g)``
-  (Eqs. 18/31), so ``ρ(λ_g) = rate(λ_g) · T(λ_g)`` is mildly superlinear;
-  ``λ* = ρ⁻¹(1)`` is obtained by inverting the *single-resource* monotone
-  function with vectorised bracket refinement (bounded above by the
-  linearised estimate ``1 / (rate_slope · T(0))``), costing a handful of
-  batched journey recursions instead of full-model evaluations.
-
-:meth:`BatchedModel.saturation_loads` returns the per-resource map;
-:meth:`BatchedModel.saturation_load` (their minimum) is exact, so
-``find_saturation_load`` no longer needs ~260 full-model bisection
-evaluations.
+:class:`BatchedModel` is the single-design API of the model: scalars for
+saturation, binding resource and zero-load latency, and
+:class:`~repro.core.sweep.LoadSweep` curves with full
+:class:`~repro.core.model.ModelResult` breakdowns over a load grid.  All
+arithmetic runs in :class:`repro.core.stacked.StackedModel`, which the
+view holds as a one-cell stack; this module only reads the stack's row
+back out and assembles the scalar result objects.  The scalar
+:class:`~repro.core.model.AnalyticalModel` stays available as
+:attr:`BatchedModel.reference_model`, the oracle ``tests/test_batch.py``
+compares against at 1e-9.
 """
 
 from __future__ import annotations
@@ -59,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro._util import require, require_positive
+from repro._util import require
 from repro.core.inter import InterPairLatency
 from repro.core.intra import IntraClusterLatency
 from repro.core.model import (
@@ -69,8 +30,7 @@ from repro.core.model import (
     TrafficPatternLike,
 )
 from repro.core.parameters import MessageSpec, ModelOptions, SystemConfig
-from repro.core.service_times import ServiceTimes, switch_channel_time
-from repro.core.stages import _LATENCY_CAP
+from repro.core.stacked import StackedModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sweep imports batch)
     from repro.core.sweep import LoadSweep
@@ -83,7 +43,7 @@ __all__ = ["BatchedModel", "ENGINE_VERSION", "ResourceRates", "refine_monotone_c
 #: or the evaluation path that produces them (e.g. the cross-cell stacked
 #: engine in :mod:`repro.core.stacked`), so stale cached results can never
 #: be mistaken for fresh ones.
-ENGINE_VERSION = "batch/2"
+ENGINE_VERSION = "batch/3"
 
 
 def refine_monotone_crossing(
@@ -105,9 +65,9 @@ def refine_monotone_crossing(
     hi``, the bracket stops making progress at float64 resolution, or
     *max_rounds* rounds have run (the relative test alone cannot terminate
     when the crossing sits at ``lo == 0`` exactly, where the bracket can
-    only shrink toward a denormal ``hi``).  Shared by the capacity
-    planner's latency-budget search and the per-resource saturation
-    inversion.
+    only shrink toward a denormal ``hi``).  Used by the capacity planner's
+    latency-budget search and explore's per-cell knee; the stacked
+    engine's per-row refinement replicates it decision for decision.
     """
     for _ in range(max_rounds):
         if hi - lo <= rel_tol * hi:
@@ -127,195 +87,6 @@ def refine_monotone_crossing(
     return lo, hi
 
 
-# ---------------------------------------------------------------------------
-# vectorised numerical kernels
-# ---------------------------------------------------------------------------
-
-
-def _solve_journeys_batched(
-    batch: "_JourneyBatch",
-    rate_arrays: tuple[np.ndarray, ...],
-    m_flits: int,
-) -> np.ndarray:
-    """Weighted mean network latency of a journey batch over the load grid.
-
-    Vectorised Eq. 13/14 backward recursion — per stage ``T_k = M t_k +
-    Σ_{s>k} W_s`` and ``W_k = ½ η_k T_k²`` — run simultaneously over *both*
-    axes of the (journeys × loads) plane: the Python loop advances one
-    stage *column* at a time over right-aligned journeys.  Left-padding
-    columns carry ``t = 0, η = 0`` so they leave a journey's suffix sum
-    unchanged, and each journey's ``T_0`` is captured at its own first real
-    column; within a journey the operation sequence is identical to the
-    scalar :func:`repro.core.stages.solve_pipeline`, including the
-    :data:`_LATENCY_CAP` clamping, so saturating grid points blow up to
-    ``inf`` bit-identically.  The final weighted sum runs in journey order
-    to match the scalar accumulation exactly.
-    """
-    num_journeys, num_cols = batch.flit_times.shape
-    grid = rate_arrays[0]
-    home = np.broadcast_to(rate_arrays[0], (num_journeys, grid.shape[0]))
-    alt = np.broadcast_to(rate_arrays[-1], (num_journeys, grid.shape[0]))
-    suffix = np.zeros((num_journeys, grid.shape[0]), dtype=np.float64)
-    t0 = np.zeros_like(suffix)
-    with np.errstate(invalid="ignore", over="ignore"):
-        for col in range(num_cols - 1, -1, -1):
-            flit = batch.flit_times[:, col][:, None]
-            select = batch.eta_select[:, col]
-            t_col = m_flits * flit + suffix
-            over = t_col > _LATENCY_CAP
-            eta = np.where((select == 1)[:, None], alt, home)
-            eta = eta * (select >= 0)[:, None]  # zero out padding columns
-            w_col = 0.5 * eta * t_col * t_col
-            w_col = np.where(w_col > _LATENCY_CAP, np.inf, w_col)
-            w_col = np.where(over, np.inf, w_col)
-            starts = batch.start_col == col
-            if starts.any():
-                t0 = np.where(starts[:, None], np.where(over, np.inf, t_col), t0)
-            suffix = suffix + w_col
-        total = np.zeros_like(grid)
-        for j in range(num_journeys):
-            total = total + batch.weights[j] * t0[j]
-    return total
-
-
-def _mg1_wait_batched(
-    rate: np.ndarray, mean_service: np.ndarray, variance: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised :func:`repro.core.queueing.mg1_wait` (Eq. 15).
-
-    Returns ``(wait, utilization, saturated)`` arrays with the scalar
-    function's exact semantics: an infinite service time (blown-up upstream
-    pipeline) counts as saturation whenever any traffic arrives, and a
-    zero-rate queue never waits regardless of its service time.
-    """
-    finite = np.isfinite(mean_service) & np.isfinite(variance)
-    service = np.where(finite, mean_service, 0.0)
-    var = np.where(finite, variance, 0.0)
-    rho = rate * service
-    infinite_service = ~finite & (rate > 0.0)
-    saturated = infinite_service | (rho >= 1.0)
-    second_moment = service * service + var
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        wait = rate * second_moment / (2.0 * (1.0 - rho))
-    wait = np.where(saturated, np.inf, wait)
-    wait = np.where(rate == 0.0, 0.0, wait)
-    utilization = np.where(infinite_service, np.inf, rho)
-    return wait, utilization, saturated
-
-
-# ---------------------------------------------------------------------------
-# precomputed (load-independent) structure
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _JourneyBatch:
-    """All journey-length terms of an Eq. 5/20 average, stacked and padded.
-
-    Journeys are right-aligned into a (journeys × max-stages) plane so the
-    backward recursion can advance one column at a time across the whole
-    batch.  ``eta_select`` holds ``-1`` on left-padding columns (zero rate,
-    zero flit time — a no-op for the suffix sums), ``0`` for stages driven
-    by the pipeline's home-network rate and ``1`` for the relaxed ICN2
-    segment; ``start_col[j]`` is journey *j*'s first real column, where its
-    ``T_0`` is read off.
-    """
-
-    weights: np.ndarray  # (J,)
-    flit_times: np.ndarray  # (J, K_max), zero on padding
-    eta_select: np.ndarray  # (J, K_max) int8
-    start_col: np.ndarray  # (J,)
-
-
-def _stack_journeys(entries: list[tuple[float, np.ndarray, np.ndarray]]) -> _JourneyBatch:
-    """Right-align ``(weight, flit_times, rate_select)`` journeys into a batch."""
-    k_max = max(len(flit_times) for _, flit_times, _ in entries)
-    count = len(entries)
-    weights = np.array([weight for weight, _, _ in entries], dtype=np.float64)
-    flit = np.zeros((count, k_max), dtype=np.float64)
-    select = np.full((count, k_max), -1, dtype=np.int8)
-    start = np.empty(count, dtype=np.intp)
-    for j, (_, flit_times, rate_select) in enumerate(entries):
-        pad = k_max - len(flit_times)
-        flit[j, pad:] = flit_times
-        select[j, pad:] = rate_select
-        start[j] = pad
-    return _JourneyBatch(weights=weights, flit_times=flit, eta_select=select, start_col=start)
-
-
-@dataclass(frozen=True)
-class _IntraPlan:
-    """Load-independent decomposition of one class's intra-cluster model."""
-
-    intra_fraction: float  # 1 - U_i
-    nodes: int  # N_i
-    eta_divisor: float  # Eq. 10 denominator 4 n_i N_i
-    mean_links: float
-    tree_depth: int
-    journeys: _JourneyBatch
-    tail_time: float  # E_in (Eq. 19) — load independent
-    min_service: float  # M t_cn, the Eq. 17 variance anchor
-    channel_time: float  # t_cs of ICN1(i), for channel utilisation
-
-
-@dataclass(frozen=True)
-class _PairPlan:
-    """Load-independent decomposition of one ordered class pair (i, j)."""
-
-    external: float  # N_i U_i + N_j U_j  (Eq. 22 slope)
-    src_nodes: int  # N_i
-    src_u: float  # U_i
-    d_e1: float  # mean journey links in the source's ECN1 (Eq. 24)
-    d_i2: float  # mean journey links in ICN2 (Eq. 25)
-    eta_e1_divisor: float
-    eta_i2_divisor: float
-    delta: float  # Eq. 28 relaxing factor
-    journeys: _JourneyBatch
-    tail_time: float  # E_ex (Eq. 33) — load independent
-    min_service: float  # M t_cn^{E1(i)}
-    conc_service: float  # M t_cs^{I2}
-    conc_variance: float  # Eq. 36 variance (constant)
-    weight: float  # destination weight of j in the Eq. 35/38 averages
-    ecn1_channel_time: float
-    icn2_channel_time: float
-
-
-def _validate_loads(loads: "np.ndarray | list[float]") -> np.ndarray:
-    """Shared load-grid validation: 1-D, non-empty, non-negative, finite."""
-    loads_arr = np.asarray(loads, dtype=np.float64)
-    require(loads_arr.ndim == 1 and loads_arr.size > 0, "loads must be a non-empty 1-D sequence")
-    require(bool(np.all(loads_arr >= 0)), "loads must be non-negative")
-    require(bool(np.all(np.isfinite(loads_arr))), "loads must be finite")
-    return loads_arr
-
-
-def _intra_rate_arrays(plan: "_IntraPlan", loads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``λ_I1`` and ``η_I1`` over the grid (Eqs. 7-10).
-
-    The single source of the intra rate arithmetic — shared by the latency
-    evaluation and the saturation inversion so the two can never drift.
-    """
-    lambda_i1 = plan.nodes * loads * plan.intra_fraction
-    eta_i1 = lambda_i1 * plan.mean_links / plan.eta_divisor
-    return lambda_i1, eta_i1
-
-
-def _pair_rate_arrays(
-    plan: "_PairPlan", loads: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``λ_E1, λ_I2, η_E1, η_I2, η_I2·δ`` over the grid (Eqs. 22-28).
-
-    The single source of the pair rate arithmetic — shared by the latency
-    evaluation and the saturation inversion so the two can never drift.
-    """
-    lambda_e1 = loads * plan.external
-    lambda_i2 = 0.5 * lambda_e1
-    eta_e1 = lambda_e1 * plan.d_e1 / plan.eta_e1_divisor
-    eta_i2 = lambda_i2 * plan.d_i2 / plan.eta_i2_divisor
-    eta_i2_eff = eta_i2 * plan.delta  # Eq. 28 relaxing factor
-    return lambda_e1, lambda_i2, eta_e1, eta_i2, eta_i2_eff
-
-
 @dataclass(frozen=True)
 class ResourceRates:
     """Utilisation of one modelled resource across a load grid."""
@@ -326,13 +97,13 @@ class ResourceRates:
 
 
 class BatchedModel:
-    """Batched evaluator for :class:`~repro.core.model.AnalyticalModel`.
+    """One-cell view of :class:`~repro.core.stacked.StackedModel`.
 
-    Construction performs the load-independent precompute; each
-    :meth:`evaluate_many` call then costs O(journeys × stages) NumPy
-    operations over the whole grid.  The wrapped scalar model stays
-    available as :attr:`reference_model` (it is the semantics oracle the
-    equivalence tests compare against).
+    Construction packs the design into a one-cell stack; every method
+    reads that cell's row back as scalars, a
+    :class:`~repro.core.sweep.LoadSweep` or :class:`ResourceRates`.  The
+    wrapped scalar model stays available as :attr:`reference_model` (it
+    is the semantics oracle the equivalence tests compare against).
 
     Parameters match :class:`~repro.core.model.AnalyticalModel`.
     """
@@ -347,20 +118,13 @@ class BatchedModel:
         self._attach(AnalyticalModel(system, message, options, pattern))
 
     def _attach(self, model: AnalyticalModel) -> None:
-        """Build the load-independent precompute around *model*."""
+        """Stack *model* as the view's single cell."""
         self._model = model
-        self.system = self._model.system
-        self.message = self._model.message
-        self.options = self._model.options
-        self.pattern = self._model.pattern
-        self._classes = self._model.cluster_classes
-        self._single_cluster = self.system.num_clusters == 1
-        self._m_flits = self.message.length_flits
-        self._saturation_cache: dict[str, float] | None = None
-        self._intra_plans = tuple(self._plan_intra(src) for src in self._classes)
-        self._pair_plans: tuple[tuple[_PairPlan, ...], ...] = tuple(
-            self._plan_pairs(i) for i in range(len(self._classes))
-        )
+        self.system = model.system
+        self.message = model.message
+        self.options = model.options
+        self.pattern = model.pattern
+        self._stack = StackedModel([model])
 
     @classmethod
     def from_model(cls, model: AnalyticalModel) -> "BatchedModel":
@@ -368,8 +132,8 @@ class BatchedModel:
 
         The engine's :attr:`reference_model` *is* the given instance — no
         duplicate :class:`AnalyticalModel` is constructed.  Repeated calls
-        with the same model reuse one precompute, so rewired entry points
-        (``find_saturation_load``, ``sweep_load``, …) pay the decomposition
+        with the same model reuse one stack, so rewired entry points
+        (``find_saturation_load``, ``sweep_load``, …) pack the cell
         once per model object; if the model's attributes were reassigned
         since the engine was cached, a fresh engine is built instead of
         returning stale results.
@@ -383,7 +147,7 @@ class BatchedModel:
         return cached
 
     def _wraps(self, model: AnalyticalModel) -> bool:
-        """True if this engine's precompute still reflects *model*'s state."""
+        """True if this engine's stack still reflects *model*'s state."""
         return (
             self._model is model
             and self.system is model.system
@@ -400,206 +164,9 @@ class BatchedModel:
     @property
     def cluster_classes(self):
         """The class decomposition the engine evaluates over."""
-        return self._classes
+        return self._model.cluster_classes
 
-    # -- precompute ------------------------------------------------------------
-
-    def _plan_intra(self, src) -> _IntraPlan:
-        from repro.core.topology_math import journey_length_pmf, mean_journey_links
-
-        options = self.options
-        st = ServiceTimes.for_network(src.icn1, self.message, options)
-        n_depth = src.tree_depth
-        pmf = journey_length_pmf(self.system.switch_ports, n_depth)
-        mean_links = mean_journey_links(self.system.switch_ports, n_depth)
-        intra_fraction = 1.0 - src.u
-
-        journeys = []
-        for h in range(1, n_depth + 1):
-            k_stages = 2 * h - 1
-            flit_times = np.full(k_stages, st.t_cs, dtype=np.float64)
-            flit_times[-1] = st.t_cn
-            journeys.append((float(pmf[h - 1]), flit_times, np.zeros(k_stages, dtype=np.int8)))
-
-        h_values = np.arange(1, n_depth + 1, dtype=np.float64)
-        tail_time = float(np.sum(pmf * (2.0 * (h_values - 1.0) * st.t_cs + st.t_cn)))
-
-        return _IntraPlan(
-            intra_fraction=intra_fraction,
-            nodes=src.nodes,
-            eta_divisor=4.0 * n_depth * src.nodes,
-            mean_links=mean_links,
-            tree_depth=n_depth,
-            journeys=_stack_journeys(journeys),
-            tail_time=tail_time,
-            min_service=self._m_flits * st.t_cn,
-            channel_time=switch_channel_time(src.icn1, self.message.flit_bytes),
-        )
-
-    def _plan_pairs(self, src_idx: int) -> tuple[_PairPlan, ...]:
-        from repro.core.topology_math import journey_length_pmf, mean_journey_links
-
-        if self._single_cluster:
-            return ()
-        system, message, options = self.system, self.message, self.options
-        classes = self._classes
-        src = classes[src_idx]
-        weights = self._model._destination_weights(src_idx)
-        if src.u > 0.0:
-            require(sum(weights) > 0, "destination weights must not all be zero")
-        n_c = system.icn2_tree_depth
-        st_src = ServiceTimes.for_network(src.ecn1, message, options)
-        st_i2 = ServiceTimes.for_network(system.icn2, message, options)
-        d_e1 = mean_journey_links(system.switch_ports, src.tree_depth)
-        d_i2 = mean_journey_links(system.switch_ports, n_c)
-        delta = (system.icn2.beta / src.ecn1.beta) if options.relaxing_factor else 1.0
-        pmf_r = journey_length_pmf(system.switch_ports, src.tree_depth)
-        pmf_l = journey_length_pmf(system.switch_ports, n_c)
-
-        plans = []
-        for j, dst in enumerate(classes):
-            st_dst = ServiceTimes.for_network(dst.ecn1, message, options)
-            pmf_v = journey_length_pmf(system.switch_ports, dst.tree_depth)
-            journeys: list[tuple[float, np.ndarray, np.ndarray]] = []
-            tail_time = 0.0
-            for r in range(1, src.tree_depth + 1):
-                p_r = float(pmf_r[r - 1])
-                for v in range(1, dst.tree_depth + 1):
-                    p_rv = p_r * float(pmf_v[v - 1])
-                    for l_hops in range(1, n_c + 1):
-                        weight = p_rv * float(pmf_l[l_hops - 1])
-                        k_stages = r + v + 2 * l_hops - 1
-                        icn2_lo, icn2_hi = r, r + 2 * l_hops - 1  # Eq. 30 ranges
-                        flit_times = np.empty(k_stages, dtype=np.float64)
-                        flit_times[:icn2_lo] = st_src.t_cs
-                        flit_times[icn2_lo:icn2_hi] = st_i2.t_cs
-                        flit_times[icn2_hi:] = st_dst.t_cs
-                        flit_times[k_stages - 1] = st_dst.t_cn  # Eq. 29 final stage
-                        rate_select = np.zeros(k_stages, dtype=np.int8)
-                        rate_select[icn2_lo:icn2_hi] = 1  # Eq. 27
-                        journeys.append((weight, flit_times, rate_select))
-                        tail = (
-                            (r - 1) * st_src.t_cs
-                            + (v - 1) * st_dst.t_cs
-                            + 2 * l_hops * st_i2.t_cs
-                            + st_dst.t_cn
-                        )
-                        tail_time += weight * tail
-
-            external = src.nodes * src.u + dst.nodes * dst.u
-            conc_service = self._m_flits * st_i2.t_cs
-            if options.variance_approximation == "paper":
-                conc_variance = (conc_service - self._m_flits * st_src.t_cs) ** 2  # Eq. 36
-            else:
-                conc_variance = conc_service**2
-            plans.append(
-                _PairPlan(
-                    external=external,
-                    src_nodes=src.nodes,
-                    src_u=src.u,
-                    d_e1=d_e1,
-                    d_i2=d_i2,
-                    eta_e1_divisor=4.0 * src.tree_depth * src.nodes,
-                    eta_i2_divisor=4.0 * n_c,
-                    delta=delta,
-                    journeys=_stack_journeys(journeys),
-                    tail_time=tail_time,
-                    min_service=self._m_flits * st_src.t_cn,
-                    conc_service=conc_service,
-                    conc_variance=conc_variance,
-                    weight=float(weights[j]),
-                    ecn1_channel_time=switch_channel_time(src.ecn1, message.flit_bytes),
-                    icn2_channel_time=switch_channel_time(system.icn2, message.flit_bytes),
-                )
-            )
-        return tuple(plans)
-
-    # -- vectorised evaluation --------------------------------------------------
-
-    # -- queue arrival rates (single source for evaluation AND inversion) -------
-
-    def _intra_source_rate(
-        self, plan: _IntraPlan, loads: np.ndarray, lambda_i1: np.ndarray
-    ) -> np.ndarray:
-        """Eq. 18 source-queue rate under the configured convention."""
-        if self.options.source_queue_rate == "per_node":
-            return loads * plan.intra_fraction
-        return lambda_i1  # "paper" / "aggregate_pair" keep the aggregate rate
-
-    def _pair_source_rate(
-        self, plan: _PairPlan, loads: np.ndarray, lambda_e1: np.ndarray
-    ) -> np.ndarray:
-        """Eq. 31 source-queue rate under the configured convention."""
-        if self.options.source_queue_rate == "aggregate_pair":
-            return lambda_e1
-        return loads * plan.src_u
-
-    def _concentrator_rate(
-        self, plan: _PairPlan, loads: np.ndarray, lambda_e1: np.ndarray
-    ) -> np.ndarray:
-        """Eq. 37 concentrator rate under the configured convention."""
-        if self.options.concentrator_rate == "source_outgoing":
-            return loads * plan.src_nodes * plan.src_u
-        return 0.5 * lambda_e1  # "pair_mean": λ_I2 = λ_E1 / 2
-
-    def _intra_terms(self, plan: _IntraPlan, loads: np.ndarray) -> dict[str, np.ndarray]:
-        # Eq. 7 / Eqs. 8-10, expression-for-expression with intra_cluster_latency.
-        lambda_i1, eta_i1 = _intra_rate_arrays(plan, loads)
-        network_latency = _solve_journeys_batched(plan.journeys, (eta_i1,), self._m_flits)
-        source_rate = self._intra_source_rate(plan, loads, lambda_i1)
-        if self.options.variance_approximation == "paper":
-            variance = (network_latency - plan.min_service) ** 2  # Eq. 17
-        else:
-            variance = network_latency**2
-        wait, utilization, saturated = _mg1_wait_batched(source_rate, network_latency, variance)
-        total = wait + network_latency + plan.tail_time
-        return {
-            "wait": wait,
-            "network_latency": network_latency,
-            "total": total,
-            "lambda_i1": lambda_i1,
-            "eta_i1": eta_i1,
-            "utilization": utilization,
-            "saturated": saturated,
-        }
-
-    def _pair_terms(self, plan: _PairPlan, loads: np.ndarray) -> dict[str, np.ndarray]:
-        # Eqs. 22-25, 27-28 with the same association order as inter_pair_latency.
-        lambda_e1, lambda_i2, eta_e1, eta_i2, eta_i2_eff = _pair_rate_arrays(plan, loads)
-        network_latency = _solve_journeys_batched(
-            plan.journeys, (eta_e1, eta_i2_eff), self._m_flits
-        )
-        source_rate = self._pair_source_rate(plan, loads, lambda_e1)
-        if self.options.variance_approximation == "paper":
-            variance = (network_latency - plan.min_service) ** 2
-        else:
-            variance = network_latency**2
-        wait, utilization, saturated = _mg1_wait_batched(source_rate, network_latency, variance)
-        total = wait + network_latency + plan.tail_time
-        # Eqs. 36-37 — the concentrator/dispatcher M/G/1 (constant service).
-        conc_rate = self._concentrator_rate(plan, loads, lambda_e1)
-        conc_wait, conc_util, conc_saturated = _mg1_wait_batched(
-            conc_rate,
-            np.full_like(loads, plan.conc_service),
-            np.full_like(loads, plan.conc_variance),
-        )
-        pair_wait = 2.0 * conc_wait  # Eq. 38 summand (2 inf stays inf)
-        return {
-            "wait": wait,
-            "network_latency": network_latency,
-            "total": total,
-            "lambda_e1": lambda_e1,
-            "lambda_i2": lambda_i2,
-            "eta_e1": eta_e1,
-            "eta_i2": eta_i2,
-            "utilization": utilization,
-            "saturated": saturated,
-            "conc_wait": conc_wait,
-            "conc_pair_wait": pair_wait,
-            "conc_rate": conc_rate,
-            "conc_utilization": conc_util,
-            "conc_saturated": conc_saturated,
-        }
+    # -- load curves ------------------------------------------------------------
 
     def evaluate_many(
         self, loads: "np.ndarray | list[float]", *, with_results: bool = True
@@ -607,113 +174,65 @@ class BatchedModel:
         """Evaluate the model at every load in *loads* (Eqs. 1-3, batched).
 
         Returns the same :class:`~repro.core.sweep.LoadSweep` a scalar
-        :func:`~repro.core.sweep.sweep_load` would produce.  With
+        ``model.evaluate`` loop would produce.  With
         ``with_results=False`` the per-load :class:`ModelResult` breakdowns
         are skipped (``results`` is empty) — use this for latency-only
         sweeps where constructing per-point dataclasses is pure overhead.
         """
         from repro.core.sweep import LoadSweep
 
-        loads_arr = _validate_loads(loads)
-        classes = self._classes
-        n_loads = loads_arr.size
-        per_class: list[dict] = []
-        latency = np.zeros(n_loads, dtype=np.float64)
-        any_saturated = np.zeros(n_loads, dtype=bool)
-        for i, src in enumerate(classes):
-            intra = self._intra_terms(self._intra_plans[i], loads_arr)
-            entry: dict = {"intra": intra, "pairs": None}
-            inter_network = np.zeros(n_loads, dtype=np.float64)
-            conc_wait = np.zeros(n_loads, dtype=np.float64)
-            pair_saturated = np.zeros(n_loads, dtype=bool)
-            if not (self._single_cluster or src.u == 0.0):
-                pairs = [
-                    self._pair_terms(plan, loads_arr) for plan in self._pair_plans[i]
-                ]
-                entry["pairs"] = pairs
-                total_weight = sum(plan.weight for plan in self._pair_plans[i])
-                for plan, pair in zip(self._pair_plans[i], pairs):
-                    if plan.weight <= 0:
-                        continue
-                    inter_network = inter_network + plan.weight * pair["total"]
-                    conc_wait = conc_wait + plan.weight * pair["conc_pair_wait"]
-                    pair_saturated = pair_saturated | pair["saturated"] | pair["conc_saturated"]
-                inter_network = inter_network / total_weight
-                conc_wait = conc_wait / total_weight
-            outward = inter_network + conc_wait  # Eq. 39
-            mean = (1.0 - src.u) * intra["total"] + src.u * outward  # Eq. 1
-            class_saturated = intra["saturated"] | pair_saturated
-            entry.update(
-                inter_network=inter_network,
-                conc_wait=conc_wait,
-                outward=outward,
-                mean=mean,
-                saturated=class_saturated,
-            )
-            per_class.append(entry)
-            latency = latency + mean * src.nodes * src.count
-            any_saturated = any_saturated | class_saturated
-        latency = latency / self.system.total_nodes  # Eq. 3
-        latencies = np.where(any_saturated, np.inf, latency)
+        loads_arr = np.asarray(loads, dtype=np.float64)
+        require(loads_arr.ndim == 1, "loads must be a 1-D sequence")
+        if not with_results:
+            latencies = self._stack.evaluate_latencies(loads_arr)[0]
+            return LoadSweep(loads=loads_arr, latencies=latencies, results=())
+        terms = self._stack.evaluate_terms(loads_arr)[0]
+        results = tuple(
+            self._build_result(idx, float(load), terms) for idx, load in enumerate(loads_arr)
+        )
+        return LoadSweep(loads=loads_arr, latencies=terms["latency"], results=results)
 
-        results: tuple[ModelResult, ...] = ()
-        if with_results:
-            results = tuple(
-                self._build_result(idx, float(loads_arr[idx]), per_class, latencies)
-                for idx in range(n_loads)
-            )
-        return LoadSweep(loads=loads_arr, latencies=latencies, results=results)
-
-    # -- scalar result reconstruction -------------------------------------------
-
-    def _build_result(
-        self, idx: int, load: float, per_class: list[dict], latencies: np.ndarray
-    ) -> ModelResult:
-        """Materialise one grid point as a scalar-identical :class:`ModelResult`."""
+    def _build_result(self, idx: int, load: float, terms: dict) -> ModelResult:
+        """Materialise grid point *idx* as a scalar-identical :class:`ModelResult`."""
         breakdowns = []
         saturated_resources: list[str] = []
-        for i, src in enumerate(self._classes):
-            entry = per_class[i]
-            plan = self._intra_plans[i]
-            terms = entry["intra"]
+        classes = self.cluster_classes
+        for src, entry in zip(classes, terms["classes"]):
+            planes = entry["intra"]
             intra = IntraClusterLatency(
-                source_wait=float(terms["wait"][idx]),
-                network_latency=float(terms["network_latency"][idx]),
-                tail_time=plan.tail_time,
-                total=float(terms["total"][idx]),
-                aggregate_rate=float(terms["lambda_i1"][idx]),
-                channel_rate=float(terms["eta_i1"][idx]),
-                source_utilization=float(terms["utilization"][idx]),
-                saturated=bool(terms["saturated"][idx]),
+                source_wait=float(planes["wait"][idx]),
+                network_latency=float(planes["network_latency"][idx]),
+                tail_time=float(planes["tail_time"]),
+                total=float(planes["total"][idx]),
+                aggregate_rate=float(planes["lambda_i1"][idx]),
+                channel_rate=float(planes["eta_i1"][idx]),
+                source_utilization=float(planes["utilization"][idx]),
+                saturated=bool(planes["saturated"][idx]),
             )
             if intra.saturated:
                 saturated_resources.append(f"{src.name}:icn1-source-queue")
-            inter_pairs: tuple[InterPairLatency, ...] = ()
-            if entry["pairs"] is not None:
-                pair_objs = []
-                for plan_p, pair, dst in zip(self._pair_plans[i], entry["pairs"], self._classes):
-                    pair_objs.append(
-                        InterPairLatency(
-                            source_wait=float(pair["wait"][idx]),
-                            network_latency=float(pair["network_latency"][idx]),
-                            tail_time=plan_p.tail_time,
-                            total=float(pair["total"][idx]),
-                            ecn1_rate=float(pair["lambda_e1"][idx]),
-                            icn2_rate=float(pair["lambda_i2"][idx]),
-                            ecn1_channel_rate=float(pair["eta_e1"][idx]),
-                            icn2_channel_rate=float(pair["eta_i2"][idx]),
-                            relaxing_factor=plan_p.delta,
-                            source_utilization=float(pair["utilization"][idx]),
-                            saturated=bool(pair["saturated"][idx]),
-                        )
-                    )
-                    if plan_p.weight <= 0:
-                        continue
-                    if bool(pair["saturated"][idx]):
-                        saturated_resources.append(f"{src.name}->{dst.name}:ecn1-source-queue")
-                    if bool(pair["conc_saturated"][idx]):
-                        saturated_resources.append(f"{src.name}->{dst.name}:concentrator")
-                inter_pairs = tuple(pair_objs)
+            inter_pairs = []
+            for pair, dst in zip(entry["pairs"], classes):
+                inter = InterPairLatency(
+                    source_wait=float(pair["wait"][idx]),
+                    network_latency=float(pair["network_latency"][idx]),
+                    tail_time=float(pair["tail_time"]),
+                    total=float(pair["total"][idx]),
+                    ecn1_rate=float(pair["lambda_e1"][idx]),
+                    icn2_rate=float(pair["lambda_i2"][idx]),
+                    ecn1_channel_rate=float(pair["eta_e1"][idx]),
+                    icn2_channel_rate=float(pair["eta_i2"][idx]),
+                    relaxing_factor=float(pair["relaxing_factor"]),
+                    source_utilization=float(pair["utilization"][idx]),
+                    saturated=bool(pair["saturated"][idx]),
+                )
+                inter_pairs.append(inter)
+                if pair["weight"] <= 0:
+                    continue
+                if inter.saturated:
+                    saturated_resources.append(f"{src.name}->{dst.name}:ecn1-source-queue")
+                if bool(pair["conc_saturated"][idx]):
+                    saturated_resources.append(f"{src.name}->{dst.name}:concentrator")
             breakdowns.append(
                 ClusterBreakdown(
                     name=src.name,
@@ -722,7 +241,7 @@ class BatchedModel:
                     count=src.count,
                     outgoing_probability=src.u,
                     intra=intra,
-                    inter_pairs=inter_pairs,
+                    inter_pairs=tuple(inter_pairs),
                     inter_network=float(entry["inter_network"][idx]),
                     concentrator_wait=float(entry["conc_wait"][idx]),
                     outward=float(entry["outward"][idx]),
@@ -730,16 +249,13 @@ class BatchedModel:
                     saturated=bool(entry["saturated"][idx]),
                 )
             )
-        saturated = any(b.saturated for b in breakdowns)
         return ModelResult(
             load=load,
-            latency=float(latencies[idx]),
-            saturated=saturated,
+            latency=float(terms["latency"][idx]),
+            saturated=any(b.saturated for b in breakdowns),
             clusters=tuple(breakdowns),
             saturated_resources=tuple(saturated_resources),
         )
-
-    # -- conveniences -----------------------------------------------------------
 
     def evaluate(self, generation_rate: float) -> ModelResult:
         """Single-point evaluation through the batched path (for spot checks)."""
@@ -747,8 +263,7 @@ class BatchedModel:
 
     def zero_load_latency(self) -> float:
         """Mean latency in the λ_g → 0 limit (pure transmission time)."""
-        sweep = self.evaluate_many(np.array([0.0]), with_results=False)
-        return float(sweep.latencies[0])
+        return float(self._stack.zero_load_latencies()[0])
 
     # -- per-resource utilisation / saturation ----------------------------------
 
@@ -759,167 +274,26 @@ class BatchedModel:
         :func:`repro.analysis.bottleneck.model_bottlenecks`, which is built
         on this method.
         """
-        loads_arr = _validate_loads(loads)
-        m_flits = self._m_flits
-        out: list[ResourceRates] = []
-        for i, src in enumerate(self._classes):
-            plan = self._intra_plans[i]
-            terms = self._intra_terms(plan, loads_arr)
-            out.append(
-                ResourceRates(f"{src.name}:icn1-source-queue", "source-queue", terms["utilization"])
-            )
-            out.append(
-                ResourceRates(
-                    f"{src.name}:icn1-channels",
-                    "channel",
-                    terms["eta_i1"] * m_flits * plan.channel_time,
-                )
-            )
-            if self._single_cluster:
-                continue
-            for plan_p, dst in zip(self._pair_plans[i], self._classes):
-                pair = self._pair_terms(plan_p, loads_arr)
-                pair_name = f"{src.name}->{dst.name}"
-                out.append(
-                    ResourceRates(f"{pair_name}:ecn1-source-queue", "source-queue", pair["utilization"])
-                )
-                out.append(
-                    ResourceRates(f"{pair_name}:concentrator", "concentrator", pair["conc_utilization"])
-                )
-                out.append(
-                    ResourceRates(
-                        f"{pair_name}:ecn1-channels",
-                        "channel",
-                        pair["eta_e1"] * m_flits * plan_p.ecn1_channel_time,
-                    )
-                )
-                out.append(
-                    ResourceRates(
-                        f"{pair_name}:icn2-channels",
-                        "channel",
-                        pair["eta_i2"] * m_flits * plan_p.icn2_channel_time,
-                    )
-                )
-        return tuple(out)
-
-    #: Probes per bracket-refinement round of the source-queue inversion.
-    _ROOT_GRID = 33
-    #: Relative bracket width at which the inversion stops.
-    _ROOT_REL_TOL = 1e-13
-
-    def _source_queue_saturation(
-        self,
-        rate_of_many: Callable[[np.ndarray], np.ndarray],
-        latency_of_many: Callable[[np.ndarray], np.ndarray],
-    ) -> float:
-        """λ* solving ``rate(λ) · T(λ) = 1`` for one source queue.
-
-        ``rate`` is the queue's arrival rate (linear in ``λ_g``, shared with
-        the evaluation path) and ``T`` the monotone non-decreasing pipeline
-        latency of the queue's own journey set, so the root is unique and
-        upper-bounded by the linearised estimate ``1 / (rate'(0) · T(0))``.
-        The bracket is narrowed by vectorised grid refinement — each round
-        evaluates one :data:`_ROOT_GRID`-point batch of the queue's own
-        journey recursion (not the whole model) and keeps the cell
-        containing the ρ = 1 crossing — down to :data:`_ROOT_REL_TOL`
-        relative width.
-        """
-        rate_slope = float(rate_of_many(np.ones(1))[0])  # rates are linear, zero at 0
-        if rate_slope <= 0.0:
-            return float("inf")
-        zero_load_latency = float(latency_of_many(np.zeros(1))[0])
-        require_positive(zero_load_latency, "zero-load pipeline latency")
-
-        def saturated(grid: np.ndarray) -> np.ndarray:
-            t = latency_of_many(grid)
-            rho = np.where(np.isfinite(t), rate_of_many(grid) * t, np.inf)
-            return rho >= 1.0
-
-        # The tiny headroom keeps ρ(hi) >= 1 even when T is load-independent
-        # (a one-stage pipeline) and the bound is the root itself.
-        upper = (1.0 / (rate_slope * zero_load_latency)) * (1.0 + 1e-9)
-        _, hi = refine_monotone_crossing(
-            0.0, upper, saturated, rel_tol=self._ROOT_REL_TOL, points=self._ROOT_GRID
+        return tuple(
+            ResourceRates(name, kind, utilization)
+            for name, kind, utilization in self._stack.resource_utilizations(loads)[0]
         )
-        return hi
 
     def saturation_loads(self) -> dict[str, float]:
         """Per-resource saturation rates ``λ*`` (ρ = 1), keyed like
         ``ModelResult.saturated_resources``.
 
-        Concentrator entries are exact closed forms
-        ``1 / (slope · M t_cs^{I2})``; source-queue entries invert the
-        single-resource monotone utilisation (see the module docstring).
-        Only resources that can saturate the model are listed (zero-weight
-        destination pairs and zero-rate queues are excluded, mirroring
-        ``AnalyticalModel.evaluate``).
+        Concentrator entries are exact closed forms, source-queue entries
+        invert the single-resource monotone utilisation (see
+        :mod:`repro.core.stacked`).  Only resources that can saturate the
+        model are listed.
         """
-        if self._saturation_cache is not None:
-            return dict(self._saturation_cache)
-        out: dict[str, float] = {}
-        for i, src in enumerate(self._classes):
-            plan = self._intra_plans[i]
-
-            def intra_latency(loads: np.ndarray, *, _plan=plan) -> np.ndarray:
-                _, eta_i1 = _intra_rate_arrays(_plan, loads)
-                return _solve_journeys_batched(_plan.journeys, (eta_i1,), self._m_flits)
-
-            def intra_rate(loads: np.ndarray, *, _plan=plan) -> np.ndarray:
-                lambda_i1, _ = _intra_rate_arrays(_plan, loads)
-                return self._intra_source_rate(_plan, loads, lambda_i1)
-
-            # A zero-rate queue (intra_fraction == 0 under a pattern with
-            # U_i == 1) can never saturate and is excluded, like zero-weight
-            # pairs, mirroring AnalyticalModel.evaluate's saturation scope.
-            lam = self._source_queue_saturation(intra_rate, intra_latency)
-            if np.isfinite(lam):
-                out[f"{src.name}:icn1-source-queue"] = lam
-
-            if self._single_cluster or src.u == 0.0:
-                continue
-            for plan_p, dst in zip(self._pair_plans[i], self._classes):
-                if plan_p.weight <= 0:
-                    continue
-                pair_name = f"{src.name}->{dst.name}"
-
-                def pair_latency(loads: np.ndarray, *, _plan=plan_p) -> np.ndarray:
-                    _, _, eta_e1, _, eta_i2_eff = _pair_rate_arrays(_plan, loads)
-                    return _solve_journeys_batched(
-                        _plan.journeys, (eta_e1, eta_i2_eff), self._m_flits
-                    )
-
-                def pair_rate(loads: np.ndarray, *, _plan=plan_p) -> np.ndarray:
-                    return self._pair_source_rate(_plan, loads, loads * _plan.external)
-
-                lam = self._source_queue_saturation(pair_rate, pair_latency)
-                if np.isfinite(lam):
-                    out[f"{pair_name}:ecn1-source-queue"] = lam
-                # Constant service time ⇒ ρ = slope · service · λ is exactly
-                # linear and the saturation rate is closed form.  The slope
-                # comes from the same rate helper the evaluation path uses.
-                ones = np.ones(1)
-                conc_slope = float(
-                    self._concentrator_rate(plan_p, ones, ones * plan_p.external)[0]
-                )
-                if conc_slope > 0.0:
-                    out[f"{pair_name}:concentrator"] = 1.0 / (
-                        conc_slope * plan_p.conc_service
-                    )
-        self._saturation_cache = dict(out)
-        return out
+        return self._stack.saturation_loads()[0]
 
     def saturation_load(self) -> float:
         """Smallest ``λ_g`` at which any modelled queue reaches ρ = 1."""
-        loads = self.saturation_loads()
-        lam_star = min(loads.values(), default=float("inf"))
-        require(
-            np.isfinite(lam_star),
-            "could not find a saturating load (system unsaturable?)",
-        )
-        return lam_star
+        return float(self._stack.saturation_load()[0])
 
     def binding_resource(self) -> str:
         """Name of the resource whose saturation rate is smallest."""
-        loads = self.saturation_loads()
-        require(len(loads) > 0, "no saturable resources in this system")
-        return min(loads, key=loads.get)
+        return self._stack.binding_resources()[0]

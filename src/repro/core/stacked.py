@@ -1,37 +1,41 @@
-"""Cross-cell stacked evaluation: the closed forms over (cells × loads).
+"""The closed forms over (cells × loads): the model's one vectorised engine.
 
-:class:`~repro.core.batch.BatchedModel` vectorises the model across *loads*
-but still prices one design cell at a time; a design-space sweep therefore
-pays the Python/NumPy call overhead of the saturation inversion, the knee
-search and the journey recursion once **per cell**.  This module adds the
-missing axis: a :class:`ParameterPlan` packs a list of model configurations
-into stacked parameter arrays with a leading *cells* axis, and
-:class:`StackedModel` evaluates the whole set with the same ndarray
-operations the batched engine runs per cell — every intermediate array is
-shaped ``(cells, …)`` or ``(cells, loads)``, so the per-call overhead is
-amortised across the entire cell set.
+:class:`StackedModel` evaluates the paper's closed forms — the Eq. 13/14
+stage recursion, the Eq. 15 M/G/1 waits, the Eq. 36-38 concentrator
+queues and the per-resource saturation load λ* — for a whole list of
+design cells at once.  A :class:`ParameterPlan` packs the cells into
+parameter arrays with a leading *cells* axis; every intermediate array is
+shaped ``(cells, …)`` or ``(cells, loads)``, so the Python and NumPy call
+overhead is paid once per cell set instead of once per cell.
+:class:`~repro.core.batch.BatchedModel` is the one-cell view of this
+engine, and the scalar :class:`~repro.core.model.AnalyticalModel` stays
+the readable oracle.
 
-Bit-identity contract
----------------------
-Every number a :class:`StackedModel` produces is **bit-identical** to the
-per-cell :class:`~repro.core.batch.BatchedModel` result (not merely close):
-the stacked code mirrors the batched code expression-for-expression, and
-all float operations are elementwise, so each cell's lane computes the
-exact scalar sequence.  The mechanisms:
+Contracts
+---------
+* **scalar oracle** — every term agrees with ``AnalyticalModel.evaluate``
+  to float64 round-off (``tests/test_batch.py``, at 1e-9);
+* **lane independence** — a cell priced alone is bit-identical to the
+  same cell inside any stack (``tests/test_stacked.py``, ``==`` rather
+  than ``allclose``);
+* **pinned outputs** — ``tests/goldens/model_outputs.json`` pins the
+  exact float ``repr`` of saturation maps, breakdowns and utilisations
+  (``tools/regen_goldens.py``).
+
+Lane independence holds because every float operation is elementwise, so
+each cell's lane computes the same scalar sequence whatever else shares
+the stack.  The mechanisms:
 
 * **grouping** — cells are partitioned by structure signature (switch
   arity, class decomposition, ICN2 depth), so within a group every journey
   set has identical layout and the group-constant structure (journey
   dimensions, pmf weights) is built once;
-* **shared suffix chains** — the batched engine right-pads journeys into
-  ``(journeys × max-stages)`` planes, but right-aligned journeys *share*
-  their trailing stages, so the backward Eq. 13/14 recursion collapses to
-  suffix chains (destination → ICN2 → source segments) touching each
-  distinct column state once: pure common-subexpression elimination of
-  bit-identical elementwise chains, with temporaries shaped ``(cells,
-  loads)`` instead of ``(cells, journeys, loads)`` (the padding columns'
-  ``+0.0`` contributions and the ``eta·1.0`` select factors drop out as
-  exact identities);
+* **shared suffix chains** — journeys end in shared trailing stages, so
+  the backward Eq. 13/14 recursion collapses to suffix chains
+  (destination → ICN2 → source segments) touching each distinct column
+  state once, with temporaries shaped ``(cells, loads)`` instead of
+  ``(cells, journeys, loads)``: common-subexpression elimination of the
+  scalar per-journey recursion, not a reformulation;
 * **masks** — per-cell *control flow* of the scalar code (option
   branches, ``U_i == 0`` and zero-weight skips) becomes ``np.where``
   masks selecting between fully-evaluated branches;
@@ -46,20 +50,27 @@ exact scalar sequence.  The mechanisms:
   Eq. 3 class combination) stays an explicit fold over the same index
   order, never an ``np.sum`` reduction with a different association.
 
-``tests/test_stacked.py`` locks the equivalence (``==``, not ``allclose``)
-over the scenario registry, heterogeneity ladders, ragged mixed-topology
-cell sets and degraded performability configurations.
+Closed-form saturation
+----------------------
+Saturation is the model's only divergence mechanism (an M/G/1 queue
+reaching ``ρ >= 1``), and each queue's utilisation is monotone in
+``λ_g``.  Concentrator queues have the constant service time ``M
+t_cs^{I2}`` (Eq. 36), so ``ρ`` is linear and ``λ* = 1 / (slope · M
+t_cs^{I2})`` exactly; source queues serve the load-dependent pipeline
+latency ``T(λ_g)`` (Eqs. 18/31), so ``λ* = ρ⁻¹(1)`` is found by refining
+the bracket below the linearised bound ``1 / (rate_slope · T(0))`` over
+the queue's own journey recursion.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from repro._util import require
-from repro.core.batch import _mg1_wait_batched
 from repro.core.model import AnalyticalModel, TrafficPatternLike
 from repro.core.parameters import MessageSpec, ModelOptions, SystemConfig
 from repro.core.service_times import ServiceTimes
@@ -80,8 +91,9 @@ def _linspace_rows(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
     ``np.linspace`` with *array* endpoints would take its internal
     ``step == 0`` branch (denormal handling, numpy gh-5437) for **all**
     rows whenever any one row's step is zero, diverging from the scalar
-    calls the per-cell engine makes.  This helper computes both variants
-    and selects per row, so each row reproduces its own scalar branch.
+    calls :func:`~repro.core.batch.refine_monotone_crossing` makes.  This
+    helper computes both variants and selects per row, so each row
+    reproduces its own scalar branch.
     """
     div = num - 1
     base = np.arange(0, num, dtype=np.float64)
@@ -153,11 +165,11 @@ def _chain_step(
     *suffix*), ``suffix`` the ``Σ_{s>k} W_s`` accumulated so far and
     ``half_eta`` the column's pre-halved channel rate ``0.5 η``; returns
     ``(T_k, T_k > cap, suffix + W_k)``.  The float sequence per element is
-    exactly ``_solve_journeys_batched``'s column body — hoisting ``0.5 η``
-    reassociates nothing (it is the scalar's own leftmost product), the
-    in-place ``inf`` clamp writes the same values the two ``np.where``
-    selections produce, and the flipped operand orders (``m + s``,
-    ``w += s``) are bitwise commutative.
+    the scalar :func:`~repro.core.stages.solve_pipeline` step — hoisting
+    ``0.5 η`` reassociates nothing (it is the scalar's own leftmost
+    product), the in-place ``inf`` clamp writes the values of the scalar's
+    :data:`_LATENCY_CAP` branches, and the flipped operand orders (``m +
+    s``, ``w += s``) are bitwise commutative.
     """
     t_col = m_col + suffix
     over = t_col > _LATENCY_CAP
@@ -183,13 +195,12 @@ def _solve_intra_stacked(
 ) -> np.ndarray:
     """Stacked Eq. 5 average via one shared suffix chain.
 
-    Right-aligned intra journeys all share their trailing columns (one
-    ``t_cn`` stage then ``t_cs`` stages), so the ``(journeys × stages)``
-    plane recursion of the batched engine degenerates to a single
-    backward chain: journey *h*'s ``T_0`` is the chain's ``T`` at depth
-    ``2h − 1``.  Per journey the float sequence is identical to
-    ``_solve_journeys_batched`` — the collapse is common-subexpression
-    elimination, not a reformulation — so results stay bit-identical.
+    Intra journeys of every length end in the same stages (one ``t_cn``
+    stage, then ``t_cs`` stages), so one backward chain serves them all:
+    journey *h*'s ``T_0`` is the chain's ``T`` at depth ``2h − 1``.  Per
+    journey the float sequence is the scalar per-journey recursion's —
+    the sharing is common-subexpression elimination, not a
+    reformulation.
     """
     m_cn = (m_flits * t_cn)[:, None]
     m_cs = (m_flits * t_cs)[:, None]
@@ -208,6 +219,31 @@ def _solve_intra_stacked(
         for h in range(depth):
             total += weights[h] * t0_planes[h]
     return total
+
+
+def _mg1_wait_batched(
+    rate: np.ndarray, mean_service: np.ndarray, variance: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorised :func:`repro.core.queueing.mg1_wait` (Eq. 15).
+
+    Returns ``(wait, utilization, saturated)`` arrays with the scalar
+    function's exact semantics: an infinite service time (blown-up upstream
+    pipeline) counts as saturation whenever any traffic arrives, and a
+    zero-rate queue never waits regardless of its service time.
+    """
+    finite = np.isfinite(mean_service) & np.isfinite(variance)
+    service = np.where(finite, mean_service, 0.0)
+    var = np.where(finite, variance, 0.0)
+    rho = rate * service
+    infinite_service = ~finite & (rate > 0.0)
+    saturated = infinite_service | (rho >= 1.0)
+    second_moment = service * service + var
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        wait = rate * second_moment / (2.0 * (1.0 - rho))
+    wait = np.where(saturated, np.inf, wait)
+    wait = np.where(rate == 0.0, 0.0, wait)
+    utilization = np.where(infinite_service, np.inf, rho)
+    return wait, utilization, saturated
 
 
 _SCRATCH: dict[tuple[int, int, int, int], dict[str, np.ndarray]] = {}
@@ -265,15 +301,15 @@ def _solve_pair_stacked(
     An inter-cluster journey's stages read, right to left: one ``dst
     t_cn``, ``v − 1`` dst ``t_cs``, ``2l − 1`` ICN2 ``t_cs`` (the relaxed
     η), ``r`` src ``t_cs``.  Journeys sharing a suffix share the backward
-    recursion state exactly, so instead of a ``(journeys × stages)``
-    plane the solver walks a three-level chain tree — ``d_dst`` dst
-    depths, × ``n_c`` ICN2 depths, × ``d_src`` src depths — touching each
-    distinct column state once.  The independent branches are stacked on
-    leading axes (``(v, cells, loads)`` for the ICN2 chains, ``(l, v,
-    cells, loads)`` for the source chains) so each chain level is a
-    handful of large elementwise steps.  Every journey's ``T_0`` and the
-    final weighted fold (scalar ``(r, v, l)`` journey order) are
-    bit-identical to the plane recursion.
+    recursion state exactly, so instead of one recursion per journey the
+    solver walks a three-level chain tree — ``d_dst`` dst depths, ×
+    ``n_c`` ICN2 depths, × ``d_src`` src depths — touching each distinct
+    column state once.  The independent branches are stacked on leading
+    axes (``(v, cells, loads)`` for the ICN2 chains, ``(l, v, cells,
+    loads)`` for the source chains) so each chain level is a handful of
+    large elementwise steps.  Every journey's ``T_0`` and the final
+    weighted fold (scalar ``(r, v, l)`` journey order) are those of the
+    scalar per-journey recursion.
     """
     cells, loads = eta_e1.shape
     m_src = (m_flits * src_cs)[:, None]
@@ -503,10 +539,9 @@ def _group_signature(model: AnalyticalModel) -> tuple:
 class ParameterPlan:
     """Packed parameters of a cell list, grouped by structure signature.
 
-    Packing builds one scalar :class:`AnalyticalModel` per cell (the
-    cheap class decomposition and destination weighting — *not* the
-    per-cell journey planning the batched engine performs), derives each
-    group's journey structure once, and fills the per-cell parameter
+    Packing builds one scalar :class:`AnalyticalModel` per cell (only
+    the cheap class decomposition and destination weighting), derives
+    each group's journey structure once, and fills the per-cell parameter
     planes.  Heterogeneous cluster counts are handled by the grouping
     (cells whose class decompositions differ land in different groups)
     plus the right-aligned journey padding within each group.
@@ -690,15 +725,25 @@ def _take(array: np.ndarray, rows: "np.ndarray | None") -> np.ndarray:
     return array if rows is None else array[rows]
 
 
+def _cell_slice(terms: Any, c: int) -> Any:
+    """Row *c* of every plane in a nested mapping/list of ``(cells, …)`` planes."""
+    if isinstance(terms, dict):
+        return {key: _cell_slice(value, c) for key, value in terms.items()}
+    if isinstance(terms, list):
+        return [_cell_slice(value, c) for value in terms]
+    return terms[c]
+
+
 class StackedModel:
     """Evaluate a whole cell set through the closed forms at once.
 
     Construction packs the cells (see :class:`ParameterPlan`); every
-    method then returns per-cell results in the original cell order,
-    bit-identical to running one :class:`~repro.core.batch.BatchedModel`
-    per cell.  The API mirrors what the design-space consumers need:
-    latency curves over per-cell load grids, the per-resource saturation
-    inversion, the knee search and the latency-budget capacity search.
+    method then returns per-cell results in the original cell order, each
+    cell's lane bit-identical to the same cell priced alone.  The API
+    covers what the consumers need: latency curves over per-cell load
+    grids, the per-term planes behind the ``ModelResult`` breakdowns,
+    resource utilisations, the per-resource saturation inversion, the
+    knee search and the latency-budget capacity search.
     """
 
     def __init__(
@@ -724,7 +769,7 @@ class StackedModel:
     def cells(self) -> int:
         return self.plan.cells
 
-    # -- rates (mirroring BatchedModel's single-source rate helpers) -----------
+    # -- rates (the single source for evaluation AND inversion) ----------------
 
     def _intra_rates(
         self, group: _CellGroup, i: int, rows: "np.ndarray | None", loads: np.ndarray
@@ -842,38 +887,106 @@ class StackedModel:
             _take(group.m_flits, rows),
         )
 
-    # -- full latency evaluation (Eqs. 1–3, stacked) ----------------------------
+    # -- per-term planes (Eqs. 1, 7–39, stacked) --------------------------------
 
-    def _group_latencies(
-        self, group: _CellGroup, rows: "np.ndarray | None", loads: np.ndarray
-    ) -> np.ndarray:
-        """Mean latency over per-cell load rows for one group.
+    def _source_queue_terms(
+        self,
+        group: _CellGroup,
+        plan: "_StackedIntra | _StackedPair",
+        rows: "np.ndarray | None",
+        source_rate: np.ndarray,
+        network: np.ndarray,
+    ) -> dict:
+        """Eqs. 15–19 / 31–33: the source queue in front of a journey set.
 
-        Mirrors ``BatchedModel.evaluate_many`` statement-for-statement;
-        the per-cell ``U_i == 0`` / zero-weight control-flow skips of the
+        Its service time is the journeys' mean network latency, with the
+        Eq. 17 variance; the total adds the wait and the tail time.
+        """
+        with np.errstate(invalid="ignore", over="ignore"):
+            variance = np.where(
+                _take(group.var_paper, rows)[:, None],
+                (network - _take(plan.min_service, rows)[:, None]) ** 2,  # Eq. 17
+                network**2,
+            )
+        wait, utilization, saturated = _mg1_wait_batched(source_rate, network, variance)
+        tail_time = _take(plan.tail_time, rows)
+        return {
+            "wait": wait,
+            "network_latency": network,
+            "tail_time": tail_time,
+            "total": wait + network + tail_time[:, None],
+            "utilization": utilization,
+            "saturated": saturated,
+        }
+
+    def _intra_terms(
+        self, group: _CellGroup, i: int, rows: "np.ndarray | None", loads: np.ndarray
+    ) -> dict:
+        """Eqs. 7–19 for one class: every plane of its ``IntraClusterLatency``."""
+        lambda_i1, eta_i1 = self._intra_rates(group, i, rows, loads)
+        network = self._intra_latency(group, i, rows, eta_i1)
+        source_rate = self._intra_source_rate(group, i, rows, loads, lambda_i1)
+        return {
+            **self._source_queue_terms(group, group.intra[i], rows, source_rate, network),
+            "lambda_i1": lambda_i1,
+            "eta_i1": eta_i1,
+        }
+
+    def _pair_terms(
+        self, group: _CellGroup, i: int, j: int, rows: "np.ndarray | None", loads: np.ndarray
+    ) -> dict:
+        """Eqs. 20–38 for one ordered class pair: its ``InterPairLatency``
+        planes plus the Eqs. 36–37 concentrator queue."""
+        plan = group.pairs[i][j]
+        lambda_e1, lambda_i2, eta_e1, eta_i2, eta_i2_eff = self._pair_rates(
+            group, i, j, rows, loads
+        )
+        network = self._pair_latency(group, i, j, rows, eta_e1, eta_i2_eff)
+        source_rate = self._pair_source_rate(group, i, rows, loads, lambda_e1)
+        conc_rate = self._concentrator_rate(group, i, j, rows, loads, lambda_e1)
+        ones = np.ones_like(loads)
+        conc_wait, conc_utilization, conc_saturated = _mg1_wait_batched(
+            conc_rate,
+            ones * _take(plan.conc_service, rows)[:, None],
+            ones * _take(plan.conc_variance, rows)[:, None],
+        )
+        return {
+            **self._source_queue_terms(group, plan, rows, source_rate, network),
+            "lambda_e1": lambda_e1,
+            "lambda_i2": lambda_i2,
+            "eta_e1": eta_e1,
+            "eta_i2": eta_i2,
+            "conc_utilization": conc_utilization,
+            "conc_pair_wait": 2.0 * conc_wait,  # Eq. 38 summand (2 inf stays inf)
+            "conc_saturated": conc_saturated,
+        }
+
+    def _class_terms(
+        self,
+        group: _CellGroup,
+        rows: "np.ndarray | None",
+        loads: np.ndarray,
+        *,
+        keep_pairs: bool = False,
+    ) -> Iterator[dict]:
+        """Yield each class's Eq. 1/35/38/39 planes, in class order.
+
+        Mirrors the class loop of ``AnalyticalModel.evaluate``; the
+        per-cell ``U_i == 0`` / zero-weight control-flow skips of the
         scalar path become post-hoc ``np.where`` selections, so a masked
         cell's lanes never leak the ``0 · ∞`` artifacts of branches the
-        scalar code would not have executed.
+        scalar code would not have executed.  With *keep_pairs* every
+        pair's term planes ride along under ``"pairs"``, with its
+        destination ``weight`` and ``relaxing_factor`` (the breakdown
+        path); otherwise each pair's planes are dropped once folded.
         """
-        latency = np.zeros_like(loads)
-        any_saturated = np.zeros(loads.shape, dtype=bool)
         for i in range(len(group.intra)):
             plan = group.intra[i]
-            lambda_i1, eta_i1 = self._intra_rates(group, i, rows, loads)
-            network = self._intra_latency(group, i, rows, eta_i1)
-            source_rate = self._intra_source_rate(group, i, rows, loads, lambda_i1)
-            with np.errstate(invalid="ignore", over="ignore"):
-                variance = np.where(
-                    _take(group.var_paper, rows)[:, None],
-                    (network - _take(plan.min_service, rows)[:, None]) ** 2,  # Eq. 17
-                    network**2,
-                )
-            wait, _, saturated = _mg1_wait_batched(source_rate, network, variance)
-            intra_total = wait + network + _take(plan.tail_time, rows)[:, None]
-
+            intra = self._intra_terms(group, i, rows, loads)
             inter_network = np.zeros_like(loads)
             conc_wait = np.zeros_like(loads)
             pair_saturated = np.zeros(loads.shape, dtype=bool)
+            pairs: list[dict] = []
             u = _take(plan.u, rows)
             active = (u > 0.0) & (not group.single_cluster)
             if not group.single_cluster and bool(active.any()):
@@ -881,6 +994,9 @@ class StackedModel:
                 for j in range(len(group.intra)):
                     pair = self._pair_terms(group, i, j, rows, loads)
                     w = _take(group.pairs[i][j].weight, rows)
+                    if keep_pairs:
+                        delta = _take(group.pairs[i][j].delta, rows)
+                        pairs.append({**pair, "weight": w, "relaxing_factor": delta})
                     with np.errstate(invalid="ignore", over="ignore"):
                         inter_network = inter_network + np.where(
                             (w > 0)[:, None], w[:, None] * pair["total"], 0.0
@@ -903,67 +1019,66 @@ class StackedModel:
             outward = inter_network + conc_wait  # Eq. 39
             with np.errstate(invalid="ignore", over="ignore"):
                 mean = (
-                    _take(plan.intra_fraction, rows)[:, None] * intra_total
+                    _take(plan.intra_fraction, rows)[:, None] * intra["total"]
                     + u[:, None] * outward
                 )  # Eq. 1
-            class_saturated = saturated | pair_saturated
+            yield {
+                "intra": intra,
+                "pairs": pairs,
+                "inter_network": inter_network,
+                "conc_wait": conc_wait,
+                "outward": outward,
+                "mean": mean,
+                "saturated": intra["saturated"] | pair_saturated,
+            }
+
+    def _fold_latency(
+        self,
+        group: _CellGroup,
+        rows: "np.ndarray | None",
+        loads: np.ndarray,
+        classes: Iterable[dict],
+    ) -> np.ndarray:
+        """Eq. 3: node-weighted mean of the class means, ``inf`` if saturated."""
+        latency = np.zeros_like(loads)
+        any_saturated = np.zeros(loads.shape, dtype=bool)
+        for plan, terms in zip(group.intra, classes):
             latency = latency + (
-                mean * _take(plan.nodes, rows)[:, None]
+                terms["mean"] * _take(plan.nodes, rows)[:, None]
             ) * _take(plan.count, rows)[:, None]
-            any_saturated = any_saturated | class_saturated
-        latency = latency / _take(group.total_nodes, rows)[:, None]  # Eq. 3
+            any_saturated = any_saturated | terms["saturated"]
+        latency = latency / _take(group.total_nodes, rows)[:, None]
         return np.where(any_saturated, np.inf, latency)
 
-    def _pair_terms(
-        self, group: _CellGroup, i: int, j: int, rows: "np.ndarray | None", loads: np.ndarray
-    ) -> dict:
-        """Stacked ``BatchedModel._pair_terms`` (the fields consumers use)."""
-        plan = group.pairs[i][j]
-        lambda_e1, _, eta_e1, _, eta_i2_eff = self._pair_rates(group, i, j, rows, loads)
-        network = self._pair_latency(group, i, j, rows, eta_e1, eta_i2_eff)
-        source_rate = self._pair_source_rate(group, i, rows, loads, lambda_e1)
-        with np.errstate(invalid="ignore", over="ignore"):
-            variance = np.where(
-                _take(group.var_paper, rows)[:, None],
-                (network - _take(plan.min_service, rows)[:, None]) ** 2,
-                network**2,
-            )
-        wait, _, saturated = _mg1_wait_batched(source_rate, network, variance)
-        total = wait + network + _take(plan.tail_time, rows)[:, None]
-        conc_rate = self._concentrator_rate(group, i, j, rows, loads, lambda_e1)
-        ones = np.ones_like(loads)
-        conc_wait, _, conc_saturated = _mg1_wait_batched(
-            conc_rate,
-            ones * _take(plan.conc_service, rows)[:, None],
-            ones * _take(plan.conc_variance, rows)[:, None],
-        )
-        return {
-            "total": total,
-            "saturated": saturated,
-            "conc_pair_wait": 2.0 * conc_wait,  # Eq. 38 summand
-            "conc_saturated": conc_saturated,
-        }
+    def _group_latencies(
+        self, group: _CellGroup, rows: "np.ndarray | None", loads: np.ndarray
+    ) -> np.ndarray:
+        """Mean latency over per-cell load rows for one group (latency only)."""
+        return self._fold_latency(group, rows, loads, self._class_terms(group, rows, loads))
 
     # -- public evaluation ------------------------------------------------------
 
-    def _as_rows(self, loads: np.ndarray) -> np.ndarray:
+    def _as_rows(self, loads: "np.ndarray | Sequence[float]") -> np.ndarray:
+        """Validated ``(cells, loads)`` rows from one shared grid or per-cell rows.
+
+        The engine's one load check: non-empty, non-negative and finite.
+        """
         loads_arr = np.asarray(loads, dtype=np.float64)
         if loads_arr.ndim == 1:
             loads_arr = np.broadcast_to(loads_arr, (self.cells, loads_arr.size))
         require(
             loads_arr.ndim == 2 and loads_arr.shape[0] == self.cells and loads_arr.size > 0,
-            "loads must be (loads,) or (cells, loads)",
+            "loads must be a non-empty (loads,) or (cells, loads) array",
         )
         require(bool(np.all(loads_arr >= 0)), "loads must be non-negative")
         require(bool(np.all(np.isfinite(loads_arr))), "loads must be finite")
         return loads_arr
 
-    def evaluate_latencies(self, loads: np.ndarray) -> np.ndarray:
+    def evaluate_latencies(self, loads: "np.ndarray | Sequence[float]") -> np.ndarray:
         """Mean latency at per-cell load rows — shape ``(cells, loads)``.
 
         *loads* is either one shared grid ``(loads,)`` or per-cell rows
-        ``(cells, loads)``.  Equivalent to calling per-cell
-        ``BatchedModel.evaluate_many(..., with_results=False)``.
+        ``(cells, loads)``.
         """
         loads_arr = self._as_rows(loads)
         out = np.empty_like(loads_arr)
@@ -971,6 +1086,77 @@ class StackedModel:
             out[group.indices] = self._group_latencies(
                 group, None, np.ascontiguousarray(loads_arr[group.indices])
             )
+        return out
+
+    def evaluate_terms(self, loads: "np.ndarray | Sequence[float]") -> list[dict]:
+        """Per-cell term planes behind the ``ModelResult`` breakdowns.
+
+        One mapping per cell, with rows over that cell's loads:
+        ``"latency"`` (Eq. 3, as :meth:`evaluate_latencies`) and
+        ``"classes"``, one mapping per cluster class holding the
+        ``"intra"`` terms, the ``"pairs"`` terms per destination class
+        (empty when the class sends nothing outward), the Eq. 35/38/39
+        planes and the class ``"saturated"`` flags.  Load-independent
+        constants are scalars: ``tail_time`` in every intra and pair
+        mapping, ``relaxing_factor`` and the destination ``weight`` in
+        every pair mapping.
+        """
+        loads_arr = self._as_rows(loads)
+        out: list[dict] = [{} for _ in range(self.cells)]
+        for group in self.plan.groups:
+            group_loads = np.ascontiguousarray(loads_arr[group.indices])
+            classes = list(self._class_terms(group, None, group_loads, keep_pairs=True))
+            latency = self._fold_latency(group, None, group_loads, classes)
+            for c, pos in enumerate(group.indices):
+                out[pos] = _cell_slice({"latency": latency, "classes": classes}, c)
+        return out
+
+    def resource_utilizations(
+        self, loads: "np.ndarray | Sequence[float]"
+    ) -> list[list[tuple[str, str, np.ndarray]]]:
+        """Per-cell ``(resource, kind, utilisation row)`` of every queue and channel.
+
+        The enumeration follows the scalar class order: per source class
+        its ICN1 source queue and channels, then per destination class the
+        ECN1 source queue, the concentrator, and the ECN1 and ICN2
+        channels (no pairs in a single-cluster system).  Channel
+        utilisation is ``η · M · t_cs`` of the channel's network.
+        """
+        loads_arr = self._as_rows(loads)
+        out: list[list[tuple[str, str, np.ndarray]]] = [[] for _ in range(self.cells)]
+        for group in self.plan.groups:
+            group_loads = np.ascontiguousarray(loads_arr[group.indices])
+            m_flits = group.m_flits[:, None]
+            planes: list[tuple[str, str, np.ndarray]] = []
+            for i, name in enumerate(group.class_names):
+                intra = self._intra_terms(group, i, None, group_loads)
+                icn1_channels = intra["eta_i1"] * m_flits * group.intra[i].t_cs[:, None]
+                planes += [
+                    (f"{name}:icn1-source-queue", "source-queue", intra["utilization"]),
+                    (f"{name}:icn1-channels", "channel", icn1_channels),
+                ]
+                if group.single_cluster:
+                    continue
+                for j, dst in enumerate(group.class_names):
+                    plan = group.pairs[i][j]
+                    pair = self._pair_terms(group, i, j, None, group_loads)
+                    pair_name = f"{name}->{dst}"
+                    planes += [
+                        (f"{pair_name}:ecn1-source-queue", "source-queue", pair["utilization"]),
+                        (f"{pair_name}:concentrator", "concentrator", pair["conc_utilization"]),
+                        (
+                            f"{pair_name}:ecn1-channels",
+                            "channel",
+                            pair["eta_e1"] * m_flits * plan.src_cs[:, None],
+                        ),
+                        (
+                            f"{pair_name}:icn2-channels",
+                            "channel",
+                            pair["eta_i2"] * m_flits * plan.i2_cs[:, None],
+                        ),
+                    ]
+            for c, pos in enumerate(group.indices):
+                out[pos] = [(name, kind, plane[c]) for name, kind, plane in planes]
         return out
 
     def zero_load_latencies(self) -> np.ndarray:
@@ -986,13 +1172,17 @@ class StackedModel:
         rate_of: Callable[[np.ndarray, np.ndarray], np.ndarray],
         latency_of: Callable[[np.ndarray, np.ndarray], np.ndarray],
     ) -> np.ndarray:
-        """Per-cell λ* of one source queue; excluded cells get ``inf``.
+        """Per-cell λ* solving ``rate(λ) · T(λ) = 1`` for one source queue.
 
-        Mirrors ``BatchedModel._source_queue_saturation``: the linearised
-        upper bound, the ρ ≥ 1 crossing refined per cell down to the same
-        relative tolerance, the same exclusion of zero-rate queues.
-        ``rate_of``/``latency_of`` take ``(rows, loads)`` with *rows*
-        indexing the group's cells.
+        ``rate`` is the queue's arrival rate (linear in ``λ_g``, shared
+        with the evaluation path) and ``T`` the monotone non-decreasing
+        latency of the queue's own journey set, so the root is unique and
+        bounded above by the linearised ``1 / (rate'(0) · T(0))``.  Each
+        refinement round evaluates one 33-point grid of the queue's own
+        journey recursion (not the whole model) per cell, down to 1e-13
+        relative width.  Excluded cells and zero-rate queues (which can
+        never saturate) get ``inf``.  ``rate_of``/``latency_of`` take
+        ``(rows, loads)`` with *rows* indexing the group's cells.
         """
         out = np.full(size, np.inf)
         rows_all = np.flatnonzero(include)
@@ -1090,10 +1280,13 @@ class StackedModel:
         return names, np.stack(values, axis=0)
 
     def saturation_loads(self) -> list[dict[str, float]]:
-        """Per-cell ``{resource: λ*}`` maps, as ``BatchedModel.saturation_loads``.
+        """Per-cell ``{resource: λ*}`` maps, keyed like ``ModelResult.saturated_resources``.
 
-        Excluded resources (zero-rate queues, zero-weight pairs, ``U_i ==
-        0`` classes) are omitted per cell, mirroring the scalar dicts.
+        Concentrator entries are the exact closed forms, source-queue
+        entries the per-resource inversion (see the module docstring).
+        Only resources that can saturate the cell are listed: zero-rate
+        queues, zero-weight pairs and ``U_i == 0`` classes are omitted,
+        mirroring the saturation scope of ``AnalyticalModel.evaluate``.
         """
         if self._saturation is None:
             per_cell: list[dict[str, float]] = [dict() for _ in range(self.cells)]
@@ -1133,9 +1326,7 @@ class StackedModel:
         """Per-cell binding resource names (first minimum, scalar order)."""
         self.saturation_loads()
         assert self._binding is not None
-        for idx, name in enumerate(self._binding):
-            require(name != "", "no saturable resources in this system")
-            _ = idx
+        require("" not in self._binding, "no saturable resources in this system")
         return list(self._binding)
 
     # -- knee and capacity searches ---------------------------------------------

@@ -4,16 +4,16 @@ The paper's figures plot mean latency against the traffic generation rate
 ``λ_g`` up to the saturation point.  This module provides:
 
 * :func:`find_saturation_load` — exact per-resource saturation via the
-  batched engine (closed form for constant-service queues), with the
+  vectorised engine (closed form for constant-service queues), with the
   original full-model bisection kept as ``method="bisection"``,
 * :func:`auto_load_grid` — a figure-ready grid covering (0, fraction·λ*],
 * :func:`sweep_load` — evaluate the model across a grid.
 
 All three accept either a scalar :class:`~repro.core.model.AnalyticalModel`
-or a :class:`~repro.core.batch.BatchedModel`; scalar models are promoted to
-a batched engine once and the engine is cached on the model instance, so
-repeated sweeps/searches pay the load-independent precompute a single time
-(see ``docs/batched_engine.md``).
+or a :class:`~repro.core.batch.BatchedModel`, the one-cell view of the
+stacked engine; scalar models are promoted to that view once and it is
+cached on the model instance, so repeated sweeps/searches pack the cell a
+single time (see ``docs/batched_engine.md``).
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class LoadSweep:
 
 
 def _engine(model: "AnalyticalModel | BatchedModel") -> BatchedModel:
-    """Promote *model* to its (cached) batched engine."""
+    """Promote *model* to its (cached) one-cell engine view."""
     if isinstance(model, BatchedModel):
         return model
     return BatchedModel.from_model(model)
@@ -65,7 +65,7 @@ def sweep_load(
 ) -> LoadSweep:
     """Evaluate *model* at every load in *loads* (ascending not required).
 
-    Runs on the batched engine: the load-independent decomposition is built
+    Runs on the vectorised engine: the load-independent structure is packed
     once and the M/G/1 / stage-recursion terms are vectorised across the
     grid, matching the scalar ``model.evaluate`` loop to float64 round-off.
     """

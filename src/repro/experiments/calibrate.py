@@ -258,8 +258,10 @@ def _stacked_model_curves(
     scenario-minor).  The stacked engine is bit-identical to the scalar
     :class:`~repro.core.model.AnalyticalModel` reference path (locked by
     ``tests/test_stacked.py``), so calibration scores are unchanged to
-    the bit.  Returns ``None`` when the stack cannot evaluate this cell
-    set — the caller then falls back to the per-combination fan-out.
+    the bit.  Returns ``None`` when the model rejects a cell of this set
+    (the ``ValueError`` its input checks raise) — the caller then falls
+    back to the per-combination fan-out.  Any other exception is an
+    engine bug and propagates.
     """
     from repro.core.stacked import StackedModel
 
@@ -273,7 +275,7 @@ def _stacked_model_curves(
             [loads for _ in combos for loads in loads_by_scenario], dtype=np.float64
         )
         latencies = StackedModel(cells).evaluate_latencies(grids)
-    except Exception:
+    except ValueError:
         return None
     return [[float(v) for v in row] for row in latencies]
 

@@ -159,10 +159,12 @@ def _stacked_metrics(specs: "list[ScenarioSpec]", knee_threshold_factor: float) 
     """All pending cells priced in one :class:`StackedModel` evaluation.
 
     Returns per-cell metric mappings bit-identical to
-    :func:`_cell_metrics` (the stacked engine's contract, locked by
-    ``tests/test_stacked.py``), or ``None`` if the stack cannot evaluate
-    this cell set — the caller then falls back to the supervised
-    per-cell path, which also owns retry/NaN-row semantics.
+    :func:`_cell_metrics` (the stacked engine's lane-independence
+    contract, locked by ``tests/test_stacked.py``), or ``None`` if the
+    model rejects a cell of this set (the ``ValueError`` its input checks
+    raise) — the caller then falls back to the supervised per-cell path,
+    which confines the failure to its cell as a NaN row.  Any other
+    exception is an engine bug and propagates.
     """
     try:
         stack = StackedModel.from_specs(specs)
@@ -178,7 +180,7 @@ def _stacked_metrics(specs: "list[ScenarioSpec]", knee_threshold_factor: float) 
             dtype=np.float64,
         )
         at_budget = stack.loads_at_budget(budgets)
-    except Exception:
+    except ValueError:
         return None
     return [
         {

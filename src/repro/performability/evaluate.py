@@ -133,10 +133,12 @@ def _stacked_state_metrics(
     """All pending degraded states priced in one stacked evaluation.
 
     Returns per-state metric mappings bit-identical to
-    :func:`_evaluate_state` (the stacked engine's contract, locked by
-    ``tests/test_stacked.py``), or ``None`` if the stack cannot evaluate
-    this state set — the caller then falls back to the supervised
-    per-state path, which also owns retry/NaN-row semantics.
+    :func:`_evaluate_state` (the stacked engine's lane-independence
+    contract, locked by ``tests/test_stacked.py``), or ``None`` if the
+    model rejects a state of this set (the ``ValueError`` its input
+    checks raise) — the caller then falls back to the supervised
+    per-state path, which confines the failure to its state as a NaN row.
+    Any other exception is an engine bug and propagates.
     """
     try:
         stack = StackedModel.from_specs(specs)
@@ -144,7 +146,7 @@ def _stacked_state_metrics(
         lam_star = stack.saturation_load()
         binding = stack.binding_resources()
         zero = stack.zero_load_latencies()
-    except Exception:
+    except ValueError:
         return None
     return [
         {

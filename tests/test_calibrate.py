@@ -195,6 +195,30 @@ class TestParallelAndCache:
         for field in ("combinations", "columns", "ranking", "winner"):
             assert canonical(parallel.data[field]) == canonical(tiny_result.data[field])
 
+    def test_model_rejection_falls_back_to_per_combination(
+        self, sim_cache, tiny_result, monkeypatch
+    ):
+        from repro.core.stacked import StackedModel
+
+        def reject(self, loads):
+            raise ValueError("cell rejected by the model")
+
+        monkeypatch.setattr(StackedModel, "evaluate_latencies", reject)
+        fallback = calibrate_options([tiny_spec()], axes=TINY_AXES, cache=sim_cache, **TINY_KW)
+        assert fallback.data["stacked"] is False
+        for field in ("combinations", "columns", "ranking", "winner"):
+            assert canonical(fallback.data[field]) == canonical(tiny_result.data[field])
+
+    def test_engine_bug_propagates(self, sim_cache, tiny_result, monkeypatch):
+        from repro.core.stacked import StackedModel
+
+        def broken(self, loads):
+            raise IndexError("engine bug")
+
+        monkeypatch.setattr(StackedModel, "evaluate_latencies", broken)
+        with pytest.raises(IndexError, match="engine bug"):
+            calibrate_options([tiny_spec()], axes=TINY_AXES, cache=sim_cache, **TINY_KW)
+
     def test_cached_run_simulates_nothing(self, sim_cache, tiny_result):
         again = calibrate_options([tiny_spec()], axes=TINY_AXES, cache=sim_cache, **TINY_KW)
         assert again.data["simulated_points"] == 0

@@ -11,6 +11,7 @@ import pytest
 
 from repro.analysis import curve_label, icn2_bandwidth_study
 from repro.core import NET1, MessageSpec, paper_system_544
+from repro.core.stacked import StackedModel
 from repro.experiments import Experiment, cell_cache_key, explore_grid
 from repro.io import ResultCache, to_jsonable
 from repro.io.cache import content_key
@@ -313,6 +314,31 @@ class TestStackedFastPath:
         for other in (pooled, with_policy):
             assert canonical(serial.data["columns"]) == canonical(other.data["columns"])
             assert canonical(serial.data["cells"]) == canonical(other.data["cells"])
+
+    def test_model_rejection_falls_back_to_per_cell(self, base_544, monkeypatch):
+        """A ValueError from the stack (the model rejecting a cell) moves
+        the set onto the per-cell path, which yields the same table."""
+        grid = small_grid(base_544)
+        stacked = explore_grid(grid)
+
+        def reject(specs):
+            raise ValueError("cell rejected by the model")
+
+        monkeypatch.setattr(StackedModel, "from_specs", reject)
+        fallback = explore_grid(grid)
+        assert fallback.data["stacked"] is False
+        assert fallback.text == stacked.text
+        assert canonical(fallback.data["columns"]) == canonical(stacked.data["columns"])
+
+    def test_engine_bug_propagates(self, base_544, monkeypatch):
+        """Any other exception is an engine bug: no silent per-cell fallback."""
+
+        def broken(specs):
+            raise IndexError("engine bug")
+
+        monkeypatch.setattr(StackedModel, "from_specs", broken)
+        with pytest.raises(IndexError, match="engine bug"):
+            explore_grid(small_grid(base_544))
 
     def test_replay_reports_cache_hits_and_does_no_work(self, base_544, tmp_path):
         grid = small_grid(base_544)

@@ -394,6 +394,32 @@ class TestPerformabilityAnalysis:
                     "saturation_load_weighted", "expected_capacity"):
             assert canonical(serial.data[key]) == canonical(fanned.data[key])
 
+    def test_model_rejection_falls_back_to_per_state(
+        self, base_544, acceptance_failures, monkeypatch
+    ):
+        from repro.core.stacked import StackedModel
+
+        stacked = performability_analysis(base_544, acceptance_failures)
+
+        def reject(specs):
+            raise ValueError("state rejected by the model")
+
+        monkeypatch.setattr(StackedModel, "from_specs", reject)
+        fallback = performability_analysis(base_544, acceptance_failures)
+        assert fallback.data["stacked"] is False
+        assert fallback.text == stacked.text
+        assert canonical(fallback.data["columns"]) == canonical(stacked.data["columns"])
+
+    def test_engine_bug_propagates(self, base_544, acceptance_failures, monkeypatch):
+        from repro.core.stacked import StackedModel
+
+        def broken(specs):
+            raise IndexError("engine bug")
+
+        monkeypatch.setattr(StackedModel, "from_specs", broken)
+        with pytest.raises(IndexError, match="engine bug"):
+            performability_analysis(base_544, acceptance_failures)
+
     def test_cache_replay_evaluates_nothing(self, base_544, acceptance_failures, tmp_path):
         store = ResultCache(tmp_path / "cache")
         first = performability_analysis(

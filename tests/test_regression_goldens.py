@@ -12,6 +12,13 @@ The simulator side is locked by the golden-trajectory digest corpus
 is replayed here — message-granularity entries under *both* event engines
 — so either engine drifting fails CI naming the scenario and the
 ``TRAJECTORY_VERSION`` the digest was pinned under.
+
+The closed forms are locked the same way by the model-output corpus
+(``tests/goldens/model_outputs.json``): one digest per case over the exact
+float ``repr`` of saturation loads, binding resource, zero-load latency,
+full ``ModelResult`` breakdowns and resource utilisations.  It carries no
+engine version, so a refactor of the engine must reproduce every number
+bit for bit.
 """
 
 import json
@@ -25,7 +32,15 @@ from repro.core import AnalyticalModel, MessageSpec, ModelOptions, paper_system_
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))  # `tools` is importable from the repo root only
 
-from tools.regen_goldens import GOLDENS_PATH, GOLDENS_SCHEMA, golden_digest  # noqa: E402
+from tools.regen_goldens import (  # noqa: E402
+    GOLDENS_PATH,
+    GOLDENS_SCHEMA,
+    MODEL_GOLDENS_PATH,
+    MODEL_GOLDENS_SCHEMA,
+    golden_digest,
+    model_cases,
+    model_digest,
+)
 
 GOLDENS = [
     # (system, M, d_m, lambda_g, expected mean latency)
@@ -127,6 +142,30 @@ class TestGoldenTrajectoryCorpus:
             f"TRAJECTORY_VERSION={corpus['trajectory_version']!r}.  If the "
             f"change is intentional, bump TRAJECTORY_VERSION and regenerate "
             f"via the protocol in tools/regen_goldens.py."
+        )
+
+
+def _model_corpus() -> dict:
+    return json.loads(MODEL_GOLDENS_PATH.read_text(encoding="utf-8"))
+
+
+class TestModelOutputCorpus:
+    """Replay every pinned closed-form digest; failures name the case."""
+
+    def test_corpus_schema_and_cases(self):
+        corpus = _model_corpus()
+        assert corpus["schema"] == MODEL_GOLDENS_SCHEMA
+        assert [entry["case"] for entry in corpus["entries"]] == list(model_cases())
+
+    @pytest.mark.parametrize(
+        "entry", [pytest.param(e, id=e["case"]) for e in _model_corpus()["entries"]]
+    )
+    def test_pinned_digest(self, entry):
+        assert model_digest(entry["case"]) == entry["digest"], (
+            f"model output drift: case {entry['case']!r} no longer reproduces "
+            f"its pinned saturation/breakdown/utilisation digest.  The "
+            f"closed forms' numbers changed; if that is intentional, follow "
+            f"the regen protocol in tools/regen_goldens.py."
         )
 
 

@@ -2,7 +2,7 @@
 
 Covers every rule code with good/bad fixture snippets, the
 fingerprint-changed-without-bump path (the acceptance scenario: mutate a
-closed-form expression in ``core/batch.py``, no ``ENGINE_VERSION`` bump,
+closed-form expression in ``core/stacked.py``, no ``ENGINE_VERSION`` bump,
 gate goes red), baseline suppression, and the CLI's exit-code
 conventions.  A final check locks the shipped tree itself at zero
 diagnostics — the state CI enforces on every PR.
@@ -11,6 +11,7 @@ diagnostics — the state CI enforces on every PR.
 from __future__ import annotations
 
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -300,6 +301,15 @@ def copy_surface_tree(tmp_path: Path) -> Path:
     return root
 
 
+def bump_engine_version(text: str) -> str:
+    """*text* of ``core/batch.py`` with ``ENGINE_VERSION`` set to a new tag."""
+    bumped, count = re.subn(
+        r'ENGINE_VERSION = "[^"]+"', 'ENGINE_VERSION = "batch/next"', text
+    )
+    assert count == 1
+    return bumped
+
+
 class TestFingerprints:
     def test_normalization_ignores_docstrings_and_comments(self):
         a = 'def f(x):\n    """Docs."""\n    return x + 1  # comment\n'
@@ -322,10 +332,12 @@ class TestFingerprints:
         manifest = tmp_path / "fingerprints.json"
         write_manifest(root, manifest)
         batch = root / "src/repro/core/batch.py"
+        text = batch.read_text()
+        assert "One-cell view of the stacked closed-form engine" in text
         batch.write_text(
-            batch.read_text().replace(
-                "Batched load-grid evaluation engine",
-                "Batched load-grid evaluation engine (edited docs)",
+            text.replace(
+                "One-cell view of the stacked closed-form engine",
+                "One-cell view of the stacked closed-form engine (edited docs)",
             )
         )
         assert check_fingerprints(root, manifest) == []
@@ -334,13 +346,13 @@ class TestFingerprints:
         root = copy_surface_tree(tmp_path)
         manifest = tmp_path / "fingerprints.json"
         write_manifest(root, manifest)
-        batch = root / "src/repro/core/batch.py"
-        text = batch.read_text()
+        stacked = root / "src/repro/core/stacked.py"
+        text = stacked.read_text()
         assert "lambda_i2 = 0.5 * lambda_e1" in text
-        batch.write_text(text.replace("lambda_i2 = 0.5 * lambda_e1", "lambda_i2 = 0.51 * lambda_e1"))
+        stacked.write_text(text.replace("lambda_i2 = 0.5 * lambda_e1", "lambda_i2 = 0.51 * lambda_e1"))
         diags = check_fingerprints(root, manifest)
         assert [d.code for d in diags] == ["RF001"]
-        assert diags[0].path == "src/repro/core/batch.py"
+        assert diags[0].path == "src/repro/core/stacked.py"
         assert "ENGINE_VERSION" in diags[0].message
 
     def test_mutated_simulator_without_bump_is_rf002(self, tmp_path):
@@ -358,22 +370,20 @@ class TestFingerprints:
         manifest = tmp_path / "fingerprints.json"
         write_manifest(root, manifest)
         batch = root / "src/repro/core/batch.py"
-        batch.write_text(
-            batch.read_text().replace('ENGINE_VERSION = "batch/2"', 'ENGINE_VERSION = "batch/3"')
-        )
+        batch.write_text(bump_engine_version(batch.read_text()))
         diags = check_fingerprints(root, manifest)
         assert [d.code for d in diags] == ["RF003"]
-        assert "batch/3" in diags[0].message
+        assert "batch/next" in diags[0].message
 
     def test_bump_plus_regen_is_clean(self, tmp_path):
         root = copy_surface_tree(tmp_path)
         manifest = tmp_path / "fingerprints.json"
-        batch = root / "src/repro/core/batch.py"
-        batch.write_text(
-            batch.read_text()
-            .replace("lambda_i2 = 0.5 * lambda_e1", "lambda_i2 = 0.51 * lambda_e1")
-            .replace('ENGINE_VERSION = "batch/2"', 'ENGINE_VERSION = "batch/3"')
+        stacked = root / "src/repro/core/stacked.py"
+        stacked.write_text(
+            stacked.read_text().replace("lambda_i2 = 0.5 * lambda_e1", "lambda_i2 = 0.51 * lambda_e1")
         )
+        batch = root / "src/repro/core/batch.py"
+        batch.write_text(bump_engine_version(batch.read_text()))
         write_manifest(root, manifest)
         assert check_fingerprints(root, manifest) == []
 
@@ -497,20 +507,21 @@ class TestCLI:
         assert "RS201" in proc.stdout and "RD103" not in proc.stdout
 
     def test_acceptance_mutating_batch_without_bump_fails_gate(self, tmp_path):
-        """The ISSUE's acceptance scenario, end to end through the CLI."""
+        """Mutating the vectorised engine's closed forms (which the batched
+        view runs) without a bump fails the gate, end to end through the CLI."""
         scratch = tmp_path / "repo"
         shutil.copytree(ROOT / "src", scratch / "src")
         shutil.copytree(ROOT / "tools", scratch / "tools")
-        batch = scratch / "src/repro/core/batch.py"
-        text = batch.read_text()
+        stacked = scratch / "src/repro/core/stacked.py"
+        text = stacked.read_text()
         assert "lambda_i2 = 0.5 * lambda_e1" in text
-        batch.write_text(
+        stacked.write_text(
             text.replace("lambda_i2 = 0.5 * lambda_e1", "lambda_i2 = 0.5000001 * lambda_e1")
         )
         proc = run_cli("src/repro", cwd=scratch)
         assert proc.returncode == 1
         assert "RF001" in proc.stdout
-        assert "src/repro/core/batch.py" in proc.stdout
+        assert "src/repro/core/stacked.py" in proc.stdout
 
 
 class TestShippedTree:

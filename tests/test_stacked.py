@@ -1,15 +1,17 @@
-"""Stacked-engine equivalence suite (core.stacked): bit-identity per cell.
+"""Stacked-engine lane independence (core.stacked): bit-identity per cell.
 
-The cross-cell :class:`StackedModel` swaps in silently for per-cell
-:class:`BatchedModel` evaluation inside explore, performability and
-calibrate, so its contract is *bit-for-bit* equality — not round-off
-closeness — for every metric those consumers read: per-resource
-saturation dictionaries, binding resources, λ*, zero-load floors, auto
-load grids, latency curves, knee loads and budget capacities.  The suite
-locks that contract across the full scenario registry (which includes
-the m=8 heterogeneity ladder), ragged mixed-topology cell sets (padding
-+ masks), the ``ModelOptions`` ablation space and performability
-degraded states including single-cluster/single-stage edge systems.
+Explore, performability and calibrate price a whole cell set in one
+:class:`StackedModel`, while their per-cell paths price each cell alone
+through :class:`BatchedModel`, the engine's one-cell view.  The contract
+is that a cell priced alone equals the same cell inside any stack *bit
+for bit* — not round-off closeness — for every metric those consumers
+read: per-resource saturation dictionaries, binding resources, λ*,
+zero-load floors, auto load grids, latency curves, knee loads and budget
+capacities.  The suite locks that contract across the full scenario
+registry (which includes the m=8 heterogeneity ladder), ragged
+mixed-topology cell sets (grouping + masks), the ``ModelOptions``
+ablation space and performability degraded states including
+single-cluster/single-stage edge systems.
 """
 
 import numpy as np
