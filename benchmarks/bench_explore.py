@@ -19,7 +19,7 @@ import time
 import pytest
 
 from repro.experiments import explore_grid
-from repro.experiments.explore import _cell_metrics
+from repro.experiments.explore import _price_cells
 from repro.scenarios import AxisSpec, DesignGrid, get_scenario
 
 from benchmarks.conftest import emit
@@ -62,12 +62,12 @@ def test_explore_cells_per_second(benchmark, out_dir):
     grid = large_grid()
     assert grid.size == 500
 
-    # Per-cell serial reference: what one supervised worker does per
-    # cell, timed over a 20-cell sample spread across the grid.
+    # Per-cell serial reference: what one supervised item does per cell
+    # (a one-cell stack), timed over a 20-cell sample spread across the grid.
     sample = grid.cells()[:: grid.size // 20][:20]
     t0 = time.perf_counter()
     for cell in sample:
-        _cell_metrics(cell.spec, 4.0)
+        _price_cells([cell.spec], 4.0)
     per_cell_rate = len(sample) / (time.perf_counter() - t0)
 
     result = benchmark.pedantic(lambda: explore_grid(grid), rounds=2, iterations=1)

@@ -60,16 +60,18 @@ persist the result as JSON or CSV (by extension) via
 :mod:`repro.io.results`; the extension is validated before any compute
 runs.  ``simulate``, ``validate``, ``calibrate`` and ``report`` accept
 ``--jobs N`` to fan their simulations across a process pool
-(``--jobs 0`` = one worker per CPU), and ``explore``/``performability``
-``--jobs`` does the same for model cells/states; results are
-bit-identical for any worker count (see ``docs/parallel_validation.md``).
+(``--jobs 0`` = one worker per CPU); ``explore``/``performability``
+``--jobs`` runs each model cell/state as its own supervised item instead
+of one in-process stacked pass.  Results are bit-identical for any
+worker count (see ``docs/parallel_validation.md``).
 
 The three study commands — ``explore``, ``calibrate`` and
 ``performability`` — run under the supervised execution runtime
 (:mod:`repro.exec`) and additionally accept ``--retries``/``--timeout``
 (per-item retry and timeout policy), ``--resume`` (replay a killed run
 from its cache journal; requires ``--cache``) and ``--faults`` (arm a
-deterministic fault-injection plan, for testing the runtime itself).
+deterministic fault-injection plan, for testing the runtime itself; an
+armed plan runs every item under supervision).
 Exit codes: ``0`` success, ``2`` configuration error, ``3`` partial
 results (items failed after retries; the result carries an ``errors``
 section), ``130`` interrupted.  See ``docs/resilience.md``.

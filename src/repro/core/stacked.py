@@ -1334,9 +1334,9 @@ class StackedModel:
     def knee_loads(self, knee_threshold_factor: float) -> np.ndarray:
         """Per-cell load where latency reaches ``factor ×`` its floor.
 
-        Mirrors ``repro.experiments.explore._model_knee`` per cell: the
-        same bracket ``[0, λ*·(1 − 1e-9)]``, threshold test and 1e-6
-        relative refinement.
+        Mirrors the per-cell knee reference of ``tests/test_stacked.py``
+        (``model_knee``): the same bracket ``[0, λ*·(1 − 1e-9)]``,
+        threshold test and 1e-6 relative refinement.
         """
         lam_star = self.saturation_load()
         zero = self.zero_load_latencies()

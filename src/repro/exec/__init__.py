@@ -15,7 +15,11 @@ multi-hour study needs:
   keys enabling crash/``--resume`` semantics (:mod:`repro.exec.journal`);
 * :class:`FaultPlan` — deterministic, spec-driven fault injection for
   exercising every path above in tests and CI
-  (:mod:`repro.exec.faults`).
+  (:mod:`repro.exec.faults`);
+* :class:`repro.exec.study.Study` — the one study executor behind
+  explore, performability and calibrate: cache replay, run journal,
+  ``resume`` checks and stacked-or-supervised evaluation (imported from
+  its module, :mod:`repro.exec.study`).
 
 See ``docs/resilience.md`` for the operator-facing guide.
 """

@@ -34,11 +34,14 @@ content-addressed on-disk cache (:mod:`repro.io.cache`) keyed by the
 scenario's numeric spec content, the (loads, seeds, window, granularity)
 protocol and :data:`repro.simulation.runner.TRAJECTORY_VERSION` — a full
 96-way calibration costs roughly one validation run, and a repeated run
-simulates nothing.  The simulation points fan out through
-:func:`repro.simulation.parallel.map_jobs`; the model side is priced in
-one cross-cell stack (:class:`repro.core.stacked.StackedModel`) on serial
-runs and through the same fan-out under ``--jobs``/fault policies; the
-result tables are bit-identical for any worker count and either path.
+simulates nothing; the cache, run journal and ``resume`` checks are the
+study executor's (:class:`repro.exec.study.Study`).  ``--jobs`` fans out
+only the simulation points, through the supervised runtime
+(:func:`repro.exec.run_supervised`); the model side — every combination
+× scenario curve — is priced in one cross-cell
+:class:`repro.core.stacked.StackedModel` evaluation, bit-identical to the
+scalar :class:`~repro.core.model.AnalyticalModel`.  The result tables are
+bit-identical for any worker count.
 
 Results land in the stable ``repro.calibration/1`` schema: the
 per-combination error table, each scenario's winner, the global winner and
@@ -58,12 +61,13 @@ from repro.analysis.accuracy import ACCURACY_METRICS, relative_errors, score_err
 from repro.analysis.frontier import axis_sensitivity
 from repro.analysis.tables import render_table
 from repro.core.batch import BatchedModel
-from repro.core.model import AnalyticalModel
 from repro.core.parameters import ModelOptions
-from repro.exec import RunJournal, RunPolicy, maybe_corrupt_cache, run_supervised
+from repro.core.stacked import StackedModel
+from repro.exec import RunPolicy, run_supervised
+from repro.exec.study import Study
 from repro.experiments.experiment import ExperimentResult
 from repro.io.cache import ResultCache, canonical_numbers, content_key
-from repro.io.schemas import CALIBRATION_SCHEMA, RUN_JOURNAL_SCHEMA, SIM_CURVE_SCHEMA
+from repro.io.schemas import CALIBRATION_SCHEMA, SIM_CURVE_SCHEMA
 from repro.scenarios.grid import as_axis, format_axis_value
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ScenarioSpec
@@ -228,56 +232,8 @@ def _valid_curve_entry(entry, n_points: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# model scoring (fanned out per combination × scenario)
+# ranking helpers
 # ---------------------------------------------------------------------------
-
-
-def _model_curve(payload: tuple) -> list:
-    """Worker: one combination's model latencies at one scenario's loads.
-
-    Uses the scalar :class:`~repro.core.model.AnalyticalModel` — the same
-    reference path :func:`~repro.validation.compare.run_validation` and the
-    ablation benches evaluate — so calibration errors reproduce the bench
-    numbers bit for bit where the spaces overlap.  (Module-level:
-    picklable.)
-    """
-    spec_dict, options_dict, loads = payload
-    spec = ScenarioSpec.from_dict(spec_dict)
-    model = AnalyticalModel(
-        spec.system, spec.message, ModelOptions.from_dict(options_dict), spec.pattern
-    )
-    return [float(model.evaluate(float(lam)).latency) for lam in loads]
-
-
-def _stacked_model_curves(
-    specs: "list[ScenarioSpec]", combos: list, loads_by_scenario: "list[list[float]]"
-) -> "list[list[float]] | None":
-    """Every combination × scenario curve in one stacked evaluation.
-
-    Row order matches the ``map_jobs`` payload order (combination-major,
-    scenario-minor).  The stacked engine is bit-identical to the scalar
-    :class:`~repro.core.model.AnalyticalModel` reference path (locked by
-    ``tests/test_stacked.py``), so calibration scores are unchanged to
-    the bit.  Returns ``None`` when the model rejects a cell of this set
-    (the ``ValueError`` its input checks raise) — the caller then falls
-    back to the per-combination fan-out.  Any other exception is an
-    engine bug and propagates.
-    """
-    from repro.core.stacked import StackedModel
-
-    try:
-        cells = [
-            (spec.system, spec.message, options, spec.pattern)
-            for _, options in combos
-            for spec in specs
-        ]
-        grids = np.array(
-            [loads for _ in combos for loads in loads_by_scenario], dtype=np.float64
-        )
-        latencies = StackedModel(cells).evaluate_latencies(grids)
-    except ValueError:
-        return None
-    return [[float(v) for v in row] for row in latencies]
 
 
 def _rank_key(record: dict):
@@ -327,15 +283,16 @@ def calibrate_options(
     budget per point (the paper's window protocol, scaled); *granularity*
     picks the message-level or the flit-accurate engine.
 
-    ``jobs`` fans both the simulation points and the per-combination model
-    curves across the shared process pool; tables are bit-identical for
-    any worker count.  ``cache`` (a directory path or
-    :class:`~repro.io.cache.ResultCache`) memoises simulator curves on
-    disk, so option combinations re-score against cached ground truth and
-    a repeated calibration simulates nothing.
+    ``jobs`` fans the simulation points across the shared process pool;
+    the model curves of every combination are priced in one stacked
+    evaluation, and tables are bit-identical for any worker count.
+    ``cache`` (a directory path or :class:`~repro.io.cache.ResultCache`)
+    memoises simulator curves on disk, so option combinations re-score
+    against cached ground truth and a repeated calibration simulates
+    nothing.
 
-    Resilience: both fan-outs run under the supervised runtime with
-    retries per *policy*.  A scenario whose simulator curve still fails
+    Resilience: the simulation fan-out runs under the supervised runtime
+    with retries per *policy*.  A scenario whose simulator curve still fails
     is excluded from scoring (the result is then *partial*: its errors
     land in ``data["errors"]``) rather than aborting the calibration.
     With a cache, completed curves are journaled as they land;
@@ -343,7 +300,7 @@ def calibrate_options(
     cache, simulating only the remainder.
     """
     from repro.simulation.metrics import MeasurementWindow
-    from repro.simulation.parallel import SimWorkItem, map_jobs, resolve_jobs, run_work_item
+    from repro.simulation.parallel import SimWorkItem, resolve_jobs, run_work_item
 
     specs = [get_scenario(s) if isinstance(s, str) else s for s in scenarios]
     require(len(specs) > 0, "calibrate needs at least one scenario")
@@ -370,9 +327,6 @@ def calibrate_options(
     varied, combos = option_combinations(axes=axes, fixed=fixed)
     window = MeasurementWindow.scaled_paper(messages)
     seeds = [seed + seed_stride * i for i in range(len(fractions))]
-    store = None
-    if cache is not None:
-        store = cache if isinstance(cache, ResultCache) else ResultCache(cache)
 
     # -- ground truth: one (cached) simulator curve per scenario ------------
     loads_by_scenario = []
@@ -388,33 +342,9 @@ def calibrate_options(
         sim_curve_key(spec, loads, seeds, window, granularity)
         for spec, loads in zip(specs, loads_by_scenario)
     ]
-    # The run's identity is its full curve list: the same calibration
-    # resumes itself, any protocol/scenario change starts a fresh journal.
-    journal = None
-    if store is not None:
-        run_key = content_key(
-            {"schema": RUN_JOURNAL_SCHEMA, "kind": "calibrate", "keys": keys}
-        )
-        journal = RunJournal.for_cache(store, run_key)
-    if resume:
-        require(store is not None, "resume requires a result cache (--cache)")
-        assert journal is not None
-        require(
-            journal.exists(),
-            f"resume requested but no run journal exists at {journal.path}",
-        )
-    journaled = journal.completed_keys() if journal is not None else set()
-
-    curves: list = [None] * len(specs)
-    n_resumed = 0
-    if store is not None:
-        for idx, key in enumerate(keys):
-            entry = store.get(key)
-            if _valid_curve_entry(entry, len(fractions)):
-                curves[idx] = entry
-                if key in journaled:
-                    n_resumed += 1
-    from_cache = [curves[si] is not None for si in range(len(specs))]
+    study = Study("calibrate", keys, cache=cache, resume=resume, label="scenario", labels=names)
+    curves = study.replay(lambda entry: _valid_curve_entry(entry, len(fractions)))
+    from_cache = [curve is not None for curve in curves]
     pending = [idx for idx, c in enumerate(curves) if c is None]
     items = []
     slot_map = []  # fan-out slot -> (scenario index, point index)
@@ -461,17 +391,10 @@ def calibrate_options(
             "completed": [bool(r.completed) for r in point_results[si]],
             "events": [int(r.events) for r in point_results[si]],
         }
-        if store is not None:
-            store.put(keys[si], curves[si])
-            maybe_corrupt_cache(store, keys[si], slot)
-            journal.record(keys[si], scenario=specs[si].name)
+        study.persist(si, slot, curves[si])
 
     outcomes = run_supervised(
-        run_work_item,
-        items,
-        jobs=min(n_jobs, max(1, len(items))),
-        policy=policy,
-        on_result=_persist_curve,
+        run_work_item, items, jobs=n_jobs, policy=policy, on_result=_persist_curve
     )
     run_errors = []
     for slot, outcome in enumerate(outcomes):
@@ -504,23 +427,17 @@ def calibrate_options(
         names = [spec.name for spec in specs]
 
     # -- score every combination against the cached ground truth ------------
-    # Serial runs without a fault policy stack the whole model side —
-    # every combination × scenario priced in one cross-cell evaluation,
-    # bit-identical to the per-combination fan-out below.
-    model_curves = None
-    stacked = False
-    if jobs in (None, 1) and policy is None:
-        model_curves = _stacked_model_curves(specs, combos, loads_by_scenario)
-        stacked = model_curves is not None
-    if model_curves is None:
-        payloads = [
-            (spec_dicts[si], options.to_dict(), loads_by_scenario[si])
+    # The whole model side — every combination × scenario curve,
+    # combination-major — is priced in one cross-cell evaluation.
+    model_curves = StackedModel(
+        [
+            (spec.system, spec.message, options, spec.pattern)
             for _, options in combos
-            for si in range(len(specs))
+            for spec in specs
         ]
-        model_curves = map_jobs(
-            _model_curve, payloads, jobs=min(n_jobs, len(payloads)), policy=policy
-        )
+    ).evaluate_latencies(
+        np.array([loads for _ in combos for loads in loads_by_scenario], dtype=np.float64)
+    ).tolist()
 
     records = []
     for ci, (combo_name, options) in enumerate(combos):
@@ -624,18 +541,17 @@ def calibrate_options(
         "sensitivity_dropped": n_dropped,
         "columns": columns,
         "simulated_points": len(items),
-        "stacked": stacked,
         "cached_curves": sum(from_cache),
-        "resumed": n_resumed,
+        "resumed": study.resumed,
         "jobs": n_jobs,
-        "cache_root": str(store.root) if store is not None else None,
+        "cache_root": study.cache_root,
         "errors": run_errors,
         "partial": bool(run_errors),
     }
 
     text = _render(specs, varied, records, ranking, per_scenario_winners, sensitivity, data)
     if resume:
-        text += f"\nresumed {n_resumed} curve(s) from the run journal"
+        text += f"\nresumed {study.resumed} curve(s) from the run journal"
     if failed_names:
         text += (
             f"\nPARTIAL: {len(failed_names)} scenario(s) failed after retries "

@@ -27,12 +27,13 @@ columns of the long-format table):
     system size and the provisioning cost proxy
     (:func:`repro.analysis.frontier.bandwidth_cost_proxy`).
 
-Cells are pure functions of their spec, so :func:`explore_grid` prices
-them either through one cross-cell stacked evaluation
-(:class:`repro.core.stacked.StackedModel`; the serial fast path) or by
-fanning them across the supervised process pool
-(:func:`repro.exec.run_supervised`)
-with results bit-identical for any worker count, and memoises them in a
+Cells are pure functions of their spec.  :func:`explore_grid` hands them
+to the study executor (:class:`repro.exec.study.Study`), which prices
+them with :func:`_price_cells` — every pending cell in one cross-cell
+:class:`repro.core.stacked.StackedModel` pass on serial runs, or one
+supervised one-cell stack per cell under ``jobs``, an explicit policy,
+``resume`` or an armed fault plan — with results bit-identical either
+way and for any worker count.  Cells are memoised in a
 content-addressed on-disk cache (:mod:`repro.io.cache`) keyed by the
 cell's numeric spec content, the metric parameters and
 :data:`repro.core.batch.ENGINE_VERSION` — re-running an enlarged grid only
@@ -50,25 +51,22 @@ remainder — byte-identical to an uninterrupted run.
 from __future__ import annotations
 
 import math
+from functools import partial
+from typing import Sequence
 
 import numpy as np
 
 from repro._util import require
-from repro.analysis.capacity import max_load_for_latency
+from repro.analysis.capacity import max_load_for_latency  # patched by perfbench/tracer.py
 from repro.analysis.frontier import axis_sensitivity, bandwidth_cost_proxy, pareto_frontier_cells
 from repro.analysis.tables import render_table
-from repro.core.batch import ENGINE_VERSION, BatchedModel, refine_monotone_crossing
+from repro.core.batch import ENGINE_VERSION
 from repro.core.stacked import StackedModel
-from repro.exec import (
-    RunJournal,
-    RunPolicy,
-    maybe_corrupt_cache,
-    resolve_jobs,
-    run_supervised,
-)
+from repro.exec import RunPolicy, run_supervised  # run_supervised: patched by perfbench/tracer.py
+from repro.exec.study import Study
 from repro.experiments.experiment import ExperimentResult
 from repro.io.cache import ResultCache, canonical_numbers, content_key
-from repro.io.schemas import EXPLORE_CELL_SCHEMA, RUN_JOURNAL_SCHEMA
+from repro.io.schemas import EXPLORE_CELL_SCHEMA
 from repro.scenarios.grid import DesignGrid, format_axis_value
 from repro.scenarios.spec import ScenarioSpec
 
@@ -113,75 +111,27 @@ def cell_cache_key(spec: ScenarioSpec, knee_threshold_factor: float) -> str:
     )
 
 
-def _model_knee(engine: BatchedModel, lam_star: float, zero: float, factor: float) -> float:
-    """Load where the model's latency first reaches ``factor ×`` its floor."""
-    threshold = factor * zero
+def _price_cells(specs: "Sequence[ScenarioSpec]", knee_threshold_factor: float) -> "list[dict]":
+    """Metrics of every cell in *specs*, priced in one :class:`StackedModel` pass.
 
-    def beyond(grid: np.ndarray) -> np.ndarray:
-        latencies = engine.evaluate_many(grid, with_results=False).latencies
-        return ~(np.isfinite(latencies) & (latencies < threshold))
-
-    lo, _ = refine_monotone_crossing(0.0, lam_star * (1.0 - 1e-9), beyond, rel_tol=1e-6)
-    return lo
-
-
-def _cell_metrics(spec: ScenarioSpec, knee_threshold_factor: float) -> dict:
-    """Evaluate one cell through the batched closed forms (pure function)."""
-    engine = BatchedModel(spec.system, spec.message, spec.options, spec.pattern)
-    lam_star = engine.saturation_load()
-    binding = engine.binding_resource()
-    zero = engine.zero_load_latency()
-    knee = _model_knee(engine, lam_star, zero, knee_threshold_factor)
-    if math.isfinite(spec.latency_budget):
-        plan = max_load_for_latency(spec.system, spec.message, spec.latency_budget, engine=engine)
-        lambda_at_budget = plan.achieved
-    else:
-        lambda_at_budget = float("nan")
-    return {
-        "saturation_load": lam_star,
-        "binding_resource": binding,
-        "binding_kind": "concentrator" if binding.endswith(":concentrator") else "source-queue",
-        "zero_load_latency": zero,
-        "knee_load": knee,
-        "lambda_at_budget": lambda_at_budget,
-        "total_nodes": spec.system.total_nodes,
-        "cost_proxy": bandwidth_cost_proxy(spec.system),
-    }
-
-
-def _evaluate_cell(payload: tuple) -> dict:
-    """Worker for :func:`explore_grid` (module-level: picklable)."""
-    spec_dict, knee_threshold_factor = payload
-    return _cell_metrics(ScenarioSpec.from_dict(spec_dict), knee_threshold_factor)
-
-
-def _stacked_metrics(specs: "list[ScenarioSpec]", knee_threshold_factor: float) -> "list[dict] | None":
-    """All pending cells priced in one :class:`StackedModel` evaluation.
-
-    Returns per-cell metric mappings bit-identical to
-    :func:`_cell_metrics` (the stacked engine's lane-independence
-    contract, locked by ``tests/test_stacked.py``), or ``None`` if the
-    model rejects a cell of this set (the ``ValueError`` its input checks
-    raise) — the caller then falls back to the supervised per-cell path,
-    which confines the failure to its cell as a NaN row.  Any other
-    exception is an engine bug and propagates.
+    The study executor's pricer: a cell priced alone (one-cell stack) is
+    bit-identical to the same cell inside any stack (the stacked engine's
+    lane-independence contract, locked by ``tests/test_stacked.py``).  A
+    ``ValueError`` is the model rejecting a cell of this set.
     """
-    try:
-        stack = StackedModel.from_specs(specs)
-        lam_star = stack.saturation_load()
-        binding = stack.binding_resources()
-        zero = stack.zero_load_latencies()
-        knee = stack.knee_loads(knee_threshold_factor)
-        budgets = np.array(
-            [
-                spec.latency_budget if math.isfinite(spec.latency_budget) else float("nan")
-                for spec in specs
-            ],
-            dtype=np.float64,
-        )
-        at_budget = stack.loads_at_budget(budgets)
-    except ValueError:
-        return None
+    stack = StackedModel.from_specs(specs)
+    lam_star = stack.saturation_load()
+    binding = stack.binding_resources()
+    zero = stack.zero_load_latencies()
+    knee = stack.knee_loads(knee_threshold_factor)
+    budgets = np.array(
+        [
+            spec.latency_budget if math.isfinite(spec.latency_budget) else float("nan")
+            for spec in specs
+        ],
+        dtype=np.float64,
+    )
+    at_budget = stack.loads_at_budget(budgets)
     return [
         {
             "saturation_load": float(lam_star[k]),
@@ -243,11 +193,12 @@ def explore_grid(
     land; ``resume=True`` requires that journal and replays its cells
     from the cache, evaluating only the remainder.
 
-    Serial runs (``jobs`` absent or 1) with no explicit ``policy`` and no
-    ``resume`` price all uncached cells through one
-    :class:`~repro.core.stacked.StackedModel` evaluation — bit-identical
-    to the per-cell path by the stacked engine's contract, roughly 50×
-    faster on large grids (``data["stacked"]`` reports which path ran).
+    Serial runs (``jobs`` absent or 1) with no explicit ``policy``, no
+    ``resume`` and no armed fault plan price all uncached cells in one
+    :class:`~repro.core.stacked.StackedModel` pass; otherwise each cell
+    runs as its own supervised item (``data["stacked"]`` reports which
+    mode ran).  Both give bit-identical tables; see
+    :mod:`repro.exec.study` for the dispatch rule.
 
     The result's ``data`` holds the long-format ``columns`` (one row per
     cell: name, one column per axis, then the metric columns), the full
@@ -261,108 +212,28 @@ def explore_grid(
     )
     knee_threshold_factor = float(knee_threshold_factor)
     cells = grid.cells()
-    store = None
+    # Cache keys only address the store and the journal; with no cache
+    # configured, hashing 500 specs is pure overhead on the hot stacked
+    # path, so keys exist only for cached runs.
+    keys = None
     if cache is not None:
-        store = cache if isinstance(cache, ResultCache) else ResultCache(cache)
-
-    # Cache keys only exist to address the store and the journal; with no
-    # cache configured, hashing 500 specs is pure overhead on the hot
-    # stacked path, so the whole identity block is store-gated.
-    keys: "list[str]" = []
-    journal = None
-    if store is not None:
         keys = [cell_cache_key(cell.spec, knee_threshold_factor) for cell in cells]
-        # The run's identity is its full work list: the same grid resumes
-        # itself, any change to the cell set starts a fresh journal.
-        run_key = content_key(
-            {"schema": RUN_JOURNAL_SCHEMA, "kind": "explore", "keys": keys}
-        )
-        journal = RunJournal.for_cache(store, run_key)
-    if resume:
-        require(store is not None, "resume requires a result cache (--cache)")
-        assert journal is not None
-        require(
-            journal.exists(),
-            f"resume requested but no run journal exists at {journal.path}",
-        )
-    journaled = journal.completed_keys() if journal is not None else set()
-
-    # Cache lookups resolve *before* any model construction: pure cache
-    # hits never build an engine, and the one-pass ``get_many`` replaces
-    # N per-key stats with one directory listing per fan-out prefix.
-    metrics: list = [None] * len(cells)
-    n_cached = 0
-    n_resumed = 0
-    if store is not None:
-        for idx, (key, entry) in enumerate(zip(keys, store.get_many(keys))):
-            # A hit must carry the full metric set: an incomplete mapping
-            # (hand-edited, or written by a build whose metric set changed
-            # without a schema bump) is a miss to recompute, not a crash.
-            if (
-                isinstance(entry, dict)
-                and entry.get("schema") == EXPLORE_CELL_SCHEMA
-                and isinstance(entry.get("metrics"), dict)
-                and all(name in entry["metrics"] for name in _METRIC_COLUMNS)
-            ):
-                metrics[idx] = entry["metrics"]
-                n_cached += 1
-                if key in journaled:
-                    n_resumed += 1
-    pending = [idx for idx, m in enumerate(metrics) if m is None]
-    n_jobs = min(resolve_jobs(jobs), len(pending))
-
-    def _persist_cell(slot, value):
-        # Runs in the supervising process as each cell finalises, so a
-        # kill at any instant leaves cache+journal describing exactly the
-        # completed cells (crash-safe resume).
-        if store is None:
-            return
-        idx = pending[slot]
-        store.put(
-            keys[idx],
-            {
-                "schema": EXPLORE_CELL_SCHEMA,
-                "engine_version": ENGINE_VERSION,
-                "cell": cells[idx].name,
-                "metrics": value,
-            },
-        )
-        maybe_corrupt_cache(store, keys[idx], slot)
-        journal.record(keys[idx], cell=cells[idx].name)
-
-    # Serial runs without fault-injection/resume machinery price every
-    # pending cell in ONE stacked evaluation (bit-identical, ~50x).  The
-    # supervised per-cell pool keeps ownership of ``--jobs`` fan-out and
-    # retry/NaN-row/resume semantics — nothing there changes shape.
-    errors = []
-    stacked = False
-    stacked_values = None
-    if pending and jobs in (None, 1) and policy is None and not resume:
-        stacked_values = _stacked_metrics(
-            [cells[idx].spec for idx in pending], knee_threshold_factor
-        )
-    if stacked_values is not None:
-        stacked = True
-        for slot, idx in enumerate(pending):
-            metrics[idx] = stacked_values[slot]
-            _persist_cell(slot, stacked_values[slot])
-    else:
-        outcomes = run_supervised(
-            _evaluate_cell,
-            [(cells[idx].spec.to_dict(), knee_threshold_factor) for idx in pending],
-            jobs=n_jobs,
-            policy=policy,
-            on_result=lambda slot, outcome: (
-                _persist_cell(slot, outcome.value) if outcome.ok else None
-            ),
-        )
-        for slot, outcome in enumerate(outcomes):
-            idx = pending[slot]
-            if outcome.ok:
-                metrics[idx] = outcome.value
-            else:
-                metrics[idx] = _error_metrics(cells[idx].spec)
-                errors.append({"cell": cells[idx].name, **outcome.error_record()})
+    study = Study(
+        "explore", keys, cache=cache, resume=resume,
+        label="cell", labels=[cell.name for cell in cells],
+    )
+    metrics = study.evaluate(
+        [cell.spec for cell in cells],
+        partial(_price_cells, knee_threshold_factor=knee_threshold_factor),
+        envelope={"schema": EXPLORE_CELL_SCHEMA, "engine_version": ENGINE_VERSION},
+        # A hit must carry the full metric set: an incomplete mapping is a
+        # miss to recompute, not a crash.
+        valid=lambda m: all(name in m for name in _METRIC_COLUMNS),
+        error_row=lambda idx: _error_metrics(cells[idx].spec),
+        jobs=jobs,
+        policy=policy,
+    )
+    errors = study.errors
 
     columns: dict[str, list] = {"cell": [cell.name for cell in cells]}
     for axis in grid.axes:
@@ -378,15 +249,7 @@ def explore_grid(
         "cells": records,
         "axes": [axis.to_dict() for axis in grid.axes],
         "knee_threshold_factor": knee_threshold_factor,
-        "evaluated": len(pending),
-        "cached": n_cached,
-        "cache_hits": n_cached,
-        "stacked": stacked,
-        "resumed": n_resumed,
-        "jobs": n_jobs,
-        "cache_root": str(store.root) if store is not None else None,
-        "errors": errors,
-        "partial": bool(errors),
+        **study.summary(),
     }
 
     rows = [
@@ -410,11 +273,11 @@ def explore_grid(
     elif frontier:
         text += "\n\nfrontier views skipped: the table is partial"
     text += (
-        f"\nevaluated {len(pending)} of {len(cells)} cells "
-        f"({n_cached} from cache, jobs={n_jobs})"
+        f"\nevaluated {study.evaluated} of {len(cells)} cells "
+        f"({study.cached} from cache, jobs={study.jobs})"
     )
     if resume:
-        text += f"\nresumed {n_resumed} cell(s) from the run journal"
+        text += f"\nresumed {study.resumed} cell(s) from the run journal"
     if errors:
         text += (
             f"\nPARTIAL: {len(errors)} of {len(cells)} cell(s) failed after retries"

@@ -31,12 +31,13 @@ asks for:
     independent of how likely the failure is, so zero-rate what-if modes
     rank too.
 
-Per-state evaluations are pure functions of the degraded spec, so serial
-runs price every distinct degraded system in one cross-cell stack
-(:class:`repro.core.stacked.StackedModel`) while ``jobs``/fault-policy
-runs fan out through the supervised runtime
-(:func:`repro.exec.run_supervised`; bit-identical tables either way and
-for any worker count), and memoise in a content-addressed
+Per-state evaluations are pure functions of the degraded spec.  The study
+executor (:class:`repro.exec.study.Study`) prices them with
+:func:`_price_states` — every distinct degraded system in one cross-cell
+:class:`repro.core.stacked.StackedModel` pass on serial runs, one
+supervised one-cell stack per state under ``jobs``, an explicit policy,
+``resume`` or an armed fault plan; bit-identical tables either way and
+for any worker count — and memoises them in a content-addressed
 :class:`~repro.io.cache.ResultCache` keyed by the degraded spec, the load
 grid and the engine version.  States that degrade to the *same* system
 (e.g. node-loss states, which only change capacity weighting) share one
@@ -46,6 +47,8 @@ cache key and are evaluated once.
 from __future__ import annotations
 
 import math
+from functools import partial
+from typing import Sequence
 
 import numpy as np
 
@@ -53,17 +56,11 @@ from repro._util import require
 from repro.analysis.tables import render_table
 from repro.core.batch import ENGINE_VERSION, BatchedModel
 from repro.core.stacked import StackedModel
-from repro.exec import (
-    ItemOutcome,
-    RunJournal,
-    RunPolicy,
-    maybe_corrupt_cache,
-    resolve_jobs,
-    run_supervised,
-)
+from repro.exec import RunPolicy
+from repro.exec.study import Study
 from repro.experiments.experiment import ExperimentResult
 from repro.io.cache import ResultCache, canonical_numbers, content_key
-from repro.io.schemas import PERFORMABILITY_STATE_SCHEMA, RUN_JOURNAL_SCHEMA
+from repro.io.schemas import PERFORMABILITY_STATE_SCHEMA
 from repro.performability.degrade import DegradedState, expand_states, resolve_populations
 from repro.performability.spec import FailureScenario
 from repro.performability.states import steady_state
@@ -111,43 +108,19 @@ def _error_state_metrics(n_loads: int) -> dict:
     }
 
 
-def _evaluate_state(payload: tuple) -> dict:
-    """Worker for :func:`performability_analysis` (module-level: picklable)."""
-    spec_dict, loads = payload
-    spec = ScenarioSpec.from_dict(spec_dict)
-    engine = BatchedModel(spec.system, spec.message, spec.options, spec.pattern)
-    latencies = engine.evaluate_many(
-        np.asarray(loads, dtype=np.float64), with_results=False
-    ).latencies
-    return {
-        "saturation_load": engine.saturation_load(),
-        "binding_resource": engine.binding_resource(),
-        "zero_load_latency": engine.zero_load_latency(),
-        "latencies": [float(v) for v in latencies],
-    }
+def _price_states(specs: "Sequence[ScenarioSpec]", loads: "Sequence[float]") -> "list[dict]":
+    """Metrics of every degraded state in *specs*, in one stacked pass.
 
-
-def _stacked_state_metrics(
-    specs: "list[ScenarioSpec]", loads: "list[float]"
-) -> "list[dict] | None":
-    """All pending degraded states priced in one stacked evaluation.
-
-    Returns per-state metric mappings bit-identical to
-    :func:`_evaluate_state` (the stacked engine's lane-independence
-    contract, locked by ``tests/test_stacked.py``), or ``None`` if the
-    model rejects a state of this set (the ``ValueError`` its input
-    checks raise) — the caller then falls back to the supervised
-    per-state path, which confines the failure to its state as a NaN row.
-    Any other exception is an engine bug and propagates.
+    The study executor's pricer: a state priced alone (one-cell stack) is
+    bit-identical to the same state inside any stack (the stacked engine's
+    lane-independence contract, locked by ``tests/test_stacked.py``).  A
+    ``ValueError`` is the model rejecting a state of this set.
     """
-    try:
-        stack = StackedModel.from_specs(specs)
-        latencies = stack.evaluate_latencies(np.asarray(loads, dtype=np.float64))
-        lam_star = stack.saturation_load()
-        binding = stack.binding_resources()
-        zero = stack.zero_load_latencies()
-    except ValueError:
-        return None
+    stack = StackedModel.from_specs(specs)
+    latencies = stack.evaluate_latencies(np.asarray(loads, dtype=np.float64))
+    lam_star = stack.saturation_load()
+    binding = stack.binding_resources()
+    zero = stack.zero_load_latencies()
     return [
         {
             "saturation_load": float(lam_star[k]),
@@ -264,132 +237,31 @@ def performability_analysis(
     engine = BatchedModel(spec.system, spec.message, spec.options, spec.pattern)
     loads = [float(v) for v in spec.load_grid.grid(engine)]
 
-    store = None
-    if cache is not None:
-        store = cache if isinstance(cache, ResultCache) else ResultCache(cache)
-
-    spec_dicts = []
-    keys = []
-    for st in states:
-        degraded = ScenarioSpec.from_dict(
-            {**spec.to_dict(), "system": st.system.to_dict()}
-        )
-        spec_dicts.append(degraded.to_dict())
-        keys.append(state_cache_key(degraded, tuple(loads)))
-
-    # The run's identity is its full (deduplicated) state key list: the
-    # same study resumes itself, any change starts a fresh journal.
-    journal: "RunJournal | None" = None
-    if store is not None:
-        run_key = content_key(
-            {"schema": RUN_JOURNAL_SCHEMA, "kind": "performability", "keys": keys}
-        )
-        journal = RunJournal.for_cache(store, run_key)
-    if resume:
-        require(store is not None, "resume requires a result cache (--cache)")
-        assert journal is not None
-        require(
-            journal.exists(),
-            f"resume requested but no run journal exists at {journal.path}",
-        )
-    journaled = journal.completed_keys() if journal is not None else set()
-
-    metrics: list = [None] * len(states)
-    n_cached = 0
-    n_resumed = 0
-    resumed_keys: set[str] = set()
-    if store is not None:
-        for idx, (key, entry) in enumerate(zip(keys, store.get_many(keys))):
-            # A hit must carry the full metric set with a curve matching
-            # the load grid; anything less is a miss to recompute.
-            if (
-                isinstance(entry, dict)
-                and entry.get("schema") == PERFORMABILITY_STATE_SCHEMA
-                and isinstance(entry.get("metrics"), dict)
-                and all(name in entry["metrics"] for name in _STATE_METRICS)
-                and isinstance(entry["metrics"]["latencies"], list)
-                and len(entry["metrics"]["latencies"]) == len(loads)
-            ):
-                metrics[idx] = entry["metrics"]
-                n_cached += 1
-                if key in journaled and key not in resumed_keys:
-                    resumed_keys.add(key)
-                    n_resumed += 1
-
-    # Distinct availability states can degrade to the same system (node
-    # losses leave the topology alone); group pending states by cache key
-    # and evaluate each distinct degraded system once.
-    pending: dict[str, list[int]] = {}
-    for idx, m in enumerate(metrics):
-        if m is None:
-            pending.setdefault(keys[idx], []).append(idx)
-    unique = list(pending)
-    n_jobs = min(resolve_jobs(jobs), len(unique))
-
-    def _persist_state(slot: int, value: dict) -> None:
-        # Runs in the supervising process as each state finalises, so a
-        # kill at any instant leaves cache+journal describing exactly the
-        # completed states (crash-safe resume).
-        if store is None:
-            return
-        key = unique[slot]
-        store.put(
-            key,
-            {
-                "schema": PERFORMABILITY_STATE_SCHEMA,
-                "engine_version": ENGINE_VERSION,
-                "state": states[pending[key][0]].label,
-                "metrics": value,
-            },
-        )
-        maybe_corrupt_cache(store, key, slot)
-        assert journal is not None
-        journal.record(key, state=states[pending[key][0]].label)
-
-    def _on_result(slot: int, outcome: ItemOutcome) -> None:
-        if outcome.ok:
-            _persist_state(slot, outcome.value)
-
-    # Serial runs without fault-injection/resume machinery price every
-    # distinct pending degraded system in ONE stacked evaluation
-    # (bit-identical); the supervised pool keeps ``--jobs`` fan-out and
-    # retry/NaN-row/resume semantics.
-    errors: list[dict] = []
-    stacked = False
-    stacked_values = None
-    if unique and jobs in (None, 1) and policy is None and not resume:
-        stacked_values = _stacked_state_metrics(
-            [ScenarioSpec.from_dict(spec_dicts[pending[key][0]]) for key in unique],
-            loads,
-        )
-    if stacked_values is not None:
-        stacked = True
-        for slot, key in enumerate(unique):
-            for idx in pending[key]:
-                metrics[idx] = stacked_values[slot]
-            _persist_state(slot, stacked_values[slot])
-    else:
-        outcomes = run_supervised(
-            _evaluate_state,
-            [(spec_dicts[pending[key][0]], tuple(loads)) for key in unique],
-            jobs=n_jobs,
-            policy=policy,
-            on_result=_on_result,
-        )
-        for slot, outcome in enumerate(outcomes):
-            key = unique[slot]
-            if outcome.ok:
-                for idx in pending[key]:
-                    metrics[idx] = outcome.value
-            else:
-                for idx in pending[key]:
-                    metrics[idx] = _error_state_metrics(len(loads))
-                errors.append(
-                    {
-                        "state": states[pending[key][0]].label,
-                        **outcome.error_record(),
-                    }
-                )
+    degraded = [
+        ScenarioSpec.from_dict({**spec.to_dict(), "system": st.system.to_dict()})
+        for st in states
+    ]
+    keys = [state_cache_key(d, tuple(loads)) for d in degraded]
+    study = Study(
+        "performability", keys, cache=cache, resume=resume,
+        label="state", labels=[st.label for st in states],
+    )
+    metrics = study.evaluate(
+        degraded,
+        partial(_price_states, loads=loads),
+        envelope={"schema": PERFORMABILITY_STATE_SCHEMA, "engine_version": ENGINE_VERSION},
+        # A hit must carry the full metric set with a curve matching the
+        # load grid; anything less is a miss to recompute.
+        valid=lambda m: (
+            all(name in m for name in _STATE_METRICS)
+            and isinstance(m["latencies"], list)
+            and len(m["latencies"]) == len(loads)
+        ),
+        error_row=lambda idx: _error_state_metrics(len(loads)),
+        jobs=jobs,
+        policy=policy,
+    )
+    errors = study.errors
 
     n_total = spec.system.total_nodes
     lam_pristine = metrics[0]["saturation_load"]
@@ -433,15 +305,7 @@ def performability_analysis(
         "expected_capacity": expected_capacity,
         "curve": curve,
         "ranking": ranking,
-        "evaluated": len(unique),
-        "cached": n_cached,
-        "cache_hits": n_cached,
-        "stacked": stacked,
-        "resumed": n_resumed,
-        "jobs": n_jobs,
-        "cache_root": str(store.root) if store is not None else None,
-        "errors": errors,
-        "partial": bool(errors),
+        **study.summary(),
     }
 
     state_rows = [
@@ -473,11 +337,11 @@ def performability_analysis(
         f"expected capacity under churn  = {expected_capacity:.4e} messages/time-unit"
     )
     text += (
-        f"\nevaluated {len(unique)} of {len(states)} states "
-        f"({n_cached} from cache, jobs={n_jobs})"
+        f"\nevaluated {study.evaluated} of {len(states)} states "
+        f"({study.cached} from cache, jobs={study.jobs})"
     )
     if resume:
-        text += f"\nresumed {n_resumed} state(s) from the run journal"
+        text += f"\nresumed {study.resumed} state(s) from the run journal"
     if errors:
         text += (
             f"\nPARTIAL: {len(errors)} distinct state(s) failed after retries"

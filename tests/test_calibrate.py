@@ -10,6 +10,7 @@ bit.
 
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,7 +26,7 @@ from repro.experiments.calibrate import (
     sim_curve_key,
 )
 from repro.io import ResultCache, to_jsonable
-from repro.scenarios import AxisSpec, ScenarioSpec
+from repro.scenarios import AxisSpec, ScenarioSpec, get_scenario
 from repro.simulation import MeasurementWindow, SimulationSession
 
 TINY_AXES = [("relaxing_factor", (True, False)), ("concentrator_rate", ("pair_mean", "source_outgoing"))]
@@ -188,35 +189,21 @@ class TestParallelAndCache:
         parallel = calibrate_options(
             [tiny_spec()], axes=TINY_AXES, cache=sim_cache, jobs=2, **TINY_KW
         )
-        # Serial runs stack the whole model side in one cross-cell
-        # evaluation; --jobs falls back to the per-combination fan-out.
-        assert tiny_result.data["stacked"] is True
-        assert parallel.data["stacked"] is False
         for field in ("combinations", "columns", "ranking", "winner"):
             assert canonical(parallel.data[field]) == canonical(tiny_result.data[field])
 
-    def test_model_rejection_falls_back_to_per_combination(
-        self, sim_cache, tiny_result, monkeypatch
-    ):
-        from repro.core.stacked import StackedModel
-
-        def reject(self, loads):
-            raise ValueError("cell rejected by the model")
-
-        monkeypatch.setattr(StackedModel, "evaluate_latencies", reject)
-        fallback = calibrate_options([tiny_spec()], axes=TINY_AXES, cache=sim_cache, **TINY_KW)
-        assert fallback.data["stacked"] is False
-        for field in ("combinations", "columns", "ranking", "winner"):
-            assert canonical(fallback.data[field]) == canonical(tiny_result.data[field])
-
-    def test_engine_bug_propagates(self, sim_cache, tiny_result, monkeypatch):
+    @pytest.mark.parametrize("error", [ValueError, IndexError])
+    def test_engine_bug_propagates(self, sim_cache, tiny_result, monkeypatch, error):
+        """The model side is one stacked call with no per-combination
+        fallback: any exception from it, a model rejection included,
+        propagates."""
         from repro.core.stacked import StackedModel
 
         def broken(self, loads):
-            raise IndexError("engine bug")
+            raise error("engine bug")
 
         monkeypatch.setattr(StackedModel, "evaluate_latencies", broken)
-        with pytest.raises(IndexError, match="engine bug"):
+        with pytest.raises(error, match="engine bug"):
             calibrate_options([tiny_spec()], axes=TINY_AXES, cache=sim_cache, **TINY_KW)
 
     def test_cached_run_simulates_nothing(self, sim_cache, tiny_result):
@@ -263,6 +250,36 @@ class TestParallelAndCache:
         # Derived naming does not move the key.
         renamed = ScenarioSpec(name="other", system=spec.system, message=spec.message)
         assert sim_curve_key(renamed, [1e-3], [0], window, "message") == base
+
+
+class TestModelSideMatchesScalarModel:
+    """The one stacked model-side call equals the scalar reference model
+    bit for bit over the whole 96-combination option space."""
+
+    @pytest.mark.parametrize("name", ["1120", "het8-split"])
+    def test_every_combination_bit_for_bit(self, name, monkeypatch):
+        import repro.simulation.parallel as parallel
+
+        def fake_point(item):
+            # Ground truth is irrelevant here; skip the simulator.
+            return SimpleNamespace(
+                mean_latency=1.0, stats=SimpleNamespace(std=0.0), completed=True, events=0
+            )
+
+        monkeypatch.setattr(parallel, "run_work_item", fake_point)
+        result = calibrate_options([name])
+        spec = get_scenario(name)
+        [scenario] = result.data["scenarios"]
+        assert len(result.data["combinations"]) == 96
+        for record in result.data["combinations"]:
+            model = AnalyticalModel(
+                spec.system,
+                spec.message,
+                ModelOptions.from_dict(record["options"]),
+                spec.pattern,
+            )
+            expected = [model.evaluate(lam).latency for lam in scenario["loads"]]
+            assert record["per_scenario"][name]["model"] == expected, record["name"]
 
 
 class TestSaturatingCombination:

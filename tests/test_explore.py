@@ -6,12 +6,14 @@ on-disk cache whose hits are indistinguishable from fresh evaluations.
 """
 
 import json
+import math
 
 import pytest
 
 from repro.analysis import curve_label, icn2_bandwidth_study
 from repro.core import NET1, MessageSpec, paper_system_544
 from repro.core.stacked import StackedModel
+from repro.exec import RunPolicy
 from repro.experiments import Experiment, cell_cache_key, explore_grid
 from repro.io import ResultCache, to_jsonable
 from repro.io.cache import content_key
@@ -315,20 +317,59 @@ class TestStackedFastPath:
             assert canonical(serial.data["columns"]) == canonical(other.data["columns"])
             assert canonical(serial.data["cells"]) == canonical(other.data["cells"])
 
-    def test_model_rejection_falls_back_to_per_cell(self, base_544, monkeypatch):
-        """A ValueError from the stack (the model rejecting a cell) moves
-        the set onto the per-cell path, which yields the same table."""
+    @pytest.mark.parametrize(
+        "policy", [None, RunPolicy(max_retries=0)], ids=["one-pass", "per-item"]
+    )
+    def test_model_rejection_is_confined_to_its_cell(self, base_544, monkeypatch, policy):
+        """A ValueError from the stack (the model rejecting one cell) turns
+        only that cell into a NaN row, in both dispatch modes: the one-pass
+        mode tries the whole set once, then supervises each cell as a
+        one-cell stack."""
         grid = small_grid(base_544)
-        stacked = explore_grid(grid)
+        clean = explore_grid(grid)
+        rejected = grid.cells()[2]
+        original = StackedModel.from_specs
+        calls = []
 
-        def reject(specs):
-            raise ValueError("cell rejected by the model")
+        def reject_one(specs):
+            calls.append(len(specs))
+            if any(spec == rejected.spec for spec in specs):
+                raise ValueError("cell rejected by the model")
+            return original(specs)
 
-        monkeypatch.setattr(StackedModel, "from_specs", reject)
-        fallback = explore_grid(grid)
-        assert fallback.data["stacked"] is False
-        assert fallback.text == stacked.text
-        assert canonical(fallback.data["columns"]) == canonical(stacked.data["columns"])
+        monkeypatch.setattr(StackedModel, "from_specs", reject_one)
+        result = explore_grid(grid, policy=policy)
+        assert result.data["stacked"] is False
+        assert [e["cell"] for e in result.data["errors"]] == [rejected.name]
+        assert "ValueError: cell rejected by the model" in result.data["errors"][0]["error"]
+        for idx, (got, want) in enumerate(zip(result.data["cells"], clean.data["cells"])):
+            if idx == 2:
+                assert math.isnan(got["metrics"]["saturation_load"])
+                assert got["metrics"]["binding_kind"] == "error"
+            else:
+                assert canonical(got) == canonical(want)
+        whole = [grid.size] if policy is None else []
+        assert calls[: len(whole)] == whole
+        assert set(calls[len(whole):]) == {1}
+
+    def test_composition_error_shows_as_unstacked(self, base_544, monkeypatch):
+        """A ValueError that only multi-cell stacks raise (a composition
+        bug, not a rejected cell) yields the full table from one-cell
+        stacks with ``stacked`` false, the signal that the pass failed."""
+        grid = small_grid(base_544)
+        clean = explore_grid(grid)
+        original = StackedModel.from_specs
+
+        def ragged_bug(specs):
+            if len(specs) > 1:
+                raise ValueError("operands could not be broadcast together")
+            return original(specs)
+
+        monkeypatch.setattr(StackedModel, "from_specs", ragged_bug)
+        result = explore_grid(grid)
+        assert result.data["stacked"] is False
+        assert result.data["errors"] == []
+        assert canonical(result.data["cells"]) == canonical(clean.data["cells"])
 
     def test_engine_bug_propagates(self, base_544, monkeypatch):
         """Any other exception is an engine bug: no silent per-cell fallback."""
@@ -349,6 +390,16 @@ class TestStackedFastPath:
         assert second.data["cache_hits"] == second.data["cached"] == 4
         assert second.data["stacked"] is False  # nothing left to stack
         assert canonical(first.data["columns"]) == canonical(second.data["columns"])
+
+    def test_replay_reports_at_least_one_worker(self, base_544, tmp_path):
+        # 0 is how --jobs spells "one worker per CPU": a replay with no
+        # pending cells must not report it.
+        grid = small_grid(base_544)
+        explore_grid(grid, jobs=2, cache=tmp_path / "c")
+        replay = explore_grid(grid, jobs=2, cache=tmp_path / "c")
+        assert replay.data["evaluated"] == 0
+        assert replay.data["jobs"] == 1
+        assert "(4 from cache, jobs=1)" in replay.text
 
     def test_corrupt_entry_heals_through_stacked_path(self, base_544, tmp_path):
         grid = small_grid(base_544)

@@ -8,10 +8,12 @@ and cache replays.
 """
 
 import json
+import math
 
 import pytest
 
 from repro.cluster import homogeneous_system
+from repro.exec import RunPolicy
 from repro.experiments import Experiment
 from repro.io import ResultCache, to_jsonable
 from repro.performability import (
@@ -394,21 +396,67 @@ class TestPerformabilityAnalysis:
                     "saturation_load_weighted", "expected_capacity"):
             assert canonical(serial.data[key]) == canonical(fanned.data[key])
 
-    def test_model_rejection_falls_back_to_per_state(
-        self, base_544, acceptance_failures, monkeypatch
-    ):
+    @pytest.mark.parametrize(
+        "policy", [None, RunPolicy(max_retries=0)], ids=["one-pass", "per-item"]
+    )
+    def test_model_rejection_is_confined_to_its_state(self, base_544, monkeypatch, policy):
+        """A ValueError from the stack (the model rejecting one degraded
+        system) turns only that state into a NaN row, in both dispatch
+        modes: the one-pass mode tries the whole set once, then supervises
+        each state as a one-cell stack."""
         from repro.core.stacked import StackedModel
 
-        stacked = performability_analysis(base_544, acceptance_failures)
+        failures = FailureScenario(
+            modes=(icn2_switch_mode(), icn2_link_mode()), max_concurrent=1
+        )
+        clean = performability_analysis(base_544, failures)
+        states = expand_states(base_544.system, failures)
+        rejected = states[2]
+        assert len({repr(st.system) for st in states}) == len(states)
+        original = StackedModel.from_specs
+        calls = []
 
-        def reject(specs):
-            raise ValueError("state rejected by the model")
+        def reject_one(specs):
+            calls.append(len(specs))
+            if any(spec.system == rejected.system for spec in specs):
+                raise ValueError("state rejected by the model")
+            return original(specs)
 
-        monkeypatch.setattr(StackedModel, "from_specs", reject)
-        fallback = performability_analysis(base_544, acceptance_failures)
-        assert fallback.data["stacked"] is False
-        assert fallback.text == stacked.text
-        assert canonical(fallback.data["columns"]) == canonical(stacked.data["columns"])
+        monkeypatch.setattr(StackedModel, "from_specs", reject_one)
+        result = performability_analysis(base_544, failures, policy=policy)
+        assert result.data["stacked"] is False
+        assert [e["state"] for e in result.data["errors"]] == [rejected.label]
+        for got, want in zip(result.data["states"], clean.data["states"]):
+            if got["label"] == rejected.label:
+                assert math.isnan(got["metrics"]["saturation_load"])
+            else:
+                assert canonical(got) == canonical(want)
+        whole = [len(states)] if policy is None else []
+        assert calls[: len(whole)] == whole
+        assert set(calls[len(whole):]) == {1}
+
+    def test_composition_error_shows_as_unstacked(
+        self, base_544, acceptance_failures, monkeypatch
+    ):
+        """A ValueError that only multi-state stacks raise (a composition
+        bug, not a rejected state) yields the full table from one-cell
+        stacks with ``stacked`` false, the signal that the pass failed."""
+        from repro.core.stacked import StackedModel
+
+        clean = performability_analysis(base_544, acceptance_failures)
+        original = StackedModel.from_specs
+
+        def ragged_bug(specs):
+            if len(specs) > 1:
+                raise ValueError("operands could not be broadcast together")
+            return original(specs)
+
+        monkeypatch.setattr(StackedModel, "from_specs", ragged_bug)
+        result = performability_analysis(base_544, acceptance_failures)
+        assert result.data["stacked"] is False
+        assert result.data["errors"] == []
+        assert result.text == clean.text
+        assert canonical(result.data["columns"]) == canonical(clean.data["columns"])
 
     def test_engine_bug_propagates(self, base_544, acceptance_failures, monkeypatch):
         from repro.core.stacked import StackedModel
@@ -419,6 +467,17 @@ class TestPerformabilityAnalysis:
         monkeypatch.setattr(StackedModel, "from_specs", broken)
         with pytest.raises(IndexError, match="engine bug"):
             performability_analysis(base_544, acceptance_failures)
+
+    def test_replay_reports_at_least_one_worker(self, base_544, acceptance_failures, tmp_path):
+        # 0 is how --jobs spells "one worker per CPU": a replay with no
+        # pending states must not report it.
+        performability_analysis(base_544, acceptance_failures, jobs=2, cache=tmp_path / "c")
+        replay = performability_analysis(
+            base_544, acceptance_failures, jobs=2, cache=tmp_path / "c"
+        )
+        assert replay.data["evaluated"] == 0
+        assert replay.data["jobs"] == 1
+        assert "from cache, jobs=1)" in replay.text
 
     def test_cache_replay_evaluates_nothing(self, base_544, acceptance_failures, tmp_path):
         store = ResultCache(tmp_path / "cache")

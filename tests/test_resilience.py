@@ -290,3 +290,64 @@ class TestCliResilience:
         monkeypatch.setitem(cli._COMMANDS, "saturation", _interrupt)
         assert cli.main(["saturation"]) == 130
         assert "interrupted" in capsys.readouterr().err
+
+
+class TestArmedPlanOnSerialRuns:
+    """An armed fault plan selects per-item supervision even on serial
+    runs with no explicit policy, so its faults fire instead of being
+    skipped by the one-pass stacked evaluation."""
+
+    RAISE_ITEM_0 = [{"op": "raise", "index": 0, "attempt": a} for a in range(3)]
+
+    @pytest.fixture(autouse=True)
+    def _clean_faults_env(self, monkeypatch):
+        monkeypatch.delenv(FAULTS_ENV, raising=False)
+        yield
+        os.environ.pop(FAULTS_ENV, None)
+
+    @staticmethod
+    def _failures() -> FailureScenario:
+        return FailureScenario(
+            modes=(
+                FailureMode(kind="node", failure_rate=1e-4, repair_rate=1e-2),
+                FailureMode(kind="switch", role="icn2", failure_rate=1e-5, repair_rate=1e-2),
+            ),
+            max_concurrent=2,
+            name="armed-serial",
+        )
+
+    def test_explore_api_gives_a_nan_row_for_item_0(self, plain_explore, monkeypatch):
+        _arm(monkeypatch, *self.RAISE_ITEM_0)
+        result = explore_grid(small_grid())
+        assert result.data["stacked"] is False
+        assert [e["cell"] for e in result.data["errors"]] == [result.data["cells"][0]["name"]]
+        sat = result.data["columns"]["saturation_load"]
+        assert math.isnan(sat[0])
+        assert sat[1:] == plain_explore.data["columns"]["saturation_load"][1:]
+
+    def test_performability_api_gives_a_nan_row_for_item_0(self, monkeypatch):
+        _arm(monkeypatch, *self.RAISE_ITEM_0)
+        result = performability_analysis(get_scenario("544"), self._failures())
+        assert result.data["stacked"] is False
+        # Item 0 is the pristine system, shared by the node-loss state.
+        assert [e["state"] for e in result.data["errors"]] == ["pristine"]
+        nan_states = {
+            s["label"] for s in result.data["states"]
+            if math.isnan(s["metrics"]["saturation_load"])
+        }
+        assert nan_states == {"pristine", "node=1"}
+
+    def test_explore_cli_exits_3(self, capsys):
+        plan = json.dumps({"schema": "repro.faults/1", "faults": self.RAISE_ITEM_0})
+        assert cli.main(TestCliResilience.EXPLORE + ["--faults", plan]) == 3
+        assert "PARTIAL: 1 of 4 cell(s) failed after retries" in capsys.readouterr().out
+
+    def test_performability_cli_exits_3(self, tmp_path, capsys):
+        failures = self._failures().save(tmp_path / "failures.json")
+        plan = json.dumps({"schema": "repro.faults/1", "faults": self.RAISE_ITEM_0})
+        code = cli.main(
+            ["performability", "--scenario", "544", "--failures", str(failures),
+             "--faults", plan]
+        )
+        assert code == 3
+        assert "PARTIAL: 1 distinct state(s) failed after retries" in capsys.readouterr().out

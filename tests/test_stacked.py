@@ -1,11 +1,13 @@
 """Stacked-engine lane independence (core.stacked): bit-identity per cell.
 
 Explore, performability and calibrate price a whole cell set in one
-:class:`StackedModel`, while their per-cell paths price each cell alone
-through :class:`BatchedModel`, the engine's one-cell view.  The contract
-is that a cell priced alone equals the same cell inside any stack *bit
-for bit* — not round-off closeness — for every metric those consumers
-read: per-resource saturation dictionaries, binding resources, λ*,
+:class:`StackedModel`, while their per-item supervised runs price each
+cell alone as a one-cell stack.  The suite checks every stacked metric
+against each cell priced alone through :class:`BatchedModel` (the
+engine's one-cell view) and, for knees, :func:`model_knee` below.  The
+contract is that a cell priced alone equals the same cell inside any
+stack *bit for bit* — not round-off closeness — for every metric those
+consumers read: per-resource saturation dictionaries, binding resources, λ*,
 zero-load floors, auto load grids, latency curves, knee loads and budget
 capacities.  The suite locks that contract across the full scenario
 registry (which includes the m=8 heterogeneity ladder), ragged
@@ -20,16 +22,27 @@ import pytest
 from repro.analysis.capacity import max_load_for_latency
 from repro.cluster import homogeneous_system
 from repro.core import MessageSpec
-from repro.core.batch import BatchedModel
+from repro.core.batch import BatchedModel, refine_monotone_crossing
 from repro.core.parameters import ModelOptions
 from repro.core.stacked import StackedModel
 from repro.core.sweep import auto_load_grid
-from repro.experiments.explore import _model_knee
 from repro.performability import FailureMode, FailureScenario, expand_states
 from repro.scenarios import ScenarioSpec, get_scenario
 from repro.scenarios.registry import iter_scenarios
 
 REGISTRY = list(iter_scenarios())
+
+
+def model_knee(engine: BatchedModel, lam_star: float, zero: float, factor: float) -> float:
+    """Knee reference: load where one cell's latency first reaches ``factor ×`` its floor."""
+    threshold = factor * zero
+
+    def beyond(grid: np.ndarray) -> np.ndarray:
+        latencies = engine.evaluate_many(grid, with_results=False).latencies
+        return ~(np.isfinite(latencies) & (latencies < threshold))
+
+    lo, _ = refine_monotone_crossing(0.0, lam_star * (1.0 - 1e-9), beyond, rel_tol=1e-6)
+    return lo
 
 
 def per_cell_engines(cells):
@@ -106,7 +119,7 @@ class TestRegistryEquivalence:
     def test_knee_loads_bitwise(self, stack, engines):
         knees = stack.knee_loads(4.0)
         for idx, ((name, _), engine) in enumerate(zip(REGISTRY, engines)):
-            reference = _model_knee(
+            reference = model_knee(
                 engine, engine.saturation_load(), engine.zero_load_latency(), 4.0
             )
             assert reference == knees[idx], name
