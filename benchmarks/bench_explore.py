@@ -6,7 +6,8 @@ resource) — costs milliseconds, so design studies scale to thousands of
 points.  This bench records the stacked engine's cells/s on a 500-cell
 grid together with its speedup over the per-cell serial path *and* over
 the recorded PR 4 baseline, so the perf trajectory is self-describing,
-plus the fan-out and cache-hit replay rates of a 24-cell grid.
+the same grid's ``jobs=2`` rate (one stacked shard per worker), plus the
+fan-out and cache-hit replay rates of a 24-cell grid.
 
 The figures are recorded, not asserted: wall-clock ratios swing with the
 host (a shared 2-core runner moves them by tens of percent), and the
@@ -78,6 +79,11 @@ def test_explore_cells_per_second(benchmark, out_dir):
     rate = cells / seconds
     speedup_per_cell = rate / per_cell_rate
     speedup_pr4 = rate / PR4_BASELINE_CELLS_PER_SECOND
+
+    # The same grid as one stacked shard per worker (recorded, not asserted).
+    t0 = time.perf_counter()
+    explore_grid(grid, jobs=2)
+    sharded_rate = cells / (time.perf_counter() - t0)
     emit(
         out_dir,
         "explore_cells_per_second",
@@ -88,11 +94,13 @@ def test_explore_cells_per_second(benchmark, out_dir):
             f"{per_cell_rate:,.1f} cells/s, "
             f"x{speedup_pr4:.1f} vs the PR 4 baseline of "
             f"{PR4_BASELINE_CELLS_PER_SECOND:,.1f} cells/s)"
+            f"; stacked shards jobs=2: {sharded_rate:,.1f} cells/s"
         ),
         payload={
             "cells": cells,
             "seconds": seconds,
             "cells_per_second": rate,
+            "sharded_jobs2_cells_per_second": sharded_rate,
             "per_cell_serial_cells_per_second": per_cell_rate,
             "speedup_vs_per_cell_serial": speedup_per_cell,
             "pr4_baseline_cells_per_second": PR4_BASELINE_CELLS_PER_SECOND,
@@ -103,7 +111,7 @@ def test_explore_cells_per_second(benchmark, out_dir):
 
 @pytest.mark.benchmark(group="performance")
 def test_explore_parallel_and_cached_replay(benchmark, out_dir, tmp_path_factory):
-    """Stacked serial vs jobs=auto per-cell fan-out (same table
+    """Stacked serial vs jobs=auto stacked shards (same table
     bit-for-bit) and the cache-served replay rate of a warmed grid."""
     grid = study_grid()
     cache = tmp_path_factory.mktemp("explore-cache")
@@ -117,7 +125,7 @@ def test_explore_parallel_and_cached_replay(benchmark, out_dir, tmp_path_factory
         lambda: explore_grid(grid, jobs=0, cache=cache), rounds=1, iterations=1
     )
     parallel_s = benchmark.stats.stats.min
-    assert parallel.data["stacked"] is False
+    assert parallel.data["stacked"] is True
     assert parallel.data["columns"]["saturation_load"] == serial.data["columns"]["saturation_load"]
 
     t0 = time.perf_counter()
@@ -132,7 +140,7 @@ def test_explore_parallel_and_cached_replay(benchmark, out_dir, tmp_path_factory
         "explore_parallel_and_cached",
         (
             f"explore, N=544, {cells} cells: stacked serial {cells / serial_s:,.1f} cells/s, "
-            f"per-cell jobs=auto {cells / parallel_s:,.1f} cells/s, "
+            f"stacked shards jobs=auto {cells / parallel_s:,.1f} cells/s, "
             f"cache replay {cells / cached_s:,.1f} cells/s"
         ),
         payload={

@@ -61,8 +61,8 @@ persist the result as JSON or CSV (by extension) via
 runs.  ``simulate``, ``validate``, ``calibrate`` and ``report`` accept
 ``--jobs N`` to fan their simulations across a process pool
 (``--jobs 0`` = one worker per CPU); ``explore``/``performability``
-``--jobs`` runs each model cell/state as its own supervised item instead
-of one in-process stacked pass.  Results are bit-identical for any
+``--jobs`` prices the pending cells/states as one stacked shard per
+worker instead of one in-process stacked pass.  Results are bit-identical for any
 worker count (see ``docs/parallel_validation.md``).
 
 The three study commands — ``explore``, ``calibrate`` and
@@ -140,13 +140,14 @@ def build_parser() -> argparse.ArgumentParser:
     def out_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", default=None, help="persist the result (.json or .csv by extension)")
 
-    def jobs_flag(p: argparse.ArgumentParser) -> None:
+    def jobs_flag(
+        p: argparse.ArgumentParser, workers: str = "process-pool workers for simulation fan-out"
+    ) -> None:
         p.add_argument(
             "--jobs",
             type=int,
             default=None,
-            help="process-pool workers for simulation fan-out (0 = one per CPU; "
-            "results are identical for any worker count)",
+            help=f"{workers} (0 = one per CPU; results are identical for any worker count)",
         )
 
     def resilience_flags(p: argparse.ArgumentParser) -> None:
@@ -316,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="on-disk result cache directory (repeat runs re-evaluate nothing)",
     )
-    jobs_flag(p)
+    jobs_flag(p, "process-pool workers, each pricing one stacked shard of the pending cells")
     resilience_flags(p)
     out_flag(p)
 
@@ -401,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="on-disk per-state result cache directory (repeat runs evaluate nothing)",
     )
-    jobs_flag(p)
+    jobs_flag(p, "process-pool workers, each pricing one stacked shard of the pending states")
     resilience_flags(p)
     out_flag(p)
 

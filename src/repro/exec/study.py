@@ -11,23 +11,36 @@ what a valid hit carries, and one picklable *pricer*
 :func:`functools.partial` of one) that evaluates a list of specs in one
 :class:`~repro.core.stacked.StackedModel` pass.
 
-:meth:`Study.evaluate` prices the pending items in **one in-process
-pass** when ``jobs`` is absent or 1, no explicit
-:class:`~repro.exec.RunPolicy` is given, the run does not resume and no
-fault plan is armed (``--faults``/``REPRO_FAULTS``); ``stacked`` then
-reads true.  Otherwise, or when the model rejects some item of that pass
-(the ``ValueError`` its input checks raise), each item runs as **one
-supervised item** (:func:`~repro.exec.run_supervised`: retries,
-timeouts, pool respawn and the fault hook), priced as a one-cell stack:
-a rejection is confined to its own row and ``stacked`` stays false.  Any
-other exception from the pass is an engine bug and propagates.  Both
-modes give bit-identical rows (the stacked engine's lane independence,
-locked by ``tests/test_stacked.py``).  Fault-plan indices are item
-indices.
+:meth:`Study.evaluate` prices the pending items in one of three modes:
+
+* **one pass** — ``jobs`` absent or 1, no explicit
+  :class:`~repro.exec.RunPolicy`, no ``resume`` and no armed fault plan
+  (``--faults``/``REPRO_FAULTS``): every item in one in-process stack;
+* **stacked shards** — the same, but ``jobs`` set otherwise: the items
+  are cut, in item order, into one contiguous run of near-equal size per
+  resolved worker, and :func:`~repro.exec.run_supervised` hands each run
+  to the pricer in one pool worker; the parent persists and journals a
+  shard's items as that shard lands, so a kill loses at most the ``jobs``
+  shards in flight;
+* **per item** — an explicit policy, ``resume`` or an armed plan: the
+  same supervised call with one-item shards (retries, timeouts, pool
+  respawn and the fault hook act on single items, so fault-plan indices
+  are item indices).
+
+A model rejection (the ``ValueError`` its input checks raise) in the one
+pass, or any failure of a shard after its retries, sends only the items
+of that pass or shard down the per-item path, where a rejection is
+confined to its own row; any other exception from the one pass is an
+engine bug and propagates.  ``stacked`` reads true when every pending
+item was priced by the one pass or by a shard that landed.  An error
+record's ``index`` is the item's position among the pending items in
+every mode.  All modes give bit-identical rows (the stacked engine's
+lane independence, locked by ``tests/test_stacked.py``).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Callable, Sequence
 
 from repro._util import require
@@ -43,12 +56,6 @@ __all__ = ["Pricer", "Study"]
 
 #: A study's stacked evaluator: one metric mapping per spec, in order.
 Pricer = Callable[[Sequence[Any]], list[dict[str, Any]]]
-
-
-def _price_one(payload: "tuple[Pricer, Any]") -> "dict[str, Any]":
-    """Supervised worker: one item priced as a one-cell stack (picklable)."""
-    price, spec = payload
-    return price([spec])[0]
 
 
 class Study:
@@ -163,33 +170,60 @@ class Study:
         self.evaluated = len(items)
         self.jobs = max(1, min(resolve_jobs(jobs), len(items)))
 
+        landed: "dict[int, ItemOutcome]" = {}
+
         def land(slot: int, outcome: ItemOutcome) -> None:
+            landed[slot] = outcome
             if outcome.ok:
                 row = items[slot][0]
                 entry = {**envelope, self.label: self.labels[row], "metrics": outcome.value}
                 self.persist(row, slot, entry)
 
-        outcomes: "list[ItemOutcome] | None" = None
-        one_pass = jobs in (None, 1) and policy is None and not self.resume
-        if items and one_pass and armed_plan() is None:
+        def supervise(runs: "list[range]") -> None:
+            """Price each run of item slots as one supervised shard.
+
+            A landed shard lands each of its items; a failed one-item shard
+            is its item's outcome, remapped to the item's slot; a larger
+            failed shard leaves its items to the per-item pass.
+            """
+
+            def land_shard(index: int, outcome: ItemOutcome) -> None:
+                run = runs[index]
+                if outcome.ok:
+                    for slot, value in zip(run, outcome.value):
+                        land(slot, replace(outcome, index=slot, value=value))
+                elif len(run) == 1:
+                    land(run[0], replace(outcome, index=run[0]))
+
+            run_supervised(
+                price,
+                [[heads[slot] for slot in run] for run in runs],
+                jobs=self.jobs,
+                policy=policy,
+                on_result=land_shard,
+            )
+
+        stackable = bool(items) and policy is None and not self.resume and armed_plan() is None
+        if stackable and jobs in (None, 1):
             try:
                 values = price(heads)
             except ValueError:
                 pass  # the model rejected an item: supervise each one below
             else:
-                self.stacked = True
-                outcomes = [ItemOutcome(slot, OUTCOME_OK, 1, v) for slot, v in enumerate(values)]
-                for slot, outcome in enumerate(outcomes):
-                    land(slot, outcome)
-        if outcomes is None:
-            outcomes = run_supervised(
-                _price_one,
-                [(price, spec) for spec in heads],
-                jobs=self.jobs,
-                policy=policy,
-                on_result=land,
-            )
-        for rows, outcome in zip(items, outcomes):
+                for slot, value in enumerate(values):
+                    land(slot, ItemOutcome(slot, OUTCOME_OK, 1, value))
+        elif stackable:
+            # Contiguous runs, not round-robin: a stack prices each topology
+            # group apart, and item order keeps like items adjacent.
+            size, extra = divmod(len(items), self.jobs)
+            cuts = [k * size + min(k, extra) for k in range(self.jobs + 1)]
+            supervise([range(a, b) for a, b in zip(cuts, cuts[1:])])
+        left = [slot for slot in range(len(items)) if slot not in landed]
+        self.stacked = bool(items) and not left and all(o.ok for o in landed.values())
+        if left:
+            supervise([range(slot, slot + 1) for slot in left])
+        for slot, rows in enumerate(items):
+            outcome = landed[slot]
             for row in rows:
                 metrics[row] = outcome.value if outcome.ok else error_row(row)
             if not outcome.ok:

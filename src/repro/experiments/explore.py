@@ -30,10 +30,11 @@ columns of the long-format table):
 Cells are pure functions of their spec.  :func:`explore_grid` hands them
 to the study executor (:class:`repro.exec.study.Study`), which prices
 them with :func:`_price_cells` — every pending cell in one cross-cell
-:class:`repro.core.stacked.StackedModel` pass on serial runs, or one
-supervised one-cell stack per cell under ``jobs``, an explicit policy,
-``resume`` or an armed fault plan — with results bit-identical either
-way and for any worker count.  Cells are memoised in a
+:class:`repro.core.stacked.StackedModel` pass on serial runs, one
+contiguous stacked shard per pool worker under ``jobs``, or one
+supervised one-cell stack per cell under an explicit policy, ``resume``
+or an armed fault plan — with results bit-identical in every mode and
+for any worker count.  Cells are memoised in a
 content-addressed on-disk cache (:mod:`repro.io.cache`) keyed by the
 cell's numeric spec content, the metric parameters and
 :data:`repro.core.batch.ENGINE_VERSION` — re-running an enlarged grid only
@@ -176,9 +177,9 @@ def explore_grid(
 ) -> ExperimentResult:
     """Evaluate every cell of *grid*; returns a uniform ``explore`` result.
 
-    ``jobs`` fans the uncached cells across a supervised process pool
-    (``0``/"auto" = one worker per CPU); the table is bit-identical for
-    any worker count.  ``cache`` (a directory path or
+    ``jobs`` prices the uncached cells as one stacked shard per worker
+    of a supervised process pool (``0``/"auto" = one worker per CPU); the
+    table is bit-identical for any worker count.  ``cache`` (a directory path or
     :class:`ResultCache`) memoises per-cell metrics on disk — a repeated
     run re-evaluates nothing and an enlarged grid only evaluates its new
     cells.  With ``frontier=True`` the result additionally carries the
@@ -193,12 +194,14 @@ def explore_grid(
     land; ``resume=True`` requires that journal and replays its cells
     from the cache, evaluating only the remainder.
 
-    Serial runs (``jobs`` absent or 1) with no explicit ``policy``, no
-    ``resume`` and no armed fault plan price all uncached cells in one
-    :class:`~repro.core.stacked.StackedModel` pass; otherwise each cell
-    runs as its own supervised item (``data["stacked"]`` reports which
-    mode ran).  Both give bit-identical tables; see
-    :mod:`repro.exec.study` for the dispatch rule.
+    With no explicit ``policy``, no ``resume`` and no armed fault plan,
+    serial runs (``jobs`` absent or 1) price all uncached cells in one
+    :class:`~repro.core.stacked.StackedModel` pass and ``jobs`` runs one
+    contiguous stacked shard per worker; otherwise each cell runs as its
+    own supervised item (``data["stacked"]`` is true when every uncached
+    cell was priced by a stack that landed).  All modes give
+    bit-identical tables; see :mod:`repro.exec.study` for the dispatch
+    rule.
 
     The result's ``data`` holds the long-format ``columns`` (one row per
     cell: name, one column per axis, then the metric columns), the full

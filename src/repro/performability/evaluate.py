@@ -35,9 +35,10 @@ Per-state evaluations are pure functions of the degraded spec.  The study
 executor (:class:`repro.exec.study.Study`) prices them with
 :func:`_price_states` — every distinct degraded system in one cross-cell
 :class:`repro.core.stacked.StackedModel` pass on serial runs, one
-supervised one-cell stack per state under ``jobs``, an explicit policy,
-``resume`` or an armed fault plan; bit-identical tables either way and
-for any worker count — and memoises them in a content-addressed
+contiguous stacked shard per pool worker under ``jobs``, one supervised
+one-cell stack per state under an explicit policy, ``resume`` or an
+armed fault plan; bit-identical tables in every mode and for any worker
+count — and memoises them in a content-addressed
 :class:`~repro.io.cache.ResultCache` keyed by the degraded spec, the load
 grid and the engine version.  States that degrade to the *same* system
 (e.g. node-loss states, which only change capacity weighting) share one
@@ -205,9 +206,9 @@ def performability_analysis(
     system through the batched closed forms, and aggregates the
     availability-weighted metrics described in the module docstring.
 
-    ``jobs`` fans the uncached state evaluations across a process pool
-    (``0``/"auto" = one worker per CPU); tables are bit-identical for any
-    worker count.  ``cache`` (a directory path or
+    ``jobs`` prices the uncached states as one stacked shard per worker
+    of a process pool (``0``/"auto" = one worker per CPU); tables are
+    bit-identical for any worker count.  ``cache`` (a directory path or
     :class:`~repro.io.cache.ResultCache`) memoises per-state metrics on
     disk, so a repeated run evaluates nothing.
 

@@ -13,7 +13,7 @@ import pytest
 from repro.analysis import curve_label, icn2_bandwidth_study
 from repro.core import NET1, MessageSpec, paper_system_544
 from repro.core.stacked import StackedModel
-from repro.exec import RunPolicy
+from repro.exec import FAULTS_ENV, RunPolicy
 from repro.experiments import Experiment, cell_cache_key, explore_grid
 from repro.io import ResultCache, to_jsonable
 from repro.io.cache import content_key
@@ -36,6 +36,39 @@ def small_grid(base, *, bandwidths=(500.0, 600.0), flits=(32, 64)):
             AxisSpec("message.length_flits", tuple(flits)),
         ),
     )
+
+
+def two_topology_grid(base, *, bandwidths=(500.0, 600.0, 700.0), flits=(32, 64)):
+    """Cells of two tree depths: two topology groups of the stacked engine."""
+    return DesignGrid(
+        base=base,
+        axes=(
+            AxisSpec("system.clusters.0.tree_depth", (3, 4)),
+            AxisSpec("system.icn2.bandwidth", tuple(bandwidths)),
+            AxisSpec("message.length_flits", tuple(flits)),
+        ),
+    )
+
+
+@pytest.fixture
+def shard_calls(monkeypatch):
+    """Payload lists of every ``run_supervised`` call the study executor makes."""
+    import repro.exec.study as study_module
+
+    calls = []
+    original = study_module.run_supervised
+
+    def record(fn, payloads, **kwargs):
+        payloads = list(payloads)
+        calls.append(payloads)
+        return original(fn, payloads, **kwargs)
+
+    monkeypatch.setattr(study_module, "run_supervised", record)
+    return calls
+
+
+def shard_sizes(calls) -> list:
+    return [[len(shard) for shard in payloads] for payloads in calls]
 
 
 def canonical(payload) -> str:
@@ -302,7 +335,7 @@ class TestStackedFastPath:
         assert result.data["cache_hits"] == 0
         assert result.data["evaluated"] == 4
 
-    def test_jobs_and_policy_fall_back_to_per_cell(self, base_544):
+    def test_jobs_run_stacked_shards_and_policy_runs_per_cell(self, base_544):
         from repro.exec import RunPolicy
 
         grid = small_grid(base_544)
@@ -310,21 +343,83 @@ class TestStackedFastPath:
         pooled = explore_grid(grid, jobs=2)
         with_policy = explore_grid(grid, policy=RunPolicy(max_retries=0))
         assert serial.data["stacked"] is True
-        assert pooled.data["stacked"] is False
+        assert pooled.data["stacked"] is True
         assert with_policy.data["stacked"] is False
-        # Fallback paths are byte-identical to the stacked one.
+        # Shards and per-cell items are byte-identical to the one pass.
         for other in (pooled, with_policy):
             assert canonical(serial.data["columns"]) == canonical(other.data["columns"])
             assert canonical(serial.data["cells"]) == canonical(other.data["cells"])
 
+    def test_jobs_cut_contiguous_shards_across_topology_groups(self, base_544, shard_calls):
+        """Under ``jobs`` alone the pending cells are cut, in item order,
+        into one contiguous stacked shard per worker; every dispatch mode
+        gives the same table on a grid of two topology groups."""
+        grid = two_topology_grid(base_544)
+        specs = [cell.spec for cell in grid.cells()]
+        serial = explore_grid(grid)
+        assert serial.data["stacked"] is True
+        assert shard_calls == []
+        for jobs, sizes in ((2, [6, 6]), (3, [4, 4, 4])):
+            shard_calls.clear()
+            sharded = explore_grid(grid, jobs=jobs)
+            assert sharded.data["stacked"] is True and sharded.data["jobs"] == jobs
+            assert shard_sizes(shard_calls) == [sizes]
+            assert [spec for shard in shard_calls[0] for spec in shard] == specs
+            assert canonical(sharded.data["columns"]) == canonical(serial.data["columns"])
+            assert canonical(sharded.data["cells"]) == canonical(serial.data["cells"])
+        shard_calls.clear()
+        per_item = explore_grid(grid, policy=RunPolicy())
+        assert per_item.data["stacked"] is False
+        assert shard_sizes(shard_calls) == [[1] * grid.size]
+        assert canonical(per_item.data["columns"]) == canonical(serial.data["columns"])
+        assert canonical(per_item.data["cells"]) == canonical(serial.data["cells"])
+        shard_calls.clear()
+        ten_cells = two_topology_grid(
+            base_544, bandwidths=(500.0, 600.0, 700.0, 800.0, 900.0), flits=(32,)
+        )
+        explore_grid(ten_cells, jobs=3)
+        assert shard_sizes(shard_calls) == [[4, 3, 3]]
+
+    def test_plan_and_resume_run_one_item_shards(
+        self, base_544, shard_calls, monkeypatch, tmp_path
+    ):
+        """An armed fault plan or ``resume`` selects per-item mode under
+        ``jobs`` too: one-cell shards, so fault indices stay item indices."""
+        grid = small_grid(base_544)
+        clean = explore_grid(grid)
+        monkeypatch.setenv(
+            FAULTS_ENV,
+            json.dumps(
+                {"schema": "repro.faults/1", "faults": [{"op": "raise", "index": 0, "attempt": 0}]}
+            ),
+        )
+        planned = explore_grid(grid, jobs=2)
+        monkeypatch.delenv(FAULTS_ENV)
+        assert planned.data["stacked"] is False and planned.data["errors"] == []
+        assert canonical(planned.data["cells"]) == canonical(clean.data["cells"])
+        assert shard_sizes(shard_calls) == [[1, 1, 1, 1]]
+        cache = ResultCache(tmp_path / "c")
+        explore_grid(grid, cache=cache)
+        for cell in grid.cells()[1:3]:
+            cache.put(cell_cache_key(cell.spec, 4.0), {"x": 1})
+        shard_calls.clear()
+        resumed = explore_grid(grid, jobs=2, cache=cache, resume=True)
+        assert resumed.data["evaluated"] == 2 and resumed.data["stacked"] is False
+        assert canonical(resumed.data["cells"]) == canonical(clean.data["cells"])
+        assert shard_sizes(shard_calls) == [[1, 1]]
+
     @pytest.mark.parametrize(
-        "policy", [None, RunPolicy(max_retries=0)], ids=["one-pass", "per-item"]
+        "jobs, policy",
+        [(None, None), (None, RunPolicy(max_retries=0)), (2, None)],
+        ids=["one-pass", "per-item", "sharded"],
     )
-    def test_model_rejection_is_confined_to_its_cell(self, base_544, monkeypatch, policy):
+    def test_model_rejection_is_confined_to_its_cell(
+        self, base_544, monkeypatch, jobs, policy
+    ):
         """A ValueError from the stack (the model rejecting one cell) turns
-        only that cell into a NaN row, in both dispatch modes: the one-pass
-        mode tries the whole set once, then supervises each cell as a
-        one-cell stack."""
+        only that cell into a NaN row, in every dispatch mode: the one-pass
+        mode tries the whole set once and a shard its run of cells, then
+        each cell of a failed set is supervised as a one-cell stack."""
         grid = small_grid(base_544)
         clean = explore_grid(grid)
         rejected = grid.cells()[2]
@@ -338,9 +433,10 @@ class TestStackedFastPath:
             return original(specs)
 
         monkeypatch.setattr(StackedModel, "from_specs", reject_one)
-        result = explore_grid(grid, policy=policy)
+        result = explore_grid(grid, jobs=jobs, policy=policy)
         assert result.data["stacked"] is False
         assert [e["cell"] for e in result.data["errors"]] == [rejected.name]
+        assert result.data["errors"][0]["index"] == 2
         assert "ValueError: cell rejected by the model" in result.data["errors"][0]["error"]
         for idx, (got, want) in enumerate(zip(result.data["cells"], clean.data["cells"])):
             if idx == 2:
@@ -348,14 +444,16 @@ class TestStackedFastPath:
                 assert got["metrics"]["binding_kind"] == "error"
             else:
                 assert canonical(got) == canonical(want)
-        whole = [grid.size] if policy is None else []
-        assert calls[: len(whole)] == whole
-        assert set(calls[len(whole):]) == {1}
+        if jobs is None:  # pool workers price out of this process's sight
+            whole = [grid.size] if policy is None else []
+            assert calls[: len(whole)] == whole
+            assert set(calls[len(whole):]) == {1}
 
     def test_composition_error_shows_as_unstacked(self, base_544, monkeypatch):
         """A ValueError that only multi-cell stacks raise (a composition
         bug, not a rejected cell) yields the full table from one-cell
-        stacks with ``stacked`` false, the signal that the pass failed."""
+        stacks with ``stacked`` false, the signal that the pass failed,
+        from the one pass and from shards alike."""
         grid = small_grid(base_544)
         clean = explore_grid(grid)
         original = StackedModel.from_specs
@@ -366,10 +464,11 @@ class TestStackedFastPath:
             return original(specs)
 
         monkeypatch.setattr(StackedModel, "from_specs", ragged_bug)
-        result = explore_grid(grid)
-        assert result.data["stacked"] is False
-        assert result.data["errors"] == []
-        assert canonical(result.data["cells"]) == canonical(clean.data["cells"])
+        for jobs in (None, 2):
+            result = explore_grid(grid, jobs=jobs)
+            assert result.data["stacked"] is False
+            assert result.data["errors"] == []
+            assert canonical(result.data["cells"]) == canonical(clean.data["cells"])
 
     def test_engine_bug_propagates(self, base_544, monkeypatch):
         """Any other exception is an engine bug: no silent per-cell fallback."""

@@ -386,24 +386,30 @@ class TestPerformabilityAnalysis:
 
     def test_serial_and_parallel_are_bit_identical(self, base_544, acceptance_failures):
         serial = performability_analysis(base_544, acceptance_failures)
-        fanned = performability_analysis(base_544, acceptance_failures, jobs=2)
-        assert fanned.data["jobs"] == 2
         # The serial run prices every distinct degraded system in one
-        # stacked evaluation; --jobs falls back to the supervised pool.
+        # stacked evaluation; --jobs prices one stacked shard per worker.
         assert serial.data["stacked"] is True
-        assert fanned.data["stacked"] is False
-        for key in ("columns", "curve", "ranking", "availability",
-                    "saturation_load_weighted", "expected_capacity"):
-            assert canonical(serial.data[key]) == canonical(fanned.data[key])
+        for jobs in (2, 3):
+            fanned = performability_analysis(base_544, acceptance_failures, jobs=jobs)
+            assert fanned.data["jobs"] == jobs
+            assert fanned.data["stacked"] is True
+            for key in ("columns", "curve", "ranking", "availability",
+                        "saturation_load_weighted", "expected_capacity"):
+                assert canonical(serial.data[key]) == canonical(fanned.data[key])
 
     @pytest.mark.parametrize(
-        "policy", [None, RunPolicy(max_retries=0)], ids=["one-pass", "per-item"]
+        "jobs, policy",
+        [(None, None), (None, RunPolicy(max_retries=0)), (2, None)],
+        ids=["one-pass", "per-item", "sharded"],
     )
-    def test_model_rejection_is_confined_to_its_state(self, base_544, monkeypatch, policy):
+    def test_model_rejection_is_confined_to_its_state(
+        self, base_544, monkeypatch, jobs, policy
+    ):
         """A ValueError from the stack (the model rejecting one degraded
-        system) turns only that state into a NaN row, in both dispatch
-        modes: the one-pass mode tries the whole set once, then supervises
-        each state as a one-cell stack."""
+        system) turns only that state into a NaN row, in every dispatch
+        mode: the one-pass mode tries the whole set once and a shard its
+        run of states, then each state of a failed set is supervised as a
+        one-cell stack."""
         from repro.core.stacked import StackedModel
 
         failures = FailureScenario(
@@ -423,27 +429,33 @@ class TestPerformabilityAnalysis:
             return original(specs)
 
         monkeypatch.setattr(StackedModel, "from_specs", reject_one)
-        result = performability_analysis(base_544, failures, policy=policy)
+        result = performability_analysis(base_544, failures, jobs=jobs, policy=policy)
         assert result.data["stacked"] is False
         assert [e["state"] for e in result.data["errors"]] == [rejected.label]
+        assert result.data["errors"][0]["index"] == 2
         for got, want in zip(result.data["states"], clean.data["states"]):
             if got["label"] == rejected.label:
                 assert math.isnan(got["metrics"]["saturation_load"])
             else:
                 assert canonical(got) == canonical(want)
-        whole = [len(states)] if policy is None else []
-        assert calls[: len(whole)] == whole
-        assert set(calls[len(whole):]) == {1}
+        if jobs is None:  # pool workers price out of this process's sight
+            whole = [len(states)] if policy is None else []
+            assert calls[: len(whole)] == whole
+            assert set(calls[len(whole):]) == {1}
 
     def test_composition_error_shows_as_unstacked(
         self, base_544, acceptance_failures, monkeypatch
     ):
         """A ValueError that only multi-state stacks raise (a composition
         bug, not a rejected state) yields the full table from one-cell
-        stacks with ``stacked`` false, the signal that the pass failed."""
+        stacks with ``stacked`` false, the signal that the pass failed,
+        from the one pass and from shards alike."""
         from repro.core.stacked import StackedModel
 
-        clean = performability_analysis(base_544, acceptance_failures)
+        clean = {
+            jobs: performability_analysis(base_544, acceptance_failures, jobs=jobs)
+            for jobs in (None, 2)
+        }
         original = StackedModel.from_specs
 
         def ragged_bug(specs):
@@ -452,11 +464,12 @@ class TestPerformabilityAnalysis:
             return original(specs)
 
         monkeypatch.setattr(StackedModel, "from_specs", ragged_bug)
-        result = performability_analysis(base_544, acceptance_failures)
-        assert result.data["stacked"] is False
-        assert result.data["errors"] == []
-        assert result.text == clean.text
-        assert canonical(result.data["columns"]) == canonical(clean.data["columns"])
+        for jobs in (None, 2):
+            result = performability_analysis(base_544, acceptance_failures, jobs=jobs)
+            assert result.data["stacked"] is False
+            assert result.data["errors"] == []
+            assert result.text == clean[jobs].text
+            assert canonical(result.data["columns"]) == canonical(clean[jobs].data["columns"])
 
     def test_engine_bug_propagates(self, base_544, acceptance_failures, monkeypatch):
         from repro.core.stacked import StackedModel
