@@ -17,7 +17,6 @@ from repro.core import (
     AnalyticalModel,
     BatchedModel,
     MessageSpec,
-    find_saturation_load,
     paper_system_544,
     paper_system_1120,
 )
@@ -54,9 +53,9 @@ def test_model_speed_n544(benchmark):
 
 @pytest.mark.benchmark(group="performance")
 def test_batched_grid_speedup(benchmark, out_dir):
-    """The tentpole claim: evaluate_many over a 64-point grid is >= 10x
-    faster than 64 scalar evaluate() calls, and the closed-form saturation
-    load agrees with the reference bisection within its tolerance."""
+    """The headline claim: evaluate_many over a 64-point grid is >= 10x
+    faster than 64 scalar evaluate() calls, and the scalar model's own
+    saturation test flips within λ*·(1 ± 1e-4) of the closed-form load."""
     rows = []
     payload = {}
     for system in (paper_system_1120(), paper_system_544()):
@@ -80,8 +79,8 @@ def test_batched_grid_speedup(benchmark, out_dir):
         speedup = t_scalar / t_batched
         assert speedup > 10, f"batched speedup x{speedup:.1f} below the 10x floor ({system.name})"
 
-        bisected = find_saturation_load(model, method="bisection", rel_tol=1e-4)
-        assert lam_star == pytest.approx(bisected, rel=1e-4)
+        assert not model.is_saturated(lam_star * (1 - 1e-4))
+        assert model.is_saturated(lam_star * (1 + 1e-4))
         rows.append([system.name, GRID_POINTS, t_scalar, t_batched, t_lat_only, f"x{speedup:.1f}"])
         payload[system.name] = {
             "grid_points": GRID_POINTS,
@@ -90,7 +89,6 @@ def test_batched_grid_speedup(benchmark, out_dir):
             "latency_only_seconds": t_lat_only,
             "speedup": speedup,
             "saturation_closed_form": lam_star,
-            "saturation_bisection": bisected,
         }
 
     benchmark(lambda: BatchedModel(paper_system_1120(), MESSAGE).evaluate_many(

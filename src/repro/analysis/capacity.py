@@ -12,8 +12,9 @@ Answers the questions a system designer actually asks of the paper's model
 
 All answers run on the vectorised engine through its one-cell view
 (:class:`repro.core.batch.BatchedModel`): each system variant is packed
-once, the latency search refines a vectorised load grid instead of
-bisecting with scalar evaluations, and saturation loads come from the
+once, the latency-budget search is the stacked engine's
+:meth:`~repro.core.stacked.StackedModel.loads_at_budget` (the same search
+explore runs over whole cell sets), and saturation loads come from the
 per-resource closed forms — so a full design-space sweep costs
 milliseconds per point.
 """
@@ -27,7 +28,7 @@ import numpy as np
 from repro._util import require, require_positive
 from repro.analysis.bottleneck import BottleneckReport, model_bottlenecks
 from repro.analysis.whatif import scale_network
-from repro.core.batch import BatchedModel, refine_monotone_crossing
+from repro.core.batch import BatchedModel
 from repro.core.parameters import MessageSpec, ModelOptions, SystemConfig
 
 __all__ = ["CapacityPlan", "max_load_for_latency", "required_upgrade_factor", "headroom_report"]
@@ -49,16 +50,17 @@ def max_load_for_latency(
     latency_budget: float,
     *,
     options: ModelOptions | None = None,
-    rel_tol: float = 1e-4,
     engine: BatchedModel | None = None,
 ) -> CapacityPlan:
     """Largest λ_g with mean latency ≤ *latency_budget* (batched grid refinement).
 
     The model's latency is strictly increasing in load, so the answer is
     unique; infeasible budgets (below the zero-load latency) are reported
-    rather than raised.  Each refinement round evaluates one vectorised
-    load grid and narrows the bracket to the cell containing the budget
-    crossing.
+    rather than raised.  The answer is the engine's one-cell
+    :meth:`~repro.core.stacked.StackedModel.loads_at_budget`: budgets met
+    at ``0.9999 λ*`` achieve that bound, the rest refine a vectorised
+    load grid down to the cell containing the budget crossing (1e-4
+    relative width).
 
     Pass an existing *engine* (built for the same system/message) to reuse
     its packed cell and saturation cache instead of rebuilding them — this
@@ -66,7 +68,6 @@ def max_load_for_latency(
     pattern, since the pattern lives on the engine.
     """
     require_positive(latency_budget, "latency_budget")
-    require_positive(rel_tol, "rel_tol")
     if engine is None:
         engine = BatchedModel(system, message, options)
     else:
@@ -76,37 +77,26 @@ def max_load_for_latency(
             and (options is None or engine.options == options),
             "engine was built for a different system/message/options than the plan requests",
         )
-    zero = engine.zero_load_latency()
-    if latency_budget < zero:
-        return CapacityPlan(
-            target=latency_budget,
-            achieved=0.0,
-            feasible=False,
-            detail=f"budget {latency_budget:g} below zero-load latency {zero:.2f}",
-        )
+    achieved = float(engine.stack.loads_at_budget(np.array([latency_budget]))[0])
+    # Only a zero answer can be infeasible, so the floor (one more model
+    # evaluation) is priced only then; a budget exactly at the floor stays
+    # feasible.  A refined crossing always ends strictly below 0.9999 λ*,
+    # so that exact value means the budget was met at the bound.
+    if achieved == 0.0:
+        zero = engine.zero_load_latency()
+        if latency_budget < zero:
+            return CapacityPlan(
+                target=latency_budget,
+                achieved=0.0,
+                feasible=False,
+                detail=f"budget {latency_budget:g} below zero-load latency {zero:.2f}",
+            )
     lam_star = engine.saturation_load()
-    lo, hi = 0.0, lam_star * 0.9999
-    hi_latency = float(engine.evaluate_many(np.array([hi]), with_results=False).latencies[0])
-    if np.isfinite(hi_latency) and hi_latency <= latency_budget:
-        return CapacityPlan(
-            target=latency_budget,
-            achieved=hi,
-            feasible=True,
-            detail="budget met arbitrarily close to the saturation load",
-        )
-    def beyond_budget(grid: np.ndarray) -> np.ndarray:
-        latencies = engine.evaluate_many(grid, with_results=False).latencies
-        return ~(np.isfinite(latencies) & (latencies <= latency_budget))
-
-    # Monotone latency ⇒ "beyond budget" flips exactly once in (lo, hi]:
-    # lo = 0 is within (budget >= zero-load latency) and hi busts it.
-    lo, hi = refine_monotone_crossing(lo, hi, beyond_budget, rel_tol=rel_tol)
-    return CapacityPlan(
-        target=latency_budget,
-        achieved=lo,
-        feasible=True,
-        detail=f"λ_max = {lo:.4e} ({lo / lam_star:.0%} of saturation)",
-    )
+    if achieved == lam_star * 0.9999:
+        detail = "budget met arbitrarily close to the saturation load"
+    else:
+        detail = f"λ_max = {achieved:.4e} ({achieved / lam_star:.0%} of saturation)"
+    return CapacityPlan(target=latency_budget, achieved=achieved, feasible=True, detail=detail)
 
 
 def required_upgrade_factor(

@@ -25,7 +25,7 @@ Subcommands mirror the :class:`repro.experiments.Experiment` facade:
 ``saturation``    saturation load λ* and the binding resource.
 ``sweep``         model latency curve up to the knee (a paper-figure column);
                   ``--scenario A,B,...`` or ``--all`` sweeps many scenarios at
-                  once (optionally fanned out with ``--jobs``).
+                  once, priced as stacked cell sets in one process.
 ``simulate``      run the discrete-event simulator at one load; ``--replicas``
                   adds a confidence interval over independent spawned seeds.
 ``validate``      model-vs-simulation comparison across a load grid.
@@ -195,9 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--all",
         action="store_true",
-        help="sweep every registered scenario (multi-scenario table; combine with --jobs)",
+        help="sweep every registered scenario (multi-scenario table)",
     )
-    jobs_flag(p)
     out_flag(p)
 
     p = sub.add_parser("simulate", help="discrete-event simulation at one load")
@@ -615,16 +614,12 @@ def _cmd_saturation(args) -> str:
 
 
 def _cmd_sweep(args) -> str:
-    # Multi-scenario fan-out: `--all` or a comma-separated `--scenario` list
-    # route through Experiment.sweep_many (one uniform long-format table).
+    # Many scenarios: `--all` or a comma-separated `--scenario` list route
+    # through Experiment.sweep_many (one uniform long-format table).
     names = _multi_scenario_names(args, "sweep")
     if names is not None:
-        result = Experiment.sweep_many(names, jobs=args.jobs, points=args.points)
+        result = Experiment.sweep_many(names, points=args.points)
         return result.text + _persist(result, args.out)
-    require(
-        args.jobs is None,
-        "--jobs only applies to a multi-scenario sweep (--all or --scenario A,B,...)",
-    )
     result = _experiment(args).sweep()
     return result.text + _persist(result, args.out)
 

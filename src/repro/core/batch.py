@@ -14,7 +14,6 @@ compares against at 1e-9.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -35,7 +34,7 @@ from repro.core.stacked import StackedModel
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sweep imports batch)
     from repro.core.sweep import LoadSweep
 
-__all__ = ["BatchedModel", "ENGINE_VERSION", "ResourceRates", "refine_monotone_crossing"]
+__all__ = ["BatchedModel", "ENGINE_VERSION", "ResourceRates"]
 
 #: Version tag of the engine's numerics, embedded in on-disk cache keys
 #: (:mod:`repro.io.cache`).  Bump whenever a change alters any number the
@@ -43,48 +42,7 @@ __all__ = ["BatchedModel", "ENGINE_VERSION", "ResourceRates", "refine_monotone_c
 #: or the evaluation path that produces them (e.g. the cross-cell stacked
 #: engine in :mod:`repro.core.stacked`), so stale cached results can never
 #: be mistaken for fresh ones.
-ENGINE_VERSION = "batch/3"
-
-
-def refine_monotone_crossing(
-    lo: float,
-    hi: float,
-    crossed: Callable[[np.ndarray], np.ndarray],
-    *,
-    rel_tol: float,
-    points: int = 33,
-    max_rounds: int = 100,
-) -> tuple[float, float]:
-    """Narrow ``[lo, hi]`` to the cell where a monotone condition flips.
-
-    ``crossed(grid) -> bool array`` evaluates the condition over a whole
-    load grid at once; the bracket invariant is ``not crossed(lo)`` and
-    ``crossed(hi)``.  Each round probes *points* evenly spaced loads and
-    keeps the cell containing the first ``True``, shrinking the bracket by
-    ``points - 1`` per vectorised evaluation, until ``hi - lo <= rel_tol *
-    hi``, the bracket stops making progress at float64 resolution, or
-    *max_rounds* rounds have run (the relative test alone cannot terminate
-    when the crossing sits at ``lo == 0`` exactly, where the bracket can
-    only shrink toward a denormal ``hi``).  Used by the capacity planner's
-    latency-budget search and explore's per-cell knee; the stacked
-    engine's per-row refinement replicates it decision for decision.
-    """
-    for _ in range(max_rounds):
-        if hi - lo <= rel_tol * hi:
-            break
-        grid = np.linspace(lo, hi, points)
-        above = crossed(grid)
-        if not above.any():  # pragma: no cover - callers guarantee crossed(hi)
-            lo, hi = hi, hi * 2.0
-            continue
-        first = int(np.argmax(above))
-        if first == 0:  # bracket degenerated to the crossing itself
-            break
-        new_lo, new_hi = float(grid[first - 1]), float(grid[first])
-        if new_lo <= lo and new_hi >= hi:  # float64 resolution reached
-            break
-        lo, hi = new_lo, new_hi
-    return lo, hi
+ENGINE_VERSION = "batch/4"
 
 
 @dataclass(frozen=True)
@@ -99,11 +57,14 @@ class ResourceRates:
 class BatchedModel:
     """One-cell view of :class:`~repro.core.stacked.StackedModel`.
 
-    Construction packs the design into a one-cell stack; every method
-    reads that cell's row back as scalars, a
-    :class:`~repro.core.sweep.LoadSweep` or :class:`ResourceRates`.  The
-    wrapped scalar model stays available as :attr:`reference_model` (it
-    is the semantics oracle the equivalence tests compare against).
+    Construction packs the design into a one-cell stack, public as
+    :attr:`stack` for the queries that have no scalar wrapper here (the
+    capacity search reads ``stack.loads_at_budget``, load grids read
+    ``stack.auto_load_grids``); every method reads that cell's row back
+    as scalars, a :class:`~repro.core.sweep.LoadSweep` or
+    :class:`ResourceRates`.  The wrapped scalar model stays available as
+    :attr:`reference_model` (it is the semantics oracle the equivalence
+    tests compare against).
 
     Parameters match :class:`~repro.core.model.AnalyticalModel`.
     """
@@ -124,7 +85,7 @@ class BatchedModel:
         self.message = model.message
         self.options = model.options
         self.pattern = model.pattern
-        self._stack = StackedModel([model])
+        self.stack = StackedModel([model])
 
     @classmethod
     def from_model(cls, model: AnalyticalModel) -> "BatchedModel":
@@ -184,9 +145,9 @@ class BatchedModel:
         loads_arr = np.asarray(loads, dtype=np.float64)
         require(loads_arr.ndim == 1, "loads must be a 1-D sequence")
         if not with_results:
-            latencies = self._stack.evaluate_latencies(loads_arr)[0]
+            latencies = self.stack.evaluate_latencies(loads_arr)[0]
             return LoadSweep(loads=loads_arr, latencies=latencies, results=())
-        terms = self._stack.evaluate_terms(loads_arr)[0]
+        terms = self.stack.evaluate_terms(loads_arr)[0]
         results = tuple(
             self._build_result(idx, float(load), terms) for idx, load in enumerate(loads_arr)
         )
@@ -263,7 +224,7 @@ class BatchedModel:
 
     def zero_load_latency(self) -> float:
         """Mean latency in the λ_g → 0 limit (pure transmission time)."""
-        return float(self._stack.zero_load_latencies()[0])
+        return float(self.stack.zero_load_latencies()[0])
 
     # -- per-resource utilisation / saturation ----------------------------------
 
@@ -276,7 +237,7 @@ class BatchedModel:
         """
         return tuple(
             ResourceRates(name, kind, utilization)
-            for name, kind, utilization in self._stack.resource_utilizations(loads)[0]
+            for name, kind, utilization in self.stack.resource_utilizations(loads)[0]
         )
 
     def saturation_loads(self) -> dict[str, float]:
@@ -288,12 +249,12 @@ class BatchedModel:
         :mod:`repro.core.stacked`).  Only resources that can saturate the
         model are listed.
         """
-        return self._stack.saturation_loads()[0]
+        return self.stack.saturation_loads()[0]
 
     def saturation_load(self) -> float:
         """Smallest ``λ_g`` at which any modelled queue reaches ρ = 1."""
-        return float(self._stack.saturation_load()[0])
+        return float(self.stack.saturation_load()[0])
 
     def binding_resource(self) -> str:
         """Name of the resource whose saturation rate is smallest."""
-        return self._stack.binding_resources()[0]
+        return self.stack.binding_resources()[0]

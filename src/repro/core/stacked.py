@@ -39,12 +39,14 @@ the stack.  The mechanisms:
 * **masks** — per-cell *control flow* of the scalar code (option
   branches, ``U_i == 0`` and zero-weight skips) becomes ``np.where``
   masks selecting between fully-evaluated branches;
-* **replicated termination** — the bracket refinements (saturation
+* **per-row termination** — the bracket refinements (saturation
   inversion, knee and budget searches) run per-cell brackets with per-cell
-  round/termination state replicating
-  :func:`~repro.core.batch.refine_monotone_crossing` decision-for-decision,
-  including :func:`numpy.linspace`'s internal ``step == 0`` branch
-  (:func:`_linspace_rows` reproduces it per row);
+  round/termination state (:func:`_refine_rows`), so a cell's bracket
+  never depends on when its neighbours converge; the scalar one-bracket
+  loop it replicates decision for decision is kept as a test oracle
+  (``tests/test_stacked.py``), as is :func:`numpy.linspace`, whose
+  internal ``step == 0`` branch :func:`_linspace_rows` reproduces per
+  row;
 * **fold order** — every accumulation that the scalar code runs as a
   Python-order fold (journey-weight sums, destination-weight averages, the
   Eq. 3 class combination) stays an explicit fold over the same index
@@ -91,9 +93,9 @@ def _linspace_rows(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
     ``np.linspace`` with *array* endpoints would take its internal
     ``step == 0`` branch (denormal handling, numpy gh-5437) for **all**
     rows whenever any one row's step is zero, diverging from the scalar
-    calls :func:`~repro.core.batch.refine_monotone_crossing` makes.  This
-    helper computes both variants and selects per row, so each row
-    reproduces its own scalar branch.
+    ``np.linspace`` call of a row refined alone.  This helper computes
+    both variants and selects per row, so each row reproduces its own
+    scalar branch.
     """
     div = num - 1
     base = np.arange(0, num, dtype=np.float64)
@@ -116,15 +118,21 @@ def _refine_rows(
     points: int = 33,
     max_rounds: int = 100,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row :func:`~repro.core.batch.refine_monotone_crossing`.
+    """Narrow each row's ``[lo, hi]`` to the cell where a monotone condition flips.
 
-    ``crossed(rows, grid)`` evaluates the monotone condition for the given
-    row subset over per-row grids shaped ``(len(rows), points)``.  Every
-    row runs the scalar loop's exact decision sequence — the convergence
-    test at the top of each round, the ``first == 0`` and no-progress
-    breaks, the (never-taken in practice) bracket re-expansion — with rows
-    dropping out independently, so each row's final ``(lo, hi)`` matches
-    its scalar bracket bit for bit.
+    ``crossed(rows, grid)`` evaluates the condition for the given row
+    subset over per-row grids shaped ``(len(rows), points)``; the bracket
+    invariant is ``not crossed(lo)`` and ``crossed(hi)``.  Each round
+    probes *points* evenly spaced loads per live row and keeps the cell
+    containing the row's first ``True``, shrinking the bracket by
+    ``points - 1`` per vectorised evaluation.  A row stops when ``hi - lo
+    <= rel_tol * hi``, when its first probe is already crossed, when the
+    bracket stops making progress at float64 resolution, or after
+    *max_rounds* rounds (the relative test alone cannot terminate when
+    the crossing sits at ``lo == 0`` exactly, where the bracket can only
+    shrink toward a denormal ``hi``).  Rows drop out independently, so
+    each row's final ``(lo, hi)`` equals the one-row loop's bit for bit
+    (the scalar oracle in ``tests/test_stacked.py``).
     """
     lo = np.array(lo, dtype=np.float64)
     hi = np.array(hi, dtype=np.float64)
@@ -1360,12 +1368,14 @@ class StackedModel:
         return out
 
     def loads_at_budget(self, budgets: np.ndarray) -> np.ndarray:
-        """Per-cell ``max_load_for_latency(...).achieved``; NaN budgets pass through.
+        """Per-cell largest load whose latency meets the budget; NaN budgets pass through.
 
-        Mirrors :func:`repro.analysis.capacity.max_load_for_latency` with
-        its default ``rel_tol=1e-4``: infeasible budgets (below the
-        zero-load floor) achieve 0, budgets met at ``0.9999 λ*`` achieve
-        that bound, the rest refine the budget crossing.
+        The one implementation of the latency-budget capacity search
+        (:func:`repro.analysis.capacity.max_load_for_latency` reads its
+        one-cell row): infeasible budgets (below the zero-load floor)
+        achieve 0, budgets met at ``0.9999 λ*`` achieve that bound, the
+        rest refine the budget crossing in ``[0, 0.9999 λ*]`` to 1e-4
+        relative width and achieve the bracket's low end.
         """
         budgets = np.asarray(budgets, dtype=np.float64)
         require(budgets.shape == (self.cells,), "budgets must be one value per cell")
@@ -1413,7 +1423,13 @@ class StackedModel:
         fraction_of_saturation: float = 0.95,
         include_zero: bool = False,
     ) -> np.ndarray:
-        """Per-cell :func:`repro.core.sweep.auto_load_grid` rows, ``(cells, points)``."""
+        """Per-cell figure load grids, shape ``(cells, points)``.
+
+        Row ``c`` holds *points* evenly spaced loads from ``top / points``
+        (from 0 with *include_zero*) to ``top = fraction_of_saturation ·
+        λ*_c``; :func:`repro.core.sweep.auto_load_grid` is the one-cell
+        row.
+        """
         require(points >= 2, "points must be >= 2")
         require(
             0.0 < fraction_of_saturation < 1.0, "fraction_of_saturation must be in (0, 1)"

@@ -3,17 +3,17 @@
 The paper's figures plot mean latency against the traffic generation rate
 ``λ_g`` up to the saturation point.  This module provides:
 
-* :func:`find_saturation_load` — exact per-resource saturation via the
-  vectorised engine (closed form for constant-service queues), with the
-  original full-model bisection kept as ``method="bisection"``,
+* :func:`find_saturation_load` — exact per-resource saturation from the
+  stacked engine (closed form for constant-service queues),
 * :func:`auto_load_grid` — a figure-ready grid covering (0, fraction·λ*],
 * :func:`sweep_load` — evaluate the model across a grid.
 
 All three accept either a scalar :class:`~repro.core.model.AnalyticalModel`
 or a :class:`~repro.core.batch.BatchedModel`, the one-cell view of the
-stacked engine; scalar models are promoted to that view once and it is
-cached on the model instance, so repeated sweeps/searches pack the cell a
-single time (see ``docs/batched_engine.md``).
+stacked engine, and read that engine's single cell: scalar models are
+promoted to the view once and it is cached on the model instance, so
+repeated sweeps/searches pack the cell a single time (see
+``docs/batched_engine.md``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._util import require, require_positive
 from repro.core.batch import BatchedModel
 from repro.core.model import AnalyticalModel, ModelResult
 
@@ -72,46 +71,15 @@ def sweep_load(
     return _engine(model).evaluate_many(loads, with_results=with_results)
 
 
-def find_saturation_load(
-    model: "AnalyticalModel | BatchedModel",
-    *,
-    upper_hint: float = 1.0,
-    rel_tol: float = 1e-4,
-    max_iterations: int = 200,
-    method: str = "exact",
-) -> float:
+def find_saturation_load(model: "AnalyticalModel | BatchedModel") -> float:
     """Smallest ``λ_g`` at which the model saturates.
 
-    ``method="exact"`` (default) takes the minimum of the per-resource
-    saturation rates from :meth:`BatchedModel.saturation_loads` — closed
-    form for the constant-service concentrator queues, a per-resource
-    monotone inversion for the source queues — at a cost independent of
-    ``rel_tol``.  ``method="bisection"`` preserves the original full-model
-    bracketing search (every queue utilisation is monotone in ``λ_g``) and
-    is kept as the reference the exact path is tested against;
-    *upper_hint*, *rel_tol* and *max_iterations* only affect this mode.
+    The minimum of the per-resource saturation rates from
+    :meth:`BatchedModel.saturation_loads` — closed form for the
+    constant-service concentrator queues, a per-resource monotone
+    inversion for the source queues (see :mod:`repro.core.stacked`).
     """
-    require_positive(upper_hint, "upper_hint")
-    require_positive(rel_tol, "rel_tol")
-    require(method in ("exact", "bisection"), f"unknown saturation method {method!r}")
-    if method == "exact":
-        return _engine(model).saturation_load()
-    reference = model.reference_model if isinstance(model, BatchedModel) else model
-    lo, hi = 0.0, upper_hint
-    expansions = 0
-    while not reference.is_saturated(hi):
-        lo, hi = hi, hi * 4.0
-        expansions += 1
-        require(expansions < 60, "could not find a saturating load (system unsaturable?)")
-    for _ in range(max_iterations):
-        if hi - lo <= rel_tol * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if reference.is_saturated(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _engine(model).saturation_load()
 
 
 def auto_load_grid(
@@ -124,11 +92,13 @@ def auto_load_grid(
     """Evenly spaced load grid from light load to near saturation.
 
     Mirrors the paper's figures, which sample λ_g from ~10 % of saturation
-    up to just before the blow-up.
+    up to just before the blow-up: *points* evenly spaced loads from
+    ``top / points`` (from 0 with *include_zero*) to ``top =
+    fraction_of_saturation · λ*``.  This is the engine's one-cell
+    :meth:`~repro.core.stacked.StackedModel.auto_load_grids` row.
     """
-    require(points >= 2, "points must be >= 2")
-    require(0.0 < fraction_of_saturation < 1.0, "fraction_of_saturation must be in (0, 1)")
-    lam_star = find_saturation_load(model)
-    top = fraction_of_saturation * lam_star
-    start = 0.0 if include_zero else top / points
-    return np.linspace(start, top, points)
+    return _engine(model).stack.auto_load_grids(
+        points=points,
+        fraction_of_saturation=fraction_of_saturation,
+        include_zero=include_zero,
+    )[0]

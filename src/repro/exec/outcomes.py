@@ -5,7 +5,7 @@ resolves to exactly one :class:`ItemOutcome` — ``ok`` with the worker's
 return value, ``failed`` with the last error, or ``timeout`` when the
 per-item budget expired — plus the number of executions it consumed.
 Consumers that want the historical throw-on-first-error semantics
-(:func:`repro.simulation.parallel.map_jobs`) call
+(:func:`repro.simulation.parallel.run_work_items`) call
 :func:`raise_on_failure`; consumers that want partial tables
 (``explore``/``calibrate``/``performability``) keep the failed outcomes
 and surface them as an ``errors`` section instead.
@@ -88,8 +88,8 @@ def raise_on_failure(outcomes: "list[ItemOutcome]") -> "list[ItemOutcome]":
     """Return *outcomes* unchanged, or raise on the first non-``ok`` one.
 
     Re-raises the worker's original exception when one survived (so
-    ``map_jobs`` keeps its historical contract — a ``ValueError`` in a
-    worker surfaces as that ``ValueError``); timeouts and pool-level
+    ``run_work_items`` keeps its historical contract — a ``ValueError`` in
+    a worker surfaces as that ``ValueError``); timeouts and pool-level
     interruptions raise :class:`ExecutionFailed`.
     """
     for outcome in outcomes:

@@ -1,7 +1,7 @@
 """Supervised fan-out: retries, per-item timeouts, pool respawn, degrade.
 
 :func:`run_supervised` is the generic execution primitive behind
-:func:`repro.simulation.parallel.map_jobs` and every study fan-out.  It
+:func:`repro.simulation.parallel.run_work_items` and every study fan-out.  It
 maps a module-level function over a payload list — serially or across a
 ``ProcessPoolExecutor`` — under a :class:`~repro.exec.RunPolicy`, and
 returns one :class:`~repro.exec.ItemOutcome` per payload instead of

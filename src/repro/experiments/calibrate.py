@@ -60,7 +60,6 @@ from repro._util import require, require_int
 from repro.analysis.accuracy import ACCURACY_METRICS, relative_errors, score_errors
 from repro.analysis.frontier import axis_sensitivity
 from repro.analysis.tables import render_table
-from repro.core.batch import BatchedModel
 from repro.core.parameters import ModelOptions
 from repro.core.stacked import StackedModel
 from repro.exec import RunPolicy, run_supervised
@@ -330,8 +329,8 @@ def calibrate_options(
 
     # -- ground truth: one (cached) simulator curve per scenario ------------
     loads_by_scenario = []
-    for spec in specs:
-        lam_ref = BatchedModel(spec.system, spec.message, spec.options, spec.pattern).saturation_load()
+    for spec, lam in zip(specs, StackedModel.from_specs(specs).saturation_load()):
+        lam_ref = float(lam)
         require(
             math.isfinite(lam_ref) and lam_ref > 0,
             f"scenario {spec.name!r} has no finite reference saturation load",

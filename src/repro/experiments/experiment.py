@@ -32,6 +32,7 @@ from repro.analysis.tables import render_series, render_table
 from repro.analysis.whatif import curve_label, scale_network
 from repro.core.batch import BatchedModel
 from repro.core.model import AnalyticalModel
+from repro.core.stacked import StackedModel
 from repro.core.sweep import sweep_load
 from repro.io.results import to_jsonable
 from repro.io.schemas import EXPERIMENT_SCHEMA
@@ -660,7 +661,8 @@ class Experiment:
         the batched closed forms, and the result carries λ*_A, expected
         capacity, the weighted latency curve and the failure ranking; see
         :func:`repro.performability.performability_analysis`, which this
-        wraps with ``self.spec`` (``jobs``/``cache`` pass through).
+        wraps with ``self.spec`` (``jobs``/``cache``/``policy``/``resume``
+        pass through).
         """
         from repro.performability import FailureScenario, performability_analysis
 
@@ -668,7 +670,9 @@ class Experiment:
             failures = FailureScenario.from_dict(failures)
         elif isinstance(failures, str):
             failures = FailureScenario.load(failures)
-        return performability_analysis(self.spec, failures, jobs=jobs, cache=cache)
+        return performability_analysis(
+            self.spec, failures, jobs=jobs, cache=cache, policy=policy, resume=resume
+        )
 
     def calibrate(
         self,
@@ -692,33 +696,45 @@ class Experiment:
         return calibrate_options([self.spec], axes=axes, fixed=fixed, **kwargs)
 
     @classmethod
-    def sweep_many(
-        cls,
-        scenarios,
-        *,
-        jobs: "int | str | None" = None,
-        points: int | None = None,
-    ) -> ExperimentResult:
-        """Model sweep across many scenarios, fanned out over a process pool.
+    def sweep_many(cls, scenarios, *, points: int | None = None) -> ExperimentResult:
+        """Model sweep across many scenarios, priced as stacked cell sets.
 
         *scenarios* is an iterable of registered names and/or
-        :class:`~repro.scenarios.ScenarioSpec` instances.  Each scenario
-        pays its own load-independent precompute, so with ``jobs > 1`` they
-        run concurrently in worker processes; the gathered result is one
-        uniform long-format table (``scenario``/``load``/``latency``
-        columns plus a per-scenario summary) with a stable schema.
+        :class:`~repro.scenarios.ScenarioSpec` instances; *points*
+        overrides every scenario's grid size.  Scenarios sharing a
+        load-grid policy are priced as one
+        :class:`~repro.core.stacked.StackedModel` (one stack per distinct
+        policy), so each row is bit-identical to ``Experiment(spec).sweep()``
+        by the engine's lane independence.  The result is one uniform
+        long-format table (``scenario``/``load``/``latency`` columns plus a
+        per-scenario summary, in input order) with a stable schema.
         """
-        from repro.simulation.parallel import map_jobs, resolve_jobs
-
         specs = [get_scenario(s) if isinstance(s, str) else s for s in scenarios]
         require(len(specs) > 0, "sweep_many needs at least one scenario")
         for spec in specs:
             require(isinstance(spec, ScenarioSpec), "scenarios must be names or ScenarioSpec")
         names = [spec.name for spec in specs]
         require(len(set(names)) == len(names), f"duplicate scenario names: {names}")
-        payloads = [(spec.to_dict(), points) for spec in specs]
-        n_jobs = min(resolve_jobs(jobs), len(payloads))
-        rows = map_jobs(_sweep_one, payloads, jobs=n_jobs)
+        spec_dicts = [spec.to_dict() for spec in specs]
+        policies = [
+            spec.load_grid if points is None else replace(spec.load_grid, points=points)
+            for spec in specs
+        ]
+        rows: list[dict] = [{} for _ in specs]
+        for policy in dict.fromkeys(policies):
+            members = [idx for idx, p in enumerate(policies) if p == policy]
+            stack = StackedModel.from_specs([specs[idx] for idx in members])
+            grids = stack.auto_load_grids(**policy.to_dict())
+            latencies = stack.evaluate_latencies(grids)
+            lam_star = stack.saturation_load()
+            for row, idx in enumerate(members):
+                rows[idx] = {
+                    "scenario": names[idx],
+                    "total_nodes": specs[idx].system.total_nodes,
+                    "loads": [float(v) for v in grids[row]],
+                    "latencies": [float(v) for v in latencies[row]],
+                    "saturation_load": float(lam_star[row]),
+                }
         scenario_col: list[str] = []
         load_col: list[float] = []
         latency_col: list[float] = []
@@ -738,11 +754,10 @@ class Experiment:
                 ]
                 for row in rows
             ],
-            title=f"model sweep across {len(rows)} scenarios (jobs={n_jobs})",
+            title=f"model sweep across {len(rows)} scenarios",
         )
         data = {
             "scenarios": rows,
-            "jobs": n_jobs,
             "columns": {
                 "scenario": scenario_col,
                 "load": load_col,
@@ -752,28 +767,7 @@ class Experiment:
         return ExperimentResult(
             kind="sweep_many",
             scenario=",".join(names),
-            spec={"scenarios": [p[0] for p in payloads]},
+            spec={"scenarios": spec_dicts},
             data=data,
             text=table,
         )
-
-
-def _sweep_one(payload: tuple) -> dict:
-    """Worker for :meth:`Experiment.sweep_many` (module-level: picklable).
-
-    Reconstructs the spec from its serialised form, runs the standard
-    ``sweep`` workflow, and returns the plain-dict row the gatherer
-    assembles — identical numbers to ``Experiment(spec).sweep()``.
-    """
-    spec_dict, points = payload
-    spec = ScenarioSpec.from_dict(spec_dict)
-    if points is not None:
-        spec = replace(spec, load_grid=replace(spec.load_grid, points=points))
-    result = Experiment(spec).sweep()
-    return {
-        "scenario": spec.name,
-        "total_nodes": spec.system.total_nodes,
-        "loads": result.data["columns"]["load"],
-        "latencies": result.data["columns"]["latency"],
-        "saturation_load": result.data["saturation_load"],
-    }

@@ -4,7 +4,7 @@ The analytical model is effectively free (the batched engine), so every
 paper-style validation run is bounded by discrete-event simulation time.
 This module makes that layer scale with the hardware: any batch of
 independent simulator runs — replicas of one operating point, the load
-points of a validation grid, whole scenarios — is described as a list of
+points of a validation grid — is described as a list of
 :class:`SimWorkItem` and executed by :func:`run_work_items` either
 in-process or across a process pool supervised by the resilient runtime
 (:mod:`repro.exec`).
@@ -39,7 +39,7 @@ from repro.simulation.metrics import MeasurementWindow
 from repro.simulation.runner import SimulationResult, SimulationSession
 from repro.simulation.traffic import SimTrafficPattern
 
-__all__ = ["SimWorkItem", "map_jobs", "resolve_jobs", "run_work_item", "run_work_items"]
+__all__ = ["SimWorkItem", "resolve_jobs", "run_work_item", "run_work_items"]
 
 
 @dataclass(frozen=True)
@@ -58,32 +58,6 @@ class SimWorkItem:
     pattern: SimTrafficPattern | None = None
     max_events: int = 500_000_000
     engine: str = "reference"
-
-
-def map_jobs(
-    fn,
-    payloads,
-    *,
-    jobs: "int | str | None" = None,
-    policy: "RunPolicy | None" = None,
-) -> list:
-    """Order-preserving map of *fn* over *payloads*, serial or pooled.
-
-    The generic fan-out primitive behind :func:`run_work_items`,
-    ``Experiment.sweep_many`` and ``explore_grid``, now a throwing facade
-    over :func:`repro.exec.run_supervised`: ``jobs`` follows
-    :func:`repro.exec.resolve_jobs`, the pool never exceeds the payload
-    count, result ``i`` always belongs to payload ``i``, and worker
-    crashes/failures are retried under *policy* (default
-    :class:`~repro.exec.RunPolicy`).  An item that still fails after its
-    retries re-raises its original exception (never a partial list).
-    *fn* must be a module-level callable and every payload picklable when
-    ``jobs > 1``.
-    """
-    outcomes = raise_on_failure(
-        run_supervised(fn, payloads, jobs=jobs, policy=policy)
-    )
-    return [outcome.value for outcome in outcomes]
 
 
 # Per-process LRU session cache (bounded: the worker processes of one pool
@@ -137,8 +111,11 @@ def run_work_items(
     ``jobs`` follows :func:`repro.exec.resolve_jobs`.  The pool never
     exceeds the item count.  With ``jobs <= 1`` every item runs in this
     process, preferring *session* (the caller's cached fabric) for items
-    that match its configuration.  Pooled execution is supervised under
-    *policy* (see :func:`map_jobs`).
+    that match its configuration.  Pooled execution is supervised by
+    :func:`repro.exec.run_supervised`: worker crashes/failures are retried
+    under *policy* (default :class:`~repro.exec.RunPolicy`), and an item
+    that still fails after its retries re-raises its original exception
+    (never a partial list).
     """
     items = list(items)
     for item in items:
@@ -152,4 +129,7 @@ def run_work_items(
             else run_work_item(item)
             for item in items
         ]
-    return map_jobs(run_work_item, items, jobs=n_jobs, policy=policy)
+    outcomes = raise_on_failure(
+        run_supervised(run_work_item, items, jobs=n_jobs, policy=policy)
+    )
+    return [outcome.value for outcome in outcomes]

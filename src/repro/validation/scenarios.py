@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._util import require
 from repro.core.model import AnalyticalModel
 from repro.core.parameters import MessageSpec, SystemConfig, paper_system_544, paper_system_1120
-from repro.core.sweep import find_saturation_load
+from repro.core.sweep import auto_load_grid
 
 __all__ = [
     "FigureScenario",
@@ -51,12 +50,14 @@ def default_load_grid(
     points: int = 10,
     fraction: float = 0.92,
 ) -> np.ndarray:
-    """Evenly spaced grid in ``(0, fraction·λ*]`` like the paper's figures."""
-    require(points >= 2, "points must be >= 2")
-    model = AnalyticalModel(system, message)
-    lam_star = find_saturation_load(model)
-    top = fraction * lam_star
-    return np.linspace(top / points, top, points)
+    """Evenly spaced grid in ``(0, fraction·λ*]`` like the paper's figures.
+
+    The :func:`~repro.core.sweep.auto_load_grid` row of the default-options
+    model at *fraction* of saturation.
+    """
+    return auto_load_grid(
+        AnalyticalModel(system, message), points=points, fraction_of_saturation=fraction
+    )
 
 
 def figure3() -> FigureScenario:

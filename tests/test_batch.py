@@ -1,9 +1,10 @@
 """Batched-engine tests (core.batch): scalar equivalence + closed-form saturation.
 
 The scalar :class:`AnalyticalModel` is the reference implementation; the
-batched engine must reproduce it to float64 round-off (the ISSUE's 1e-9
+batched engine must reproduce it to float64 round-off (the 1e-9
 contract) across systems, traffic patterns and option variants, and its
-per-resource saturation rates must agree with the full-model bisection.
+per-resource saturation rates must agree with the full-model bisection
+(:func:`bisect_saturation`).
 """
 
 import numpy as np
@@ -26,6 +27,27 @@ from repro.workloads import HotspotTraffic, LocalityTraffic, UniformTraffic
 
 MSG = MessageSpec(32, 256.0)
 REL = 1e-9
+
+
+def bisect_saturation(model: AnalyticalModel, *, rel_tol: float) -> float:
+    """Full-model bisection reference for λ*: every queue utilisation is
+    monotone in ``λ_g``, so bracket the first saturating load from ``[0, 1]``
+    (expanding ×4 until saturated) and halve to *rel_tol*; returns the
+    saturated end, which overshoots the exact λ* by construction."""
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        if model.is_saturated(hi):
+            break
+        lo, hi = hi, hi * 4.0
+    else:
+        raise AssertionError("could not find a saturating load")
+    while hi - lo > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        if model.is_saturated(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def assert_equivalent(model: AnalyticalModel, engine: BatchedModel, grid) -> None:
@@ -209,8 +231,8 @@ class TestClosedFormSaturation:
         """Acceptance: closed form within the bisection's rel_tol on every
         Table 1 organisation × Table 2 message geometry."""
         model = AnalyticalModel(system_factory(), MessageSpec(m_flits, d_m))
-        exact = find_saturation_load(model)  # default: closed form
-        bisected = find_saturation_load(model, method="bisection", rel_tol=1e-4)
+        exact = find_saturation_load(model)  # closed form
+        bisected = bisect_saturation(model, rel_tol=1e-4)
         assert exact == pytest.approx(bisected, rel=2e-4)
         # The bisection overshoots by construction; the exact value may not.
         assert exact <= bisected * (1 + 1e-12)
@@ -255,14 +277,14 @@ class TestClosedFormSaturation:
         engine = BatchedModel.from_model(model)
         assert "concentrator" not in engine.binding_resource()
         exact = engine.saturation_load()
-        bisected = find_saturation_load(model, method="bisection", rel_tol=1e-6)
+        bisected = bisect_saturation(model, rel_tol=1e-6)
         assert exact == pytest.approx(bisected, rel=1e-5)
 
     def test_single_cluster_source_queue_inversion(self):
         single = SystemConfig(switch_ports=4, clusters=(ClusterSpec(tree_depth=2, name="solo"),), name="single")
         model = AnalyticalModel(single, MSG)
         exact = find_saturation_load(model)
-        bisected = find_saturation_load(model, method="bisection", rel_tol=1e-6)
+        bisected = bisect_saturation(model, rel_tol=1e-6)
         assert exact == pytest.approx(bisected, rel=1e-5)
         assert not model.is_saturated(exact * 0.9999)
         assert model.is_saturated(exact * 1.0001)
@@ -275,10 +297,6 @@ class TestClosedFormSaturation:
         assert loads  # inter resources still present
         assert all(np.isfinite(lam) for lam in loads.values())
         assert not any(name.endswith("icn1-source-queue") for name in loads)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="method"):
-            find_saturation_load(AnalyticalModel(paper_system_544(), MSG), method="newton")
 
 
 class TestBottleneckEngineReuse:
@@ -327,22 +345,26 @@ class TestBottleneckEngineReuse:
 
 
 class TestRefineMonotoneCrossing:
-    def test_converges_to_known_crossing(self):
-        from repro.core.batch import refine_monotone_crossing
+    """The stacked engine's bracket refinement, one row at a time."""
 
-        lo, hi = refine_monotone_crossing(0.0, 1.0, lambda g: g >= 0.3, rel_tol=1e-10)
-        assert lo < 0.3 <= hi
-        assert hi - lo <= 1e-10 * hi
+    def test_converges_to_known_crossing(self):
+        from repro.core.stacked import _refine_rows
+
+        lo, hi = _refine_rows(
+            np.zeros(1), np.ones(1), lambda rows, grid: grid >= 0.3, rel_tol=1e-10
+        )
+        assert lo[0] < 0.3 <= hi[0]
+        assert hi[0] - lo[0] <= 1e-10 * hi[0]
 
     def test_terminates_when_crossing_sits_at_zero(self):
         """Regression: a crossing at exactly lo == 0 used to spin forever
         (hi - lo > rel_tol * hi never fails while lo == 0 and rel_tol * hi
         underflows for denormal hi)."""
-        from repro.core.batch import refine_monotone_crossing
+        from repro.core.stacked import _refine_rows
 
-        lo, hi = refine_monotone_crossing(0.0, 1.0, lambda g: g > 0, rel_tol=1e-4)
-        assert lo == 0.0
-        assert 0.0 < hi < 1e-60  # driven to (effectively) the crossing
+        lo, hi = _refine_rows(np.zeros(1), np.ones(1), lambda rows, grid: grid > 0, rel_tol=1e-4)
+        assert lo[0] == 0.0
+        assert 0.0 < hi[0] < 1e-60  # driven to (effectively) the crossing
 
     def test_budget_exactly_at_zero_load_latency_terminates(self):
         """End-to-end shape of the same hang: a budget equal to the

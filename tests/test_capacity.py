@@ -55,6 +55,18 @@ class TestMaxLoadForLatency:
         with pytest.raises(ValueError):
             max_load_for_latency(paper_544, MSG, 0.0)
 
+    @pytest.mark.parametrize(
+        "budget,feasible,detail",
+        [
+            (20.0, False, "budget 20 below zero-load latency 40.81"),
+            (100.0, True, "λ_max = 8.6494e-04 (83% of saturation)"),
+            (1e6, True, "budget met arbitrarily close to the saturation load"),
+        ],
+    )
+    def test_detail_text_per_branch(self, paper_544, budget, feasible, detail):
+        plan = max_load_for_latency(paper_544, MSG, budget)
+        assert (plan.feasible, plan.detail) == (feasible, detail)
+
 
 class TestRequiredUpgrade:
     def test_icn2_upgrade_reaches_target(self, paper_544):

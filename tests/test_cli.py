@@ -65,7 +65,6 @@ class TestParser:
         }
         with_jobs = {name for name, f in flags.items() if "--jobs" in f}
         assert with_jobs == {
-            "sweep",
             "simulate",
             "validate",
             "explore",

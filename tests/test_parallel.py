@@ -175,7 +175,7 @@ class TestSweepMany:
         result = self._result()
         assert result.kind == "sweep_many"
         assert result.scenario == "544,1120"
-        assert set(result.data.keys()) == {"scenarios", "jobs", "columns"}
+        assert set(result.data.keys()) == {"scenarios", "columns"}
         assert set(result.data["columns"].keys()) == {"scenario", "load", "latency"}
         lengths = {len(col) for col in result.data["columns"].values()}
         assert lengths == {8}  # 2 scenarios x 4 points, long format
@@ -206,8 +206,45 @@ class TestSweepMany:
             assert by_name[name]["loads"] == single.data["columns"]["load"]
             assert by_name[name]["latencies"] == single.data["columns"]["latency"]
 
-    def test_jobs_do_not_change_results(self):
-        assert self._result(jobs=2).data["columns"] == self._result().data["columns"]
+    @staticmethod
+    def _assert_rows_match_single_sweeps(result, specs):
+        from repro.experiments import Experiment
+
+        assert [row["scenario"] for row in result.data["scenarios"]] == [
+            spec.name for spec in specs
+        ]
+        for row, spec in zip(result.data["scenarios"], specs):
+            single = Experiment(spec).sweep().data
+            assert row["loads"] == single["columns"]["load"], spec.name
+            assert row["latencies"] == single["columns"]["latency"], spec.name
+            assert row["saturation_load"] == single["saturation_load"], spec.name
+
+    def test_whole_registry_matches_single_sweeps(self):
+        from repro.experiments import Experiment
+        from repro.scenarios.registry import iter_scenarios
+
+        specs = [spec for _, spec in iter_scenarios()]
+        result = Experiment.sweep_many([spec.name for spec in specs])
+        self._assert_rows_match_single_sweeps(result, specs)
+
+    def test_mixed_grid_policies_match_single_sweeps(self):
+        import dataclasses
+
+        from repro.experiments import Experiment
+        from repro.scenarios import LoadGridPolicy, get_scenario
+
+        custom = dataclasses.replace(
+            get_scenario("het8-split"),
+            name="het8-split-custom-grid",
+            load_grid=LoadGridPolicy(points=5, fraction_of_saturation=0.8, include_zero=True),
+        )
+        specs = [get_scenario("544"), custom, get_scenario("1120")]
+        self._assert_rows_match_single_sweeps(Experiment.sweep_many(specs), specs)
+        four = [
+            dataclasses.replace(s, load_grid=dataclasses.replace(s.load_grid, points=4))
+            for s in specs
+        ]
+        self._assert_rows_match_single_sweeps(Experiment.sweep_many(specs, points=4), four)
 
     def test_rejects_duplicates_and_empty(self):
         from repro.experiments import Experiment

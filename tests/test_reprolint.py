@@ -186,30 +186,30 @@ class TestSerializationRules:
 
 
 class TestParallelSafetyRules:
-    def test_rp301_lambda_into_map_jobs(self):
+    def test_rp301_lambda_into_run_supervised(self):
         bad = (
-            "from repro.simulation.parallel import map_jobs\n"
-            "rows = map_jobs(lambda p: p, [1, 2], jobs=2)\n"
+            "from repro.exec import run_supervised\n"
+            "rows = run_supervised(lambda p: p, [1, 2], jobs=2)\n"
         )
         assert "RP301" in codes(bad, "src/repro/experiments/foo.py")
 
-    def test_rp301_nested_function_into_map_jobs(self):
+    def test_rp301_nested_function_into_run_supervised(self):
         bad = (
-            "from repro.simulation.parallel import map_jobs\n"
+            "from repro.exec import run_supervised\n"
             "def run(payloads):\n"
             "    def worker(p):\n"
             "        return p\n"
-            "    return map_jobs(worker, payloads)\n"
+            "    return run_supervised(worker, payloads)\n"
         )
         assert "RP301" in codes(bad, "src/repro/experiments/foo.py")
 
     def test_rp301_module_level_function_is_clean(self):
         good = (
-            "from repro.simulation.parallel import map_jobs\n"
+            "from repro.exec import run_supervised\n"
             "def worker(p):\n"
             "    return p\n"
             "def run(payloads):\n"
-            "    return map_jobs(worker, payloads)\n"
+            "    return run_supervised(worker, payloads)\n"
         )
         assert codes(good, "src/repro/experiments/foo.py") == []
 

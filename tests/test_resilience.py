@@ -292,6 +292,40 @@ class TestCliResilience:
         assert "interrupted" in capsys.readouterr().err
 
 
+class TestPerformabilityCliResilience:
+    """``performability`` honours ``--resume`` and ``--retries`` like explore."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_faults_env(self, monkeypatch):
+        monkeypatch.delenv(FAULTS_ENV, raising=False)
+        yield
+        os.environ.pop(FAULTS_ENV, None)
+
+    @pytest.fixture
+    def command(self, tmp_path):
+        failures = FailureScenario(
+            modes=(
+                FailureMode(kind="node", failure_rate=1e-4, repair_rate=1e-2),
+                FailureMode(kind="switch", role="icn2", failure_rate=1e-5, repair_rate=1e-2),
+            ),
+            max_concurrent=2,
+            name="cli-resilience",
+        ).save(tmp_path / "failures.json")
+        return ["performability", "--scenario", "544", "--failures", str(failures)]
+
+    def test_resume_on_an_empty_cache_exits_2(self, command, tmp_path, capsys):
+        code = cli.main(command + ["--cache", str(tmp_path / "cache"), "--resume"])
+        assert code == 2
+        assert "no run journal" in capsys.readouterr().err
+
+    def test_retries_0_makes_a_first_attempt_fault_final(self, command, capsys):
+        plan = json.dumps(
+            {"schema": "repro.faults/1", "faults": [{"op": "raise", "index": 0, "attempt": 0}]}
+        )
+        assert cli.main(command + ["--retries", "0", "--faults", plan]) == 3
+        assert "PARTIAL: 1 distinct state(s) failed after retries" in capsys.readouterr().out
+
+
 class TestArmedPlanOnSerialRuns:
     """An armed fault plan selects per-item supervision even on serial
     runs with no explicit policy, so its faults fire instead of being

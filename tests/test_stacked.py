@@ -9,7 +9,10 @@ contract is that a cell priced alone equals the same cell inside any
 stack *bit for bit* — not round-off closeness — for every metric those
 consumers read: per-resource saturation dictionaries, binding resources, λ*,
 zero-load floors, auto load grids, latency curves, knee loads and budget
-capacities.  The suite locks that contract across the full scenario
+capacities.  The per-row refinement and grid kernels are also pinned
+against their scalar oracles: :func:`refine_monotone_crossing` (the
+one-bracket loop every search replicates), :func:`model_budget` (the
+one-cell capacity search) and :func:`numpy.linspace`.  The suite locks that contract across the full scenario
 registry (which includes the m=8 heterogeneity ladder), ragged
 mixed-topology cell sets (grouping + masks), the ``ModelOptions``
 ablation space and performability degraded states including
@@ -22,15 +25,59 @@ import pytest
 from repro.analysis.capacity import max_load_for_latency
 from repro.cluster import homogeneous_system
 from repro.core import MessageSpec
-from repro.core.batch import BatchedModel, refine_monotone_crossing
+from repro.core.batch import BatchedModel
 from repro.core.parameters import ModelOptions
-from repro.core.stacked import StackedModel
+from repro.core.stacked import StackedModel, _linspace_rows, _refine_rows
 from repro.core.sweep import auto_load_grid
 from repro.performability import FailureMode, FailureScenario, expand_states
 from repro.scenarios import ScenarioSpec, get_scenario
 from repro.scenarios.registry import iter_scenarios
 
 REGISTRY = list(iter_scenarios())
+
+
+def refine_monotone_crossing(lo, hi, crossed, *, rel_tol, points=33, max_rounds=100):
+    """Scalar bracket refinement: the one-row loop ``_refine_rows`` replicates.
+
+    ``crossed(grid) -> bool array`` is monotone with ``not crossed(lo)``
+    and ``crossed(hi)``.  Each round probes *points* evenly spaced loads
+    and keeps the cell containing the first ``True``, until ``hi - lo <=
+    rel_tol * hi``, the first probe is already crossed, the bracket stops
+    shrinking at float64 resolution, or *max_rounds* rounds have run.
+    """
+    for _ in range(max_rounds):
+        if hi - lo <= rel_tol * hi:
+            break
+        grid = np.linspace(lo, hi, points)
+        above = crossed(grid)
+        if not above.any():
+            lo, hi = hi, hi * 2.0
+            continue
+        first = int(np.argmax(above))
+        if first == 0:
+            break
+        new_lo, new_hi = float(grid[first - 1]), float(grid[first])
+        if new_lo <= lo and new_hi >= hi:
+            break
+        lo, hi = new_lo, new_hi
+    return lo, hi
+
+
+def model_budget(engine: BatchedModel, budget: float) -> float:
+    """Budget-capacity reference: one cell's largest load meeting *budget*."""
+    if budget < engine.zero_load_latency():
+        return 0.0
+    hi = engine.saturation_load() * 0.9999
+    hi_latency = engine.evaluate_many(np.array([hi]), with_results=False).latencies[0]
+    if np.isfinite(hi_latency) and hi_latency <= budget:
+        return hi
+
+    def beyond(grid: np.ndarray) -> np.ndarray:
+        latencies = engine.evaluate_many(grid, with_results=False).latencies
+        return ~(np.isfinite(latencies) & (latencies <= budget))
+
+    lo, _ = refine_monotone_crossing(0.0, hi, beyond, rel_tol=1e-4)
+    return lo
 
 
 def model_knee(engine: BatchedModel, lam_star: float, zero: float, factor: float) -> float:
@@ -126,7 +173,8 @@ class TestRegistryEquivalence:
 
     def test_budget_capacities_bitwise(self, stack, engines, specs):
         # NaN budgets (no latency_budget on the spec) must stay NaN; the
-        # finite ones must equal the scalar capacity planner's plan.
+        # finite ones must equal the one-cell reference search and the
+        # capacity planner's plan.
         budgets = np.array(
             [
                 2.5 * engine.zero_load_latency() if idx % 3 else float("nan")
@@ -138,6 +186,7 @@ class TestRegistryEquivalence:
             if np.isnan(budgets[idx]):
                 assert np.isnan(achieved[idx]), name
             else:
+                assert model_budget(engines[idx], float(budgets[idx])) == achieved[idx], name
                 plan = max_load_for_latency(
                     spec.system,
                     spec.message,
@@ -276,3 +325,34 @@ class TestPerformabilityDegradedStates:
             (homogeneous_system(switch_ports=4, tree_depth=2, num_clusters=1), message, None, None),
         ]
         assert_stack_matches(cells, ["C1-d1", "C4-d1", "C1-d2"])
+
+
+class TestRowKernels:
+    """``_refine_rows`` and ``_linspace_rows`` against their scalar oracles."""
+
+    def test_rows_stop_in_different_rounds_and_match_the_oracle(self):
+        # Row 0 converges in a few rounds; row 1's crossing sits at lo == 0,
+        # so it keeps shrinking toward a denormal hi long after row 0 stops.
+        conditions = [lambda g: g >= 0.3, lambda g: g > 0]
+        live = []
+
+        def crossed(rows: np.ndarray, grid: np.ndarray) -> np.ndarray:
+            live.append(rows.tolist())
+            return np.stack([conditions[r](grid[k]) for k, r in enumerate(rows)])
+
+        lo, hi = _refine_rows(np.zeros(2), np.ones(2), crossed, rel_tol=1e-4)
+        assert live[0] == [0, 1] and live[-1] == [1]
+        for row, condition in enumerate(conditions):
+            assert (lo[row], hi[row]) == refine_monotone_crossing(
+                0.0, 1.0, condition, rel_tol=1e-4
+            )
+
+    @pytest.mark.parametrize("num", [2, 12, 33])
+    def test_linspace_rows_equal_numpy_per_row(self, num):
+        # A normal row next to a start == stop row and a denormal-width row,
+        # both of which take numpy's step == 0 branch.
+        start = np.array([1.25e-4, 3.0e-4, 0.0])
+        stop = np.array([9.5e-4, 3.0e-4, 5e-324])
+        grid = _linspace_rows(start, stop, num)
+        for row in range(start.size):
+            assert np.array_equal(grid[row], np.linspace(start[row], stop[row], num))

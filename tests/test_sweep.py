@@ -27,17 +27,6 @@ class TestFindSaturation:
         assert model.is_saturated(lam_star * 1.001)
         assert not model.is_saturated(lam_star * 0.999)
 
-    def test_tight_tolerance(self, model):
-        # rel_tol only drives the reference bisection; the exact path ignores it.
-        loose = find_saturation_load(model, rel_tol=1e-2, method="bisection")
-        tight = find_saturation_load(model, rel_tol=1e-6, method="bisection")
-        assert tight == pytest.approx(loose, rel=2e-2)
-
-    def test_upper_hint_is_irrelevant(self, model):
-        a = find_saturation_load(model, upper_hint=1e-6, method="bisection")
-        b = find_saturation_load(model, upper_hint=10.0, method="bisection")
-        assert a == pytest.approx(b, rel=1e-3)
-
 
 class TestSweep:
     def test_sweep_shapes(self, model):

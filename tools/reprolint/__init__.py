@@ -22,7 +22,7 @@ families over normalized ASTs (docstrings and comments never count):
   ``from_dict`` routes through ``reject_unknown_keys``, and every
   ``repro.*/N`` schema tag is declared in the single registry module.
 * **RP — parallel safety**: only module-level callables into
-  ``map_jobs``, only picklable field types on work-item dataclasses,
+  ``run_supervised``, only picklable field types on work-item dataclasses,
   and no direct ``ProcessPoolExecutor`` use outside the supervised
   execution runtime (``repro/exec/``).
 
@@ -78,7 +78,7 @@ RULES: dict[str, str] = {
     "RS201": "class defines to_dict but no from_dict (schema cannot round-trip)",
     "RS202": "from_dict does not route through reject_unknown_keys",
     "RS203": "'repro.*/N' schema tag declared outside the schema registry module",
-    "RP301": "lambda or nested function handed to parallel.map_jobs (not picklable)",
+    "RP301": "lambda or nested function handed to exec.run_supervised (not picklable)",
     "RP302": "work-item dataclass field with a non-picklable (or unknown) type",
     "RP303": "direct ProcessPoolExecutor use outside the supervised runtime (repro/exec/)",
 }

@@ -393,7 +393,7 @@ def _check_parallel_safety(
                         "RP303", rel_path, node.lineno, node.col_offset,
                         "ProcessPoolExecutor imported outside repro/exec/; bare "
                         "pools have no retry/timeout/respawn supervision — use "
-                        "repro.exec.run_supervised (or parallel.map_jobs)",
+                        "repro.exec.run_supervised",
                         scopes.symbol(node),
                     )
                 )
@@ -409,17 +409,17 @@ def _check_parallel_safety(
                         "RP303", rel_path, node.lineno, node.col_offset,
                         "ProcessPoolExecutor constructed outside repro/exec/; "
                         "bare pools have no retry/timeout/respawn supervision — "
-                        "use repro.exec.run_supervised (or parallel.map_jobs)",
+                        "use repro.exec.run_supervised",
                         scopes.symbol(node),
                     )
                 )
-            if resolved.split(".")[-1] == "map_jobs" and node.args:
+            if resolved.split(".")[-1] == "run_supervised" and node.args:
                 fn = node.args[0]
                 if isinstance(fn, ast.Lambda):
                     diags.append(
                         Diagnostic(
                             "RP301", rel_path, fn.lineno, fn.col_offset,
-                            "lambda handed to map_jobs cannot be pickled into "
+                            "lambda handed to run_supervised cannot be pickled into "
                             "worker processes; use a module-level function",
                             scopes.symbol(node),
                         )
@@ -428,7 +428,7 @@ def _check_parallel_safety(
                     diags.append(
                         Diagnostic(
                             "RP301", rel_path, fn.lineno, fn.col_offset,
-                            f"nested function {fn.id!r} handed to map_jobs "
+                            f"nested function {fn.id!r} handed to run_supervised "
                             "cannot be pickled; hoist it to module level",
                             scopes.symbol(node),
                         )
