@@ -690,8 +690,8 @@ class Trajectory:
     :func:`trajectory_digest` of these fields.  Wall-clock time is
     deliberately excluded.
 
-    Equality compares the canonical (hex-float) form, so two trajectories
-    are ``==`` exactly when their digests match — including NaN wait
+    Equality compares digests, so two trajectories are ``==`` exactly
+    when their canonical (hex-float) outcomes match — including NaN wait
     means from runs truncated before any measured delivery, which plain
     field equality would spuriously report as different.
     """
@@ -711,7 +711,7 @@ class Trajectory:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trajectory):
             return NotImplemented
-        return canonical_trajectory(self) == canonical_trajectory(other)
+        return trajectory_digest(self) == trajectory_digest(other)
 
 
 def build_trajectory(collector, raw) -> Trajectory:
@@ -755,6 +755,13 @@ def canonical_trajectory(trajectory: Trajectory) -> dict:
 
 
 def trajectory_digest(trajectory: Trajectory) -> str:
-    """sha256 of the canonical trajectory — the golden-corpus currency."""
-    payload = json.dumps(canonical_trajectory(trajectory), sort_keys=True, separators=(",", ":"))
+    """sha256 of the canonical trajectory — the golden-corpus currency.
+
+    The digest leaves ``version`` out on purpose, as the model corpus
+    leaves ``ENGINE_VERSION`` out: a refactor that bumps
+    ``TRAJECTORY_VERSION`` without moving a trajectory keeps every digest.
+    """
+    canon = canonical_trajectory(trajectory)
+    del canon["version"]
+    payload = json.dumps(canon, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

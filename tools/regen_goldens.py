@@ -20,8 +20,9 @@ compares them against a fresh build and exits 1 when either is stale.
 
 Regen protocol (the RF003 discipline, applied to trajectories)
 --------------------------------------------------------------
-Digests embed ``TRAJECTORY_VERSION``, so they go stale exactly when that
-tag is bumped — which is also the only legitimate moment to regenerate:
+Digests leave ``TRAJECTORY_VERSION`` out, as the model corpus leaves
+``ENGINE_VERSION`` out; the corpus header records the version it was
+pinned under, and the suite checks that header against the code:
 
 1. change the simulator, bump ``TRAJECTORY_VERSION`` in
    ``src/repro/simulation/runner.py``, and regenerate the reprolint
@@ -30,15 +31,15 @@ tag is bumped — which is also the only legitimate moment to regenerate:
 
        PYTHONPATH=src python -m tools.regen_goldens
 
-3. eyeball the diff: an intentional semantic change rewrites every
-   digest; a version-only bump rewrites them too (the version is hashed),
-   but an *unintentional* trajectory change without a bump is caught by
-   the suite before you ever get here.
+3. eyeball the diff: a refactor that keeps every trajectory rewrites only
+   the ``trajectory_version`` line; an intentional semantic change also
+   rewrites the digests of the entries it moved.  An *unintentional*
+   trajectory change is caught by the suite before you ever get here.
 
-The model corpus follows the same discipline, except that an
-``ENGINE_VERSION`` bump alone never rewrites it: regenerate it only for an
-intentional change to the closed forms' numbers, and say which numbers
-moved and why in the commit.
+The model corpus follows the same discipline, except that it records no
+version at all, so an ``ENGINE_VERSION`` bump alone never rewrites it:
+regenerate it only for an intentional change to the closed forms'
+numbers, and say which numbers moved and why in the commit.
 
 Never hand-edit digests, and never regenerate to silence a failure you
 cannot explain — that failure is the corpus doing its job.
