@@ -50,7 +50,7 @@ setup(
     install_requires=["numpy"],
     extras_require={
         "validation": ["scipy"],
-        "dev": ["pytest", "scipy", "mypy"],
+        "dev": ["pytest", "hypothesis", "networkx", "scipy", "mypy"],
     },
     zip_safe=False,  # py.typed must stay a real file for type checkers
     classifiers=[

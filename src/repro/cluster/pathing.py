@@ -22,7 +22,7 @@ from repro.cluster.system import GlobalNodeId, HeterogeneousSystem
 from repro.topology.mport_ntree import ChannelKind, Link
 from repro.topology.routing import ascend_to_root, descend_from_root, home_root, route
 
-__all__ = ["PathSegment", "SystemPath", "build_path", "intra_path", "inter_path"]
+__all__ = ["PathSegment", "SystemPath", "build_path", "ecn1_legs", "icn2_leg", "intra_path", "inter_path"]
 
 
 @dataclass(frozen=True)
@@ -69,52 +69,54 @@ def intra_path(system: HeterogeneousSystem, source: GlobalNodeId, destination: G
     return SystemPath(source, destination, (segment,))
 
 
+def ecn1_legs(system: HeterogeneousSystem, node: GlobalNodeId) -> tuple[PathSegment, PathSegment]:
+    """The ECN1 legs of *node*: its ascent to the concentrator and its
+    descent from the dispatcher.
+
+    Both use the deterministic climb to / descent from the node's home root
+    switch, the designated root the concentrator attaches to (spreads
+    concentrate and dispatch traffic over the roots).
+    """
+    cluster, addr = system.locate(node)
+    network = ("ecn1", cluster.index)
+    cd = system.concentrator(cluster.index)
+    root = home_root(cluster.ecn1, addr)
+    up = _tag(network, ascend_to_root(cluster.ecn1, addr, root).links) + (
+        SystemChannel(network, root, cd, ChannelKind.SWITCH_TO_NODE),
+    )
+    down = (SystemChannel(network, cd, root, ChannelKind.NODE_TO_SWITCH),) + _tag(
+        network, descend_from_root(cluster.ecn1, root, addr).links
+    )
+    return PathSegment("ecn1-up", up), PathSegment("ecn1-down", down)
+
+
+def icn2_leg(system: HeterogeneousSystem, i: int, j: int) -> PathSegment:
+    """Concentrator *i* to concentrator *j* through ICN2: a normal
+    Up*/Down* route between the two concentrators' node slots."""
+    require(i != j, "icn2_leg requires two different clusters")
+    icn2_route = route(system.icn2, system.icn2_address(i), system.icn2_address(j))
+    return PathSegment(
+        "icn2",
+        tuple(
+            SystemChannel.from_link(("icn2",), system._substitute_concentrators(link))
+            for link in icn2_route.links
+        ),
+    )
+
+
 def inter_path(system: HeterogeneousSystem, source: GlobalNodeId, destination: GlobalNodeId) -> SystemPath:
     """Route a message between clusters: ECN1(i) → ICN2 → ECN1(j).
 
-    The ECN1 legs use the deterministic climb to / descent from the
-    designated root switch the concentrator attaches to; the ICN2 leg is a
-    normal Up*/Down* route between the two concentrators' node slots.
+    The journey is the source's ascent, the ICN2 crossing between the two
+    clusters' concentrators and the destination's descent
+    (:func:`ecn1_legs`, :func:`icn2_leg`).
     """
-    src_cluster, src_addr = system.locate(source)
-    dst_cluster, dst_addr = system.locate(destination)
-    require(src_cluster.index != dst_cluster.index, "inter_path requires different clusters")
-
-    i, j = src_cluster.index, dst_cluster.index
-    cd_i, cd_j = system.concentrator(i), system.concentrator(j)
-
-    # Leg 1: source node up through ECN1(i) to its concentrator, via the
-    # source's home root (spreads concentrate traffic over the roots).
-    src_root = home_root(src_cluster.ecn1, src_addr)
-    up = ascend_to_root(src_cluster.ecn1, src_addr, src_root)
-    up_channels = _tag(("ecn1", i), up.links) + (
-        SystemChannel(("ecn1", i), src_root, cd_i, ChannelKind.SWITCH_TO_NODE),
-    )
-
-    # Leg 2: concentrator i to concentrator j through ICN2.
-    icn2_route = route(system.icn2, system.icn2_address(i), system.icn2_address(j))
-    icn2_channels = tuple(
-        SystemChannel.from_link(("icn2",), system._substitute_concentrators(link))
-        for link in icn2_route.links
-    )
-
-    # Leg 3: dispatcher j down through ECN1(j) to the destination node, via
-    # the destination's home root (spreads dispatch traffic over the roots).
-    dst_root = home_root(dst_cluster.ecn1, dst_addr)
-    down = descend_from_root(dst_cluster.ecn1, dst_root, dst_addr)
-    down_channels = (
-        SystemChannel(("ecn1", j), cd_j, dst_root, ChannelKind.NODE_TO_SWITCH),
-    ) + _tag(("ecn1", j), down.links)
-
-    return SystemPath(
-        source,
-        destination,
-        (
-            PathSegment("ecn1-up", up_channels),
-            PathSegment("icn2", icn2_channels),
-            PathSegment("ecn1-down", down_channels),
-        ),
-    )
+    i = system.cluster_of(source).index
+    j = system.cluster_of(destination).index
+    require(i != j, "inter_path requires different clusters")
+    up, _ = ecn1_legs(system, source)
+    _, down = ecn1_legs(system, destination)
+    return SystemPath(source, destination, (up, icn2_leg(system, i, j), down))
 
 
 def build_path(system: HeterogeneousSystem, source: GlobalNodeId, destination: GlobalNodeId) -> SystemPath:

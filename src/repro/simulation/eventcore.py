@@ -13,15 +13,19 @@ the *same* event loop over flat arrays:
   message ``s``, and when) by :func:`generation_schedule` /
   ``eventcore_prepass``, and uniform destinations are adjusted in one
   vectorized expression;
-* the per-segment release arithmetic of ``fabric.hot_resolver`` is folded
-  into flat segment tables (channel ids, ``M·τ_k`` holds, drains and
-  release offsets as contiguous arrays) shared across runs of a session.
+* the fabric's per-leg hot-loop records (``fabric.hot_records``) are
+  copied into flat segment tables (channel ids, ``M·τ_k`` holds, drains
+  and release offsets as contiguous arrays) shared across runs of a
+  session, so a segment id is a leg id and each message's path is its row
+  of leg ids.
 
 The hot loop itself lives in ``_eventcore.c``, compiled on demand with
 the system C compiler and loaded through :mod:`ctypes` — no third-party
-dependency, no CPython API.  When no compiler is available (or
-``REPRO_SIM_KERNEL=0``), ``engine="array"`` falls back to the reference
-loop, so results never depend on the toolchain.
+dependency, no CPython API.  When the kernel cannot be built or loaded
+(no compiler, a compile or load error, an ABI mismatch, or
+``REPRO_SIM_KERNEL=0``), ``engine="array"`` runs the reference loop and
+says so with a :class:`RuntimeWarning` naming the reason, so results
+never depend on the toolchain.
 
 Bit-identical-trajectory contract
 ---------------------------------
@@ -48,6 +52,7 @@ import tempfile
 import time as _time
 import weakref
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +223,13 @@ _KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-unsafe-ma
 
 _KERNEL_UNSET = object()
 _KERNEL: object = _KERNEL_UNSET
+#: Why the kernel is unavailable when ``_KERNEL`` is None: the engine
+#: fallback names it.
+_KERNEL_REASON = "the compiled event kernel is not loaded"
+
+
+class _KernelUnavailable(Exception):
+    """One reason the compiled kernel cannot be built or loaded."""
 
 
 class _StateStruct(ctypes.Structure):
@@ -255,14 +267,18 @@ def _cache_dir() -> Path:
     return Path(tempfile.gettempdir()) / f"repro-eventcore-{uid}"
 
 
-def _build_kernel() -> "ctypes.CDLL | None":
-    """Compile (once, cached by source digest) and load the kernel."""
-    if os.environ.get("REPRO_SIM_KERNEL", "").lower() in ("0", "off", "reference"):
-        return None
+def _build_kernel() -> ctypes.CDLL:
+    """Compile (once, cached by source digest) and load the kernel.
+
+    Raises :class:`_KernelUnavailable` naming the reason it cannot.
+    """
+    switch = os.environ.get("REPRO_SIM_KERNEL", "")
+    if switch.lower() in ("0", "off", "reference"):
+        raise _KernelUnavailable(f"REPRO_SIM_KERNEL={switch} turns the kernel off")
     try:
         source = _C_SOURCE.read_bytes()
-    except OSError:
-        return None
+    except OSError as exc:
+        raise _KernelUnavailable(f"cannot read the kernel source: {exc}") from exc
     tag = hashlib.sha256(
         source + " ".join(_KERNEL_FLAGS).encode() + sys.platform.encode()
     ).hexdigest()[:16]
@@ -270,7 +286,7 @@ def _build_kernel() -> "ctypes.CDLL | None":
     if not so_path.exists():
         cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
         if cc is None:
-            return None
+            raise _KernelUnavailable("no C compiler (cc, gcc or clang) on PATH")
         try:
             so_path.parent.mkdir(parents=True, exist_ok=True)
             tmp = so_path.with_suffix(f".{os.getpid()}.tmp")
@@ -279,16 +295,17 @@ def _build_kernel() -> "ctypes.CDLL | None":
                 check=True, capture_output=True, timeout=120,
             )
             os.replace(tmp, so_path)
-        except (OSError, subprocess.SubprocessError):
-            return None
+        except (OSError, subprocess.SubprocessError) as exc:
+            raise _KernelUnavailable(f"compiling the kernel with {cc} failed: {exc}") from exc
     try:
         lib = ctypes.CDLL(str(so_path))
-    except OSError:
-        return None
+    except OSError as exc:
+        raise _KernelUnavailable(f"cannot load {so_path}: {exc}") from exc
     lib.eventcore_abi.restype = ctypes.c_int64
     lib.eventcore_abi.argtypes = []
-    if lib.eventcore_abi() != _KERNEL_ABI:
-        return None
+    abi = lib.eventcore_abi()
+    if abi != _KERNEL_ABI:
+        raise _KernelUnavailable(f"kernel ABI {abi} does not match the expected {_KERNEL_ABI}")
     lib.eventcore_run.restype = ctypes.c_int64
     lib.eventcore_run.argtypes = [ctypes.POINTER(_StateStruct)]
     lib.eventcore_prepass.restype = ctypes.c_int64
@@ -297,9 +314,13 @@ def _build_kernel() -> "ctypes.CDLL | None":
 
 
 def _kernel() -> "ctypes.CDLL | None":
-    global _KERNEL
+    global _KERNEL, _KERNEL_REASON
     if _KERNEL is _KERNEL_UNSET:
-        _KERNEL = _build_kernel()
+        try:
+            _KERNEL = _build_kernel()
+        except _KernelUnavailable as exc:
+            _KERNEL = None
+            _KERNEL_REASON = str(exc)
     return _KERNEL  # type: ignore[return-value]
 
 
@@ -334,30 +355,29 @@ def kernel_prepass(
 
 
 # ---------------------------------------------------------------------------
-# flattened path/segment tables (cached per fabric × run config)
+# flat leg tables (cached per fabric × run config)
 # ---------------------------------------------------------------------------
 
 #: fabric -> {(ideal_sinks, cd_mode) -> _EventCoreContext}.  Weak on the
-#: fabric so a discarded session releases its tables.
+#: fabric, and no context refers back to it, so a discarded session
+#: releases its tables.
 _CONTEXTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-#: Above this node count the dense (src, dst) -> path-id matrix would be
-#: too large; fall back to a dict lookup per message.
-_PID_MATRIX_MAX_NODES = 2048
 
 
 class _EventCoreContext:
-    """Flattened fabric tables for one (ideal_sinks, cd_mode) config.
+    """Flat leg tables for one (ideal_sinks, cd_mode) config.
 
-    Segment records from ``fabric.hot_resolver`` are appended once into
-    growing flat tables (deduplicated — segments are shared across paths
-    exactly as the resolver shares them) and snapshotted into contiguous
-    ndarrays on demand; a session reuses the tables across load points
-    and seeds.
+    The fabric's hot-loop records (``fabric.hot_records``) are appended
+    once, in leg-id order, into growing flat tables — so a segment id is a
+    leg id — and snapshotted into contiguous ndarrays on demand; a session
+    reuses the tables across load points and seeds.  The context holds no
+    reference to its fabric: callers pass it to :meth:`paths_for` and
+    :meth:`arrays`.
     """
 
     def __init__(self, fabric, ideal_sinks: bool, cd_mode: str) -> None:
-        self.resolver = fabric.hot_resolver(ideal_sinks=ideal_sinks, cd_mode=cd_mode)
+        self.ideal_sinks = ideal_sinks
+        self.cd_mode = cd_mode
         self.flit_time = np.ascontiguousarray(fabric.flit_time, dtype=np.float64)
         self.uncontended = np.asarray(
             fabric.uncontended_flags(ideal_sinks=ideal_sinks, cd_mode=cd_mode),
@@ -366,16 +386,6 @@ class _EventCoreContext:
         self.group = np.ascontiguousarray(fabric.group, dtype=np.int8)
         self.cluster_index = np.asarray(fabric.cluster_index, dtype=np.int32)
         self.n_channels = fabric.num_channels
-        n = fabric.system.total_nodes
-        self._pid_matrix = (
-            np.full((n, n), -1, dtype=np.int32) if n <= _PID_MATRIX_MAX_NODES else None
-        )
-        self._pid_map: dict = {}
-        self._path_ids: dict = {}
-        self._seg_ids: dict = {}
-        self._seg_len: list[int] = []
-        self._p_off: list[int] = [0]
-        self._p_segs: list[int] = []
         self._s_cid_off: list[int] = [0]
         self._s_cids: list[int] = []
         self._s_hold: list[float] = []
@@ -385,81 +395,35 @@ class _EventCoreContext:
         self._r_cid: list[int] = []
         self._r_hold: list[float] = []
         self._r_off: list[float] = []
-        self.gstride = 1
-        self.max_hops = 1
-        self._dirty = True
         self._arrays: "dict[str, np.ndarray] | None" = None
 
-    def _add_segment(self, spec) -> int:
-        cids, hold, _tau, drain, last, rel_items = spec
-        sid = len(self._s_drain)
-        self._s_cids.extend(cids)
-        self._s_hold.extend(hold)
-        self._s_cid_off.append(len(self._s_cids))
-        self._s_drain.append(drain)
-        for kk, cid, hold_kk, off in rel_items:
-            self._r_kk.append(kk)
-            self._r_cid.append(cid)
-            self._r_hold.append(hold_kk)
-            self._r_off.append(off)
-        self._s_rel_off.append(len(self._r_kk))
-        self._seg_len.append(last + 1)
-        self.gstride = max(self.gstride, last + 1)
-        self._seg_ids[spec] = sid
-        return sid
+    def paths_for(
+        self, fabric, g_node: np.ndarray, g_dest: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One row of leg ids per message, as ``(p_off, p_segs)``."""
+        leg_ids = fabric.leg_ids
+        rows = [leg_ids(s, d) for s, d in zip(g_node.tolist(), g_dest.tolist())]
+        p_off = np.zeros(len(rows) + 1, dtype=np.int32)
+        np.cumsum([len(row) for row in rows], out=p_off[1:])
+        p_segs = np.fromiter(chain.from_iterable(rows), dtype=np.int32, count=int(p_off[-1]))
+        return p_off, p_segs
 
-    def _pid_for(self, source: int, destination: int) -> int:
-        pair = (source, destination)
-        pid = self._pid_map.get(pair)
-        if pid is not None:
-            return pid
-        seg_ids = []
-        for spec in self.resolver(source, destination):
-            sid = self._seg_ids.get(spec)
-            if sid is None:
-                sid = self._add_segment(spec)
-                self._dirty = True
-            seg_ids.append(sid)
-        key = tuple(seg_ids)
-        pid = self._path_ids.get(key)
-        if pid is None:
-            pid = len(self._p_off) - 1
-            self._p_segs.extend(key)
-            self._p_off.append(len(self._p_segs))
-            self._path_ids[key] = pid
-            self.max_hops = max(self.max_hops, sum(self._seg_len[s] for s in key))
-            self._dirty = True
-        self._pid_map[pair] = pid
-        return pid
-
-    def paths_for(self, g_node: np.ndarray, g_dest: np.ndarray) -> np.ndarray:
-        """Path id per message, vectorized through the dense pair matrix."""
-        if self._pid_matrix is not None:
-            pids = self._pid_matrix[g_node, g_dest]
-            missing = np.flatnonzero(pids < 0)
-            if missing.size:
-                matrix = self._pid_matrix
-                for i in missing:
-                    s, d = int(g_node[i]), int(g_dest[i])
-                    pid = matrix[s, d]
-                    if pid < 0:
-                        pid = self._pid_for(s, d)
-                        matrix[s, d] = pid
-                    pids[i] = pid
-            return np.ascontiguousarray(pids, dtype=np.int32)
-        pid_for = self._pid_for
-        return np.fromiter(
-            (pid_for(int(s), int(d)) for s, d in zip(g_node, g_dest)),
-            dtype=np.int32,
-            count=len(g_node),
-        )
-
-    def arrays(self) -> dict:
+    def arrays(self, fabric) -> dict:
         """Contiguous snapshots of the flat tables (rebuilt when they grew)."""
-        if self._dirty or self._arrays is None:
+        records = fabric.hot_records(ideal_sinks=self.ideal_sinks, cd_mode=self.cd_mode)
+        if self._arrays is None or len(records) > len(self._s_drain):
+            for cids, hold, _tau, drain, _last, rel_items in records[len(self._s_drain):]:
+                self._s_cids.extend(cids)
+                self._s_hold.extend(hold)
+                self._s_cid_off.append(len(self._s_cids))
+                self._s_drain.append(drain)
+                for kk, cid, hold_kk, off in rel_items:
+                    self._r_kk.append(kk)
+                    self._r_cid.append(cid)
+                    self._r_hold.append(hold_kk)
+                    self._r_off.append(off)
+                self._s_rel_off.append(len(self._r_kk))
             self._arrays = {
-                "p_off": np.asarray(self._p_off, dtype=np.int32),
-                "p_segs": np.asarray(self._p_segs, dtype=np.int32),
                 "s_cid_off": np.asarray(self._s_cid_off, dtype=np.int32),
                 "s_cids": np.asarray(self._s_cids, dtype=np.int32),
                 "s_hold": np.asarray(self._s_hold, dtype=np.float64),
@@ -470,21 +434,15 @@ class _EventCoreContext:
                 "r_hold": np.asarray(self._r_hold, dtype=np.float64),
                 "r_off": np.asarray(self._r_off, dtype=np.float64),
             }
-            self._dirty = False
         return self._arrays
 
 
 def _context_for(sim) -> _EventCoreContext:
-    per_fabric = _CONTEXTS.get(sim.fabric)
-    if per_fabric is None:
-        per_fabric = {}
-        _CONTEXTS[sim.fabric] = per_fabric
+    per_fabric = _CONTEXTS.setdefault(sim.fabric, {})
     key = (bool(sim.ideal_sinks), sim.cd_mode)
-    ctx = per_fabric.get(key)
-    if ctx is None:
-        ctx = _EventCoreContext(sim.fabric, *key)
-        per_fabric[key] = ctx
-    return ctx
+    if key not in per_fabric:
+        per_fabric[key] = _EventCoreContext(sim.fabric, *key)
+    return per_fabric[key]
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +459,10 @@ def array_run(sim, *, max_events: int = 500_000_000, trace: "list | None" = None
     ``(time, kind, id)`` event stream the reference loop traces.
     """
     lib = _kernel()
-    require(lib is not None, "compiled event kernel unavailable; use engine='reference'")
+    require(
+        lib is not None,
+        f"compiled event kernel unavailable ({_KERNEL_REASON}); use engine='reference'",
+    )
     wall_start = _time.perf_counter()
 
     window = sim.window
@@ -526,14 +487,20 @@ def array_run(sim, *, max_events: int = 500_000_000, trace: "list | None" = None
             dtype=np.int64,
             count=total,
         )
-    m_path = ctx.paths_for(g_node, g_dest)
-    tables = ctx.arrays()
+    # A message's path id is its sequence number: row s of (p_off, p_segs)
+    # holds message s's leg ids, which are its segment ids.
+    p_off, p_segs = ctx.paths_for(sim.fabric, g_node, g_dest)
+    tables = ctx.arrays(sim.fabric)
+    m_path = np.arange(total, dtype=np.int32)
+    hops = np.diff(tables["s_cid_off"])[p_segs]
+    gstride = int(hops.max())
 
     measured_target = window.measured
     heap_cap = total + ctx.n_channels + 8
     trace_cap = 0
     if trace is not None:
-        bound = total * (2 * ctx.max_hops + 4) + 2 * n_nodes + 16
+        max_hops = int(np.add.reduceat(hops, p_off[:-1]).max())
+        bound = total * (2 * max_hops + 4) + 2 * n_nodes + 16
         trace_cap = min(bound, max_events + 4)
 
     heap_time = np.empty(heap_cap, dtype=np.float64)
@@ -545,7 +512,7 @@ def array_run(sim, *, max_events: int = 500_000_000, trace: "list | None" = None
     m_gc = np.zeros(total, dtype=np.int32)
     m_qnext = np.empty(total, dtype=np.int32)
     m_reqt = np.zeros(total, dtype=np.float64)
-    grants = np.zeros(total * ctx.gstride, dtype=np.float64)
+    grants = np.zeros(total * gstride, dtype=np.float64)
     occupancy = np.zeros(ctx.n_channels, dtype=np.int32)
     last_grant = np.zeros(ctx.n_channels, dtype=np.float64)
     q_head = np.full(ctx.n_channels, -1, dtype=np.int32)
@@ -571,7 +538,7 @@ def array_run(sim, *, max_events: int = 500_000_000, trace: "list | None" = None
         measured_target=measured_target,
         max_events=max_events,
         cd_paper=int(sim.cd_mode == "paper"),
-        grants_stride=ctx.gstride,
+        grants_stride=gstride,
         heap_cap=heap_cap,
         trace_cap=trace_cap,
         eseq0=4 * n_nodes,
@@ -584,8 +551,8 @@ def array_run(sim, *, max_events: int = 500_000_000, trace: "list | None" = None
         dead_time=dead_time.ctypes.data,
         dead_node=dead_node.ctypes.data,
         m_path=m_path.ctypes.data,
-        p_off=tables["p_off"].ctypes.data,
-        p_segs=tables["p_segs"].ctypes.data,
+        p_off=p_off.ctypes.data,
+        p_segs=p_segs.ctypes.data,
         s_cid_off=tables["s_cid_off"].ctypes.data,
         s_cids=tables["s_cids"].ctypes.data,
         s_hold=tables["s_hold"].ctypes.data,

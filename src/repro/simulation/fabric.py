@@ -1,4 +1,4 @@
-"""Resolved fabric: integer channel ids, flit times and cached paths.
+"""Resolved fabric: integer channel ids, flit times and one table of legs.
 
 The simulators work on dense integer channel ids instead of structured
 :class:`~repro.cluster.channels.SystemChannel` objects.  A
@@ -16,9 +16,13 @@ uses) and a reporting group:
 ``cd-dispatch``
     the dispatcher→ECN1 injection channel (the dispatch buffer server).
 
-Paths are resolved into per-segment ``(channel ids, bottleneck flit time)``
-tuples, with the ECN1 ascent/descent legs and ICN2 crossings cached (they
-are shared by every message of a node / cluster pair).
+A journey is one leg (its ICN1 route) or three (the ECN1 ascent, the ICN2
+crossing and the ECN1 descent, paper Fig. 2).  The leg is the only unit
+of path state: the fabric resolves each leg once, on first use, into a
+``(channel ids, bottleneck flit time)`` record with a dense leg id — the
+ascent and descent per node, the ICN2 crossing per cluster pair, the ICN1
+route per intra-cluster pair — and every journey reads those records by
+id, as the model prices each leg per cluster class and never per pair.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from repro._util import require
 from repro.cluster.channels import Concentrator, SystemChannel
-from repro.cluster.pathing import inter_path, intra_path
+from repro.cluster.pathing import ecn1_legs, icn2_leg, intra_path
 from repro.cluster.system import HeterogeneousSystem
 from repro.core.parameters import MessageSpec, ModelOptions, NetworkCharacteristics
 from repro.core.service_times import ServiceTimes
@@ -87,13 +91,10 @@ class ResolvedFabric:
         #: non-blocking ingress links.
         self.cd_reception = cd_reception
 
-        self._ascend_cache: dict[int, ResolvedSegment] = {}
-        self._descend_cache: dict[int, ResolvedSegment] = {}
-        self._icn2_cache: dict[tuple[int, int], ResolvedSegment] = {}
-        self._intra_cache: dict[tuple[int, int], ResolvedSegment] = {}
-        self._runtime_path_cache: dict[tuple[int, int], tuple] = {}
-        self._runtime_seg_cache: dict[ResolvedSegment, tuple] = {}
-        self._hot_cache: dict[tuple[bool, str], tuple] = {}
+        #: Every leg resolved so far; a leg id indexes this list.
+        self.legs: list[ResolvedSegment] = []
+        self._leg_id: dict[tuple, int] = {}
+        self._hot: dict[tuple[bool, str], tuple[list[bool], list[tuple]]] = {}
 
         #: node id -> cluster index (the hot loop's per-delivery lookup).
         self.cluster_index: list[int] = [
@@ -128,76 +129,39 @@ class ResolvedFabric:
 
     # -- path resolution -----------------------------------------------------------
 
-    def _segment(self, channels: tuple[SystemChannel, ...]) -> ResolvedSegment:
-        ids = tuple(self.channel_index[ch] for ch in channels)
-        tau = max(float(self.flit_time[c]) for c in ids)
-        return ResolvedSegment(channel_ids=ids, bottleneck_flit_time=tau)
+    def _leg(self, key: tuple) -> int:
+        """The id of leg *key*, resolving the leg on first use."""
+        if key not in self._leg_id:
+            kind, *args = key
+            if kind == "icn1":
+                built = {key: intra_path(self.system, *args).segments[0]}
+            elif kind == "icn2":
+                built = {key: icn2_leg(self.system, *args)}
+            else:  # a node's ascent and descent resolve together
+                up, down = ecn1_legs(self.system, *args)
+                built = {("up", *args): up, ("down", *args): down}
+            for k, seg in built.items():
+                ids = tuple(self.channel_index[ch] for ch in seg.channels)
+                tau = max(float(self.flit_time[c]) for c in ids)
+                self._leg_id[k] = len(self.legs)
+                self.legs.append(ResolvedSegment(channel_ids=ids, bottleneck_flit_time=tau))
+        return self._leg_id[key]
+
+    def leg_ids(self, source: int, destination: int) -> tuple[int, ...]:
+        """Leg ids of the journey ``source → destination`` (flat node ids):
+        the ICN1 route, or the ascent, the ICN2 crossing and the descent."""
+        i = self.cluster_index[source]
+        j = self.cluster_index[destination]
+        leg = self._leg
+        if i == j:
+            return (leg(("icn1", source, destination)),)
+        return (leg(("up", source)), leg(("icn2", i, j)), leg(("down", destination)))
 
     def resolve(self, source: int, destination: int) -> tuple[ResolvedSegment, ...]:
         """Segments of the journey ``source → destination`` (flat node ids)."""
         require(source != destination, "source and destination must differ")
-        src_cluster = self.system.cluster_of(source)
-        if src_cluster.contains_global(destination):
-            key = (source, destination)
-            seg = self._intra_cache.get(key)
-            if seg is None:
-                path = intra_path(self.system, source, destination)
-                seg = self._segment(path.segments[0].channels)
-                self._intra_cache[key] = seg
-            return (seg,)
-
-        dst_cluster = self.system.cluster_of(destination)
-        up = self._ascend_cache.get(source)
-        mid = self._icn2_cache.get((src_cluster.index, dst_cluster.index))
-        down = self._descend_cache.get(destination)
-        if up is None or mid is None or down is None:
-            path = inter_path(self.system, source, destination)
-            if up is None:
-                up = self._segment(path.segments[0].channels)
-                self._ascend_cache[source] = up
-            if mid is None:
-                mid = self._segment(path.segments[1].channels)
-                self._icn2_cache[(src_cluster.index, dst_cluster.index)] = mid
-            if down is None:
-                down = self._segment(path.segments[2].channels)
-                self._descend_cache[destination] = down
-        return (up, mid, down)
-
-    def resolve_runtime(self, source: int, destination: int) -> tuple:
-        """Pre-resolved per-path segment tuples for the message-level hot loop.
-
-        Each segment is a plain tuple ``(channel_ids, hold_times, tau,
-        drain, last)`` where ``hold_times[k] = M·τ_k`` (full-message
-        occupancy of channel *k*), ``drain = (M−1)·τ*`` (tail streaming at
-        the bottleneck rate) and ``last = len(channel_ids) − 1`` — the
-        per-event release/drain arithmetic with every product folded in at
-        resolve time.  Cached per (source, destination) pair with segment
-        records shared across pairs, so a session reuses them across runs.
-        """
-        key = (source, destination)
-        path = self._runtime_path_cache.get(key)
-        if path is None:
-            seg_cache = self._runtime_seg_cache
-            m = self.message.length_flits
-            flit_time = self.flit_time
-            segments = []
-            for seg in self.resolve(source, destination):
-                rec = seg_cache.get(seg)
-                if rec is None:
-                    cids = seg.channel_ids
-                    tau = seg.bottleneck_flit_time
-                    rec = (
-                        cids,
-                        tuple(m * float(flit_time[c]) for c in cids),
-                        tau,
-                        (m - 1) * tau,
-                        len(cids) - 1,
-                    )
-                    seg_cache[seg] = rec
-                segments.append(rec)
-            path = tuple(segments)
-            self._runtime_path_cache[key] = path
-        return path
+        legs = self.legs
+        return tuple(legs[i] for i in self.leg_ids(source, destination))
 
     def uncontended_flags(self, *, ideal_sinks: bool, cd_mode: str) -> list[bool]:
         """Per-channel "grants without queueing" flags for one run config.
@@ -213,45 +177,54 @@ class ResolvedFabric:
             flags = [u or bool(cd) for u, cd in zip(flags, self.cd_reception)]
         return flags
 
-    def hot_resolver(self, *, ideal_sinks: bool, cd_mode: str):
-        """A cached ``resolve(source, destination)`` for one run config.
+    def hot_records(self, *, ideal_sinks: bool, cd_mode: str) -> list[tuple]:
+        """The hot-loop record of every leg resolved so far, by leg id, for
+        one run config.
 
-        Returns paths whose segment records extend
-        :meth:`resolve_runtime` with a sixth field: ``rel_items``, the
-        tuple of ``(k, channel_id, M·τ_k, (last−k)·τ*)`` entries for the
-        segment's *contended* channels only — the release arithmetic the
-        hot loop runs at every segment sink, with the uncontended-channel
-        branch resolved away.  Caches live on the fabric keyed by the run
-        config, so a session reuses them across load points.
+        A record is ``(channel_ids, hold_times, tau, drain, last,
+        rel_items)`` where ``hold_times[k] = M·τ_k`` (full-message occupancy
+        of channel *k*), ``drain = (M−1)·τ*`` (tail streaming at the
+        bottleneck rate), ``last = len(channel_ids) − 1`` and ``rel_items``
+        holds ``(k, channel_id, M·τ_k, (last−k)·τ*)`` for the leg's
+        *contended* channels only — the release arithmetic the hot loop
+        runs at every segment sink, with every product folded in and the
+        uncontended-channel branch resolved away.  The list lives on the
+        fabric and grows as legs appear, so a session reuses it across
+        load points and seeds.
         """
         key = (bool(ideal_sinks), cd_mode)
-        entry = self._hot_cache.get(key)
-        if entry is None:
-            entry = ({}, {}, self.uncontended_flags(ideal_sinks=ideal_sinks, cd_mode=cd_mode))
-            self._hot_cache[key] = entry
-        path_cache, seg_cache, flags = entry
-        base = self.resolve_runtime
+        table = self._hot.get(key)
+        if table is None:
+            flags = self.uncontended_flags(ideal_sinks=ideal_sinks, cd_mode=cd_mode)
+            table = self._hot[key] = (flags, [])
+        flags, records = table
+        m = self.message.length_flits
+        flit_time = self.flit_time
+        for leg in self.legs[len(records):]:
+            cids = leg.channel_ids
+            tau = leg.bottleneck_flit_time
+            last = len(cids) - 1
+            hold = tuple(m * float(flit_time[c]) for c in cids)
+            rel_items = tuple(
+                (kk, cids[kk], hold[kk], (last - kk) * tau)
+                for kk in range(last + 1)
+                if not flags[cids[kk]]
+            )
+            records.append((cids, hold, tau, (m - 1) * tau, last, rel_items))
+        return records
+
+    def hot_resolver(self, *, ideal_sinks: bool, cd_mode: str):
+        """``resolve(source, destination)`` for the reference loop: the
+        journey's :meth:`hot_records`, looked up by leg id."""
+        records = self.hot_records(ideal_sinks=ideal_sinks, cd_mode=cd_mode)
+        legs = self.legs
+        leg_ids = self.leg_ids
 
         def resolve(source: int, destination: int) -> tuple:
-            pair = (source, destination)
-            path = path_cache.get(pair)
-            if path is None:
-                segments = []
-                for rec in base(source, destination):
-                    spec = seg_cache.get(rec)
-                    if spec is None:
-                        cids, hold, tau, drain, last = rec
-                        rel_items = tuple(
-                            (kk, cids[kk], hold[kk], (last - kk) * tau)
-                            for kk in range(last + 1)
-                            if not flags[cids[kk]]
-                        )
-                        spec = (cids, hold, tau, drain, last, rel_items)
-                        seg_cache[rec] = spec
-                    segments.append(spec)
-                path = tuple(segments)
-                path_cache[pair] = path
-            return path
+            ids = leg_ids(source, destination)
+            if len(records) < len(legs):
+                self.hot_records(ideal_sinks=ideal_sinks, cd_mode=cd_mode)
+            return tuple([records[i] for i in ids])
 
         return resolve
 

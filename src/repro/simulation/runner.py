@@ -49,7 +49,11 @@ ENGINES = ("reference", "array")
 #: differential suite proves reference == array bit for bit), but the tag
 #: participates in golden digests and cache keys, and the engine surface
 #: it covers widened, so the corpus was re-pinned under sim/2.
-TRAJECTORY_VERSION = "sim/2"
+#:
+#: sim/3: the simulators share per-leg path records instead of caching
+#: every node pair.  Trajectories are unchanged (the version-free golden
+#: digests did not move); cached simulator curves miss once.
+TRAJECTORY_VERSION = "sim/3"
 
 
 @dataclass(frozen=True)

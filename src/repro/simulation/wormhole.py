@@ -35,9 +35,10 @@ for CPython throughput rather than for symmetry with the flit engine:
   list records (list indexing beats both ``__slots__`` attribute access and
   dict lookups by message id — the message object itself rides in the event
   tuple, so there is no id table at all);
-* paths come from :meth:`ResolvedFabric.resolve_runtime` as pre-resolved
-  per-segment tuples ``(channel_ids, hold_times, τ*, drain, last)`` with
-  the ``M·τ_k`` / ``(M−1)·τ*`` products folded in at resolve time;
+* paths come from :meth:`ResolvedFabric.hot_resolver` as tuples of the
+  fabric's per-leg records ``(channel_ids, hold_times, τ*, drain, last,
+  rel_items)`` with the ``M·τ_k`` / ``(M−1)·τ*`` products folded in when
+  the leg is first resolved;
 * arrival gaps and uniform destination draws are pre-generated in one
   batched numpy call each (bit-identical to the historical scalar draws,
   because numpy's ``Generator`` streams the same values either way) and
@@ -53,6 +54,7 @@ bit-identical to the pre-optimisation engine for any seed.
 from __future__ import annotations
 
 import time as _time
+import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush, heapreplace
@@ -127,8 +129,9 @@ class MessageLevelWormholeSimulator:
         ``"reference"`` (default) runs the CPython event loop below;
         ``"array"`` dispatches to the compiled array-based event core
         (:mod:`repro.simulation.eventcore`), which reproduces the
-        reference trajectory bit for bit and falls back to the reference
-        loop when no C compiler is available.
+        reference trajectory bit for bit; when the kernel cannot be built
+        or loaded it runs the reference loop with a :class:`RuntimeWarning`
+        naming the reason.
     """
 
     def __init__(
@@ -223,8 +226,12 @@ class MessageLevelWormholeSimulator:
                 result = eventcore.array_run(self, max_events=max_events, trace=trace)
                 self._last_result = result
                 return result
-            # No compiler/kernel on this host: the reference loop below is
-            # the bit-identical fallback.
+            # The reference loop below is the bit-identical fallback.
+            warnings.warn(
+                f"engine='array' is running the reference loop: {eventcore._KERNEL_REASON}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         wall_start = _time.perf_counter()
 
         window = self.window

@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, Union
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterator, Union
 
 from repro._util import require, require_int
 from repro.core import topology_math as tm
@@ -24,6 +22,9 @@ from repro.topology.addressing import (
     node_address_from_index,
     node_index_from_address,
 )
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["ChannelKind", "Endpoint", "Link", "MPortNTree"]
 
@@ -191,6 +192,8 @@ class MPortNTree:
 
     def to_networkx(self) -> nx.Graph:
         """Undirected physical graph (nodes + switches) for structural checks."""
+        import networkx as nx
+
         graph = nx.Graph()
         for node in self.nodes():
             graph.add_node(node, kind="node")

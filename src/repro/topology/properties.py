@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import Counter
 from itertools import permutations
 
-import networkx as nx
 import numpy as np
 
 from repro._util import require
@@ -96,6 +95,8 @@ def verify_route(tree: MPortNTree, path: Route) -> None:
 
 def structural_summary(tree: MPortNTree) -> dict:
     """Key structural facts, cross-checked against the closed forms."""
+    import networkx as nx
+
     graph = tree.to_networkx()
     switches = [v for v, d in graph.nodes(data=True) if d["kind"] == "switch"]
     nodes = [v for v, d in graph.nodes(data=True) if d["kind"] == "node"]

@@ -15,7 +15,9 @@ Randomness is seeded through :mod:`repro.simulation.rng` (RD101: no
 unseeded draws anywhere in the suite).
 """
 
+import gc
 import heapq
+import weakref
 from dataclasses import replace
 from functools import lru_cache
 
@@ -43,7 +45,7 @@ needs_kernel = pytest.mark.skipif(
     not kernel_available(), reason="no C compiler/kernel on this host"
 )
 
-SCENARIOS = ("544", "544-hotspot", "544-local", "het8-extreme", "het8-uniform")
+SCENARIOS = ("544", "544-hotspot", "544-local", "544-x4", "het8-extreme", "het8-uniform")
 SEEDS = (0, 1, 2024)
 WINDOW = MeasurementWindow(100, 600, 100)
 LOAD = 3e-4
@@ -265,6 +267,16 @@ class TestSessionAndConfigPlumbing:
         assert replace(ref1, wall_seconds=0.0) == replace(arr1, wall_seconds=0.0)
         assert replace(arr1, wall_seconds=0.0) == replace(arr2, wall_seconds=0.0)
 
+    def test_session_fabric_is_freed_after_an_array_run(self, small_system, small_message):
+        # The event-core tables are keyed weakly by fabric; nothing in them
+        # may refer back to it, or a discarded session is never freed.
+        session = SimulationSession(small_system, small_message)
+        session.run(1e-3, seed=3, window=WINDOW, engine="array")
+        fabric = weakref.ref(session.fabric)
+        del session
+        gc.collect()
+        assert fabric() is None
+
     def test_flit_granularity_rejects_array_engine(self, small_system, small_message):
         session = SimulationSession(small_system, small_message)
         with pytest.raises(ValueError, match="message-granularity only"):
@@ -288,14 +300,15 @@ class TestSessionAndConfigPlumbing:
 class TestFallbackPath:
     def test_array_engine_falls_back_to_reference(self, monkeypatch, small_fabric):
         # Simulate a host with no compiler: the kernel never loads and the
-        # array engine must silently produce the reference trajectory.
+        # array engine must warn and produce the reference trajectory.
         monkeypatch.setattr(eventcore, "_KERNEL", None)
         assert not kernel_available()
         trace_fb, trace_ref = [], []
         fb = MessageLevelWormholeSimulator(
             small_fabric, WINDOW, 1e-3, make_streams(7), engine="array"
         )
-        fb_raw = fb.run(trace=trace_fb)
+        with pytest.warns(RuntimeWarning, match="running the reference loop"):
+            fb_raw = fb.run(trace=trace_fb)
         ref = MessageLevelWormholeSimulator(
             small_fabric, WINDOW, 1e-3, make_streams(7), engine="reference"
         )
@@ -303,6 +316,11 @@ class TestFallbackPath:
         assert trace_fb == trace_ref
         assert fb.trajectory() == ref.trajectory()
         assert fb_raw.events == ref_raw.events
+
+    def test_kill_switch_is_named_as_the_reason(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SIM_KERNEL", "0")
+        with pytest.raises(eventcore._KernelUnavailable, match="REPRO_SIM_KERNEL=0"):
+            eventcore._build_kernel()
 
     def test_kernel_unavailable_raises_in_array_run(self, monkeypatch, small_fabric):
         monkeypatch.setattr(eventcore, "_KERNEL", None)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster import HeterogeneousSystem
+from repro.cluster import HeterogeneousSystem, build_path
 from repro.core import MessageSpec, ModelOptions, ServiceTimes
 from repro.simulation import GROUPS, ResolvedFabric
 
@@ -67,15 +67,38 @@ class TestResolve:
     def test_caches_are_reused(self, small_fabric):
         a = small_fabric.resolve(0, 9)
         b = small_fabric.resolve(0, 9)
-        assert a[0] is b[0]  # ascend cache
-        assert a[1] is b[1]  # icn2 pair cache
-        assert a[2] is b[2]  # descend cache
+        assert a[0] is b[0]  # the source's ascent leg
+        assert a[1] is b[1]  # the cluster pair's ICN2 leg
+        assert a[2] is b[2]  # the destination's descent leg
 
     def test_shared_legs_across_destinations(self, small_fabric):
         to_b = small_fabric.resolve(0, 9)
         to_c = small_fabric.resolve(0, 17)
-        assert to_b[0] is to_c[0]  # same ascend leg object
+        assert to_b[0] is to_c[0]  # same ascent leg object
 
     def test_self_resolution_rejected(self, small_fabric):
         with pytest.raises(ValueError):
             small_fabric.resolve(3, 3)
+
+
+class TestLegTable:
+    @pytest.mark.parametrize("config", ["small_system", "tiny_hetero_system"])
+    def test_every_pair_matches_the_pathing_oracle(self, config, request, small_message):
+        system = HeterogeneousSystem(request.getfixturevalue(config))
+        fabric = ResolvedFabric(system, small_message)
+        n = system.total_nodes
+        for src in range(n):
+            for dst in range(n):
+                if src == dst:
+                    continue
+                expected = [
+                    tuple(fabric.channel_index[ch] for ch in seg.channels)
+                    for seg in build_path(system, src, dst).segments
+                ]
+                assert [seg.channel_ids for seg in fabric.resolve(src, dst)] == expected
+        # One leg per node and direction, per cluster pair and per
+        # intra-cluster pair: journeys share legs, never copies of them
+        # (small_system's 768 inter-cluster pairs need 2N + C(C-1) = 76).
+        c = len(system.clusters)
+        intra = sum(k.num_nodes * (k.num_nodes - 1) for k in system.clusters)
+        assert len(fabric.legs) == 2 * n + c * (c - 1) + intra
