@@ -49,7 +49,6 @@ setup(
     python_requires=">=3.10",
     install_requires=["numpy"],
     extras_require={
-        "validation": ["scipy"],
         "dev": ["pytest", "hypothesis", "networkx", "scipy", "mypy"],
     },
     zip_safe=False,  # py.typed must stay a real file for type checkers

@@ -3,7 +3,9 @@
 One simulation run gives a point estimate; the paper's methodology (and
 any defensible validation) wants replication.  :func:`replicate` runs the
 same configuration under independent seeds and returns the across-replica
-mean latency with a Student-t confidence interval.
+mean latency with a Student-t confidence interval; :func:`t_critical`
+computes the interval's quantile in closed form, so replication needs
+nothing beyond numpy.
 
 Replica seeds are spawned from the base seed via
 :func:`repro.simulation.rng.replica_seeds` (``SeedSequence.spawn``, never
@@ -14,11 +16,12 @@ pool with results bit-identical to the serial path for any ``k``.
 
 from __future__ import annotations
 
+import math
 import time as _time
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats as _stats
 
 from repro._util import require
 from repro.simulation.metrics import MeasurementWindow
@@ -27,6 +30,56 @@ from repro.simulation.rng import replica_seeds
 from repro.simulation.runner import SimulationResult, SimulationSession
 
 __all__ = ["ReplicatedResult", "replicate"]
+
+
+def t_critical(confidence: float, df: int) -> float:
+    """Two-sided Student-t critical value: ``P(|T| <= t) = confidence`` at *df*.
+
+    Equals ``scipy.stats.t.ppf(0.5 + confidence / 2, df)`` to within
+    1e-12 relative (``tests/test_replication.py``).  df 1 and 2 have
+    closed forms.  Otherwise ``df`` is an integer, so ``P(|T| <= t)`` is
+    the finite sum of Abramowitz & Stegun 26.7.3 (odd) / 26.7.4 (even)
+    in ``θ = atan(t / √df)``; a Cornish–Fisher start (A&S 26.7.5) is
+    polished by Newton steps until they stop shrinking (the float64 floor).
+    """
+    if df == 1:
+        # tan(π c / 2), written through 1 − c, which is exact in float64.
+        return 1.0 / math.tan(0.5 * math.pi * (1.0 - confidence))
+    if df == 2:
+        return confidence * math.sqrt(2.0 / ((1.0 - confidence) * (1.0 + confidence)))
+    nu = float(df)
+    x = NormalDist().inv_cdf(0.5 + 0.5 * confidence)
+    x2 = x * x
+    t = x + (
+        (x2 + 1.0) * x / 4.0
+        + ((5.0 * x2 + 16.0) * x2 + 3.0) * x / (96.0 * nu)
+        + (((3.0 * x2 + 19.0) * x2 + 17.0) * x2 - 15.0) * x / (384.0 * nu**2)
+        + ((((79.0 * x2 + 776.0) * x2 + 1482.0) * x2 - 1920.0) * x2 - 945.0)
+        * x
+        / (92160.0 * nu**3)
+    ) / nu
+    # d P(|T| <= t) / dθ = density · cos^(df−1) θ
+    density = 2.0 / math.pi if df % 2 else 1.0
+    for k in range(2 - df % 2, df, 2):
+        density *= (k + 1) / k
+    last_step = math.inf
+    for _ in range(50):
+        cos2 = nu / (nu + t * t)
+        sin = t / math.sqrt(nu + t * t)
+        term = sin * math.sqrt(cos2) if df % 2 else sin
+        terms = []
+        for k in range(1 + df % 2, df, 2):
+            terms.append(term)
+            term *= cos2 * k / (k + 1)
+        prob = math.fsum(terms)
+        if df % 2:
+            prob = 2.0 / math.pi * (math.atan(t / math.sqrt(nu)) + prob)
+        step = (confidence - prob) * math.sqrt(nu) / (density * cos2 ** ((df + 1) / 2))
+        if not abs(step) < last_step:
+            break
+        t += step
+        last_step = abs(step)
+    return t
 
 
 @dataclass(frozen=True)
@@ -130,7 +183,7 @@ def replicate(
     means = np.array([r.mean_latency for r in results], dtype=np.float64)
     mean = float(means.mean())
     sem = float(means.std(ddof=1) / np.sqrt(replicas))
-    t_crit = float(_stats.t.ppf(0.5 + confidence / 2.0, df=replicas - 1))
+    t_crit = t_critical(confidence, replicas - 1)
     return ReplicatedResult(
         generation_rate=generation_rate,
         replicas=results,

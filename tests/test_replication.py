@@ -1,8 +1,10 @@
 """Replication/CI tests (simulation.replication)."""
 
+import numpy as np
 import pytest
 
 from repro.simulation import MeasurementWindow, replica_seeds, replicate
+from repro.simulation.replication import t_critical
 
 
 class TestReplicate:
@@ -86,3 +88,24 @@ class TestReplicate:
     def test_rejects_bad_confidence(self, small_session):
         with pytest.raises(ValueError):
             replicate(small_session, 1e-3, replicas=2, confidence=1.0)
+
+
+class TestTCritical:
+    CONFIDENCES = (0.80, 0.85, 0.90, 0.95, 0.975, 0.99, 0.995, 0.999)
+
+    def test_matches_scipy_for_every_df_to_1000(self):
+        stats = pytest.importorskip("scipy.stats")
+        df = np.repeat(np.arange(1, 1001), len(self.CONFIDENCES))
+        confidence = np.tile(self.CONFIDENCES, 1000)
+        expected = stats.t.ppf(0.5 + confidence / 2.0, df)
+        got = np.array([t_critical(float(c), int(d)) for c, d in zip(confidence, df)])
+        rel = np.abs(got - expected) / expected
+        worst = int(np.argmax(rel))
+        assert rel[worst] <= 1e-12, (df[worst], confidence[worst], rel[worst])
+
+    @pytest.mark.parametrize("confidence", CONFIDENCES)
+    def test_closed_forms_invert_their_cdfs(self, confidence):
+        """df 1: P(|T| <= t) = 2 atan(t) / π; df 2: t / √(2 + t²)."""
+        t1, t2 = t_critical(confidence, 1), t_critical(confidence, 2)
+        assert 2.0 * np.arctan(t1) / np.pi == pytest.approx(confidence, rel=1e-15)
+        assert t2 / np.sqrt(2.0 + t2 * t2) == pytest.approx(confidence, rel=1e-15)
