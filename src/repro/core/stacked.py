@@ -30,6 +30,14 @@ the stack.  The mechanisms:
   arity, class decomposition, ICN2 depth), so within a group every journey
   set has identical layout and the group-constant structure (journey
   dimensions, pmf weights) is built once;
+* **class-pair shapes** — within a group, the ordered class pairs that
+  share a journey shape ``(d_src, d_dst)`` are stacked on the rows axis,
+  member-major (row ``p · C + c`` is member ``p`` in cell ``c``), so a
+  non-uniform pattern's C² singleton-class pairs cost one solve per
+  shape, not per pair.  A solve or refinement takes at most
+  :data:`_PAIR_ROWS` rows (whole members, at least one), which bounds the
+  memory of large cell stacks; the Eq. 35/38 fold over destinations reads
+  the stacked rows back in the scalar ``j`` order;
 * **shared suffix chains** — journeys end in shared trailing stages, so
   the backward Eq. 13/14 recursion collapses to suffix chains
   (destination → ICN2 → source segments) touching each distinct column
@@ -66,6 +74,7 @@ the queue's own journey recursion.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import Any
@@ -254,41 +263,58 @@ def _mg1_wait_batched(
     return wait, utilization, saturated
 
 
-_SCRATCH: dict[tuple[int, int, int, int], dict[str, np.ndarray]] = {}
+#: Row budget of one stacked class-pair solve or refinement: a journey
+#: shape's members are stacked until they fill this many rows (at least
+#: one member per call, however many cells).
+_PAIR_ROWS = 256
+
+#: One flat, grow-only buffer per scratch role of :func:`_solve_pair_stacked`,
+#: and the views handed out of the current buffers, per solve shape.
+_SCRATCH: dict[str, np.ndarray] = {}
+_SCRATCH_VIEWS: dict[tuple[int, int, int, int], dict[str, np.ndarray]] = {}
 
 
 def _pair_scratch(shape4: tuple[int, int, int, int]) -> dict[str, np.ndarray]:
-    """Reusable buffers for :func:`_solve_pair_stacked`, keyed by shape.
+    """Reusable buffers for :func:`_solve_pair_stacked`, as contiguous views.
 
     A pair solve needs ~six multi-megabyte temporaries; allocating them
     fresh per call dominates the solve at design-space sizes (hundreds of
     map/unmap cycles per refinement).  Solves are strictly sequential
     within a process (the repo parallelises with processes, not threads)
-    and never hold buffer references across calls, so a small shape-keyed
-    cache is safe.  The cache is cleared wholesale when it grows past a
-    few dozen shapes (refinements shrink the active-cell axis near
-    convergence, creating short-lived shapes).
+    and never hold buffer references across calls, so each role keeps one
+    flat buffer and hands out its front, reshaped.  A buffer only grows:
+    the process retains one working set at the largest solve it has run,
+    which the row budget :data:`_PAIR_ROWS` bounds for stacked pairs.  The
+    views are memoised per shape and dropped whenever a buffer grows, so
+    they never pin a replaced buffer.
     """
-    bufs = _SCRATCH.get(shape4)
-    if bufs is None:
-        if len(_SCRATCH) >= 32:
-            _SCRATCH.clear()
-        n_c, d_dst, cells, loads = shape4
-        shape3 = (d_dst, cells, loads)
-        bufs = {
-            "t4": np.empty(shape4),
-            "wa4": np.empty(shape4),
-            "wb4": np.empty(shape4),
-            "o4": np.empty(shape4, dtype=bool),
-            "c4": np.empty(shape4, dtype=bool),
-            "dst": np.empty(shape3),
-            "w3": np.empty(shape3),
-            "t3": np.empty(shape3),
-            "o3": np.empty(shape3, dtype=bool),
-            "c3": np.empty(shape3, dtype=bool),
-        }
-        _SCRATCH[shape4] = bufs
-    return bufs
+    views = _SCRATCH_VIEWS.get(shape4)
+    if views is not None:
+        return views
+    if len(_SCRATCH_VIEWS) >= 64:
+        _SCRATCH_VIEWS.clear()
+    shape3 = shape4[1:]
+    views = {}
+    for role, shape, dtype in (
+        ("t4", shape4, np.float64),
+        ("wa4", shape4, np.float64),
+        ("wb4", shape4, np.float64),
+        ("o4", shape4, np.bool_),
+        ("c4", shape4, np.bool_),
+        ("dst", shape3, np.float64),
+        ("w3", shape3, np.float64),
+        ("t3", shape3, np.float64),
+        ("o3", shape3, np.bool_),
+        ("c3", shape3, np.bool_),
+    ):
+        size = math.prod(shape)
+        buf = _SCRATCH.get(role)
+        if buf is None or buf.size < size:
+            buf = _SCRATCH[role] = np.empty(size, dtype=dtype)
+            _SCRATCH_VIEWS.clear()
+        views[role] = buf[:size].reshape(shape)
+    _SCRATCH_VIEWS[shape4] = views
+    return views
 
 
 def _solve_pair_stacked(
@@ -491,25 +517,36 @@ class _StackedIntra:
 
 
 @dataclass(frozen=True)
-class _StackedPair:
-    """One ordered class pair's parameters across a group's cells."""
+class _PairShape:
+    """The ordered class pairs of a group that share one journey layout, stacked.
+
+    ``members`` are the group's ``(i, j)`` pairs with this ``(d_src,
+    d_dst)``, in row-major order.  Every plane is member-major,
+    ``(members · C,)``: row ``p · C + c`` is member ``p`` in cell ``c``.
+    The per-cell group flags are tiled the same way.
+    """
 
     structure: _PairStructure
-    src_cs: np.ndarray  # (C,) source ECN1 switch-stage channel time
-    i2_cs: np.ndarray  # (C,) ICN2 switch-stage channel time
-    dst_cs: np.ndarray  # (C,) destination ECN1 switch-stage channel time
-    dst_cn: np.ndarray  # (C,) destination ECN1 final-stage channel time
-    external: np.ndarray  # (C,) N_i U_i + N_j U_j (Eq. 22 slope)
-    src_nodes: np.ndarray  # (C,)
-    src_u: np.ndarray  # (C,)
-    eta_e1_divisor: np.ndarray  # (C,)
+    members: tuple[tuple[int, int], ...]
+    m_flits: np.ndarray
+    var_paper: np.ndarray  # variance_approximation == "paper"
+    sqr_aggregate: np.ndarray  # source_queue_rate == "aggregate_pair"
+    conc_outgoing: np.ndarray  # concentrator_rate == "source_outgoing"
+    src_cs: np.ndarray  # source ECN1 switch-stage channel time
+    i2_cs: np.ndarray  # ICN2 switch-stage channel time
+    dst_cs: np.ndarray  # destination ECN1 switch-stage channel time
+    dst_cn: np.ndarray  # destination ECN1 final-stage channel time
+    external: np.ndarray  # N_i U_i + N_j U_j (Eq. 22 slope)
+    src_nodes: np.ndarray
+    src_u: np.ndarray
+    eta_e1_divisor: np.ndarray
     eta_i2_divisor: float  # 4 n_c — group constant
-    delta: np.ndarray  # (C,) Eq. 28 relaxing factor
-    tail_time: np.ndarray  # (C,) E_ex (Eq. 33)
-    min_service: np.ndarray  # (C,) M t_cn^{E1(i)}
-    conc_service: np.ndarray  # (C,) M t_cs^{I2}
-    conc_variance: np.ndarray  # (C,) Eq. 36 variance
-    weight: np.ndarray  # (C,) destination weight of j in the Eq. 35/38 averages
+    delta: np.ndarray  # Eq. 28 relaxing factor
+    tail_time: np.ndarray  # E_ex (Eq. 33)
+    min_service: np.ndarray  # M t_cn^{E1(i)}
+    conc_service: np.ndarray  # M t_cs^{I2}
+    conc_variance: np.ndarray  # Eq. 36 variance
+    weight: np.ndarray  # destination weight of j in the Eq. 35/38 averages
 
 
 @dataclass(frozen=True)
@@ -523,10 +560,9 @@ class _CellGroup:
     total_nodes: np.ndarray  # (C,)
     var_paper: np.ndarray  # (C,) bool: variance_approximation == "paper"
     sqr_per_node: np.ndarray  # (C,) bool: source_queue_rate == "per_node"
-    sqr_aggregate: np.ndarray  # (C,) bool: source_queue_rate == "aggregate_pair"
-    conc_outgoing: np.ndarray  # (C,) bool: concentrator_rate == "source_outgoing"
     intra: tuple[_StackedIntra, ...]
-    pairs: tuple[tuple[_StackedPair, ...], ...]  # () when single_cluster
+    shapes: tuple[_PairShape, ...]  # () when single_cluster
+    pair_slots: dict[tuple[int, int], tuple[int, int]]  # (i, j) → (shape, member)
 
     @property
     def size(self) -> int:
@@ -550,9 +586,10 @@ class ParameterPlan:
     Packing builds one scalar :class:`AnalyticalModel` per cell (only
     the cheap class decomposition and destination weighting), derives
     each group's journey structure once, and fills the per-cell parameter
-    planes.  Heterogeneous cluster counts are handled by the grouping
-    (cells whose class decompositions differ land in different groups)
-    plus the right-aligned journey padding within each group.
+    planes.  Heterogeneous cluster counts are handled by the grouping:
+    cells whose class decompositions differ land in different groups.
+    Within a group, the ordered class pairs are packed by journey shape
+    (:class:`_PairShape`).
     """
 
     def __init__(self, models: Sequence[AnalyticalModel]) -> None:
@@ -592,15 +629,8 @@ class ParameterPlan:
         sqr_per_node = np.array(
             [m.options.source_queue_rate == "per_node" for m in models], dtype=bool
         )
-        sqr_aggregate = np.array(
-            [m.options.source_queue_rate == "aggregate_pair" for m in models], dtype=bool
-        )
-        conc_outgoing = np.array(
-            [m.options.concentrator_rate == "source_outgoing" for m in models], dtype=bool
-        )
 
         intra: list[_StackedIntra] = []
-        icn1_times: list[tuple[np.ndarray, np.ndarray]] = []
         ecn1_times: list[tuple[np.ndarray, np.ndarray]] = []
         for i in range(n_cls):
             structure = _intra_structure(ports, classes0[i].tree_depth)
@@ -621,7 +651,6 @@ class ParameterPlan:
                 nodes[c] = src.nodes
                 u[c] = src.u
                 counts[c] = src.count
-            icn1_times.append((t_cs, t_cn))
             ecn1_times.append((e_cs, e_cn))
             terms = structure.pmf[None, :] * (
                 structure.two_h_minus_1[None, :] * t_cs[:, None] + t_cn[:, None]
@@ -641,8 +670,15 @@ class ParameterPlan:
                 )
             )
 
-        pairs: tuple[tuple[_StackedPair, ...], ...] = ()
+        shapes: list[_PairShape] = []
+        slots: dict[tuple[int, int], tuple[int, int]] = {}
         if not single:
+            sqr_aggregate = np.array(
+                [m.options.source_queue_rate == "aggregate_pair" for m in models], dtype=bool
+            )
+            conc_outgoing = np.array(
+                [m.options.concentrator_rate == "source_outgoing" for m in models], dtype=bool
+            )
             i2_cs = np.array(
                 [
                     ServiceTimes.for_network(m.system.icn2, m.message, m.options).t_cs
@@ -651,68 +687,80 @@ class ParameterPlan:
             )
             relax = np.array([m.options.relaxing_factor for m in models], dtype=bool)
             i2_beta = np.array([m.system.icn2.beta for m in models])
-            dest_weights = []
+            src_beta = np.array(
+                [[m.cluster_classes[i].ecn1.beta for m in models] for i in range(n_cls)]
+            )
+            with np.errstate(divide="ignore", invalid="ignore"):
+                delta = np.where(relax, i2_beta / src_beta, 1.0)  # (classes, C)
+            dest_weights = np.empty((n_cls, n_cls, len(models)))
             for c, model in enumerate(models):
-                rows = [model._destination_weights(i) for i in range(n_cls)]
                 for i in range(n_cls):
+                    row = model._destination_weights(i)
                     if model.cluster_classes[i].u > 0.0:
-                        require(
-                            sum(rows[i]) > 0, "destination weights must not all be zero"
-                        )
-                dest_weights.append(rows)
-            structures: dict[tuple[int, int], _PairStructure] = {}
-            all_pairs: list[tuple[_StackedPair, ...]] = []
+                        require(sum(row) > 0, "destination weights must not all be zero")
+                    dest_weights[i, :, c] = [float(w) for w in row]
+            # Per-class planes, (classes, C); a shape gathers its members' rows.
+            e_cs = np.array([times[0] for times in ecn1_times])
+            e_cn = np.array([times[1] for times in ecn1_times])
+            nodes = np.array([plan.nodes for plan in intra])
+            u = np.array([plan.u for plan in intra])
+            by_shape: dict[tuple[int, int], list[tuple[int, int]]] = {}
             for i in range(n_cls):
-                src_cs, src_cn = ecn1_times[i]
-                src_beta = np.array([m.cluster_classes[i].ecn1.beta for m in models])
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    delta = np.where(relax, i2_beta / src_beta, 1.0)
-                row: list[_StackedPair] = []
                 for j in range(n_cls):
                     key = (classes0[i].tree_depth, classes0[j].tree_depth)
-                    if key not in structures:
-                        structures[key] = _pair_structure(ports, key[0], key[1], n_c)
-                    structure = structures[key]
-                    dst_cs, dst_cn = ecn1_times[j]
-                    tails = (
-                        structure.r_minus_1[None, :] * src_cs[:, None]
-                        + structure.v_minus_1[None, :] * dst_cs[:, None]
-                        + structure.two_l[None, :] * i2_cs[:, None]
-                    ) + dst_cn[:, None]
-                    tail_time = np.zeros(len(models), dtype=np.float64)
-                    for jj in range(structure.weights.size):
-                        tail_time = tail_time + structure.weights[jj] * tails[:, jj]
-                    conc_service = m_flits * i2_cs
-                    conc_variance = np.where(
-                        var_paper,
-                        (conc_service - m_flits * src_cs) ** 2,  # Eq. 36
-                        conc_service**2,
+                    by_shape.setdefault(key, []).append((i, j))
+            for (d_src, d_dst), members in by_shape.items():
+                for p, pair in enumerate(members):
+                    slots[pair] = (len(shapes), p)
+                src = [i for i, _ in members]
+                dst = [j for _, j in members]
+                structure = _pair_structure(ports, d_src, d_dst, n_c)
+                flits = np.tile(m_flits, len(members))
+                paper = np.tile(var_paper, len(members))
+                src_cs = e_cs[src].ravel()
+                dst_cs = e_cs[dst].ravel()
+                dst_cn = e_cn[dst].ravel()
+                src_nodes = nodes[src].ravel()
+                src_u = u[src].ravel()
+                i2 = np.tile(i2_cs, len(members))
+                tails = (
+                    structure.r_minus_1[None, :] * src_cs[:, None]
+                    + structure.v_minus_1[None, :] * dst_cs[:, None]
+                    + structure.two_l[None, :] * i2[:, None]
+                ) + dst_cn[:, None]
+                tail_time = np.zeros(src_cs.size, dtype=np.float64)
+                for jj in range(structure.weights.size):
+                    tail_time = tail_time + structure.weights[jj] * tails[:, jj]
+                conc_service = flits * i2
+                shapes.append(
+                    _PairShape(
+                        structure=structure,
+                        members=tuple(members),
+                        m_flits=flits,
+                        var_paper=paper,
+                        sqr_aggregate=np.tile(sqr_aggregate, len(members)),
+                        conc_outgoing=np.tile(conc_outgoing, len(members)),
+                        src_cs=src_cs,
+                        i2_cs=i2,
+                        dst_cs=dst_cs,
+                        dst_cn=dst_cn,
+                        external=src_nodes * src_u + nodes[dst].ravel() * u[dst].ravel(),
+                        src_nodes=src_nodes,
+                        src_u=src_u,
+                        eta_e1_divisor=4.0 * d_src * src_nodes,
+                        eta_i2_divisor=4.0 * n_c,
+                        delta=delta[src].ravel(),
+                        tail_time=tail_time,
+                        min_service=flits * e_cn[src].ravel(),
+                        conc_service=conc_service,
+                        conc_variance=np.where(
+                            paper,
+                            (conc_service - flits * src_cs) ** 2,  # Eq. 36
+                            conc_service**2,
+                        ),
+                        weight=dest_weights[src, dst].ravel(),
                     )
-                    row.append(
-                        _StackedPair(
-                            structure=structure,
-                            src_cs=src_cs,
-                            i2_cs=i2_cs,
-                            dst_cs=dst_cs,
-                            dst_cn=dst_cn,
-                            external=intra[i].nodes * intra[i].u
-                            + intra[j].nodes * intra[j].u,
-                            src_nodes=intra[i].nodes,
-                            src_u=intra[i].u,
-                            eta_e1_divisor=4.0 * classes0[i].tree_depth * intra[i].nodes,
-                            eta_i2_divisor=4.0 * n_c,
-                            delta=delta,
-                            tail_time=tail_time,
-                            min_service=m_flits * src_cn,
-                            conc_service=conc_service,
-                            conc_variance=conc_variance,
-                            weight=np.array(
-                                [float(dest_weights[c][i][j]) for c in range(len(models))]
-                            ),
-                        )
-                    )
-                all_pairs.append(tuple(row))
-            pairs = tuple(all_pairs)
+                )
 
         return _CellGroup(
             indices=np.asarray(positions, dtype=np.intp),
@@ -722,15 +770,23 @@ class ParameterPlan:
             total_nodes=total_nodes,
             var_paper=var_paper,
             sqr_per_node=sqr_per_node,
-            sqr_aggregate=sqr_aggregate,
-            conc_outgoing=conc_outgoing,
             intra=tuple(intra),
-            pairs=pairs,
+            shapes=tuple(shapes),
+            pair_slots=slots,
         )
 
 
-def _take(array: np.ndarray, rows: "np.ndarray | None") -> np.ndarray:
+def _take(array: np.ndarray, rows: "np.ndarray | slice | None") -> np.ndarray:
     return array if rows is None else array[rows]
+
+
+def _member_rows(
+    cells: int, rows: "np.ndarray | None", first: int, stop: int
+) -> "np.ndarray | slice":
+    """Shape rows of members ``first … stop − 1`` over the group's cell *rows*."""
+    if rows is None:
+        return slice(first * cells, stop * cells)
+    return (np.arange(first, stop)[:, None] * cells + rows[None, :]).ravel()
 
 
 def _cell_slice(terms: Any, c: int) -> Any:
@@ -793,17 +849,16 @@ class StackedModel:
         return lambda_i1, eta_i1
 
     def _pair_rates(
-        self, group: _CellGroup, i: int, j: int, rows: "np.ndarray | None", loads: np.ndarray
+        self, shape: _PairShape, rows: "np.ndarray | slice | None", loads: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Eqs. 22–28: ``λ_E1, λ_I2, η_E1, η_I2, η_I2·δ`` stacked."""
-        plan = group.pairs[i][j]
-        lambda_e1 = loads * _take(plan.external, rows)[:, None]
+        """Eqs. 22–28: ``λ_E1, λ_I2, η_E1, η_I2, η_I2·δ`` over shape rows."""
+        lambda_e1 = loads * _take(shape.external, rows)[:, None]
         lambda_i2 = 0.5 * lambda_e1
-        eta_e1 = (lambda_e1 * plan.structure.d_e1) / _take(plan.eta_e1_divisor, rows)[
+        eta_e1 = (lambda_e1 * shape.structure.d_e1) / _take(shape.eta_e1_divisor, rows)[
             :, None
         ]
-        eta_i2 = (lambda_i2 * plan.structure.d_i2) / plan.eta_i2_divisor
-        eta_i2_eff = eta_i2 * _take(plan.delta, rows)[:, None]
+        eta_i2 = (lambda_i2 * shape.structure.d_i2) / shape.eta_i2_divisor
+        eta_i2_eff = eta_i2 * _take(shape.delta, rows)[:, None]
         return lambda_e1, lambda_i2, eta_e1, eta_i2, eta_i2_eff
 
     def _intra_source_rate(
@@ -824,35 +879,30 @@ class StackedModel:
 
     def _pair_source_rate(
         self,
-        group: _CellGroup,
-        i: int,
-        rows: "np.ndarray | None",
+        shape: _PairShape,
+        rows: "np.ndarray | slice | None",
         loads: np.ndarray,
         lambda_e1: np.ndarray,
     ) -> np.ndarray:
-        """Eq. 31 source-queue rate, option branch as a per-cell mask."""
-        plan = group.pairs[i][0]
+        """Eq. 31 source-queue rate, option branch as a per-row mask."""
         return np.where(
-            _take(group.sqr_aggregate, rows)[:, None],
+            _take(shape.sqr_aggregate, rows)[:, None],
             lambda_e1,
-            loads * _take(plan.src_u, rows)[:, None],
+            loads * _take(shape.src_u, rows)[:, None],
         )
 
     def _concentrator_rate(
         self,
-        group: _CellGroup,
-        i: int,
-        j: int,
-        rows: "np.ndarray | None",
+        shape: _PairShape,
+        rows: "np.ndarray | slice | None",
         loads: np.ndarray,
         lambda_e1: np.ndarray,
     ) -> np.ndarray:
-        """Eq. 37 concentrator rate, option branch as a per-cell mask."""
-        plan = group.pairs[i][j]
+        """Eq. 37 concentrator rate, option branch as a per-row mask."""
         return np.where(
-            _take(group.conc_outgoing, rows)[:, None],
-            (loads * _take(plan.src_nodes, rows)[:, None])
-            * _take(plan.src_u, rows)[:, None],
+            _take(shape.conc_outgoing, rows)[:, None],
+            (loads * _take(shape.src_nodes, rows)[:, None])
+            * _take(shape.src_u, rows)[:, None],
             0.5 * lambda_e1,
         )
 
@@ -873,35 +923,33 @@ class StackedModel:
 
     def _pair_latency(
         self,
-        group: _CellGroup,
-        i: int,
-        j: int,
-        rows: "np.ndarray | None",
+        shape: _PairShape,
+        rows: "np.ndarray | slice | None",
         eta_e1: np.ndarray,
         eta_i2_eff: np.ndarray,
     ) -> np.ndarray:
-        plan = group.pairs[i][j]
+        structure = shape.structure
         return _solve_pair_stacked(
-            _take(plan.src_cs, rows),
-            _take(plan.i2_cs, rows),
-            _take(plan.dst_cs, rows),
-            _take(plan.dst_cn, rows),
-            plan.structure.d_src,
-            plan.structure.d_dst,
-            plan.structure.n_c,
-            plan.structure.weights,
+            _take(shape.src_cs, rows),
+            _take(shape.i2_cs, rows),
+            _take(shape.dst_cs, rows),
+            _take(shape.dst_cn, rows),
+            structure.d_src,
+            structure.d_dst,
+            structure.n_c,
+            structure.weights,
             eta_e1,
             eta_i2_eff,
-            _take(group.m_flits, rows),
+            _take(shape.m_flits, rows),
         )
 
     # -- per-term planes (Eqs. 1, 7–39, stacked) --------------------------------
 
     def _source_queue_terms(
         self,
-        group: _CellGroup,
-        plan: "_StackedIntra | _StackedPair",
-        rows: "np.ndarray | None",
+        plan: "_StackedIntra | _PairShape",
+        var_paper: np.ndarray,
+        rows: "np.ndarray | slice | None",
         source_rate: np.ndarray,
         network: np.ndarray,
     ) -> dict:
@@ -912,7 +960,7 @@ class StackedModel:
         """
         with np.errstate(invalid="ignore", over="ignore"):
             variance = np.where(
-                _take(group.var_paper, rows)[:, None],
+                _take(var_paper, rows)[:, None],
                 (network - _take(plan.min_service, rows)[:, None]) ** 2,  # Eq. 17
                 network**2,
             )
@@ -934,32 +982,33 @@ class StackedModel:
         lambda_i1, eta_i1 = self._intra_rates(group, i, rows, loads)
         network = self._intra_latency(group, i, rows, eta_i1)
         source_rate = self._intra_source_rate(group, i, rows, loads, lambda_i1)
+        plan = group.intra[i]
         return {
-            **self._source_queue_terms(group, group.intra[i], rows, source_rate, network),
+            **self._source_queue_terms(plan, group.var_paper, rows, source_rate, network),
             "lambda_i1": lambda_i1,
             "eta_i1": eta_i1,
         }
 
     def _pair_terms(
-        self, group: _CellGroup, i: int, j: int, rows: "np.ndarray | None", loads: np.ndarray
+        self, shape: _PairShape, rows: "np.ndarray | slice | None", loads: np.ndarray
     ) -> dict:
-        """Eqs. 20–38 for one ordered class pair: its ``InterPairLatency``
-        planes plus the Eqs. 36–37 concentrator queue."""
-        plan = group.pairs[i][j]
+        """Eqs. 20–38 over shape rows: the ``InterPairLatency`` planes, the
+        Eqs. 36–37 concentrator queue, the destination ``weight`` and the
+        ``relaxing_factor``."""
         lambda_e1, lambda_i2, eta_e1, eta_i2, eta_i2_eff = self._pair_rates(
-            group, i, j, rows, loads
+            shape, rows, loads
         )
-        network = self._pair_latency(group, i, j, rows, eta_e1, eta_i2_eff)
-        source_rate = self._pair_source_rate(group, i, rows, loads, lambda_e1)
-        conc_rate = self._concentrator_rate(group, i, j, rows, loads, lambda_e1)
+        network = self._pair_latency(shape, rows, eta_e1, eta_i2_eff)
+        source_rate = self._pair_source_rate(shape, rows, loads, lambda_e1)
+        conc_rate = self._concentrator_rate(shape, rows, loads, lambda_e1)
         ones = np.ones_like(loads)
         conc_wait, conc_utilization, conc_saturated = _mg1_wait_batched(
             conc_rate,
-            ones * _take(plan.conc_service, rows)[:, None],
-            ones * _take(plan.conc_variance, rows)[:, None],
+            ones * _take(shape.conc_service, rows)[:, None],
+            ones * _take(shape.conc_variance, rows)[:, None],
         )
         return {
-            **self._source_queue_terms(group, plan, rows, source_rate, network),
+            **self._source_queue_terms(shape, shape.var_paper, rows, source_rate, network),
             "lambda_e1": lambda_e1,
             "lambda_i2": lambda_i2,
             "eta_e1": eta_e1,
@@ -967,7 +1016,50 @@ class StackedModel:
             "conc_utilization": conc_utilization,
             "conc_pair_wait": 2.0 * conc_wait,  # Eq. 38 summand (2 inf stays inf)
             "conc_saturated": conc_saturated,
+            "weight": _take(shape.weight, rows),
+            "relaxing_factor": _take(shape.delta, rows),
         }
+
+    def _pair_reader(
+        self,
+        group: _CellGroup,
+        rows: "np.ndarray | None",
+        loads: np.ndarray,
+        keys: "tuple[str, ...] | None" = None,
+    ) -> Callable[[int, int], dict]:
+        """Lazy ``(i, j) → pair planes`` over the group's cell *rows*.
+
+        A pair's shape is solved in chunks of consecutive members, at most
+        :data:`_PAIR_ROWS` stacked rows each.  A chunk is solved when one
+        of its pairs is first read and stays alive, with only its planes
+        named in *keys* (all when ``None``), until the next chunk of its
+        shape is read, so reading the pairs in scalar ``(i, j)`` order
+        solves each chunk once.  A one-member chunk is the pair itself: it
+        is returned as solved and kept nowhere.
+        """
+        cells = group.size if rows is None else rows.size
+        per_call = max(1, _PAIR_ROWS // cells)
+        alive: dict[int, tuple[int, dict]] = {}
+
+        def read(i: int, j: int) -> dict:
+            s, p = group.pair_slots[i, j]
+            shape = group.shapes[s]
+            chunk, offset = divmod(p, per_call)
+            first = chunk * per_call
+            stop = min(first + per_call, len(shape.members))
+            if stop - first == 1:  # a lone member's planes are the pair's own
+                return self._pair_terms(shape, _member_rows(group.size, rows, p, p + 1), loads)
+            if s not in alive or alive[s][0] != chunk:
+                terms = self._pair_terms(
+                    shape,
+                    _member_rows(group.size, rows, first, stop),
+                    np.tile(loads, (stop - first, 1)),
+                )
+                alive[s] = (chunk, terms if keys is None else {k: terms[k] for k in keys})
+            block = slice(offset * cells, (offset + 1) * cells)
+            return {key: plane[block] for key, plane in alive[s][1].items()}
+
+        return read
 
     def _class_terms(
         self,
@@ -983,11 +1075,14 @@ class StackedModel:
         per-cell ``U_i == 0`` / zero-weight control-flow skips of the
         scalar path become post-hoc ``np.where`` selections, so a masked
         cell's lanes never leak the ``0 · ∞`` artifacts of branches the
-        scalar code would not have executed.  With *keep_pairs* every
-        pair's term planes ride along under ``"pairs"``, with its
-        destination ``weight`` and ``relaxing_factor`` (the breakdown
-        path); otherwise each pair's planes are dropped once folded.
+        scalar code would not have executed.  Pairs come from shape
+        chunks (:meth:`_pair_reader`), folded in the scalar ``j`` order.
+        With *keep_pairs* every pair's term planes ride along under
+        ``"pairs"`` (the breakdown path); otherwise each pair's planes are
+        dropped once folded.
         """
+        folded = ("weight", "total", "conc_pair_wait", "saturated", "conc_saturated")
+        read_pair = self._pair_reader(group, rows, loads, None if keep_pairs else folded)
         for i in range(len(group.intra)):
             plan = group.intra[i]
             intra = self._intra_terms(group, i, rows, loads)
@@ -1000,11 +1095,10 @@ class StackedModel:
             if not group.single_cluster and bool(active.any()):
                 total_weight = np.zeros(u.shape, dtype=np.float64)
                 for j in range(len(group.intra)):
-                    pair = self._pair_terms(group, i, j, rows, loads)
-                    w = _take(group.pairs[i][j].weight, rows)
+                    pair = read_pair(i, j)
+                    w = pair["weight"]
                     if keep_pairs:
-                        delta = _take(group.pairs[i][j].delta, rows)
-                        pairs.append({**pair, "weight": w, "relaxing_factor": delta})
+                        pairs.append(pair)
                     with np.errstate(invalid="ignore", over="ignore"):
                         inter_network = inter_network + np.where(
                             (w > 0)[:, None], w[:, None] * pair["total"], 0.0
@@ -1135,6 +1229,9 @@ class StackedModel:
         for group in self.plan.groups:
             group_loads = np.ascontiguousarray(loads_arr[group.indices])
             m_flits = group.m_flits[:, None]
+            read_pair = self._pair_reader(
+                group, None, group_loads, ("utilization", "conc_utilization", "eta_e1", "eta_i2")
+            )
             planes: list[tuple[str, str, np.ndarray]] = []
             for i, name in enumerate(group.class_names):
                 intra = self._intra_terms(group, i, None, group_loads)
@@ -1146,8 +1243,10 @@ class StackedModel:
                 if group.single_cluster:
                     continue
                 for j, dst in enumerate(group.class_names):
-                    plan = group.pairs[i][j]
-                    pair = self._pair_terms(group, i, j, None, group_loads)
+                    s, p = group.pair_slots[i, j]
+                    cell_rows = _member_rows(group.size, None, p, p + 1)
+                    shape = group.shapes[s]
+                    pair = read_pair(i, j)
                     pair_name = f"{name}->{dst}"
                     planes += [
                         (f"{pair_name}:ecn1-source-queue", "source-queue", pair["utilization"]),
@@ -1155,12 +1254,12 @@ class StackedModel:
                         (
                             f"{pair_name}:ecn1-channels",
                             "channel",
-                            pair["eta_e1"] * m_flits * plan.src_cs[:, None],
+                            pair["eta_e1"] * m_flits * shape.src_cs[cell_rows, None],
                         ),
                         (
                             f"{pair_name}:icn2-channels",
                             "channel",
-                            pair["eta_i2"] * m_flits * plan.i2_cs[:, None],
+                            pair["eta_i2"] * m_flits * shape.i2_cs[cell_rows, None],
                         ),
                     ]
             for c, pos in enumerate(group.indices):
@@ -1224,9 +1323,51 @@ class StackedModel:
         out[rows] = hi
         return out
 
+    def _shape_saturation(self, shape: _PairShape, cells: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row ECN1 source-queue and concentrator λ* over a shape's rows.
+
+        A row is searched when its source class sends outward and its
+        pair weight is positive.  One refinement runs per chunk of
+        consecutive members, at most :data:`_PAIR_ROWS` rows.
+        """
+        include = (shape.src_u > 0.0) & (shape.weight > 0.0)
+        queue = np.empty(shape.weight.size)
+        per_call = max(1, _PAIR_ROWS // cells)
+        for first in range(0, len(shape.members), per_call):
+            chunk = _member_rows(cells, None, first, first + per_call)
+            base = first * cells
+
+            def pair_rate(
+                rows: np.ndarray, loads: np.ndarray, *, _base: int = base
+            ) -> np.ndarray:
+                external = shape.external[_base + rows]
+                return self._pair_source_rate(
+                    shape, _base + rows, loads, loads * external[:, None]
+                )
+
+            def pair_latency(
+                rows: np.ndarray, loads: np.ndarray, *, _base: int = base
+            ) -> np.ndarray:
+                _, _, eta_e1, _, eta_i2_eff = self._pair_rates(shape, _base + rows, loads)
+                return self._pair_latency(shape, _base + rows, eta_e1, eta_i2_eff)
+
+            queue[chunk] = self._source_queue_saturation_rows(
+                include[chunk].size, include[chunk], pair_rate, pair_latency
+            )
+        # Constant service time ⇒ closed form, as in the scalar path.
+        ones = np.ones((shape.weight.size, 1))
+        conc_slope = self._concentrator_rate(
+            shape, None, ones, ones * shape.external[:, None]
+        )[:, 0]
+        conc = np.full(shape.weight.size, np.inf)
+        inc = include & (conc_slope > 0.0)
+        conc[inc] = 1.0 / (conc_slope[inc] * shape.conc_service[inc])
+        return queue, conc
+
     def _group_saturation(self, group: _CellGroup) -> tuple[list[str], np.ndarray]:
         """Per-resource λ* planes, resources in the scalar insertion order."""
         size = group.size
+        by_shape = [self._shape_saturation(shape, size) for shape in group.shapes]
         names: list[str] = []
         values: list[np.ndarray] = []
         include_all = np.ones(size, dtype=bool)
@@ -1247,44 +1388,15 @@ class StackedModel:
             )
             if group.single_cluster:
                 continue
-            class_active = group.intra[i].u > 0.0
             for j, dst_name in enumerate(group.class_names):
-                plan = group.pairs[i][j]
-                pair_include = class_active & (plan.weight > 0.0)
-                pair_name = f"{name}->{dst_name}"
-
-                def pair_rate(
-                    rows: np.ndarray, loads: np.ndarray, *, _i: int = i, _j: int = j
-                ) -> np.ndarray:
-                    external = _take(group.pairs[_i][_j].external, rows)
-                    return self._pair_source_rate(
-                        group, _i, rows, loads, loads * external[:, None]
-                    )
-
-                def pair_latency(
-                    rows: np.ndarray, loads: np.ndarray, *, _i: int = i, _j: int = j
-                ) -> np.ndarray:
-                    _, _, eta_e1, _, eta_i2_eff = self._pair_rates(
-                        group, _i, _j, rows, loads
-                    )
-                    return self._pair_latency(group, _i, _j, rows, eta_e1, eta_i2_eff)
-
-                names.append(f"{pair_name}:ecn1-source-queue")
-                values.append(
-                    self._source_queue_saturation_rows(
-                        size, pair_include, pair_rate, pair_latency
-                    )
-                )
-                # Constant service time ⇒ closed form, as in the scalar path.
-                ones = np.ones((size, 1))
-                conc_slope = self._concentrator_rate(
-                    group, i, j, None, ones, ones * plan.external[:, None]
-                )[:, 0]
-                conc = np.full(size, np.inf)
-                inc = pair_include & (conc_slope > 0.0)
-                conc[inc] = 1.0 / (conc_slope[inc] * plan.conc_service[inc])
-                names.append(f"{pair_name}:concentrator")
-                values.append(conc)
+                s, p = group.pair_slots[i, j]
+                cell_rows = _member_rows(size, None, p, p + 1)
+                queue, conc = by_shape[s]
+                names += [
+                    f"{name}->{dst_name}:ecn1-source-queue",
+                    f"{name}->{dst_name}:concentrator",
+                ]
+                values += [queue[cell_rows], conc[cell_rows]]
         return names, np.stack(values, axis=0)
 
     def saturation_loads(self) -> list[dict[str, float]]:

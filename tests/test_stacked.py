@@ -26,6 +26,7 @@ from repro.analysis.capacity import max_load_for_latency
 from repro.cluster import homogeneous_system
 from repro.core import MessageSpec
 from repro.core.batch import BatchedModel
+from repro.core import stacked
 from repro.core.parameters import ModelOptions
 from repro.core.stacked import StackedModel, _linspace_rows, _refine_rows
 from repro.core.sweep import auto_load_grid
@@ -171,13 +172,16 @@ class TestRegistryEquivalence:
             )
             assert reference == knees[idx], name
 
-    def test_budget_capacities_bitwise(self, stack, engines, specs):
+    @pytest.mark.parametrize("modulus", [3, 2])
+    def test_budget_capacities_bitwise(self, stack, engines, specs, modulus):
         # NaN budgets (no latency_budget on the spec) must stay NaN; the
         # finite ones must equal the one-cell reference search and the
-        # capacity planner's plan.
+        # capacity planner's plan.  Under modulus 2, 544-local is searched
+        # while 544-hotspot passes NaN through, so the search's rows are a
+        # strict subset of their 2-cell, 16-class group.
         budgets = np.array(
             [
-                2.5 * engine.zero_load_latency() if idx % 3 else float("nan")
+                2.5 * engine.zero_load_latency() if idx % modulus else float("nan")
                 for idx, engine in enumerate(engines)
             ]
         )
@@ -325,6 +329,64 @@ class TestPerformabilityDegradedStates:
             (homogeneous_system(switch_ports=4, tree_depth=2, num_clusters=1), message, None, None),
         ]
         assert_stack_matches(cells, ["C1-d1", "C4-d1", "C1-d2"])
+
+
+class TestClassPairShapes:
+    """Class pairs sharing a journey shape are solved as rows of one call."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"solves": 0, "refinements": 0}
+
+        def counting(name, key):
+            original = getattr(stacked, name)
+
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(stacked, name, wrapper)
+
+        counting("_solve_pair_stacked", "solves")
+        counting("_refine_rows", "refinements")
+        return counts
+
+    @pytest.mark.parametrize(
+        "name, solves, refinements",
+        [
+            # 16 singleton classes: 256 pairs in 9 (d_src, d_dst) shapes;
+            # 16 intra refinements plus one per shape.
+            ("544-hotspot", 9, 25),
+            # 3 classes: 9 pairs, 9 shapes of one member each.
+            ("544", 9, 12),
+        ],
+    )
+    def test_one_call_per_shape_for_one_cell(self, calls, name, solves, refinements):
+        stack = StackedModel.from_specs([get_scenario(name)])
+        stack.evaluate_latencies([2e-4])
+        assert calls["solves"] == solves
+        stack.saturation_loads()
+        assert calls["refinements"] == refinements
+
+    def test_chunks_hold_at_most_the_row_budget(self, calls, monkeypatch):
+        # With a budget of 10 rows, a 64-member shape over 3 cells runs in
+        # chunks of 3 members; every cell stays bit-identical to the cell
+        # priced alone under the default budget.
+        spec = get_scenario("544-hotspot")
+        cells = [(spec.system, spec.message, spec.options, spec.pattern)] * 3
+        grid = np.linspace(0.0, 9e-4, 7)
+        alone = StackedModel(cells[:1])
+        reference = alone.evaluate_latencies(grid)[0]
+        reference_saturation = alone.saturation_loads()[0]
+        monkeypatch.setattr(stacked, "_PAIR_ROWS", 10)
+        stack = StackedModel(cells)
+        chunks = sum(-(-len(shape.members) // 3) for shape in stack.plan.groups[0].shapes)
+        calls["solves"] = 0
+        latencies = stack.evaluate_latencies(grid)
+        assert calls["solves"] == chunks
+        for row in latencies:
+            assert np.array_equal(row, reference)
+        assert stack.saturation_loads() == [reference_saturation] * 3
 
 
 class TestRowKernels:
