@@ -43,7 +43,7 @@ def t_critical(confidence: float, df: int) -> float:
     polished by Newton steps until they stop shrinking (the float64 floor).
     """
     if df == 1:
-        # tan(π c / 2), written through 1 − c, which is exact in float64.
+        # tan(π c / 2), written through 1 − c, which is exact for c >= 0.5.
         return 1.0 / math.tan(0.5 * math.pi * (1.0 - confidence))
     if df == 2:
         return confidence * math.sqrt(2.0 / ((1.0 - confidence) * (1.0 + confidence)))
@@ -58,7 +58,7 @@ def t_critical(confidence: float, df: int) -> float:
         * x
         / (92160.0 * nu**3)
     ) / nu
-    # d P(|T| <= t) / dθ = density · cos^(df−1) θ
+    # d P(|T| <= t) / dt = density · cos^(df+1) θ / √df
     density = 2.0 / math.pi if df % 2 else 1.0
     for k in range(2 - df % 2, df, 2):
         density *= (k + 1) / k
