@@ -1,8 +1,9 @@
 """End-to-end path construction across the cluster-of-clusters fabric.
 
 A message's journey is a sequence of **segments**, each traversed with
-wormhole flow control; segments are separated by the store-and-forward
-concentrator/dispatcher buffers (paper Fig. 2, DESIGN.md §4):
+wormhole flow control; segments are separated by the
+concentrator/dispatcher buffers (paper Fig. 2), which the simulators
+cross cut-through:
 
 * intra-cluster: one segment through ICN1(i);
 * inter-cluster: ECN1(i) ascent to the concentrator, ICN2 crossing between

@@ -299,7 +299,8 @@ def calibrate_options(
     cache, simulating only the remainder.
     """
     from repro.simulation.metrics import MeasurementWindow
-    from repro.simulation.parallel import SimWorkItem, resolve_jobs, run_work_item
+    from repro.simulation.parallel import resolve_jobs, run_work_item
+    from repro.simulation.runner import SimulationConfig
 
     specs = [get_scenario(s) if isinstance(s, str) else s for s in scenarios]
     require(len(specs) > 0, "calibrate needs at least one scenario")
@@ -350,7 +351,7 @@ def calibrate_options(
     for idx in pending:
         for i, lam in enumerate(loads_by_scenario[idx]):
             items.append(
-                SimWorkItem(
+                SimulationConfig(
                     system=specs[idx].system,
                     message=specs[idx].message,
                     options=specs[idx].options,

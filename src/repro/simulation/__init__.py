@@ -10,7 +10,7 @@ from repro.simulation.eventcore import (
 )
 from repro.simulation.fabric import GROUPS, ResolvedFabric, ResolvedSegment
 from repro.simulation.metrics import LatencyCollector, LatencyStats, MeasurementWindow
-from repro.simulation.parallel import SimWorkItem, resolve_jobs, run_work_item, run_work_items
+from repro.simulation.parallel import resolve_jobs, run_work_item, run_work_items
 from repro.simulation.replication import ReplicatedResult, replicate
 from repro.simulation.rng import ReplayableDraws, SimulationStreams, make_streams, replica_seeds
 from repro.simulation.runner import (
@@ -42,7 +42,6 @@ __all__ = [
     "make_streams",
     "replica_seeds",
     "ReplayableDraws",
-    "SimWorkItem",
     "resolve_jobs",
     "run_work_item",
     "run_work_items",

@@ -31,7 +31,7 @@
 
 #include <stdint.h>
 
-#define ECORE_ABI 1
+#define ECORE_ABI 2
 
 #define K_GEN 0
 #define K_HDR 1
@@ -122,7 +122,6 @@ typedef struct {
     int64_t measured_end;   /* warmup + measured */
     int64_t measured_target;
     int64_t max_events;
-    int64_t cd_paper;       /* 1 = cut-through c/d semantics */
     int64_t grants_stride;  /* per-message grant-buffer width */
     int64_t heap_cap;
     int64_t trace_cap;      /* 0 = tracing off */
@@ -394,7 +393,7 @@ int64_t eventcore_run(EventCoreState *s)
                     hpush(&r, release > drain ? release : drain,
                           r.eseq | K_REL, s->r_cid[ri]);
                 }
-                if (s->cd_paper && si + 1 < nseg) {
+                if (si + 1 < nseg) {
                     int32_t sg2 = s->p_segs[s->p_off[pid] + si + 1];
                     int meas = (seq >= s->warmup && seq < s->measured_end);
                     s->m_seg[seq] = si + 1;
@@ -436,20 +435,11 @@ int64_t eventcore_run(EventCoreState *s)
                 r.eseq += 4;
                 hpush(&r, t + s->flit_time[cid], r.eseq | K_HDR, seq);
             }
-        } else { /* K_DEL */
+        } else { /* K_DEL: only a journey's last segment schedules one */
             int32_t seq = pay;
             int32_t pid = s->m_path[seq];
-            int32_t si = s->m_seg[seq];
             int32_t nseg = s->p_off[pid + 1] - s->p_off[pid];
-            if (si + 1 < nseg) {
-                /* Store-and-forward advance at the c/d buffer. */
-                int32_t sg2 = s->p_segs[s->p_off[pid] + si + 1];
-                int meas = (seq >= s->warmup && seq < s->measured_end);
-                s->m_seg[seq] = si + 1;
-                s->m_k[seq] = 0;
-                s->m_gc[seq] = 0;
-                acquire(s, &r, s->s_cids[s->s_cid_off[sg2]], seq, t, 2, meas);
-            } else if (seq >= s->warmup && seq < s->measured_end) {
+            if (seq >= s->warmup && seq < s->measured_end) {
                 s->lat[delivered] = t - s->g_time[seq];
                 s->inter[delivered] = (int8_t)(nseg > 1);
                 s->src_cluster[delivered] = s->cluster_index[s->g_node[seq]];

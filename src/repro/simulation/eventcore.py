@@ -216,7 +216,7 @@ def generation_schedule(
 # ---------------------------------------------------------------------------
 
 _C_SOURCE = Path(__file__).with_name("_eventcore.c")
-_KERNEL_ABI = 1
+_KERNEL_ABI = 2
 #: Contraction must stay off: fusing a*b+c into FMA would change results
 #: relative to CPython's one-operation-at-a-time float semantics.
 _KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-unsafe-math-optimizations")
@@ -239,7 +239,7 @@ class _StateStruct(ctypes.Structure):
         (name, ctypes.c_int64)
         for name in (
             "n_channels", "n_nodes", "total", "n_dead", "warmup", "measured_end",
-            "measured_target", "max_events", "cd_paper", "grants_stride",
+            "measured_target", "max_events", "grants_stride",
             "heap_cap", "trace_cap", "eseq0",
         )
     ] + [
@@ -355,17 +355,16 @@ def kernel_prepass(
 
 
 # ---------------------------------------------------------------------------
-# flat leg tables (cached per fabric × run config)
+# flat leg tables (cached per fabric)
 # ---------------------------------------------------------------------------
 
-#: fabric -> {(ideal_sinks, cd_mode) -> _EventCoreContext}.  Weak on the
-#: fabric, and no context refers back to it, so a discarded session
-#: releases its tables.
+#: fabric -> _EventCoreContext.  Weak on the fabric, and no context refers
+#: back to it, so a discarded session releases its tables.
 _CONTEXTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 class _EventCoreContext:
-    """Flat leg tables for one (ideal_sinks, cd_mode) config.
+    """Flat leg tables for one fabric.
 
     The fabric's hot-loop records (``fabric.hot_records``) are appended
     once, in leg-id order, into growing flat tables — so a segment id is a
@@ -375,14 +374,9 @@ class _EventCoreContext:
     :meth:`arrays`.
     """
 
-    def __init__(self, fabric, ideal_sinks: bool, cd_mode: str) -> None:
-        self.ideal_sinks = ideal_sinks
-        self.cd_mode = cd_mode
+    def __init__(self, fabric) -> None:
         self.flit_time = np.ascontiguousarray(fabric.flit_time, dtype=np.float64)
-        self.uncontended = np.asarray(
-            fabric.uncontended_flags(ideal_sinks=ideal_sinks, cd_mode=cd_mode),
-            dtype=np.int8,
-        )
+        self.uncontended = np.asarray(fabric.uncontended, dtype=np.int8)
         self.group = np.ascontiguousarray(fabric.group, dtype=np.int8)
         self.cluster_index = np.asarray(fabric.cluster_index, dtype=np.int32)
         self.n_channels = fabric.num_channels
@@ -410,7 +404,7 @@ class _EventCoreContext:
 
     def arrays(self, fabric) -> dict:
         """Contiguous snapshots of the flat tables (rebuilt when they grew)."""
-        records = fabric.hot_records(ideal_sinks=self.ideal_sinks, cd_mode=self.cd_mode)
+        records = fabric.hot_records()
         if self._arrays is None or len(records) > len(self._s_drain):
             for cids, hold, _tau, drain, _last, rel_items in records[len(self._s_drain):]:
                 self._s_cids.extend(cids)
@@ -437,12 +431,11 @@ class _EventCoreContext:
         return self._arrays
 
 
-def _context_for(sim) -> _EventCoreContext:
-    per_fabric = _CONTEXTS.setdefault(sim.fabric, {})
-    key = (bool(sim.ideal_sinks), sim.cd_mode)
-    if key not in per_fabric:
-        per_fabric[key] = _EventCoreContext(sim.fabric, *key)
-    return per_fabric[key]
+def _context_for(fabric) -> _EventCoreContext:
+    ctx = _CONTEXTS.get(fabric)
+    if ctx is None:
+        ctx = _CONTEXTS[fabric] = _EventCoreContext(fabric)
+    return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +447,9 @@ def array_run(sim, *, max_events: int = 500_000_000, trace: "list | None" = None
     """Run *sim* (a :class:`MessageLevelWormholeSimulator`) on the kernel.
 
     Returns the same :class:`~repro.simulation.wormhole.RawRunResult` the
-    reference loop would, fills ``sim.collector`` and the post-run
-    attributes identically, and (when *trace* is given) appends the same
-    ``(time, kind, id)`` event stream the reference loop traces.
+    reference loop would, fills ``sim.collector`` identically, and (when
+    *trace* is given) appends the same ``(time, kind, id)`` event stream
+    the reference loop traces.
     """
     lib = _kernel()
     require(
@@ -469,7 +462,7 @@ def array_run(sim, *, max_events: int = 500_000_000, trace: "list | None" = None
     total = window.total
     system = sim.fabric.system
     n_nodes = system.total_nodes
-    ctx = _context_for(sim)
+    ctx = _context_for(sim.fabric)
 
     gaps = sim._arrival_gaps_array
     g_time, g_node, dead_time, dead_node = kernel_prepass(gaps, n_nodes, total)
@@ -537,7 +530,6 @@ def array_run(sim, *, max_events: int = 500_000_000, trace: "list | None" = None
         measured_end=window.warmup + window.measured,
         measured_target=measured_target,
         max_events=max_events,
-        cd_paper=int(sim.cd_mode == "paper"),
         grants_stride=gstride,
         heap_cap=heap_cap,
         trace_cap=trace_cap,
@@ -615,13 +607,6 @@ def array_run(sim, *, max_events: int = 500_000_000, trace: "list | None" = None
     collector._is_inter = inter[:delivered].astype(bool).tolist()
     collector._src_clusters = src_cluster[:delivered].tolist()
     collector.delivered_measured = delivered
-    sim._events = events
-    sim._generated = generated
-    sim._now = now
-    sim._source_wait_sum = source_wait_sum
-    sim._source_wait_n = source_wait_n
-    sim._cd_wait_sum = cd_wait_sum
-    sim._cd_wait_n = cd_wait_n
 
     from repro.simulation.wormhole import RawRunResult
 

@@ -37,8 +37,6 @@ from repro.cluster.pathing import ecn1_legs, icn2_leg, intra_path
 from repro.cluster.system import HeterogeneousSystem
 from repro.core.parameters import MessageSpec, ModelOptions, NetworkCharacteristics
 from repro.core.service_times import ServiceTimes
-from repro.topology.addressing import NodeAddress
-from repro.topology.mport_ntree import ChannelKind
 
 __all__ = ["ResolvedSegment", "ResolvedFabric", "GROUPS"]
 
@@ -74,27 +72,22 @@ class ResolvedFabric:
 
         flit_time = np.empty(self.num_channels, dtype=np.float64)
         group = np.empty(self.num_channels, dtype=np.int8)
-        ejection = np.zeros(self.num_channels, dtype=bool)
-        cd_reception = np.zeros(self.num_channels, dtype=bool)
         for i, ch in enumerate(channels):
             flit_time[i] = self._channel_flit_time(ch)
             group[i] = GROUPS.index(self._channel_group(ch))
-            ejection[i] = ch.kind is ChannelKind.SWITCH_TO_NODE and isinstance(ch.target, NodeAddress)
-            cd_reception[i] = isinstance(ch.target, Concentrator)
         self.flit_time = flit_time
         self.group = group
-        self.ejection = ejection
-        #: Links delivering into a concentrator/dispatcher buffer.  The
-        #: paper models every segment sink as "always able to receive"
-        #: (Eq. 29's final stage has no blocking term), so under
-        #: ``cd_mode="paper"`` the simulators treat these as interleaving,
+        #: Per-channel "grants without queueing" flags: the links into a
+        #: concentrator/dispatcher buffer.  The paper models every segment
+        #: sink as "always able to receive" (Eq. 29's final stage has no
+        #: blocking term), so the simulators treat these as interleaving,
         #: non-blocking ingress links.
-        self.cd_reception = cd_reception
+        self.uncontended: list[bool] = [isinstance(ch.target, Concentrator) for ch in channels]
 
         #: Every leg resolved so far; a leg id indexes this list.
         self.legs: list[ResolvedSegment] = []
         self._leg_id: dict[tuple, int] = {}
-        self._hot: dict[tuple[bool, str], tuple[list[bool], list[tuple]]] = {}
+        self._hot: list[tuple] = []
 
         #: node id -> cluster index (the hot loop's per-delivery lookup).
         self.cluster_index: list[int] = [
@@ -163,23 +156,8 @@ class ResolvedFabric:
         legs = self.legs
         return tuple(legs[i] for i in self.leg_ids(source, destination))
 
-    def uncontended_flags(self, *, ideal_sinks: bool, cd_mode: str) -> list[bool]:
-        """Per-channel "grants without queueing" flags for one run config.
-
-        Ejection links are uncontended under the model's ideal-sink
-        assumption; concentrator/dispatcher ingress links are uncontended
-        under ``cd_mode="paper"`` (the Eq. 29 "always able to receive"
-        buffer).
-        """
-        n_ch = self.num_channels
-        flags = [bool(e) for e in self.ejection] if ideal_sinks else [False] * n_ch
-        if cd_mode == "paper":
-            flags = [u or bool(cd) for u, cd in zip(flags, self.cd_reception)]
-        return flags
-
-    def hot_records(self, *, ideal_sinks: bool, cd_mode: str) -> list[tuple]:
-        """The hot-loop record of every leg resolved so far, by leg id, for
-        one run config.
+    def hot_records(self) -> list[tuple]:
+        """The hot-loop record of every leg resolved so far, by leg id.
 
         A record is ``(channel_ids, hold_times, tau, drain, last,
         rel_items)`` where ``hold_times[k] = M·τ_k`` (full-message occupancy
@@ -188,16 +166,12 @@ class ResolvedFabric:
         holds ``(k, channel_id, M·τ_k, (last−k)·τ*)`` for the leg's
         *contended* channels only — the release arithmetic the hot loop
         runs at every segment sink, with every product folded in and the
-        uncontended-channel branch resolved away.  The list lives on the
+        :attr:`uncontended` branch resolved away.  The list lives on the
         fabric and grows as legs appear, so a session reuses it across
         load points and seeds.
         """
-        key = (bool(ideal_sinks), cd_mode)
-        table = self._hot.get(key)
-        if table is None:
-            flags = self.uncontended_flags(ideal_sinks=ideal_sinks, cd_mode=cd_mode)
-            table = self._hot[key] = (flags, [])
-        flags, records = table
+        records = self._hot
+        flags = self.uncontended
         m = self.message.length_flits
         flit_time = self.flit_time
         for leg in self.legs[len(records):]:
@@ -213,17 +187,17 @@ class ResolvedFabric:
             records.append((cids, hold, tau, (m - 1) * tau, last, rel_items))
         return records
 
-    def hot_resolver(self, *, ideal_sinks: bool, cd_mode: str):
+    def hot_resolver(self):
         """``resolve(source, destination)`` for the reference loop: the
         journey's :meth:`hot_records`, looked up by leg id."""
-        records = self.hot_records(ideal_sinks=ideal_sinks, cd_mode=cd_mode)
+        records = self.hot_records()
         legs = self.legs
         leg_ids = self.leg_ids
 
         def resolve(source: int, destination: int) -> tuple:
             ids = leg_ids(source, destination)
             if len(records) < len(legs):
-                self.hot_records(ideal_sinks=ideal_sinks, cd_mode=cd_mode)
+                self.hot_records()
             return tuple([records[i] for i in ids])
 
         return resolve

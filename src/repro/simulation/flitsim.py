@@ -17,14 +17,12 @@ whole trail exactly as in the message-level engine, but here the drain is
 *computed*, not approximated.  The drain-model ablation bench compares the
 two engines.
 
-Segment transitions follow the same two concentrator semantics as the
-message-level engine (``cd_mode`` — see
-:class:`repro.simulation.wormhole.MessageLevelWormholeSimulator`): in
-``"paper"`` mode the header cuts through the concentrator and the next
-segment's flit supply is decoupled (each ``(message, segment)`` has
-independent state, so a message can have several segments in flight); in
-``"store_and_forward"`` mode the next segment starts only after the tail
-fully arrives.
+Segment transitions follow the message-level engine's concentrator
+semantics (see :mod:`repro.simulation.wormhole`): the header cuts through
+the concentrator and the next segment's flit supply is decoupled (each
+``(message, segment)`` has independent state, so a message can have
+several segments in flight), and the links into a concentrator buffer
+never queue (:attr:`ResolvedFabric.uncontended`).
 
 This engine is O(M·L) events per message and is intended for small/medium
 systems (tests, ablations); the paper-scale sweeps use the message-level
@@ -99,29 +97,18 @@ class FlitLevelSimulator:
         generation_rate: float,
         streams: SimulationStreams,
         pattern: SimTrafficPattern | None = None,
-        *,
-        ideal_sinks: bool = False,
-        cd_mode: str = "paper",
     ) -> None:
         require(fabric.system.total_nodes >= 2, "simulation needs at least two nodes")
-        require(cd_mode in ("paper", "store_and_forward"), f"unknown cd_mode {cd_mode!r}")
         self.fabric = fabric
         self.window = window
         self.pattern = pattern or UniformDestinations()
         self.streams = streams
         self.arrivals = PoissonArrivals(generation_rate, streams.arrivals)
-        self.ideal_sinks = ideal_sinks
-        self.cd_mode = cd_mode
         self.m_flits = fabric.message.length_flits
 
         n_ch = fabric.num_channels
         self._flit_time = fabric.flit_time.tolist()
-        uncontended = fabric.ejection.copy() if ideal_sinks else [False] * n_ch
-        if cd_mode == "paper":
-            # Concentrator ingress buffers accept interleaved flits (the
-            # model's "always able to receive" sink assumption, Eq. 29).
-            uncontended = [u or cd for u, cd in zip(uncontended, fabric.cd_reception)]
-        self._uncontended = uncontended
+        self._uncontended = fabric.uncontended
         self._holder = [-1] * n_ch
         self._waiters: list[deque] = [deque() for _ in range(n_ch)]
         self._last_grant = [0.0] * n_ch
@@ -302,7 +289,7 @@ class FlitLevelSimulator:
         if f == 0:
             if k + 1 < length:
                 self._request(cids[k + 1], sid, k + 1, t)
-            elif not state.is_final and self.cd_mode == "paper":
+            elif not state.is_final:
                 # Cut-through: the header entered the concentrator; launch
                 # the next segment while this one keeps draining.
                 self._start_segment(state.journey, state.seg_index + 1, t)
@@ -321,12 +308,10 @@ class FlitLevelSimulator:
 
     def _segment_tail_done(self, t: float, sid: int, state: _SegState) -> None:
         """Tail left the segment's last channel: full delivery at sink/CD."""
-        journey = state.journey
         del self._states[sid]
         if not state.is_final:
-            if self.cd_mode == "store_and_forward":
-                self._start_segment(journey, state.seg_index + 1, t)
-            return
+            return  # the next segment started when the header cut through
+        journey = state.journey
         source_cluster = self.fabric.system.cluster_of(journey.source).index
         self.collector.record(
             journey.seq,

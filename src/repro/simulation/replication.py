@@ -25,9 +25,9 @@ import numpy as np
 
 from repro._util import require
 from repro.simulation.metrics import MeasurementWindow
-from repro.simulation.parallel import SimWorkItem, resolve_jobs, run_work_items
+from repro.simulation.parallel import resolve_jobs, run_work_items
 from repro.simulation.rng import replica_seeds
-from repro.simulation.runner import SimulationResult, SimulationSession
+from repro.simulation.runner import SimulationConfig, SimulationResult, SimulationSession
 
 __all__ = ["ReplicatedResult", "replicate"]
 
@@ -147,10 +147,12 @@ def replicate(
 
     Per-replica seeds are spawned from *base_seed* (see
     :func:`~repro.simulation.rng.replica_seeds`); all other run parameters
-    are forwarded to :meth:`SimulationSession.run`.  ``jobs`` fans the
-    replicas across a process pool (``0``/``"auto"`` = one worker per
-    CPU); results are bit-identical to serial execution for any worker
-    count because each replica depends only on its own seed.
+    become fields of one :class:`~repro.simulation.runner.SimulationConfig`
+    per replica, and :func:`~repro.simulation.parallel.run_work_items`
+    runs them on *session*.  ``jobs`` fans the replicas across a process
+    pool (``0``/``"auto"`` = one worker per CPU); results are bit-identical
+    to serial execution for any worker count because each replica depends
+    only on its own seed.
     """
     require(replicas >= 2, "at least two replicas are needed for a CI")
     require(0.0 < confidence < 1.0, "confidence must be in (0, 1)")
@@ -159,26 +161,20 @@ def replicate(
     # Cap at the replica count so the recorded jobs reflects the workers
     # that could actually run (run_work_items applies the same cap).
     n_jobs = min(resolve_jobs(jobs), replicas)
-    start = _time.perf_counter()
-    if n_jobs > 1:
-        items = [
-            SimWorkItem(
-                system=session.system_config,
-                message=session.message,
-                options=session.options,
-                generation_rate=generation_rate,
-                seed=seed,
-                window=window,
-                **run_kwargs,
-            )
-            for seed in seeds
-        ]
-        results = tuple(run_work_items(items, jobs=n_jobs))
-    else:
-        results = tuple(
-            session.run(generation_rate, seed=seed, window=window, **run_kwargs)
-            for seed in seeds
+    configs = [
+        SimulationConfig(
+            system=session.system_config,
+            message=session.message,
+            options=session.options,
+            generation_rate=generation_rate,
+            seed=seed,
+            window=window,
+            **run_kwargs,
         )
+        for seed in seeds
+    ]
+    start = _time.perf_counter()
+    results = tuple(run_work_items(configs, jobs=n_jobs, session=session))
     elapsed = _time.perf_counter() - start
     means = np.array([r.mean_latency for r in results], dtype=np.float64)
     mean = float(means.mean())

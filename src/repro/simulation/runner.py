@@ -1,8 +1,12 @@
 """High-level simulation entry points.
 
-:func:`simulate` runs one configuration end to end; :class:`SimulationSession`
-caches the materialised fabric so load sweeps (the paper's figures) do not
-pay the construction cost per point.
+A :class:`SimulationConfig` is the one description of a simulator run: it
+validates its inputs at construction, crosses process boundaries as the
+work item of :mod:`repro.simulation.parallel`, and maps onto
+:meth:`SimulationSession.run` in one place.  :func:`simulate` runs one
+configuration end to end; :class:`SimulationSession` caches the
+materialised fabric so load sweeps (the paper's figures) do not pay the
+construction cost per point.
 """
 
 from __future__ import annotations
@@ -53,12 +57,17 @@ ENGINES = ("reference", "array")
 #: sim/3: the simulators share per-leg path records instead of caching
 #: every node pair.  Trajectories are unchanged (the version-free golden
 #: digests did not move); cached simulator curves miss once.
-TRAJECTORY_VERSION = "sim/3"
+#:
+#: sim/4: cut-through concentrators with physical sinks are the only
+#: semantics (the store-and-forward and ideal-sink modes are gone).
+#: Trajectories are unchanged; cached simulator curves miss once.
+TRAJECTORY_VERSION = "sim/4"
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Complete description of one simulation run."""
+    """Complete description of one simulation run (picklable, so it is
+    also the work item a pool worker runs)."""
 
     system: SystemConfig
     message: MessageSpec
@@ -66,8 +75,6 @@ class SimulationConfig:
     seed: int = 0
     window: MeasurementWindow = field(default_factory=lambda: MeasurementWindow.scaled_paper(20_000))
     granularity: str = "message"
-    ideal_sinks: bool = False
-    cd_mode: str = "paper"
     options: ModelOptions = field(default_factory=ModelOptions)
     pattern: SimTrafficPattern | None = None
     max_events: int = 500_000_000
@@ -136,8 +143,6 @@ class SimulationSession:
         seed: int = 0,
         window: MeasurementWindow | None = None,
         granularity: str = "message",
-        ideal_sinks: bool = False,
-        cd_mode: str = "paper",
         pattern: SimTrafficPattern | None = None,
         max_events: int = 500_000_000,
         engine: str = "reference",
@@ -164,23 +169,13 @@ class SimulationSession:
                 generation_rate,
                 streams,
                 pattern,
-                ideal_sinks=ideal_sinks,
-                cd_mode=cd_mode,
                 draws=draws,
                 engine=engine,
             )
         else:
             from repro.simulation.flitsim import FlitLevelSimulator
 
-            sim = FlitLevelSimulator(
-                self.fabric,
-                window,
-                generation_rate,
-                streams,
-                pattern,
-                ideal_sinks=ideal_sinks,
-                cd_mode=cd_mode,
-            )
+            sim = FlitLevelSimulator(self.fabric, window, generation_rate, streams, pattern)
         raw = sim.run(max_events=max_events)
         return self._package(raw, generation_rate, granularity, seed)
 
@@ -210,17 +205,20 @@ class SimulationSession:
         )
 
 
-def simulate(config: SimulationConfig) -> SimulationResult:
-    """Build the fabric and run one :class:`SimulationConfig` end to end."""
-    session = SimulationSession(config.system, config.message, options=config.options)
+def _run_config(session: SimulationSession, config: SimulationConfig) -> SimulationResult:
+    """Run *config* on *session* — the one place config fields map to run arguments."""
     return session.run(
         config.generation_rate,
         seed=config.seed,
         window=config.window,
         granularity=config.granularity,
-        ideal_sinks=config.ideal_sinks,
-        cd_mode=config.cd_mode,
         pattern=config.pattern,
         max_events=config.max_events,
         engine=config.engine,
     )
+
+
+def simulate(config: SimulationConfig) -> SimulationResult:
+    """Build the fabric and run one :class:`SimulationConfig` end to end."""
+    session = SimulationSession(config.system, config.message, options=config.options)
+    return _run_config(session, config)

@@ -5,7 +5,7 @@ defining wormhole property is preserved exactly (a message holds every
 channel of a segment from its header's acquisition until tail drain, so a
 blocked header idles its whole trail and contention couples across the
 fabric), while the in-message flit pipeline is computed analytically at
-delivery time (DESIGN.md §4):
+delivery time:
 
 * header crossing channel ``k`` takes that channel's flit time;
 * once the header reaches the segment sink at ``t``, the remaining
@@ -18,9 +18,13 @@ The flit-accurate :mod:`repro.simulation.flitsim` certifies this
 approximation in the drain-model ablation bench.
 
 Inter-cluster journeys consist of three such segments glued by
-store-and-forward concentrator/dispatcher buffers: the next segment's
-first channel is requested only after full delivery into the buffer, and
-that injection channel's FIFO is exactly the Eq. 37 queue.
+cut-through concentrator/dispatcher buffers, the simulator counterpart of
+the model's "merge unit" (Eq. 20) whose buffer is always able to receive
+(Eq. 29): the header enters the buffer and at once requests the next
+segment's injection channel, whose FIFO is exactly the Eq. 37 queue,
+while the finished segment drains behind it.  The links into a buffer
+never queue (:attr:`ResolvedFabric.uncontended`); the final ejection
+links are physical and do.
 
 Hot-path design
 ---------------
@@ -105,20 +109,6 @@ class MessageLevelWormholeSimulator:
         deterministic RNG streams.
     pattern:
         destination sampler (defaults to uniform — paper assumption 2).
-    ideal_sinks:
-        if True, final ejection channels are uncontended (the model's
-        "destination always able to receive" assumption); default False
-        keeps them physical.
-    cd_mode:
-        concentrator/dispatcher semantics.  ``"paper"`` (default) is
-        cut-through with per-segment independent drains — the simulator
-        counterpart of the model's "merge unit" approximation (Eq. 20) and
-        the Eq. 37 concentrate service ``M t_cs^{I2}``; it reproduces both
-        the paper's light-load latencies and its saturation points.
-        ``"store_and_forward"`` buffers the whole message at each
-        concentrator before re-injection — physically conservative (full
-        flit causality across segments) but it triple-serialises the
-        message; kept for the ablation bench.
     draws:
         optional :class:`~repro.simulation.rng.ReplayableDraws` cache for
         this run's seed.  When given, the pre-generated arrival/destination
@@ -142,14 +132,10 @@ class MessageLevelWormholeSimulator:
         streams: SimulationStreams,
         pattern: SimTrafficPattern | None = None,
         *,
-        ideal_sinks: bool = False,
-        cd_mode: str = "paper",
         draws: ReplayableDraws | None = None,
         engine: str = "reference",
     ) -> None:
-        require(cd_mode in ("paper", "store_and_forward"), f"unknown cd_mode {cd_mode!r}")
         require(engine in ("reference", "array"), f"unknown engine {engine!r}")
-        self.cd_mode = cd_mode
         self.engine = engine
         require(fabric.system.total_nodes >= 2, "simulation needs at least two nodes")
         require_positive(generation_rate, "generation_rate")
@@ -158,14 +144,10 @@ class MessageLevelWormholeSimulator:
         self.pattern = pattern or UniformDestinations()
         self.streams = streams
         self.generation_rate = generation_rate
-        self.ideal_sinks = ideal_sinks
 
         n_ch = fabric.num_channels
         self._flit_time = fabric.flit_time.tolist()
-        # Concentrator ingress buffers accept interleaved flits under
-        # cd_mode="paper" (the model's "always able to receive" sink
-        # assumption, Eq. 29); ideal sinks add the ejection links.
-        self._uncontended = fabric.uncontended_flags(ideal_sinks=ideal_sinks, cd_mode=cd_mode)
+        self._uncontended = fabric.uncontended
         # Per-channel occupancy: holder (0/1) + queued waiters, one int so
         # the request fast path reads a single list cell.
         self._occupancy = [0] * n_ch
@@ -177,13 +159,6 @@ class MessageLevelWormholeSimulator:
 
         self.collector = LatencyCollector(window)
         self._heap: list = []
-        self._generated = 0
-        self._events = 0
-        self._now = 0.0
-        self._source_wait_sum = 0.0
-        self._source_wait_n = 0
-        self._cd_wait_sum = 0.0
-        self._cd_wait_n = 0
 
         # Pre-generated stochastic streams (see module docstring).  Arrival
         # draw i is consumed exactly where the scalar engine drew it: the
@@ -251,12 +226,11 @@ class MessageLevelWormholeSimulator:
         busy = self._busy
         group = self._group
         cluster_index = self._cluster_index
-        paths = self.fabric.hot_resolver(ideal_sinks=self.ideal_sinks, cd_mode=self.cd_mode)
+        paths = self.fabric.hot_resolver()
         collector = self.collector
         lat_append = collector._latencies.append
         inter_append = collector._is_inter.append
         src_append = collector._src_clusters.append
-        cd_paper = self.cd_mode == "paper"
         arr = self._arrival_gaps
         dest_draws = self._dest_draws
         system = self.fabric.system
@@ -392,7 +366,7 @@ class MessageLevelWormholeSimulator:
                         eseq += 4
                         push(heap, (release if release > drain else drain, eseq | _REL, cid))
                     seg_i = msg[_SEG]
-                    if cd_paper and seg_i + 1 < msg[_NSEG]:
+                    if seg_i + 1 < msg[_NSEG]:
                         # Cut-through: the header enters the concentrator/
                         # dispatcher and immediately requests the next
                         # segment's injection channel; the segment just
@@ -445,56 +419,22 @@ class MessageLevelWormholeSimulator:
                     grants.append(t)
                     eseq += 4
                     push(heap, (t + flit_time[cid], eseq | _HDR, msg))
-            else:  # _DEL
+            elif payload[_MEAS]:
+                # _DEL (only a journey's last segment schedules one): the
+                # measured delivery, on the LatencyCollector.record fast
+                # path — the window check is the _MEAS flag itself.
                 msg = payload
-                seg_i = msg[_SEG]
-                if seg_i + 1 < msg[_NSEG]:
-                    # Store-and-forward at the concentrator/dispatcher buffer.
-                    seg = msg[_PATH][seg_i + 1]
-                    msg[_SEG] = seg_i + 1
-                    msg[_CUR] = seg
-                    msg[_K] = 0
-                    msg[_GRANTS] = grants = []
-                    msg[_REQ_T] = t
-                    cid = seg[0][0]
-                    if uncontended[cid]:
-                        if msg[_MEAS]:
-                            cd_wait_n += 1
-                        grants.append(t)
-                        eseq += 4
-                        push(heap, (t + flit_time[cid], eseq | _HDR, msg))
-                    elif not occupancy[cid]:
-                        if msg[_MEAS]:
-                            cd_wait_n += 1
-                        grants.append(t)
-                        occupancy[cid] = 1
-                        last_grant[cid] = t
-                        eseq += 4
-                        push(heap, (t + flit_time[cid], eseq | _HDR, msg))
-                    else:
-                        waiters[cid].append(msg)
-                        occupancy[cid] += 1
-                elif msg[_MEAS]:
-                    # Measured delivery (the LatencyCollector.record fast
-                    # path: the window check is the _MEAS flag itself).
-                    lat_append(t - msg[_GEN_T])
-                    inter_append(msg[_NSEG] > 1)
-                    src_append(cluster_index[msg[_SRC]])
-                    delivered += 1
-                    if delivered >= measured_target:
-                        completed = True
-                        break
+                lat_append(t - msg[_GEN_T])
+                inter_append(msg[_NSEG] > 1)
+                src_append(cluster_index[msg[_SRC]])
+                delivered += 1
+                if delivered >= measured_target:
+                    completed = True
+                    break
             if events >= max_events:
                 break
 
         collector.delivered_measured = delivered
-        self._events = events
-        self._generated = generated
-        self._now = t
-        self._source_wait_sum = source_wait_sum
-        self._source_wait_n = source_wait_n
-        self._cd_wait_sum = cd_wait_sum
-        self._cd_wait_n = cd_wait_n
 
         wall = _time.perf_counter() - wall_start
         stats = self.collector.stats()

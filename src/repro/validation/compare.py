@@ -17,8 +17,8 @@ from repro.core.model import AnalyticalModel
 from repro.core.parameters import MessageSpec, ModelOptions, SystemConfig
 from repro.core.sweep import find_saturation_load
 from repro.simulation.metrics import MeasurementWindow
-from repro.simulation.parallel import SimWorkItem, resolve_jobs, run_work_items
-from repro.simulation.runner import SimulationResult, SimulationSession
+from repro.simulation.parallel import resolve_jobs, run_work_items
+from repro.simulation.runner import SimulationConfig, SimulationResult, SimulationSession
 
 __all__ = ["ValidationPoint", "ValidationCurve", "run_validation", "light_load_error"]
 
@@ -111,18 +111,25 @@ def run_validation(
     conditions*, not replicas of one stream — so the curve is bit-identical
     for any worker count.  *engine* selects the message-level event engine
     (``"reference"``/``"array"``, see :mod:`repro.simulation.eventcore`);
-    both produce the identical curve.
+    both produce the identical curve.  A *session* must simulate the
+    system, message and options the model prices.
     """
     loads = np.asarray(loads, dtype=np.float64)
     require(loads.ndim == 1 and loads.size > 0, "loads must be a non-empty 1-D sequence")
-    model = AnalyticalModel(system, message, options, pattern)
-    session = session or SimulationSession(system, message, options=options)
+    options = options or ModelOptions()
+    if session is not None:
+        require(
+            session.system_config == system
+            and session.message == message
+            and session.options == options,
+            "session was built for a different system/message/options than the validation requests",
+        )
     window = window or MeasurementWindow.scaled_paper(20_000)
-    items = [
-        SimWorkItem(
-            system=session.system_config,
-            message=session.message,
-            options=session.options,
+    configs = [
+        SimulationConfig(
+            system=system,
+            message=message,
+            options=options,
             generation_rate=float(lam),
             seed=seed + idx,
             window=window,
@@ -132,7 +139,9 @@ def run_validation(
         )
         for idx, lam in enumerate(loads)
     ]
-    sim_results = run_work_items(items, jobs=resolve_jobs(jobs), session=session)
+    model = AnalyticalModel(system, message, options, pattern)
+    session = session or SimulationSession(system, message, options=options)
+    sim_results = run_work_items(configs, jobs=resolve_jobs(jobs), session=session)
     points = []
     for lam, sim in zip(loads, sim_results):
         model_result = model.evaluate(float(lam))

@@ -1,21 +1,22 @@
-"""Concentrator/dispatcher semantics tests (DESIGN.md §3 item 11).
+"""Concentrator/dispatcher semantics tests (paper Eqs. 20, 29 and 37).
 
 The reproduction's most consequential interpretation decision is how the
-concentrators behave; these tests pin each element of the adopted
-semantics so regressions are caught by name.
+concentrators behave.  The simulators have one semantics: cut-through
+merge units whose buffer is always able to receive, with physical sinks.
+These tests pin each element of it so regressions are caught by name.
 """
 
 import pytest
 
 from repro.cluster.channels import Concentrator
-from repro.simulation import MeasurementWindow, MessageLevelWormholeSimulator, make_streams
+from repro.simulation import MessageLevelWormholeSimulator, make_streams
 from repro.simulation.flitsim import FlitLevelSimulator
 
 
 class TestReceptionFlags:
     def test_cd_reception_channels_flagged(self, small_fabric):
         flagged = {
-            cid for cid in range(small_fabric.num_channels) if small_fabric.cd_reception[cid]
+            cid for cid in range(small_fabric.num_channels) if small_fabric.uncontended[cid]
         }
         expected = {
             cid
@@ -27,31 +28,11 @@ class TestReceptionFlags:
         nets = {small_fabric.channels[cid].network[0] for cid in flagged}
         assert nets == {"ecn1", "icn2"}
 
-    def test_paper_mode_leaves_reception_uncontended(self, small_fabric, fast_window):
-        sim = MessageLevelWormholeSimulator(small_fabric, fast_window, 1e-3, make_streams(0))
-        for cid in range(small_fabric.num_channels):
-            if small_fabric.cd_reception[cid]:
-                assert sim._uncontended[cid]
-
-    def test_store_and_forward_contends_reception(self, small_fabric, fast_window):
-        sim = MessageLevelWormholeSimulator(
-            small_fabric, fast_window, 1e-3, make_streams(0), cd_mode="store_and_forward"
-        )
-        assert not any(
-            sim._uncontended[cid]
-            for cid in range(small_fabric.num_channels)
-            if small_fabric.cd_reception[cid]
-        )
-
-    def test_flit_engine_mirrors_flags(self, small_fabric, fast_window):
-        paper = FlitLevelSimulator(small_fabric, fast_window, 1e-3, make_streams(0))
-        snf = FlitLevelSimulator(
-            small_fabric, fast_window, 1e-3, make_streams(0), cd_mode="store_and_forward"
-        )
-        for cid in range(small_fabric.num_channels):
-            if small_fabric.cd_reception[cid]:
-                assert paper._uncontended[cid]
-                assert not snf._uncontended[cid]
+    def test_both_engines_read_the_fabric_flags(self, small_fabric, fast_window):
+        message = MessageLevelWormholeSimulator(small_fabric, fast_window, 1e-3, make_streams(0))
+        flit = FlitLevelSimulator(small_fabric, fast_window, 1e-3, make_streams(0))
+        assert message._uncontended is small_fabric.uncontended
+        assert flit._uncontended is small_fabric.uncontended
 
 
 class TestCutThroughBehaviour:
@@ -85,20 +66,6 @@ class TestCutThroughBehaviour:
         seg = fabric.resolve(0, n_i + 1)[1]  # an ICN2 segment
         nominal = n_i * lam * u * m * seg.bottleneck_flit_time
         assert run.network_utilization["cd-concentrate"] == pytest.approx(nominal, rel=0.25)
-
-    def test_store_and_forward_latency_decomposes(self, small_session, fast_window):
-        """S&F at near-zero load = Σ per-segment (hops + drain)."""
-        run = small_session.run(5e-5, seed=3, window=MeasurementWindow(20, 300, 20), cd_mode="store_and_forward")
-        fabric = small_session.fabric
-        m = fabric.message.length_flits
-        samples = []
-        for src, dst in [(0, 9), (3, 20), (7, 30)]:
-            total = 0.0
-            for seg in fabric.resolve(src, dst):
-                total += sum(fabric.flit_time[c] for c in seg.channel_ids)
-                total += (m - 1) * seg.bottleneck_flit_time
-            samples.append(total)
-        assert min(samples) * 0.95 < run.stats.mean_inter < max(samples) * 1.2
 
 
 class TestDispatchSpreading:

@@ -6,7 +6,7 @@ Three layers of defence, per the bit-identical-trajectory contract:
   kernel's heap) against a :mod:`heapq` oracle, and the pure-Python
   :func:`generation_schedule` against the compiled prepass;
 * the differential suite runs reference and array engines over registry
-  scenarios × seeds × run modes and asserts *exact* equality — full event
+  scenarios × seeds × windows and asserts *exact* equality — full event
   trace, trajectory, and raw-result fields — never ``allclose``;
 * the fallback path (no compiler) is proven equal too, so the engine
   switch can never change numbers regardless of toolchain.
@@ -219,14 +219,6 @@ class TestDifferentialTrajectories:
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_bit_identical_across_scenarios_and_seeds(self, scenario, seed):
         assert_identical(scenario, seed)
-
-    @pytest.mark.parametrize("seed", SEEDS[:2])
-    def test_store_and_forward_mode(self, seed):
-        assert_identical("544", seed, cd_mode="store_and_forward")
-
-    @pytest.mark.parametrize("seed", SEEDS[:2])
-    def test_ideal_sinks_mode(self, seed):
-        assert_identical("544", seed, ideal_sinks=True)
 
     @pytest.mark.parametrize("max_events", (500, 5001))
     def test_event_budget_truncation_identical(self, max_events):

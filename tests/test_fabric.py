@@ -33,14 +33,6 @@ class TestChannelTable:
         assert counts["cd-concentrate"] == 4
         assert counts["cd-dispatch"] == 8
 
-    def test_ejection_flags(self, small_fabric):
-        from repro.topology.addressing import NodeAddress
-
-        for cid, ch in enumerate(small_fabric.channels):
-            flagged = bool(small_fabric.ejection[cid])
-            physical = ch.kind.value == "switch_to_node" and isinstance(ch.target, NodeAddress)
-            assert flagged == physical
-
     def test_options_affect_tcn(self, small_system, small_message):
         system = HeterogeneousSystem(small_system)
         half = ResolvedFabric(system, small_message)

@@ -17,12 +17,9 @@ class TestIsolatedMessage:
         flit_level = FlitLevelSimulator(small_fabric, window, 1e-3, make_streams(seed)).run()
         assert flit_level.stats.mean == pytest.approx(msg_level.stats.mean, rel=1e-12)
 
-    @pytest.mark.parametrize("cd_mode", ["paper", "store_and_forward"])
-    def test_single_message_closed_form(self, small_fabric, cd_mode):
+    def test_single_message_closed_form(self, small_fabric):
         window = MeasurementWindow(warmup=0, measured=1, drain=0)
-        result = FlitLevelSimulator(
-            small_fabric, window, 1e-3, make_streams(4), cd_mode=cd_mode
-        ).run()
+        result = FlitLevelSimulator(small_fabric, window, 1e-3, make_streams(4)).run()
         m = small_fabric.message.length_flits
         candidates = []
         n = small_fabric.system.total_nodes
@@ -31,29 +28,16 @@ class TestIsolatedMessage:
                 if src == dst:
                     continue
                 segs = small_fabric.resolve(src, dst)
-                if cd_mode == "paper":
-                    candidates.append(isolated_message_latency(small_fabric, segs, m))
-                else:
-                    # store-and-forward: every segment drains fully.
-                    total = 0.0
-                    for seg in segs:
-                        total += sum(small_fabric.flit_time[c] for c in seg.channel_ids)
-                        total += (m - 1) * seg.bottleneck_flit_time
-                    candidates.append(total)
+                candidates.append(isolated_message_latency(small_fabric, segs, m))
         assert any(abs(result.stats.mean - c) < 1e-6 for c in candidates)
 
 
 class TestCrossEngineAgreement:
-    @pytest.mark.parametrize("cd_mode", ["paper", "store_and_forward"])
-    def test_light_load_agreement(self, small_fabric, cd_mode):
+    def test_light_load_agreement(self, small_fabric):
         """At light load contention is rare: engines agree closely."""
         window = MeasurementWindow(warmup=200, measured=1500, drain=200)
-        msg_level = MessageLevelWormholeSimulator(
-            small_fabric, window, 2e-4, make_streams(21), cd_mode=cd_mode
-        ).run()
-        flit_level = FlitLevelSimulator(
-            small_fabric, window, 2e-4, make_streams(21), cd_mode=cd_mode
-        ).run()
+        msg_level = MessageLevelWormholeSimulator(small_fabric, window, 2e-4, make_streams(21)).run()
+        flit_level = FlitLevelSimulator(small_fabric, window, 2e-4, make_streams(21)).run()
         assert flit_level.stats.mean == pytest.approx(msg_level.stats.mean, rel=0.02)
 
     def test_moderate_load_agreement_within_tolerance(self, small_fabric):
@@ -82,7 +66,3 @@ class TestFlitEngineBasics:
         msg_level = MessageLevelWormholeSimulator(small_fabric, window, 1e-3, make_streams(11)).run()
         flit_level = FlitLevelSimulator(small_fabric, window, 1e-3, make_streams(11)).run()
         assert flit_level.events > 5 * msg_level.events
-
-    def test_unknown_cd_mode_rejected(self, small_fabric, fast_window):
-        with pytest.raises(ValueError):
-            FlitLevelSimulator(small_fabric, fast_window, 1e-3, make_streams(0), cd_mode="bogus")

@@ -11,7 +11,7 @@ import pytest
 
 from repro.simulation import (
     MeasurementWindow,
-    SimWorkItem,
+    SimulationConfig,
     replicate,
     resolve_jobs,
     run_work_items,
@@ -19,6 +19,14 @@ from repro.simulation import (
 from repro.validation.compare import run_validation
 
 WINDOW = MeasurementWindow(50, 400, 50)
+
+
+class FailingDestinations:
+    """A destination sampler that fails inside the worker running it
+    (module-level, so a config carrying it pickles into the pool)."""
+
+    def sample_destination(self, rng, system, source):
+        raise ValueError("destination sampling failed")
 
 
 class TestResolveJobs:
@@ -42,7 +50,7 @@ class TestResolveJobs:
 class TestRunWorkItems:
     def _items(self, system, message, n=3):
         return [
-            SimWorkItem(
+            SimulationConfig(
                 system=system,
                 message=message,
                 generation_rate=1e-3,
@@ -77,18 +85,18 @@ class TestRunWorkItems:
         assert by_jobs[1] == by_jobs[2] == by_jobs[3]
 
     def test_worker_exception_propagates(self, small_system, small_message):
-        bad = SimWorkItem(
+        bad = SimulationConfig(
             system=small_system,
             message=small_message,
             generation_rate=1e-3,
             seed=0,
             window=WINDOW,
-            cd_mode="not-a-mode",
+            pattern=FailingDestinations(),
         )
         good = self._items(small_system, small_message, n=1)[0]
-        with pytest.raises(ValueError, match="cd_mode"):
+        with pytest.raises(ValueError, match="destination sampling failed"):
             run_work_items([good, bad], jobs=2)
-        with pytest.raises(ValueError, match="cd_mode"):
+        with pytest.raises(ValueError, match="destination sampling failed"):
             run_work_items([good, bad], jobs=1)
 
     def test_rejects_non_items(self):
@@ -129,7 +137,7 @@ class TestParallelReplication:
             replicas=2,
             base_seed=1,
             window=WINDOW,
-            cd_mode="store_and_forward",
+            granularity="flit",
         )
         pooled = replicate(
             small_session,
@@ -137,9 +145,10 @@ class TestParallelReplication:
             replicas=2,
             base_seed=1,
             window=WINDOW,
-            cd_mode="store_and_forward",
+            granularity="flit",
             jobs=2,
         )
+        assert [r.granularity for r in pooled.replicas] == ["flit", "flit"]
         assert [r.mean_latency for r in pooled.replicas] == [
             r.mean_latency for r in serial.replicas
         ]
@@ -163,6 +172,32 @@ class TestParallelValidation:
         )
         assert curve.sim_events == sum(r.events for r in curve.sim_results)
         assert curve.sim_wall_seconds == max(r.wall_seconds for r in curve.sim_results)
+
+    def test_config_error_is_rejected_before_any_pool(
+        self, small_system, small_message, small_session, monkeypatch
+    ):
+        from repro.simulation import parallel
+
+        calls = []
+        supervised = parallel.run_supervised
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return supervised(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "run_supervised", counting)
+        with pytest.raises(ValueError, match="message-granularity only"):
+            run_validation(
+                small_system,
+                small_message,
+                [5e-4, 1e-3],
+                window=WINDOW,
+                session=small_session,
+                granularity="flit",
+                engine="array",
+                jobs=2,
+            )
+        assert calls == []
 
 
 class TestSweepMany:
@@ -260,7 +295,7 @@ class TestWorkerSessionCacheLRU:
     def _item(system, message, flits):
         from dataclasses import replace
 
-        return SimWorkItem(
+        return SimulationConfig(
             system=system,
             message=replace(message, length_flits=flits),
             generation_rate=1e-3,

@@ -248,6 +248,16 @@ class TestParallelSafetyRules:
         )
         assert codes(good, "src/repro/simulation/foo.py") == []
 
+    def test_rp302_callable_field_on_simulation_config(self):
+        bad = (
+            "from dataclasses import dataclass\n"
+            "from typing import Callable\n"
+            "@dataclass(frozen=True)\n"
+            "class SimulationConfig:\n"
+            "    fn: Callable\n"
+        )
+        assert "RP302" in codes(bad, "src/repro/simulation/foo.py")
+
     def test_rp302_only_applies_to_work_item_dataclasses(self):
         ok = (
             "from dataclasses import dataclass\n"

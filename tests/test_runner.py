@@ -15,7 +15,6 @@ class TestSimulationConfig:
     def test_defaults(self, small_system, small_message):
         cfg = SimulationConfig(system=small_system, message=small_message, generation_rate=1e-3)
         assert cfg.granularity == "message"
-        assert cfg.cd_mode == "paper"
         assert cfg.window.measured == 20_000
 
     def test_rejects_zero_rate(self, small_system, small_message):

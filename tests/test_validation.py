@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import AnalyticalModel, MessageSpec, find_saturation_load
+from repro.core import AnalyticalModel, MessageSpec, ModelOptions, find_saturation_load
 from repro.simulation import MeasurementWindow, SimulationSession
 from repro.validation import (
     all_latency_figures,
@@ -91,6 +91,23 @@ class TestRunValidation:
     def test_rejects_empty_loads(self, small_system, small_message):
         with pytest.raises(ValueError):
             run_validation(small_system, small_message, [])
+
+    def test_rejects_a_session_for_another_scenario(
+        self, small_system, small_message, hetero_session
+    ):
+        with pytest.raises(ValueError, match="different system/message/options"):
+            run_validation(small_system, small_message, [1e-4], session=hetero_session)
+        longer = SimulationSession(small_system, MessageSpec(length_flits=32, flit_bytes=256.0))
+        with pytest.raises(ValueError, match="different system/message/options"):
+            run_validation(small_system, small_message, [1e-4], session=longer)
+
+    def test_rejects_a_session_with_other_options(self, small_system, small_message):
+        options = ModelOptions(tcn_convention="full_network_latency")
+        session = SimulationSession(small_system, small_message, options=options)
+        with pytest.raises(ValueError, match="different system/message/options"):
+            run_validation(small_system, small_message, [1e-4], session=session)
+        with pytest.raises(ValueError, match="different system/message/options"):
+            run_validation(small_system, small_message, [1e-4], options=ModelOptions(), session=session)
 
 
 class TestLightLoadError:

@@ -27,7 +27,7 @@ def engine(request):
 
 def isolated_message_latency(fabric, segments, m_flits):
     """Closed form for an uncontended journey: per segment the header
-    accumulates hop times and the drain adds (M-1)·τ_max (paper cd_mode)."""
+    accumulates hop times and the drain adds (M-1)·τ_max (cut-through)."""
     total = 0.0
     for seg in segments:
         total += sum(fabric.flit_time[c] for c in seg.channel_ids)
@@ -123,26 +123,6 @@ class TestLoadResponse:
         low = small_session.run(5e-4, seed=6, window=fast_window)
         high = small_session.run(2e-3, seed=6, window=fast_window)
         assert high.network_utilization["cd-concentrate"] > low.network_utilization["cd-concentrate"]
-
-
-class TestSemanticsOptions:
-    def test_store_and_forward_slower_than_cut_through(self, small_session, fast_window):
-        paper = small_session.run(3e-4, seed=7, window=fast_window, cd_mode="paper")
-        snf = small_session.run(3e-4, seed=7, window=fast_window, cd_mode="store_and_forward")
-        assert snf.stats.mean_inter > paper.stats.mean_inter * 1.5
-        # Intra traffic has no concentrators: unchanged semantics.
-        assert snf.stats.mean_intra == pytest.approx(paper.stats.mean_intra, rel=0.05)
-
-    def test_ideal_sinks_never_slower(self, small_session, fast_window):
-        real = small_session.run(3e-3, seed=8, window=fast_window)
-        ideal = small_session.run(3e-3, seed=8, window=fast_window, ideal_sinks=True)
-        assert ideal.stats.mean <= real.stats.mean * 1.05
-
-    def test_unknown_cd_mode_rejected(self, small_fabric, fast_window):
-        with pytest.raises(ValueError):
-            MessageLevelWormholeSimulator(
-                small_fabric, fast_window, 1e-3, make_streams(0), cd_mode="bogus"
-            )
 
 
 class TestStatsPlumbing:

@@ -365,6 +365,12 @@ def _annotation_ok(node: ast.expr) -> tuple[bool, str]:
     return False, ast.dump(node)
 
 
+def _is_work_item(node: ast.ClassDef) -> bool:
+    """Whether *node* names a type that crosses process boundaries: a
+    ``*WorkItem`` or ``SimulationConfig``, the simulator's work item."""
+    return node.name.endswith("WorkItem") or node.name == "SimulationConfig"
+
+
 def _is_dataclass(node: ast.ClassDef, aliases: dict[str, str]) -> bool:
     for dec in node.decorator_list:
         target = dec.func if isinstance(dec, ast.Call) else dec
@@ -434,7 +440,7 @@ def _check_parallel_safety(
                         )
                     )
         elif isinstance(node, ast.ClassDef):
-            if not node.name.endswith("WorkItem") or not _is_dataclass(node, aliases):
+            if not _is_work_item(node) or not _is_dataclass(node, aliases):
                 continue
             for stmt in node.body:
                 if not isinstance(stmt, ast.AnnAssign) or not isinstance(
