@@ -9,7 +9,7 @@ These tests pin each element of it so regressions are caught by name.
 import pytest
 
 from repro.cluster.channels import Concentrator
-from repro.simulation import MessageLevelWormholeSimulator, make_streams
+from repro.simulation import MeasurementWindow, MessageLevelWormholeSimulator, make_streams
 from repro.simulation.flitsim import FlitLevelSimulator
 
 
@@ -28,11 +28,13 @@ class TestReceptionFlags:
         nets = {small_fabric.channels[cid].network[0] for cid in flagged}
         assert nets == {"ecn1", "icn2"}
 
-    def test_both_engines_read_the_fabric_flags(self, small_fabric, fast_window):
-        message = MessageLevelWormholeSimulator(small_fabric, fast_window, 1e-3, make_streams(0))
-        flit = FlitLevelSimulator(small_fabric, fast_window, 1e-3, make_streams(0))
-        assert message._uncontended is small_fabric.uncontended
-        assert flit._uncontended is small_fabric.uncontended
+    def test_paper_mode_leaves_reception_uncontended(self, small_fabric, fast_window):
+        sim = MessageLevelWormholeSimulator(small_fabric, fast_window, 1e-3, make_streams(0))
+        assert sim._uncontended is small_fabric.uncontended
+
+    def test_flit_engine_mirrors_flags(self, small_fabric, fast_window):
+        sim = FlitLevelSimulator(small_fabric, fast_window, 1e-3, make_streams(0))
+        assert sim._uncontended is small_fabric.uncontended
 
 
 class TestCutThroughBehaviour:
@@ -52,6 +54,19 @@ class TestCutThroughBehaviour:
         # At near-zero load the inter mean must sit below ~1.3x that bound
         # (queueing allowance), far below the 3x of store-and-forward.
         assert run.stats.mean_inter < 1.3 * worst_single
+
+    def test_cut_through_latency_decomposes(self, small_session):
+        """Cut-through at near-zero load = Σ hop times of every segment +
+        one (M-1)·τ drain of the last segment."""
+        run = small_session.run(5e-5, seed=3, window=MeasurementWindow(20, 300, 20))
+        fabric = small_session.fabric
+        m = fabric.message.length_flits
+        samples = []
+        for src, dst in [(0, 9), (3, 20), (7, 30)]:
+            segs = fabric.resolve(src, dst)
+            total = sum(fabric.flit_time[c] for seg in segs for c in seg.channel_ids)
+            samples.append(total + (m - 1) * segs[-1].bottleneck_flit_time)
+        assert min(samples) * 0.95 < run.stats.mean_inter < max(samples) * 1.2
 
     def test_concentrate_utilization_matches_nominal_service(self, small_session, fast_window):
         """At light load the concentrate link's utilisation is ≈

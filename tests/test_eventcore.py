@@ -58,19 +58,20 @@ def scenario_fabric(name):
     return spec, ResolvedFabric(system, spec.message, ModelOptions())
 
 
-def run_engine(name, seed, engine, *, window=WINDOW, max_events=500_000_000, **kw):
+def run_engine(name, seed, engine, *, window=WINDOW, max_events=500_000_000, load=LOAD, **kw):
     """One traced run; returns (simulator, raw result, trace)."""
     spec, fabric = scenario_fabric(name)
     trace = []
     sim = MessageLevelWormholeSimulator(
-        fabric, window, LOAD, make_streams(seed), spec.pattern, engine=engine, **kw
+        fabric, window, load, make_streams(seed), spec.pattern, engine=engine, **kw
     )
     raw = sim.run(max_events=max_events, trace=trace)
     return sim, raw, trace
 
 
 def assert_identical(name, seed, **kw):
-    """Reference vs array: exact equality of trace, trajectory and raw."""
+    """Reference vs array: exact equality of trace, trajectory and raw.
+    Returns the reference run's raw result."""
     ref_sim, ref_raw, ref_trace = run_engine(name, seed, "reference", **kw)
     arr_sim, arr_raw, arr_trace = run_engine(name, seed, "array", **kw)
     assert ref_trace == arr_trace, f"{name} seed={seed}: event traces diverge"
@@ -89,6 +90,7 @@ def assert_identical(name, seed, **kw):
     assert repr(ref_raw.stats) == repr(arr_raw.stats)
     assert repr(ref_raw.per_cluster_means) == repr(arr_raw.per_cluster_means)
     assert ref_raw.busy_time_by_group == arr_raw.busy_time_by_group
+    return ref_raw
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +222,15 @@ class TestDifferentialTrajectories:
     def test_bit_identical_across_scenarios_and_seeds(self, scenario, seed):
         assert_identical(scenario, seed)
 
+    @pytest.mark.parametrize("scenario", ("544", "544-hotspot"))
+    def test_near_saturation_identical(self, scenario):
+        # At 0.8 of the saturation load (~1e-3) journeys wait at the
+        # concentrators an order of magnitude longer than at LOAD, so the
+        # blocking branches of both engines run on most journeys.
+        raw = assert_identical(scenario, 7, load=8e-4)
+        _, light, _ = run_engine(scenario, 7, "reference")
+        assert raw.concentrator_wait_mean > 10 * light.concentrator_wait_mean
+
     @pytest.mark.parametrize("max_events", (500, 5001))
     def test_event_budget_truncation_identical(self, max_events):
         # Truncated runs stop mid-flight (possibly before any measured
@@ -268,6 +279,17 @@ class TestSessionAndConfigPlumbing:
         del session
         gc.collect()
         assert fabric() is None
+
+    def test_one_context_per_fabric(self, small_system, small_message):
+        # Every load point and seed of a session shares one set of flat
+        # leg tables, keyed by the fabric alone.
+        session = SimulationSession(small_system, small_message)
+        session.run(1e-3, seed=3, window=WINDOW, engine="array")
+        ctx = eventcore._CONTEXTS[session.fabric]
+        session.run(2e-3, seed=4, window=WINDOW, engine="array")
+        assert eventcore._CONTEXTS[session.fabric] is ctx
+        assert ctx.uncontended.tolist() == [int(flag) for flag in session.fabric.uncontended]
+        assert len(ctx.arrays(session.fabric)["s_drain"]) == len(session.fabric.legs)
 
     def test_flit_granularity_rejects_array_engine(self, small_system, small_message):
         session = SimulationSession(small_system, small_message)

@@ -33,6 +33,25 @@ class TestChannelTable:
         assert counts["cd-concentrate"] == 4
         assert counts["cd-dispatch"] == 8
 
+    @pytest.mark.parametrize("config", ["small_system", "tiny_hetero_system"])
+    def test_physical_sinks_contend(self, config, request, small_message):
+        """Only the links into a concentrator/dispatcher buffer grant
+        without queueing; every link into a node is a physical sink."""
+        from repro.cluster.channels import Concentrator
+        from repro.topology.addressing import NodeAddress
+
+        fabric = ResolvedFabric(HeterogeneousSystem(request.getfixturevalue(config)), small_message)
+        assert len(fabric.uncontended) == fabric.num_channels
+        sinks = []
+        for cid, ch in enumerate(fabric.channels):
+            assert fabric.uncontended[cid] == isinstance(ch.target, Concentrator)
+            if isinstance(ch.target, NodeAddress):
+                sinks.append(ch.network[0])
+                assert not fabric.uncontended[cid]
+        # One ejection link per node in its ICN1 and in its ECN1.
+        n = fabric.system.total_nodes
+        assert sorted(sinks) == ["ecn1"] * n + ["icn1"] * n
+
     def test_options_affect_tcn(self, small_system, small_message):
         system = HeterogeneousSystem(small_system)
         half = ResolvedFabric(system, small_message)
@@ -94,3 +113,42 @@ class TestLegTable:
         c = len(system.clusters)
         intra = sum(k.num_nodes * (k.num_nodes - 1) for k in system.clusters)
         assert len(fabric.legs) == 2 * n + c * (c - 1) + intra
+
+
+class TestHotRecords:
+    def test_one_table_grows_with_the_legs(self, small_system, small_message):
+        fabric = ResolvedFabric(HeterogeneousSystem(small_system), small_message)
+        records = fabric.hot_records()
+        assert records == []
+        # A node's ascent and descent resolve together: 2 + 1 + 2 legs.
+        fabric.resolve(0, 9)
+        assert fabric.hot_records() is records
+        assert len(records) == len(fabric.legs) == 5
+        fabric.resolve(0, 17)  # node 0's legs are shared; 1 + 2 new ones
+        assert fabric.hot_records() is records
+        assert len(records) == len(fabric.legs) == 8
+
+    def test_records_fold_the_leg_arithmetic(self, small_fabric):
+        small_fabric.resolve(1, 30)
+        small_fabric.resolve(1, 2)
+        m = small_fabric.message.length_flits
+        records = small_fabric.hot_records()
+        for leg, (cids, hold, tau, drain, last, rel_items) in zip(small_fabric.legs, records):
+            assert cids == leg.channel_ids
+            assert tau == leg.bottleneck_flit_time
+            assert hold == tuple(m * float(small_fabric.flit_time[c]) for c in cids)
+            assert drain == (m - 1) * tau
+            assert last == len(cids) - 1
+            contended = [k for k, c in enumerate(cids) if not small_fabric.uncontended[c]]
+            assert [item[0] for item in rel_items] == contended
+            for k, cid, hold_k, offset in rel_items:
+                assert (cid, hold_k, offset) == (cids[k], hold[k], (last - k) * tau)
+
+    def test_resolver_sees_legs_resolved_after_it(self, small_system, small_message):
+        fabric = ResolvedFabric(HeterogeneousSystem(small_system), small_message)
+        resolve = fabric.hot_resolver()
+        for src, dst in [(0, 9), (0, 1), (5, 30), (0, 9)]:
+            records = resolve(src, dst)
+            table = fabric.hot_records()
+            assert records == tuple(table[i] for i in fabric.leg_ids(src, dst))
+            assert [r[0] for r in records] == [seg.channel_ids for seg in fabric.resolve(src, dst)]

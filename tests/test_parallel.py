@@ -7,6 +7,8 @@ worker count, worker exceptions propagate, and the aggregate accounting
 so the whole module stays test-suite-speed.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.simulation import (
@@ -98,6 +100,45 @@ class TestRunWorkItems:
             run_work_items([good, bad], jobs=2)
         with pytest.raises(ValueError, match="destination sampling failed"):
             run_work_items([good, bad], jobs=1)
+
+    @pytest.mark.parametrize("granularity", ["message", "flit"])
+    def test_every_entry_point_runs_a_config_alike(
+        self, small_system, small_message, granularity
+    ):
+        from repro.simulation import run_work_item, simulate
+
+        config = SimulationConfig(
+            system=small_system,
+            message=small_message,
+            generation_rate=1e-3,
+            seed=5,
+            window=MeasurementWindow(20, 200, 20),
+            granularity=granularity,
+        )
+        results = [simulate(config), run_work_item(config), *run_work_items([config])]
+        assert {r.granularity for r in results} == {granularity}
+        first = replace(results[0], wall_seconds=0.0)
+        assert all(replace(r, wall_seconds=0.0) == first for r in results[1:])
+
+    def test_serial_path_prefers_the_callers_session(
+        self, small_system, small_message, small_session, monkeypatch
+    ):
+        from repro.simulation import parallel
+
+        cached = []
+        session_for = parallel._session_for
+
+        def recording(config):
+            cached.append(config)
+            return session_for(config)
+
+        monkeypatch.setattr(parallel, "_session_for", recording)
+        same = self._items(small_system, small_message, n=2)
+        other = replace(same[0], message=replace(small_message, length_flits=8))
+        results = run_work_items([*same, other], session=small_session)
+        assert cached == [other]
+        assert [r.seed for r in results] == [100, 101, 100]
+        assert results[2].mean_latency != results[0].mean_latency
 
     def test_rejects_non_items(self):
         with pytest.raises(ValueError):

@@ -258,6 +258,15 @@ class TestParallelSafetyRules:
         )
         assert "RP302" in codes(bad, "src/repro/simulation/foo.py")
 
+    def test_rp302_reaches_the_shipped_simulation_config(self):
+        rel = "src/repro/simulation/runner.py"
+        source = (ROOT / rel).read_text()
+        assert "RP302" not in codes(source, rel)
+        anchor = '    engine: str = "reference"\n'
+        assert source.count(anchor) == 1
+        hooked = source.replace(anchor, anchor + "    hook: Callable = print\n")
+        assert "RP302" in codes(hooked, rel)
+
     def test_rp302_only_applies_to_work_item_dataclasses(self):
         ok = (
             "from dataclasses import dataclass\n"

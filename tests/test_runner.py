@@ -27,6 +27,12 @@ class TestSimulationConfig:
                 system=small_system, message=small_message, generation_rate=1e-3, granularity="quantum"
             )
 
+    def test_rejects_unknown_engine(self, small_system, small_message):
+        with pytest.raises(ValueError, match="engine must be one of"):
+            SimulationConfig(
+                system=small_system, message=small_message, generation_rate=1e-3, engine="vectorised"
+            )
+
 
 class TestSimulate:
     def test_end_to_end(self, small_system, small_message):

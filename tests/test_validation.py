@@ -1,5 +1,7 @@
 """Validation harness tests (validation.compare, validation.scenarios)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,18 @@ class TestRunValidation:
         longer = SimulationSession(small_system, MessageSpec(length_flits=32, flit_bytes=256.0))
         with pytest.raises(ValueError, match="different system/message/options"):
             run_validation(small_system, small_message, [1e-4], session=longer)
+
+    def test_accepts_an_equal_session(self, small_system, small_message):
+        # The check compares by value: a session built from equal (not the
+        # same) specs simulates the curve the model prices.
+        window = MeasurementWindow(50, 400, 50)
+        system, message = replace(small_system), replace(small_message)
+        assert system is not small_system and message is not small_message
+        session = SimulationSession(system, message, options=ModelOptions())
+        shared = run_validation(small_system, small_message, [5e-4, 1e-3], window=window, session=session)
+        own = run_validation(small_system, small_message, [5e-4, 1e-3], window=window)
+        assert [pt.sim_latency for pt in shared.points] == [pt.sim_latency for pt in own.points]
+        assert [pt.model_latency for pt in shared.points] == [pt.model_latency for pt in own.points]
 
     def test_rejects_a_session_with_other_options(self, small_system, small_message):
         options = ModelOptions(tcn_convention="full_network_latency")
