@@ -10,7 +10,14 @@ SystemConfig` into explicit topologies:
 * the global ICN2 tree over the ``C`` concentrators.
 
 It also owns the global node numbering (flat ids ``0..N-1`` in cluster
-order) used by the simulator's traffic generators.
+order) used by the simulator's traffic generators, and the order of
+:meth:`HeterogeneousSystem.channels`, whose block bases
+:attr:`HeterogeneousSystem.channel_blocks` gives in closed form: per
+cluster its ICN1 tree, its ECN1 tree and (when ``C > 1``) its concentrator
+attachments, then the ICN2 tree.  Inside a tree block channels follow
+:meth:`~repro.topology.mport_ntree.MPortNTree.links`, whose positions
+:func:`~repro.topology.mport_ntree.route_link_ids` computes; that pair is
+the channel-numbering contract the simulators' leg table relies on.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from repro.core.parameters import ClusterSpec, SystemConfig
 from repro.topology.addressing import NodeAddress
 from repro.topology.mport_ntree import ChannelKind, Link, MPortNTree
 
-__all__ = ["ClusterInstance", "GlobalNodeId", "HeterogeneousSystem"]
+__all__ = ["ChannelBlocks", "ClusterInstance", "GlobalNodeId", "HeterogeneousSystem"]
 
 GlobalNodeId = int
 
@@ -50,6 +57,27 @@ class ClusterInstance:
 
     def contains_global(self, global_id: GlobalNodeId) -> bool:
         return self.first_global_id <= global_id < self.first_global_id + self.num_nodes
+
+
+@dataclass(frozen=True)
+class ChannelBlocks:
+    """First channel id of each block of :meth:`HeterogeneousSystem.channels`.
+
+    Cluster ``k``'s ICN1 tree channels start at ``icn1[k]`` and its ECN1
+    tree channels at ``ecn1[k]``, each in
+    :meth:`~repro.topology.mport_ntree.MPortNTree.links` order.  Its
+    concentrator attachments start at ``attach[k]``: root ``r`` (in
+    :attr:`~repro.topology.mport_ntree.MPortNTree.root_switches` order) →
+    concentrator is ``attach[k] + 2r`` and the reverse ``attach[k] + 2r +
+    1``.  The ICN2 tree channels start at ``icn2``; ``total`` channels in
+    all.
+    """
+
+    icn1: tuple[int, ...]
+    ecn1: tuple[int, ...]
+    attach: tuple[int, ...]
+    icn2: int
+    total: int
 
 
 class HeterogeneousSystem:
@@ -135,7 +163,8 @@ class HeterogeneousSystem:
                 cd = self.concentrator(cluster.index)
                 # The concentrator/dispatcher attaches to *every* root switch
                 # of its ECN1 so that concentrate and dispatch traffic spread
-                # over the replicated roots (DESIGN.md §3 item 11).
+                # over the replicated roots; ChannelBlocks.attach numbers
+                # these pairs in root order.
                 for root in cluster.ecn1.root_switches:
                     yield SystemChannel(ecn1_tag, root, cd, ChannelKind.SWITCH_TO_NODE)
                     yield SystemChannel(ecn1_tag, cd, root, ChannelKind.NODE_TO_SWITCH)
@@ -153,12 +182,28 @@ class HeterogeneousSystem:
             target = self.concentrator(self.icn2.node_index(target))
         return Link(source, target, link.kind)
 
+    @cached_property
+    def channel_blocks(self) -> ChannelBlocks:
+        """The block bases of :meth:`channels`, in closed form."""
+        multi = len(self.clusters) > 1
+        q = self.config.switch_ports // 2
+        icn1, ecn1, attach = [], [], []
+        base = 0
+        for cluster in self.clusters:
+            tree = 2 * cluster.icn1.num_full_duplex_links()
+            icn1.append(base)
+            ecn1.append(base + tree)
+            attach.append(base + 2 * tree)
+            base += 2 * tree + (2 * q ** (cluster.spec.tree_depth - 1) if multi else 0)
+        total = base + (2 * self.icn2.num_full_duplex_links() if multi else 0)
+        return ChannelBlocks(icn1=tuple(icn1), ecn1=tuple(ecn1), attach=tuple(attach), icn2=base, total=total)
+
     # -- summaries ----------------------------------------------------------------
 
-    @cached_property
+    @property
     def num_channels(self) -> int:
         """Total directed channel count of the fabric."""
-        return sum(1 for _ in self.channels())
+        return self.channel_blocks.total
 
     def describe(self) -> dict:
         """Structural summary used by reports and tests."""

@@ -13,11 +13,12 @@ the *same* event loop over flat arrays:
   message ``s``, and when) by :func:`generation_schedule` /
   ``eventcore_prepass``, and uniform destinations are adjusted in one
   vectorized expression;
-* the fabric's per-leg hot-loop records (``fabric.hot_records``) are
-  copied into flat segment tables (channel ids, ``M·τ_k`` holds, drains
-  and release offsets as contiguous arrays) shared across runs of a
-  session, so a segment id is a leg id and each message's path is its row
-  of leg ids.
+* each message's path is its row of leg ids, built for the whole run at
+  once by the fabric's batched closed-form legs (``fabric.leg_rows``),
+  and the segment tables (channel ids, ``M·τ_k`` holds, drains and
+  release offsets as contiguous arrays) are derived with numpy from the
+  fabric's flat leg table and shared across runs of a session, so a
+  segment id is a leg id.
 
 The hot loop itself lives in ``_eventcore.c``, compiled on demand with
 the system C compiler and loaded through :mod:`ctypes` — no third-party
@@ -52,7 +53,6 @@ import tempfile
 import time as _time
 import weakref
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -366,12 +366,11 @@ _CONTEXTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 class _EventCoreContext:
     """Flat leg tables for one fabric.
 
-    The fabric's hot-loop records (``fabric.hot_records``) are appended
-    once, in leg-id order, into growing flat tables — so a segment id is a
-    leg id — and snapshotted into contiguous ndarrays on demand; a session
-    reuses the tables across load points and seeds.  The context holds no
-    reference to its fabric: callers pass it to :meth:`paths_for` and
-    :meth:`arrays`.
+    The kernel's segment tables are derived with numpy from the fabric's
+    leg table (``fabric.leg_table``) — so a segment id is a leg id — and
+    rebuilt only when the table grew; a session reuses them across load
+    points and seeds.  The context holds no reference to its fabric:
+    callers pass it to :meth:`paths_for` and :meth:`arrays`.
     """
 
     def __init__(self, fabric) -> None:
@@ -380,54 +379,46 @@ class _EventCoreContext:
         self.group = np.ascontiguousarray(fabric.group, dtype=np.int8)
         self.cluster_index = np.asarray(fabric.cluster_index, dtype=np.int32)
         self.n_channels = fabric.num_channels
-        self._s_cid_off: list[int] = [0]
-        self._s_cids: list[int] = []
-        self._s_hold: list[float] = []
-        self._s_drain: list[float] = []
-        self._s_rel_off: list[int] = [0]
-        self._r_kk: list[int] = []
-        self._r_cid: list[int] = []
-        self._r_hold: list[float] = []
-        self._r_off: list[float] = []
         self._arrays: "dict[str, np.ndarray] | None" = None
+        self._tabled = 0  # legs in self._arrays
 
     def paths_for(
         self, fabric, g_node: np.ndarray, g_dest: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One row of leg ids per message, as ``(p_off, p_segs)``."""
-        leg_ids = fabric.leg_ids
-        rows = [leg_ids(s, d) for s, d in zip(g_node.tolist(), g_dest.tolist())]
-        p_off = np.zeros(len(rows) + 1, dtype=np.int32)
-        np.cumsum([len(row) for row in rows], out=p_off[1:])
-        p_segs = np.fromiter(chain.from_iterable(rows), dtype=np.int32, count=int(p_off[-1]))
-        return p_off, p_segs
+        """One row of leg ids per message, as ``(p_off, p_segs)``; the
+        fabric builds the run's absent legs in batches."""
+        return fabric.leg_rows(g_node, g_dest)
 
     def arrays(self, fabric) -> dict:
-        """Contiguous snapshots of the flat tables (rebuilt when they grew)."""
-        records = fabric.hot_records()
-        if self._arrays is None or len(records) > len(self._s_drain):
-            for cids, hold, _tau, drain, _last, rel_items in records[len(self._s_drain):]:
-                self._s_cids.extend(cids)
-                self._s_hold.extend(hold)
-                self._s_cid_off.append(len(self._s_cids))
-                self._s_drain.append(drain)
-                for kk, cid, hold_kk, off in rel_items:
-                    self._r_kk.append(kk)
-                    self._r_cid.append(cid)
-                    self._r_hold.append(hold_kk)
-                    self._r_off.append(off)
-                self._s_rel_off.append(len(self._r_kk))
+        """Contiguous segment tables of every leg (rebuilt when the table grew).
+
+        The same float operations as ``fabric.hot_records``, elementwise:
+        ``s_hold = M·τ_c`` per channel, ``s_drain = (M−1)·τ*`` per leg, and
+        for each contended channel ``k`` of a leg the release item ``(k,
+        cid, M·τ_k, (last−k)·τ*)``.
+        """
+        if self._arrays is None or fabric.num_legs != self._tabled:
+            offsets, cids, tau = fabric.leg_table()
+            m = fabric.message.length_flits
+            lengths = np.diff(offsets)
+            leg = np.repeat(np.arange(tau.size), lengths)
+            kk = np.arange(cids.size) - offsets[:-1][leg]
+            hold = m * self.flit_time[cids]
+            contended = self.uncontended[cids] == 0
+            rel = np.flatnonzero(contended)
+            rel_leg = leg[rel]
             self._arrays = {
-                "s_cid_off": np.asarray(self._s_cid_off, dtype=np.int32),
-                "s_cids": np.asarray(self._s_cids, dtype=np.int32),
-                "s_hold": np.asarray(self._s_hold, dtype=np.float64),
-                "s_drain": np.asarray(self._s_drain, dtype=np.float64),
-                "s_rel_off": np.asarray(self._s_rel_off, dtype=np.int32),
-                "r_kk": np.asarray(self._r_kk, dtype=np.int32),
-                "r_cid": np.asarray(self._r_cid, dtype=np.int32),
-                "r_hold": np.asarray(self._r_hold, dtype=np.float64),
-                "r_off": np.asarray(self._r_off, dtype=np.float64),
+                "s_cid_off": offsets.astype(np.int32),
+                "s_cids": cids,
+                "s_hold": hold,
+                "s_drain": (m - 1) * tau,
+                "s_rel_off": np.concatenate(([0], np.cumsum(contended)))[offsets].astype(np.int32),
+                "r_kk": kk[rel].astype(np.int32),
+                "r_cid": cids[rel],
+                "r_hold": hold[rel],
+                "r_off": (lengths[rel_leg] - 1 - kk[rel]) * tau[rel_leg],
             }
+            self._tabled = tau.size
         return self._arrays
 
 

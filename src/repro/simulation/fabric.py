@@ -18,29 +18,52 @@ uses) and a reporting group:
 
 A journey is one leg (its ICN1 route) or three (the ECN1 ascent, the ICN2
 crossing and the ECN1 descent, paper Fig. 2).  The leg is the only unit
-of path state: the fabric resolves each leg once, on first use, into a
-``(channel ids, bottleneck flit time)`` record with a dense leg id — the
-ascent and descent per node, the ICN2 crossing per cluster pair, the ICN1
-route per intra-cluster pair — and every journey reads those records by
-id, as the model prices each leg per cluster class and never per pair.
+of path state: the fabric builds each leg once, on first use, with a
+dense leg id — the ascent and the descent per node, the ICN2 crossing per
+cluster pair, the ICN1 route per intra-cluster pair — and every journey
+reads legs by id, as the model prices each leg per cluster class and
+never per pair.
+
+Legs are computed in closed form, not routed through address objects.
+Channel ids follow :meth:`HeterogeneousSystem.channels`: each tree's
+channels in :meth:`~repro.topology.mport_ntree.MPortNTree.links` order from
+its block base (:attr:`~repro.cluster.system.HeterogeneousSystem.
+channel_blocks`), so :func:`~repro.topology.mport_ntree.route_link_ids`
+gives every channel of a route from the endpoints' node indices.  The
+ascent of node ``x`` in an ECN1 of depth ``n`` is the first ``n`` channels
+of the round trip ``x → x`` through level ``n`` — the climb to its home
+root ``r = x mod q^{n−1}`` — then root ``r`` → concentrator; the descent
+is concentrator → root ``r``, then the last ``n``.  The same arithmetic
+builds one leg from Python ints (:meth:`~ResolvedFabric.leg_ids`, for the
+reference loop and the flit engine) or many legs from integer arrays,
+batched so that the legs of a batch have one kind, tree depth and turn
+level (:meth:`~ResolvedFabric.leg_rows`, for the array engine).  The table
+keeps channel ids flat in numpy with per-leg offsets and bottleneck flit
+times; its Python views (:attr:`~ResolvedFabric.legs`,
+:meth:`~ResolvedFabric.hot_records`) are materialised on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
 from repro._util import require
 from repro.cluster.channels import Concentrator, SystemChannel
-from repro.cluster.pathing import ecn1_legs, icn2_leg, intra_path
 from repro.cluster.system import HeterogeneousSystem
 from repro.core.parameters import MessageSpec, ModelOptions, NetworkCharacteristics
 from repro.core.service_times import ServiceTimes
+from repro.topology.mport_ntree import route_level, route_link_ids
 
 __all__ = ["ResolvedSegment", "ResolvedFabric", "GROUPS"]
 
 GROUPS: tuple[str, ...] = ("icn1", "ecn1", "icn2", "cd-concentrate", "cd-dispatch")
+
+# Leg kinds, in the order of their key ranges (see ResolvedFabric._key).
+_ICN1, _UP, _DOWN, _ICN2 = range(4)
 
 
 @dataclass(frozen=True)
@@ -67,7 +90,6 @@ class ResolvedFabric:
         self._service_cache: dict[NetworkCharacteristics, ServiceTimes] = {}
         channels = list(system.channels())
         self.num_channels = len(channels)
-        self.channel_index: dict[SystemChannel, int] = {ch: i for i, ch in enumerate(channels)}
         self.channels: tuple[SystemChannel, ...] = tuple(channels)
 
         flit_time = np.empty(self.num_channels, dtype=np.float64)
@@ -77,6 +99,8 @@ class ResolvedFabric:
             group[i] = GROUPS.index(self._channel_group(ch))
         self.flit_time = flit_time
         self.group = group
+        self._flit_list: list[float] = flit_time.tolist()
+        self._group_counts = dict(zip(GROUPS, np.bincount(group, minlength=len(GROUPS)).tolist()))
         #: Per-channel "grants without queueing" flags: the links into a
         #: concentrator/dispatcher buffer.  The paper models every segment
         #: sink as "always able to receive" (Eq. 29's final stage has no
@@ -84,15 +108,29 @@ class ResolvedFabric:
         #: non-blocking ingress links.
         self.uncontended: list[bool] = [isinstance(ch.target, Concentrator) for ch in channels]
 
-        #: Every leg resolved so far; a leg id indexes this list.
-        self.legs: list[ResolvedSegment] = []
-        self._leg_id: dict[tuple, int] = {}
-        self._hot: list[tuple] = []
-
+        # The closed-form layout: per cluster its tree depth, first node id
+        # and channel block bases.
+        clusters = system.clusters
+        self._radix = system.config.switch_ports // 2
+        self._blocks = system.channel_blocks
+        self._depth = [c.spec.tree_depth for c in clusters]
+        self._first = [c.first_global_id for c in clusters]
+        self._cluster_of = np.repeat(np.arange(len(clusters)), [c.num_nodes for c in clusters])
         #: node id -> cluster index (the hot loop's per-delivery lookup).
-        self.cluster_index: list[int] = [
-            system.cluster_of(node).index for node in system.global_ids()
-        ]
+        self.cluster_index: list[int] = self._cluster_of.tolist()
+
+        # The leg table: leg key -> leg id; per leg its channel ids (flat,
+        # with offsets) and bottleneck flit time in numpy, after the legs
+        # built one at a time since the last batch, which wait in Python
+        # lists (lengths, channel ids, flit times) so that building one leg
+        # makes no numpy call.
+        self._leg_id: dict[int, int] = {}
+        self._offsets = np.zeros(1, dtype=np.int64)
+        self._cids = np.empty(0, dtype=np.int32)
+        self._tau = np.empty(0, dtype=np.float64)
+        self._pending: tuple[list, list, list] = ([], [], [])
+        self._legs: list[ResolvedSegment] = []
+        self._hot: list[tuple] = []
 
     # -- channel attributes ------------------------------------------------------
 
@@ -120,44 +158,205 @@ class ResolvedFabric:
             return "cd-concentrate" if channel.network[0] == "icn2" else "cd-dispatch"
         return channel.network[0]
 
-    # -- path resolution -----------------------------------------------------------
+    @cached_property
+    def channel_index(self) -> dict[SystemChannel, int]:
+        """:class:`SystemChannel` → channel id (the inverse of :attr:`channels`)."""
+        return {ch: i for i, ch in enumerate(self.channels)}
 
-    def _leg(self, key: tuple) -> int:
-        """The id of leg *key*, resolving the leg on first use."""
-        if key not in self._leg_id:
-            kind, *args = key
-            if kind == "icn1":
-                built = {key: intra_path(self.system, *args).segments[0]}
-            elif kind == "icn2":
-                built = {key: icn2_leg(self.system, *args)}
-            else:  # a node's ascent and descent resolve together
-                up, down = ecn1_legs(self.system, *args)
-                built = {("up", *args): up, ("down", *args): down}
-            for k, seg in built.items():
-                ids = tuple(self.channel_index[ch] for ch in seg.channels)
-                tau = max(float(self.flit_time[c]) for c in ids)
-                self._leg_id[k] = len(self.legs)
-                self.legs.append(ResolvedSegment(channel_ids=ids, bottleneck_flit_time=tau))
-        return self._leg_id[key]
+    # -- the leg table -------------------------------------------------------------
+
+    @property
+    def num_legs(self) -> int:
+        """Legs built so far; leg ids are ``0 .. num_legs − 1``."""
+        return self._tau.size + len(self._pending[2])
+
+    def _key(self, kind: int, a, b):
+        """The table key of a leg (ints, or int arrays elementwise): ICN1
+        routes ``a → b`` by node ids, then ascents and descents of node
+        ``a``, then ICN2 crossings ``a → b`` by cluster index."""
+        n = self.system.total_nodes
+        if kind == _ICN1:
+            return a * n + b
+        if kind == _ICN2:
+            return n * n + 2 * n + a * len(self.system.clusters) + b
+        return n * n + (kind - 1) * n + a
+
+    def _columns(self, kind: int, depth: int, level: int, s, d, base, attach) -> list:
+        """Channel ids, position by position, of legs of one *kind* in trees
+        of *depth* that turn at *level*: *s*, *d* are tree-local endpoint
+        indices (``s == d`` for ECN1 legs), *base* the tree block's first
+        channel id and *attach* the concentrator attachments' (ints, or int
+        arrays elementwise)."""
+        ids = route_link_ids(self._radix, depth, s, d, level)
+        if kind == _UP:
+            return [base + c for c in ids[:depth]] + [attach + 2 * (s % self._radix ** (depth - 1))]
+        if kind == _DOWN:
+            return [attach + 2 * (s % self._radix ** (depth - 1)) + 1] + [base + c for c in ids[depth:]]
+        return [base + c for c in ids]
+
+    def _leg(self, kind: int, a: int, b: int) -> int:
+        """The id of one leg (node ids, or cluster indices for ICN2),
+        building it from Python ints on first use."""
+        key = self._key(kind, a, b)
+        leg = self._leg_id.get(key)
+        if leg is not None:
+            return leg
+        blocks = self._blocks
+        if kind == _ICN2:
+            depth, first, base, attach = self.system.icn2.tree_depth, 0, blocks.icn2, 0
+        else:
+            k = self.cluster_index[a]
+            depth, first, attach = self._depth[k], self._first[k], blocks.attach[k]
+            base = (blocks.icn1 if kind == _ICN1 else blocks.ecn1)[k]
+        s, d = a - first, b - first
+        level = route_level(self._radix, depth, s, d) if kind in (_ICN1, _ICN2) else depth
+        ids = tuple(self._columns(kind, depth, level, s, d, base, attach))
+        tau = max([self._flit_list[c] for c in ids])
+        leg = self.num_legs
+        lengths, cids, taus = self._pending
+        lengths.append(len(ids))
+        cids.extend(ids)
+        taus.append(tau)
+        if len(self._legs) == leg:
+            self._legs.append(ResolvedSegment(channel_ids=ids, bottleneck_flit_time=tau))
+        self._leg_id[key] = leg
+        return leg
+
+    def _build(self, keys: np.ndarray) -> np.ndarray:
+        """Build and key the legs of the sorted, absent *keys* in batches
+        of one kind, tree depth and turn level; returns their new ids."""
+        blocks = self._blocks
+        self.leg_table()  # store the pending legs first: ids follow storage order
+        next_id = self.num_legs
+        ids = np.empty(keys.size, dtype=np.int64)
+        built = []
+        starts = [self._key(kind, 0, 0) for kind in (_ICN1, _UP, _DOWN, _ICN2)]
+        spans = np.searchsorted(keys, starts + [np.iinfo(np.int64).max])
+        for kind, start in enumerate(starts):
+            at = np.arange(spans[kind], spans[kind + 1])
+            if not at.size:
+                continue
+            offset = keys[at] - start
+            if kind == _ICN2:
+                a, b = np.divmod(offset, len(self.system.clusters))
+                depth_of = np.full(at.size, self.system.icn2.tree_depth)
+                first = attach = np.zeros(at.size, dtype=np.int64)
+                base = np.full(at.size, blocks.icn2)
+            else:
+                a, b = np.divmod(offset, self.system.total_nodes) if kind == _ICN1 else (offset, offset)
+                k = self._cluster_of[a]
+                depth_of, first, attach = (np.take(v, k) for v in (self._depth, self._first, blocks.attach))
+                base = np.take(blocks.icn1 if kind == _ICN1 else blocks.ecn1, k)
+            s, d = a - first, b - first
+            for depth in np.unique(depth_of).tolist():
+                sel = np.flatnonzero(depth_of == depth)
+                if kind in (_ICN1, _ICN2):
+                    level_of = np.broadcast_to(route_level(self._radix, depth, s[sel], d[sel]), sel.shape)
+                else:
+                    level_of = np.full(sel.size, depth)
+                for level in np.unique(level_of).tolist():
+                    grp = sel[level_of == level]
+                    rows = np.stack(
+                        self._columns(kind, depth, level, s[grp], d[grp], base[grp], attach[grp]), axis=1
+                    )
+                    ids[at[grp]] = np.arange(next_id, next_id + grp.size)
+                    next_id += grp.size
+                    built.append(rows)
+        self._store(
+            np.repeat([rows.shape[1] for rows in built], [rows.shape[0] for rows in built]),
+            np.concatenate([rows.ravel() for rows in built]),
+            np.concatenate([self.flit_time[rows].max(axis=1) for rows in built]),
+        )
+        self._leg_id.update(zip(keys.tolist(), ids.tolist()))
+        return ids
+
+    def _store(self, lengths, cids, tau) -> None:
+        """Append legs to the numpy table: their lengths, their channel ids
+        back to back and their bottleneck flit times."""
+        self._offsets = np.concatenate((self._offsets, self._offsets[-1] + np.cumsum(lengths)))
+        self._cids = np.concatenate((self._cids, np.asarray(cids, dtype=np.int32)))
+        self._tau = np.concatenate((self._tau, np.asarray(tau, dtype=np.float64)))
 
     def leg_ids(self, source: int, destination: int) -> tuple[int, ...]:
         """Leg ids of the journey ``source → destination`` (flat node ids):
         the ICN1 route, or the ascent, the ICN2 crossing and the descent."""
+        n = self.system.total_nodes
+        require(0 <= source < n and 0 <= destination < n, f"node ids must be in [0, {n})")
+        require(source != destination, "source and destination must differ")
         i = self.cluster_index[source]
         j = self.cluster_index[destination]
         leg = self._leg
         if i == j:
-            return (leg(("icn1", source, destination)),)
-        return (leg(("up", source)), leg(("icn2", i, j)), leg(("down", destination)))
+            return (leg(_ICN1, source, destination),)
+        return (leg(_UP, source, source), leg(_ICN2, i, j), leg(_DOWN, destination, destination))
+
+    def leg_rows(self, sources, destinations) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`leg_ids` of many journeys at once, as int32 ``(offsets,
+        ids)``: journey ``r``'s leg ids are ``ids[offsets[r]:offsets[r+1]]``.
+
+        The journeys' absent legs are built in batches (:meth:`_build`);
+        the same checks as :meth:`leg_ids` apply to every journey.
+        """
+        src = np.asarray(sources, dtype=np.int64)
+        dst = np.asarray(destinations, dtype=np.int64)
+        n = self.system.total_nodes
+        require(
+            not src.size or (min(src.min(), dst.min()) >= 0 and max(src.max(), dst.max()) < n),
+            f"node ids must be in [0, {n})",
+        )
+        require(not np.any(src == dst), "source and destination must differ")
+        i = self._cluster_of[src]
+        j = self._cluster_of[dst]
+        inter = i != j
+        offsets = np.zeros(src.size + 1, dtype=np.int64)
+        np.cumsum(np.where(inter, 3, 1), out=offsets[1:])
+        keys = np.empty(int(offsets[-1]), dtype=np.int64)
+        head = offsets[:-1]
+        keys[head] = np.where(inter, self._key(_UP, src, src), self._key(_ICN1, src, dst))
+        keys[head[inter] + 1] = self._key(_ICN2, i[inter], j[inter])
+        keys[head[inter] + 2] = self._key(_DOWN, dst[inter], dst[inter])
+        unique, inverse = np.unique(keys, return_inverse=True)
+        ids = np.fromiter(map(self._leg_id.get, unique.tolist(), repeat(-1)), np.int64, unique.size)
+        absent = ids < 0
+        if absent.any():
+            ids[absent] = self._build(unique[absent])
+        return offsets.astype(np.int32), ids[inverse].astype(np.int32)
+
+    def leg_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(offsets, channel_ids, bottleneck_flit_times)`` of every leg
+        built so far (int64, int32, float64): leg ``g``'s channels are
+        ``channel_ids[offsets[g]:offsets[g+1]]``."""
+        lengths, cids, tau = self._pending
+        if tau:
+            self._store(lengths, cids, tau)
+            self._pending = ([], [], [])
+        return self._offsets, self._cids, self._tau
+
+    # -- Python views of the table ---------------------------------------------------
+
+    @property
+    def legs(self) -> list[ResolvedSegment]:
+        """Every leg built so far as a :class:`ResolvedSegment`, by leg id."""
+        views = self._legs
+        done = len(views)
+        if done < self.num_legs:
+            offsets, cids, tau = self.leg_table()
+            bounds = (offsets[done:] - offsets[done]).tolist()
+            ids = cids[offsets[done]:].tolist()
+            views.extend(
+                ResolvedSegment(channel_ids=tuple(ids[lo:hi]), bottleneck_flit_time=t)
+                for lo, hi, t in zip(bounds, bounds[1:], tau[done:].tolist())
+            )
+        return views
 
     def resolve(self, source: int, destination: int) -> tuple[ResolvedSegment, ...]:
         """Segments of the journey ``source → destination`` (flat node ids)."""
-        require(source != destination, "source and destination must differ")
+        ids = self.leg_ids(source, destination)
         legs = self.legs
-        return tuple(legs[i] for i in self.leg_ids(source, destination))
+        return tuple(legs[i] for i in ids)
 
     def hot_records(self) -> list[tuple]:
-        """The hot-loop record of every leg resolved so far, by leg id.
+        """The hot-loop record of every leg built so far, by leg id.
 
         A record is ``(channel_ids, hold_times, tau, drain, last,
         rel_items)`` where ``hold_times[k] = M·τ_k`` (full-message occupancy
@@ -173,12 +372,12 @@ class ResolvedFabric:
         records = self._hot
         flags = self.uncontended
         m = self.message.length_flits
-        flit_time = self.flit_time
+        flit_time = self._flit_list
         for leg in self.legs[len(records):]:
             cids = leg.channel_ids
             tau = leg.bottleneck_flit_time
             last = len(cids) - 1
-            hold = tuple(m * float(flit_time[c]) for c in cids)
+            hold = tuple(m * flit_time[c] for c in cids)
             rel_items = tuple(
                 (kk, cids[kk], hold[kk], (last - kk) * tau)
                 for kk in range(last + 1)
@@ -191,12 +390,11 @@ class ResolvedFabric:
         """``resolve(source, destination)`` for the reference loop: the
         journey's :meth:`hot_records`, looked up by leg id."""
         records = self.hot_records()
-        legs = self.legs
         leg_ids = self.leg_ids
 
         def resolve(source: int, destination: int) -> tuple:
             ids = leg_ids(source, destination)
-            if len(records) < len(legs):
+            if len(records) < self.num_legs:
                 self.hot_records()
             return tuple([records[i] for i in ids])
 
@@ -206,7 +404,4 @@ class ResolvedFabric:
 
     def channels_per_group(self) -> dict[str, int]:
         """Directed channel counts by reporting group."""
-        counts = {name: 0 for name in GROUPS}
-        for g in self.group:
-            counts[GROUPS[int(g)]] += 1
-        return counts
+        return dict(self._group_counts)

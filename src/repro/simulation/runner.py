@@ -61,7 +61,12 @@ ENGINES = ("reference", "array")
 #: sim/4: cut-through concentrators with physical sinks are the only
 #: semantics (the store-and-forward and ideal-sink modes are gone).
 #: Trajectories are unchanged; cached simulator curves miss once.
-TRAJECTORY_VERSION = "sim/4"
+#:
+#: sim/5: legs are computed in closed form from the channel-numbering
+#: contract of ``MPortNTree.links()`` and ``HeterogeneousSystem.channels()``,
+#: one at a time or in numpy batches.  Trajectories are unchanged; cached
+#: simulator curves miss once.
+TRAJECTORY_VERSION = "sim/5"
 
 
 @dataclass(frozen=True)

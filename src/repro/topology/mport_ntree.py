@@ -5,6 +5,18 @@ about in closed form: ``N = 2 (m/2)^n`` nodes, ``(2n-1)(m/2)^{n-1}``
 switches, node↔switch and switch↔switch full-duplex links.  It exposes
 adjacency queries, channel enumeration for the simulators and a
 :mod:`networkx` export for structural verification.
+
+Channel numbering contract
+--------------------------
+:meth:`MPortNTree.links` yields channels in a fixed order, and
+:func:`route_level` / :func:`route_link_ids` give the position of every
+channel of a route in that order by digit arithmetic alone.  With
+``q = m/2`` and ``N = 2 q^n``, node ``x`` → its leaf switch is ``2x`` and
+back ``2x + 1``; the up link out of the level-``l`` switch that node
+``s`` climbs through toward ``d`` is ``2(lN + s − s mod q^l + (d mod
+q^{l−1})·q + (d // q^{l−1}) mod q)`` and its reverse one more.  The
+simulators number channels by this contract, so reordering
+:meth:`~MPortNTree.links` moves every simulator channel id.
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ from repro.topology.addressing import (
 if TYPE_CHECKING:
     import networkx as nx
 
-__all__ = ["ChannelKind", "Endpoint", "Link", "MPortNTree"]
+__all__ = ["ChannelKind", "Endpoint", "Link", "MPortNTree", "route_level", "route_link_ids"]
 
 Endpoint = Union[NodeAddress, SwitchAddress]
 
@@ -207,6 +219,56 @@ class MPortNTree:
             seen.add(key)
             graph.add_edge(link.source, link.target)
         return graph
+
+
+def route_level(radix: int, depth: int, source, destination):
+    """NCA level ``h`` of the route ``source → destination`` between the
+    node indices of an m-port n-tree with ``q = radix``, ``n = depth``.
+
+    ``h`` is one plus the number of levels ``l < n`` whose subtree prefixes
+    ``x // q^l`` differ.  Works on Python ints and, elementwise, on integer
+    arrays.  A self pair has no route; callers reject it.
+    """
+    level = 1
+    span = radix
+    for _ in range(1, depth):
+        level = level + (source // span != destination // span)
+        span *= radix
+    return level
+
+
+def _up_link(radix: int, n_nodes: int, level: int, source, destination):
+    """Position in :meth:`MPortNTree.links` of the up link out of the
+    level-*level* switch that *source* climbs through toward *destination*
+    (its reverse, the down link, is the next position)."""
+    below = radix ** (level - 1)
+    return 2 * (
+        level * n_nodes
+        + source - source % (below * radix)
+        + destination % below * radix
+        + destination // below % radix
+    )
+
+
+def route_link_ids(radix: int, depth: int, source, destination, level: int) -> list:
+    """Positions in :meth:`MPortNTree.links` of the route ``source →
+    destination`` that turns at level *level* (its :func:`route_level`).
+
+    The route is the node→leaf link, the up links of levels ``1..h−1``
+    (up-port = the destination's digit at that level), the down links from
+    ``h`` to ``2`` toward the destination and the leaf→node link: ``2h``
+    channels, the same list as :func:`~repro.topology.routing.route`.
+    Works on Python ints and, elementwise, on integer arrays whose routes
+    share *level*.  The round trip ``x → x`` through level ``n`` is the
+    climb to ``x``'s home root followed by the descent from it.
+    """
+    n_nodes = 2 * radix**depth
+    return (
+        [2 * source]
+        + [_up_link(radix, n_nodes, l, source, destination) for l in range(1, level)]
+        + [_up_link(radix, n_nodes, l, destination, destination) + 1 for l in range(level - 1, 0, -1)]
+        + [2 * destination + 1]
+    )
 
 
 def _uniform_radix_tuples(length: int, radix: int) -> Iterator[tuple[int, ...]]:

@@ -11,7 +11,14 @@ column ``(b_{h-1}, …, b_1)``.
 
 The module also provides the ascent/descent legs to a *specific* root
 switch, used to route traffic to the concentrator/dispatcher that bridges
-an ECN1 with the global ICN2 (DESIGN.md §3 item 11).
+an ECN1 with the global ICN2.
+
+These object routes are the readable oracle.  The simulators compute the
+same routes as channel ids by digit arithmetic
+(:func:`~repro.topology.mport_ntree.route_link_ids`), under the numbering
+contract of :meth:`~repro.topology.mport_ntree.MPortNTree.links` and
+:meth:`~repro.cluster.system.HeterogeneousSystem.channels`; the tests
+compare the two.
 """
 
 from __future__ import annotations

@@ -63,6 +63,30 @@ class TestChannels:
         expected += 2 * icn2.tree_depth * icn2.num_nodes
         assert built_small_system.num_channels == expected
 
+    @pytest.mark.parametrize("depths", [(2, 2, 2, 2), (1, 2, 3, 1, 2, 1), (3,)])
+    def test_blocks_locate_the_enumeration(self, depths):
+        # channel_blocks is the closed form of channels()' order: each
+        # tree block starts at its base in links() order, and root r's
+        # concentrator attachment pair sits at attach + 2r, attach + 2r + 1.
+        m = 6 if len(depths) == 6 else 4
+        clusters = tuple(ClusterSpec(tree_depth=n, name=f"c{i}") for i, n in enumerate(depths))
+        system = HeterogeneousSystem(SystemConfig(switch_ports=m, clusters=clusters))
+        channels = list(system.channels())
+        blocks = system.channel_blocks
+        assert blocks.total == system.num_channels == len(channels)
+        for k, cluster in enumerate(system.clusters):
+            links = list(cluster.icn1.links())  # the ECN1 tree has the same shape
+            for tag, base in ((("icn1", k), blocks.icn1[k]), (("ecn1", k), blocks.ecn1[k])):
+                assert channels[base : base + len(links)] == [SystemChannel.from_link(tag, link) for link in links]
+            if len(depths) > 1:
+                cd = Concentrator(k)
+                for r, root in enumerate(cluster.ecn1.root_switches):
+                    pair = channels[blocks.attach[k] + 2 * r : blocks.attach[k] + 2 * r + 2]
+                    assert [(ch.source, ch.target) for ch in pair] == [(root, cd), (cd, root)]
+        icn2 = [ch for ch in channels if ch.network == ("icn2",)]
+        assert channels[blocks.icn2 :] == icn2
+        assert len(icn2) == (2 * system.icn2.num_full_duplex_links() if len(depths) > 1 else 0)
+
     def test_no_duplicate_channels(self, built_small_system):
         channels = list(built_small_system.channels())
         assert len(channels) == len(set(channels))

@@ -21,6 +21,7 @@ import weakref
 from dataclasses import replace
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from repro.cluster.system import HeterogeneousSystem
@@ -290,6 +291,25 @@ class TestSessionAndConfigPlumbing:
         assert eventcore._CONTEXTS[session.fabric] is ctx
         assert ctx.uncontended.tolist() == [int(flag) for flag in session.fabric.uncontended]
         assert len(ctx.arrays(session.fabric)["s_drain"]) == len(session.fabric.legs)
+
+    def test_leg_table_grows_with_the_legs_a_run_uses(self, monkeypatch):
+        # 1120-x4 has 326,272 possible ICN1 legs; a short run builds only
+        # the distinct legs its messages use, and keys no others.
+        spec = get_scenario("1120-x4")
+        session = SimulationSession(spec.system, spec.message)
+        rows = []
+        paths_for = eventcore._EventCoreContext.paths_for
+
+        def recording(ctx, fabric, g_node, g_dest):
+            rows.append(paths_for(ctx, fabric, g_node, g_dest))
+            return rows[-1]
+
+        monkeypatch.setattr(eventcore._EventCoreContext, "paths_for", recording)
+        session.run(1.5e-4, seed=11, window=WINDOW, engine="array")
+        fabric = session.fabric
+        (_p_off, p_segs), = rows
+        assert fabric.num_legs == len(np.unique(p_segs)) == len(fabric._leg_id)
+        assert 0 < fabric.num_legs < WINDOW.total * 3
 
     def test_flit_granularity_rejects_array_engine(self, small_system, small_message):
         session = SimulationSession(small_system, small_message)

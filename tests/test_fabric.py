@@ -1,11 +1,56 @@
 """Resolved-fabric tests (simulation.fabric)."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import HeterogeneousSystem, build_path
-from repro.core import MessageSpec, ModelOptions, ServiceTimes
+from repro.core import NET1, ClusterSpec, MessageSpec, ModelOptions, ServiceTimes, SystemConfig
 from repro.simulation import GROUPS, ResolvedFabric
+from repro.simulation.eventcore import _EventCoreContext
+
+
+def mixed_system(switch_ports, depths):
+    """One ICN2 level of ``len(depths) = m`` clusters of the given depths."""
+    return SystemConfig(
+        switch_ports=switch_ports,
+        clusters=tuple(ClusterSpec(tree_depth=n, name=f"c{i}") for i, n in enumerate(depths)),
+        icn2=NET1,
+        name=f"mixed-m{switch_ports}",
+    )
+
+
+#: Radix q ≠ 2 with mixed depths 1-3.  At m = 4 (q = 2) the top digit's
+#: radix 2q equals q², so a radix mix-up passes every m = 4 system.
+MIXED_M6 = mixed_system(6, (1, 2, 3, 1, 2, 1))
+MIXED_M8 = mixed_system(8, (1, 1, 1, 1, 1, 1, 2, 3))
+
+
+def oracle_ids(fabric, src, dst):
+    """Channel ids of each leg of ``src → dst`` by the object router."""
+    index = fabric.channel_index
+    return [tuple(index[ch] for ch in seg.channels) for seg in build_path(fabric.system, src, dst).segments]
+
+
+@lru_cache(maxsize=None)
+def random_system(switch_ports, depths):
+    return HeterogeneousSystem(mixed_system(switch_ports, depths))
+
+
+@st.composite
+def system_and_pairs(draw):
+    """A random one-ICN2-level system (m ∈ {4, 6, 8, 10}, depths 1-3, at
+    most 128 nodes per cluster) and random ordered pairs of its nodes."""
+    m = draw(st.sampled_from([4, 6, 8, 10]))
+    deepest = max(n for n in (1, 2, 3) if 2 * (m // 2) ** n <= 128)
+    depths = tuple(draw(st.lists(st.integers(1, deepest), min_size=m, max_size=m)))
+    total = sum(2 * (m // 2) ** n for n in depths)
+    nodes = st.integers(0, total - 1)
+    pairs = draw(st.lists(st.tuples(nodes, nodes).filter(lambda p: p[0] != p[1]), min_size=1, max_size=40))
+    return random_system(m, depths), pairs
 
 
 class TestChannelTable:
@@ -93,19 +138,17 @@ class TestResolve:
 
 
 class TestLegTable:
-    @pytest.mark.parametrize("config", ["small_system", "tiny_hetero_system"])
+    @pytest.mark.parametrize("config", ["small_system", "tiny_hetero_system", "mixed_m6", "mixed_m8"])
     def test_every_pair_matches_the_pathing_oracle(self, config, request, small_message):
-        system = HeterogeneousSystem(request.getfixturevalue(config))
+        named = {"mixed_m6": MIXED_M6, "mixed_m8": MIXED_M8}
+        system = HeterogeneousSystem(named.get(config) or request.getfixturevalue(config))
         fabric = ResolvedFabric(system, small_message)
         n = system.total_nodes
         for src in range(n):
             for dst in range(n):
                 if src == dst:
                     continue
-                expected = [
-                    tuple(fabric.channel_index[ch] for ch in seg.channels)
-                    for seg in build_path(system, src, dst).segments
-                ]
+                expected = oracle_ids(fabric, src, dst)
                 assert [seg.channel_ids for seg in fabric.resolve(src, dst)] == expected
         # One leg per node and direction, per cluster pair and per
         # intra-cluster pair: journeys share legs, never copies of them
@@ -114,19 +157,90 @@ class TestLegTable:
         intra = sum(k.num_nodes * (k.num_nodes - 1) for k in system.clusters)
         assert len(fabric.legs) == 2 * n + c * (c - 1) + intra
 
+    @settings(max_examples=25)
+    @given(system_and_pairs())
+    def test_closed_form_legs_match_the_oracle_at_any_radix(self, case):
+        system, pairs = case
+        message = MessageSpec(length_flits=8, flit_bytes=256.0)
+        scalar = ResolvedFabric(system, message)
+        batched = ResolvedFabric(system, message)
+        src, dst = (np.array(col) for col in zip(*pairs))
+        offsets, ids = batched.leg_rows(src, dst)
+        for r, (s, d) in enumerate(pairs):
+            expected = oracle_ids(scalar, s, d)
+            assert [seg.channel_ids for seg in scalar.resolve(s, d)] == expected
+            row = ids[offsets[r] : offsets[r + 1]].tolist()
+            assert [batched.legs[g].channel_ids for g in row] == expected
+        # Both builds give every leg its bottleneck flit time.
+        for fabric in (scalar, batched):
+            for leg in fabric.legs:
+                assert leg.bottleneck_flit_time == max(fabric.flit_time[c] for c in leg.channel_ids)
+
+    def test_batched_rows_equal_scalar_leg_ids(self, small_message):
+        system = HeterogeneousSystem(MIXED_M6)
+        fabric = ResolvedFabric(system, small_message)
+        rng = np.random.default_rng(7)
+        src = rng.integers(0, system.total_nodes, 3_000)
+        dst = rng.integers(0, system.total_nodes - 1, 3_000)
+        dst += dst >= src
+        p_off, p_segs = _EventCoreContext(fabric).paths_for(fabric, src, dst)
+        assert p_off.dtype == p_segs.dtype == np.int32
+        built = fabric.num_legs
+        assert built == len(np.unique(p_segs))
+        fresh = ResolvedFabric(system, small_message)
+        for r, (s, d) in enumerate(zip(src.tolist(), dst.tolist())):
+            row = p_segs[p_off[r] : p_off[r + 1]].tolist()
+            # The scalar path finds the batch's legs under the same ids ...
+            assert fabric.leg_ids(s, d) == tuple(row)
+            # ... and builds the same channels on a fresh fabric.
+            assert [leg.channel_ids for leg in fresh.resolve(s, d)] == [fabric.legs[g].channel_ids for g in row]
+        assert fabric.num_legs == built
+
+    def test_batched_tables_equal_hot_records(self, small_message):
+        fabric = ResolvedFabric(HeterogeneousSystem(MIXED_M8), small_message)
+        rng = np.random.default_rng(3)
+        src = rng.integers(0, 100, 500)
+        dst = (src + 1 + rng.integers(0, 200, 500)) % 208
+        ctx = _EventCoreContext(fabric)
+        ctx.paths_for(fabric, src, dst)
+        fabric.resolve(200, 150)  # sources are < 100: a leg only the scalar path builds
+        tables = ctx.arrays(fabric)
+        records = fabric.hot_records()
+        assert len(records) == fabric.num_legs == len(tables["s_drain"])
+        for g, (cids, hold, _tau, drain, _last, rel_items) in enumerate(records):
+            lo, hi = tables["s_cid_off"][g : g + 2]
+            assert tables["s_cids"][lo:hi].tolist() == list(cids)
+            assert tables["s_hold"][lo:hi].tolist() == list(hold)
+            assert tables["s_drain"][g] == drain
+            lo, hi = tables["s_rel_off"][g : g + 2]
+            items = zip(*(tables[k][lo:hi].tolist() for k in ("r_kk", "r_cid", "r_hold", "r_off")))
+            assert tuple(items) == rel_items
+
+    @pytest.mark.parametrize(
+        "bad", [(0, 0), (-1, 3), (3, -1), (32, 3), (3, 32)], ids=["self", "src-1", "dst-1", "srcN", "dstN"]
+    )
+    def test_both_paths_reject_bad_pairs(self, small_fabric, bad):
+        assert small_fabric.system.total_nodes == 32
+        src, dst = bad
+        with pytest.raises(ValueError):
+            small_fabric.leg_ids(src, dst)
+        ctx = _EventCoreContext(small_fabric)
+        with pytest.raises(ValueError):
+            ctx.paths_for(small_fabric, np.array([1, src]), np.array([2, dst]))
+
 
 class TestHotRecords:
     def test_one_table_grows_with_the_legs(self, small_system, small_message):
         fabric = ResolvedFabric(HeterogeneousSystem(small_system), small_message)
         records = fabric.hot_records()
         assert records == []
-        # A node's ascent and descent resolve together: 2 + 1 + 2 legs.
+        # Each leg is built alone: 0's ascent, the crossing, 9's descent.
         fabric.resolve(0, 9)
         assert fabric.hot_records() is records
-        assert len(records) == len(fabric.legs) == 5
-        fabric.resolve(0, 17)  # node 0's legs are shared; 1 + 2 new ones
+        assert len(records) == len(fabric.legs) == 3
+        fabric.resolve(0, 17)  # node 0's ascent is shared; 2 new legs
         assert fabric.hot_records() is records
-        assert len(records) == len(fabric.legs) == 8
+        assert len(records) == len(fabric.legs) == 5
 
     def test_records_fold_the_leg_arithmetic(self, small_fabric):
         small_fabric.resolve(1, 30)

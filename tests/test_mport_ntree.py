@@ -1,12 +1,17 @@
 """m-port n-tree construction tests (topology.mport_ntree vs paper §2)."""
 
+from functools import lru_cache
+
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import num_nodes, num_switches, switches_per_level
-from repro.topology import ChannelKind, MPortNTree, structural_summary
+from repro.topology import ChannelKind, MPortNTree, nca_level, route, structural_summary
+from repro.topology.mport_ntree import route_level, route_link_ids
+from repro.topology.routing import ascend_to_root, descend_from_root, home_root
 
 trees = st.tuples(st.sampled_from([4, 6, 8]), st.integers(1, 3))
 
@@ -118,3 +123,64 @@ class TestChannels:
         tree = MPortNTree(4, 3)
         graph = tree.to_networkx()
         assert nx.diameter(graph) <= 2 * (tree.tree_depth + 1)
+
+
+@lru_cache(maxsize=None)
+def link_positions(m, n):
+    """The tree and its ``(source, target) → position in links()`` map."""
+    tree = MPortNTree(m, n)
+    return tree, {(link.source, link.target): i for i, link in enumerate(tree.links())}
+
+
+def positions(index, route_):
+    return [index[(link.source, link.target)] for link in route_.links]
+
+
+@st.composite
+def tree_and_pairs(draw):
+    m, n = draw(st.tuples(st.sampled_from([4, 6, 8, 10]), st.integers(1, 3)))
+    total = 2 * (m // 2) ** n
+    nodes = st.integers(0, total - 1)
+    pairs = draw(st.lists(st.tuples(nodes, nodes).filter(lambda p: p[0] != p[1]), min_size=1, max_size=30))
+    return m, n, pairs
+
+
+class TestChannelNumbering:
+    """The closed form is the numbering of links(): route_link_ids gives
+    the links() positions of every route the object router builds."""
+
+    @given(tree_and_pairs())
+    def test_routes_match_the_router_at_any_radix(self, case):
+        m, n, pairs = case
+        tree, index = link_positions(m, n)
+        q = m // 2
+        for s, d in pairs:
+            h = nca_level(tree, tree.node(s), tree.node(d))
+            assert route_level(q, n, s, d) == h
+            assert route_link_ids(q, n, s, d, h) == positions(index, route(tree, tree.node(s), tree.node(d)))
+
+    @given(tree_and_pairs())
+    def test_round_trip_is_the_home_root_climb_and_descent(self, case):
+        m, n, pairs = case
+        tree, index = link_positions(m, n)
+        q = m // 2
+        for x, _ in pairs:
+            node = tree.node(x)
+            root = home_root(tree, node)
+            assert tree.root_switches.index(root) == x % q ** (n - 1)
+            trip = route_link_ids(q, n, x, x, n)
+            assert trip[:n] == positions(index, ascend_to_root(tree, node, root))
+            assert trip[n:] == positions(index, descend_from_root(tree, root, node))
+
+    @given(tree_and_pairs())
+    def test_arrays_are_elementwise_ints(self, case):
+        m, n, pairs = case
+        q = m // 2
+        s, d = (np.array(col) for col in zip(*pairs))
+        levels = np.broadcast_to(route_level(q, n, s, d), s.shape)
+        assert levels.tolist() == [route_level(q, n, a, b) for a, b in pairs]
+        for h in np.unique(levels).tolist():
+            sel = levels == h
+            rows = np.stack(route_link_ids(q, n, s[sel], d[sel], h), axis=1)
+            expected = [route_link_ids(q, n, a, b, h) for a, b in zip(s[sel].tolist(), d[sel].tolist())]
+            assert rows.tolist() == expected

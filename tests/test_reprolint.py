@@ -384,6 +384,29 @@ class TestFingerprints:
         assert [d.code for d in diags] == ["RF002"]
         assert "TRAJECTORY_VERSION" in diags[0].message
 
+    def test_reordered_links_without_bump_is_rf002(self, tmp_path):
+        # links() order fixes every simulator channel id, so the topology
+        # module is on the trajectory surface.
+        root = copy_surface_tree(tmp_path)
+        manifest = tmp_path / "fingerprints.json"
+        write_manifest(root, manifest)
+        tree = root / "src/repro/topology/mport_ntree.py"
+        text = tree.read_text()
+        up_first = (
+            "yield Link(node, leaf, ChannelKind.NODE_TO_SWITCH)\n"
+            "            yield Link(leaf, node, ChannelKind.SWITCH_TO_NODE)"
+        )
+        assert up_first in text
+        down_first = (
+            "yield Link(leaf, node, ChannelKind.SWITCH_TO_NODE)\n"
+            "            yield Link(node, leaf, ChannelKind.NODE_TO_SWITCH)"
+        )
+        tree.write_text(text.replace(up_first, down_first))
+        diags = check_fingerprints(root, manifest)
+        assert [d.code for d in diags] == ["RF002"]
+        assert diags[0].path == "src/repro/topology/mport_ntree.py"
+        assert "TRAJECTORY_VERSION" in diags[0].message
+
     def test_bump_without_regen_is_rf003(self, tmp_path):
         root = copy_surface_tree(tmp_path)
         manifest = tmp_path / "fingerprints.json"

@@ -68,9 +68,12 @@ class Surface:
 #: closed-form evaluation path (everything a cached explore/calibrate
 #: model number flows through); ``trajectory`` is everything that shapes
 #: a simulator run's numbers for a fixed (spec, seed, window,
-#: granularity).  Spec-level inputs (``core/parameters.py`` defaults,
-#: scenario definitions) are deliberately excluded: they are serialised
-#: *into* every cache key, so changing them changes the key itself.
+#: granularity), including the two modules whose channel order fixes
+#: every simulator channel id (``MPortNTree.links()`` with its closed
+#: form, and ``HeterogeneousSystem.channels()``).  Spec-level inputs
+#: (``core/parameters.py`` defaults, scenario definitions) are
+#: deliberately excluded: they are serialised *into* every cache key, so
+#: changing them changes the key itself.
 SURFACES: dict[str, Surface] = {
     "engine": Surface(
         code="RF001",
@@ -94,6 +97,7 @@ SURFACES: dict[str, Surface] = {
         version_name="TRAJECTORY_VERSION",
         version_module="src/repro/simulation/runner.py",
         files=(
+            "src/repro/cluster/system.py",
             "src/repro/simulation/_eventcore.c",
             "src/repro/simulation/eventcore.py",
             "src/repro/simulation/fabric.py",
@@ -103,6 +107,7 @@ SURFACES: dict[str, Surface] = {
             "src/repro/simulation/runner.py",
             "src/repro/simulation/traffic.py",
             "src/repro/simulation/wormhole.py",
+            "src/repro/topology/mport_ntree.py",
         ),
     ),
 }
