@@ -9,8 +9,9 @@ multi-hour study needs:
   respawn after worker crashes, graceful degradation to serial
   execution, typed :class:`ItemOutcome` records instead of
   batch-aborting exceptions (:mod:`repro.exec.supervisor`);
-* :class:`RunPolicy` — the frozen knob set controlling all of the above,
-  with deterministic seed-derived backoff (:mod:`repro.exec.policy`);
+* :class:`RunPolicy` — the retry count and the per-item timeout
+  (:mod:`repro.exec.policy`); a broken pool is rebuilt at most twice,
+  then the run finishes serially;
 * :class:`RunJournal` — an append-only, fsynced record of completed item
   keys enabling crash/``--resume`` semantics (:mod:`repro.exec.journal`);
 * :class:`FaultPlan` — deterministic, spec-driven fault injection for

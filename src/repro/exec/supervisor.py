@@ -26,10 +26,9 @@ wave:
   cannot be cancelled, so the pool is torn down around it); the item is
   charged a ``timeout`` attempt and retried like any other failure.
 
-Pool rebuilds are bounded by ``policy.pool_restarts``; once exhausted the
-run either degrades to serial in-process execution
-(``policy.degrade_serial``, the default) or finalises the remaining items
-as failed.  Serial execution cannot preempt a running call, so per-item
+A broken pool is rebuilt at most twice (:data:`_POOL_RESTARTS`); after
+that the run degrades to serial in-process execution of the remaining
+items.  Serial execution cannot preempt a running call, so per-item
 timeouts are not enforced there.
 
 ``KeyboardInterrupt`` is never absorbed into an outcome: the pool is
@@ -66,6 +65,9 @@ __all__ = ["resolve_jobs", "run_supervised"]
 # Poll interval of the wave loop: long enough to keep the supervising
 # process idle, short enough that timeout enforcement is responsive.
 _TICK = 0.05
+
+# Pool rebuilds before the remaining items run serially in-process.
+_POOL_RESTARTS = 2
 
 
 def resolve_jobs(jobs: "int | str | None") -> int:
@@ -159,9 +161,6 @@ def _run_serial(
             if state.attempts[index] > pol.max_retries:
                 _finish_unresolved(state, index, on_result)
                 break
-            delay = pol.backoff_delay(index, state.attempts[index])
-            if delay > 0:
-                time.sleep(delay)
             try:
                 value = _invoke((fn, items[index], index, state.attempts[index]))
             except Exception as exc:
@@ -297,9 +296,6 @@ def _run_pooled(
                     _finish_unresolved(state, index, on_result)
             if not state.todo:
                 break
-            delay = max(pol.backoff_delay(i, state.attempts[i]) for i in state.todo)
-            if delay > 0:
-                time.sleep(delay)
             if pool is None:
                 pool = ProcessPoolExecutor(
                     max_workers=min(n_jobs, len(state.todo)),
@@ -312,15 +308,9 @@ def _run_pooled(
             if not state.todo:
                 continue
             restarts += 1
-            if restarts <= pol.pool_restarts:
+            if restarts <= _POOL_RESTARTS:
                 continue
-            if pol.degrade_serial:
-                _run_serial(fn, items, pol, state, on_result)
-            else:
-                for index in sorted(state.todo):
-                    if not state.errors[index]:
-                        state.errors[index] = "process pool could not be rebuilt"
-                    _finish_unresolved(state, index, on_result)
+            _run_serial(fn, items, pol, state, on_result)
             return
     except BaseException:
         # KeyboardInterrupt and friends: never leave worker processes

@@ -1,7 +1,6 @@
 """Discrete-event wormhole simulators used to validate the analytical model."""
 
 from repro.simulation.eventcore import (
-    ArrayHeap,
     Trajectory,
     build_trajectory,
     canonical_trajectory,
@@ -25,7 +24,6 @@ from repro.simulation.traffic import PoissonArrivals, SimTrafficPattern, Uniform
 from repro.simulation.wormhole import MessageLevelWormholeSimulator, RawRunResult
 
 __all__ = [
-    "ArrayHeap",
     "Trajectory",
     "build_trajectory",
     "canonical_trajectory",

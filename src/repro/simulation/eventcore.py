@@ -5,9 +5,9 @@ CPython loop; this module is the ``engine="array"`` alternative that runs
 the *same* event loop over flat arrays:
 
 * the event heap is three parallel columns ``(time, tie-break tag,
-  payload)`` — :class:`ArrayHeap` is the structured-ndarray executable
-  specification of its ordering (property-tested against :mod:`heapq`),
-  and the compiled kernel sifts the identical layout;
+  payload)`` that the compiled kernel sifts by the strict ``(time, tag)``
+  order of the reference loop's :mod:`heapq` tuples — trajectory
+  equality with the reference loop is what proves that order;
 * the stochastic streams are consumed as batched slices: the arrival race
   is pre-resolved into a *generation schedule* (which node generates
   message ``s``, and when) by :func:`generation_schedule` /
@@ -18,7 +18,10 @@ the *same* event loop over flat arrays:
   and the segment tables (channel ids, ``M·τ_k`` holds, drains and
   release offsets as contiguous arrays) are derived with numpy from the
   fabric's flat leg table and shared across runs of a session, so a
-  segment id is a leg id.
+  segment id is a leg id;
+* the per-channel tables (flit times, groups, uncontended flags) are the
+  fabric's own arrays, filled from the system's channel blocks, read
+  without a copy.
 
 The hot loop itself lives in ``_eventcore.c``, compiled on demand with
 the system C compiler and loaded through :mod:`ctypes` — no third-party
@@ -61,8 +64,6 @@ from repro._util import require
 from repro.simulation.fabric import GROUPS
 
 __all__ = [
-    "ArrayHeap",
-    "HEAP_DTYPE",
     "Trajectory",
     "array_run",
     "build_trajectory",
@@ -72,100 +73,6 @@ __all__ = [
     "kernel_prepass",
     "trajectory_digest",
 ]
-
-#: Column layout shared by :class:`ArrayHeap` and the compiled kernel:
-#: event time, monotone tie-break tag (kind in the low two bits), and the
-#: payload index (message sequence number or channel id).
-HEAP_DTYPE = np.dtype([("time", np.float64), ("tag", np.int64), ("payload", np.int32)])
-
-
-class ArrayHeap:
-    """Binary min-heap over a structured ndarray, ordered by ``(time, tag)``.
-
-    This is the executable specification of the event heap: the compiled
-    kernel's ``hpush``/``hpop`` sift the same three columns with the same
-    strict ``(time, tag)`` comparison, and the property suite pins this
-    class against a :mod:`heapq` oracle (total order under ties, monotone
-    pop times, push/pop stream equivalence).  Payloads never participate
-    in ordering — tags are unique by construction in the simulators.
-    """
-
-    def __init__(self, capacity: int = 64) -> None:
-        self._data = np.zeros(max(int(capacity), 1), dtype=HEAP_DTYPE)
-        self._n = 0
-
-    def __len__(self) -> int:
-        return self._n
-
-    @property
-    def columns(self) -> np.ndarray:
-        """The live heap entries as a structured-array view."""
-        return self._data[: self._n]
-
-    @staticmethod
-    def kind(tag: int) -> int:
-        """The event kind packed into a tag's low two bits."""
-        return int(tag) & 3
-
-    def _less(self, i: int, j: int) -> bool:
-        d = self._data
-        if d["time"][i] != d["time"][j]:
-            return bool(d["time"][i] < d["time"][j])
-        return bool(d["tag"][i] < d["tag"][j])
-
-    def push(self, time: float, tag: int, payload: int = 0) -> None:
-        if self._n >= self._data.size:
-            grown = np.zeros(self._data.size * 2, dtype=HEAP_DTYPE)
-            grown[: self._n] = self._data[: self._n]
-            self._data = grown
-        d = self._data
-        i = self._n
-        self._n += 1
-        d[i] = (time, tag, payload)
-        while i > 0:
-            parent = (i - 1) >> 1
-            if not self._less(i, parent):
-                break
-            d[[i, parent]] = d[[parent, i]]
-            i = parent
-
-    def peek(self) -> tuple[float, int, int]:
-        require(self._n > 0, "peek on an empty ArrayHeap")
-        entry = self._data[0]
-        return float(entry["time"]), int(entry["tag"]), int(entry["payload"])
-
-    def _sift_down(self) -> None:
-        d = self._data
-        n = self._n
-        i = 0
-        while True:
-            child = 2 * i + 1
-            if child >= n:
-                break
-            right = child + 1
-            if right < n and self._less(right, child):
-                child = right
-            if not self._less(child, i):
-                break
-            d[[i, child]] = d[[child, i]]
-            i = child
-
-    def pop(self) -> tuple[float, int, int]:
-        require(self._n > 0, "pop on an empty ArrayHeap")
-        root = self.peek()
-        self._n -= 1
-        if self._n:
-            self._data[0] = self._data[self._n]
-            self._sift_down()
-        return root
-
-    def replace(self, time: float, tag: int, payload: int = 0) -> tuple[float, int, int]:
-        """Pop the root and push a new entry in one sift (``heapreplace``)."""
-        root = self.peek()
-        self._data[0] = (time, tag, payload)
-        self._sift_down()
-        return root
-
 
 # ---------------------------------------------------------------------------
 # generation schedule (the arrival-race pre-pass)
@@ -374,9 +281,11 @@ class _EventCoreContext:
     """
 
     def __init__(self, fabric) -> None:
-        self.flit_time = np.ascontiguousarray(fabric.flit_time, dtype=np.float64)
-        self.uncontended = np.asarray(fabric.uncontended, dtype=np.int8)
-        self.group = np.ascontiguousarray(fabric.group, dtype=np.int8)
+        # The fabric's per-channel tables are already contiguous in the
+        # kernel's dtypes; the context references them.
+        self.flit_time = fabric.flit_time
+        self.uncontended = fabric.uncontended
+        self.group = fabric.group
         self.cluster_index = np.asarray(fabric.cluster_index, dtype=np.int32)
         self.n_channels = fabric.num_channels
         self._arrays: "dict[str, np.ndarray] | None" = None

@@ -16,6 +16,16 @@ uses) and a reporting group:
 ``cd-dispatch``
     the dispatcher→ECN1 injection channel (the dispatch buffer server).
 
+A channel's flit time, group and "uncontended" flag are constant on
+sub-blocks of :attr:`~repro.cluster.system.HeterogeneousSystem.
+channel_blocks` — a tree's node links and switch links, the two
+directions of a concentrator attachment, the ICN2 node links at the
+concentrators — so the fabric fills its three per-channel tables block by
+block in numpy and never builds a :class:`~repro.cluster.channels.
+SystemChannel`.  :meth:`HeterogeneousSystem.channels` and the object
+router stay as the readable oracle the tests compare these tables and the
+legs against.
+
 A journey is one leg (its ICN1 route) or three (the ECN1 ascent, the ICN2
 crossing and the ECN1 descent, paper Fig. 2).  The leg is the only unit
 of path state: the fabric builds each leg once, on first use, with a
@@ -46,17 +56,15 @@ times; its Python views (:attr:`~ResolvedFabric.legs`,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
 
 import numpy as np
 
 from repro._util import require
-from repro.cluster.channels import Concentrator, SystemChannel
 from repro.cluster.system import HeterogeneousSystem
 from repro.core.parameters import MessageSpec, ModelOptions, NetworkCharacteristics
 from repro.core.service_times import ServiceTimes
-from repro.topology.mport_ntree import route_level, route_link_ids
+from repro.topology.mport_ntree import MPortNTree, route_level, route_link_ids
 
 __all__ = ["ResolvedSegment", "ResolvedFabric", "GROUPS"]
 
@@ -87,32 +95,24 @@ class ResolvedFabric:
         self.message = message
         self.options = options or ModelOptions()
 
-        self._service_cache: dict[NetworkCharacteristics, ServiceTimes] = {}
-        channels = list(system.channels())
-        self.num_channels = len(channels)
-        self.channels: tuple[SystemChannel, ...] = tuple(channels)
-
-        flit_time = np.empty(self.num_channels, dtype=np.float64)
-        group = np.empty(self.num_channels, dtype=np.int8)
-        for i, ch in enumerate(channels):
-            flit_time[i] = self._channel_flit_time(ch)
-            group[i] = GROUPS.index(self._channel_group(ch))
-        self.flit_time = flit_time
-        self.group = group
-        self._flit_list: list[float] = flit_time.tolist()
-        self._group_counts = dict(zip(GROUPS, np.bincount(group, minlength=len(GROUPS)).tolist()))
-        #: Per-channel "grants without queueing" flags: the links into a
-        #: concentrator/dispatcher buffer.  The paper models every segment
-        #: sink as "always able to receive" (Eq. 29's final stage has no
-        #: blocking term), so the simulators treat these as interleaving,
-        #: non-blocking ingress links.
-        self.uncontended: list[bool] = [isinstance(ch.target, Concentrator) for ch in channels]
-
-        # The closed-form layout: per cluster its tree depth, first node id
-        # and channel block bases.
-        clusters = system.clusters
         self._radix = system.config.switch_ports // 2
         self._blocks = system.channel_blocks
+        self.num_channels = self._blocks.total
+        #: Per-channel flit times, reporting groups (indices into
+        #: :data:`GROUPS`) and "grants without queueing" flags, in the
+        #: dtypes the compiled kernel reads.  The uncontended channels are
+        #: the links into a concentrator/dispatcher buffer: the paper models
+        #: every segment sink as "always able to receive" (Eq. 29's final
+        #: stage has no blocking term), so the simulators treat them as
+        #: interleaving, non-blocking ingress links.
+        self.flit_time, self.group, self.uncontended = self._channel_tables()
+        self._flit_list: list[float] = self.flit_time.tolist()
+        self._flag_list: list[int] = self.uncontended.tolist()
+        self._group_counts = dict(zip(GROUPS, np.bincount(self.group, minlength=len(GROUPS)).tolist()))
+
+        # The closed-form layout: per cluster its tree depth and first node
+        # id (the channel block bases are self._blocks).
+        clusters = system.clusters
         self._depth = [c.spec.tree_depth for c in clusters]
         self._first = [c.first_global_id for c in clusters]
         self._cluster_of = np.repeat(np.arange(len(clusters)), [c.num_nodes for c in clusters])
@@ -132,37 +132,6 @@ class ResolvedFabric:
         self._legs: list[ResolvedSegment] = []
         self._hot: list[tuple] = []
 
-    # -- channel attributes ------------------------------------------------------
-
-    def _network_of(self, channel: SystemChannel) -> NetworkCharacteristics:
-        tag = channel.network
-        if tag[0] == "icn1":
-            return self.system.clusters[tag[1]].spec.icn1
-        if tag[0] == "ecn1":
-            return self.system.clusters[tag[1]].spec.ecn1
-        return self.system.config.icn2
-
-    def _service_times(self, network: NetworkCharacteristics) -> ServiceTimes:
-        st = self._service_cache.get(network)
-        if st is None:
-            st = ServiceTimes.for_network(network, self.message, self.options)
-            self._service_cache[network] = st
-        return st
-
-    def _channel_flit_time(self, channel: SystemChannel) -> float:
-        st = self._service_times(self._network_of(channel))
-        return st.t_cn if channel.kind.is_node_link else st.t_cs
-
-    def _channel_group(self, channel: SystemChannel) -> str:
-        if isinstance(channel.source, Concentrator):
-            return "cd-concentrate" if channel.network[0] == "icn2" else "cd-dispatch"
-        return channel.network[0]
-
-    @cached_property
-    def channel_index(self) -> dict[SystemChannel, int]:
-        """:class:`SystemChannel` → channel id (the inverse of :attr:`channels`)."""
-        return {ch: i for i, ch in enumerate(self.channels)}
-
     # -- the leg table -------------------------------------------------------------
 
     @property
@@ -180,6 +149,52 @@ class ResolvedFabric:
         if kind == _ICN2:
             return n * n + 2 * n + a * len(self.system.clusters) + b
         return n * n + (kind - 1) * n + a
+
+    def _channel_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(flit_time, group, uncontended)`` per channel, filled per
+        sub-block of :attr:`~repro.cluster.system.HeterogeneousSystem.
+        channel_blocks` with one :class:`ServiceTimes` per network.
+
+        In a tree block the first ``2N`` channels are node links (``t_cn``)
+        and the rest switch links (``t_cs``), all in the tree's group.  In
+        cluster ``k``'s attachment block, root ``r`` → concentrator (``attach
+        + 2r``) is an uncontended ``ecn1`` channel and the reverse a
+        ``cd-dispatch`` one, both at the ECN1's ``t_cn``.  Among the ICN2
+        node links, concentrator ``x`` → leaf (``2x``) is ``cd-concentrate``
+        and leaf → concentrator ``x`` (``2x + 1``) is uncontended.
+        """
+        system = self.system
+        blocks = self._blocks
+        flit_time = np.empty(blocks.total, dtype=np.float64)
+        group = np.empty(blocks.total, dtype=np.int8)
+        uncontended = np.zeros(blocks.total, dtype=np.int8)
+
+        def tree(base: int, topology: MPortNTree, network: NetworkCharacteristics, name: str) -> ServiceTimes:
+            st = ServiceTimes.for_network(network, self.message, self.options)
+            nodes = base + 2 * topology.num_nodes
+            end = base + 2 * topology.num_full_duplex_links()
+            flit_time[base:nodes] = st.t_cn
+            flit_time[nodes:end] = st.t_cs
+            group[base:end] = GROUPS.index(name)
+            return st
+
+        for k, cluster in enumerate(system.clusters):
+            tree(blocks.icn1[k], cluster.icn1, cluster.spec.icn1, "icn1")
+            ecn1 = tree(blocks.ecn1[k], cluster.ecn1, cluster.spec.ecn1, "ecn1")
+            if len(system.clusters) > 1:
+                base = blocks.attach[k]
+                end = base + 2 * self._radix ** (cluster.spec.tree_depth - 1)
+                flit_time[base:end] = ecn1.t_cn
+                group[base:end:2] = GROUPS.index("ecn1")
+                uncontended[base:end:2] = 1
+                group[base + 1 : end : 2] = GROUPS.index("cd-dispatch")
+        if len(system.clusters) > 1:
+            base = blocks.icn2
+            tree(base, system.icn2, system.config.icn2, "icn2")
+            nodes = base + 2 * system.icn2.num_nodes
+            group[base:nodes:2] = GROUPS.index("cd-concentrate")
+            uncontended[base + 1 : nodes : 2] = 1
+        return flit_time, group, uncontended
 
     def _columns(self, kind: int, depth: int, level: int, s, d, base, attach) -> list:
         """Channel ids, position by position, of legs of one *kind* in trees
@@ -370,7 +385,7 @@ class ResolvedFabric:
         load points and seeds.
         """
         records = self._hot
-        flags = self.uncontended
+        flags = self._flag_list
         m = self.message.length_flits
         flit_time = self._flit_list
         for leg in self.legs[len(records):]:

@@ -108,7 +108,7 @@ class FlitLevelSimulator:
 
         n_ch = fabric.num_channels
         self._flit_time = fabric.flit_time.tolist()
-        self._uncontended = fabric.uncontended
+        self._uncontended = fabric.uncontended.tolist()
         self._holder = [-1] * n_ch
         self._waiters: list[deque] = [deque() for _ in range(n_ch)]
         self._last_grant = [0.0] * n_ch

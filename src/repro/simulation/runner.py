@@ -66,7 +66,12 @@ ENGINES = ("reference", "array")
 #: contract of ``MPortNTree.links()`` and ``HeterogeneousSystem.channels()``,
 #: one at a time or in numpy batches.  Trajectories are unchanged; cached
 #: simulator curves miss once.
-TRAJECTORY_VERSION = "sim/5"
+#:
+#: sim/6: the fabric fills its per-channel tables from the channel blocks
+#: instead of enumerating ``SystemChannel`` objects, and the reference loop
+#: builds its per-channel state inside its own run.  Trajectories are
+#: unchanged; cached simulator curves miss once.
+TRAJECTORY_VERSION = "sim/6"
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,12 @@ for CPython throughput rather than for symmetry with the flit engine:
 
 * one monolithic :meth:`~MessageLevelWormholeSimulator.run` loop with
   every piece of mutable state bound to locals (heap ops included) and
-  the request/grant logic inlined at each call site;
+  the request/grant logic inlined at each call site.  That state — the
+  per-channel occupancy, waiter deques, last grants and busy sums, the
+  heap, and list views of the fabric's tables and of the drawn streams —
+  is built inside :meth:`~MessageLevelWormholeSimulator.run`, so the
+  constructor keeps only what both engines read and an array-engine run
+  pays for none of it;
 * events are plain ``(time, tag, payload)`` tuples — the kind lives in the
   low bits of the monotone tie-break tag — and in-flight messages are plain
   list records (list indexing beats both ``__slots__`` attribute access and
@@ -145,41 +150,24 @@ class MessageLevelWormholeSimulator:
         self.streams = streams
         self.generation_rate = generation_rate
 
-        n_ch = fabric.num_channels
-        self._flit_time = fabric.flit_time.tolist()
-        self._uncontended = fabric.uncontended
-        # Per-channel occupancy: holder (0/1) + queued waiters, one int so
-        # the request fast path reads a single list cell.
-        self._occupancy = [0] * n_ch
-        self._waiters: list[deque] = [deque() for _ in range(n_ch)]
-        self._last_grant = [0.0] * n_ch
-        self._busy = [0.0] * len(GROUPS)
-        self._group = fabric.group.tolist()
-        self._cluster_index = fabric.cluster_index
-
         self.collector = LatencyCollector(window)
-        self._heap: list = []
 
-        # Pre-generated stochastic streams (see module docstring).  Arrival
-        # draw i is consumed exactly where the scalar engine drew it: the
-        # first N entries seed each node's first arrival, entry N+s is the
-        # gap scheduled by generation s.  Destination draw s belongs to
-        # generation s.  Python lists, so the heap holds plain floats.
+        # Pre-generated stochastic streams (see module docstring), the only
+        # state both engines read.  Arrival draw i is consumed exactly where
+        # the scalar engine drew it: the first N entries seed each node's
+        # first arrival, entry N+s is the gap scheduled by generation s.
+        # Destination draw s belongs to generation s.
         n_nodes = fabric.system.total_nodes
         need = n_nodes + window.total
         unit = draws.unit_arrivals(need) if draws is not None else streams.arrivals.standard_exponential(need)
         self._arrival_gaps_array = unit * (1.0 / generation_rate)
-        self._arrival_gaps = self._arrival_gaps_array.tolist()
+        self._dest_draws_array = None
         if type(self.pattern) is UniformDestinations:
-            if draws is not None:
-                raw = draws.destinations(window.total, n_nodes - 1)
-            else:
-                raw = streams.destinations.integers(0, n_nodes - 1, size=window.total)
-            self._dest_draws_array = raw
-            self._dest_draws: "list[int] | None" = raw.tolist()
-        else:
-            self._dest_draws_array = None
-            self._dest_draws = None
+            self._dest_draws_array = (
+                draws.destinations(window.total, n_nodes - 1)
+                if draws is not None
+                else streams.destinations.integers(0, n_nodes - 1, size=window.total)
+            )
         self._last_result: RawRunResult | None = None
 
     # -- run loop -------------------------------------------------------------------
@@ -215,25 +203,32 @@ class MessageLevelWormholeSimulator:
         measured_end = warmup + window.measured
         measured_target = window.measured
 
-        heap = self._heap
+        # The loop's state, bound to locals: per-channel lists (occupancy is
+        # holder (0/1) + queued waiters, one int so the request fast path
+        # reads a single list cell), the event heap, and Python lists of
+        # the fabric's tables and the drawn streams, so the heap holds
+        # plain floats.
+        fabric = self.fabric
+        n_ch = fabric.num_channels
+        heap: list = []
         push = heappush
         pop = heappop
-        flit_time = self._flit_time
-        uncontended = self._uncontended
-        occupancy = self._occupancy
-        waiters = self._waiters
-        last_grant = self._last_grant
-        busy = self._busy
-        group = self._group
-        cluster_index = self._cluster_index
-        paths = self.fabric.hot_resolver()
+        flit_time = fabric.flit_time.tolist()
+        uncontended = fabric.uncontended.tolist()
+        occupancy = [0] * n_ch
+        waiters = [deque() for _ in range(n_ch)]
+        last_grant = [0.0] * n_ch
+        busy = [0.0] * len(GROUPS)
+        group = fabric.group.tolist()
+        cluster_index = fabric.cluster_index
+        paths = fabric.hot_resolver()
         collector = self.collector
         lat_append = collector._latencies.append
         inter_append = collector._is_inter.append
         src_append = collector._src_clusters.append
-        arr = self._arrival_gaps
-        dest_draws = self._dest_draws
-        system = self.fabric.system
+        arr = self._arrival_gaps_array.tolist()
+        dest_draws = None if self._dest_draws_array is None else self._dest_draws_array.tolist()
+        system = fabric.system
         n_nodes = system.total_nodes
         arr_gen = arr[n_nodes:]  # gap i belongs to generation i
         pattern_sample = None if dest_draws is not None else self.pattern.sample_destination

@@ -3,7 +3,11 @@
 Runs the analytical model and the discrete-event simulator across a load
 grid and reports per-point relative errors — the paper's central validation
 methodology ("at light traffic the model differs from simulation by about
-4 to 8 percent").
+4 to 8 percent").  The model side of a curve is one row of the stacked
+closed-form engine (:class:`~repro.core.stacked.StackedModel`) over the
+whole grid, the same numbers ``sweep`` prints; the scalar
+:class:`~repro.core.model.AnalyticalModel` is the oracle the tests compare
+that row against.
 """
 
 from __future__ import annotations
@@ -13,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._util import require
-from repro.core.model import AnalyticalModel
 from repro.core.parameters import MessageSpec, ModelOptions, SystemConfig
-from repro.core.sweep import find_saturation_load
+from repro.core.stacked import StackedModel
 from repro.simulation.metrics import MeasurementWindow
 from repro.simulation.parallel import resolve_jobs, run_work_items
 from repro.simulation.runner import SimulationConfig, SimulationResult, SimulationSession
@@ -139,21 +142,19 @@ def run_validation(
         )
         for idx, lam in enumerate(loads)
     ]
-    model = AnalyticalModel(system, message, options, pattern)
+    model_latencies = StackedModel([(system, message, options, pattern)]).evaluate_latencies(loads)[0]
     session = session or SimulationSession(system, message, options=options)
     sim_results = run_work_items(configs, jobs=resolve_jobs(jobs), session=session)
-    points = []
-    for lam, sim in zip(loads, sim_results):
-        model_result = model.evaluate(float(lam))
-        points.append(
-            ValidationPoint(
-                load=float(lam),
-                model_latency=model_result.latency,
-                sim_latency=sim.mean_latency,
-                sim_std=sim.stats.std,
-                sim_completed=sim.completed,
-            )
+    points = [
+        ValidationPoint(
+            load=float(lam),
+            model_latency=float(model_latency),
+            sim_latency=sim.mean_latency,
+            sim_std=sim.stats.std,
+            sim_completed=sim.completed,
         )
+        for lam, model_latency, sim in zip(loads, model_latencies, sim_results)
+    ]
     return ValidationCurve(label=label or f"{system.name}", points=tuple(points), sim_results=tuple(sim_results))
 
 
@@ -172,8 +173,7 @@ def light_load_error(
     The paper's headline accuracy claim is stated in this regime.
     """
     require(0.0 < load_fraction < 1.0, "load_fraction must be in (0, 1)")
-    model = AnalyticalModel(system, message, options)
-    lam = load_fraction * find_saturation_load(model)
+    lam = load_fraction * float(StackedModel([(system, message, options, None)]).saturation_load()[0])
     curve = run_validation(
         system,
         message,

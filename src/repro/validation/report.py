@@ -17,8 +17,8 @@ import numpy as np
 from repro._util import require_int
 from repro.analysis import icn2_bandwidth_study, model_bottlenecks, render_table
 from repro.cluster import paper_organizations, table1_rows
-from repro.core import NET1, NET2, AnalyticalModel, MessageSpec
-from repro.core.sweep import find_saturation_load
+from repro.core import NET1, NET2, MessageSpec
+from repro.core.stacked import StackedModel
 from repro.io.reporting import (
     format_table1,
     format_table2,
@@ -96,8 +96,8 @@ def reproduction_report(
                 light_errors.append(abs(curve.points[0].relative_error))
                 payload[f"{figure.figure}:{label}"] = curve.as_rows()
             else:
-                model = AnalyticalModel(figure.system, message)
-                rows = [(float(lam), model.evaluate(float(lam)).latency) for lam in grid]
+                latencies = StackedModel([(figure.system, message, None, None)]).evaluate_latencies(grid)[0]
+                rows = list(zip(grid.tolist(), latencies.tolist()))
                 blocks.append(
                     render_table(
                         ["lambda_g", "model"],
@@ -115,7 +115,7 @@ def reproduction_report(
     audit_rows = []
     for system in paper_organizations():
         message = MessageSpec(32, 256.0)
-        lam_star = find_saturation_load(AnalyticalModel(system, message))
+        lam_star = float(StackedModel([(system, message, None, None)]).saturation_load()[0])
         report = model_bottlenecks(system, message, 0.5 * lam_star)
         audit_rows.append([system.name, f"{lam_star:.3e}", report.binding.resource, report.binding.kind])
     sections.append(

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.model import AnalyticalModel
 from repro.core.parameters import MessageSpec, SystemConfig, paper_system_544, paper_system_1120
-from repro.core.sweep import auto_load_grid
+from repro.core.stacked import StackedModel
 
 __all__ = [
     "FigureScenario",
@@ -52,12 +51,12 @@ def default_load_grid(
 ) -> np.ndarray:
     """Evenly spaced grid in ``(0, fraction·λ*]`` like the paper's figures.
 
-    The :func:`~repro.core.sweep.auto_load_grid` row of the default-options
-    model at *fraction* of saturation.
+    The one-row :meth:`~repro.core.stacked.StackedModel.auto_load_grids` of
+    the default-options model at *fraction* of saturation.
     """
-    return auto_load_grid(
-        AnalyticalModel(system, message), points=points, fraction_of_saturation=fraction
-    )
+    return StackedModel([(system, message, None, None)]).auto_load_grids(
+        points=points, fraction_of_saturation=fraction
+    )[0]
 
 
 def figure3() -> FigureScenario:

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import HeterogeneousSystem, build_path
+from repro.cluster import Concentrator, HeterogeneousSystem, build_path
 from repro.core import NET1, ClusterSpec, MessageSpec, ModelOptions, ServiceTimes, SystemConfig
+from repro.scenarios import get_scenario, scenario_names
 from repro.simulation import GROUPS, ResolvedFabric
 from repro.simulation.eventcore import _EventCoreContext
 
@@ -29,9 +30,42 @@ MIXED_M6 = mixed_system(6, (1, 2, 3, 1, 2, 1))
 MIXED_M8 = mixed_system(8, (1, 1, 1, 1, 1, 1, 2, 3))
 
 
+#: One cluster: no attachment block and no ICN2 block.
+ONE_CLUSTER = SystemConfig(switch_ports=4, clusters=(ClusterSpec(tree_depth=2, name="solo"),), name="solo")
+
+
+@lru_cache(maxsize=None)
+def channel_index(system):
+    """:class:`SystemChannel` → channel id, by the ``channels()`` oracle."""
+    return {ch: i for i, ch in enumerate(system.channels())}
+
+
+def oracle_tables(system, message, options):
+    """Flit time, group and uncontended flag of every channel, read off
+    its :class:`SystemChannel`: the flit time of its network and link
+    kind, the group of its endpoints, and no queueing exactly on the links
+    into a concentrator."""
+    flit_time, group, uncontended = [], [], []
+    for ch in system.channels():
+        tag = ch.network
+        if tag[0] == "icn2":
+            network = system.config.icn2
+        else:
+            spec = system.clusters[tag[1]].spec
+            network = spec.icn1 if tag[0] == "icn1" else spec.ecn1
+        st = ServiceTimes.for_network(network, message, options)
+        flit_time.append(st.t_cn if ch.kind.is_node_link else st.t_cs)
+        if isinstance(ch.source, Concentrator):
+            group.append("cd-concentrate" if tag[0] == "icn2" else "cd-dispatch")
+        else:
+            group.append(tag[0])
+        uncontended.append(int(isinstance(ch.target, Concentrator)))
+    return flit_time, group, uncontended
+
+
 def oracle_ids(fabric, src, dst):
     """Channel ids of each leg of ``src → dst`` by the object router."""
-    index = fabric.channel_index
+    index = channel_index(fabric.system)
     return [tuple(index[ch] for ch in seg.channels) for seg in build_path(fabric.system, src, dst).segments]
 
 
@@ -54,10 +88,34 @@ def system_and_pairs(draw):
 
 
 class TestChannelTable:
+    @pytest.mark.parametrize(
+        "case", ["small_system", "tiny_hetero_system", "mixed_m6", "mixed_m8", "one_cluster", *scenario_names()]
+    )
+    def test_block_tables_match_the_channel_oracle(self, case, request, small_message):
+        """The tables filled per channel block equal what each
+        :class:`SystemChannel` of ``channels()`` implies: every registry
+        scenario under its own message and options, and the test systems
+        under the non-default ``t_cn`` convention."""
+        named = {"mixed_m6": MIXED_M6, "mixed_m8": MIXED_M8, "one_cluster": ONE_CLUSTER}
+        if case in scenario_names():
+            spec = get_scenario(case)
+            config, message, options = spec.system, spec.message, spec.options
+        else:
+            config = named.get(case) or request.getfixturevalue(case)
+            message, options = small_message, ModelOptions(tcn_convention="full_network_latency")
+        system = HeterogeneousSystem(config)
+        fabric = ResolvedFabric(system, message, options)
+        flit_time, group, uncontended = oracle_tables(system, message, options)
+        assert fabric.flit_time.dtype == np.float64
+        assert fabric.group.dtype == fabric.uncontended.dtype == np.int8
+        assert fabric.flit_time.tolist() == flit_time
+        assert [GROUPS[g] for g in fabric.group.tolist()] == group
+        assert fabric.uncontended.tolist() == uncontended
+
     def test_flit_times_match_service_primitives(self, small_fabric, small_system, small_message):
         st_icn1 = ServiceTimes.for_network(small_system.clusters[0].icn1, small_message)
         st_icn2 = ServiceTimes.for_network(small_system.icn2, small_message)
-        for cid, ch in enumerate(small_fabric.channels):
+        for cid, ch in enumerate(small_fabric.system.channels()):
             tau = small_fabric.flit_time[cid]
             if ch.network[0] == "icn1":
                 expected = st_icn1.t_cn if ch.kind.is_node_link else st_icn1.t_cs
@@ -82,13 +140,12 @@ class TestChannelTable:
     def test_physical_sinks_contend(self, config, request, small_message):
         """Only the links into a concentrator/dispatcher buffer grant
         without queueing; every link into a node is a physical sink."""
-        from repro.cluster.channels import Concentrator
         from repro.topology.addressing import NodeAddress
 
         fabric = ResolvedFabric(HeterogeneousSystem(request.getfixturevalue(config)), small_message)
         assert len(fabric.uncontended) == fabric.num_channels
         sinks = []
-        for cid, ch in enumerate(fabric.channels):
+        for cid, ch in enumerate(fabric.system.channels()):
             assert fabric.uncontended[cid] == isinstance(ch.target, Concentrator)
             if isinstance(ch.target, NodeAddress):
                 sinks.append(ch.network[0])

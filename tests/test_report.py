@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.validation import reproduction_report
+from repro.cluster import paper_organizations
+from repro.core import AnalyticalModel, MessageSpec, find_saturation_load
+from repro.validation import all_latency_figures, reproduction_report
 
 
 class TestModelOnlyReport:
@@ -30,6 +32,30 @@ class TestModelOnlyReport:
 
     def test_model_only_has_no_accuracy_stats(self, report):
         assert report.light_load_mean_abs_error != report.light_load_mean_abs_error  # NaN
+
+    def test_model_rows_equal_the_scalar_model(self, report):
+        for figure in all_latency_figures():
+            for message in figure.messages:
+                label = f"{figure.system.name}, M={message.length_flits}, Lm={message.flit_bytes:g}"
+                rows = report.payload[f"{figure.figure}:{label}"]
+                model = AnalyticalModel(figure.system, message)
+                assert len(rows) == 3
+                assert rows == [(lam, model.evaluate(lam).latency) for lam, _ in rows]
+
+    def test_audit_saturation_loads_equal_the_model(self, report):
+        systems = paper_organizations()
+        assert len(report.payload["bottlenecks"]) == len(systems)
+        for row, system in zip(report.payload["bottlenecks"], systems):
+            lam_star = find_saturation_load(AnalyticalModel(system, MessageSpec(32, 256.0)))
+            assert row[:2] == [system.name, f"{lam_star:.3e}"]
+
+    def test_model_only_report_never_calls_the_scalar_model(self, monkeypatch):
+        def refuse(model, load):
+            raise AssertionError("scalar AnalyticalModel.evaluate on the product path")
+
+        monkeypatch.setattr(AnalyticalModel, "evaluate", refuse)
+        report = reproduction_report(points_per_curve=2, include_simulation=False)
+        assert len([k for k in report.payload if k.startswith("Fig.")]) == 8
 
     def test_bottleneck_rows_name_concentrators(self, report):
         for row in report.payload["bottlenecks"]:

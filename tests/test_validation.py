@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core import AnalyticalModel, MessageSpec, ModelOptions, find_saturation_load
+from repro.core import AnalyticalModel, MessageSpec, ModelOptions, auto_load_grid, find_saturation_load
 from repro.simulation import MeasurementWindow, SimulationSession
 from repro.validation import (
     all_latency_figures,
@@ -16,6 +16,7 @@ from repro.validation import (
     light_load_error,
     run_validation,
 )
+from repro.workloads import HotspotTraffic, LocalityTraffic
 
 
 class TestScenarios:
@@ -51,6 +52,13 @@ class TestScenarios:
     def test_default_load_grid_monotone(self, small_system, small_message):
         grid = default_load_grid(small_system, small_message, points=5)
         assert np.all(np.diff(grid) > 0)
+
+    @pytest.mark.parametrize("figure", all_latency_figures(), ids=lambda f: f.figure)
+    def test_figure_grids_equal_the_model_grid(self, figure):
+        for message in figure.messages:
+            model = AnalyticalModel(figure.system, message)
+            expected = auto_load_grid(model, points=5, fraction_of_saturation=0.92)
+            assert figure.load_grid(message, points=5).tolist() == expected.tolist()
 
 
 class TestRunValidation:
@@ -124,6 +132,38 @@ class TestRunValidation:
             run_validation(small_system, small_message, [1e-4], options=ModelOptions(), session=session)
 
 
+class TestModelColumn:
+    """Validation prices its loads with one stacked row; the scalar model
+    is the oracle it must equal exactly."""
+
+    @pytest.mark.parametrize("case", ["small", "tiny-hetero-hotspot", "tiny-hetero-locality"])
+    def test_equals_scalar_evaluate(self, case, small_system, tiny_hetero_system, small_message):
+        system, pattern = {
+            "small": (small_system, None),
+            "tiny-hetero-hotspot": (tiny_hetero_system, HotspotTraffic(hot_cluster=3, hot_fraction=0.3)),
+            "tiny-hetero-locality": (tiny_hetero_system, LocalityTraffic(locality=0.8)),
+        }[case]
+        model = AnalyticalModel(system, small_message, None, pattern)
+        # Four loads up to 0.9·λ*, and one past saturation (infinite latency).
+        grid = np.append(auto_load_grid(model, points=4, fraction_of_saturation=0.9), 1.2 * find_saturation_load(model))
+        curve = run_validation(
+            system, small_message, grid, window=MeasurementWindow(20, 200, 20), pattern=pattern
+        )
+        expected = [model.evaluate(float(lam)).latency for lam in grid]
+        assert np.isinf(expected[-1])
+        assert [point.model_latency for point in curve.points] == expected
+
+    def test_validation_never_calls_the_scalar_model(self, monkeypatch, small_system, small_message, small_session):
+        def refuse(model, load):
+            raise AssertionError("scalar AnalyticalModel.evaluate on the product path")
+
+        monkeypatch.setattr(AnalyticalModel, "evaluate", refuse)
+        window = MeasurementWindow(20, 200, 20)
+        curve = run_validation(small_system, small_message, [1e-4, 5e-4], window=window, session=small_session)
+        point = light_load_error(small_system, small_message, window=window, session=small_session)
+        assert all(np.isfinite(p.model_latency) for p in (*curve.points, point))
+
+
 class TestLightLoadError:
     def test_small_system_error_reasonable(self, small_system, small_message, small_session):
         """Model tracks the simulator at light load (paper: 4-8 % at scale)."""
@@ -135,6 +175,13 @@ class TestLightLoadError:
         )
         assert point.sim_completed
         assert abs(point.relative_error) < 0.20
+
+    @pytest.mark.parametrize("options", [None, ModelOptions(tcn_convention="full_network_latency")])
+    def test_light_load_is_a_fraction_of_saturation(self, small_system, small_message, options):
+        point = light_load_error(
+            small_system, small_message, load_fraction=0.3, window=MeasurementWindow(20, 200, 20), options=options
+        )
+        assert point.load == 0.3 * find_saturation_load(AnalyticalModel(small_system, small_message, options))
 
     def test_rejects_bad_fraction(self, small_system, small_message):
         with pytest.raises(ValueError):
