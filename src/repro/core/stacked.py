@@ -47,14 +47,27 @@ the stack.  The mechanisms:
 * **masks** — per-cell *control flow* of the scalar code (option
   branches, ``U_i == 0`` and zero-weight skips) becomes ``np.where``
   masks selecting between fully-evaluated branches;
-* **per-row termination** — the bracket refinements (saturation
-  inversion, knee and budget searches) run per-cell brackets with per-cell
+* **predicted probes** — the bracket refinements (saturation inversion,
+  knee and budget searches) run per-cell brackets with per-cell
   round/termination state (:func:`_refine_rows`), so a cell's bracket
-  never depends on when its neighbours converge; the scalar one-bracket
-  loop it replicates decision for decision is kept as a test oracle
-  (``tests/test_stacked.py``), as is :func:`numpy.linspace`, whose
-  internal ``step == 0`` branch :func:`_linspace_rows` reproduces per
-  row;
+  never depends on when its neighbours converge.  Each round keeps the
+  cell of the row's 33-point grid that holds its first crossed load.  In
+  stacks of at least :data:`_PREDICT_MIN_ROWS` rows, after two full
+  rounds, a row evaluates only the loads around its predicted crossing,
+  and a predicted round counts only when it reads not crossed, then
+  crossed, at grid indices ``k − 1, k``: ``k`` is then the round's first
+  crossed index, so the round update is the full grid's.  That needs the
+  verdict to be weakly monotone in the load *in floating point*, and it
+  is: every step from load to verdict is a correctly rounded ``+``,
+  ``×`` or ``÷`` on non-negative operands that grow with the load — the
+  rates, linear in ``λ_g``; the Eq. 13/14 recursion; the Eq. 15 wait,
+  whose ``1 − ρ`` shrinks; the Eq. 36-38 concentrator terms — the
+  relaxing factor ``δ`` is a constant multiplier, every clamp goes to
+  ``inf``, and :func:`_linspace_rows` is non-decreasing in its index.
+  The scalar one-bracket loop the refinement replicates decision for
+  decision is kept as a test oracle (``tests/test_stacked.py``), as is
+  :func:`numpy.linspace`, whose internal ``step == 0`` branch
+  :func:`_linspace_rows` reproduces per row;
 * **fold order** — every accumulation that the scalar code runs as a
   Python-order fold (journey-weight sums, destination-weight averages, the
   Eq. 3 class combination) stays an explicit fold over the same index
@@ -96,32 +109,122 @@ __all__ = ["ParameterPlan", "StackedModel"]
 # ---------------------------------------------------------------------------
 
 
-def _linspace_rows(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
-    """Row-wise ``np.linspace(start[r], stop[r], num)`` — bit-identical.
+def _grid_points(
+    start: np.ndarray, stop: np.ndarray, index: np.ndarray, num: int
+) -> np.ndarray:
+    """Points ``index`` of ``np.linspace(start, stop, num)``, elementwise, bit for bit.
 
-    ``np.linspace`` with *array* endpoints would take its internal
-    ``step == 0`` branch (denormal handling, numpy gh-5437) for **all**
-    rows whenever any one row's step is zero, diverging from the scalar
-    ``np.linspace`` call of a row refined alone.  This helper computes
-    both variants and selects per row, so each row reproduces its own
-    scalar branch.
+    ``index · step + start``, or ``(index / (num − 1)) · delta + start``
+    where ``step`` is 0 (numpy's denormal branch, gh-5437), and ``stop``
+    at the last index; the arguments broadcast against each other.
+    ``np.linspace`` with *array* endpoints would take its ``step == 0``
+    branch for **all** rows whenever any one row's step is zero, diverging
+    from the scalar call of a row refined alone; here each element takes
+    its own row's branch.
     """
     div = num - 1
-    base = np.arange(0, num, dtype=np.float64)
     delta = stop - start
     step = delta / div
-    normal = base[None, :] * step[:, None]
-    denormal = (base / div)[None, :] * delta[:, None]
-    grid = np.where((step == 0.0)[:, None], denormal, normal)
-    grid = grid + start[:, None]
-    grid[:, -1] = stop
-    return grid
+    base = np.asarray(index, dtype=np.float64)
+    value = base * step
+    if np.count_nonzero(step) < step.size:
+        value = np.where(step == 0.0, (base / div) * delta, value)
+    value += start
+    np.copyto(value, stop, where=index == div)
+    return value
+
+
+def _linspace_rows(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
+    """Row-wise ``np.linspace(start[r], stop[r], num)`` — bit-identical."""
+    return _grid_points(start[:, None], stop[:, None], np.arange(num), num)
+
+
+#: Refinements of fewer rows than this plan every round in full.  A probe
+#: of a few rows costs mostly its call overhead (a one-cell latency probe
+#: costs about the same at 33 loads as at 2), so prediction would add its
+#: planning arithmetic and save nothing: without this cut, the perfbench
+#: ``model_queries`` workload (one-cell stacks) ran 4–5 % slower in each of
+#: two paired runs on a 2-core host.
+_PREDICT_MIN_ROWS = 16
+
+#: Rounds every row evaluates in full before it predicts.  After one round
+#: the estimate misses its window too often, and a missed window plans in
+#: full from then on: with one, the three searches of a 270-cell explore
+#: grid made 363 probe calls instead of 226 and took 1.5× as long.
+_FULL_ROUNDS = 2
+
+#: Grid indices the first round of a predicted plan evaluates around the
+#: estimate's cell; every later round evaluates its straddling pair.
+_WINDOW = 4
+
+
+def _first_at_or_above(
+    start: np.ndarray, stop: np.ndarray, guess: np.ndarray, num: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """First grid index at or above *guess* per row, with the cell it closes.
+
+    The grid is ``_linspace_rows(start, stop, num)``, which is
+    non-decreasing along each row, and ``start < guess <= stop``.  The
+    index is first estimated by division, then stepped until grid point
+    ``first − 1`` is below *guess* and grid point ``first`` is not.
+    Returns ``first`` and the grid points ``[first − 1, first]``, shaped
+    ``(2, rows)``.
+    """
+    div = num - 1
+    first = np.ceil((guess - start) / (stop - start) * div)
+    first = np.minimum(np.maximum(first, 1.0), div).astype(np.int64)
+    while True:
+        cell = _grid_points(start, stop, np.stack((first - 1, first)), num)
+        down = cell[0] >= guess
+        up = cell[1] < guess
+        if not np.count_nonzero(down | up):
+            return first, cell
+        first = first - down + (up & ~down)  # a row only ever steps one way
+
+
+def _predicted_plan(
+    lo: np.ndarray,
+    hi: np.ndarray,
+    guess: np.ndarray,
+    rounds_left: np.ndarray,
+    *,
+    rel_tol: float,
+    points: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The loads each row's next rounds evaluate if its condition first holds at *guess*.
+
+    Walks the round update from ``(lo, hi)`` with each round's first
+    crossed index taken as the first grid point at or above *guess*
+    (``lo < guess <= hi``), until the update would stop the row: no
+    progress, the relative width test, or *rounds_left* rounds.
+    Returns ``(loads, start, length)``: per row, the loads to evaluate
+    (the first round's :data:`_WINDOW` grid points from index ``start``,
+    then each later round's pair at grid indices ``first − 1, first``)
+    and the number of rounds walked.  A row whose walk has ended keeps its
+    bracket, so its later columns hold valid loads that no round reads.
+    """
+    first, cell = _first_at_or_above(lo, hi, guess, points)
+    start = np.minimum(np.maximum(first - _WINDOW // 2, 0), points - _WINDOW)
+    columns = [_grid_points(lo, hi, start + np.arange(_WINDOW)[:, None], points)]
+    lo, hi = lo.copy(), hi.copy()
+    length = np.ones(lo.size, dtype=np.int64)
+    walking = np.ones(lo.size, dtype=bool)
+    while True:
+        walking &= (cell[0] > lo) | (cell[1] < hi)  # else no progress: the row stops
+        np.copyto(lo, cell[0], where=walking)
+        np.copyto(hi, cell[1], where=walking)
+        walking &= ~(hi - lo <= rel_tol * hi) & (length < rounds_left)
+        if not np.count_nonzero(walking):
+            return np.concatenate(columns).T, start, length
+        _, cell = _first_at_or_above(lo, hi, guess, points)
+        columns.append(cell)
+        length += walking
 
 
 def _refine_rows(
     lo: np.ndarray,
     hi: np.ndarray,
-    crossed: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    probe: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     *,
     rel_tol: float,
     points: int = 33,
@@ -129,47 +232,163 @@ def _refine_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Narrow each row's ``[lo, hi]`` to the cell where a monotone condition flips.
 
-    ``crossed(rows, grid)`` evaluates the condition for the given row
-    subset over per-row grids shaped ``(len(rows), points)``; the bracket
-    invariant is ``not crossed(lo)`` and ``crossed(hi)``.  Each round
-    probes *points* evenly spaced loads per live row and keeps the cell
-    containing the row's first ``True``, shrinking the bracket by
-    ``points - 1`` per vectorised evaluation.  A row stops when ``hi - lo
+    ``probe(rows, loads)`` evaluates the condition for the given rows
+    (which may repeat) over per-row loads shaped ``(len(rows), width)``
+    and returns ``(crossed, score)``: the verdicts, and a score that falls
+    through 0 where the condition flips, used only to predict the
+    crossing.  The bracket invariant is ``not crossed(lo)`` and
+    ``crossed(hi)``.  Each round keeps the cell of the row's *points*-point
+    grid ``_linspace_rows(lo, hi, points)`` that holds its first ``True``,
+    shrinking the bracket by ``points - 1``.  A row stops when ``hi - lo
     <= rel_tol * hi``, when its first probe is already crossed, when the
     bracket stops making progress at float64 resolution, or after
     *max_rounds* rounds (the relative test alone cannot terminate when
     the crossing sits at ``lo == 0`` exactly, where the bracket can only
-    shrink toward a denormal ``hi``).  Rows drop out independently, so
+    shrink toward a denormal ``hi``).
+
+    Every iteration makes one probe call, in which each live row evaluates
+    its own plan.  A row evaluates its whole grid in its first
+    :data:`_FULL_ROUNDS` rounds, while it has no estimate, from a missed
+    window on, and always in refinements of fewer than
+    :data:`_PREDICT_MIN_ROWS` rows.  Otherwise it predicts: it estimates
+    its crossing by regula falsi between its tightest sampled non-crossed
+    and crossed loads of finite score, and evaluates only the loads
+    around that estimate in each of its next rounds
+    (:func:`_predicted_plan`).  A predicted round counts only when it
+    reads ``False`` then ``True`` at grid indices ``first − 1, first``:
+    by monotonicity, ``first`` is then the round's first crossed index,
+    and the round update runs as for a whole grid.  The rounds after a
+    miss wait for the next iteration.  Rows drop out independently, so
     each row's final ``(lo, hi)`` equals the one-row loop's bit for bit
     (the scalar oracle in ``tests/test_stacked.py``).
     """
     lo = np.array(lo, dtype=np.float64)
     hi = np.array(hi, dtype=np.float64)
-    alive = np.ones(lo.size, dtype=bool)
-    for _ in range(max_rounds):
-        alive &= ~(hi - lo <= rel_tol * hi)
-        if not alive.any():
-            break
+    size = lo.size
+    alive = np.ones(size, dtype=bool)
+    rounds = np.zeros(size, dtype=np.int64)
+    predicting = size >= _PREDICT_MIN_ROWS
+    in_full = np.full(size, not predicting)  # rows that evaluate whole grids from now on
+    # Tightest sampled non-crossed (below) and crossed (above) loads of finite score.
+    below, below_score = np.full(size, -np.inf), np.full(size, np.nan)
+    above, above_score = np.full(size, np.inf), np.full(size, np.nan)
+
+    def observe(rows: np.ndarray, loads: np.ndarray, crossed: np.ndarray, score: np.ndarray) -> None:
+        take = np.arange(rows.size)
+        finite = np.isfinite(score)
+        low = np.where(~crossed & finite, loads, -np.inf)
+        col = np.argmax(low, axis=1)
+        tighter = low[take, col] > below[rows]
+        below[rows[tighter]] = low[take, col][tighter]
+        below_score[rows[tighter]] = score[take, col][tighter]
+        high = np.where(crossed & finite, loads, np.inf)
+        col = np.argmin(high, axis=1)
+        tighter = high[take, col] < above[rows]
+        above[rows[tighter]] = high[take, col][tighter]
+        above_score[rows[tighter]] = score[take, col][tighter]
+
+    def advance(rows: np.ndarray, new_lo: np.ndarray, new_hi: np.ndarray) -> None:
+        # The round update for rows whose first crossed index is >= 1.
+        rounds[rows] += 1
+        stalled = (new_lo <= lo[rows]) & (new_hi >= hi[rows])  # float64 floor
+        alive[rows[stalled]] = False
+        moved = ~stalled
+        lo[rows[moved]] = new_lo[moved]
+        hi[rows[moved]] = new_hi[moved]
+
+    while True:
+        alive &= ~(hi - lo <= rel_tol * hi) & (rounds < max_rounds)
         rows = np.flatnonzero(alive)
-        grid = _linspace_rows(lo[rows], hi[rows], points)
-        above = crossed(rows, grid)
-        has = above.any(axis=1)
-        none_r = rows[~has]  # pragma: no cover - callers guarantee crossed(hi)
+        if not rows.size:
+            break
+        spec = (rounds[rows] >= _FULL_ROUNDS) & ~in_full[rows]
+        if np.count_nonzero(spec):
+            ready = rows[spec]
+            with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+                guess = below[ready] + (above[ready] - below[ready]) * (
+                    below_score[ready] / (below_score[ready] - above_score[ready])
+                )
+            known = np.isfinite(guess)
+            spec[spec] = known
+            guess = guess[known]
+        full_rows, spec_rows = rows[~spec], rows[spec]
+        grid = _linspace_rows(lo[full_rows], hi[full_rows], points)
+        if spec_rows.size:
+            guess = np.minimum(np.maximum(guess, np.nextafter(lo[spec_rows], np.inf)), hi[spec_rows])
+            plan, start, length = _predicted_plan(
+                lo[spec_rows],
+                hi[spec_rows],
+                guess,
+                max_rounds - rounds[spec_rows],
+                rel_tol=rel_tol,
+                points=points,
+            )
+            # One rectangle as wide as the widest plan; a whole grid takes
+            # ceil(points / width) of its rows, padded with its last load.
+            width = plan.shape[1]
+            packed = np.empty((full_rows.size, -(-points // width) * width))
+            packed[:, :points] = grid
+            packed[:, points:] = grid[:, -1:]
+            crossed, score = probe(
+                np.concatenate([np.repeat(full_rows, packed.shape[1] // width), spec_rows]),
+                np.concatenate([packed.reshape(-1, width), plan]),
+            )
+            cut = packed.size // width
+            full_crossed = crossed[:cut].reshape(packed.shape)[:, :points]
+            full_score = score[:cut].reshape(packed.shape)[:, :points]
+            spec_crossed = crossed[cut:]
+            observe(spec_rows, plan, spec_crossed, score[cut:])
+        else:
+            full_crossed, full_score = probe(full_rows, grid)
+        # Samples count from the round before a row's first prediction on.
+        watch = (rounds[full_rows] >= _FULL_ROUNDS - 1) & ~in_full[full_rows]
+        if np.count_nonzero(watch):
+            observe(full_rows[watch], grid[watch], full_crossed[watch], full_score[watch])
+
+        # Whole grids: the first True decides the round.
+        has = full_crossed.any(axis=1)
+        none_r = full_rows[~has]  # pragma: no cover - callers guarantee crossed(hi)
         if none_r.size:  # pragma: no cover
+            rounds[none_r] += 1
             lo[none_r] = hi[none_r]
             hi[none_r] = hi[none_r] * 2.0
-        first = np.argmax(above, axis=1)
-        stop_rows = rows[has & (first == 0)]  # bracket degenerated
-        alive[stop_rows] = False
+        first = np.argmax(full_crossed, axis=1)
+        alive[full_rows[has & (first == 0)]] = False  # bracket degenerated
         sel = np.flatnonzero(has & (first != 0))
-        r_ok = rows[sel]
-        new_lo = grid[sel, first[sel] - 1]
-        new_hi = grid[sel, first[sel]]
-        no_prog = (new_lo <= lo[r_ok]) & (new_hi >= hi[r_ok])  # float64 floor
-        alive[r_ok[no_prog]] = False
-        upd = ~no_prog
-        lo[r_ok[upd]] = new_lo[upd]
-        hi[r_ok[upd]] = new_hi[upd]
+        advance(full_rows[sel], grid[sel, first[sel] - 1], grid[sel, first[sel]])
+        if not spec_rows.size:
+            continue
+
+        # Predicted rounds.  The window counts when its first True follows
+        # a False (or sits at grid index 0).  A later round counts when it
+        # reads False, True at its pair and every earlier pair counted: its
+        # loads lie in the cell the walk predicted for each earlier round,
+        # window included, so by monotonicity that cell held the crossing
+        # and the row's bracket is the one the walk planned the round
+        # from.  The walk stopped where the update would stop.
+        window = spec_crossed[:, :_WINDOW]
+        hit = np.argmax(window, axis=1)
+        seen = window.any(axis=1) & ((hit > 0) | (start == 0))
+        in_full[spec_rows[~seen]] = True
+        first = start + hit
+        alive[spec_rows[seen & (first == 0)]] = False
+        sel = np.flatnonzero(seen & (first != 0))
+        advance(spec_rows[sel], plan[sel, hit[sel] - 1], plan[sel, hit[sel]])
+        pairs = spec_crossed[:, _WINDOW:]
+        kept = np.zeros((spec_rows.size, pairs.shape[1] // 2 + 1), dtype=bool)
+        kept[:, :-1] = ~pairs[:, 0::2] & pairs[:, 1::2]
+        kept[:, :-1] &= np.arange(1, kept.shape[1]) < length[:, None]
+        count = np.argmin(kept, axis=1)  # the leading run of kept rounds
+        sel = np.flatnonzero(count)
+        if not sel.size:
+            continue
+        col = _WINDOW + 2 * (count[sel] - 1)
+        # Every kept round before the last moved the bracket: a stall ends a walk.
+        moved = count[sel] > 1
+        lo[spec_rows[sel[moved]]] = plan[sel[moved], col[moved] - 2]
+        hi[spec_rows[sel[moved]]] = plan[sel[moved], col[moved] - 1]
+        rounds[spec_rows[sel]] += count[sel] - 1
+        advance(spec_rows[sel], plan[sel, col], plan[sel, col + 1])
     return lo, hi
 
 
@@ -823,6 +1042,7 @@ class StackedModel:
         self.plan = ParameterPlan(models)
         self._saturation: "list[dict[str, float]] | None" = None
         self._binding: "list[str] | None" = None
+        self._zero_load: "np.ndarray | None" = None
 
     @classmethod
     def from_specs(cls, specs: Sequence) -> "StackedModel":
@@ -1267,8 +1487,10 @@ class StackedModel:
         return out
 
     def zero_load_latencies(self) -> np.ndarray:
-        """Per-cell latency floor (λ_g → 0), shape ``(cells,)``."""
-        return self.evaluate_latencies(np.zeros((self.cells, 1)))[:, 0]
+        """Per-cell latency floor (λ_g → 0), shape ``(cells,)``; evaluated once per stack."""
+        if self._zero_load is None:
+            self._zero_load = self.evaluate_latencies(np.zeros((self.cells, 1)))[:, 0]
+        return self._zero_load.copy()
 
     # -- per-resource saturation (stacked inversion) ----------------------------
 
@@ -1284,9 +1506,9 @@ class StackedModel:
         ``rate`` is the queue's arrival rate (linear in ``λ_g``, shared
         with the evaluation path) and ``T`` the monotone non-decreasing
         latency of the queue's own journey set, so the root is unique and
-        bounded above by the linearised ``1 / (rate'(0) · T(0))``.  Each
-        refinement round evaluates one 33-point grid of the queue's own
-        journey recursion (not the whole model) per cell, down to 1e-13
+        bounded above by the linearised ``1 / (rate'(0) · T(0))``.  The
+        refinement probes the queue's own journey recursion (not the whole
+        model), scored ``−log ρ`` for its predictions, down to 1e-13
         relative width.  Excluded cells and zero-rate queues (which can
         never saturate) get ``inf``.  ``rate_of``/``latency_of`` take
         ``(rows, loads)`` with *rows* indexing the group's cells.
@@ -1307,12 +1529,12 @@ class StackedModel:
             "zero-load pipeline latency must be positive",
         )
 
-        def crossed(sub: np.ndarray, grid: np.ndarray) -> np.ndarray:
+        def crossed(sub: np.ndarray, loads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             sub_rows = rows[sub]
-            t = latency_of(sub_rows, grid)
-            with np.errstate(invalid="ignore", over="ignore"):
-                rho = np.where(np.isfinite(t), rate_of(sub_rows, grid) * t, np.inf)
-            return rho >= 1.0
+            t = latency_of(sub_rows, loads)
+            with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+                rho = np.where(np.isfinite(t), rate_of(sub_rows, loads) * t, np.inf)
+                return rho >= 1.0, -np.log(rho)
 
         # Same tiny headroom as the scalar path: ρ(hi) >= 1 even when the
         # pipeline latency is load-independent and the bound is the root.
@@ -1466,9 +1688,12 @@ class StackedModel:
             idx = group.indices
             thr = threshold[idx]
 
-            def beyond(sub: np.ndarray, grid: np.ndarray) -> np.ndarray:
-                latencies = self._group_latencies(group, sub, grid)
-                return ~(np.isfinite(latencies) & (latencies < thr[sub][:, None]))
+            def beyond(sub: np.ndarray, loads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                latencies = self._group_latencies(group, sub, loads)
+                limit = thr[sub][:, None]
+                with np.errstate(divide="ignore"):
+                    score = np.log(limit / latencies)
+                return ~(np.isfinite(latencies) & (latencies < limit)), score
 
             lo, _ = _refine_rows(
                 np.zeros(group.size),
@@ -1515,12 +1740,13 @@ class StackedModel:
                 continue
             limits = budgets[idx]
 
-            def beyond(sub: np.ndarray, grid: np.ndarray) -> np.ndarray:
+            def beyond(sub: np.ndarray, loads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 sub_rows = rows[sub]
-                latencies = self._group_latencies(group, sub_rows, grid)
-                return ~(
-                    np.isfinite(latencies) & (latencies <= limits[sub_rows][:, None])
-                )
+                latencies = self._group_latencies(group, sub_rows, loads)
+                limit = limits[sub_rows][:, None]
+                with np.errstate(divide="ignore"):
+                    score = np.log(limit / latencies)
+                return ~(np.isfinite(latencies) & (latencies <= limit)), score
 
             lo, _ = _refine_rows(
                 np.zeros(rows.size), hi[idx][rows], beyond, rel_tol=1e-4

@@ -71,7 +71,12 @@ ENGINES = ("reference", "array")
 #: instead of enumerating ``SystemChannel`` objects, and the reference loop
 #: builds its per-channel state inside its own run.  Trajectories are
 #: unchanged; cached simulator curves miss once.
-TRAJECTORY_VERSION = "sim/6"
+#:
+#: sim/7: a message-level simulator runs once; a second ``run()`` raises
+#: instead of appending to (reference loop) or replacing (array core) the
+#: first run's collector.  Trajectories are unchanged; cached simulator
+#: curves miss once.
+TRAJECTORY_VERSION = "sim/7"
 
 
 @dataclass(frozen=True)

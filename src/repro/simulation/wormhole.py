@@ -180,8 +180,12 @@ class MessageLevelWormholeSimulator:
         and id is the message sequence number (negative ``-(node+1)`` for
         post-budget arrivals, the channel id for releases).  Both engines
         emit the identical stream; the differential suite compares them
-        element for element.
+        element for element.  A simulator runs once: its collector holds
+        that run's messages, so a second call raises :class:`ValueError`.
         """
+        require(
+            self._last_result is None, "a simulator runs once; build a new one for another run"
+        )
         if self.engine == "array":
             from repro.simulation import eventcore
 

@@ -18,6 +18,7 @@ from repro._util import require_int
 from repro.analysis import icn2_bandwidth_study, model_bottlenecks, render_table
 from repro.cluster import paper_organizations, table1_rows
 from repro.core import NET1, NET2, MessageSpec
+from repro.core.batch import BatchedModel
 from repro.core.stacked import StackedModel
 from repro.io.reporting import (
     format_table1,
@@ -115,8 +116,9 @@ def reproduction_report(
     audit_rows = []
     for system in paper_organizations():
         message = MessageSpec(32, 256.0)
-        lam_star = float(StackedModel([(system, message, None, None)]).saturation_load()[0])
-        report = model_bottlenecks(system, message, 0.5 * lam_star)
+        engine = BatchedModel(system, message)
+        lam_star = engine.saturation_load()
+        report = model_bottlenecks(system, message, 0.5 * lam_star, engine=engine)
         audit_rows.append([system.name, f"{lam_star:.3e}", report.binding.resource, report.binding.kind])
     sections.append(
         render_table(

@@ -351,7 +351,7 @@ class TestRefineMonotoneCrossing:
         from repro.core.stacked import _refine_rows
 
         lo, hi = _refine_rows(
-            np.zeros(1), np.ones(1), lambda rows, grid: grid >= 0.3, rel_tol=1e-10
+            np.zeros(1), np.ones(1), lambda rows, grid: (grid >= 0.3, 0.3 - grid), rel_tol=1e-10
         )
         assert lo[0] < 0.3 <= hi[0]
         assert hi[0] - lo[0] <= 1e-10 * hi[0]
@@ -362,7 +362,9 @@ class TestRefineMonotoneCrossing:
         underflows for denormal hi)."""
         from repro.core.stacked import _refine_rows
 
-        lo, hi = _refine_rows(np.zeros(1), np.ones(1), lambda rows, grid: grid > 0, rel_tol=1e-4)
+        lo, hi = _refine_rows(
+            np.zeros(1), np.ones(1), lambda rows, grid: (grid > 0, -grid), rel_tol=1e-4
+        )
         assert lo[0] == 0.0
         assert 0.0 < hi[0] < 1e-60  # driven to (effectively) the crossing
 

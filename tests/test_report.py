@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import paper_organizations
 from repro.core import AnalyticalModel, MessageSpec, find_saturation_load
+from repro.core.stacked import StackedModel
 from repro.validation import all_latency_figures, reproduction_report
 
 
@@ -56,6 +57,21 @@ class TestModelOnlyReport:
         monkeypatch.setattr(AnalyticalModel, "evaluate", refuse)
         report = reproduction_report(points_per_curve=2, include_simulation=False)
         assert len([k for k in report.payload if k.startswith("Fig.")]) == 8
+
+    def test_audit_searches_each_organisation_once(self, monkeypatch):
+        # The figure grids search λ* once per curve (8 searches) and the
+        # Fig. 7 study 4 times; the audit adds one per organisation and
+        # hands its engine to model_bottlenecks instead of searching again.
+        searches = []
+        original = StackedModel._group_saturation
+
+        def counting(stack, group):
+            searches.append(group)
+            return original(stack, group)
+
+        monkeypatch.setattr(StackedModel, "_group_saturation", counting)
+        reproduction_report(points_per_curve=2, include_simulation=False)
+        assert len(searches) == 8 + 4 + len(paper_organizations())
 
     def test_bottleneck_rows_name_concentrators(self, report):
         for row in report.payload["bottlenecks"]:

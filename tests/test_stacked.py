@@ -21,6 +21,8 @@ single-cluster/single-stage edge systems.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.capacity import max_load_for_latency
 from repro.cluster import homogeneous_system
@@ -28,10 +30,10 @@ from repro.core import MessageSpec
 from repro.core.batch import BatchedModel
 from repro.core import stacked
 from repro.core.parameters import ModelOptions
-from repro.core.stacked import StackedModel, _linspace_rows, _refine_rows
+from repro.core.stacked import StackedModel, _grid_points, _linspace_rows, _refine_rows
 from repro.core.sweep import auto_load_grid
 from repro.performability import FailureMode, FailureScenario, expand_states
-from repro.scenarios import ScenarioSpec, get_scenario
+from repro.scenarios import AxisSpec, DesignGrid, ScenarioSpec, get_scenario
 from repro.scenarios.registry import iter_scenarios
 
 REGISTRY = list(iter_scenarios())
@@ -389,32 +391,217 @@ class TestClassPairShapes:
         assert stack.saturation_loads() == [reference_saturation] * 3
 
 
+def row_probe(conditions):
+    """Probe over per-row ``(crossed, score)`` functions of the load; rows may repeat."""
+
+    def probe(rows: np.ndarray, loads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        crossed = np.stack([conditions[r][0](loads[k]) for k, r in enumerate(rows)])
+        score = np.stack([conditions[r][1](loads[k]) for k, r in enumerate(rows)])
+        return crossed, score
+
+    return probe
+
+
+def at_least(threshold, power=1.0, zero=None):
+    """``load >= threshold``, scored ``±|zero − load|**power``.
+
+    The score falls through 0 at *zero*, which defaults to the threshold;
+    elsewhere it misleads the prediction, which may cost probes but never
+    change a bracket.
+    """
+    zero = threshold if zero is None else zero
+    return (lambda g: g >= threshold, lambda g: np.sign(zero - g) * np.abs(zero - g) ** power)
+
+
+def assert_rows_match_oracle(lo0, hi0, conditions, **kwargs):
+    lo, hi = _refine_rows(np.array(lo0), np.array(hi0), row_probe(conditions), **kwargs)
+    for row, (crossed, _) in enumerate(conditions):
+        assert (lo[row], hi[row]) == refine_monotone_crossing(lo0[row], hi0[row], crossed, **kwargs), row
+
+
 class TestRowKernels:
     """``_refine_rows`` and ``_linspace_rows`` against their scalar oracles."""
 
     def test_rows_stop_in_different_rounds_and_match_the_oracle(self):
         # Row 0 converges in a few rounds; row 1's crossing sits at lo == 0,
         # so it keeps shrinking toward a denormal hi long after row 0 stops.
-        conditions = [lambda g: g >= 0.3, lambda g: g > 0]
+        conditions = [at_least(0.3), (lambda g: g > 0, lambda g: -g)]
         live = []
+        probe = row_probe(conditions)
 
-        def crossed(rows: np.ndarray, grid: np.ndarray) -> np.ndarray:
+        def recording(rows: np.ndarray, grid: np.ndarray):
             live.append(rows.tolist())
-            return np.stack([conditions[r](grid[k]) for k, r in enumerate(rows)])
+            return probe(rows, grid)
 
-        lo, hi = _refine_rows(np.zeros(2), np.ones(2), crossed, rel_tol=1e-4)
+        lo, hi = _refine_rows(np.zeros(2), np.ones(2), recording, rel_tol=1e-4)
         assert live[0] == [0, 1] and live[-1] == [1]
-        for row, condition in enumerate(conditions):
+        for row, (condition, _) in enumerate(conditions):
             assert (lo[row], hi[row]) == refine_monotone_crossing(
                 0.0, 1.0, condition, rel_tol=1e-4
             )
 
+    @pytest.mark.parametrize("rel_tol", [1e-13, 1e-6, 1e-4])
+    def test_predicted_refinement_edge_rows_match_the_oracle(self, rel_tol):
+        # 20 rows, so the refinement predicts.  Next to 16 ordinary rows
+        # with curved scores: a crossing at lo == 0 that shrinks toward a
+        # denormal hi until it stalls, one at lo == 0 that stops at
+        # max_rounds, a start == stop row and a row crossed at its first
+        # probe.
+        rng = np.random.default_rng(22)
+        at_zero = (lambda g: g > 0, lambda g: -g)
+        conditions = [at_least(t, p) for t, p in zip(rng.uniform(0, 1, 16), rng.uniform(0.3, 3, 16))]
+        conditions += [at_zero, at_zero, at_least(0.5), at_least(0.1)]
+        lo0 = [0.0] * 16 + [0.0, 0.0, 0.5, 0.2]
+        hi0 = [1.0] * 16 + [1e-300, 1.0, 0.5, 0.9]
+        assert_rows_match_oracle(lo0, hi0, conditions, rel_tol=rel_tol)
+
+    def test_rows_stopped_by_max_rounds_match_the_oracle(self):
+        # Every row needs about nine rounds at 1e-13; six are allowed.
+        rng = np.random.default_rng(23)
+        conditions = [at_least(t, 2.0) for t in rng.uniform(0.01, 1, 18)]
+        assert_rows_match_oracle([0.0] * 18, [1.0] * 18, conditions, rel_tol=1e-13, max_rounds=6)
+
+    @settings(max_examples=40)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 1.0),
+                st.floats(1e-6, 10.0),
+                st.one_of(st.sampled_from([0.0, 1 / 32, 0.5, 1.0]), st.floats(0.0, 1.0)),
+                st.floats(0.25, 4.0),
+                st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+            ),
+            min_size=16,
+            max_size=32,
+        ),
+        st.sampled_from([1e-13, 1e-6, 1e-4]),
+    )
+    def test_predicted_refinement_equals_the_plain_loop(self, rows, rel_tol):
+        # Random brackets (lo, lo + width), thresholds at a fraction of the
+        # bracket (its ends and a grid point included), score curvatures,
+        # and scores whose zero is shifted off the threshold by up to a
+        # bracket, so windows and pairs miss on either side.
+        lo0 = [lo for lo, _, _, _, _ in rows]
+        hi0 = [lo + width for lo, width, _, _, _ in rows]
+        conditions = [
+            at_least(lo + at * width, power, lo + (at + shift) * width)
+            for lo, width, at, power, shift in rows
+        ]
+        assert_rows_match_oracle(lo0, hi0, conditions, rel_tol=rel_tol)
+
     @pytest.mark.parametrize("num", [2, 12, 33])
     def test_linspace_rows_equal_numpy_per_row(self, num):
-        # A normal row next to a start == stop row and a denormal-width row,
-        # both of which take numpy's step == 0 branch.
-        start = np.array([1.25e-4, 3.0e-4, 0.0])
-        stop = np.array([9.5e-4, 3.0e-4, 5e-324])
+        # Normal rows next to a start == stop row and denormal-width rows,
+        # which take numpy's step == 0 branch.  The walk of a predicted
+        # plan reads single grid points, one index per row.
+        start = np.array([1.25e-4, 3.0e-4, 0.0, 0.0, 0.1])
+        stop = np.array([9.5e-4, 3.0e-4, 5e-324, 1e-322, 0.1 + 2**-50])
         grid = _linspace_rows(start, stop, num)
-        for row in range(start.size):
-            assert np.array_equal(grid[row], np.linspace(start[row], stop[row], num))
+        expected = np.stack([np.linspace(a, b, num) for a, b in zip(start, stop)])
+        assert np.array_equal(grid, expected)
+        for index in range(num):
+            points = _grid_points(start, stop, np.full(start.size, index), num)
+            assert np.array_equal(points, expected[:, index])
+
+
+def search_cells(count):
+    """*count* one-group cells of an explore-style grid on ``544``."""
+    grid = DesignGrid(
+        base=get_scenario("544"),
+        axes=(
+            AxisSpec("system.icn2.bandwidth", tuple(300.0 + 50.0 * k for k in range(count // 2))),
+            AxisSpec("message.length_flits", (16, 64)),
+        ),
+    )
+    return [cell.spec for cell in grid.cells()]
+
+
+@pytest.fixture(scope="module")
+def search_probes():
+    """Each refinement's probe, first bracket and result over an 18-cell stack."""
+    records = []
+    original = stacked._refine_rows
+
+    def recording(lo, hi, probe, **kwargs):
+        out = original(lo, hi, probe, **kwargs)
+        records.append((probe, np.array(lo, dtype=float), np.array(hi, dtype=float), out))
+        return out
+
+    patch = pytest.MonkeyPatch()
+    patch.setattr(stacked, "_refine_rows", recording)
+    try:
+        stack = StackedModel.from_specs(search_cells(18))
+        stack.saturation_loads()
+        stack.knee_loads(4.0)
+        stack.loads_at_budget(3.0 * stack.zero_load_latencies())
+    finally:
+        patch.undo()
+    return records
+
+
+class TestPredictedProbes:
+    """The three searches' verdicts are monotone; prediction halves their work."""
+
+    @settings(max_examples=30)
+    @given(st.data())
+    def test_verdicts_never_fall_along_sorted_loads(self, search_probes, data):
+        # Loads spread over the first and the final bracket, plus the
+        # floats next to the final bracket ends, sorted along each row.
+        probe, lo0, hi0, (lo, hi) = data.draw(st.sampled_from(search_probes))
+        spread = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=24)))
+        ulps = data.draw(st.integers(1, 64))
+        near = [lo, hi]
+        for _ in range(ulps):
+            near += [np.nextafter(near[-2], -np.inf), np.nextafter(near[-1], np.inf)]
+        loads = np.concatenate(
+            [
+                lo0[:, None] + spread[None, :] * (hi0 - lo0)[:, None],
+                lo[:, None] + spread[None, :] * (hi - lo)[:, None],
+                np.stack(near, axis=1),
+            ],
+            axis=1,
+        )
+        loads = np.sort(np.maximum(loads, 0.0), axis=1)
+        crossed, _ = probe(np.arange(lo0.size), loads)
+        assert not np.any(crossed[:, :-1] & ~crossed[:, 1:])
+
+    def test_searches_evaluate_at_most_half_the_plain_loads(self, monkeypatch):
+        # A 270-cell grid like the explore benchmark's; the plain loop is
+        # the same refinement with every round planned in full.
+        grid = DesignGrid(
+            base=get_scenario("544"),
+            axes=(
+                AxisSpec("system.clusters.0.tree_depth", (3, 4, 5)),
+                AxisSpec("system.clusters.15.tree_depth", (3, 4, 5)),
+                AxisSpec("system.icn2.bandwidth", (250.0, 375.0, 500.0, 625.0, 750.0)),
+                AxisSpec("message.length_flits", (16, 32, 64)),
+                AxisSpec("message.flit_bytes", (128.0, 256.0)),
+            ),
+        )
+        specs = [cell.spec for cell in grid.cells()]
+        original = stacked._refine_rows
+
+        def searched():
+            loads = [0]
+
+            def counting(lo, hi, probe, **kwargs):
+                def counted(rows, grid):
+                    loads[0] += grid.size
+                    return probe(rows, grid)
+
+                return original(lo, hi, counted, **kwargs)
+
+            monkeypatch.setattr(stacked, "_refine_rows", counting)
+            stack = StackedModel.from_specs(specs)
+            out = (
+                stack.saturation_loads(),
+                stack.knee_loads(4.0).tolist(),
+                stack.loads_at_budget(np.full(stack.cells, 200.0)).tolist(),
+            )
+            return loads[0], out
+
+        predicted, results = searched()
+        monkeypatch.setattr(stacked, "_PREDICT_MIN_ROWS", len(specs) * 256)
+        plain, plain_results = searched()
+        assert predicted <= plain / 2
+        assert repr(results) == repr(plain_results)

@@ -96,6 +96,18 @@ class TestDeterminismAndConservation:
         assert len(traj.latencies) == fast_window.measured
         assert len(traj.inter_cluster) == len(traj.latencies) == len(traj.source_clusters)
 
+    def test_second_run_is_refused(self, small_fabric, fast_window, engine):
+        # Under either engine a second run would otherwise append to, or
+        # replace, the first run's collector.
+        sim = MessageLevelWormholeSimulator(
+            small_fabric, fast_window, 5e-4, make_streams(3), engine=engine
+        )
+        sim.run()
+        first = sim.trajectory()
+        with pytest.raises(ValueError, match="runs once"):
+            sim.run()
+        assert sim.trajectory() == first
+
     def test_event_budget_interrupts(self, small_fabric, fast_window, engine):
         sim = MessageLevelWormholeSimulator(
             small_fabric, fast_window, 5e-4, make_streams(3), engine=engine
