@@ -27,17 +27,22 @@ each cell's lane computes the same scalar sequence whatever else shares
 the stack.  The mechanisms:
 
 * **grouping** — cells are partitioned by structure signature (switch
-  arity, class decomposition, ICN2 depth), so within a group every journey
-  set has identical layout and the group-constant structure (journey
-  dimensions, pmf weights) is built once;
-* **class-pair shapes** — within a group, the ordered class pairs that
-  share a journey shape ``(d_src, d_dst)`` are stacked on the rows axis,
-  member-major (row ``p · C + c`` is member ``p`` in cell ``c``), so a
-  non-uniform pattern's C² singleton-class pairs cost one solve per
-  shape, not per pair.  A solve or refinement takes at most
-  :data:`_PAIR_ROWS` rows (whole members, at least one), which bounds the
-  memory of large cell stacks; the Eq. 35/38 fold over destinations reads
-  the stacked rows back in the scalar ``j`` order;
+  arity, class decomposition, ICN2 depth), so within a group every cell
+  has the same classes in the same order, and the Eq. 1/3/35/38 folds run
+  per group;
+* **blocks** — the rows that share a journey structure are stacked on
+  the rows axis across the whole stack: one block per intra depth
+  ``(switch_ports, tree_depth)`` and one per journey shape
+  ``(switch_ports, d_src, d_dst, n_c)``, holding every group's classes or
+  ordered class pairs of that structure (a group's pairs of a shape
+  member-major: row ``first + p · C + c`` is member ``p`` in cell ``c``).
+  A non-uniform pattern's C² singleton-class pairs cost one solve per
+  shape, not per pair, and the saturation search solves each structure
+  once per probe whatever group it sits in.  An evaluation solve takes at
+  most :data:`_PAIR_ROWS` rows of a group (whole members, at least one)
+  and a saturation solve at most :data:`_SOLVE_ELEMENTS` scratch elements,
+  which bounds the memory of large cell stacks; the Eq. 35/38 fold over
+  destinations reads the rows back in the scalar ``j`` order;
 * **shared suffix chains** — journeys end in shared trailing stages, so
   the backward Eq. 13/14 recursion collapses to suffix chains
   (destination → ICN2 → source segments) touching each distinct column
@@ -90,7 +95,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -482,10 +487,19 @@ def _mg1_wait_batched(
     return wait, utilization, saturated
 
 
-#: Row budget of one stacked class-pair solve or refinement: a journey
-#: shape's members are stacked until they fill this many rows (at least
-#: one member per call, however many cells).
+#: Row budget of one stacked class-pair solve in an evaluation (a journey
+#: shape's members are stacked until they fill this many rows, at least
+#: one member per call, however many cells) and of one saturation
+#: refinement (a run of consecutive searched rows, cut anywhere).
 _PAIR_ROWS = 256
+
+#: Working-set budget of one pair solve in the saturation search, in
+#: elements of its ``(n_c, d_dst, rows, loads)`` scratch (at least one row
+#: per call).  A row count alone does not bound it: with solves of up to
+#: :data:`_PAIR_ROWS` rows at any probe width, the saturation peak of a
+#: 90-cell ``544-hotspot`` explore grid rose from 6.7 to 11.7 MB (traced,
+#: 2-core host); a budget of 8,192 elements made explore no faster.
+_SOLVE_ELEMENTS = 32_768
 
 #: One flat, grow-only buffer per scratch role of :func:`_solve_pair_stacked`,
 #: and the views handed out of the current buffers, per solve shape.
@@ -503,7 +517,7 @@ def _pair_scratch(shape4: tuple[int, int, int, int]) -> dict[str, np.ndarray]:
     and never hold buffer references across calls, so each role keeps one
     flat buffer and hands out its front, reshaped.  A buffer only grows:
     the process retains one working set at the largest solve it has run,
-    which the row budget :data:`_PAIR_ROWS` bounds for stacked pairs.  The
+    which the budgets :data:`_PAIR_ROWS` and :data:`_SOLVE_ELEMENTS` bound.  The
     views are memoised per shape and dropped whenever a buffer grows, so
     they never pin a replaced buffer.
     """
@@ -715,38 +729,49 @@ def _pair_structure(
 
 
 # ---------------------------------------------------------------------------
-# stacked (per-cell) parameter planes
+# stacked parameter planes: stack-wide blocks, addressed by cell groups
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class _StackedIntra:
-    """One class's intra-cluster parameters across a group's cells."""
+class _IntraBlock:
+    """The intra-cluster rows of one ``(switch_ports, tree_depth)`` across the stack.
+
+    One row per cell of every class of that depth in every cell group:
+    group-major, then class order, then cell.  The per-cell group flags
+    (``m_flits``, ``var_paper``, ``sqr_per_node``) are tiled the same way.
+    """
 
     structure: _IntraStructure
-    t_cs: np.ndarray  # (C,) ICN1 switch-stage channel time
-    t_cn: np.ndarray  # (C,) ICN1 final-stage channel time
-    nodes: np.ndarray  # (C,) N_i (float64, exact)
-    u: np.ndarray  # (C,) U_i
-    count: np.ndarray  # (C,)
-    intra_fraction: np.ndarray  # (C,) 1 − U_i
-    eta_divisor: np.ndarray  # (C,) 4 n_i N_i
-    tail_time: np.ndarray  # (C,) E_in (Eq. 19)
-    min_service: np.ndarray  # (C,) M t_cn
+    m_flits: np.ndarray
+    var_paper: np.ndarray  # variance_approximation == "paper"
+    sqr_per_node: np.ndarray  # source_queue_rate == "per_node"
+    t_cs: np.ndarray  # ICN1 switch-stage channel time
+    t_cn: np.ndarray  # ICN1 final-stage channel time
+    nodes: np.ndarray  # N_i (float64, exact)
+    u: np.ndarray  # U_i
+    count: np.ndarray
+    intra_fraction: np.ndarray  # 1 − U_i
+    eta_divisor: np.ndarray  # 4 n_i N_i
+    tail_time: np.ndarray  # E_in (Eq. 19)
+    min_service: np.ndarray  # M t_cn
+
+    @property
+    def size(self) -> int:
+        return int(self.t_cs.size)
 
 
 @dataclass(frozen=True)
-class _PairShape:
-    """The ordered class pairs of a group that share one journey layout, stacked.
+class _PairBlock:
+    """The ordered class pairs of one journey shape ``(switch_ports, d_src, d_dst, n_c)``.
 
-    ``members`` are the group's ``(i, j)`` pairs with this ``(d_src,
-    d_dst)``, in row-major order.  Every plane is member-major,
-    ``(members · C,)``: row ``p · C + c`` is member ``p`` in cell ``c``.
-    The per-cell group flags are tiled the same way.
+    One row per cell of every pair of that shape in every cell group:
+    group-major, then member-major (a group's members are its ``(i, j)``
+    pairs of the shape in row-major order), then cell.  The per-cell group
+    flags are tiled the same way.
     """
 
     structure: _PairStructure
-    members: tuple[tuple[int, int], ...]
     m_flits: np.ndarray
     var_paper: np.ndarray  # variance_approximation == "paper"
     sqr_aggregate: np.ndarray  # source_queue_rate == "aggregate_pair"
@@ -759,7 +784,6 @@ class _PairShape:
     src_nodes: np.ndarray
     src_u: np.ndarray
     eta_e1_divisor: np.ndarray
-    eta_i2_divisor: float  # 4 n_c — group constant
     delta: np.ndarray  # Eq. 28 relaxing factor
     tail_time: np.ndarray  # E_ex (Eq. 33)
     min_service: np.ndarray  # M t_cn^{E1(i)}
@@ -767,20 +791,48 @@ class _PairShape:
     conc_variance: np.ndarray  # Eq. 36 variance
     weight: np.ndarray  # destination weight of j in the Eq. 35/38 averages
 
+    @property
+    def size(self) -> int:
+        return int(self.weight.size)
+
+    @property
+    def eta_i2_divisor(self) -> float:
+        return 4.0 * self.structure.n_c
+
+    def outward(self) -> np.ndarray:
+        """Rows whose queues can saturate: the source class sends outward to a positive weight."""
+        return (self.src_u > 0.0) & (self.weight > 0.0)
+
+
+class _Span(NamedTuple):
+    """A cell group's rows in one block: *members* consecutive runs of the
+    group's cells, from row *first*."""
+
+    block: int
+    first: int
+    members: int
+
+
+def _span_rows(
+    span: _Span, cells: int, rows: "np.ndarray | None", first: int = 0, stop: int = 1
+) -> "np.ndarray | slice":
+    """Block rows of members ``first … stop − 1`` of *span* over the group's cell *rows* (all when ``None``)."""
+    base = span.first + first * cells
+    if rows is None:
+        return slice(base, span.first + stop * cells)
+    return (base + np.arange(stop - first)[:, None] * cells + rows[None, :]).ravel()
+
 
 @dataclass(frozen=True)
 class _CellGroup:
-    """All cells sharing one structure signature, packed into arrays."""
+    """All cells sharing one structure signature: class order and block rows."""
 
     indices: np.ndarray  # positions in the original cell list
     single_cluster: bool
     class_names: tuple[str, ...]
-    m_flits: np.ndarray  # (C,)
     total_nodes: np.ndarray  # (C,)
-    var_paper: np.ndarray  # (C,) bool: variance_approximation == "paper"
-    sqr_per_node: np.ndarray  # (C,) bool: source_queue_rate == "per_node"
-    intra: tuple[_StackedIntra, ...]
-    shapes: tuple[_PairShape, ...]  # () when single_cluster
+    intra: tuple[_Span, ...]  # per class, in the plan's intra blocks
+    shapes: tuple[_Span, ...]  # per journey shape, in its pair block; () when single_cluster
     pair_slots: dict[tuple[int, int], tuple[int, int]]  # (i, j) → (shape, member)
 
     @property
@@ -799,16 +851,34 @@ def _group_signature(model: AnalyticalModel) -> tuple:
     )
 
 
+def _add_part(
+    blocks: dict, key: tuple, structure: Any, part: dict[str, np.ndarray], members: int
+) -> _Span:
+    """Append one group's rows *part* to block *key* (of journey *structure*); returns their span."""
+    parts = blocks.setdefault(key, (structure, []))[1]
+    first = sum(p["m_flits"].size for p in parts)
+    parts.append(part)
+    return _Span(list(blocks).index(key), first, members)
+
+
+def _joined(parts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+
+
 class ParameterPlan:
-    """Packed parameters of a cell list, grouped by structure signature.
+    """Packed parameters of a cell list: stack-wide blocks, addressed by cell groups.
 
     Packing builds one scalar :class:`AnalyticalModel` per cell (only
-    the cheap class decomposition and destination weighting), derives
-    each group's journey structure once, and fills the per-cell parameter
-    planes.  Heterogeneous cluster counts are handled by the grouping:
-    cells whose class decompositions differ land in different groups.
-    Within a group, the ordered class pairs are packed by journey shape
-    (:class:`_PairShape`).
+    the cheap class decomposition and destination weighting) and groups
+    the cells by structure signature, so cells whose class decompositions
+    differ land in different groups.  Each group's per-cell parameter
+    planes are packed into stack-wide blocks, one :class:`_IntraBlock` per
+    ``(switch_ports, tree_depth)`` and one :class:`_PairBlock` per journey
+    shape ``(switch_ports, d_src, d_dst, n_c)``, each holding the rows of
+    every group: a journey structure is derived once, whatever group it
+    sits in.  The blocks are the only copy of a per-row plane; a group
+    keeps its class order and addresses its rows as :class:`_Span` ranges
+    of the blocks.
     """
 
     def __init__(self, models: Sequence[AnalyticalModel]) -> None:
@@ -822,8 +892,16 @@ class ParameterPlan:
         by_sig: dict[tuple, list[int]] = {}
         for pos, model in enumerate(self.models):
             by_sig.setdefault(_group_signature(model), []).append(pos)
+        intra: dict[tuple, tuple[_IntraStructure, list[dict[str, np.ndarray]]]] = {}
+        pairs: dict[tuple, tuple[_PairStructure, list[dict[str, np.ndarray]]]] = {}
         self.groups: tuple[_CellGroup, ...] = tuple(
-            self._build_group(positions) for positions in by_sig.values()
+            self._build_group(positions, intra, pairs) for positions in by_sig.values()
+        )
+        self.intra_blocks = tuple(
+            _IntraBlock(structure, **_joined(parts)) for structure, parts in intra.values()
+        )
+        self.pair_blocks = tuple(
+            _PairBlock(structure, **_joined(parts)) for structure, parts in pairs.values()
         )
 
     @property
@@ -832,7 +910,8 @@ class ParameterPlan:
 
     # -- packing ---------------------------------------------------------------
 
-    def _build_group(self, positions: list[int]) -> _CellGroup:
+    def _build_group(self, positions: list[int], intra_blocks: dict, pair_blocks: dict) -> _CellGroup:
+        """Pack one group's cells into the blocks; returns the group's spans."""
         models = [self.models[p] for p in positions]
         rep = models[0]
         ports = rep.system.switch_ports
@@ -849,8 +928,8 @@ class ParameterPlan:
             [m.options.source_queue_rate == "per_node" for m in models], dtype=bool
         )
 
-        intra: list[_StackedIntra] = []
-        ecn1_times: list[tuple[np.ndarray, np.ndarray]] = []
+        intra: list[_Span] = []
+        class_planes: list[tuple[np.ndarray, ...]] = []  # per class: (e_cs, e_cn, nodes, u)
         for i in range(n_cls):
             structure = _intra_structure(ports, classes0[i].tree_depth)
             count = len(models)
@@ -870,26 +949,28 @@ class ParameterPlan:
                 nodes[c] = src.nodes
                 u[c] = src.u
                 counts[c] = src.count
-            ecn1_times.append((e_cs, e_cn))
+            class_planes.append((e_cs, e_cn, nodes, u))
             terms = structure.pmf[None, :] * (
                 structure.two_h_minus_1[None, :] * t_cs[:, None] + t_cn[:, None]
             )
-            intra.append(
-                _StackedIntra(
-                    structure=structure,
-                    t_cs=t_cs,
-                    t_cn=t_cn,
-                    nodes=nodes,
-                    u=u,
-                    count=counts,
-                    intra_fraction=1.0 - u,
-                    eta_divisor=4.0 * structure.tree_depth * nodes,
-                    tail_time=np.sum(terms, axis=1),
-                    min_service=m_flits * t_cn,
-                )
-            )
+            part = {
+                "m_flits": m_flits,
+                "var_paper": var_paper,
+                "sqr_per_node": sqr_per_node,
+                "t_cs": t_cs,
+                "t_cn": t_cn,
+                "nodes": nodes,
+                "u": u,
+                "count": counts,
+                "intra_fraction": 1.0 - u,
+                "eta_divisor": 4.0 * structure.tree_depth * nodes,
+                "tail_time": np.sum(terms, axis=1),
+                "min_service": m_flits * t_cn,
+            }
+            key = (ports, structure.tree_depth)
+            intra.append(_add_part(intra_blocks, key, structure, part, 1))
 
-        shapes: list[_PairShape] = []
+        shapes: list[_Span] = []
         slots: dict[tuple[int, int], tuple[int, int]] = {}
         if not single:
             sqr_aggregate = np.array(
@@ -919,10 +1000,7 @@ class ParameterPlan:
                         require(sum(row) > 0, "destination weights must not all be zero")
                     dest_weights[i, :, c] = [float(w) for w in row]
             # Per-class planes, (classes, C); a shape gathers its members' rows.
-            e_cs = np.array([times[0] for times in ecn1_times])
-            e_cn = np.array([times[1] for times in ecn1_times])
-            nodes = np.array([plan.nodes for plan in intra])
-            u = np.array([plan.u for plan in intra])
+            e_cs, e_cn, nodes, u = (np.array(planes) for planes in zip(*class_planes))
             by_shape: dict[tuple[int, int], list[tuple[int, int]]] = {}
             for i in range(n_cls):
                 for j in range(n_cls):
@@ -951,44 +1029,38 @@ class ParameterPlan:
                 for jj in range(structure.weights.size):
                     tail_time = tail_time + structure.weights[jj] * tails[:, jj]
                 conc_service = flits * i2
-                shapes.append(
-                    _PairShape(
-                        structure=structure,
-                        members=tuple(members),
-                        m_flits=flits,
-                        var_paper=paper,
-                        sqr_aggregate=np.tile(sqr_aggregate, len(members)),
-                        conc_outgoing=np.tile(conc_outgoing, len(members)),
-                        src_cs=src_cs,
-                        i2_cs=i2,
-                        dst_cs=dst_cs,
-                        dst_cn=dst_cn,
-                        external=src_nodes * src_u + nodes[dst].ravel() * u[dst].ravel(),
-                        src_nodes=src_nodes,
-                        src_u=src_u,
-                        eta_e1_divisor=4.0 * d_src * src_nodes,
-                        eta_i2_divisor=4.0 * n_c,
-                        delta=delta[src].ravel(),
-                        tail_time=tail_time,
-                        min_service=flits * e_cn[src].ravel(),
-                        conc_service=conc_service,
-                        conc_variance=np.where(
-                            paper,
-                            (conc_service - flits * src_cs) ** 2,  # Eq. 36
-                            conc_service**2,
-                        ),
-                        weight=dest_weights[src, dst].ravel(),
-                    )
-                )
+                part = {
+                    "m_flits": flits,
+                    "var_paper": paper,
+                    "sqr_aggregate": np.tile(sqr_aggregate, len(members)),
+                    "conc_outgoing": np.tile(conc_outgoing, len(members)),
+                    "src_cs": src_cs,
+                    "i2_cs": i2,
+                    "dst_cs": dst_cs,
+                    "dst_cn": dst_cn,
+                    "external": src_nodes * src_u + nodes[dst].ravel() * u[dst].ravel(),
+                    "src_nodes": src_nodes,
+                    "src_u": src_u,
+                    "eta_e1_divisor": 4.0 * d_src * src_nodes,
+                    "delta": delta[src].ravel(),
+                    "tail_time": tail_time,
+                    "min_service": flits * e_cn[src].ravel(),
+                    "conc_service": conc_service,
+                    "conc_variance": np.where(
+                        paper,
+                        (conc_service - flits * src_cs) ** 2,  # Eq. 36
+                        conc_service**2,
+                    ),
+                    "weight": dest_weights[src, dst].ravel(),
+                }
+                key = (ports, d_src, d_dst, n_c)
+                shapes.append(_add_part(pair_blocks, key, structure, part, len(members)))
 
         return _CellGroup(
             indices=np.asarray(positions, dtype=np.intp),
             single_cluster=single,
             class_names=tuple(cls.name for cls in classes0),
-            m_flits=m_flits,
             total_nodes=total_nodes,
-            var_paper=var_paper,
-            sqr_per_node=sqr_per_node,
             intra=tuple(intra),
             shapes=tuple(shapes),
             pair_slots=slots,
@@ -997,15 +1069,6 @@ class ParameterPlan:
 
 def _take(array: np.ndarray, rows: "np.ndarray | slice | None") -> np.ndarray:
     return array if rows is None else array[rows]
-
-
-def _member_rows(
-    cells: int, rows: "np.ndarray | None", first: int, stop: int
-) -> "np.ndarray | slice":
-    """Shape rows of members ``first … stop − 1`` over the group's cell *rows*."""
-    if rows is None:
-        return slice(first * cells, stop * cells)
-    return (np.arange(first, stop)[:, None] * cells + rows[None, :]).ravel()
 
 
 def _cell_slice(terms: Any, c: int) -> Any:
@@ -1056,20 +1119,19 @@ class StackedModel:
     # -- rates (the single source for evaluation AND inversion) ----------------
 
     def _intra_rates(
-        self, group: _CellGroup, i: int, rows: "np.ndarray | None", loads: np.ndarray
+        self, block: _IntraBlock, rows: "np.ndarray | slice | None", loads: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Eqs. 7–10: ``λ_I1`` and ``η_I1`` with the cells axis leading."""
-        plan = group.intra[i]
+        """Eqs. 7–10: ``λ_I1`` and ``η_I1`` over block rows."""
         lambda_i1 = (
-            _take(plan.nodes, rows)[:, None] * loads
-        ) * _take(plan.intra_fraction, rows)[:, None]
+            _take(block.nodes, rows)[:, None] * loads
+        ) * _take(block.intra_fraction, rows)[:, None]
         eta_i1 = (
-            lambda_i1 * plan.structure.mean_links
-        ) / _take(plan.eta_divisor, rows)[:, None]
+            lambda_i1 * block.structure.mean_links
+        ) / _take(block.eta_divisor, rows)[:, None]
         return lambda_i1, eta_i1
 
     def _pair_rates(
-        self, shape: _PairShape, rows: "np.ndarray | slice | None", loads: np.ndarray
+        self, shape: _PairBlock, rows: "np.ndarray | slice | None", loads: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Eqs. 22–28: ``λ_E1, λ_I2, η_E1, η_I2, η_I2·δ`` over shape rows."""
         lambda_e1 = loads * _take(shape.external, rows)[:, None]
@@ -1083,23 +1145,21 @@ class StackedModel:
 
     def _intra_source_rate(
         self,
-        group: _CellGroup,
-        i: int,
-        rows: "np.ndarray | None",
+        block: _IntraBlock,
+        rows: "np.ndarray | slice | None",
         loads: np.ndarray,
         lambda_i1: np.ndarray,
     ) -> np.ndarray:
-        """Eq. 18 source-queue rate, option branch as a per-cell mask."""
-        plan = group.intra[i]
+        """Eq. 18 source-queue rate, option branch as a per-row mask."""
         return np.where(
-            _take(group.sqr_per_node, rows)[:, None],
-            loads * _take(plan.intra_fraction, rows)[:, None],
+            _take(block.sqr_per_node, rows)[:, None],
+            loads * _take(block.intra_fraction, rows)[:, None],
             lambda_i1,
         )
 
     def _pair_source_rate(
         self,
-        shape: _PairShape,
+        shape: _PairBlock,
         rows: "np.ndarray | slice | None",
         loads: np.ndarray,
         lambda_e1: np.ndarray,
@@ -1113,7 +1173,7 @@ class StackedModel:
 
     def _concentrator_rate(
         self,
-        shape: _PairShape,
+        shape: _PairBlock,
         rows: "np.ndarray | slice | None",
         loads: np.ndarray,
         lambda_e1: np.ndarray,
@@ -1129,21 +1189,20 @@ class StackedModel:
     # -- journey latencies ------------------------------------------------------
 
     def _intra_latency(
-        self, group: _CellGroup, i: int, rows: "np.ndarray | None", eta_i1: np.ndarray
+        self, block: _IntraBlock, rows: "np.ndarray | slice | None", eta_i1: np.ndarray
     ) -> np.ndarray:
-        plan = group.intra[i]
         return _solve_intra_stacked(
-            _take(plan.t_cs, rows),
-            _take(plan.t_cn, rows),
-            plan.structure.tree_depth,
-            plan.structure.weights,
+            _take(block.t_cs, rows),
+            _take(block.t_cn, rows),
+            block.structure.tree_depth,
+            block.structure.weights,
             eta_i1,
-            _take(group.m_flits, rows),
+            _take(block.m_flits, rows),
         )
 
     def _pair_latency(
         self,
-        shape: _PairShape,
+        shape: _PairBlock,
         rows: "np.ndarray | slice | None",
         eta_e1: np.ndarray,
         eta_i2_eff: np.ndarray,
@@ -1167,8 +1226,7 @@ class StackedModel:
 
     def _source_queue_terms(
         self,
-        plan: "_StackedIntra | _PairShape",
-        var_paper: np.ndarray,
+        plan: "_IntraBlock | _PairBlock",
         rows: "np.ndarray | slice | None",
         source_rate: np.ndarray,
         network: np.ndarray,
@@ -1180,7 +1238,7 @@ class StackedModel:
         """
         with np.errstate(invalid="ignore", over="ignore"):
             variance = np.where(
-                _take(var_paper, rows)[:, None],
+                _take(plan.var_paper, rows)[:, None],
                 (network - _take(plan.min_service, rows)[:, None]) ** 2,  # Eq. 17
                 network**2,
             )
@@ -1196,21 +1254,20 @@ class StackedModel:
         }
 
     def _intra_terms(
-        self, group: _CellGroup, i: int, rows: "np.ndarray | None", loads: np.ndarray
+        self, block: _IntraBlock, rows: "np.ndarray | slice | None", loads: np.ndarray
     ) -> dict:
-        """Eqs. 7–19 for one class: every plane of its ``IntraClusterLatency``."""
-        lambda_i1, eta_i1 = self._intra_rates(group, i, rows, loads)
-        network = self._intra_latency(group, i, rows, eta_i1)
-        source_rate = self._intra_source_rate(group, i, rows, loads, lambda_i1)
-        plan = group.intra[i]
+        """Eqs. 7–19 over block rows: every plane of an ``IntraClusterLatency``."""
+        lambda_i1, eta_i1 = self._intra_rates(block, rows, loads)
+        network = self._intra_latency(block, rows, eta_i1)
+        source_rate = self._intra_source_rate(block, rows, loads, lambda_i1)
         return {
-            **self._source_queue_terms(plan, group.var_paper, rows, source_rate, network),
+            **self._source_queue_terms(block, rows, source_rate, network),
             "lambda_i1": lambda_i1,
             "eta_i1": eta_i1,
         }
 
     def _pair_terms(
-        self, shape: _PairShape, rows: "np.ndarray | slice | None", loads: np.ndarray
+        self, shape: _PairBlock, rows: "np.ndarray | slice | None", loads: np.ndarray
     ) -> dict:
         """Eqs. 20–38 over shape rows: the ``InterPairLatency`` planes, the
         Eqs. 36–37 concentrator queue, the destination ``weight`` and the
@@ -1228,7 +1285,7 @@ class StackedModel:
             ones * _take(shape.conc_variance, rows)[:, None],
         )
         return {
-            **self._source_queue_terms(shape, shape.var_paper, rows, source_rate, network),
+            **self._source_queue_terms(shape, rows, source_rate, network),
             "lambda_e1": lambda_e1,
             "lambda_i2": lambda_i2,
             "eta_e1": eta_e1,
@@ -1263,16 +1320,17 @@ class StackedModel:
 
         def read(i: int, j: int) -> dict:
             s, p = group.pair_slots[i, j]
-            shape = group.shapes[s]
+            span = group.shapes[s]
+            shape = self.plan.pair_blocks[span.block]
             chunk, offset = divmod(p, per_call)
             first = chunk * per_call
-            stop = min(first + per_call, len(shape.members))
+            stop = min(first + per_call, span.members)
             if stop - first == 1:  # a lone member's planes are the pair's own
-                return self._pair_terms(shape, _member_rows(group.size, rows, p, p + 1), loads)
+                return self._pair_terms(shape, _span_rows(span, group.size, rows, p, p + 1), loads)
             if s not in alive or alive[s][0] != chunk:
                 terms = self._pair_terms(
                     shape,
-                    _member_rows(group.size, rows, first, stop),
+                    _span_rows(span, group.size, rows, first, stop),
                     np.tile(loads, (stop - first, 1)),
                 )
                 alive[s] = (chunk, terms if keys is None else {k: terms[k] for k in keys})
@@ -1280,6 +1338,13 @@ class StackedModel:
             return {key: plane[block] for key, plane in alive[s][1].items()}
 
         return read
+
+    def _class_rows(
+        self, group: _CellGroup, i: int, rows: "np.ndarray | None"
+    ) -> tuple[_IntraBlock, "np.ndarray | slice"]:
+        """Class *i*'s intra block and its rows there over the group's cell *rows*."""
+        span = group.intra[i]
+        return self.plan.intra_blocks[span.block], _span_rows(span, group.size, rows)
 
     def _class_terms(
         self,
@@ -1304,13 +1369,13 @@ class StackedModel:
         folded = ("weight", "total", "conc_pair_wait", "saturated", "conc_saturated")
         read_pair = self._pair_reader(group, rows, loads, None if keep_pairs else folded)
         for i in range(len(group.intra)):
-            plan = group.intra[i]
-            intra = self._intra_terms(group, i, rows, loads)
+            block, class_rows = self._class_rows(group, i, rows)
+            intra = self._intra_terms(block, class_rows, loads)
             inter_network = np.zeros_like(loads)
             conc_wait = np.zeros_like(loads)
             pair_saturated = np.zeros(loads.shape, dtype=bool)
             pairs: list[dict] = []
-            u = _take(plan.u, rows)
+            u = block.u[class_rows]
             active = (u > 0.0) & (not group.single_cluster)
             if not group.single_cluster and bool(active.any()):
                 total_weight = np.zeros(u.shape, dtype=np.float64)
@@ -1341,7 +1406,7 @@ class StackedModel:
             outward = inter_network + conc_wait  # Eq. 39
             with np.errstate(invalid="ignore", over="ignore"):
                 mean = (
-                    _take(plan.intra_fraction, rows)[:, None] * intra["total"]
+                    block.intra_fraction[class_rows][:, None] * intra["total"]
                     + u[:, None] * outward
                 )  # Eq. 1
             yield {
@@ -1364,10 +1429,11 @@ class StackedModel:
         """Eq. 3: node-weighted mean of the class means, ``inf`` if saturated."""
         latency = np.zeros_like(loads)
         any_saturated = np.zeros(loads.shape, dtype=bool)
-        for plan, terms in zip(group.intra, classes):
+        for i, terms in enumerate(classes):
+            block, class_rows = self._class_rows(group, i, rows)
             latency = latency + (
-                terms["mean"] * _take(plan.nodes, rows)[:, None]
-            ) * _take(plan.count, rows)[:, None]
+                terms["mean"] * block.nodes[class_rows][:, None]
+            ) * block.count[class_rows][:, None]
             any_saturated = any_saturated | terms["saturated"]
         latency = latency / _take(group.total_nodes, rows)[:, None]
         return np.where(any_saturated, np.inf, latency)
@@ -1448,14 +1514,15 @@ class StackedModel:
         out: list[list[tuple[str, str, np.ndarray]]] = [[] for _ in range(self.cells)]
         for group in self.plan.groups:
             group_loads = np.ascontiguousarray(loads_arr[group.indices])
-            m_flits = group.m_flits[:, None]
             read_pair = self._pair_reader(
                 group, None, group_loads, ("utilization", "conc_utilization", "eta_e1", "eta_i2")
             )
             planes: list[tuple[str, str, np.ndarray]] = []
             for i, name in enumerate(group.class_names):
-                intra = self._intra_terms(group, i, None, group_loads)
-                icn1_channels = intra["eta_i1"] * m_flits * group.intra[i].t_cs[:, None]
+                block, class_rows = self._class_rows(group, i, None)
+                m_flits = block.m_flits[class_rows][:, None]
+                intra = self._intra_terms(block, class_rows, group_loads)
+                icn1_channels = intra["eta_i1"] * m_flits * block.t_cs[class_rows][:, None]
                 planes += [
                     (f"{name}:icn1-source-queue", "source-queue", intra["utilization"]),
                     (f"{name}:icn1-channels", "channel", icn1_channels),
@@ -1464,8 +1531,9 @@ class StackedModel:
                     continue
                 for j, dst in enumerate(group.class_names):
                     s, p = group.pair_slots[i, j]
-                    cell_rows = _member_rows(group.size, None, p, p + 1)
-                    shape = group.shapes[s]
+                    span = group.shapes[s]
+                    cell_rows = _span_rows(span, group.size, None, p, p + 1)
+                    shape = self.plan.pair_blocks[span.block]
                     pair = read_pair(i, j)
                     pair_name = f"{name}->{dst}"
                     planes += [
@@ -1492,133 +1560,155 @@ class StackedModel:
             self._zero_load = self.evaluate_latencies(np.zeros((self.cells, 1)))[:, 0]
         return self._zero_load.copy()
 
-    # -- per-resource saturation (stacked inversion) ----------------------------
+    # -- per-resource saturation (one stack-wide inversion) ---------------------
 
-    def _source_queue_saturation_rows(
-        self,
-        size: int,
-        include: np.ndarray,
-        rate_of: Callable[[np.ndarray, np.ndarray], np.ndarray],
-        latency_of: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    def _queue_rate(
+        self, block: "_IntraBlock | _PairBlock", rows: np.ndarray, loads: np.ndarray
     ) -> np.ndarray:
-        """Per-cell λ* solving ``rate(λ) · T(λ) = 1`` for one source queue.
+        """A source queue's arrival rate over block rows (Eq. 18 or 31)."""
+        if isinstance(block, _IntraBlock):
+            lambda_i1, _ = self._intra_rates(block, rows, loads)
+            return self._intra_source_rate(block, rows, loads, lambda_i1)
+        return self._pair_source_rate(block, rows, loads, loads * block.external[rows][:, None])
 
-        ``rate`` is the queue's arrival rate (linear in ``λ_g``, shared
-        with the evaluation path) and ``T`` the monotone non-decreasing
-        latency of the queue's own journey set, so the root is unique and
-        bounded above by the linearised ``1 / (rate'(0) · T(0))``.  The
-        refinement probes the queue's own journey recursion (not the whole
-        model), scored ``−log ρ`` for its predictions, down to 1e-13
-        relative width.  Excluded cells and zero-rate queues (which can
-        never saturate) get ``inf``.  ``rate_of``/``latency_of`` take
-        ``(rows, loads)`` with *rows* indexing the group's cells.
+    def _queue_latency(
+        self, block: "_IntraBlock | _PairBlock", rows: np.ndarray, loads: np.ndarray
+    ) -> np.ndarray:
+        """The latency a source queue serves over block rows: its own journey set.
+
+        Pair blocks solve in calls of at most :data:`_SOLVE_ELEMENTS`
+        working-set elements.
         """
-        out = np.full(size, np.inf)
-        rows_all = np.flatnonzero(include)
-        if rows_all.size == 0:
-            return out
-        slope = rate_of(rows_all, np.ones((rows_all.size, 1)))[:, 0]
-        inc = slope > 0.0
-        rows = rows_all[inc]
-        if rows.size == 0:
-            return out
-        slope = slope[inc]
-        zero_latency = latency_of(rows, np.zeros((rows.size, 1)))[:, 0]
-        require(
-            bool(np.all(np.isfinite(zero_latency) & (zero_latency > 0.0))),
-            "zero-load pipeline latency must be positive",
-        )
+        if isinstance(block, _IntraBlock):
+            _, eta_i1 = self._intra_rates(block, rows, loads)
+            return self._intra_latency(block, rows, eta_i1)
+        planes = block.structure.n_c * block.structure.d_dst * loads.shape[1]
+        per_call = max(1, _SOLVE_ELEMENTS // planes)
+        parts = []
+        for start in range(0, rows.size, per_call):
+            part = rows[start : start + per_call]
+            _, _, eta_e1, _, eta_i2_eff = self._pair_rates(
+                block, part, loads[start : start + per_call]
+            )
+            parts.append(self._pair_latency(block, part, eta_e1, eta_i2_eff))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def _saturation_probe(
+        self, blocks: Sequence["_IntraBlock | _PairBlock"], ids: np.ndarray, rows: np.ndarray
+    ) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """``ρ >= 1`` over searched rows (block ``ids[k]``, row ``rows[k]``), scored ``−log ρ``.
+
+        The probe splits its rows by block and makes one solver call per
+        block present.
+        """
 
         def crossed(sub: np.ndarray, loads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            sub_rows = rows[sub]
-            t = latency_of(sub_rows, loads)
-            with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-                rho = np.where(np.isfinite(t), rate_of(sub_rows, loads) * t, np.inf)
-                return rho >= 1.0, -np.log(rho)
+            sub_ids, sub_rows = ids[sub], rows[sub]
+            verdict = np.empty(loads.shape, dtype=bool)
+            score = np.empty(loads.shape)
+            for b in np.flatnonzero(np.bincount(sub_ids)):
+                at = np.flatnonzero(sub_ids == b)
+                block, block_rows, block_loads = blocks[b], sub_rows[at], loads[at]
+                t = self._queue_latency(block, block_rows, block_loads)
+                with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+                    rate = self._queue_rate(block, block_rows, block_loads)
+                    rho = np.where(np.isfinite(t), rate * t, np.inf)
+                    verdict[at] = rho >= 1.0
+                    score[at] = -np.log(rho)
+            return verdict, score
 
-        # Same tiny headroom as the scalar path: ρ(hi) >= 1 even when the
-        # pipeline latency is load-independent and the bound is the root.
-        upper = (1.0 / (slope * zero_latency)) * (1.0 + 1e-9)
-        _, hi = _refine_rows(
-            np.zeros(rows.size), upper, crossed, rel_tol=1e-13, points=33
-        )
-        out[rows] = hi
+        return crossed
+
+    def _source_queue_saturation_rows(self) -> list[np.ndarray]:
+        """λ* of every source queue in the stack: one plane per block, intra blocks first.
+
+        A source queue saturates where ``rate(λ) · T(λ) = 1`` (Eq. 15):
+        ``rate`` is its arrival rate (linear in ``λ_g``, shared with the
+        evaluation path) and ``T`` the monotone non-decreasing latency of
+        its own journey set, so the root is unique and bounded above by the
+        linearised ``1 / (rate'(0) · T(0))``.  The searched rows are every
+        class's ICN1 queue and every outward pair's ECN1 queue (source class
+        sending outward, positive pair weight) of positive rate slope; the
+        rest never saturate and get ``inf``.  They are refined to 1e-13
+        relative width in runs of at most :data:`_PAIR_ROWS` consecutive
+        block-major rows, one :func:`_refine_rows` per run, whose probe
+        evaluates the queues' own journey recursions (not the whole model,
+        :meth:`_saturation_probe`).  Rows are independent, so how the rows
+        are cut into runs never changes a λ*.
+        """
+        blocks = (*self.plan.intra_blocks, *self.plan.pair_blocks)
+        out = [np.full(block.size, np.inf) for block in blocks]
+        ids, rows, upper = [], [], []
+        for b, block in enumerate(blocks):
+            if isinstance(block, _IntraBlock):
+                searched = np.arange(block.size)
+            else:
+                searched = np.flatnonzero(block.outward())
+            slope = self._queue_rate(block, searched, np.ones((searched.size, 1)))[:, 0]
+            searched, slope = searched[slope > 0.0], slope[slope > 0.0]
+            if not searched.size:
+                continue
+            zero_latency = self._queue_latency(block, searched, np.zeros((searched.size, 1)))[:, 0]
+            require(
+                bool(np.all(np.isfinite(zero_latency) & (zero_latency > 0.0))),
+                "zero-load pipeline latency must be positive",
+            )
+            ids.append(np.full(searched.size, b))
+            rows.append(searched)
+            # Same tiny headroom as the scalar path: ρ(hi) >= 1 even when the
+            # pipeline latency is load-independent and the bound is the root.
+            upper.append((1.0 / (slope * zero_latency)) * (1.0 + 1e-9))
+        if not ids:
+            return out
+        all_ids, all_rows, all_upper = (np.concatenate(parts) for parts in (ids, rows, upper))
+        found = np.empty(all_ids.size)
+        for start in range(0, all_ids.size, _PAIR_ROWS):
+            run = slice(start, start + _PAIR_ROWS)
+            probe = self._saturation_probe(blocks, all_ids[run], all_rows[run])
+            _, found[run] = _refine_rows(
+                np.zeros(found[run].size), all_upper[run], probe, rel_tol=1e-13, points=33
+            )
+        for b, plane in enumerate(out):
+            at = all_ids == b
+            plane[all_rows[at]] = found[at]
         return out
 
-    def _shape_saturation(self, shape: _PairShape, cells: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row ECN1 source-queue and concentrator λ* over a shape's rows.
+    def _concentrator_saturation(self, shape: _PairBlock) -> np.ndarray:
+        """Per-row concentrator λ*: a constant service time ⇒ closed form, as in the scalar path."""
+        ones = np.ones((shape.size, 1))
+        slope = self._concentrator_rate(shape, None, ones, ones * shape.external[:, None])[:, 0]
+        out = np.full(shape.size, np.inf)
+        inc = shape.outward() & (slope > 0.0)
+        out[inc] = 1.0 / (slope[inc] * shape.conc_service[inc])
+        return out
 
-        A row is searched when its source class sends outward and its
-        pair weight is positive.  One refinement runs per chunk of
-        consecutive members, at most :data:`_PAIR_ROWS` rows.
-        """
-        include = (shape.src_u > 0.0) & (shape.weight > 0.0)
-        queue = np.empty(shape.weight.size)
-        per_call = max(1, _PAIR_ROWS // cells)
-        for first in range(0, len(shape.members), per_call):
-            chunk = _member_rows(cells, None, first, first + per_call)
-            base = first * cells
-
-            def pair_rate(
-                rows: np.ndarray, loads: np.ndarray, *, _base: int = base
-            ) -> np.ndarray:
-                external = shape.external[_base + rows]
-                return self._pair_source_rate(
-                    shape, _base + rows, loads, loads * external[:, None]
-                )
-
-            def pair_latency(
-                rows: np.ndarray, loads: np.ndarray, *, _base: int = base
-            ) -> np.ndarray:
-                _, _, eta_e1, _, eta_i2_eff = self._pair_rates(shape, _base + rows, loads)
-                return self._pair_latency(shape, _base + rows, eta_e1, eta_i2_eff)
-
-            queue[chunk] = self._source_queue_saturation_rows(
-                include[chunk].size, include[chunk], pair_rate, pair_latency
-            )
-        # Constant service time ⇒ closed form, as in the scalar path.
-        ones = np.ones((shape.weight.size, 1))
-        conc_slope = self._concentrator_rate(
-            shape, None, ones, ones * shape.external[:, None]
-        )[:, 0]
-        conc = np.full(shape.weight.size, np.inf)
-        inc = include & (conc_slope > 0.0)
-        conc[inc] = 1.0 / (conc_slope[inc] * shape.conc_service[inc])
-        return queue, conc
-
-    def _group_saturation(self, group: _CellGroup) -> tuple[list[str], np.ndarray]:
-        """Per-resource λ* planes, resources in the scalar insertion order."""
+    def _resource_planes(
+        self,
+        group: _CellGroup,
+        queues: Sequence[np.ndarray],
+        concentrators: Sequence[np.ndarray],
+    ) -> tuple[list[str], np.ndarray]:
+        """A group's per-resource λ* planes, resources in the scalar insertion order."""
         size = group.size
-        by_shape = [self._shape_saturation(shape, size) for shape in group.shapes]
+        intra_queues = queues[: len(self.plan.intra_blocks)]
+        pair_queues = queues[len(self.plan.intra_blocks) :]
         names: list[str] = []
         values: list[np.ndarray] = []
-        include_all = np.ones(size, dtype=bool)
         for i, name in enumerate(group.class_names):
-            def intra_rate(rows: np.ndarray, loads: np.ndarray, *, _i: int = i) -> np.ndarray:
-                lambda_i1, _ = self._intra_rates(group, _i, rows, loads)
-                return self._intra_source_rate(group, _i, rows, loads, lambda_i1)
-
-            def intra_latency(rows: np.ndarray, loads: np.ndarray, *, _i: int = i) -> np.ndarray:
-                _, eta_i1 = self._intra_rates(group, _i, rows, loads)
-                return self._intra_latency(group, _i, rows, eta_i1)
-
+            span = group.intra[i]
             names.append(f"{name}:icn1-source-queue")
-            values.append(
-                self._source_queue_saturation_rows(
-                    size, include_all, intra_rate, intra_latency
-                )
-            )
+            values.append(intra_queues[span.block][_span_rows(span, size, None)])
             if group.single_cluster:
                 continue
             for j, dst_name in enumerate(group.class_names):
                 s, p = group.pair_slots[i, j]
-                cell_rows = _member_rows(size, None, p, p + 1)
-                queue, conc = by_shape[s]
+                span = group.shapes[s]
+                pair_rows = _span_rows(span, size, None, p, p + 1)
                 names += [
                     f"{name}->{dst_name}:ecn1-source-queue",
                     f"{name}->{dst_name}:concentrator",
                 ]
-                values += [queue[cell_rows], conc[cell_rows]]
+                values += [pair_queues[span.block][pair_rows], concentrators[span.block][pair_rows]]
         return names, np.stack(values, axis=0)
 
     def saturation_loads(self) -> list[dict[str, float]]:
@@ -1631,10 +1721,12 @@ class StackedModel:
         mirroring the saturation scope of ``AnalyticalModel.evaluate``.
         """
         if self._saturation is None:
+            queues = self._source_queue_saturation_rows()
+            concentrators = [self._concentrator_saturation(shape) for shape in self.plan.pair_blocks]
             per_cell: list[dict[str, float]] = [dict() for _ in range(self.cells)]
             binding: list[str] = [""] * self.cells
             for group in self.plan.groups:
-                names, values = self._group_saturation(group)
+                names, values = self._resource_planes(group, queues, concentrators)
                 finite = np.isfinite(values)
                 with np.errstate(invalid="ignore"):
                     argmin = np.argmin(values, axis=0)

@@ -263,13 +263,13 @@ class ResolvedFabric:
                 depth_of, first, attach = (np.take(v, k) for v in (self._depth, self._first, blocks.attach))
                 base = np.take(blocks.icn1 if kind == _ICN1 else blocks.ecn1, k)
             s, d = a - first, b - first
-            for depth in np.unique(depth_of).tolist():
+            for depth in np.flatnonzero(np.bincount(depth_of)).tolist():
                 sel = np.flatnonzero(depth_of == depth)
                 if kind in (_ICN1, _ICN2):
                     level_of = np.broadcast_to(route_level(self._radix, depth, s[sel], d[sel]), sel.shape)
                 else:
                     level_of = np.full(sel.size, depth)
-                for level in np.unique(level_of).tolist():
+                for level in np.flatnonzero(np.bincount(level_of)).tolist():
                     grp = sel[level_of == level]
                     rows = np.stack(
                         self._columns(kind, depth, level, s[grp], d[grp], base[grp], attach[grp]), axis=1

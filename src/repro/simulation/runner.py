@@ -76,7 +76,12 @@ ENGINES = ("reference", "array")
 #: instead of appending to (reference loop) or replacing (array core) the
 #: first run's collector.  Trajectories are unchanged; cached simulator
 #: curves miss once.
-TRAJECTORY_VERSION = "sim/7"
+#:
+#: sim/8: the fabric's leg batches and the latency statistics group and
+#: rank without ``np.unique``/``np.percentile``, whose first calls import
+#: ``numpy.ma``.  Trajectories are unchanged; cached simulator curves miss
+#: once.
+TRAJECTORY_VERSION = "sim/8"
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from repro.analysis import icn2_bandwidth_study, model_bottlenecks, render_table
 from repro.cluster import paper_organizations, table1_rows
 from repro.core import NET1, NET2, MessageSpec
 from repro.core.batch import BatchedModel
-from repro.core.stacked import StackedModel
 from repro.io.reporting import (
     format_table1,
     format_table2,
@@ -73,14 +72,22 @@ def reproduction_report(
     sections.append(format_table2([NET1, NET2]))
     payload["table1"] = table1_rows()
 
+    # One engine per (system, message): a curve's load grid and the audit
+    # read the same λ* search.
+    engines: dict = {}
     sessions: dict = {}
     for figure in all_latency_figures():
         blocks = [f"{figure.title} (paper x-axis to {figure.paper_x_max:g})"]
         for message in figure.messages:
-            grid = figure.load_grid(message, points=points_per_curve)
+            key = (figure.system, message)
+            if key not in engines:
+                engines[key] = BatchedModel(figure.system, message)
+            # The figure's default_load_grid, from the shared engine.
+            grid = engines[key].stack.auto_load_grids(
+                points=points_per_curve, fraction_of_saturation=0.92
+            )[0]
             label = f"{figure.system.name}, M={message.length_flits}, Lm={message.flit_bytes:g}"
             if include_simulation:
-                key = (figure.system, message)
                 if key not in sessions:
                     sessions[key] = SimulationSession(figure.system, message)
                 curve = run_validation(
@@ -97,7 +104,7 @@ def reproduction_report(
                 light_errors.append(abs(curve.points[0].relative_error))
                 payload[f"{figure.figure}:{label}"] = curve.as_rows()
             else:
-                latencies = StackedModel([(figure.system, message, None, None)]).evaluate_latencies(grid)[0]
+                latencies = engines[key].stack.evaluate_latencies(grid)[0]
                 rows = list(zip(grid.tolist(), latencies.tolist()))
                 blocks.append(
                     render_table(
@@ -116,7 +123,7 @@ def reproduction_report(
     audit_rows = []
     for system in paper_organizations():
         message = MessageSpec(32, 256.0)
-        engine = BatchedModel(system, message)
+        engine = engines.get((system, message)) or BatchedModel(system, message)
         lam_star = engine.saturation_load()
         report = model_bottlenecks(system, message, 0.5 * lam_star, engine=engine)
         audit_rows.append([system.name, f"{lam_star:.3e}", report.binding.resource, report.binding.kind])

@@ -48,3 +48,35 @@ def test_cli_entrypoint_runs_in_isolation():
     )
     assert proc.returncode == 0, proc.stderr
     assert "N=544" in proc.stdout
+
+
+#: The product paths a fresh interpreter runs before asserting that
+#: ``numpy.ma`` stayed unimported: ``np.unique`` without indices and
+#: ``np.percentile`` import it (about 1 MB of resident memory) on first use.
+PRODUCT_PATHS = """
+import contextlib, io, sys
+from repro.cli import main
+
+commands = [
+    ["validate", "--system", "544", "--messages", "300", "--engine", "array"],
+    ["saturation", "--system", "544"],
+    ["capacity", "--system", "544", "--budget", "150"],
+    ["whatif", "--system", "544"],
+    ["explore", "--scenario", "544", "--axis", "system.clusters.0.tree_depth=3,4",
+     "--axis", "system.icn2.bandwidth=500,600"],
+]
+for command in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(command) == 0, command
+    assert "numpy.ma" not in sys.modules, command
+"""
+
+
+def test_product_paths_leave_numpy_ma_unimported():
+    proc = subprocess.run(
+        [sys.executable, "-c", PRODUCT_PATHS],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

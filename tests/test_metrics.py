@@ -81,6 +81,23 @@ class TestCollector:
         assert stats.minimum == 0.0
         assert stats.maximum == 99.0
 
+    @given(
+        st.lists(
+            st.one_of(st.floats(0.0, 1e6), st.sampled_from([0.0, 1.0, 2.5, 7.0])),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_percentiles_equal_numpy_bit_for_bit(self, latencies):
+        # Ties, single values and both interpolation sides (the virtual
+        # index's fraction below and at or above one half).
+        c = LatencyCollector(MeasurementWindow(0, len(latencies), 0))
+        for seq, latency in enumerate(latencies):
+            c.record(seq, latency, inter_cluster=False, source_cluster=0)
+        stats = c.stats()
+        assert stats.p50 == float(np.percentile(latencies, 50))
+        assert stats.p95 == float(np.percentile(latencies, 95))
+
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError):
             self.make().record(2, -1.0, inter_cluster=False, source_cluster=0)

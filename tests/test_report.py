@@ -60,18 +60,19 @@ class TestModelOnlyReport:
 
     def test_audit_searches_each_organisation_once(self, monkeypatch):
         # The figure grids search λ* once per curve (8 searches) and the
-        # Fig. 7 study 4 times; the audit adds one per organisation and
-        # hands its engine to model_bottlenecks instead of searching again.
+        # Fig. 7 study 4 times.  The audit's (system, M=32, 256 B) cells
+        # are figure curves, so it reads their engines instead of searching
+        # again, and hands each engine to model_bottlenecks.
         searches = []
-        original = StackedModel._group_saturation
+        original = StackedModel._source_queue_saturation_rows
 
-        def counting(stack, group):
-            searches.append(group)
-            return original(stack, group)
+        def counting(stack):
+            searches.append(stack)
+            return original(stack)
 
-        monkeypatch.setattr(StackedModel, "_group_saturation", counting)
+        monkeypatch.setattr(StackedModel, "_source_queue_saturation_rows", counting)
         reproduction_report(points_per_curve=2, include_simulation=False)
-        assert len(searches) == 8 + 4 + len(paper_organizations())
+        assert len(searches) == 8 + 4
 
     def test_bottleneck_rows_name_concentrators(self, report):
         for row in report.payload["bottlenecks"]:

@@ -204,7 +204,7 @@ class TestRegistryEquivalence:
 
 
 class TestHeterogeneityLadder:
-    """The m=8 ladder stacks into one group family with class padding."""
+    """The m=8 ladder's four rungs: four cell groups whose classes share depth and shape blocks."""
 
     def test_ladder_stack_matches_per_cell(self):
         names = ["het8-uniform", "het8-mild", "het8-split", "het8-extreme"]
@@ -357,10 +357,10 @@ class TestClassPairShapes:
         "name, solves, refinements",
         [
             # 16 singleton classes: 256 pairs in 9 (d_src, d_dst) shapes;
-            # 16 intra refinements plus one per shape.
-            ("544-hotspot", 9, 25),
-            # 3 classes: 9 pairs, 9 shapes of one member each.
-            ("544", 9, 12),
+            # the 16 ICN1 queues and 240 outward ECN1 queues are one run.
+            ("544-hotspot", 9, 1),
+            # 3 classes: 9 pairs, 9 shapes of one member each; 12 queues.
+            ("544", 9, 1),
         ],
     )
     def test_one_call_per_shape_for_one_cell(self, calls, name, solves, refinements):
@@ -371,24 +371,136 @@ class TestClassPairShapes:
         assert calls["refinements"] == refinements
 
     def test_chunks_hold_at_most_the_row_budget(self, calls, monkeypatch):
-        # With a budget of 10 rows, a 64-member shape over 3 cells runs in
-        # chunks of 3 members; every cell stays bit-identical to the cell
-        # priced alone under the default budget.
+        # With an evaluation budget of 10 rows, a 64-member shape over 3
+        # cells runs in chunks of 3 members.  With a saturation budget of
+        # 2,000 elements, no pair solve of the search holds more (n_c,
+        # d_dst, rows, loads) scratch.  Every cell stays bit-identical to
+        # the cell priced alone under the default budgets.
         spec = get_scenario("544-hotspot")
         cells = [(spec.system, spec.message, spec.options, spec.pattern)] * 3
         grid = np.linspace(0.0, 9e-4, 7)
         alone = StackedModel(cells[:1])
         reference = alone.evaluate_latencies(grid)[0]
         reference_saturation = alone.saturation_loads()[0]
-        monkeypatch.setattr(stacked, "_PAIR_ROWS", 10)
-        stack = StackedModel(cells)
-        chunks = sum(-(-len(shape.members) // 3) for shape in stack.plan.groups[0].shapes)
-        calls["solves"] = 0
-        latencies = stack.evaluate_latencies(grid)
+        with monkeypatch.context() as patch:
+            patch.setattr(stacked, "_PAIR_ROWS", 10)
+            stack = StackedModel(cells)
+            chunks = sum(-(-span.members // 3) for span in stack.plan.groups[0].shapes)
+            calls["solves"] = 0
+            latencies = stack.evaluate_latencies(grid)
         assert calls["solves"] == chunks
         for row in latencies:
             assert np.array_equal(row, reference)
+
+        elements = []
+        solve = stacked._solve_pair_stacked
+
+        def measured(*args):
+            d_dst, n_c, eta_e1 = args[5], args[6], args[8]
+            elements.append(n_c * d_dst * eta_e1.size)
+            return solve(*args)
+
+        monkeypatch.setattr(stacked, "_solve_pair_stacked", measured)
+        monkeypatch.setattr(stacked, "_SOLVE_ELEMENTS", 2_000)
         assert stack.saturation_loads() == [reference_saturation] * 3
+        assert 1_000 < max(elements) <= 2_000
+
+
+def three_group_cells():
+    """12 cells of ``544`` in 3 cell groups: cluster 0 of depth 3, 4 or 5
+    reorders the classes, so each group holds the same 3 depths and 9
+    journey shapes in its own class order."""
+    grid = DesignGrid(
+        base=get_scenario("544"),
+        axes=(
+            AxisSpec("system.clusters.0.tree_depth", (3, 4, 5)),
+            AxisSpec("system.clusters.15.tree_depth", (3, 5)),
+            AxisSpec("system.icn2.bandwidth", (400.0, 600.0)),
+        ),
+    )
+    return [(c.spec.system, c.spec.message, c.spec.options, c.spec.pattern) for c in grid.cells()]
+
+
+class TestStackWideBlocks:
+    """Each depth and journey shape is one block of rows across cell groups."""
+
+    @pytest.fixture(scope="class")
+    def cells(self):
+        return three_group_cells()
+
+    def test_groups_share_blocks_in_their_own_class_orders(self, cells):
+        plan = StackedModel(cells).plan
+        assert len(plan.groups) == 3
+        assert [block.structure.tree_depth for block in plan.intra_blocks] == [3, 4, 5]
+        assert len(plan.pair_blocks) == 9
+        for group in plan.groups:
+            assert sorted(span.block for span in group.intra) == [0, 1, 2]
+            assert sorted(span.block for span in group.shapes) == list(range(9))
+        orders = {tuple(span.block for span in group.intra) for group in plan.groups}
+        assert len(orders) == 3
+
+    def test_every_cell_equals_the_cell_priced_alone(self, cells):
+        stack, _ = assert_stack_matches(cells)
+        knees = stack.knee_loads(4.0)
+        budgets = 2.5 * stack.zero_load_latencies()
+        achieved = stack.loads_at_budget(budgets)
+        for idx, cell in enumerate(cells):
+            alone = StackedModel([cell])
+            assert alone.knee_loads(4.0)[0] == knees[idx], idx
+            assert alone.loads_at_budget(budgets[idx : idx + 1])[0] == achieved[idx], idx
+
+    def test_one_search_makes_one_solver_call_per_block_in_each_probe(self, cells, monkeypatch):
+        # 144 searched rows: 3 ICN1 queues and 9 ECN1 queues per cell, in
+        # 3 intra and 9 pair blocks of 12 rows each.  Runs of 50 rows are
+        # cut across blocks, so a probe's rows span several blocks.
+        monkeypatch.setattr(stacked, "_PAIR_ROWS", 50)
+        stack = StackedModel(cells)
+        plan = stack.plan
+        sizes = [block.size for block in plan.intra_blocks]
+        sizes += [int(np.count_nonzero(block.outward())) for block in plan.pair_blocks]
+        block_of = np.repeat(np.arange(len(sizes)), sizes)
+        assert block_of.size == 144
+        solves = [0]
+        for name in ("_solve_pair_stacked", "_solve_intra_stacked"):
+            solver = getattr(stacked, name)
+
+            def counted(*args, _solver=solver):
+                solves[0] += 1
+                return _solver(*args)
+
+            monkeypatch.setattr(stacked, name, counted)
+        runs = []
+        refine = stacked._refine_rows
+
+        def recording(lo, hi, probe, **kwargs):
+            run = block_of[50 * len(runs) : 50 * len(runs) + len(lo)]
+            calls = []
+            runs.append(calls)
+
+            def counted_probe(rows, loads):
+                before = solves[0]
+                out = probe(rows, loads)
+                calls.append((np.count_nonzero(np.bincount(run[rows])), solves[0] - before))
+                return out
+
+            return refine(lo, hi, counted_probe, **kwargs)
+
+        monkeypatch.setattr(stacked, "_refine_rows", recording)
+        stack.saturation_loads()
+        assert len(runs) == 3 and all(runs)  # ceil(144 / 50) refinements
+        for calls in runs:
+            for present, made in calls:
+                assert made == present
+
+    def test_intra_classes_of_one_cell_stack_by_depth(self):
+        # 544-hotspot's 16 singleton classes have depths 3 (8 classes), 4
+        # (3) and 5 (5): three blocks, so a saturation probe makes at most
+        # three intra solves.
+        plan = StackedModel.from_specs([get_scenario("544-hotspot")]).plan
+        assert [(b.structure.tree_depth, b.size) for b in plan.intra_blocks] == [(3, 8), (4, 3), (5, 5)]
+        group = plan.groups[0]
+        assert [span.block for span in group.intra] == [0] * 8 + [1] * 3 + [2] * 5
+        assert [span.first for span in group.intra] == list(range(8)) + list(range(3)) + list(range(5))
 
 
 def row_probe(conditions):
