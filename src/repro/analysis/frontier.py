@@ -54,10 +54,8 @@ def bandwidth_cost_proxy(system: SystemConfig) -> float:
     designs are meaningful.  Swap in a real cost model by recomputing the
     frontier from the exploration table with your own ``x`` values.
     """
-    m = system.switch_ports
     cost = 0.0
-    for spec in system.clusters:
-        nodes = spec.nodes(m)
+    for spec, nodes in zip(system.clusters, system.cluster_sizes):
         cost += nodes * spec.tree_depth * spec.icn1.bandwidth
         cost += nodes * spec.ecn1.bandwidth
     cost += system.num_clusters * system.icn2_tree_depth * system.icn2.bandwidth

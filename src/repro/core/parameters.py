@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 from repro._util import (
     integer_log,
@@ -435,13 +436,19 @@ class SystemConfig:
         """``C`` — number of clusters."""
         return len(self.clusters)
 
-    @property
+    # The structure below is derived at most once per instance (grid cells
+    # share one system object per distinct system).  ``cached_property``
+    # keeps it in the instance ``__dict__``, outside the dataclass fields,
+    # so ``==``, ``hash``, ``repr`` and ``to_dict`` never see it and
+    # ``replace`` starts a fresh instance.
+
+    @cached_property
     def cluster_sizes(self) -> tuple[int, ...]:
         """``N_i`` for every cluster, in order."""
         m = self.switch_ports
         return tuple(c.nodes(m) for c in self.clusters)
 
-    @property
+    @cached_property
     def total_nodes(self) -> int:
         """``N = Σ N_i`` — total node count of the system."""
         return sum(self.cluster_sizes)
@@ -467,6 +474,10 @@ class SystemConfig:
         Classes preserve first-appearance order; ``u`` is identical within a
         class because it depends only on ``N_i`` and ``N``.
         """
+        return self._cluster_classes
+
+    @cached_property
+    def _cluster_classes(self) -> tuple[ClusterClass, ...]:
         order: list[tuple] = []
         counts: dict[tuple, int] = {}
         reps: dict[tuple, ClusterSpec] = {}

@@ -278,14 +278,17 @@ class Experiment:
         report = model_bottlenecks(
             self.spec.system, self.spec.message, 0.9 * lam_star, engine=engine
         )
+        # Name the engine's binding resource: the 0.9 λ* ranking may put
+        # another resource that ties with it at λ* on top.
+        entry = next(r for r in report.resources if r.resource == binding)
         rows = [[name, f"{lam:.4e}"] for name, lam in list(per_resource.items())[:5]]
         table = render_table(
             ["resource", "λ* (ρ=1)"], rows, title="tightest per-resource saturation rates"
         )
         text = (
             f"saturation load λ* = {lam_star:.4e} messages/node/time-unit\n"
-            f"binding resource   = {report.binding.resource} ({report.binding.kind}, "
-            f"ρ={report.binding.utilization:.3f} at 0.9 λ*)\n\n{table}"
+            f"binding resource   = {binding} ({entry.kind}, "
+            f"ρ={entry.utilization:.3f} at 0.9 λ*)\n\n{table}"
         )
         data = {
             "saturation_load": lam_star,

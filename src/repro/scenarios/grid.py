@@ -15,10 +15,15 @@ Expansion is **deterministic**: cells are enumerated row-major (the last
 axis varies fastest) and each variant is named
 ``<base>/<path>=<value>/...`` with one ``path=value`` segment per axis in
 axis order, so a cell's name is a pure function of the base name and its
-coordinates.  Every variant is rebuilt through
-:meth:`ScenarioSpec.from_dict`, so an axis value that produces an invalid
-system (e.g. a cluster count that is not an ICN2 tree population) fails at
-expansion time with the offending cell named.
+coordinates.  Each spec section (``system``, ``message``, ``options``,
+``pattern``, ``load_grid``, ``latency_budget``) is built once per distinct
+combination of the values of the axes under it, by the same ``from_dict``
+that :meth:`ScenarioSpec.from_dict` calls on the same mapping, and the
+cells that agree on those values share the section object.  So a 270-cell
+grid over 45 distinct systems validates 45 systems, yet an axis value that
+produces an invalid system (e.g. a cluster count that is not an ICN2 tree
+population) still fails at expansion time with the first offending cell
+named, exactly as a per-cell :meth:`ScenarioSpec.from_dict` would report it.
 
 Grids serialise like specs (``grid == DesignGrid.from_dict(grid.to_dict())``)
 so a whole study is one JSON file (the CLI's ``explore --grid``).
@@ -33,14 +38,27 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro._util import reject_unknown_keys, require
+from repro.core.parameters import MessageSpec, ModelOptions, SystemConfig
 from repro.io.results import from_jsonable, load_json, save_json, to_jsonable
 from repro.io.schemas import GRID_SCHEMA
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.spec import LoadGridPolicy, ScenarioSpec
+from repro.workloads.patterns import pattern_from_dict
 
 __all__ = ["AxisSpec", "DesignGrid", "GridCell", "GRID_SCHEMA", "as_axis", "format_axis_value"]
 
-#: Spec sections an axis may traverse (naming/schema fields are derived).
-_AXIS_ROOTS = ("system", "message", "options", "pattern", "load_grid", "latency_budget")
+#: The spec sections an axis may traverse, each with the call that
+#: :meth:`ScenarioSpec.from_dict` makes on its mapping, in that method's
+#: order.  ``latency_budget`` is a bare value that
+#: ``ScenarioSpec.__post_init__`` checks.  Naming/schema fields are derived.
+_SECTIONS = (
+    ("system", SystemConfig.from_dict),
+    ("message", MessageSpec.from_dict),
+    ("options", ModelOptions.from_dict),
+    ("pattern", lambda data: None if data is None else pattern_from_dict(data)),
+    ("load_grid", LoadGridPolicy.from_dict),
+    ("latency_budget", lambda value: value),
+)
+_AXIS_ROOTS = tuple(root for root, _ in _SECTIONS)
 
 
 def format_axis_value(value) -> str:
@@ -64,8 +82,9 @@ def _copy_tree(node):
 
     ``ScenarioSpec.to_dict`` trees contain only containers that
     :func:`set_by_path` may mutate (dicts/lists) and immutable leaves, so
-    this beats :func:`copy.deepcopy` — whose generic memo machinery
-    dominated large-grid expansion — while copying exactly as deeply.
+    this beats :func:`copy.deepcopy` while copying exactly as deeply.
+    Grid expansion copies one base section per distinct combination of
+    the values of the axes under it, not the whole tree per cell.
     """
     if isinstance(node, dict):
         return {key: _copy_tree(value) for key, value in node.items()}
@@ -223,18 +242,45 @@ class DesignGrid:
         return "/".join([self.base.name] + parts)
 
     def cells(self) -> tuple[GridCell, ...]:
-        """Expand the Cartesian product, row-major (last axis fastest)."""
+        """Expand the Cartesian product, row-major (last axis fastest).
+
+        A section is built on the first cell that needs it: a copy of the
+        base section with that cell's values set, passed to the section's
+        ``from_dict``.  Later cells with the same value indices on the
+        section's axes reuse the object (indices, because a subtree axis
+        takes unhashable dict values).  Cells are built in row-major order
+        and a cell's sections in ``ScenarioSpec.from_dict``'s order, so the
+        first invalid cell is the one named, with the error a per-cell
+        ``ScenarioSpec.from_dict`` would raise.
+        """
         base_dict = self.base.to_dict()
+        # Axis paths never overlap, so whether one resolves does not depend
+        # on any axis value: setting the first cell's values on a copy of
+        # the base raises a bad path's own error, unwrapped, before any
+        # cell is validated.
+        first = _copy_tree(base_dict)
+        for axis in self.axes:
+            set_by_path(first, axis.path, axis.values[0])
+        sections = [
+            (root, build, [i for i, axis in enumerate(self.axes) if axis.path.split(".")[0] == root], {})
+            for root, build in _SECTIONS
+        ]
+        description = f"grid cell of {self.base.name!r}"
         out = []
-        for index, values in enumerate(itertools.product(*(a.values for a in self.axes))):
+        for index, picks in enumerate(itertools.product(*(range(len(a.values)) for a in self.axes))):
+            values = tuple(axis.values[pick] for axis, pick in zip(self.axes, picks))
             name = self.cell_name(values)
-            cell_dict = _copy_tree(base_dict)
-            for axis, value in zip(self.axes, values):
-                set_by_path(cell_dict, axis.path, value)
-            cell_dict["name"] = name
-            cell_dict["description"] = f"grid cell of {self.base.name!r}"
+            parts = {}
             try:
-                spec = ScenarioSpec.from_dict(cell_dict)
+                for root, build, members, built in sections:
+                    key = tuple(picks[i] for i in members)
+                    if key not in built:
+                        tree = {root: _copy_tree(base_dict[root])}
+                        for i in members:
+                            set_by_path(tree, self.axes[i].path, values[i])
+                        built[key] = build(tree[root])
+                    parts[root] = built[key]
+                spec = ScenarioSpec(name=name, description=description, **parts)
             except ValueError as exc:
                 raise ValueError(f"grid cell {name!r} is invalid: {exc}") from exc
             coords = {axis.path: value for axis, value in zip(self.axes, values)}

@@ -13,7 +13,7 @@ from repro.core import BatchedModel, MessageSpec, paper_system_1120
 from repro.core.sweep import auto_load_grid, sweep_load
 from repro.experiments import EXPERIMENT_SCHEMA, Experiment
 from repro.io import to_jsonable
-from repro.scenarios import ScenarioSpec, get_scenario
+from repro.scenarios import ScenarioSpec, get_scenario, scenario_names
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +100,21 @@ class TestMatchesDirectCalls:
         facade = exp_1120.evaluate(lam)
         assert facade.data["latency"] == direct.latency
         assert facade.data["saturated"] == direct.saturated
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_saturation_text_names_the_binding_resource(self, name):
+        """The text and the data name one binding resource, with its kind
+        and ρ from the 0.9 λ* report (on 544-hotspot two concentrators tie
+        at λ*, and the report ranks the other one first)."""
+        exp = Experiment(name)
+        result = exp.saturation()
+        binding = result.data["binding_resource"]
+        report = exp.bottlenecks()
+        (entry,) = [r for r in report.data["resources"] if r["resource"] == binding]
+        assert result.text.splitlines()[1] == (
+            f"binding resource   = {binding} ({entry['kind']}, "
+            f"ρ={entry['utilization']:.3f} at 0.9 λ*)"
+        )
 
 
 class TestResultSchema:

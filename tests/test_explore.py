@@ -5,10 +5,14 @@ axis slices bit-identical to the pre-existing what-if study, and an
 on-disk cache whose hits are indistinguishable from fresh evaluations.
 """
 
+import itertools
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.analysis import curve_label, icn2_bandwidth_study
 from repro.core import NET1, MessageSpec, paper_system_544
@@ -18,7 +22,7 @@ from repro.experiments import Experiment, cell_cache_key, explore_grid
 from repro.io import ResultCache, to_jsonable
 from repro.io.cache import content_key
 from repro.scenarios import AxisSpec, DesignGrid, ScenarioSpec, get_scenario
-from repro.scenarios.grid import set_by_path
+from repro.scenarios.grid import GridCell, _copy_tree, format_axis_value, set_by_path
 
 MSG = MessageSpec(32, 256.0)
 
@@ -182,6 +186,198 @@ class TestDesignGrid:
         grid = small_grid(base_544)
         path = grid.save(tmp_path / "grid.json")
         assert DesignGrid.load(path) == grid
+
+
+def oracle_cells(grid: DesignGrid) -> tuple:
+    """The per-cell round trip ``DesignGrid.cells`` replaced: copy the whole
+    base tree, set every axis leaf, rebuild the spec through ``from_dict``."""
+    base_dict = grid.base.to_dict()
+    out = []
+    for index, values in enumerate(itertools.product(*(a.values for a in grid.axes))):
+        name = grid.cell_name(values)
+        cell_dict = _copy_tree(base_dict)
+        for axis, value in zip(grid.axes, values):
+            set_by_path(cell_dict, axis.path, value)
+        cell_dict["name"] = name
+        cell_dict["description"] = f"grid cell of {grid.base.name!r}"
+        try:
+            spec = ScenarioSpec.from_dict(cell_dict)
+        except ValueError as exc:
+            raise ValueError(f"grid cell {name!r} is invalid: {exc}") from exc
+        coords = {axis.path: value for axis, value in zip(grid.axes, values)}
+        out.append(GridCell(index=index, name=name, coords=coords, spec=spec))
+    return tuple(out)
+
+
+def expansion(expand, grid):
+    """``(cells, None)`` of one expansion, or ``(None, error text)``."""
+    try:
+        return expand(grid), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+#: Spec sections, by the ``ScenarioSpec`` field an axis path starts with.
+SECTIONS = ("system", "message", "options", "pattern", "load_grid", "latency_budget")
+
+
+def _icn2(bandwidth, latency):
+    return {"bandwidth": bandwidth, "network_latency": latency, "switch_latency": 0.02, "name": "Net.1"}
+
+
+#: Candidate axes (path, value pool) by slot; a slot holds at most one
+#: axis, so no two drawn paths overlap.  ``0`` is the pools' invalid value.
+AXIS_SLOTS = {
+    "icn2": (
+        ("system.icn2", [_icn2(bw, lat) for bw in (300.0, 500.0, 700.0) for lat in (0.01, 0.02)]),
+        ("system.icn2.bandwidth", [250.0, 500, 600.0, np.float64(750.0)]),
+    ),
+    "cluster_a": (
+        ("system.clusters.0.tree_depth", [3, 4, 5, np.int64(4), np.int32(5), 0]),
+        ("system.clusters.0.ecn1.bandwidth", [125.0, 250.0, 400.0]),
+    ),
+    "cluster_b": (
+        ("system.clusters.15.tree_depth", [3, 4, 5, np.int64(3)]),
+        ("system.clusters.9.icn1.bandwidth", [400.0, 500.0, 800.0]),
+    ),
+    "message": (
+        ("message.length_flits", [16, 32, np.int64(64), np.int32(128), 0]),
+        ("message.flit_bytes", [128.0, 256.0, 512]),
+    ),
+    "options": (
+        ("options.relaxing_factor", [True, False]),
+        ("options.tcn_convention", ["half_network_latency", "full_network_latency"]),
+    ),
+    "pattern": (("pattern.params.hot_fraction", [0.1, 0.25, 0.5]),),
+    "load_grid": (
+        ("load_grid.points", [4, 8, np.int64(12)]),
+        ("load_grid.include_zero", [True, False]),
+    ),
+    "latency_budget": (("latency_budget", [60.0, 150.0, math.inf]),),
+}
+
+
+@st.composite
+def design_grids(draw):
+    """Random grids of at most 36 cells over all six spec sections."""
+    hotspot = draw(st.booleans())
+    slots = [name for name in AXIS_SLOTS if hotspot or name != "pattern"]
+    chosen = draw(st.lists(st.sampled_from(slots), min_size=1, max_size=6, unique=True))
+    axes, size = [], 1
+    for slot in chosen:
+        path, pool = draw(st.sampled_from(AXIS_SLOTS[slot]))
+        most = max(n for n in (1, 2, 3) if size * n <= 36)
+        values = draw(
+            st.lists(st.sampled_from(pool), min_size=1, max_size=most, unique_by=format_axis_value)
+        )
+        size *= len(values)
+        axes.append(AxisSpec(path, tuple(values)))
+    base = get_scenario("544-hotspot" if hotspot else "544")
+    return DesignGrid(base=base, axes=tuple(draw(st.permutations(axes))))
+
+
+class TestCellExpansion:
+    """``cells()`` builds each section once per distinct combination of its
+    axes' values; every cell equals the per-cell round trip it replaced."""
+
+    @given(design_grids())
+    def test_cells_equal_the_per_cell_round_trip(self, grid):
+        cells, error = expansion(DesignGrid.cells, grid)
+        oracle, oracle_error = expansion(oracle_cells, grid)
+        assert error == oracle_error
+        if oracle is None:
+            return
+        assert cells == oracle
+        for cell, expected in zip(cells, oracle):
+            assert repr(cell.spec) == repr(expected.spec)
+            assert cell.spec.to_dict() == expected.spec.to_dict()
+            assert cell_cache_key(cell.spec, 4.0) == cell_cache_key(expected.spec, 4.0)
+        # Cells agreeing on a section's axis values share its object.
+        picks = list(itertools.product(*(range(len(a.values)) for a in grid.axes)))
+        for section in SECTIONS:
+            members = [i for i, a in enumerate(grid.axes) if a.path.split(".")[0] == section]
+            shared = {}
+            for cell, pick in zip(cells, picks):
+                key = tuple(pick[i] for i in members)
+                assert getattr(cell.spec, section) is shared.setdefault(key, getattr(cell.spec, section))
+
+    def test_explore_grid_shares_45_systems_over_270_cells(self, base_544):
+        axes = (
+            AxisSpec("system.clusters.0.tree_depth", (3, 4, 5)),
+            AxisSpec("system.clusters.15.tree_depth", (3, 4, 5)),
+            AxisSpec("system.icn2.bandwidth", (300.0, 400.0, 500.0, 600.0, 700.0)),
+            AxisSpec("message.length_flits", (16, 32, 64)),
+            AxisSpec("message.flit_bytes", (128.0, 256.0)),
+        )
+        cells = DesignGrid(base=base_544, axes=axes).cells()
+        assert len(cells) == 270
+        assert len({id(c.spec.system) for c in cells}) == 45
+        assert len({id(c.spec.message) for c in cells}) == 6
+        assert len({id(c.spec.options) for c in cells}) == 1
+
+
+class TestInvalidCells:
+    """An invalid cell fails at expansion, named as the per-cell
+    ``ScenarioSpec.from_dict`` round trip names it."""
+
+    @pytest.mark.parametrize(
+        "axes, message",
+        [
+            pytest.param(
+                (
+                    AxisSpec("system.icn2.bandwidth", (500.0, 600.0, -1.0)),
+                    AxisSpec("message.length_flits", (32, 64)),
+                ),
+                "grid cell '544/system.icn2.bandwidth=-1/message.length_flits=32' is invalid: "
+                "bandwidth must be a finite positive number, got -1.0",
+                id="bad-value-after-valid-cells",
+            ),
+            pytest.param(
+                (
+                    AxisSpec("message.length_flits", (0,)),
+                    AxisSpec("system.clusters.0.tree_depth", (0,)),
+                ),
+                "grid cell '544/message.length_flits=0/system.clusters.0.tree_depth=0' is "
+                "invalid: tree_depth must be >= 1, got 0",
+                id="system-error-before-message-error",
+            ),
+            pytest.param(
+                (
+                    AxisSpec("message.length_flits", (32, 64)),
+                    AxisSpec(
+                        "system.clusters",
+                        (
+                            [c.to_dict() for c in paper_system_544().clusters],
+                            [c.to_dict() for c in paper_system_544().clusters[:15]],
+                        ),
+                    ),
+                ),
+                "number of clusters C=15 must equal",
+                id="fifteen-clusters",
+            ),
+            pytest.param(
+                (AxisSpec("system.icn2.bandwdith", (500.0,)),),
+                "axis path 'system.icn2.bandwdith': unknown key 'bandwdith'",
+                id="bad-path",
+            ),
+            pytest.param(
+                (
+                    AxisSpec("system.clusters.0.tree_depth", (0,)),
+                    AxisSpec("message.lenght_flits", (32,)),
+                ),
+                "axis path 'message.lenght_flits': unknown key 'lenght_flits'",
+                id="bad-path-before-bad-value",
+            ),
+        ],
+    )
+    def test_error_equals_the_round_trip(self, base_544, axes, message):
+        grid = DesignGrid(base=base_544, axes=axes)
+        _, error = expansion(DesignGrid.cells, grid)
+        _, oracle_error = expansion(oracle_cells, grid)
+        assert error == oracle_error
+        assert message in error
+        # Path errors are set_by_path's own message, not a cell's.
+        assert error.startswith("grid cell ") == ("unknown key" not in message)
 
 
 class TestExploreGrid:

@@ -10,6 +10,7 @@ from repro.analysis import (
     scale_network,
 )
 from repro.core import paper_system_544
+from repro.scenarios import get_scenario, scenario_names
 
 
 def cell(coords, **metrics):
@@ -124,3 +125,19 @@ class TestCostProxy:
         ecn1 = 250.0 * (8 * 16 + 3 * 32 + 5 * 64)
         icn2 = 500.0 * 16 * 3  # C=16 = 2*2**3 -> n_c=3
         assert bandwidth_cost_proxy(base) == pytest.approx(icn1 + ecn1 + icn2)
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_equals_the_per_cluster_loop_bit_for_bit(self, name):
+        """The proxy reads the cached cluster sizes: the same ints, added
+        in the same order as the per-cluster derivation it replaced."""
+        system = get_scenario(name).system
+        m = system.switch_ports
+        cost = 0.0
+        for spec in system.clusters:
+            nodes = spec.nodes(m)
+            cost += nodes * spec.tree_depth * spec.icn1.bandwidth
+            cost += nodes * spec.ecn1.bandwidth
+        cost += system.num_clusters * system.icn2_tree_depth * system.icn2.bandwidth
+        assert bandwidth_cost_proxy(system) == cost
+        assert bandwidth_cost_proxy(system) == cost  # once more, from the cache
+

@@ -1,5 +1,8 @@
 """Tests for configuration objects (core.parameters), incl. paper Table 1."""
 
+import pickle
+from dataclasses import replace
+
 import pytest
 
 from repro.core import (
@@ -15,6 +18,7 @@ from repro.core import (
     paper_system_1120,
 )
 from repro.core.parameters import nodes_in_tree
+from repro.scenarios import get_scenario, scenario_names
 
 
 class TestNetworkCharacteristics:
@@ -163,3 +167,65 @@ class TestSystemConfig:
         assert nodes_in_tree(8, 3) == 128
         with pytest.raises(ValueError):
             nodes_in_tree(7, 3)
+
+
+def _derived(system: SystemConfig) -> tuple:
+    return system.cluster_sizes, system.total_nodes, system.cluster_classes()
+
+
+class TestDerivedStructure:
+    """``cluster_sizes``, ``total_nodes`` and ``cluster_classes()`` are
+    derived once per instance, and the caches are invisible."""
+
+    def test_value_semantics_unchanged(self):
+        cold = paper_system_1120()
+        warm = paper_system_1120()
+        _derived(warm)
+        assert warm == cold
+        assert (hash(warm), repr(warm), warm.to_dict()) == (hash(cold), repr(cold), cold.to_dict())
+        for system in (cold, warm):
+            back = pickle.loads(pickle.dumps(system))
+            assert back == system and repr(back) == repr(system)
+            assert _derived(back) == _derived(paper_system_1120())
+
+    def test_replace_and_with_icn2_derive_their_own(self, tiny_hetero_system):
+        system = replace(tiny_hetero_system)
+        _derived(system)
+        deeper = replace(system, clusters=tuple(ClusterSpec(tree_depth=2) for _ in range(4)))
+        assert deeper.cluster_sizes == (8, 8, 8, 8) and deeper.total_nodes == 32
+        assert [(c.count, c.nodes) for c in deeper.cluster_classes()] == [(4, 8)]
+        faster = system.with_icn2(NET1.scaled_bandwidth(2.0))
+        assert _derived(faster) == _derived(system)
+        assert faster.cluster_classes() is not system.cluster_classes()
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_registry_systems_equal_fresh_ones(self, name):
+        system = get_scenario(name).system
+        first = _derived(system)
+        fresh = SystemConfig.from_dict(system.to_dict())
+        assert first == _derived(system) == _derived(fresh)
+        m = system.switch_ports
+        assert first[0] == tuple(nodes_in_tree(m, c.tree_depth) for c in system.clusters)
+        assert first[1] == sum(first[0])
+        assert [system.outgoing_probability(i) for i in range(system.num_clusters)] == [
+            1.0 - (n - 1) / (first[1] - 1) for n in first[0]
+        ]
+
+    def test_each_cluster_size_is_derived_once(self, monkeypatch):
+        import repro.core.parameters as parameters
+
+        calls = []
+        original = parameters.nodes_in_tree
+
+        def counted(switch_ports, tree_depth):
+            calls.append(tree_depth)
+            return original(switch_ports, tree_depth)
+
+        monkeypatch.setattr(parameters, "nodes_in_tree", counted)
+        system = paper_system_544()
+        for _ in range(3):
+            _derived(system)
+            system.outgoing_probability(0)
+        # 16 cluster sizes, plus the 3 class representatives of cluster_classes().
+        assert len(calls) == 16 + 3
+
