@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 
 def require(condition: bool, message: str) -> None:
@@ -69,15 +69,6 @@ def reject_unknown_keys(
         raise ValueError(f"{what} missing required key(s) {missing}")
 
 
-def is_power_of(value: int, base: int) -> bool:
-    """Return True if ``value == base**k`` for some integer ``k >= 0``."""
-    if value < 1:
-        return False
-    while value % base == 0:
-        value //= base
-    return value == 1
-
-
 def integer_log(value: int, base: int) -> int:
     """Return ``k`` such that ``base**k == value`` or raise ValueError."""
     k = 0
@@ -88,29 +79,6 @@ def integer_log(value: int, base: int) -> int:
     if v != 1:
         raise ValueError(f"{value} is not an integer power of {base}")
     return k
-
-
-def weighted_mean(values: Iterable[float], weights: Iterable[float]) -> float:
-    """Weighted arithmetic mean; weights need not be normalised."""
-    total = 0.0
-    wsum = 0.0
-    for v, w in zip(values, weights, strict=True):
-        total += v * w
-        wsum += w
-    if wsum == 0.0:
-        raise ValueError("weights sum to zero")
-    return total / wsum
-
-
-def cumulative_suffix_sums(values: Sequence[float]) -> list[float]:
-    """Return ``s`` with ``s[k] = sum(values[k:])`` (length ``len(values)+1``).
-
-    ``s[len(values)]`` is 0 so callers can index one-past-the-end safely.
-    """
-    out = [0.0] * (len(values) + 1)
-    for k in range(len(values) - 1, -1, -1):
-        out[k] = out[k + 1] + values[k]
-    return out
 
 
 def format_float(value: float, digits: int = 4) -> str:

@@ -44,7 +44,12 @@ class ResourceUtilization:
 
 @dataclass(frozen=True)
 class BottleneckReport:
-    """Ranked resource utilisations plus the binding resource."""
+    """Ranked resource utilisations plus the binding resource.
+
+    *binding* is the resource whose utilisation first reaches 1 as λ_g
+    grows (the engine's binding resource), read from the ranking; it need
+    not rank first at *load* (on ``544-hotspot`` two concentrators tie).
+    """
 
     load: float
     resources: tuple[ResourceUtilization, ...]
@@ -87,11 +92,13 @@ def model_bottlenecks(
         for entry in entries
     ]
     ranked = tuple(sorted(resources, key=lambda r: r.utilization, reverse=True))
+    saturation_load = engine.saturation_load()
+    binding = engine.binding_resource()
     return BottleneckReport(
         load=load,
         resources=ranked,
-        binding=ranked[0],
-        saturation_load=engine.saturation_load(),
+        binding=next(r for r in ranked if r.resource == binding),
+        saturation_load=saturation_load,
     )
 
 

@@ -204,12 +204,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--load", type=float, required=True)
     p.add_argument("--messages", type=int, default=10_000, help="measured messages")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--granularity", choices=["message", "flit"], default="message")
+    p.add_argument(
+        "--granularity",
+        choices=["message", "flit"],
+        default="message",
+        help="simulator granularity (flit = the flit-accurate simulator)",
+    )
     p.add_argument(
         "--engine",
         choices=["reference", "array"],
-        default="reference",
-        help="message-level event engine (bit-identical trajectories; array is the compiled core)",
+        default=None,
+        help="message-level event engine: array, the compiled core (the default), or "
+        "reference, the Python loop it is tested against; both give identical results",
     )
     p.add_argument(
         "--replicas",
@@ -230,13 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--granularity",
         choices=["message", "flit"],
         default="message",
-        help="simulator granularity (flit = the slow reference engine)",
+        help="simulator granularity (flit = the flit-accurate simulator)",
     )
     p.add_argument(
         "--engine",
         choices=["reference", "array"],
-        default="reference",
-        help="message-level event engine (bit-identical trajectories; array is the compiled core)",
+        default=None,
+        help="message-level event engine: array, the compiled core (the default), or "
+        "reference, the Python loop it is tested against; both give identical results",
     )
     jobs_flag(p)
     out_flag(p)
@@ -371,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--granularity",
         choices=["message", "flit"],
         default="message",
-        help="simulator granularity (flit = the slow reference engine)",
+        help="simulator granularity (flit = the flit-accurate simulator)",
     )
     p.add_argument(
         "--cache",

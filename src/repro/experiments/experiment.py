@@ -273,26 +273,22 @@ class Experiment:
         """Saturation load λ*, binding resource and per-resource rates."""
         engine = self.engine
         lam_star = engine.saturation_load()
-        binding = engine.binding_resource()
         per_resource = dict(sorted(engine.saturation_loads().items(), key=lambda kv: kv[1]))
-        report = model_bottlenecks(
+        binding = model_bottlenecks(
             self.spec.system, self.spec.message, 0.9 * lam_star, engine=engine
-        )
-        # Name the engine's binding resource: the 0.9 λ* ranking may put
-        # another resource that ties with it at λ* on top.
-        entry = next(r for r in report.resources if r.resource == binding)
+        ).binding
         rows = [[name, f"{lam:.4e}"] for name, lam in list(per_resource.items())[:5]]
         table = render_table(
             ["resource", "λ* (ρ=1)"], rows, title="tightest per-resource saturation rates"
         )
         text = (
             f"saturation load λ* = {lam_star:.4e} messages/node/time-unit\n"
-            f"binding resource   = {binding} ({entry.kind}, "
-            f"ρ={entry.utilization:.3f} at 0.9 λ*)\n\n{table}"
+            f"binding resource   = {binding.resource} ({binding.kind}, "
+            f"ρ={binding.utilization:.3f} at 0.9 λ*)\n\n{table}"
         )
         data = {
             "saturation_load": lam_star,
-            "binding_resource": binding,
+            "binding_resource": binding.resource,
             "per_resource": per_resource,
         }
         return self._result("saturation", data, text)
@@ -462,7 +458,7 @@ class Experiment:
         granularity: str = "message",
         replicas: "int | None" = None,
         jobs: "int | str | None" = None,
-        engine: str = "reference",
+        engine: str | None = None,
     ) -> ExperimentResult:
         """Discrete-event simulation at *load*.
 
@@ -470,8 +466,9 @@ class Experiment:
         spawned seeds and summarised with a confidence interval; ``jobs``
         fans the replicas across a process pool (results are bit-identical
         for any worker count).  Without *replicas*, one run at *seed*.
-        *engine* selects the message-level event engine (bit-identical
-        either way, see :mod:`repro.simulation.eventcore`).
+        *engine* names the message-level event engine (bit-identical
+        either way, see :mod:`repro.simulation.eventcore`); ``None`` runs
+        the compiled array core.
         """
         from repro.simulation.metrics import MeasurementWindow
 
@@ -509,7 +506,7 @@ class Experiment:
         return self._result("simulate", data, text)
 
     def _simulate_replicated(
-        self, load, *, messages, seed, granularity, replicas, jobs, engine="reference"
+        self, load, *, messages, seed, granularity, replicas, jobs, engine
     ) -> ExperimentResult:
         from repro.simulation.metrics import MeasurementWindow
         from repro.simulation.replication import replicate
@@ -556,13 +553,14 @@ class Experiment:
         seed: int = 0,
         granularity: str = "message",
         jobs: "int | str | None" = None,
-        engine: str = "reference",
+        engine: str | None = None,
     ) -> ExperimentResult:
         """Model-vs-simulation comparison across the spec's load grid.
 
         ``jobs`` fans the per-point simulations across a process pool;
         the curve is bit-identical for any worker count — as it is for
-        either message-level event *engine* (``"reference"``/``"array"``).
+        either message-level event *engine* (``"reference"``/``"array"``;
+        ``None`` runs the compiled array core).
         """
         from repro.io.reporting import format_validation_curve
         from repro.simulation.metrics import MeasurementWindow

@@ -11,7 +11,7 @@ from repro.simulation.fabric import GROUPS, ResolvedFabric, ResolvedSegment
 from repro.simulation.metrics import LatencyCollector, LatencyStats, MeasurementWindow
 from repro.simulation.parallel import resolve_jobs, run_work_item, run_work_items
 from repro.simulation.replication import ReplicatedResult, replicate
-from repro.simulation.rng import ReplayableDraws, SimulationStreams, make_streams, replica_seeds
+from repro.simulation.rng import SimulationStreams, make_streams, replica_seeds
 from repro.simulation.runner import (
     ENGINES,
     TRAJECTORY_VERSION,
@@ -39,7 +39,6 @@ __all__ = [
     "SimulationStreams",
     "make_streams",
     "replica_seeds",
-    "ReplayableDraws",
     "resolve_jobs",
     "run_work_item",
     "run_work_items",

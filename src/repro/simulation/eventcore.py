@@ -1,8 +1,9 @@
 """Array-based event core for the message-level wormhole simulator.
 
 The reference engine (:mod:`repro.simulation.wormhole`) is a locals-bound
-CPython loop; this module is the ``engine="array"`` alternative that runs
-the *same* event loop over flat arrays:
+CPython loop; this module is the ``engine="array"`` core, the default of
+every message-level run, which runs the *same* event loop over flat
+arrays:
 
 * the event heap is three parallel columns ``(time, tie-break tag,
   payload)`` that the compiled kernel sifts by the strict ``(time, tag)``

@@ -5,19 +5,12 @@ destination selection) from one user seed via :class:`numpy.random.
 SeedSequence`, so results are reproducible and robust to internal
 event-ordering changes.
 
-Two further pieces live here because they are pure seed-derivation
-concerns:
-
-* :func:`replica_seeds` spawns the per-replica seeds used by
-  :func:`repro.simulation.replication.replicate` — children of one
-  ``SeedSequence``, never ``base_seed + i`` arithmetic, so the replica
-  streams are provably independent and two overlapping base seeds never
-  share a replica stream;
-* :class:`ReplayableDraws` caches the batched draw arrays of one seed so
-  repeated load points of a session replay them instead of re-drawing
-  (numpy ``Generator`` streams are bit-identical whether consumed as one
-  batch, many batches, or scalar calls, so the cache never changes
-  results).
+:func:`replica_seeds` lives here too because it is a pure seed-derivation
+concern: it spawns the per-replica seeds used by
+:func:`repro.simulation.replication.replicate` — children of one
+``SeedSequence``, never ``base_seed + i`` arithmetic, so the replica
+streams are provably independent and two overlapping base seeds never
+share a replica stream.
 """
 
 from __future__ import annotations
@@ -26,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._util import require, require_int
+from repro._util import require_int
 
-__all__ = ["SimulationStreams", "make_streams", "replica_seeds", "ReplayableDraws"]
+__all__ = ["SimulationStreams", "make_streams", "replica_seeds"]
 
 
 @dataclass(frozen=True)
@@ -67,52 +60,3 @@ def replica_seeds(base_seed: int, count: int) -> tuple[int, ...]:
     require_int(count, "count", minimum=1)
     children = np.random.SeedSequence(base_seed).spawn(count)
     return tuple(int(child.generate_state(1, np.uint64)[0]) for child in children)
-
-
-class ReplayableDraws:
-    """Growable, seed-deterministic draw arrays shared across runs.
-
-    A message-level run consumes exactly ``N + window.total`` unit
-    arrival gaps and (under uniform traffic) ``window.total`` destination
-    draws — amounts that depend on the window, never on the load.  One
-    cache per seed therefore lets every load point of a
-    :class:`~repro.simulation.runner.SimulationSession` replay the same
-    arrays instead of re-drawing them.  Requests beyond the cached length
-    extend the *same* generators, which numpy guarantees to stream the
-    values one big batch would have produced.
-    """
-
-    def __init__(self, seed: int) -> None:
-        streams = make_streams(seed)
-        self.seed = seed
-        self._arrival_rng = streams.arrivals
-        self._destination_rng = streams.destinations
-        self._unit_arrivals = np.empty(0, dtype=np.float64)
-        self._destinations = np.empty(0, dtype=np.int64)
-        self._destination_high: "int | None" = None
-
-    def unit_arrivals(self, count: int) -> np.ndarray:
-        """The first *count* unit-exponential gaps of this seed's stream."""
-        if count > self._unit_arrivals.size:
-            extra = self._arrival_rng.standard_exponential(count - self._unit_arrivals.size)
-            self._unit_arrivals = np.concatenate([self._unit_arrivals, extra])
-        return self._unit_arrivals[:count]
-
-    def destinations(self, count: int, high: int) -> np.ndarray:
-        """The first *count* uniform draws from ``[0, high)``.
-
-        The underlying draw sequence depends on *high*, so one cache is
-        bound to the first bound it sees (a session is bound to one system,
-        so this never varies in practice).
-        """
-        if self._destination_high is None:
-            self._destination_high = high
-        require(
-            high == self._destination_high,
-            f"draw cache for seed {self.seed} is bound to destination bound "
-            f"{self._destination_high}, got {high}",
-        )
-        if count > self._destinations.size:
-            extra = self._destination_rng.integers(0, high, size=count - self._destinations.size)
-            self._destinations = np.concatenate([self._destinations, extra])
-        return self._destinations[:count]

@@ -18,7 +18,7 @@ from repro.cluster.system import HeterogeneousSystem
 from repro.core.parameters import MessageSpec, ModelOptions, SystemConfig
 from repro.simulation.fabric import ResolvedFabric
 from repro.simulation.metrics import LatencyStats, MeasurementWindow
-from repro.simulation.rng import ReplayableDraws, make_streams
+from repro.simulation.rng import make_streams
 from repro.simulation.traffic import SimTrafficPattern
 from repro.simulation.wormhole import MessageLevelWormholeSimulator, RawRunResult
 
@@ -34,8 +34,11 @@ __all__ = [
 GRANULARITIES = ("message", "flit")
 
 #: Message-level event engines (see :mod:`repro.simulation.eventcore`).
-#: Both must produce bit-identical trajectories; the flit granularity has
-#: a single engine, so ``engine="array"`` there is a config error.
+#: Both must produce bit-identical trajectories.  ``"array"``, the compiled
+#: core, is what a run uses when its caller names no engine; ``"reference"``
+#: is the Python loop kept as the test oracle and as the array engine's
+#: warned fallback.  The flit granularity has a single engine, so
+#: ``engine="array"`` there is a config error.
 ENGINES = ("reference", "array")
 
 #: Version tag of the simulators' *trajectories*, embedded in on-disk cache
@@ -81,7 +84,30 @@ ENGINES = ("reference", "array")
 #: rank without ``np.unique``/``np.percentile``, whose first calls import
 #: ``numpy.ma``.  Trajectories are unchanged; cached simulator curves miss
 #: once.
-TRAJECTORY_VERSION = "sim/8"
+#:
+#: sim/9: the compiled array core is the default message-level engine and
+#: the per-seed draw replay cache is gone; a run draws its arrival gaps and
+#: destinations from its own streams.  Trajectories are unchanged; cached
+#: simulator curves miss once.
+TRAJECTORY_VERSION = "sim/9"
+
+
+def _resolve_engine(granularity: str, engine: str | None) -> str:
+    """Check a *granularity*/*engine* pair and name the engine that runs it.
+
+    ``engine=None`` means the caller chose none: the compiled array core
+    at message granularity, the flit engine (``"flit"``) at flit
+    granularity.  ``"array"`` is message-granularity only.
+    """
+    require(granularity in GRANULARITIES, f"granularity must be one of {GRANULARITIES}")
+    require(engine is None or engine in ENGINES, f"engine must be one of {ENGINES}")
+    if granularity == "flit":
+        require(
+            engine != "array",
+            "engine='array' is message-granularity only (the flit engine has no array core)",
+        )
+        return "flit"
+    return engine or "array"
 
 
 @dataclass(frozen=True)
@@ -98,15 +124,10 @@ class SimulationConfig:
     options: ModelOptions = field(default_factory=ModelOptions)
     pattern: SimTrafficPattern | None = None
     max_events: int = 500_000_000
-    engine: str = "reference"
+    engine: str | None = None
 
     def __post_init__(self) -> None:
-        require(self.granularity in GRANULARITIES, f"granularity must be one of {GRANULARITIES}")
-        require(self.engine in ENGINES, f"engine must be one of {ENGINES}")
-        require(
-            not (self.granularity == "flit" and self.engine == "array"),
-            "engine='array' is message-granularity only (the flit engine has no array core)",
-        )
+        _resolve_engine(self.granularity, self.engine)
         require_nonnegative(self.generation_rate, "generation_rate")
         require(self.generation_rate > 0, "generation_rate must be positive for a simulation")
 
@@ -146,15 +167,6 @@ class SimulationSession:
         self.options = options or ModelOptions()
         self.system = HeterogeneousSystem(system)
         self.fabric = ResolvedFabric(self.system, message, self.options)
-        # Per-seed draw caches: repeated load points of one session replay
-        # the batched arrival/destination arrays instead of re-drawing them
-        # (bit-identical either way — see rng.ReplayableDraws).  Bounded so
-        # a long-lived session sweeping many seeds cannot accumulate one
-        # cache entry (~0.5 MB at the default window) per seed forever;
-        # eviction is LRU — insertion order doubles as recency order
-        # because every hit re-inserts its entry at the back.
-        self._draws: dict[int, ReplayableDraws] = {}
-        self._draws_max = 8
 
     def run(
         self,
@@ -165,37 +177,21 @@ class SimulationSession:
         granularity: str = "message",
         pattern: SimTrafficPattern | None = None,
         max_events: int = 500_000_000,
-        engine: str = "reference",
+        engine: str | None = None,
     ) -> SimulationResult:
-        """Run one load point on the cached fabric."""
-        require(granularity in GRANULARITIES, f"granularity must be one of {GRANULARITIES}")
-        require(engine in ENGINES, f"engine must be one of {ENGINES}")
-        require(
-            not (granularity == "flit" and engine == "array"),
-            "engine='array' is message-granularity only (the flit engine has no array core)",
-        )
+        """Run one load point on the cached fabric (*engine* as in
+        :func:`_resolve_engine`)."""
+        engine = _resolve_engine(granularity, engine)
         window = window or MeasurementWindow.scaled_paper(20_000)
         streams = make_streams(seed)
-        if granularity == "message":
-            draws = self._draws.pop(seed, None)
-            if draws is None:
-                if len(self._draws) >= self._draws_max:
-                    self._draws.pop(next(iter(self._draws)))
-                draws = ReplayableDraws(seed)
-            self._draws[seed] = draws
-            sim = MessageLevelWormholeSimulator(
-                self.fabric,
-                window,
-                generation_rate,
-                streams,
-                pattern,
-                draws=draws,
-                engine=engine,
-            )
-        else:
+        if engine == "flit":
             from repro.simulation.flitsim import FlitLevelSimulator
 
             sim = FlitLevelSimulator(self.fabric, window, generation_rate, streams, pattern)
+        else:
+            sim = MessageLevelWormholeSimulator(
+                self.fabric, window, generation_rate, streams, pattern, engine=engine
+            )
         raw = sim.run(max_events=max_events)
         return self._package(raw, generation_rate, granularity, seed)
 

@@ -28,8 +28,12 @@ links are physical and do.
 
 Hot-path design
 ---------------
-Validation wall-clock is dominated by this event loop, so it is written
-for CPython throughput rather than for symmetry with the flit engine:
+A run that names no engine dispatches to the compiled array core
+(:mod:`repro.simulation.eventcore`); the loop below is its executable
+specification, the oracle the differential tests and the golden corpus
+compare it with, and its fallback when the kernel is unavailable.  It is
+written for CPython throughput rather than for symmetry with the flit
+engine:
 
 * one monolithic :meth:`~MessageLevelWormholeSimulator.run` loop with
   every piece of mutable state bound to locals (heap ops included) and
@@ -50,10 +54,7 @@ for CPython throughput rather than for symmetry with the flit engine:
   the leg is first resolved;
 * arrival gaps and uniform destination draws are pre-generated in one
   batched numpy call each (bit-identical to the historical scalar draws,
-  because numpy's ``Generator`` streams the same values either way) and
-  can be replayed from a session-level
-  :class:`~repro.simulation.rng.ReplayableDraws` cache so repeated load
-  points of one session skip the RNG work entirely.
+  because numpy's ``Generator`` streams the same values either way).
 
 Every optimisation preserves the event order (same push sequence, same
 tie-break counter) and the RNG consumption order, so results are
@@ -71,7 +72,7 @@ from heapq import heappop, heappush, heapreplace
 from repro._util import require, require_positive
 from repro.simulation.fabric import GROUPS, ResolvedFabric
 from repro.simulation.metrics import LatencyCollector, LatencyStats, MeasurementWindow
-from repro.simulation.rng import ReplayableDraws, SimulationStreams
+from repro.simulation.rng import SimulationStreams
 from repro.simulation.traffic import SimTrafficPattern, UniformDestinations
 
 __all__ = ["RawRunResult", "MessageLevelWormholeSimulator"]
@@ -114,19 +115,13 @@ class MessageLevelWormholeSimulator:
         deterministic RNG streams.
     pattern:
         destination sampler (defaults to uniform — paper assumption 2).
-    draws:
-        optional :class:`~repro.simulation.rng.ReplayableDraws` cache for
-        this run's seed.  When given, the pre-generated arrival/destination
-        arrays are replayed from it instead of re-drawn, so repeated load
-        points of one session skip RNG setup; results are bit-identical
-        either way.
     engine:
-        ``"reference"`` (default) runs the CPython event loop below;
-        ``"array"`` dispatches to the compiled array-based event core
-        (:mod:`repro.simulation.eventcore`), which reproduces the
+        ``"array"`` (default) dispatches to the compiled array-based event
+        core (:mod:`repro.simulation.eventcore`), which reproduces the
         reference trajectory bit for bit; when the kernel cannot be built
         or loaded it runs the reference loop with a :class:`RuntimeWarning`
-        naming the reason.
+        naming the reason.  ``"reference"`` runs the CPython event loop
+        below, the oracle the array core is tested against.
     """
 
     def __init__(
@@ -137,8 +132,7 @@ class MessageLevelWormholeSimulator:
         streams: SimulationStreams,
         pattern: SimTrafficPattern | None = None,
         *,
-        draws: ReplayableDraws | None = None,
-        engine: str = "reference",
+        engine: str = "array",
     ) -> None:
         require(engine in ("reference", "array"), f"unknown engine {engine!r}")
         self.engine = engine
@@ -158,16 +152,11 @@ class MessageLevelWormholeSimulator:
         # first arrival, entry N+s is the gap scheduled by generation s.
         # Destination draw s belongs to generation s.
         n_nodes = fabric.system.total_nodes
-        need = n_nodes + window.total
-        unit = draws.unit_arrivals(need) if draws is not None else streams.arrivals.standard_exponential(need)
+        unit = streams.arrivals.standard_exponential(n_nodes + window.total)
         self._arrival_gaps_array = unit * (1.0 / generation_rate)
         self._dest_draws_array = None
         if type(self.pattern) is UniformDestinations:
-            self._dest_draws_array = (
-                draws.destinations(window.total, n_nodes - 1)
-                if draws is not None
-                else streams.destinations.integers(0, n_nodes - 1, size=window.total)
-            )
+            self._dest_draws_array = streams.destinations.integers(0, n_nodes - 1, size=window.total)
         self._last_result: RawRunResult | None = None
 
     # -- run loop -------------------------------------------------------------------

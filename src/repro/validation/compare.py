@@ -100,7 +100,7 @@ def run_validation(
     session: SimulationSession | None = None,
     pattern=None,
     jobs: "int | str | None" = None,
-    engine: str = "reference",
+    engine: str | None = None,
 ) -> ValidationCurve:
     """Evaluate model and simulator at every load in *loads*.
 
@@ -112,9 +112,10 @@ def run_validation(
     (``0``/``"auto"`` = one worker per CPU).  Point ``i`` keeps its
     historical seed ``seed + i`` — the points are *different operating
     conditions*, not replicas of one stream — so the curve is bit-identical
-    for any worker count.  *engine* selects the message-level event engine
+    for any worker count.  *engine* names the message-level event engine
     (``"reference"``/``"array"``, see :mod:`repro.simulation.eventcore`);
-    both produce the identical curve.  A *session* must simulate the
+    left as ``None`` a message-level curve runs the compiled array core.
+    Both produce the identical curve.  A *session* must simulate the
     system, message and options the model prices.
     """
     loads = np.asarray(loads, dtype=np.float64)

@@ -116,6 +116,17 @@ class TestMatchesDirectCalls:
             f"ρ={entry['utilization']:.3f} at 0.9 λ*)"
         )
 
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_bottlenecks_and_saturation_name_one_binding_resource(self, name):
+        """The report's binding resource is the engine's, the one whose
+        utilisation first reaches 1, at any load — not the top of the
+        ranking (on 544-hotspot two concentrators tie and the ranking puts
+        the other one first)."""
+        exp = Experiment(name)
+        binding = exp.saturation().data["binding_resource"]
+        for load in (None, 0.5 * exp.engine.saturation_load()):
+            assert exp.bottlenecks(load).data["binding"]["resource"] == binding
+
 
 class TestResultSchema:
     def test_uniform_fields(self, exp_1120):

@@ -58,7 +58,7 @@ import contextlib, io, sys
 from repro.cli import main
 
 commands = [
-    ["validate", "--system", "544", "--messages", "300", "--engine", "array"],
+    ["validate", "--system", "544", "--messages", "300"],
     ["saturation", "--system", "544"],
     ["capacity", "--system", "544", "--budget", "150"],
     ["whatif", "--system", "544"],

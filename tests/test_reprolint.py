@@ -262,7 +262,7 @@ class TestParallelSafetyRules:
         rel = "src/repro/simulation/runner.py"
         source = (ROOT / rel).read_text()
         assert "RP302" not in codes(source, rel)
-        anchor = '    engine: str = "reference"\n'
+        anchor = "    engine: str | None = None\n"
         assert source.count(anchor) == 1
         hooked = source.replace(anchor, anchor + "    hook: Callable = print\n")
         assert "RP302" in codes(hooked, rel)
@@ -611,6 +611,21 @@ class TestShippedTree:
         assert exec_runtime.ITEM_OUTCOME_SCHEMA is declared["ITEM_OUTCOME_SCHEMA"]
         assert exec_runtime.RUN_JOURNAL_SCHEMA is declared["RUN_JOURNAL_SCHEMA"]
         assert exec_runtime.FAULTS_SCHEMA is declared["FAULTS_SCHEMA"]
+
+    def test_no_test_or_bench_module_defines_a_name_twice(self):
+        """A second module-level ``class TestX`` or ``def test_x`` rebinds
+        the name, so pytest never collects the first definition's tests."""
+        import ast
+
+        repeats = []
+        for path in sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("benchmarks/*.py")]):
+            seen: set[str] = set()
+            for node in ast.parse(path.read_text()).body:
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if node.name in seen:
+                        repeats.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
+                    seen.add(node.name)
+        assert repeats == []
 
     def test_diagnostic_render_format(self):
         diag = Diagnostic("RD101", "src/x.py", 3, 4, "message", "f")

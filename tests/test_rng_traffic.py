@@ -82,93 +82,50 @@ class TestUniformDestinations:
         assert stay / draws == pytest.approx(expected, abs=0.01)
 
 
-class TestReplayableDraws:
-    """Slice-consumption contract of the per-seed draw cache.
+class TestDrawStreams:
+    """A message-level run draws its arrival gaps and uniform destinations
+    in one batch each from its own streams.
 
     Both event engines consume these arrays — the reference loop as
-    Python lists, the array core as ndarray slices — so the cache must be
-    draw-for-draw identical to the per-event scalar path for any mix of
-    partial consumption, extension, and replay.
+    Python lists, the array core as ndarray slices — so they must be
+    draw-for-draw identical to the per-event scalar path.
     """
 
-    def test_partial_consumption_is_prefix_stable(self):
-        from repro.simulation import ReplayableDraws
-
-        draws = ReplayableDraws(3)
-        first = draws.unit_arrivals(100).copy()
-        # A later, larger request extends the same stream: the prefix is
-        # untouched and the extension equals one fresh batched draw.
-        longer = draws.unit_arrivals(250)
-        assert longer[:100].tolist() == first.tolist()
-        fresh = make_streams(3).arrivals.standard_exponential(250)
-        assert longer.tolist() == fresh.tolist()
-
-    def test_destinations_partial_then_extend(self):
-        from repro.simulation import ReplayableDraws
-
-        draws = ReplayableDraws(4)
-        first = draws.destinations(50, 31).copy()
-        longer = draws.destinations(200, 31)
-        assert longer[:50].tolist() == first.tolist()
-        fresh = make_streams(4).destinations.integers(0, 31, size=200)
-        assert longer.tolist() == fresh.tolist()
-
-    def test_batch_equals_per_event_scalar_path(self):
+    def test_batch_equals_per_event_scalar_path(self, small_fabric):
         """The historical engine drew scalars per event; numpy guarantees
-        the batched cache streams the same values draw for draw."""
-        from repro.simulation import ReplayableDraws
+        one batched draw streams the same values draw for draw."""
+        from repro.simulation import MeasurementWindow, MessageLevelWormholeSimulator
 
-        draws = ReplayableDraws(7)
-        batched_gaps = draws.unit_arrivals(64)
-        batched_dest = draws.destinations(64, 15)
+        window = MeasurementWindow(8, 48, 8)
+        n = small_fabric.system.total_nodes
+        sim = MessageLevelWormholeSimulator(small_fabric, window, 1.0, make_streams(7))
         scalar = make_streams(7)
-        assert batched_gaps.tolist() == [scalar.arrivals.standard_exponential() for _ in range(64)]
-        assert batched_dest.tolist() == [int(scalar.destinations.integers(0, 15)) for _ in range(64)]
-
-    def test_destination_bound_is_sticky(self):
-        from repro.simulation import ReplayableDraws
-
-        draws = ReplayableDraws(0)
-        draws.destinations(10, 31)
-        with pytest.raises(ValueError, match="bound"):
-            draws.destinations(10, 63)
+        expected_gaps = [scalar.arrivals.standard_exponential() for _ in range(n + window.total)]
+        assert sim._arrival_gaps_array.tolist() == expected_gaps
+        expected_dest = [int(scalar.destinations.integers(0, n - 1)) for _ in range(window.total)]
+        assert sim._dest_draws_array.tolist() == expected_dest
 
     def test_cross_load_point_reuse_is_bit_identical(self, small_session, fast_window):
-        """Two loads on one session share the seed's cache; rerunning a
-        load must replay, not re-draw — same numbers to the last bit."""
+        """Rerunning a load on one session, after another load under the
+        same seed, reproduces it to the last bit."""
         first = small_session.run(5e-4, seed=21, window=fast_window)
-        small_session.run(2e-3, seed=21, window=fast_window)  # consumes the same cache
+        small_session.run(2e-3, seed=21, window=fast_window)
         again = small_session.run(5e-4, seed=21, window=fast_window)
         assert first.mean_latency == again.mean_latency
         assert first.duration == again.duration
         assert first.events == again.events
-
-    def test_cache_eviction_keeps_results_identical(self, small_session, fast_window):
-        """Blow past the session's LRU capacity so seed 100 is evicted and
-        rebuilt from scratch; a rebuilt cache must reproduce the original
-        run exactly (it derives from the seed alone)."""
-        baseline = small_session.run(1e-3, seed=100, window=fast_window)
-        assert 100 in small_session._draws
-        for seed in range(101, 101 + small_session._draws_max):
-            small_session.run(1e-3, seed=seed, window=fast_window)
-        assert 100 not in small_session._draws  # evicted
-        rebuilt = small_session.run(1e-3, seed=100, window=fast_window)
-        assert rebuilt.mean_latency == baseline.mean_latency
-        assert rebuilt.duration == baseline.duration
-        assert rebuilt.events == baseline.events
 
     @pytest.mark.parametrize("engine", ["reference", "array"])
     def test_array_engine_consumes_identical_draw_arrays(self, small_fabric, engine):
         """The drawn arrays, which both engines consume (the reference loop
         lists them inside its run), must equal the per-event scalar
         stream."""
-        from repro.simulation import MeasurementWindow, MessageLevelWormholeSimulator, ReplayableDraws
+        from repro.simulation import MeasurementWindow, MessageLevelWormholeSimulator
 
         window = MeasurementWindow(50, 200, 50)
         n = small_fabric.system.total_nodes
-        draws = ReplayableDraws(13)
         sim = MessageLevelWormholeSimulator(
-            small_fabric, window, 1e-3, make_streams(13), draws=draws, engine=engine
+            small_fabric, window, 1e-3, make_streams(13), engine=engine
         )
         scalar = make_streams(13)
         need = n + window.total
@@ -176,21 +133,3 @@ class TestReplayableDraws:
         assert sim._arrival_gaps_array.tolist() == pytest.approx(expected_gaps, rel=0, abs=0)
         expected_dest = [int(scalar.destinations.integers(0, n - 1)) for _ in range(window.total)]
         assert sim._dest_draws_array.tolist() == expected_dest
-
-    def test_replayed_array_run_equals_fresh_streams_run(self, small_fabric, fast_window):
-        from dataclasses import replace
-
-        from repro.simulation import MessageLevelWormholeSimulator, ReplayableDraws
-
-        results = []
-        for engine in ("reference", "array"):
-            cached = MessageLevelWormholeSimulator(
-                small_fabric, fast_window, 1e-3, make_streams(17),
-                draws=ReplayableDraws(17), engine=engine,
-            ).run()
-            fresh = MessageLevelWormholeSimulator(
-                small_fabric, fast_window, 1e-3, make_streams(17), engine=engine
-            ).run()
-            assert replace(cached, wall_seconds=0.0) == replace(fresh, wall_seconds=0.0)
-            results.append(replace(cached, wall_seconds=0.0))
-        assert results[0] == results[1]

@@ -86,26 +86,6 @@ class TestSession:
         again = small_session.run(1e-3, seed=5, window=window)
         assert first.mean_latency == again.mean_latency
 
-    def test_draw_cache_evicts_lru_not_fifo(self, small_system, small_message):
-        """Regression: a cache hit must refresh recency — FIFO eviction
-        would drop a session's hottest seed first."""
-        window = MeasurementWindow(10, 100, 10)
-        session = SimulationSession(small_system, small_message)
-        session._draws_max = 2
-        session.run(1e-3, seed=0, window=window)
-        session.run(1e-3, seed=1, window=window)
-        session.run(1e-3, seed=0, window=window)  # hit: seed 0 becomes MRU
-        session.run(1e-3, seed=2, window=window)  # evicts seed 1, not seed 0
-        assert list(session._draws) == [0, 2]
-
-    def test_draw_cache_hit_replays_same_object(self, small_system, small_message):
-        window = MeasurementWindow(10, 100, 10)
-        session = SimulationSession(small_system, small_message)
-        session.run(1e-3, seed=7, window=window)
-        draws = session._draws[7]
-        session.run(2e-3, seed=7, window=window)
-        assert session._draws[7] is draws
-
     def test_wall_seconds_recorded(self, small_session):
         result = small_session.run(1e-3, seed=1, window=MeasurementWindow(10, 100, 10))
         assert result.wall_seconds > 0

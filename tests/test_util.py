@@ -1,21 +1,16 @@
 """Unit tests for repro._util helpers."""
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro._util import (
-    cumulative_suffix_sums,
     format_float,
     integer_log,
-    is_power_of,
     require,
     require_int,
     require_nonnegative,
     require_positive,
-    weighted_mean,
 )
 
 
@@ -69,18 +64,6 @@ class TestRequireInt:
         with pytest.raises(ValueError, match=">= 2"):
             require_int(np.int64(1), "x", minimum=2)
 
-
-class TestRequireNonnegative:
-    def test_accepts_zero(self):
-        require_nonnegative(0.0, "x")
-
-    @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("-inf")])
-    def test_rejects(self, bad):
-        with pytest.raises(ValueError):
-            require_nonnegative(bad, "x")
-
-
-class TestRequireInt:
     def test_accepts_int(self):
         require_int(4, "x", minimum=4)
 
@@ -97,11 +80,17 @@ class TestRequireInt:
             require_int(2.0, "x")
 
 
-class TestPowers:
-    @pytest.mark.parametrize("value,base,expected", [(1, 2, True), (8, 2, True), (6, 2, False), (27, 3, True), (0, 2, False)])
-    def test_is_power_of(self, value, base, expected):
-        assert is_power_of(value, base) is expected
+class TestRequireNonnegative:
+    def test_accepts_zero(self):
+        require_nonnegative(0.0, "x")
 
+    @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("-inf")])
+    def test_rejects(self, bad):
+        with pytest.raises(ValueError):
+            require_nonnegative(bad, "x")
+
+
+class TestPowers:
     @given(st.integers(2, 6), st.integers(0, 10))
     def test_integer_log_roundtrip(self, base, exponent):
         assert integer_log(base**exponent, base) == exponent
@@ -109,36 +98,6 @@ class TestPowers:
     def test_integer_log_rejects_non_power(self):
         with pytest.raises(ValueError):
             integer_log(12, 5)
-
-
-class TestWeightedMean:
-    def test_simple(self):
-        assert weighted_mean([1.0, 3.0], [1.0, 1.0]) == pytest.approx(2.0)
-
-    def test_weights_matter(self):
-        assert weighted_mean([1.0, 3.0], [3.0, 1.0]) == pytest.approx(1.5)
-
-    def test_zero_weights_raise(self):
-        with pytest.raises(ValueError):
-            weighted_mean([1.0], [0.0])
-
-    @given(st.lists(st.floats(0.1, 10), min_size=1, max_size=8))
-    def test_uniform_weights_match_mean(self, values):
-        got = weighted_mean(values, [1.0] * len(values))
-        assert got == pytest.approx(sum(values) / len(values))
-
-
-class TestSuffixSums:
-    def test_known(self):
-        assert cumulative_suffix_sums([1.0, 2.0, 3.0]) == [6.0, 5.0, 3.0, 0.0]
-
-    def test_empty(self):
-        assert cumulative_suffix_sums([]) == [0.0]
-
-    @given(st.lists(st.floats(-5, 5), max_size=10))
-    def test_first_entry_is_total(self, values):
-        sums = cumulative_suffix_sums(values)
-        assert sums[0] == pytest.approx(math.fsum(values), abs=1e-9)
 
 
 class TestFormatFloat:
