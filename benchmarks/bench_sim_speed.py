@@ -1,10 +1,10 @@
 """Performance — simulator throughput (events/second) at both granularities.
 
-Quantifies the cost of validation runs: the default message-level engine
-(the compiled array core) on a paper system and the flit-level engine on
-the small reference system, plus the
-process-pool replication fan-out (serial vs ``jobs=auto`` wall-clock and
-the bit-equality of their results).
+Quantifies the cost of validation runs: the message-level reference loop
+and its speedup under the compiled array core (the default engine) on a
+paper system, the flit-level engine on the small reference system, and
+the process-pool replication fan-out (serial vs ``jobs=auto`` wall-clock
+and the bit-equality of their results).
 """
 
 import os
@@ -13,30 +13,31 @@ import pytest
 
 from repro.cluster import homogeneous_system
 from repro.core import MessageSpec, paper_system_544
-from repro.simulation import MeasurementWindow, SimulationSession, kernel_available, replicate
+from repro.simulation import MeasurementWindow, SimulationSession, replicate
 
 from benchmarks.conftest import emit
 
 
 @pytest.mark.benchmark(group="performance")
 def test_message_level_throughput_paper_system(benchmark, sessions, out_dir):
+    """Events/s of the reference loop, the figure of its single-core
+    overhaul; the array core's figure is ``sim_events_per_second.json``."""
     session = sessions.get(paper_system_544(), MessageSpec(32, 256.0))
     window = MeasurementWindow(500, 5000, 500)
 
     result = benchmark.pedantic(
-        lambda: session.run(3e-4, seed=0, window=window), rounds=2, iterations=1
+        lambda: session.run(3e-4, seed=0, window=window, engine="reference"),
+        rounds=2,
+        iterations=1,
     )
     rate = result.events / result.wall_seconds
     assert result.completed
-    # The default engine is the array core; without the kernel it runs the
-    # reference loop, and the figure says which one it timed.
-    engine = "array" if kernel_available() else "reference"
     emit(
         out_dir,
         "sim_speed_message_level",
-        f"message-level {engine} engine, N=544 @ λ=3e-4: {result.events} events, "
+        f"message-level reference engine, N=544 @ λ=3e-4: {result.events} events, "
         f"{result.wall_seconds:.2f}s -> {rate:,.0f} events/s",
-        payload={"engine": engine, "events": result.events, "events_per_second": rate},
+        payload={"events": result.events, "events_per_second": rate},
     )
 
 
@@ -51,6 +52,8 @@ def test_array_engine_speedup(benchmark, sessions, out_dir):
     loop and the recorded speedup is honestly ~1x.
     """
     from dataclasses import replace
+
+    from repro.simulation import kernel_available
 
     session = sessions.get(paper_system_544(), MessageSpec(32, 256.0))
     window = MeasurementWindow(500, 5000, 500)

@@ -26,11 +26,15 @@ arrays:
 
 The hot loop itself lives in ``_eventcore.c``, compiled on demand with
 the system C compiler and loaded through :mod:`ctypes` — no third-party
-dependency, no CPython API.  When the kernel cannot be built or loaded
-(no compiler, a compile or load error, an ABI mismatch, or
-``REPRO_SIM_KERNEL=0``), ``engine="array"`` runs the reference loop and
-says so with a :class:`RuntimeWarning` naming the reason, so results
-never depend on the toolchain.
+dependency, no CPython API.  The compiled library is cached in a
+directory private to the user (``$TMPDIR/repro-eventcore-<uid>``, or
+``REPRO_EVENTCORE_CACHE``), and a cache directory or library that another
+user owns or can write is refused rather than loaded.  When the kernel
+cannot be built or loaded (no compiler, a compile or load error, an ABI
+mismatch, an untrusted cache, or ``REPRO_SIM_KERNEL=0``),
+``engine="array"`` runs the reference loop and says so with a
+:class:`RuntimeWarning` naming the reason, so results never depend on the
+toolchain.
 
 Bit-identical-trajectory contract
 ---------------------------------
@@ -51,6 +55,7 @@ import heapq
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
@@ -167,12 +172,37 @@ class _StateStruct(ctypes.Structure):
     ]
 
 
+def _require_private(path: Path, is_kind, kind: str) -> None:
+    """Refuse ``path`` unless it is a ``kind`` (not a symlink) that this
+    user owns and that neither its group nor other users can write.
+
+    The loaded library runs in this process, and the default cache path
+    under the shared temporary directory is predictable, so a directory
+    or kernel file another user could have planted is never trusted.
+    """
+    info = os.lstat(path)
+    if not is_kind(info.st_mode):
+        raise _KernelUnavailable(f"the kernel cache {path} is not a {kind}")
+    if hasattr(os, "getuid") and info.st_uid != os.getuid():
+        raise _KernelUnavailable(
+            f"the kernel cache {path} is owned by uid {info.st_uid}, not this user"
+        )
+    if info.st_mode & (stat.S_IWGRP | stat.S_IWOTH):
+        raise _KernelUnavailable(f"the kernel cache {path} is writable by its group or others")
+
+
 def _cache_dir() -> Path:
+    """The private (mode 0o700) directory of compiled kernels, checked by
+    :func:`_require_private`."""
     override = os.environ.get("REPRO_EVENTCORE_CACHE")
-    if override:
-        return Path(override)
     uid = os.getuid() if hasattr(os, "getuid") else 0
-    return Path(tempfile.gettempdir()) / f"repro-eventcore-{uid}"
+    path = Path(override) if override else Path(tempfile.gettempdir()) / f"repro-eventcore-{uid}"
+    try:
+        path.mkdir(mode=0o700, parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _KernelUnavailable(f"cannot create the kernel cache {path}: {exc}") from exc
+    _require_private(path, stat.S_ISDIR, "directory")
+    return path
 
 
 def _build_kernel() -> ctypes.CDLL:
@@ -191,17 +221,19 @@ def _build_kernel() -> ctypes.CDLL:
         source + " ".join(_KERNEL_FLAGS).encode() + sys.platform.encode()
     ).hexdigest()[:16]
     so_path = _cache_dir() / f"_eventcore-{tag}.so"
-    if not so_path.exists():
+    if so_path.exists():
+        _require_private(so_path, stat.S_ISREG, "regular file")
+    else:
         cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
         if cc is None:
             raise _KernelUnavailable("no C compiler (cc, gcc or clang) on PATH")
         try:
-            so_path.parent.mkdir(parents=True, exist_ok=True)
             tmp = so_path.with_suffix(f".{os.getpid()}.tmp")
             subprocess.run(
                 [cc, *_KERNEL_FLAGS, str(_C_SOURCE), "-o", str(tmp)],
                 check=True, capture_output=True, timeout=120,
             )
+            os.chmod(tmp, 0o755)  # whatever the umask, the next load's check passes
             os.replace(tmp, so_path)
         except (OSError, subprocess.SubprocessError) as exc:
             raise _KernelUnavailable(f"compiling the kernel with {cc} failed: {exc}") from exc

@@ -192,8 +192,8 @@ class TestExperimentLayer:
         assert len(array_runs) == len(DEFAULT_FRACTIONS)
 
 
-#: A default validate in a fresh interpreter whose kernel is switched off.
-KERNEL_OFF = """
+#: A default validate in a fresh interpreter whose kernel is unavailable.
+DEFAULT_VALIDATE = """
 import json
 from repro.experiments import Experiment
 
@@ -202,18 +202,38 @@ print(json.dumps(result.data["columns"]))
 """
 
 
-def test_kernel_off_default_falls_back_with_one_warning():
-    env = dict(os.environ, REPRO_SIM_KERNEL="0")
+@pytest.fixture(scope="module")
+def reference_columns():
+    return Experiment("544").validate(messages=300, points=3, engine="reference").data["columns"]
+
+
+def assert_falls_back_with_one_warning(env_updates, reason, reference_columns):
+    env = dict(os.environ, **env_updates)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", KERNEL_OFF], capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, "-c", DEFAULT_VALIDATE], capture_output=True, text=True, env=env,
+        timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    warning = (
-        "RuntimeWarning: engine='array' is running the reference loop: "
-        "REPRO_SIM_KERNEL=0 turns the kernel off"
-    )
+    warning = f"RuntimeWarning: engine='array' is running the reference loop: {reason}"
     lines = [line for line in proc.stderr.splitlines() if "RuntimeWarning" in line]
     assert len(lines) == 1 and warning in lines[0], proc.stderr
-    reference = Experiment("544").validate(messages=300, points=3, engine="reference")
-    assert json.loads(proc.stdout) == reference.data["columns"]
+    assert json.loads(proc.stdout) == reference_columns
+
+
+def test_kernel_off_default_falls_back_with_one_warning(reference_columns):
+    assert_falls_back_with_one_warning(
+        {"REPRO_SIM_KERNEL": "0"}, "REPRO_SIM_KERNEL=0 turns the kernel off", reference_columns
+    )
+
+
+def test_world_writable_kernel_cache_falls_back_with_one_warning(tmp_path, reference_columns):
+    cache = tmp_path / "kernels"
+    cache.mkdir()
+    cache.chmod(0o777)
+    assert_falls_back_with_one_warning(
+        {"REPRO_EVENTCORE_CACHE": str(cache)},
+        f"the kernel cache {cache} is writable by its group or others",
+        reference_columns,
+    )
+    assert list(cache.iterdir()) == []

@@ -16,6 +16,8 @@ unseeded draws anywhere in the suite).
 """
 
 import gc
+import os
+import stat
 import weakref
 from dataclasses import replace
 from functools import lru_cache
@@ -173,13 +175,14 @@ class TestDifferentialTrajectories:
 class TestSessionAndConfigPlumbing:
     def test_session_results_identical_modulo_wall(self, small_system, small_message):
         session = SimulationSession(small_system, small_message)
-        ref = session.run(1e-3, seed=3, window=WINDOW)
+        ref = session.run(1e-3, seed=3, window=WINDOW, engine="reference")
         arr = session.run(1e-3, seed=3, window=WINDOW, engine="array")
         assert replace(ref, wall_seconds=0.0) == replace(arr, wall_seconds=0.0)
 
-    def test_replayable_draws_path_identical(self, small_system, small_message):
-        # Session runs replay cached draw arrays; a fresh session re-draws.
-        # Both routes, under both engines, must agree draw for draw.
+    def test_rerun_on_one_session_identical_under_each_engine(self, small_system, small_message):
+        # A rerun on one session reuses its fabric and event-core tables
+        # but draws afresh from the seed's streams: under each engine it
+        # must reproduce the first run, and the engines must agree.
         results = []
         for engine in ENGINES:
             session = SimulationSession(small_system, small_message)
@@ -305,6 +308,59 @@ class TestFallbackPath:
     def test_kill_switch_is_named_as_the_reason(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_KERNEL", "0")
         with pytest.raises(eventcore._KernelUnavailable, match="REPRO_SIM_KERNEL=0"):
+            eventcore._build_kernel()
+
+
+class TestKernelCacheTrust:
+    """The default cache path is predictable, so a cache directory or
+    library that another user owns or can write may hold a planted
+    library: it is refused, never compiled into or loaded."""
+
+    def test_world_writable_cache_is_refused(self, monkeypatch, tmp_path):
+        cache = tmp_path / "kernels"
+        cache.mkdir()
+        cache.chmod(0o777)
+        monkeypatch.setenv("REPRO_EVENTCORE_CACHE", str(cache))
+        with pytest.raises(eventcore._KernelUnavailable, match="writable by its group or others"):
+            eventcore._build_kernel()
+        assert list(cache.iterdir()) == []
+
+    def test_foreign_owned_cache_is_refused(self, monkeypatch, tmp_path):
+        cache = tmp_path / "kernels"
+        cache.mkdir(mode=0o700)
+        owner = cache.stat().st_uid
+        monkeypatch.setenv("REPRO_EVENTCORE_CACHE", str(cache))
+        monkeypatch.setattr(eventcore.os, "getuid", lambda: owner + 1)
+        with pytest.raises(eventcore._KernelUnavailable, match=f"owned by uid {owner}"):
+            eventcore._build_kernel()
+        assert list(cache.iterdir()) == []
+
+    def test_symlinked_cache_is_refused(self, monkeypatch, tmp_path):
+        target = tmp_path / "elsewhere"
+        target.mkdir(mode=0o700)
+        cache = tmp_path / "kernels"
+        cache.symlink_to(target)
+        monkeypatch.setenv("REPRO_EVENTCORE_CACHE", str(cache))
+        with pytest.raises(eventcore._KernelUnavailable, match="is not a directory"):
+            eventcore._build_kernel()
+
+    @needs_kernel
+    def test_writable_library_is_refused(self, monkeypatch, tmp_path):
+        cache = tmp_path / "kernels"
+        monkeypatch.setenv("REPRO_EVENTCORE_CACHE", str(cache))
+        # A group-writable umask must not leave the fresh cache, or the
+        # library compiled into it, failing the next load's check.
+        previous = os.umask(0o002)
+        try:
+            eventcore._build_kernel()
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(cache.stat().st_mode) == 0o700
+        (library,) = cache.glob("_eventcore-*.so")
+        assert not library.stat().st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+        eventcore._build_kernel()  # the cached library passes the check
+        library.chmod(0o666)
+        with pytest.raises(eventcore._KernelUnavailable, match="writable by its group or others"):
             eventcore._build_kernel()
 
     def test_kernel_unavailable_raises_in_array_run(self, monkeypatch, small_fabric):
