@@ -65,7 +65,7 @@ from repro.core.stacked import StackedModel
 from repro.exec import RunPolicy, run_supervised
 from repro.exec.study import Study
 from repro.experiments.experiment import ExperimentResult
-from repro.io.cache import ResultCache, canonical_numbers, content_key
+from repro.io.cache import ResultCache, spec_key
 from repro.io.schemas import CALIBRATION_SCHEMA, SIM_CURVE_SCHEMA
 from repro.scenarios.grid import as_axis, format_axis_value
 from repro.scenarios.registry import get_scenario
@@ -184,37 +184,28 @@ def option_combinations(*, axes=None, fixed: "dict | None" = None):
 def sim_curve_key(spec: ScenarioSpec, loads, seeds, window, granularity: str) -> str:
     """Content key of one scenario's simulator curve in the on-disk cache.
 
-    Hashes everything the simulated trajectories depend on and nothing
-    they don't: the serialised spec minus its derived ``name``/
-    ``description`` and minus the model-only ``load_grid``/
-    ``latency_budget`` sections, the exact loads and per-point seeds, the
+    One :func:`~repro.io.cache.spec_key` call hashing everything the
+    simulated trajectories depend on and nothing they don't: the
+    serialised spec minus its derived ``name``/``description`` and minus
+    the model-only ``load_grid``/``latency_budget`` sections (integers in
+    it folded to floats), the exact loads and per-point seeds, the
     measurement window, the engine granularity and
     :data:`repro.simulation.runner.TRAJECTORY_VERSION`.  The spec's full
     ``options`` block is included even though only ``tcn_convention``
     reaches the fabric — deliberate over-keying that can only cost extra
     simulations, never return a wrong curve.
     """
-    payload = spec.to_dict()
-    payload.pop("name", None)
-    payload.pop("description", None)
-    payload.pop("load_grid", None)
-    payload.pop("latency_budget", None)
     from repro.simulation.runner import TRAJECTORY_VERSION
 
-    return content_key(
-        {
-            "schema": SIM_CURVE_SCHEMA,
-            "trajectory_version": TRAJECTORY_VERSION,
-            "spec": canonical_numbers(payload),
-            "granularity": granularity,
-            "window": {
-                "warmup": window.warmup,
-                "measured": window.measured,
-                "drain": window.drain,
-            },
-            "loads": [float(lam) for lam in loads],
-            "seeds": [int(s) for s in seeds],
-        }
+    return spec_key(
+        spec,
+        drop=("load_grid", "latency_budget"),
+        schema=SIM_CURVE_SCHEMA,
+        trajectory_version=TRAJECTORY_VERSION,
+        granularity=granularity,
+        window={"warmup": window.warmup, "measured": window.measured, "drain": window.drain},
+        loads=[float(lam) for lam in loads],
+        seeds=[int(s) for s in seeds],
     )
 
 

@@ -66,7 +66,7 @@ from repro.core.stacked import StackedModel
 from repro.exec import RunPolicy, run_supervised  # run_supervised: patched by perfbench/tracer.py
 from repro.exec.study import Study
 from repro.experiments.experiment import ExperimentResult
-from repro.io.cache import ResultCache, canonical_numbers, content_key
+from repro.io.cache import ResultCache, spec_key
 from repro.io.schemas import EXPLORE_CELL_SCHEMA
 from repro.scenarios.grid import DesignGrid, format_axis_value
 from repro.scenarios.spec import ScenarioSpec
@@ -89,26 +89,20 @@ _METRIC_COLUMNS = (
 def cell_cache_key(spec: ScenarioSpec, knee_threshold_factor: float) -> str:
     """Content key of one cell's metrics in the on-disk cache.
 
-    Hashes everything the metrics depend on — and nothing they don't: the
-    serialised spec minus its derived ``name``/``description`` and minus
-    the ``load_grid`` policy (which only shapes sweep grids, never these
-    metrics), plus the knee threshold and the engine version.  Numeric
-    leaves are canonicalised (int → float) first.  The same design
-    reached through different grids, grid policies or value spellings
-    therefore shares one entry.
+    One :func:`~repro.io.cache.spec_key` call: the serialised spec minus
+    its derived ``name``/``description`` and minus the ``load_grid``
+    policy (which only shapes sweep grids, never these metrics), with
+    every integer in it (Python or numpy) folded to a float, plus the
+    knee threshold and the engine version.  The same design reached
+    through different grids, grid policies or value spellings therefore
+    shares one entry.
     """
-    payload = spec.to_dict()
-    payload.pop("name", None)
-    payload.pop("description", None)
-    payload.pop("load_grid", None)
-    payload = canonical_numbers(payload)
-    return content_key(
-        {
-            "schema": EXPLORE_CELL_SCHEMA,
-            "engine_version": ENGINE_VERSION,
-            "knee_threshold_factor": float(knee_threshold_factor),
-            "spec": payload,
-        }
+    return spec_key(
+        spec,
+        drop=("load_grid",),
+        schema=EXPLORE_CELL_SCHEMA,
+        engine_version=ENGINE_VERSION,
+        knee_threshold_factor=float(knee_threshold_factor),
     )
 
 

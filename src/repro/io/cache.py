@@ -6,9 +6,14 @@ load-independent model decomposition plus the closed-form saturation
 inversion per cell — is a pure function of the cell's spec.  This module
 memoises such results on disk:
 
-* :func:`content_key` — SHA-256 over the canonical JSON of an arbitrary
-  payload tree (``sort_keys`` + the library's non-finite float tagging),
-  so a key is stable across processes, worker counts and dict ordering;
+* :func:`spec_key` — the one rule by which a study's spec becomes a
+  cache key: the spec serialised once, minus its derived
+  ``name``/``description`` and the caller's model-irrelevant sections,
+  with every integer in it (Python or numpy) folded to the equal float,
+  hashed beside the caller's own fields;
+* :func:`content_key` — SHA-256 over the canonical JSON text of a
+  JSON-shaped payload (``sort_keys``, no whitespace), so a key is stable
+  across processes, worker counts and dict ordering;
 * :class:`ResultCache` — a two-level directory of ``<key>.json`` files
   under one root, with atomic durable writes (temp file + ``fsync`` +
   ``os.replace``) so neither a concurrent reader nor a post-crash resume
@@ -26,49 +31,77 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 from pathlib import Path
 
+import numpy as np
+
 from repro._util import require
 from repro.io.results import load_json, to_jsonable
 
-__all__ = ["ResultCache", "canonical_numbers", "content_key"]
-
-
-def canonical_numbers(value):
-    """Replace non-bool ints with equal floats throughout a payload tree.
-
-    Spec values arrive as ``500`` from CLI coercion but ``500.0`` from the
-    Python API or a config file; both build the identical model/simulation
-    (the math is float throughout), so a cache key must not distinguish
-    them.  Spec ints are small (ports, depths, flit counts) — far below
-    float64's integer-exact range — so the conversion never collides two
-    values.
-    """
-    if isinstance(value, dict):
-        return {k: canonical_numbers(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [canonical_numbers(v) for v in value]
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return float(value)
-    return value
+__all__ = ["ResultCache", "content_key", "spec_key"]
 
 
 def content_key(payload) -> str:
-    """SHA-256 hex digest of *payload*'s canonical JSON form.
+    """SHA-256 hex digest of *payload*'s canonical JSON text.
 
-    The payload goes through :func:`~repro.io.results.to_jsonable` first,
-    so dataclasses, numpy scalars and non-finite floats hash the same way
-    they serialise — two payloads share a key iff they would save as the
-    same JSON document.
+    *payload* must be JSON-shaped: dicts with string keys, lists,
+    strings, numbers, bools and ``None``, with non-finite floats already
+    tagged as :func:`~repro.io.results.to_jsonable` tags them
+    (:func:`spec_key` hands it such a payload).  Two payloads share a key
+    iff they would save as the same JSON document.
     """
     canonical = json.dumps(
-        to_jsonable(payload), sort_keys=True, separators=(",", ":"), ensure_ascii=True
+        payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True, allow_nan=False
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _fold(value):
+    """*value* as JSON data with every non-bool integer folded to a float.
+
+    One pass over a serialised spec.  Plain dicts, lists, strings and
+    numbers dispatch on their exact type; other leaves serialise as
+    :func:`~repro.io.results.to_jsonable` writes them (non-finite floats
+    tagged, numpy scalars unwrapped).
+    """
+    kind = type(value)
+    if kind is float:
+        return value if math.isfinite(value) else to_jsonable(value)
+    if kind is int:
+        return float(value)
+    if kind is str or kind is bool or value is None:
+        return value
+    if isinstance(value, dict):
+        return {str(k): _fold(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_fold(v) for v in value]
+    if isinstance(value, (int, np.integer)):
+        return float(value)
+    return to_jsonable(value)
+
+
+def spec_key(spec, drop: "tuple[str, ...]" = (), **fields) -> str:
+    """Content key of *spec*'s model-relevant sections plus *fields*.
+
+    Serialises *spec* (a :class:`~repro.scenarios.ScenarioSpec`) once,
+    drops its derived ``name``/``description`` and the *drop* sections,
+    and folds every integer inside it, Python or numpy, to the equal
+    float.  Spec values arrive as ``500`` from CLI coercion,
+    ``np.int64(500)`` from an ``np.arange`` axis and ``500.0`` from the
+    Python API or a config file; all build the identical model and
+    simulation (the math is float throughout), so they share one key.
+    Spec ints are small (ports, depths, flit counts), far below float64's
+    integer-exact range, so folding never collides two values.  *fields*
+    are hashed beside the spec as :func:`~repro.io.results.to_jsonable`
+    writes them, unfolded, so an integer window or seed stays an integer.
+    """
+    payload = spec.to_dict()
+    for section in ("name", "description", *drop):
+        payload.pop(section, None)
+    return content_key({**to_jsonable(fields), "spec": _fold(payload)})
 
 
 class ResultCache:

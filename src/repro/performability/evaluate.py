@@ -47,6 +47,7 @@ cache key and are evaluated once.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from functools import partial
 from typing import Sequence
@@ -60,7 +61,7 @@ from repro.core.stacked import StackedModel
 from repro.exec import RunPolicy
 from repro.exec.study import Study
 from repro.experiments.experiment import ExperimentResult
-from repro.io.cache import ResultCache, canonical_numbers, content_key
+from repro.io.cache import ResultCache, spec_key
 from repro.io.schemas import PERFORMABILITY_STATE_SCHEMA
 from repro.performability.degrade import DegradedState, expand_states, resolve_populations
 from repro.performability.spec import FailureScenario
@@ -76,25 +77,21 @@ _STATE_METRICS = ("saturation_load", "binding_resource", "zero_load_latency", "l
 def state_cache_key(degraded_spec: ScenarioSpec, loads: "tuple[float, ...]") -> str:
     """Content key of one degraded state's metrics in the on-disk cache.
 
-    Mirrors :func:`repro.experiments.explore.cell_cache_key`: hash the
-    serialised degraded spec minus its derived ``name``/``description``
-    and its ``load_grid`` policy (the *materialised* loads are hashed
-    instead, since the latency curve depends on them), plus the engine
-    version.  Numeric leaves are canonicalised first, so states reached
-    through differently-spelled specs share an entry — as do distinct
-    availability states that degrade to the same system.
+    One :func:`~repro.io.cache.spec_key` call, as for
+    :func:`repro.experiments.explore.cell_cache_key`: the serialised
+    degraded spec minus its derived ``name``/``description`` and its
+    ``load_grid`` policy (the *materialised* loads are hashed instead,
+    since the latency curve depends on them), plus the engine version.
+    Integers in the spec (Python or numpy) fold to floats, so states
+    reached through differently-spelled specs share an entry, as do
+    distinct availability states that degrade to the same system.
     """
-    payload = degraded_spec.to_dict()
-    payload.pop("name", None)
-    payload.pop("description", None)
-    payload.pop("load_grid", None)
-    return content_key(
-        {
-            "schema": PERFORMABILITY_STATE_SCHEMA,
-            "engine_version": ENGINE_VERSION,
-            "loads": [float(v) for v in loads],
-            "spec": canonical_numbers(payload),
-        }
+    return spec_key(
+        degraded_spec,
+        drop=("load_grid",),
+        schema=PERFORMABILITY_STATE_SCHEMA,
+        engine_version=ENGINE_VERSION,
+        loads=[float(v) for v in loads],
     )
 
 
@@ -238,10 +235,7 @@ def performability_analysis(
     engine = BatchedModel(spec.system, spec.message, spec.options, spec.pattern)
     loads = [float(v) for v in spec.load_grid.grid(engine)]
 
-    degraded = [
-        ScenarioSpec.from_dict({**spec.to_dict(), "system": st.system.to_dict()})
-        for st in states
-    ]
+    degraded = [dataclasses.replace(spec, system=st.system) for st in states]
     keys = [state_cache_key(d, tuple(loads)) for d in degraded]
     study = Study(
         "performability", keys, cache=cache, resume=resume,

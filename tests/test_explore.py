@@ -443,15 +443,43 @@ class TestExploreGrid:
         assert cell_cache_key(spec, 4.0) == cell_cache_key(repointed, 4.0)
 
     def test_cache_key_canonicalises_int_vs_float_values(self, base_544):
-        """CLI coercion yields int 500 where the API writes 500.0; both
-        build the identical model and must share one cache entry."""
-        def first_spec(value):
-            return DesignGrid(
-                base=base_544, axes=(AxisSpec("system.icn2.bandwidth", (value,)),)
-            ).cells()[0].spec
+        """CLI coercion yields int 500 where the API writes 500.0, and an
+        ``np.arange`` axis yields ``np.int64``; all build the identical
+        model and must share one cache entry under every study's key."""
+        from repro.experiments.calibrate import sim_curve_key
+        from repro.performability import state_cache_key
+        from repro.simulation import MeasurementWindow
 
-        assert cell_cache_key(first_spec(500), 4.0) == cell_cache_key(first_spec(500.0), 4.0)
-        assert cell_cache_key(first_spec(500), 4) == cell_cache_key(first_spec(500.0), 4.0)
+        def first_spec(path, value):
+            return DesignGrid(base=base_544, axes=(AxisSpec(path, (value,)),)).cells()[0].spec
+
+        window = MeasurementWindow(warmup=30, measured=300, drain=30)
+        bandwidth = "system.icn2.bandwidth"
+        depth = "system.clusters.0.tree_depth"
+        for key in (
+            lambda spec: cell_cache_key(spec, 4.0),
+            lambda spec: state_cache_key(spec, (1e-4, 2e-4)),
+            lambda spec: sim_curve_key(spec, [1e-4], [1], window, "message"),
+        ):
+            assert key(first_spec(bandwidth, 500)) == key(first_spec(bandwidth, 500.0))
+            assert key(first_spec(depth, np.int64(4))) == key(first_spec(depth, 4))
+            assert key(first_spec(depth, np.int64(4))) != key(first_spec(depth, 3))
+        assert cell_cache_key(first_spec(bandwidth, 500), 4) == cell_cache_key(
+            first_spec(bandwidth, 500.0), 4.0
+        )
+
+    def test_numpy_int_axis_replays_from_a_saved_grid(self, base_544, tmp_path):
+        """A grid saved with ``np.arange`` values loads back as Python ints;
+        exploring it against the first run's cache evaluates nothing."""
+        grid = DesignGrid(
+            base=base_544, axes=(AxisSpec("system.clusters.0.tree_depth", tuple(np.arange(3, 5))),)
+        )
+        first = explore_grid(grid, cache=tmp_path / "cache")
+        assert first.data["evaluated"] == 2
+        grid.save(tmp_path / "grid.json")
+        replay = explore_grid(DesignGrid.load(tmp_path / "grid.json"), cache=tmp_path / "cache")
+        assert (replay.data["evaluated"], replay.data["cached"]) == (0, 2)
+        assert canonical(replay.data["columns"]) == canonical(first.data["columns"])
 
     def test_metrics_are_consistent(self, base_544):
         result = Experiment(base_544).explore(
