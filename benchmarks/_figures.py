@@ -34,14 +34,7 @@ def run_figure(figure: FigureScenario, sessions: SessionCache, out_dir, benchmar
     window = bench_window()
     for msg, grid in grids.items():
         label = f"{figure.system.name}, M={msg.length_flits}, Lm={msg.flit_bytes:g}"
-        curve = run_validation(
-            figure.system,
-            msg,
-            grid,
-            label=label,
-            window=window,
-            session=sessions.get(figure.system, msg),
-        )
+        curve = run_validation(sessions.get(figure.system, msg), grid, label=label, window=window)
         blocks.append(format_validation_curve(curve, figure=figure.figure))
         payload[label] = {
             "rows": curve.as_rows(),

@@ -24,9 +24,7 @@ def test_accuracy_lightload(benchmark, sessions: SessionCache, out_dir):
     def one_point():
         fig = figures[0]
         msg = fig.messages[0]
-        return light_load_error(
-            fig.system, msg, window=window, session=sessions.get(fig.system, msg)
-        )
+        return light_load_error(sessions.get(fig.system, msg), window=window)
 
     benchmark.pedantic(one_point, rounds=1, iterations=1)
 
@@ -34,9 +32,7 @@ def test_accuracy_lightload(benchmark, sessions: SessionCache, out_dir):
     errors = []
     for fig in figures:
         for msg in fig.messages:
-            point = light_load_error(
-                fig.system, msg, window=window, session=sessions.get(fig.system, msg)
-            )
+            point = light_load_error(sessions.get(fig.system, msg), window=window)
             rows.append(
                 [
                     fig.figure,

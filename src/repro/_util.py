@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Iterable
+from typing import TypeGuard
 
 
 def require(condition: bool, message: str) -> None:
@@ -20,15 +21,30 @@ def require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def is_real(value: object) -> TypeGuard[float]:
+    """True if *value* is a real number: any :class:`numbers.Real` but ``bool``.
+
+    The one rule for what a number is.  NumPy scalars (``np.int64``,
+    ``np.float64``) qualify, so values read off arrays and grids pass;
+    ``True`` does not, since it silently behaving as 1 hides configuration
+    mistakes (``np.bool_`` is not ``Real``).  Exact ``int`` and ``float``
+    take a fast path.
+    """
+    kind = type(value)
+    if kind is float or kind is int:
+        return True
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def require_positive(value: float, name: str) -> None:
     """Validate that *value* is a finite, strictly positive number."""
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+    if not (is_real(value) and math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
 def require_nonnegative(value: float, name: str) -> None:
     """Validate that *value* is a finite, non-negative number."""
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
+    if not (is_real(value) and math.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
 
 

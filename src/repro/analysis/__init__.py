@@ -10,7 +10,6 @@ from repro.analysis.accuracy import (
 )
 from repro.analysis.capacity import (
     CapacityPlan,
-    headroom_report,
     max_load_for_latency,
     required_upgrade_factor,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "CapacityPlan",
     "max_load_for_latency",
     "required_upgrade_factor",
-    "headroom_report",
     "AxisSensitivity",
     "axis_sensitivity",
     "bandwidth_cost_proxy",

@@ -25,9 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._util import require
 from repro.core.batch import BatchedModel
-from repro.core.parameters import MessageSpec, ModelOptions, SystemConfig
 from repro.simulation.runner import SimulationResult
 
 __all__ = ["ResourceUtilization", "BottleneckReport", "model_bottlenecks", "sim_bottlenecks"]
@@ -60,32 +58,13 @@ class BottleneckReport:
         return self.resources[:count]
 
 
-def model_bottlenecks(
-    system: SystemConfig,
-    message: MessageSpec,
-    load: float,
-    *,
-    options: ModelOptions | None = None,
-    engine: BatchedModel | None = None,
-) -> BottleneckReport:
+def model_bottlenecks(engine: BatchedModel, load: float) -> BottleneckReport:
     """Enumerate and rank every modelled queue/channel utilisation at *load*.
 
-    Pass an existing *engine* (built for the same system/message) to reuse
-    its packed cell and saturation cache instead of rebuilding them; leave
-    *options* as ``None`` to adopt the engine's own options, or pass them
-    explicitly to have the match checked.  An engine carrying a non-uniform
-    traffic pattern is accepted — the report then ranks the pattern-aware
-    utilisations.
+    The engine's system, message, options and traffic pattern are the
+    design ranked (a non-uniform pattern ranks the pattern-aware
+    utilisations), and its packed cell and saturation cache are reused.
     """
-    if engine is None:
-        engine = BatchedModel(system, message, options)
-    else:
-        require(
-            engine.system == system
-            and engine.message == message
-            and (options is None or engine.options == options),
-            "engine was built for a different system/message/options than the report requests",
-        )
     entries = engine.resource_utilizations(np.array([load], dtype=np.float64))
     resources = [
         ResourceUtilization(entry.resource, float(entry.utilization[0]), entry.kind)

@@ -6,9 +6,7 @@ Answers the questions a system designer actually asks of the paper's model
 * :func:`max_load_for_latency` — the largest per-node rate that keeps mean
   latency within a budget;
 * :func:`required_upgrade_factor` — how much one network role must be
-  scaled for the system to sustain a target load;
-* :func:`headroom_report` — utilisation headroom of every modelled
-  resource at the operating point.
+  scaled for the system to sustain a target load.
 
 All answers run on the vectorised engine through its one-cell view
 (:class:`repro.core.batch.BatchedModel`): each system variant is packed
@@ -26,12 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._util import require, require_positive
-from repro.analysis.bottleneck import BottleneckReport, model_bottlenecks
 from repro.analysis.whatif import scale_network
 from repro.core.batch import BatchedModel
 from repro.core.parameters import MessageSpec, ModelOptions, SystemConfig
 
-__all__ = ["CapacityPlan", "max_load_for_latency", "required_upgrade_factor", "headroom_report"]
+__all__ = ["CapacityPlan", "max_load_for_latency", "required_upgrade_factor"]
 
 
 @dataclass(frozen=True)
@@ -44,15 +41,8 @@ class CapacityPlan:
     detail: str
 
 
-def max_load_for_latency(
-    system: SystemConfig,
-    message: MessageSpec,
-    latency_budget: float,
-    *,
-    options: ModelOptions | None = None,
-    engine: BatchedModel | None = None,
-) -> CapacityPlan:
-    """Largest λ_g with mean latency ≤ *latency_budget* (batched grid refinement).
+def max_load_for_latency(engine: BatchedModel, latency_budget: float) -> CapacityPlan:
+    """Largest λ_g with mean latency ≤ *latency_budget* on *engine*'s design.
 
     The model's latency is strictly increasing in load, so the answer is
     unique; infeasible budgets (below the zero-load latency) are reported
@@ -60,23 +50,11 @@ def max_load_for_latency(
     :meth:`~repro.core.stacked.StackedModel.loads_at_budget`: budgets met
     at ``0.9999 λ*`` achieve that bound, the rest refine a vectorised
     load grid down to the cell containing the budget crossing (1e-4
-    relative width).
-
-    Pass an existing *engine* (built for the same system/message) to reuse
-    its packed cell and saturation cache instead of rebuilding them — this
-    is also the only way to plan capacity under a non-uniform traffic
-    pattern, since the pattern lives on the engine.
+    relative width).  The engine's system, message, options and traffic
+    pattern are the design planned, and its packed cell and saturation
+    cache are reused.
     """
     require_positive(latency_budget, "latency_budget")
-    if engine is None:
-        engine = BatchedModel(system, message, options)
-    else:
-        require(
-            engine.system == system
-            and engine.message == message
-            and (options is None or engine.options == options),
-            "engine was built for a different system/message/options than the plan requests",
-        )
     achieved = float(engine.stack.loads_at_budget(np.array([latency_budget]))[0])
     # Only a zero answer can be infeasible, so the floor (one more model
     # evaluation) is priced only then; a budget exactly at the floor stays
@@ -155,31 +133,3 @@ def required_upgrade_factor(
         feasible=True,
         detail=f"{role} bandwidth x{hi:.3f} reaches λ* = {knee(hi):.3e}",
     )
-
-
-def headroom_report(
-    system: SystemConfig,
-    message: MessageSpec,
-    operating_load: float,
-    *,
-    options: ModelOptions | None = None,
-    pattern=None,
-    engine: BatchedModel | None = None,
-) -> BottleneckReport:
-    """Ranked utilisations at the operating point (thin bottleneck wrapper).
-
-    A non-uniform *pattern* (see :mod:`repro.workloads.patterns`) ranks the
-    pattern-aware utilisations — without it a hotspot operating point would
-    silently be ranked as uniform traffic.  Pass an existing *engine* to
-    reuse its packed cell instead; its pattern must match when both are
-    given.
-    """
-    if engine is None:
-        if pattern is not None:
-            engine = BatchedModel(system, message, options, pattern)
-    else:
-        require(
-            pattern is None or engine.pattern == pattern,
-            "engine was built with a different traffic pattern than the report requests",
-        )
-    return model_bottlenecks(system, message, operating_load, options=options, engine=engine)

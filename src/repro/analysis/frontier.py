@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro._util import require
+from repro._util import is_real, require
 from repro.core.parameters import SystemConfig
 
 __all__ = [
@@ -173,7 +173,7 @@ def _metric(cell, name: str) -> float:
     metrics = cell["metrics"]
     require(name in metrics, f"unknown metric {name!r}; available: {sorted(metrics)}")
     value = metrics[name]
-    require(isinstance(value, (int, float)), f"metric {name!r} is not numeric: {value!r}")
+    require(is_real(value), f"metric {name!r} is not numeric: {value!r}")
     return float(value)
 
 

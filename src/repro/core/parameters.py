@@ -25,6 +25,7 @@ from functools import cached_property
 
 from repro._util import (
     integer_log,
+    is_real,
     reject_unknown_keys as _reject_unknown_keys,
     require,
     require_int,
@@ -44,14 +45,6 @@ __all__ = [
     "paper_system_544",
     "paper_message",
 ]
-
-
-#: Shared-instance memos for the frozen leaf deserialisers (value-keyed —
-#: the key records each field's type so ``500`` and ``500.0`` stay distinct
-#: through ``to_dict`` round-trips).  Bounded: cleared wholesale at the cap.
-_MEMO_CAP = 4096
-_NETWORK_MEMO: dict = {}
-_CLUSTER_MEMO: dict = {}
 
 
 def nodes_in_tree(switch_ports: int, tree_depth: int) -> int:
@@ -86,10 +79,12 @@ class NetworkCharacteristics:
 
     def __post_init__(self) -> None:
         require_positive(self.bandwidth, "bandwidth")
-        if not (math.isfinite(self.network_latency) and self.network_latency >= 0):
-            raise ValueError(f"network_latency must be >= 0, got {self.network_latency!r}")
-        if not (math.isfinite(self.switch_latency) and self.switch_latency >= 0):
-            raise ValueError(f"switch_latency must be >= 0, got {self.switch_latency!r}")
+        for label, value in (
+            ("network_latency", self.network_latency),
+            ("switch_latency", self.switch_latency),
+        ):
+            if not (is_real(value) and math.isfinite(value) and value >= 0):
+                raise ValueError(f"{label} must be >= 0, got {value!r}")
 
     @property
     def beta(self) -> float:
@@ -112,39 +107,19 @@ class NetworkCharacteristics:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NetworkCharacteristics":
-        """Rebuild from a :meth:`to_dict` mapping (unknown keys rejected).
-
-        Instances are frozen value objects, so identical mappings share one
-        instance via a small memo — design-grid expansion deserialises the
-        same handful of network sections tens of thousands of times.
-        """
+        """Rebuild from a :meth:`to_dict` mapping (unknown keys rejected)."""
         _reject_unknown_keys(
             data,
             ("bandwidth", "network_latency", "switch_latency", "name"),
             "network",
             required=("bandwidth", "network_latency", "switch_latency"),
         )
-        key = tuple(
-            (type(v), v)
-            for v in (
-                data["bandwidth"],
-                data["network_latency"],
-                data["switch_latency"],
-                data.get("name", "net"),
-            )
+        return cls(
+            bandwidth=data["bandwidth"],
+            network_latency=data["network_latency"],
+            switch_latency=data["switch_latency"],
+            name=data.get("name", "net"),
         )
-        inst = _NETWORK_MEMO.get(key)
-        if inst is None:
-            if len(_NETWORK_MEMO) >= _MEMO_CAP:
-                _NETWORK_MEMO.clear()
-            inst = cls(
-                bandwidth=data["bandwidth"],
-                network_latency=data["network_latency"],
-                switch_latency=data["switch_latency"],
-                name=data.get("name", "net"),
-            )
-            _NETWORK_MEMO[key] = inst
-        return inst
 
 
 #: Paper Table 2, "Net.1" (used for all ICN1 networks and for ICN2).
@@ -206,33 +181,20 @@ class ClusterSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClusterSpec":
-        """Rebuild from a :meth:`to_dict` mapping (unknown keys rejected).
-
-        Like :meth:`NetworkCharacteristics.from_dict`, identical mappings
-        share one frozen instance (a grid of N cells re-reads every
-        cluster section N times).
-        """
+        """Rebuild from a :meth:`to_dict` mapping (unknown keys rejected)."""
         _reject_unknown_keys(
             data,
             ("tree_depth", "icn1", "ecn1", "compute_power", "name"),
             "cluster",
             required=("tree_depth",),
         )
-        icn1 = NetworkCharacteristics.from_dict(data["icn1"]) if "icn1" in data else NET1
-        ecn1 = NetworkCharacteristics.from_dict(data["ecn1"]) if "ecn1" in data else NET2
-        depth = data["tree_depth"]
-        power = data.get("compute_power", 1.0)
-        name = data.get("name", "")
-        key = ((type(depth), depth), icn1, ecn1, (type(power), power), name)
-        inst = _CLUSTER_MEMO.get(key)
-        if inst is None:
-            if len(_CLUSTER_MEMO) >= _MEMO_CAP:
-                _CLUSTER_MEMO.clear()
-            inst = cls(
-                tree_depth=depth, icn1=icn1, ecn1=ecn1, compute_power=power, name=name
-            )
-            _CLUSTER_MEMO[key] = inst
-        return inst
+        return cls(
+            tree_depth=data["tree_depth"],
+            icn1=NetworkCharacteristics.from_dict(data["icn1"]) if "icn1" in data else NET1,
+            ecn1=NetworkCharacteristics.from_dict(data["ecn1"]) if "ecn1" in data else NET2,
+            compute_power=data.get("compute_power", 1.0),
+            name=data.get("name", ""),
+        )
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro._util import reject_unknown_keys, require, require_int
+from repro._util import is_real, reject_unknown_keys, require, require_int
 from repro.io.schemas import FAULTS_SCHEMA
 
 __all__ = [
@@ -91,7 +91,7 @@ class FaultSpec:
         require_int(self.index, "fault index", minimum=0)
         require_int(self.attempt, "fault attempt", minimum=0)
         require(
-            isinstance(self.seconds, (int, float)) and self.seconds >= 0,
+            is_real(self.seconds) and self.seconds >= 0,
             f"fault seconds must be >= 0, got {self.seconds!r}",
         )
         require(isinstance(self.message, str), "fault message must be a string")

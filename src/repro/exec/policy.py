@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro._util import require
+from repro._util import is_real, require
 
 __all__ = ["RunPolicy"]
 
@@ -41,6 +41,6 @@ class RunPolicy:
             f"max_retries must be a non-negative int, got {self.max_retries!r}",
         )
         require(
-            self.timeout is None or (isinstance(self.timeout, (int, float)) and self.timeout > 0),
+            self.timeout is None or (is_real(self.timeout) and self.timeout > 0),
             f"timeout must be None or a positive number of seconds, got {self.timeout!r}",
         )

@@ -354,7 +354,9 @@ def calibrate_options(
                 )
             )
             slot_map.append((idx, i))
-    n_jobs = resolve_jobs(jobs)
+    # Report the workers that could run: the pool never exceeds the points
+    # to simulate, and a pure replay runs none (the explore/performability rule).
+    n_jobs = max(1, min(resolve_jobs(jobs), len(items)))
 
     point_results: dict = {idx: [None] * len(fractions) for idx in pending}
     remaining = {idx: len(fractions) for idx in pending}

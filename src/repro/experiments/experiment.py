@@ -1,11 +1,13 @@
 """One facade over every workflow: ``Experiment(spec)``.
 
-Before this module, each analysis entry point took a different ad-hoc
-signature (``sweep_load(engine, grid)``, ``max_load_for_latency(system,
-message, budget)``, ``run_validation(system, message, grid, ...)``, …).
+Each analysis entry point names its design once, by the handle it runs
+on: model queries take the engine they price (``sweep_load(engine,
+grid)``, ``max_load_for_latency(engine, budget)``,
+``model_bottlenecks(engine, load)``) and validation takes the session it
+simulates (``run_validation(session, grid, ...)``).
 :class:`Experiment` consumes one declarative
-:class:`~repro.scenarios.ScenarioSpec` and exposes each workflow as a
-method; all methods share a single cached
+:class:`~repro.scenarios.ScenarioSpec`, holds those two handles and
+exposes each workflow as a method; all methods share a single cached
 :class:`~repro.core.batch.BatchedModel` (one load-independent precompute
 per experiment) and return a uniform :class:`ExperimentResult` that
 serialises through :func:`repro.io.results.to_jsonable` with a stable
@@ -274,9 +276,7 @@ class Experiment:
         engine = self.engine
         lam_star = engine.saturation_load()
         per_resource = dict(sorted(engine.saturation_loads().items(), key=lambda kv: kv[1]))
-        binding = model_bottlenecks(
-            self.spec.system, self.spec.message, 0.9 * lam_star, engine=engine
-        ).binding
+        binding = model_bottlenecks(engine, 0.9 * lam_star).binding
         rows = [[name, f"{lam:.4e}"] for name, lam in list(per_resource.items())[:5]]
         table = render_table(
             ["resource", "λ* (ρ=1)"], rows, title="tightest per-resource saturation rates"
@@ -306,9 +306,7 @@ class Experiment:
                 f"scenario {self.spec.name!r} sets no latency_budget; pass one explicitly",
             )
         require_positive(budget, "budget")
-        plan = max_load_for_latency(
-            self.spec.system, self.spec.message, budget, engine=self.engine
-        )
+        plan = max_load_for_latency(self.engine, budget)
         status = "feasible" if plan.feasible else "INFEASIBLE"
         text = f"{status}: λ_max = {plan.achieved:.4e}\n{plan.detail}"
         data = {
@@ -328,9 +326,7 @@ class Experiment:
         """Ranked resource utilisations at *load* (default: 0.9 λ*)."""
         if load is None:
             load = 0.9 * self.engine.saturation_load()
-        report = model_bottlenecks(
-            self.spec.system, self.spec.message, load, engine=self.engine
-        )
+        report = model_bottlenecks(self.engine, load)
         rows = [[r.resource, r.kind, f"{r.utilization:.4f}"] for r in report.top(8)]
         table = render_table(
             ["resource", "kind", "ρ"], rows, title=f"utilisations at λ_g={load:.4e}"
@@ -577,14 +573,11 @@ class Experiment:
         n_jobs = min(resolve_jobs(jobs), len(grid))
         start = _time.perf_counter()
         curve = run_validation(
-            s.system,
-            s.message,
+            self.session(),
             grid,
             seed=seed,
             window=MeasurementWindow.scaled_paper(messages),
             granularity=granularity,
-            options=s.options,
-            session=self.session(),
             pattern=s.pattern,
             jobs=n_jobs,
             engine=engine,

@@ -57,7 +57,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro._util import require
+from repro._util import is_real, require
 from repro.analysis.capacity import max_load_for_latency  # patched by perfbench/tracer.py
 from repro.analysis.frontier import axis_sensitivity, bandwidth_cost_proxy, pareto_frontier_cells
 from repro.analysis.tables import render_table
@@ -204,7 +204,7 @@ def explore_grid(
     """
     require(isinstance(grid, DesignGrid), "grid must be a DesignGrid")
     require(
-        isinstance(knee_threshold_factor, (int, float)) and knee_threshold_factor > 1.0,
+        is_real(knee_threshold_factor) and knee_threshold_factor > 1.0,
         f"knee_threshold_factor must exceed 1, got {knee_threshold_factor!r}",
     )
     knee_threshold_factor = float(knee_threshold_factor)

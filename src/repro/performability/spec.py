@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
-from repro._util import reject_unknown_keys, require, require_int
+from repro._util import is_real, reject_unknown_keys, require, require_int
 from repro.io.results import from_jsonable, load_json, save_json, to_jsonable
 from repro.io.schemas import PERFORMABILITY_SCHEMA
 
@@ -46,8 +46,7 @@ _ROLES = ("icn1", "ecn1", "icn2")
 def _require_rate(value: Any, name: str) -> None:
     """Rates are finite and non-negative (0 = the mode never fires)."""
     require(
-        isinstance(value, (int, float)) and not isinstance(value, bool)
-        and value == value and float("-inf") < value < float("inf") and value >= 0,
+        is_real(value) and value == value and float("-inf") < value < float("inf") and value >= 0,
         f"{name} must be a finite non-negative number, got {value!r}",
     )
 
@@ -141,8 +140,7 @@ class FailureMode:
             require_int(self.cluster, "cluster", minimum=0)
         if self.kind == "ports":
             require(
-                isinstance(self.fraction, (int, float)) and not isinstance(self.fraction, bool)
-                and 0.0 < self.fraction < 1.0,
+                is_real(self.fraction) and 0.0 < self.fraction < 1.0,
                 f"ports failures need a fraction in (0, 1), got {self.fraction!r}",
             )
         else:

@@ -29,7 +29,7 @@ import itertools
 
 import numpy as np
 
-from repro._util import require, require_int
+from repro._util import is_real, require, require_int
 from repro.performability.spec import FailureScenario
 
 __all__ = [
@@ -52,11 +52,11 @@ def two_state_availability(mtbf: float, mttr: float) -> float:
     the independent cross-check for :func:`steady_state`.
     """
     require(
-        isinstance(mtbf, (int, float)) and not isinstance(mtbf, bool) and mtbf > 0,
+        is_real(mtbf) and mtbf > 0,
         f"mtbf must be a positive number, got {mtbf!r}",
     )
     require(
-        isinstance(mttr, (int, float)) and not isinstance(mttr, bool) and mttr > 0,
+        is_real(mttr) and mttr > 0,
         f"mttr must be a positive number, got {mttr!r}",
     )
     return mtbf / (mtbf + mttr)

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro._util import reject_unknown_keys, require, require_int
+from repro._util import is_real, reject_unknown_keys, require, require_int
 from repro.core.parameters import MessageSpec, ModelOptions, SystemConfig
 from repro.io.results import from_jsonable, load_json, save_json, to_jsonable
 from repro.io.schemas import SCENARIO_SCHEMA
@@ -54,8 +54,7 @@ class LoadGridPolicy:
     def __post_init__(self) -> None:
         require_int(self.points, "points", minimum=2)
         require(
-            isinstance(self.fraction_of_saturation, (int, float))
-            and 0.0 < self.fraction_of_saturation < 1.0,
+            is_real(self.fraction_of_saturation) and 0.0 < self.fraction_of_saturation < 1.0,
             f"fraction_of_saturation must be in (0, 1), got {self.fraction_of_saturation!r}",
         )
         require(isinstance(self.include_zero, bool), "include_zero must be a bool")
@@ -126,7 +125,7 @@ class ScenarioSpec:
         require(isinstance(self.options, ModelOptions), "options must be a ModelOptions")
         require(isinstance(self.load_grid, LoadGridPolicy), "load_grid must be a LoadGridPolicy")
         require(
-            isinstance(self.latency_budget, (int, float))
+            is_real(self.latency_budget)
             and not math.isnan(self.latency_budget)
             and self.latency_budget > 0,
             f"latency_budget must be positive (inf allowed), got {self.latency_budget!r}",

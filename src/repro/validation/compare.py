@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._util import require
-from repro.core.parameters import MessageSpec, ModelOptions, SystemConfig
 from repro.core.stacked import StackedModel
 from repro.simulation.metrics import MeasurementWindow
 from repro.simulation.parallel import resolve_jobs, run_work_items
@@ -88,25 +87,25 @@ class ValidationCurve:
 
 
 def run_validation(
-    system: SystemConfig,
-    message: MessageSpec,
+    session: SimulationSession,
     loads,
     *,
     label: str = "",
     seed: int = 0,
     window: MeasurementWindow | None = None,
     granularity: str = "message",
-    options: ModelOptions | None = None,
-    session: SimulationSession | None = None,
     pattern=None,
     jobs: "int | str | None" = None,
     engine: str | None = None,
 ) -> ValidationCurve:
     """Evaluate model and simulator at every load in *loads*.
 
-    A non-uniform *pattern* (see :mod:`repro.workloads.patterns`) drives
-    both sides of the comparison: the model's destination weighting and the
-    simulator's destination sampling.
+    The *session*'s system, message and options are the design compared:
+    the simulator runs on its cached fabric and the model prices the same
+    three values.  A non-uniform *pattern* (see
+    :mod:`repro.workloads.patterns`) drives both sides of the comparison:
+    the model's destination weighting and the simulator's destination
+    sampling.
 
     ``jobs`` fans the per-point simulations across a process pool
     (``0``/``"auto"`` = one worker per CPU).  Point ``i`` keeps its
@@ -115,19 +114,11 @@ def run_validation(
     for any worker count.  *engine* names the message-level event engine
     (``"reference"``/``"array"``, see :mod:`repro.simulation.eventcore`);
     left as ``None`` a message-level curve runs the compiled array core.
-    Both produce the identical curve.  A *session* must simulate the
-    system, message and options the model prices.
+    Both produce the identical curve.
     """
     loads = np.asarray(loads, dtype=np.float64)
     require(loads.ndim == 1 and loads.size > 0, "loads must be a non-empty 1-D sequence")
-    options = options or ModelOptions()
-    if session is not None:
-        require(
-            session.system_config == system
-            and session.message == message
-            and session.options == options,
-            "session was built for a different system/message/options than the validation requests",
-        )
+    system, message, options = session.system_config, session.message, session.options
     window = window or MeasurementWindow.scaled_paper(20_000)
     configs = [
         SimulationConfig(
@@ -144,7 +135,6 @@ def run_validation(
         for idx, lam in enumerate(loads)
     ]
     model_latencies = StackedModel([(system, message, options, pattern)]).evaluate_latencies(loads)[0]
-    session = session or SimulationSession(system, message, options=options)
     sim_results = run_work_items(configs, jobs=resolve_jobs(jobs), session=session)
     points = [
         ValidationPoint(
@@ -160,29 +150,19 @@ def run_validation(
 
 
 def light_load_error(
-    system: SystemConfig,
-    message: MessageSpec,
+    session: SimulationSession,
     *,
     load_fraction: float = 0.2,
     seed: int = 0,
     window: MeasurementWindow | None = None,
-    options: ModelOptions | None = None,
-    session: SimulationSession | None = None,
 ) -> ValidationPoint:
-    """Model-vs-sim error at a light load (*fraction* of saturation).
+    """Model-vs-sim error at a light load (*fraction* of saturation) on
+    the *session*'s design.
 
     The paper's headline accuracy claim is stated in this regime.
     """
     require(0.0 < load_fraction < 1.0, "load_fraction must be in (0, 1)")
-    lam = load_fraction * float(StackedModel([(system, message, options, None)]).saturation_load()[0])
-    curve = run_validation(
-        system,
-        message,
-        [lam],
-        label="light-load",
-        seed=seed,
-        window=window,
-        options=options,
-        session=session,
-    )
+    model = StackedModel([(session.system_config, session.message, session.options, None)])
+    lam = load_fraction * float(model.saturation_load()[0])
+    curve = run_validation(session, [lam], label="light-load", seed=seed, window=window)
     return curve.points[0]

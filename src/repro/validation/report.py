@@ -91,14 +91,7 @@ def reproduction_report(
                 if key not in sessions:
                     sessions[key] = SimulationSession(figure.system, message)
                 curve = run_validation(
-                    figure.system,
-                    message,
-                    grid,
-                    label=label,
-                    seed=seed,
-                    window=window,
-                    session=sessions[key],
-                    jobs=jobs,
+                    sessions[key], grid, label=label, seed=seed, window=window, jobs=jobs
                 )
                 blocks.append(format_validation_curve(curve, figure=figure.figure))
                 light_errors.append(abs(curve.points[0].relative_error))
@@ -125,7 +118,7 @@ def reproduction_report(
         message = MessageSpec(32, 256.0)
         engine = engines.get((system, message)) or BatchedModel(system, message)
         lam_star = engine.saturation_load()
-        report = model_bottlenecks(system, message, 0.5 * lam_star, engine=engine)
+        report = model_bottlenecks(engine, 0.5 * lam_star)
         audit_rows.append([system.name, f"{lam_star:.3e}", report.binding.resource, report.binding.kind])
     sections.append(
         render_table(

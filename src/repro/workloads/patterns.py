@@ -23,7 +23,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro._util import reject_unknown_keys, require, require_int
+from repro._util import is_real, reject_unknown_keys, require, require_int
 from repro.cluster.system import HeterogeneousSystem
 from repro.core.parameters import SystemConfig
 
@@ -165,7 +165,7 @@ class LocalityTraffic(RegisteredPattern):
 
     def __init__(self, locality: float) -> None:
         require(
-            isinstance(locality, (int, float)) and 0.0 <= locality <= 1.0,
+            is_real(locality) and 0.0 <= locality <= 1.0,
             f"locality must be in [0, 1], got {locality!r}",
         )
         self.locality = float(locality)
@@ -213,7 +213,7 @@ class HotspotTraffic(RegisteredPattern):
 
     def __init__(self, hot_cluster: int, hot_fraction: float) -> None:
         require(
-            isinstance(hot_fraction, (int, float)) and 0.0 <= hot_fraction <= 1.0,
+            is_real(hot_fraction) and 0.0 <= hot_fraction <= 1.0,
             f"hot_fraction must be in [0, 1], got {hot_fraction!r}",
         )
         require_int(hot_cluster, "hot_cluster", minimum=0)

@@ -13,7 +13,7 @@ from repro.analysis import (
     scale_network,
     sim_bottlenecks,
 )
-from repro.core import MessageSpec, paper_system_544, paper_system_1120
+from repro.core import BatchedModel, MessageSpec, paper_system_544, paper_system_1120
 from repro.simulation import MeasurementWindow
 
 MSG = MessageSpec(32, 256.0)
@@ -23,25 +23,26 @@ class TestModelBottlenecks:
     def test_concentrator_binds_paper_systems(self):
         """Paper §4: the ICN2 path (concentrator) is the bottleneck."""
         for system in (paper_system_1120(), paper_system_544()):
-            report = model_bottlenecks(system, MSG, 3e-4)
+            report = model_bottlenecks(BatchedModel(system, MSG), 3e-4)
             assert report.binding.kind == "concentrator"
 
     def test_biggest_cluster_binds(self):
-        report = model_bottlenecks(paper_system_1120(), MSG, 3e-4)
+        report = model_bottlenecks(BatchedModel(paper_system_1120(), MSG), 3e-4)
         assert "c28" in report.binding.resource  # the 128-node class
 
     def test_utilizations_scale_linearly(self):
-        low = model_bottlenecks(paper_system_544(), MSG, 1e-4)
-        high = model_bottlenecks(paper_system_544(), MSG, 2e-4)
+        engine = BatchedModel(paper_system_544(), MSG)
+        low = model_bottlenecks(engine, 1e-4)
+        high = model_bottlenecks(engine, 2e-4)
         assert high.binding.utilization == pytest.approx(2 * low.binding.utilization, rel=1e-6)
 
     def test_top_is_sorted(self):
-        report = model_bottlenecks(paper_system_544(), MSG, 2e-4)
+        report = model_bottlenecks(BatchedModel(paper_system_544(), MSG), 2e-4)
         tops = report.top(8)
         assert all(a.utilization >= b.utilization for a, b in zip(tops, tops[1:]))
 
     def test_saturation_load_attached(self):
-        report = model_bottlenecks(paper_system_544(), MSG, 2e-4)
+        report = model_bottlenecks(BatchedModel(paper_system_544(), MSG), 2e-4)
         assert report.saturation_load == pytest.approx(1.04e-3, rel=0.05)
 
 

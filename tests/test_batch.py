@@ -305,43 +305,29 @@ class TestBottleneckEngineReuse:
 
         system = paper_system_544()
         engine = BatchedModel(system, MSG)
-        report = model_bottlenecks(system, MSG, 2e-4, engine=engine)
-        fresh = model_bottlenecks(system, MSG, 2e-4)
+        saturation = engine.saturation_load()
+        report = model_bottlenecks(engine, 2e-4)
+        fresh = model_bottlenecks(BatchedModel(system, MSG), 2e-4)
         assert report.binding == fresh.binding
-        assert report.saturation_load == fresh.saturation_load
+        assert report.resources == fresh.resources
+        assert report.saturation_load == fresh.saturation_load == saturation
 
-    def test_mismatched_engine_rejected(self):
-        from repro.analysis import model_bottlenecks
-
-        engine = BatchedModel(paper_system_1120(), MSG)
-        with pytest.raises(ValueError, match="different system"):
-            model_bottlenecks(paper_system_544(), MSG, 2e-4, engine=engine)
-
-    def test_mismatched_options_rejected(self):
-        """Regression: an engine built with different ModelOptions used to be
-        accepted silently, reporting utilisations for the wrong convention."""
+    def test_report_reads_the_engine_options(self):
+        """The engine is the one handle on the design: a report on an
+        engine built with other ModelOptions ranks that convention's
+        utilisations, with nothing to pass twice."""
         from repro.analysis import model_bottlenecks
 
         system = paper_system_544()
-        engine = BatchedModel(system, MSG)  # default options
-        with pytest.raises(ValueError, match="different system/message/options"):
-            model_bottlenecks(
-                system, MSG, 2e-4,
-                options=ModelOptions(source_queue_rate="per_node"),
-                engine=engine,
-            )
-
-    def test_engine_options_adopted_when_unspecified(self):
-        """options=None with an engine adopts the engine's own options
-        instead of demanding a redundant re-pass."""
-        from repro.analysis import model_bottlenecks
-
-        system = paper_system_544()
-        opts = ModelOptions(concentrator_rate="source_outgoing")
+        opts = ModelOptions(source_queue_rate="per_node")
         engine = BatchedModel(system, MSG, opts)
-        report = model_bottlenecks(system, MSG, 2e-4, engine=engine)
-        fresh = model_bottlenecks(system, MSG, 2e-4, options=opts)
-        assert report.binding == fresh.binding
+        report = model_bottlenecks(engine, 2e-4)
+        reference = {
+            r.resource: float(r.utilization[0]) for r in engine.resource_utilizations([2e-4])
+        }
+        assert {r.resource: r.utilization for r in report.resources} == reference
+        default = model_bottlenecks(BatchedModel(system, MSG), 2e-4)
+        assert report.resources != default.resources
 
 
 class TestRefineMonotoneCrossing:
@@ -375,6 +361,6 @@ class TestRefineMonotoneCrossing:
 
         system = paper_system_544()
         zero = AnalyticalModel(system, MSG).zero_load_latency()
-        plan = max_load_for_latency(system, MSG, zero)
+        plan = max_load_for_latency(BatchedModel(system, MSG), zero)
         assert plan.feasible
         assert plan.achieved == pytest.approx(0.0, abs=1e-12)

@@ -215,6 +215,17 @@ class TestParallelAndCache:
             tiny_result.data["combinations"]
         )
 
+    def test_reported_jobs_are_the_workers_that_could_run(self, sim_cache, tiny_result, tmp_path):
+        """Explore's rule: ``max(1, min(jobs, points to simulate))``."""
+        one_point = calibrate_options(
+            [tiny_spec()], axes=TINY_AXES, fractions=(0.2,), jobs=4,
+            cache=ResultCache(tmp_path / "cache"), **TINY_KW,
+        )
+        assert (one_point.data["simulated_points"], one_point.data["jobs"]) == (1, 1)
+        replay = calibrate_options([tiny_spec()], axes=TINY_AXES, cache=sim_cache, jobs=8, **TINY_KW)
+        assert (replay.data["simulated_points"], replay.data["jobs"]) == (0, 1)
+        assert "(1 of 1 curves from cache, jobs=1)" in replay.text
+
     def test_restricting_the_space_reuses_the_curve(self, sim_cache, tiny_result):
         # The curve key is independent of the combination space.
         narrower = calibrate_options(

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.analysis import (
-    headroom_report,
-    max_load_for_latency,
-    model_bottlenecks,
-    required_upgrade_factor,
-)
+from repro.analysis import max_load_for_latency, model_bottlenecks, required_upgrade_factor
 from repro.core import (
     AnalyticalModel,
     BatchedModel,
@@ -24,7 +19,7 @@ class TestMaxLoadForLatency:
     def test_budget_is_met_and_tight(self, paper_544):
         model = AnalyticalModel(paper_544, MSG)
         budget = 1.5 * model.zero_load_latency()
-        plan = max_load_for_latency(paper_544, MSG, budget)
+        plan = max_load_for_latency(BatchedModel(paper_544, MSG), budget)
         assert plan.feasible
         achieved_latency = model.evaluate(plan.achieved).latency
         assert achieved_latency <= budget
@@ -34,12 +29,12 @@ class TestMaxLoadForLatency:
 
     def test_infeasible_budget(self, paper_544):
         model = AnalyticalModel(paper_544, MSG)
-        plan = max_load_for_latency(paper_544, MSG, 0.5 * model.zero_load_latency())
+        plan = max_load_for_latency(BatchedModel(paper_544, MSG), 0.5 * model.zero_load_latency())
         assert not plan.feasible
         assert plan.achieved == 0.0
 
     def test_generous_budget_approaches_saturation(self, paper_544):
-        plan = max_load_for_latency(paper_544, MSG, 1e9)
+        plan = max_load_for_latency(BatchedModel(paper_544, MSG), 1e9)
         lam_star = find_saturation_load(AnalyticalModel(paper_544, MSG))
         assert plan.feasible
         assert plan.achieved == pytest.approx(lam_star, rel=1e-3)
@@ -47,13 +42,14 @@ class TestMaxLoadForLatency:
     def test_monotone_in_budget(self, paper_544):
         model = AnalyticalModel(paper_544, MSG)
         zero = model.zero_load_latency()
-        small = max_load_for_latency(paper_544, MSG, 1.2 * zero).achieved
-        large = max_load_for_latency(paper_544, MSG, 2.0 * zero).achieved
+        engine = BatchedModel(paper_544, MSG)
+        small = max_load_for_latency(engine, 1.2 * zero).achieved
+        large = max_load_for_latency(engine, 2.0 * zero).achieved
         assert large > small
 
     def test_rejects_nonpositive_budget(self, paper_544):
         with pytest.raises(ValueError):
-            max_load_for_latency(paper_544, MSG, 0.0)
+            max_load_for_latency(BatchedModel(paper_544, MSG), 0.0)
 
     @pytest.mark.parametrize(
         "budget,feasible,detail",
@@ -64,7 +60,7 @@ class TestMaxLoadForLatency:
         ],
     )
     def test_detail_text_per_branch(self, paper_544, budget, feasible, detail):
-        plan = max_load_for_latency(paper_544, MSG, budget)
+        plan = max_load_for_latency(BatchedModel(paper_544, MSG), budget)
         assert (plan.feasible, plan.detail) == (feasible, detail)
 
 
@@ -142,36 +138,25 @@ class TestUpgradeKneeCaching:
         assert f"x{plan.achieved:.3f}" in plan.detail
 
 
-class TestHeadroom:
-    def test_headroom_is_bottleneck_report(self, paper_544):
-        report = headroom_report(paper_544, MSG, 2e-4)
-        assert report.binding.kind == "concentrator"
-        assert report.load == 2e-4
+class TestEnginePattern:
+    """The engine carries the traffic pattern, so the queries price the
+    pattern they were given the engine for."""
 
-    def test_headroom_forwards_pattern(self, paper_544):
+    PATTERN = HotspotTraffic(hot_cluster=15, hot_fraction=0.3)
+
+    def test_bottlenecks_rank_the_engine_pattern(self, paper_544):
         """Regression: a hotspot operating point must not rank as uniform."""
-        pattern = HotspotTraffic(hot_cluster=15, hot_fraction=0.3)
-        hotspot = headroom_report(paper_544, MSG, 2e-4, pattern=pattern)
-        direct = model_bottlenecks(
-            paper_544, MSG, 2e-4, engine=BatchedModel(paper_544, MSG, None, pattern)
-        )
-        assert hotspot.binding == direct.binding
-        assert hotspot.resources == direct.resources
-        uniform = headroom_report(paper_544, MSG, 2e-4)
+        hotspot = model_bottlenecks(BatchedModel(paper_544, MSG, None, self.PATTERN), 2e-4)
+        uniform = model_bottlenecks(BatchedModel(paper_544, MSG), 2e-4)
         assert hotspot.resources != uniform.resources
+        assert hotspot.binding.kind == uniform.binding.kind == "concentrator"
+        assert hotspot.load == 2e-4
 
-    def test_headroom_forwards_engine(self, paper_544):
-        pattern = HotspotTraffic(hot_cluster=15, hot_fraction=0.3)
-        engine = BatchedModel(paper_544, MSG, None, pattern)
-        via_engine = headroom_report(paper_544, MSG, 2e-4, engine=engine)
-        via_pattern = headroom_report(paper_544, MSG, 2e-4, pattern=pattern)
-        assert via_engine.resources == via_pattern.resources
-
-    def test_headroom_rejects_mismatched_engine_pattern(self, paper_544):
-        engine = BatchedModel(paper_544, MSG)  # uniform traffic
-        with pytest.raises(ValueError, match="different traffic pattern"):
-            headroom_report(
-                paper_544, MSG, 2e-4,
-                pattern=HotspotTraffic(hot_cluster=15, hot_fraction=0.3),
-                engine=engine,
-            )
+    def test_capacity_plans_the_engine_pattern(self, paper_544):
+        engine = BatchedModel(paper_544, MSG, None, self.PATTERN)
+        budget = 1.5 * engine.zero_load_latency()
+        plan = max_load_for_latency(engine, budget)
+        assert plan.feasible
+        assert plan.achieved == float(engine.stack.loads_at_budget([budget])[0])
+        assert engine.evaluate(plan.achieved).latency <= budget
+        assert plan.achieved != max_load_for_latency(BatchedModel(paper_544, MSG), budget).achieved

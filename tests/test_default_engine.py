@@ -126,12 +126,11 @@ class TestFlitGranularity:
 
 
 class TestValidationLayer:
-    def test_run_validation(self, small_system, small_message, small_session, array_runs):
-        kwargs = dict(seed=7, window=WINDOW, session=small_session)
-        curve = run_validation(small_system, small_message, [5e-4, LOAD], **kwargs)
+    def test_run_validation(self, small_session, array_runs):
+        curve = run_validation(small_session, [5e-4, LOAD], seed=7, window=WINDOW)
         assert len(array_runs) == 2
         reference = run_validation(
-            small_system, small_message, [5e-4, LOAD], engine="reference", **kwargs
+            small_session, [5e-4, LOAD], seed=7, window=WINDOW, engine="reference"
         )
         assert len(array_runs) == 2
         assert curve.points == reference.points
@@ -139,8 +138,8 @@ class TestValidationLayer:
             no_wall(r) for r in reference.sim_results
         ]
 
-    def test_light_load_error(self, small_system, small_message, small_session, array_runs):
-        point = light_load_error(small_system, small_message, window=WINDOW, session=small_session)
+    def test_light_load_error(self, small_session, array_runs):
+        point = light_load_error(small_session, window=WINDOW)
         assert len(array_runs) == 1
         assert point.sim_completed
 

@@ -468,6 +468,32 @@ class TestExploreGrid:
             first_spec(bandwidth, 500.0), 4.0
         )
 
+    def test_numpy_arange_bandwidth_axis_matches_the_float_grid(self, base_544):
+        """An ``np.arange`` bandwidth axis yields ``np.int64`` values; they are
+        real numbers, so the grid expands to the float grid's designs and
+        shares its cache keys and metrics."""
+        path = "system.icn2.bandwidth"
+        as_arange = DesignGrid(base=base_544, axes=(AxisSpec(path, tuple(np.arange(500, 701, 100))),))
+        as_float = DesignGrid(base=base_544, axes=(AxisSpec(path, (500.0, 600.0, 700.0)),))
+        assert isinstance(as_arange.cells()[0].spec.system.icn2.bandwidth, np.int64)
+        assert [cell_cache_key(c.spec, 4.0) for c in as_arange.cells()] == [
+            cell_cache_key(c.spec, 4.0) for c in as_float.cells()
+        ]
+        metrics = [
+            canonical([cell["metrics"] for cell in explore_grid(grid).data["cells"]])
+            for grid in (as_arange, as_float)
+        ]
+        assert metrics[0] == metrics[1]
+
+    def test_numpy_knee_threshold_factor(self, base_544):
+        grid = small_grid(base_544)
+        numpy_factor = explore_grid(grid, knee_threshold_factor=np.int64(4))
+        assert canonical(numpy_factor.data["columns"]) == canonical(
+            explore_grid(grid, knee_threshold_factor=4.0).data["columns"]
+        )
+        with pytest.raises(ValueError, match="knee_threshold_factor"):
+            explore_grid(grid, knee_threshold_factor=True)
+
     def test_numpy_int_axis_replays_from_a_saved_grid(self, base_544, tmp_path):
         """A grid saved with ``np.arange`` values loads back as Python ints;
         exploring it against the first run's cache evaluates nothing."""

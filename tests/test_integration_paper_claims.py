@@ -9,6 +9,7 @@ import pytest
 from repro.analysis import icn2_bandwidth_study, model_bottlenecks
 from repro.core import (
     AnalyticalModel,
+    BatchedModel,
     MessageSpec,
     find_saturation_load,
     paper_system_544,
@@ -74,7 +75,7 @@ class TestBottleneckClaim:
         bottlenecks of the system'."""
         for system in (paper_system_1120(), paper_system_544()):
             for m_flits in (32, 64):
-                report = model_bottlenecks(system, MessageSpec(m_flits, 256.0), 1e-4)
+                report = model_bottlenecks(BatchedModel(system, MessageSpec(m_flits, 256.0)), 1e-4)
                 assert report.binding.kind == "concentrator"
 
 

@@ -123,17 +123,11 @@ class TestReporting:
         assert "Net.1" in text and "Net.2" in text
         assert "500" in text and "250" in text
 
-    def test_format_validation_curve(self, small_system, small_message, small_session):
+    def test_format_validation_curve(self, small_session):
         from repro.simulation import MeasurementWindow
         from repro.validation import run_validation
 
-        curve = run_validation(
-            small_system,
-            small_message,
-            [1e-4],
-            window=MeasurementWindow(20, 200, 20),
-            session=small_session,
-        )
+        curve = run_validation(small_session, [1e-4], window=MeasurementWindow(20, 200, 20))
         text = format_validation_curve(curve, figure="Fig.X")
         assert "Fig.X" in text
         assert "model" in text and "simulation" in text

@@ -196,27 +196,21 @@ class TestParallelReplication:
 
 
 class TestParallelValidation:
-    def test_jobs_do_not_change_the_curve(self, small_system, small_message, small_session):
+    def test_jobs_do_not_change_the_curve(self, small_session):
         loads = [5e-4, 1e-3, 2e-3]
-        serial = run_validation(
-            small_system, small_message, loads, window=WINDOW, session=small_session
-        )
-        pooled = run_validation(small_system, small_message, loads, window=WINDOW, jobs=2)
+        serial = run_validation(small_session, loads, window=WINDOW)
+        pooled = run_validation(small_session, loads, window=WINDOW, jobs=2)
         assert [p.sim_latency for p in pooled.points] == [p.sim_latency for p in serial.points]
         assert [p.model_latency for p in pooled.points] == [
             p.model_latency for p in serial.points
         ]
 
-    def test_throughput_aggregates(self, small_system, small_message, small_session):
-        curve = run_validation(
-            small_system, small_message, [5e-4, 1e-3], window=WINDOW, session=small_session
-        )
+    def test_throughput_aggregates(self, small_session):
+        curve = run_validation(small_session, [5e-4, 1e-3], window=WINDOW)
         assert curve.sim_events == sum(r.events for r in curve.sim_results)
         assert curve.sim_wall_seconds == max(r.wall_seconds for r in curve.sim_results)
 
-    def test_config_error_is_rejected_before_any_pool(
-        self, small_system, small_message, small_session, monkeypatch
-    ):
+    def test_config_error_is_rejected_before_any_pool(self, small_session, monkeypatch):
         from repro.simulation import parallel
 
         calls = []
@@ -229,11 +223,9 @@ class TestParallelValidation:
         monkeypatch.setattr(parallel, "run_supervised", counting)
         with pytest.raises(ValueError, match="message-granularity only"):
             run_validation(
-                small_system,
-                small_message,
+                small_session,
                 [5e-4, 1e-3],
                 window=WINDOW,
-                session=small_session,
                 granularity="flit",
                 engine="array",
                 jobs=2,

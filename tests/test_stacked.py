@@ -193,13 +193,7 @@ class TestRegistryEquivalence:
                 assert np.isnan(achieved[idx]), name
             else:
                 assert model_budget(engines[idx], float(budgets[idx])) == achieved[idx], name
-                plan = max_load_for_latency(
-                    spec.system,
-                    spec.message,
-                    float(budgets[idx]),
-                    options=spec.options,
-                    engine=engines[idx],
-                )
+                plan = max_load_for_latency(engines[idx], float(budgets[idx]))
                 assert plan.achieved == achieved[idx], name
 
 

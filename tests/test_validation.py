@@ -1,11 +1,9 @@
 """Validation harness tests (validation.compare, validation.scenarios)."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from repro.core import AnalyticalModel, MessageSpec, ModelOptions, auto_load_grid, find_saturation_load
+from repro.core import AnalyticalModel, ModelOptions, auto_load_grid, find_saturation_load
 from repro.simulation import MeasurementWindow, SimulationSession
 from repro.validation import (
     all_latency_figures,
@@ -64,72 +62,47 @@ class TestScenarios:
 class TestRunValidation:
     def test_curve_structure(self, small_system, small_message, small_session):
         grid = default_load_grid(small_system, small_message, points=3, fraction=0.5)
-        curve = run_validation(
-            small_system,
-            small_message,
-            grid,
-            window=MeasurementWindow(100, 1000, 100),
-            session=small_session,
-        )
+        curve = run_validation(small_session, grid, window=MeasurementWindow(100, 1000, 100))
         assert len(curve.points) == 3
         for point in curve.points:
             assert point.sim_completed
             assert np.isfinite(point.relative_error)
 
-    def test_rows_shape(self, small_system, small_message, small_session):
-        curve = run_validation(
-            small_system,
-            small_message,
-            [1e-4],
-            window=MeasurementWindow(50, 500, 50),
-            session=small_session,
-        )
+    def test_rows_shape(self, small_session):
+        curve = run_validation(small_session, [1e-4], window=MeasurementWindow(50, 500, 50))
         ((load, model, sim, err),) = curve.as_rows()
         assert load == pytest.approx(1e-4)
         assert err == pytest.approx((model - sim) / sim)
 
-    def test_max_abs_error(self, small_system, small_message, small_session):
-        curve = run_validation(
-            small_system,
-            small_message,
-            [1e-4, 5e-4],
-            window=MeasurementWindow(50, 500, 50),
-            session=small_session,
-        )
+    def test_max_abs_error(self, small_session):
+        curve = run_validation(small_session, [1e-4, 5e-4], window=MeasurementWindow(50, 500, 50))
         assert curve.max_abs_error() >= abs(curve.points[0].relative_error)
 
-    def test_rejects_empty_loads(self, small_system, small_message):
+    def test_rejects_empty_loads(self, small_session):
         with pytest.raises(ValueError):
-            run_validation(small_system, small_message, [])
+            run_validation(small_session, [])
 
-    def test_rejects_a_session_for_another_scenario(
-        self, small_system, small_message, hetero_session
-    ):
-        with pytest.raises(ValueError, match="different system/message/options"):
-            run_validation(small_system, small_message, [1e-4], session=hetero_session)
-        longer = SimulationSession(small_system, MessageSpec(length_flits=32, flit_bytes=256.0))
-        with pytest.raises(ValueError, match="different system/message/options"):
-            run_validation(small_system, small_message, [1e-4], session=longer)
+    def test_label_defaults_to_the_session_system(self, hetero_session, tiny_hetero_system):
+        curve = run_validation(hetero_session, [1e-4], window=MeasurementWindow(20, 200, 20))
+        assert curve.label == tiny_hetero_system.name
+        labelled = run_validation(
+            hetero_session, [1e-4], label="mine", window=MeasurementWindow(20, 200, 20)
+        )
+        assert labelled.label == "mine"
 
-    def test_accepts_an_equal_session(self, small_system, small_message):
-        # The check compares by value: a session built from equal (not the
-        # same) specs simulates the curve the model prices.
-        window = MeasurementWindow(50, 400, 50)
-        system, message = replace(small_system), replace(small_message)
-        assert system is not small_system and message is not small_message
-        session = SimulationSession(system, message, options=ModelOptions())
-        shared = run_validation(small_system, small_message, [5e-4, 1e-3], window=window, session=session)
-        own = run_validation(small_system, small_message, [5e-4, 1e-3], window=window)
-        assert [pt.sim_latency for pt in shared.points] == [pt.sim_latency for pt in own.points]
-        assert [pt.model_latency for pt in shared.points] == [pt.model_latency for pt in own.points]
-
-    def test_rejects_a_session_with_other_options(self, small_system, small_message):
+    def test_both_columns_read_the_session_options(self, small_system, small_message):
+        """The session is the one handle on the design: its options set the
+        model column and the simulated points alike."""
         options = ModelOptions(tcn_convention="full_network_latency")
+        window = MeasurementWindow(20, 200, 20)
+        loads = [5e-4, 1e-3]
         session = SimulationSession(small_system, small_message, options=options)
-        with pytest.raises(ValueError, match="different system/message/options"):
-            run_validation(small_system, small_message, [1e-4], session=session)
-        with pytest.raises(ValueError, match="different system/message/options"):
-            run_validation(small_system, small_message, [1e-4], options=ModelOptions(), session=session)
+        curve = run_validation(session, loads, window=window)
+        model = AnalyticalModel(small_system, small_message, options)
+        assert [p.model_latency for p in curve.points] == [model.evaluate(lam).latency for lam in loads]
+        assert curve.points[0].model_latency != AnalyticalModel(small_system, small_message).evaluate(5e-4).latency
+        direct = [session.run(lam, seed=idx, window=window) for idx, lam in enumerate(loads)]
+        assert [p.sim_latency for p in curve.points] == [r.mean_latency for r in direct]
 
 
 class TestModelColumn:
@@ -147,42 +120,36 @@ class TestModelColumn:
         # Four loads up to 0.9·λ*, and one past saturation (infinite latency).
         grid = np.append(auto_load_grid(model, points=4, fraction_of_saturation=0.9), 1.2 * find_saturation_load(model))
         curve = run_validation(
-            system, small_message, grid, window=MeasurementWindow(20, 200, 20), pattern=pattern
+            SimulationSession(system, small_message), grid, window=MeasurementWindow(20, 200, 20), pattern=pattern
         )
         expected = [model.evaluate(float(lam)).latency for lam in grid]
         assert np.isinf(expected[-1])
         assert [point.model_latency for point in curve.points] == expected
 
-    def test_validation_never_calls_the_scalar_model(self, monkeypatch, small_system, small_message, small_session):
+    def test_validation_never_calls_the_scalar_model(self, monkeypatch, small_session):
         def refuse(model, load):
             raise AssertionError("scalar AnalyticalModel.evaluate on the product path")
 
         monkeypatch.setattr(AnalyticalModel, "evaluate", refuse)
         window = MeasurementWindow(20, 200, 20)
-        curve = run_validation(small_system, small_message, [1e-4, 5e-4], window=window, session=small_session)
-        point = light_load_error(small_system, small_message, window=window, session=small_session)
+        curve = run_validation(small_session, [1e-4, 5e-4], window=window)
+        point = light_load_error(small_session, window=window)
         assert all(np.isfinite(p.model_latency) for p in (*curve.points, point))
 
 
 class TestLightLoadError:
-    def test_small_system_error_reasonable(self, small_system, small_message, small_session):
+    def test_small_system_error_reasonable(self, small_session):
         """Model tracks the simulator at light load (paper: 4-8 % at scale)."""
-        point = light_load_error(
-            small_system,
-            small_message,
-            window=MeasurementWindow(200, 2000, 200),
-            session=small_session,
-        )
+        point = light_load_error(small_session, window=MeasurementWindow(200, 2000, 200))
         assert point.sim_completed
         assert abs(point.relative_error) < 0.20
 
     @pytest.mark.parametrize("options", [None, ModelOptions(tcn_convention="full_network_latency")])
     def test_light_load_is_a_fraction_of_saturation(self, small_system, small_message, options):
-        point = light_load_error(
-            small_system, small_message, load_fraction=0.3, window=MeasurementWindow(20, 200, 20), options=options
-        )
+        session = SimulationSession(small_system, small_message, options=options)
+        point = light_load_error(session, load_fraction=0.3, window=MeasurementWindow(20, 200, 20))
         assert point.load == 0.3 * find_saturation_load(AnalyticalModel(small_system, small_message, options))
 
-    def test_rejects_bad_fraction(self, small_system, small_message):
+    def test_rejects_bad_fraction(self, small_session):
         with pytest.raises(ValueError):
-            light_load_error(small_system, small_message, load_fraction=1.2)
+            light_load_error(small_session, load_fraction=1.2)
