@@ -42,7 +42,7 @@ __all__ = ["BatchedModel", "ENGINE_VERSION", "ResourceRates"]
 #: or the evaluation path that produces them (e.g. the cross-cell stacked
 #: engine in :mod:`repro.core.stacked`), so stale cached results can never
 #: be mistaken for fresh ones.
-ENGINE_VERSION = "batch/7"
+ENGINE_VERSION = "batch/8"
 
 
 @dataclass(frozen=True)

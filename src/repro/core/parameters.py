@@ -19,16 +19,15 @@ bandwidth 500 B/µs the time-unit is 1 µs).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 from repro._util import (
     integer_log,
-    is_real,
     reject_unknown_keys as _reject_unknown_keys,
     require,
     require_int,
+    require_nonnegative,
     require_positive,
 )
 
@@ -79,12 +78,8 @@ class NetworkCharacteristics:
 
     def __post_init__(self) -> None:
         require_positive(self.bandwidth, "bandwidth")
-        for label, value in (
-            ("network_latency", self.network_latency),
-            ("switch_latency", self.switch_latency),
-        ):
-            if not (is_real(value) and math.isfinite(value) and value >= 0):
-                raise ValueError(f"{label} must be >= 0, got {value!r}")
+        require_nonnegative(self.network_latency, "network_latency")
+        require_nonnegative(self.switch_latency, "switch_latency")
 
     @property
     def beta(self) -> float:

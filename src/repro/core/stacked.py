@@ -56,19 +56,22 @@ the stack.  The mechanisms:
   knee and budget searches) run per-cell brackets with per-cell
   round/termination state (:func:`_refine_rows`), so a cell's bracket
   never depends on when its neighbours converge.  Each round keeps the
-  cell of the row's 33-point grid that holds its first crossed load.  In
-  stacks of at least :data:`_PREDICT_MIN_ROWS` rows, after two full
-  rounds, a row evaluates only the loads around its predicted crossing,
-  and a predicted round counts only when it reads not crossed, then
-  crossed, at grid indices ``k − 1, k``: ``k`` is then the round's first
-  crossed index, so the round update is the full grid's.  That needs the
-  verdict to be weakly monotone in the load *in floating point*, and it
-  is: every step from load to verdict is a correctly rounded ``+``,
-  ``×`` or ``÷`` on non-negative operands that grow with the load — the
-  rates, linear in ``λ_g``; the Eq. 13/14 recursion; the Eq. 15 wait,
-  whose ``1 − ρ`` shrinks; the Eq. 36-38 concentrator terms — the
-  relaxing factor ``δ`` is a constant multiplier, every clamp goes to
-  ``inf``, and :func:`_linspace_rows` is non-decreasing in its index.
+  cell of the row's 33-point grid that holds its first crossed load.
+  After its first whole grid, a row predicts its crossing from scores in
+  which the paper's poles are linear and evaluates, besides its current
+  round (the whole grid, or in refinements of at least
+  :data:`_WINDOW_MIN_ROWS` rows a window), only the pair of loads around
+  the predicted crossing in each later round.  A predicted round counts
+  only when it reads not crossed, then crossed, at grid indices ``k − 1,
+  k``: ``k`` is then the round's first crossed index, so the round update
+  is the full grid's, and one probe call decides several rounds.  That
+  needs the verdict to be weakly monotone in the load *in floating
+  point*, and it is: every step from load to verdict is a correctly
+  rounded ``+``, ``×`` or ``÷`` on non-negative operands that grow with
+  the load — the rates, linear in ``λ_g``; the Eq. 13/14 recursion; the
+  Eq. 15 wait, whose ``1 − ρ`` shrinks; the Eq. 36-38 concentrator terms
+  — the relaxing factor ``δ`` is a constant multiplier, every clamp goes
+  to ``inf``, and :func:`_linspace_rows` is non-decreasing in its index.
   The scalar one-bracket loop the refinement replicates decision for
   decision is kept as a test oracle (``tests/test_stacked.py``), as is
   :func:`numpy.linspace`, whose internal ``step == 0`` branch
@@ -144,21 +147,17 @@ def _linspace_rows(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
     return _grid_points(start[:, None], stop[:, None], np.arange(num), num)
 
 
-#: Refinements of fewer rows than this plan every round in full.  A probe
-#: of a few rows costs mostly its call overhead (a one-cell latency probe
-#: costs about the same at 33 loads as at 2), so prediction would add its
-#: planning arithmetic and save nothing: without this cut, the perfbench
-#: ``model_queries`` workload (one-cell stacks) ran 4–5 % slower in each of
-#: two paired runs on a 2-core host.
-_PREDICT_MIN_ROWS = 16
+#: Refinements of at least this many rows open a predicted plan with a
+#: window of :data:`_WINDOW` grid indices around the estimate; smaller ones
+#: open it with the round's whole grid, which decides that round whatever
+#: the estimate, so their misses never cost a call.  A probe call of a few
+#: rows costs its call overhead at any width, while a large one pays per
+#: row-load: on a 2-core host a one-row latency evaluation of ``544`` took
+#: 2.4-3.7 ms at 1 load and at 33 alike, a 90-row one 2.5 ms at 1 load and
+#: 10.1 ms at 33.
+_WINDOW_MIN_ROWS = 16
 
-#: Rounds every row evaluates in full before it predicts.  After one round
-#: the estimate misses its window too often, and a missed window plans in
-#: full from then on: with one, the three searches of a 270-cell explore
-#: grid made 363 probe calls instead of 226 and took 1.5× as long.
-_FULL_ROUNDS = 2
-
-#: Grid indices the first round of a predicted plan evaluates around the
+#: Grid indices the first round of a windowed plan evaluates around the
 #: estimate's cell; every later round evaluates its straddling pair.
 _WINDOW = 4
 
@@ -173,17 +172,25 @@ def _first_at_or_above(
     index is first estimated by division, then stepped until grid point
     ``first − 1`` is below *guess* and grid point ``first`` is not.
     Returns ``first`` and the grid points ``[first − 1, first]``, shaped
-    ``(2, rows)``.
+    ``(2, rows)`` — :func:`_grid_points`' arithmetic, inlined.
     """
     div = num - 1
-    first = np.ceil((guess - start) / (stop - start) * div)
-    first = np.minimum(np.maximum(first, 1.0), div).astype(np.int64)
+    delta = stop - start
+    step = delta / div
+    first = np.ceil((guess - start) / delta * div)
+    np.minimum(np.maximum(first, 1.0, out=first), div, out=first)
+    denormal = np.count_nonzero(step) < step.size
     while True:
-        cell = _grid_points(start, stop, np.stack((first - 1, first)), num)
+        index = np.stack((first - 1.0, first))
+        cell = index * step
+        if denormal:
+            cell = np.where(step == 0.0, (index / div) * delta, cell)
+        cell += start
+        np.copyto(cell[1], stop, where=first == div)
         down = cell[0] >= guess
         up = cell[1] < guess
         if not np.count_nonzero(down | up):
-            return first, cell
+            return first.astype(np.int64), cell
         first = first - down + (up & ~down)  # a row only ever steps one way
 
 
@@ -195,6 +202,7 @@ def _predicted_plan(
     *,
     rel_tol: float,
     points: int,
+    window: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The loads each row's next rounds evaluate if its condition first holds at *guess*.
 
@@ -203,27 +211,68 @@ def _predicted_plan(
     (``lo < guess <= hi``), until the update would stop the row: no
     progress, the relative width test, or *rounds_left* rounds.
     Returns ``(loads, start, length)``: per row, the loads to evaluate
-    (the first round's :data:`_WINDOW` grid points from index ``start``,
-    then each later round's pair at grid indices ``first − 1, first``)
-    and the number of rounds walked.  A row whose walk has ended keeps its
-    bracket, so its later columns hold valid loads that no round reads.
+    (the first round's *window* grid points from index ``start`` — the
+    whole grid when *window* is *points* — then each later round's pair
+    at grid indices ``first − 1, first``) and the number of rounds
+    walked.  A row whose walk has ended keeps its bracket, so its later
+    columns hold valid loads that no round reads.
     """
     first, cell = _first_at_or_above(lo, hi, guess, points)
-    start = np.minimum(np.maximum(first - _WINDOW // 2, 0), points - _WINDOW)
-    columns = [_grid_points(lo, hi, start + np.arange(_WINDOW)[:, None], points)]
+    start = np.minimum(np.maximum(first - window // 2, 0), points - window)
+    columns = [_grid_points(lo, hi, start + np.arange(window)[:, None], points)]
     lo, hi = lo.copy(), hi.copy()
     length = np.ones(lo.size, dtype=np.int64)
     walking = np.ones(lo.size, dtype=bool)
-    while True:
+    for walked in range(1, int(rounds_left.max()) + 1):
         walking &= (cell[0] > lo) | (cell[1] < hi)  # else no progress: the row stops
         np.copyto(lo, cell[0], where=walking)
         np.copyto(hi, cell[1], where=walking)
-        walking &= ~(hi - lo <= rel_tol * hi) & (length < rounds_left)
+        walking &= (hi - lo > rel_tol * hi) & (rounds_left > walked)
         if not np.count_nonzero(walking):
-            return np.concatenate(columns).T, start, length
+            break
         _, cell = _first_at_or_above(lo, hi, guess, points)
         columns.append(cell)
         length += walking
+    return np.concatenate(columns).T, start, length
+
+
+def _estimate(near: np.ndarray, score: np.ndarray) -> np.ndarray:
+    """Each row's estimate of its crossing from samples ``b2 <= b1 < a1 <= a2``.
+
+    *near* holds the loads as columns, *score* their scores.  The
+    estimate is the inverse quadratic interpolation of the score's zero
+    through ``b1``, ``a1`` and the nearer of ``b2`` and ``a2``; where that
+    falls outside ``(b1, a1]`` or the third sample is missing, it is
+    regula falsi between ``b1`` and ``a1``.  It is not finite where either
+    of those is missing.  With regula falsi alone, the 256-queue saturation
+    searches of ``544-hotspot`` and ``544-local`` took 7 probe calls
+    instead of 6, and the knee searches of seven registry scenarios 4
+    instead of 3.
+    """
+    b2, b1, a1, a2 = near.T
+    f_b2, f_b1, f_a1, f_a2 = score.T
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        from_below = b1 - b2 <= a2 - a1
+        x2 = np.where(from_below, b2, a2)
+        f2 = np.where(from_below, f_b2, f_a2)
+        d01, d02, d12 = f_b1 - f_a1, f_b1 - f2, f_a1 - f2
+        quadratic = (
+            b1 * f_a1 * f2 / (d01 * d02)
+            - a1 * f_b1 * f2 / (d01 * d12)
+            + x2 * f_b1 * f_a1 / (d02 * d12)
+        )
+        secant = b1 + (a1 - b1) * (f_b1 / d01)
+    return np.where((quadratic > b1) & (quadratic <= a1), quadratic, secant)
+
+
+class _Plan(NamedTuple):
+    """One probe call's loads for the rows whose plans open with the same window."""
+
+    rows: np.ndarray
+    window: int
+    loads: np.ndarray
+    start: np.ndarray
+    length: np.ndarray
 
 
 def _refine_rows(
@@ -242,55 +291,62 @@ def _refine_rows(
     and returns ``(crossed, score)``: the verdicts, and a score that falls
     through 0 where the condition flips, used only to predict the
     crossing.  The bracket invariant is ``not crossed(lo)`` and
-    ``crossed(hi)``.  Each round keeps the cell of the row's *points*-point
-    grid ``_linspace_rows(lo, hi, points)`` that holds its first ``True``,
-    shrinking the bracket by ``points - 1``.  A row stops when ``hi - lo
-    <= rel_tol * hi``, when its first probe is already crossed, when the
-    bracket stops making progress at float64 resolution, or after
-    *max_rounds* rounds (the relative test alone cannot terminate when
-    the crossing sits at ``lo == 0`` exactly, where the bracket can only
-    shrink toward a denormal ``hi``).
+    ``crossed(hi)``; a row whose first grid crosses nowhere, not even at
+    ``hi``, stops with ``lo = hi``.  Each round keeps the cell of the
+    row's *points*-point grid ``_linspace_rows(lo, hi, points)`` that holds
+    its first ``True``, shrinking the bracket by ``points - 1``.  A row
+    stops when ``hi - lo <= rel_tol * hi``, when its first probe is
+    already crossed, when the bracket stops making progress at float64
+    resolution, or after *max_rounds* rounds (the relative test alone
+    cannot terminate when the crossing sits at ``lo == 0`` exactly, where
+    the bracket can only shrink toward a denormal ``hi``).
 
     Every iteration makes one probe call, in which each live row evaluates
-    its own plan.  A row evaluates its whole grid in its first
-    :data:`_FULL_ROUNDS` rounds, while it has no estimate, from a missed
-    window on, and always in refinements of fewer than
-    :data:`_PREDICT_MIN_ROWS` rows.  Otherwise it predicts: it estimates
-    its crossing by regula falsi between its tightest sampled non-crossed
-    and crossed loads of finite score, and evaluates only the loads
-    around that estimate in each of its next rounds
-    (:func:`_predicted_plan`).  A predicted round counts only when it
-    reads ``False`` then ``True`` at grid indices ``first − 1, first``:
-    by monotonicity, ``first`` is then the round's first crossed index,
-    and the round update runs as for a whole grid.  The rounds after a
-    miss wait for the next iteration.  Rows drop out independently, so
-    each row's final ``(lo, hi)`` equals the one-row loop's bit for bit
-    (the scalar oracle in ``tests/test_stacked.py``).
+    its own plan (:func:`_predicted_plan`).  A row's first plan is its
+    whole first grid.  From then on it estimates its crossing from its
+    tightest sampled loads of finite score (:func:`_estimate`), and its
+    plan adds each later round's straddling pair around that estimate.
+    In a refinement of fewer than :data:`_WINDOW_MIN_ROWS` rows every plan
+    opens with the round's whole grid, which decides that round.  In a
+    larger one a plan opens with the :data:`_WINDOW` grid indices around
+    the estimate; a row whose window misses evaluates its whole grid
+    alone in its next call, then predicts again.  A window counts when
+    its first ``True`` follows a ``False`` (or sits at grid index 0), and
+    a later round when it reads ``False`` then ``True`` at grid indices
+    ``first − 1, first``: by monotonicity, ``first`` is then the round's
+    first crossed index, and the round update runs as for a whole grid.
+    Rows drop out independently, so each row's final ``(lo, hi)`` equals
+    the one-row loop's bit for bit (the scalar oracle in
+    ``tests/test_stacked.py``).
     """
     lo = np.array(lo, dtype=np.float64)
     hi = np.array(hi, dtype=np.float64)
     size = lo.size
     alive = np.ones(size, dtype=bool)
     rounds = np.zeros(size, dtype=np.int64)
-    predicting = size >= _PREDICT_MIN_ROWS
-    in_full = np.full(size, not predicting)  # rows that evaluate whole grids from now on
-    # Tightest sampled non-crossed (below) and crossed (above) loads of finite score.
-    below, below_score = np.full(size, -np.inf), np.full(size, np.nan)
-    above, above_score = np.full(size, np.inf), np.full(size, np.nan)
+    windowed = size >= _WINDOW_MIN_ROWS
+    whole = np.ones(size, dtype=bool)  # rows whose next plan opens with the whole grid
+    # Each row's two tightest distinct sampled loads of finite score on
+    # either side, b2 <= b1 (not crossed) < a1 <= a2 (crossed), and their scores.
+    near = np.tile([-np.inf, -np.inf, np.inf, np.inf], (size, 1))
+    near_score = np.full((size, 4), np.nan)
+    near_crossed = np.array([False, False, True, True])
 
     def observe(rows: np.ndarray, loads: np.ndarray, crossed: np.ndarray, score: np.ndarray) -> None:
         take = np.arange(rows.size)
-        finite = np.isfinite(score)
-        low = np.where(~crossed & finite, loads, -np.inf)
-        col = np.argmax(low, axis=1)
-        tighter = low[take, col] > below[rows]
-        below[rows[tighter]] = low[take, col][tighter]
-        below_score[rows[tighter]] = score[take, col][tighter]
-        high = np.where(crossed & finite, loads, np.inf)
-        col = np.argmin(high, axis=1)
-        tighter = high[take, col] < above[rows]
-        above[rows[tighter]] = high[take, col][tighter]
-        above_score[rows[tighter]] = score[take, col][tighter]
+        x = np.concatenate([near[rows], loads], axis=1)
+        f = np.concatenate([near_score[rows], score], axis=1)
+        c = np.concatenate([np.broadcast_to(near_crossed, (rows.size, 4)), crossed], axis=1)
+        finite = np.isfinite(f)
+        low = np.where(~c & finite, x, -np.inf)
+        high = np.where(c & finite, x, np.inf)
+        b1, a1 = np.argmax(low, axis=1), np.argmin(high, axis=1)
+        b1_load, a1_load = low[take, b1], high[take, a1]
+        low[low == b1_load[:, None]] = -np.inf
+        high[high == a1_load[:, None]] = np.inf
+        b2, a2 = np.argmax(low, axis=1), np.argmin(high, axis=1)
+        near[rows] = np.stack([low[take, b2], b1_load, a1_load, high[take, a2]], axis=1)
+        near_score[rows] = np.stack([f[take, b2], f[take, b1], f[take, a1], f[take, a2]], axis=1)
 
     def advance(rows: np.ndarray, new_lo: np.ndarray, new_hi: np.ndarray) -> None:
         # The round update for rows whose first crossed index is >= 1.
@@ -301,100 +357,114 @@ def _refine_rows(
         lo[rows[moved]] = new_lo[moved]
         hi[rows[moved]] = new_hi[moved]
 
-    while True:
-        alive &= ~(hi - lo <= rel_tol * hi) & (rounds < max_rounds)
-        rows = np.flatnonzero(alive)
-        if not rows.size:
-            break
-        spec = (rounds[rows] >= _FULL_ROUNDS) & ~in_full[rows]
-        if np.count_nonzero(spec):
-            ready = rows[spec]
-            with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-                guess = below[ready] + (above[ready] - below[ready]) * (
-                    below_score[ready] / (below_score[ready] - above_score[ready])
-                )
-            known = np.isfinite(guess)
-            spec[spec] = known
-            guess = guess[known]
-        full_rows, spec_rows = rows[~spec], rows[spec]
-        grid = _linspace_rows(lo[full_rows], hi[full_rows], points)
-        if spec_rows.size:
-            guess = np.minimum(np.maximum(guess, np.nextafter(lo[spec_rows], np.inf)), hi[spec_rows])
-            plan, start, length = _predicted_plan(
-                lo[spec_rows],
-                hi[spec_rows],
-                guess,
-                max_rounds - rounds[spec_rows],
-                rel_tol=rel_tol,
-                points=points,
-            )
-            # One rectangle as wide as the widest plan; a whole grid takes
-            # ceil(points / width) of its rows, padded with its last load.
-            width = plan.shape[1]
-            packed = np.empty((full_rows.size, -(-points // width) * width))
-            packed[:, :points] = grid
-            packed[:, points:] = grid[:, -1:]
-            crossed, score = probe(
-                np.concatenate([np.repeat(full_rows, packed.shape[1] // width), spec_rows]),
-                np.concatenate([packed.reshape(-1, width), plan]),
-            )
-            cut = packed.size // width
-            full_crossed = crossed[:cut].reshape(packed.shape)[:, :points]
-            full_score = score[:cut].reshape(packed.shape)[:, :points]
-            spec_crossed = crossed[cut:]
-            observe(spec_rows, plan, spec_crossed, score[cut:])
+    def decide(plan: _Plan, crossed: np.ndarray, score: np.ndarray) -> None:
+        rows, window, loads, start, length = plan
+        observe(rows, loads, crossed, score)
+        # The first round.  A whole grid's first True decides it; a window
+        # decides it when its first True follows a False (or sits at grid
+        # index 0), and otherwise missed.
+        head = crossed[:, :window]
+        hit = np.argmax(head, axis=1)
+        seen = head[np.arange(rows.size), hit]
+        if window == points:
+            never = rows[~seen]  # crossed nowhere up to hi
+            lo[never] = hi[never]
+            alive[never] = False
+            whole[rows] = not windowed
         else:
-            full_crossed, full_score = probe(full_rows, grid)
-        # Samples count from the round before a row's first prediction on.
-        watch = (rounds[full_rows] >= _FULL_ROUNDS - 1) & ~in_full[full_rows]
-        if np.count_nonzero(watch):
-            observe(full_rows[watch], grid[watch], full_crossed[watch], full_score[watch])
-
-        # Whole grids: the first True decides the round.
-        has = full_crossed.any(axis=1)
-        none_r = full_rows[~has]  # pragma: no cover - callers guarantee crossed(hi)
-        if none_r.size:  # pragma: no cover
-            rounds[none_r] += 1
-            lo[none_r] = hi[none_r]
-            hi[none_r] = hi[none_r] * 2.0
-        first = np.argmax(full_crossed, axis=1)
-        alive[full_rows[has & (first == 0)]] = False  # bracket degenerated
-        sel = np.flatnonzero(has & (first != 0))
-        advance(full_rows[sel], grid[sel, first[sel] - 1], grid[sel, first[sel]])
-        if not spec_rows.size:
-            continue
-
-        # Predicted rounds.  The window counts when its first True follows
-        # a False (or sits at grid index 0).  A later round counts when it
-        # reads False, True at its pair and every earlier pair counted: its
-        # loads lie in the cell the walk predicted for each earlier round,
-        # window included, so by monotonicity that cell held the crossing
-        # and the row's bracket is the one the walk planned the round
-        # from.  The walk stopped where the update would stop.
-        window = spec_crossed[:, :_WINDOW]
-        hit = np.argmax(window, axis=1)
-        seen = window.any(axis=1) & ((hit > 0) | (start == 0))
-        in_full[spec_rows[~seen]] = True
+            seen &= (hit > 0) | (start == 0)
+            whole[rows[~seen]] = True
         first = start + hit
-        alive[spec_rows[seen & (first == 0)]] = False
+        alive[rows[seen & (first == 0)]] = False  # bracket degenerated
         sel = np.flatnonzero(seen & (first != 0))
-        advance(spec_rows[sel], plan[sel, hit[sel] - 1], plan[sel, hit[sel]])
-        pairs = spec_crossed[:, _WINDOW:]
-        kept = np.zeros((spec_rows.size, pairs.shape[1] // 2 + 1), dtype=bool)
+        advance(rows[sel], loads[sel, hit[sel] - 1], loads[sel, hit[sel]])
+        # A later round counts when it reads False, True at its pair and
+        # every earlier round counted: its loads lie in the cell the walk
+        # predicted for each earlier round, so by monotonicity that cell
+        # held the crossing and the row's bracket is the one the walk
+        # planned the round from.  The walk stopped where the update would
+        # stop.
+        pairs = crossed[:, window:]
+        kept = np.zeros((rows.size, pairs.shape[1] // 2 + 1), dtype=bool)
         kept[:, :-1] = ~pairs[:, 0::2] & pairs[:, 1::2]
         kept[:, :-1] &= np.arange(1, kept.shape[1]) < length[:, None]
         count = np.argmin(kept, axis=1)  # the leading run of kept rounds
         sel = np.flatnonzero(count)
         if not sel.size:
-            continue
-        col = _WINDOW + 2 * (count[sel] - 1)
+            return
+        col = window + 2 * (count[sel] - 1)
         # Every kept round before the last moved the bracket: a stall ends a walk.
         moved = count[sel] > 1
-        lo[spec_rows[sel[moved]]] = plan[sel[moved], col[moved] - 2]
-        hi[spec_rows[sel[moved]]] = plan[sel[moved], col[moved] - 1]
-        rounds[spec_rows[sel]] += count[sel] - 1
-        advance(spec_rows[sel], plan[sel, col], plan[sel, col + 1])
+        lo[rows[sel[moved]]] = loads[sel[moved], col[moved] - 2]
+        hi[rows[sel[moved]]] = loads[sel[moved], col[moved] - 1]
+        rounds[rows[sel]] += count[sel] - 1
+        advance(rows[sel], loads[sel, col], loads[sel, col + 1])
+
+    while True:
+        alive &= ~(hi - lo <= rel_tol * hi) & (rounds < max_rounds)
+        rows = np.flatnonzero(alive)
+        if not rows.size:
+            break
+        row_lo, row_hi = lo[rows], hi[rows]
+        guess = _estimate(near[rows], near_score[rows])
+        known = np.isfinite(guess)
+        guess = np.where(known, np.minimum(np.maximum(guess, np.nextafter(row_lo, np.inf)), row_hi), row_hi)
+        opens_whole = whole[rows] | ~known
+        # A row without an estimate plans one round, and so does a whole
+        # grid where plans open with windows.
+        rounds_left = np.where(known & ~(windowed & opens_whole), max_rounds - rounds[rows], 1)
+        plans = [
+            _Plan(
+                rows[sel],
+                window,
+                *_predicted_plan(
+                    row_lo[sel],
+                    row_hi[sel],
+                    guess[sel],
+                    rounds_left[sel],
+                    rel_tol=rel_tol,
+                    points=points,
+                    window=window,
+                ),
+            )
+            for window, sel in ((points, opens_whole), (_WINDOW, ~opens_whole))
+            if np.count_nonzero(sel)
+        ]
+        if len(plans) == 1:
+            decide(plans[0], *probe(plans[0].rows, plans[0].loads))
+            continue
+        # One rectangle as wide as the windowed plans; a whole grid takes
+        # as many of its rows as it needs, padded with its last load.
+        width = plans[1].loads.shape[1]
+        count, length = plans[0].loads.shape
+        reps = -(-length // width)
+        packed = np.empty((count, reps * width))
+        packed[:, :length] = plans[0].loads
+        packed[:, length:] = plans[0].loads[:, -1:]
+        crossed, score = probe(
+            np.concatenate([np.repeat(plans[0].rows, reps), plans[1].rows]),
+            np.concatenate([packed.reshape(-1, width), plans[1].loads]),
+        )
+        cut = count * reps
+        decide(
+            plans[0],
+            crossed[:cut].reshape(count, -1)[:, :length],
+            score[:cut].reshape(count, -1)[:, :length],
+        )
+        decide(plans[1], crossed[cut:], score[cut:])
     return lo, hi
+
+
+def _pole_score(
+    limit: np.ndarray, latencies: np.ndarray, pole: np.ndarray, loads: np.ndarray
+) -> np.ndarray:
+    """``(L − T(λ)) · (λ* − λ)``: the knee and budget searches' score.
+
+    The mean latency has its pole at λ*, and with ``T = T0 + cλ/(λ* − λ)``
+    the score is linear in λ, falling through 0 where ``T`` reaches the
+    limit ``L``; an infinite latency scores ``−inf``.
+    """
+    return (limit - latencies) * (pole[:, None] - loads)
 
 
 def _chain_step(
@@ -1594,12 +1664,19 @@ class StackedModel:
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def _saturation_probe(
-        self, blocks: Sequence["_IntraBlock | _PairBlock"], ids: np.ndarray, rows: np.ndarray
+        self,
+        blocks: Sequence["_IntraBlock | _PairBlock"],
+        ids: np.ndarray,
+        rows: np.ndarray,
+        slope: np.ndarray,
     ) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """``ρ >= 1`` over searched rows (block ``ids[k]``, row ``rows[k]``), scored ``−log ρ``.
+        """``ρ >= 1`` over searched rows (block ``ids[k]``, row ``rows[k]``), scored ``λ/ρ − λ``.
 
-        The probe splits its rows by block and makes one solver call per
-        block present.
+        The rate is ``slope · λ``, so ``λ/ρ = 1 / (slope · T(λ))``, which
+        is finite at ``λ = 0`` too.  With the Eq. 15 form ``ρ = aλ/(1 −
+        bλ)`` the score is linear in λ; an infinite latency scores
+        ``−inf``.  The probe splits its rows by block and makes one solver
+        call per block present.
         """
 
         def crossed(sub: np.ndarray, loads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1610,11 +1687,13 @@ class StackedModel:
                 at = np.flatnonzero(sub_ids == b)
                 block, block_rows, block_loads = blocks[b], sub_rows[at], loads[at]
                 t = self._queue_latency(block, block_rows, block_loads)
+                finite = np.isfinite(t)
                 with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
                     rate = self._queue_rate(block, block_rows, block_loads)
-                    rho = np.where(np.isfinite(t), rate * t, np.inf)
-                    verdict[at] = rho >= 1.0
-                    score[at] = -np.log(rho)
+                    verdict[at] = ~finite | (rate * t >= 1.0)
+                    score[at] = np.where(
+                        finite, 1.0 / (slope[sub[at], None] * t) - block_loads, -np.inf
+                    )
             return verdict, score
 
         return crossed
@@ -1638,7 +1717,7 @@ class StackedModel:
         """
         blocks = (*self.plan.intra_blocks, *self.plan.pair_blocks)
         out = [np.full(block.size, np.inf) for block in blocks]
-        ids, rows, upper = [], [], []
+        ids, rows, slopes, upper = [], [], [], []
         for b, block in enumerate(blocks):
             if isinstance(block, _IntraBlock):
                 searched = np.arange(block.size)
@@ -1655,16 +1734,19 @@ class StackedModel:
             )
             ids.append(np.full(searched.size, b))
             rows.append(searched)
+            slopes.append(slope)
             # Same tiny headroom as the scalar path: ρ(hi) >= 1 even when the
             # pipeline latency is load-independent and the bound is the root.
             upper.append((1.0 / (slope * zero_latency)) * (1.0 + 1e-9))
         if not ids:
             return out
-        all_ids, all_rows, all_upper = (np.concatenate(parts) for parts in (ids, rows, upper))
+        all_ids, all_rows, all_slopes, all_upper = (
+            np.concatenate(parts) for parts in (ids, rows, slopes, upper)
+        )
         found = np.empty(all_ids.size)
         for start in range(0, all_ids.size, _PAIR_ROWS):
             run = slice(start, start + _PAIR_ROWS)
-            probe = self._saturation_probe(blocks, all_ids[run], all_rows[run])
+            probe = self._saturation_probe(blocks, all_ids[run], all_rows[run], all_slopes[run])
             _, found[run] = _refine_rows(
                 np.zeros(found[run].size), all_upper[run], probe, rel_tol=1e-13, points=33
             )
@@ -1778,21 +1860,15 @@ class StackedModel:
         out = np.empty(self.cells)
         for group in self.plan.groups:
             idx = group.indices
-            thr = threshold[idx]
+            thr, pole = threshold[idx], lam_star[idx]
 
             def beyond(sub: np.ndarray, loads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 latencies = self._group_latencies(group, sub, loads)
                 limit = thr[sub][:, None]
-                with np.errstate(divide="ignore"):
-                    score = np.log(limit / latencies)
+                score = _pole_score(limit, latencies, pole[sub], loads)
                 return ~(np.isfinite(latencies) & (latencies < limit)), score
 
-            lo, _ = _refine_rows(
-                np.zeros(group.size),
-                lam_star[idx] * (1.0 - 1e-9),
-                beyond,
-                rel_tol=1e-6,
-            )
+            lo, _ = _refine_rows(np.zeros(group.size), pole * (1.0 - 1e-9), beyond, rel_tol=1e-6)
             out[idx] = lo
         return out
 
@@ -1802,9 +1878,11 @@ class StackedModel:
         The one implementation of the latency-budget capacity search
         (:func:`repro.analysis.capacity.max_load_for_latency` reads its
         one-cell row): infeasible budgets (below the zero-load floor)
-        achieve 0, budgets met at ``0.9999 λ*`` achieve that bound, the
-        rest refine the budget crossing in ``[0, 0.9999 λ*]`` to 1e-4
-        relative width and achieve the bracket's low end.
+        achieve 0, the rest refine the budget crossing in ``[0, 0.9999
+        λ*]`` to 1e-4 relative width and achieve the bracket's low end.  A
+        budget met at ``0.9999 λ*`` is met at the last load of the first
+        round's grid, so its row stops with ``lo = hi`` and achieves that
+        bound.
         """
         budgets = np.asarray(budgets, dtype=np.float64)
         require(budgets.shape == (self.cells,), "budgets must be one value per cell")
@@ -1820,29 +1898,21 @@ class StackedModel:
         zero = self.zero_load_latencies()
         infeasible = has_budget & (budgets < zero)
         out[infeasible] = 0.0
-        hi = lam_star * 0.9999
-        hi_lat = self.evaluate_latencies(hi[:, None])[:, 0]
-        met = has_budget & ~infeasible & np.isfinite(hi_lat) & (hi_lat <= budgets)
-        out[met] = hi[met]
-        search = has_budget & ~infeasible & ~met
+        search = has_budget & ~infeasible
         for group in self.plan.groups:
             idx = group.indices
             rows = np.flatnonzero(search[idx])
             if rows.size == 0:
                 continue
-            limits = budgets[idx]
+            limits, pole = budgets[idx][rows], lam_star[idx][rows]
 
             def beyond(sub: np.ndarray, loads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                sub_rows = rows[sub]
-                latencies = self._group_latencies(group, sub_rows, loads)
-                limit = limits[sub_rows][:, None]
-                with np.errstate(divide="ignore"):
-                    score = np.log(limit / latencies)
+                latencies = self._group_latencies(group, rows[sub], loads)
+                limit = limits[sub][:, None]
+                score = _pole_score(limit, latencies, pole[sub], loads)
                 return ~(np.isfinite(latencies) & (latencies <= limit)), score
 
-            lo, _ = _refine_rows(
-                np.zeros(rows.size), hi[idx][rows], beyond, rel_tol=1e-4
-            )
+            lo, _ = _refine_rows(np.zeros(rows.size), pole * 0.9999, beyond, rel_tol=1e-4)
             out[idx[rows]] = lo
         return out
 

@@ -227,18 +227,19 @@ class TestScenarioSelection:
 
     def test_non_numeric_config_value_is_clean_error(self, capsys, tmp_path):
         """A string where a network latency belongs is refused like a string
-        bandwidth: one error line and exit 2, not a TypeError traceback."""
+        bandwidth: one error line and exit 2, not a TypeError traceback,
+        naming the number it wants rather than a bound."""
         import json
 
         code, text, _ = run_cli(capsys, "export-config", "--system", "544")
-        for field in ("network_latency", "bandwidth"):
+        for field in ("network_latency", "switch_latency", "bandwidth"):
             spec = json.loads(text)
             spec["system"]["icn2"][field] = "0.01"
             cfg = tmp_path / f"{field}.json"
             cfg.write_text(json.dumps(spec))
             code, out, err = run_cli(capsys, "saturation", "--config", str(cfg))
             assert (code, out) == (2, "")
-            assert err.startswith("error:") and field in err
+            assert err.startswith("error:") and field in err and "must be a finite" in err
             assert err.count("\n") == 1
 
     def test_config_file_roundtrip_reproduces_preset(self, capsys, tmp_path):

@@ -46,7 +46,8 @@ def refine_monotone_crossing(lo, hi, crossed, *, rel_tol, points=33, max_rounds=
     and ``crossed(hi)``.  Each round probes *points* evenly spaced loads
     and keeps the cell containing the first ``True``, until ``hi - lo <=
     rel_tol * hi``, the first probe is already crossed, the bracket stops
-    shrinking at float64 resolution, or *max_rounds* rounds have run.
+    shrinking at float64 resolution, or *max_rounds* rounds have run.  A
+    grid crossed nowhere, not even at ``hi``, stops with ``lo = hi``.
     """
     for _ in range(max_rounds):
         if hi - lo <= rel_tol * hi:
@@ -54,8 +55,8 @@ def refine_monotone_crossing(lo, hi, crossed, *, rel_tol, points=33, max_rounds=
         grid = np.linspace(lo, hi, points)
         above = crossed(grid)
         if not above.any():
-            lo, hi = hi, hi * 2.0
-            continue
+            lo = hi
+            break
         first = int(np.argmax(above))
         if first == 0:
             break
@@ -529,9 +530,12 @@ class TestRowKernels:
     """``_refine_rows`` and ``_linspace_rows`` against their scalar oracles."""
 
     def test_rows_stop_in_different_rounds_and_match_the_oracle(self):
-        # Row 0 converges in a few rounds; row 1's crossing sits at lo == 0,
-        # so it keeps shrinking toward a denormal hi long after row 0 stops.
-        conditions = [at_least(0.3), (lambda g: g > 0, lambda g: -g)]
+        # Row 0 converges in a few rounds, which its exact score predicts
+        # from its second call on.  Row 1's crossing sits at lo == 0 and
+        # its score is NaN, so it has no estimate: it evaluates one whole
+        # grid per call, shrinking toward a denormal hi until max_rounds,
+        # long after row 0 stops.
+        conditions = [at_least(0.3), (lambda g: g > 0, lambda g: np.full(g.shape, np.nan))]
         live = []
         probe = row_probe(conditions)
 
@@ -540,26 +544,42 @@ class TestRowKernels:
             return probe(rows, grid)
 
         lo, hi = _refine_rows(np.zeros(2), np.ones(2), recording, rel_tol=1e-4)
-        assert live[0] == [0, 1] and live[-1] == [1]
+        last_call = [max(k for k, rows in enumerate(live) if row in rows) for row in (0, 1)]
+        assert live[0] == [0, 1] and last_call[0] < last_call[1]
         for row, (condition, _) in enumerate(conditions):
             assert (lo[row], hi[row]) == refine_monotone_crossing(
                 0.0, 1.0, condition, rel_tol=1e-4
             )
 
+    #: Edge rows ``(lo, hi, condition)``: a crossing at lo == 0 that shrinks
+    #: toward a denormal hi until it stalls, one at lo == 0 that stops at
+    #: max_rounds, a start == stop row, a row crossed at its first probe
+    #: and a row crossed nowhere, not even at hi.
+    EDGE_ROWS = [
+        (0.0, 1e-300, (lambda g: g > 0, lambda g: -g)),
+        (0.0, 1.0, (lambda g: g > 0, lambda g: -g)),
+        (0.5, 0.5, at_least(0.5)),
+        (0.2, 0.9, at_least(0.1)),
+        (0.0, 0.9, at_least(2.0)),
+    ]
+
     @pytest.mark.parametrize("rel_tol", [1e-13, 1e-6, 1e-4])
     def test_predicted_refinement_edge_rows_match_the_oracle(self, rel_tol):
-        # 20 rows, so the refinement predicts.  Next to 16 ordinary rows
-        # with curved scores: a crossing at lo == 0 that shrinks toward a
-        # denormal hi until it stalls, one at lo == 0 that stops at
-        # max_rounds, a start == stop row and a row crossed at its first
-        # probe.
+        # 21 rows, so plans open with windows: the edge rows next to 16
+        # ordinary rows with curved scores.
         rng = np.random.default_rng(22)
-        at_zero = (lambda g: g > 0, lambda g: -g)
         conditions = [at_least(t, p) for t, p in zip(rng.uniform(0, 1, 16), rng.uniform(0.3, 3, 16))]
-        conditions += [at_zero, at_zero, at_least(0.5), at_least(0.1)]
-        lo0 = [0.0] * 16 + [0.0, 0.0, 0.5, 0.2]
-        hi0 = [1.0] * 16 + [1e-300, 1.0, 0.5, 0.9]
+        conditions += [condition for _, _, condition in self.EDGE_ROWS]
+        lo0 = [0.0] * 16 + [lo for lo, _, _ in self.EDGE_ROWS]
+        hi0 = [1.0] * 16 + [hi for _, hi, _ in self.EDGE_ROWS]
         assert_rows_match_oracle(lo0, hi0, conditions, rel_tol=rel_tol)
+
+    @pytest.mark.parametrize("rel_tol", [1e-13, 1e-6, 1e-4])
+    @pytest.mark.parametrize("edge", range(len(EDGE_ROWS)))
+    def test_one_row_refinement_edge_rows_match_the_oracle(self, edge, rel_tol):
+        # Refined alone, each plan opens with the row's whole grid.
+        lo, hi, condition = self.EDGE_ROWS[edge]
+        assert_rows_match_oracle([lo], [hi], [condition], rel_tol=rel_tol)
 
     def test_rows_stopped_by_max_rounds_match_the_oracle(self):
         # Every row needs about nine rounds at 1e-13; six are allowed.
@@ -577,7 +597,7 @@ class TestRowKernels:
                 st.floats(0.25, 4.0),
                 st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
             ),
-            min_size=16,
+            min_size=1,
             max_size=32,
         ),
         st.sampled_from([1e-13, 1e-6, 1e-4]),
@@ -586,7 +606,9 @@ class TestRowKernels:
         # Random brackets (lo, lo + width), thresholds at a fraction of the
         # bracket (its ends and a grid point included), score curvatures,
         # and scores whose zero is shifted off the threshold by up to a
-        # bracket, so windows and pairs miss on either side.
+        # bracket, so windows and pairs miss on either side.  Fewer than 16
+        # rows open every plan with the whole grid, more open it with a
+        # window.
         lo0 = [lo for lo, _, _, _, _ in rows]
         hi0 = [lo + width for lo, width, _, _, _ in rows]
         conditions = [
@@ -672,8 +694,15 @@ class TestPredictedProbes:
         assert not np.any(crossed[:, :-1] & ~crossed[:, 1:])
 
     def test_searches_evaluate_at_most_half_the_plain_loads(self, monkeypatch):
-        # A 270-cell grid like the explore benchmark's; the plain loop is
-        # the same refinement with every round planned in full.
+        # A 270-cell grid like the explore benchmark's.  The plain loop is
+        # the scalar oracle, each row refined alone on whole grids.  The
+        # probe reads each row's final bracket (lo, hi) as not crossed,
+        # crossed (not crossed at hi if the row ended at lo == hi), so by
+        # monotonicity every load at or below lo is not crossed and every
+        # load at or above hi is, and no whole grid of the row's rounds
+        # holds a load strictly inside that bracket.  The oracle replays
+        # those verdicts, costing no model evaluation, and must end on the
+        # same bracket.
         grid = DesignGrid(
             base=get_scenario("544"),
             axes=(
@@ -686,28 +715,82 @@ class TestPredictedProbes:
         )
         specs = [cell.spec for cell in grid.cells()]
         original = stacked._refine_rows
+        work = {"calls": 0, "loads": 0, "plain": 0}
 
-        def searched():
-            loads = [0]
+        def counting(lo, hi, probe, **kwargs):
+            def counted(rows, loads):
+                work["calls"] += 1
+                work["loads"] += loads.size
+                return probe(rows, loads)
 
-            def counting(lo, hi, probe, **kwargs):
-                def counted(rows, grid):
-                    loads[0] += grid.size
-                    return probe(rows, grid)
+            out = original(lo, hi, counted, **kwargs)
+            ends, _ = probe(np.arange(len(lo)), np.stack(out, axis=1))
+            assert not ends[:, 0].any()
+            assert np.array_equal(ends[:, 1], out[0] < out[1])
+            for lo0, hi0, lo1, hi1 in zip(lo, hi, *out):
 
-                return original(lo, hi, counted, **kwargs)
+                def replay(loads, lo1=lo1, hi1=hi1):
+                    work["plain"] += loads.size
+                    return (loads >= hi1) & (lo1 < hi1)
 
-            monkeypatch.setattr(stacked, "_refine_rows", counting)
-            stack = StackedModel.from_specs(specs)
-            out = (
-                stack.saturation_loads(),
-                stack.knee_loads(4.0).tolist(),
-                stack.loads_at_budget(np.full(stack.cells, 200.0)).tolist(),
-            )
-            return loads[0], out
+                assert refine_monotone_crossing(lo0, hi0, replay, **kwargs) == (lo1, hi1)
+            return out
 
-        predicted, results = searched()
-        monkeypatch.setattr(stacked, "_PREDICT_MIN_ROWS", len(specs) * 256)
-        plain, plain_results = searched()
-        assert predicted <= plain / 2
-        assert repr(results) == repr(plain_results)
+        monkeypatch.setattr(stacked, "_refine_rows", counting)
+        stack = StackedModel.from_specs(specs)
+        stack.saturation_loads()
+        stack.knee_loads(4.0)
+        stack.loads_at_budget(np.full(stack.cells, 200.0))
+        assert work["loads"] <= work["plain"] / 2
+        assert work["loads"] < 401_194 and work["calls"] <= 99
+
+
+class TestOneCellSearches:
+    """A search of one cell decides several rounds per probe call."""
+
+    @pytest.mark.parametrize("name, spec", REGISTRY, ids=[name for name, _ in REGISTRY])
+    def test_probe_calls_per_search(self, name, spec, monkeypatch):
+        # Saturation searches 2 to 12 queues per registry scenario (256 on
+        # 544-hotspot and 544-local), knee and budget one row.  The plain
+        # loop makes 9-10, 4-5 and 3 calls, and the budget search also
+        # evaluated every cell at 0.9999 λ* before it refined.
+        calls = []
+        original = stacked._refine_rows
+
+        def counting(lo, hi, probe, **kwargs):
+            calls.append(0)
+
+            def counted(rows, loads):
+                calls[-1] += 1
+                return probe(rows, loads)
+
+            return original(lo, hi, counted, **kwargs)
+
+        monkeypatch.setattr(stacked, "_refine_rows", counting)
+        stack = StackedModel.from_specs([spec])
+        evaluations = []
+        evaluate = stack.evaluate_latencies
+
+        def counted_evaluate(loads):
+            evaluations.append(loads)
+            return evaluate(loads)
+
+        monkeypatch.setattr(stack, "evaluate_latencies", counted_evaluate)
+        stack.saturation_loads()
+        assert len(calls) == 1 and calls[0] <= 6
+        zero = stack.zero_load_latencies()
+        calls.clear()
+        stack.knee_loads(4.0)
+        assert len(calls) == 1 and calls[0] <= 4
+        calls.clear()
+        evaluations.clear()
+        stack.loads_at_budget(2.0 * zero)
+        assert len(calls) == 1 and calls[0] <= 3
+        assert not evaluations
+
+        # Below the floor, inside the range and met at 0.9999 λ*.
+        engine = BatchedModel(spec.system, spec.message, spec.options, spec.pattern)
+        for budget in (0.5 * zero[0], 2.0 * zero[0], 1e9):
+            assert stack.loads_at_budget(np.array([budget]))[0] == model_budget(engine, budget)
+        assert not evaluations
+        assert stack.loads_at_budget(np.array([1e9]))[0] == stack.saturation_load()[0] * 0.9999
