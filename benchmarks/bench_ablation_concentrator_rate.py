@@ -25,6 +25,8 @@ def test_ablation_concentrator_rate(benchmark, sessions: SessionCache, out_dir):
     paper_model = AnalyticalModel(system, message)
     physical_model = AnalyticalModel(system, message, ModelOptions(concentrator_rate="source_outgoing"))
 
+    # Each round promotes both scalar models to fresh one-cell views, so
+    # it times two full saturation searches.
     knees = benchmark(
         lambda: (find_saturation_load(paper_model), find_saturation_load(physical_model))
     )

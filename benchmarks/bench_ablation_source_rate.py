@@ -27,6 +27,8 @@ def test_ablation_source_rate(benchmark, out_dir):
     }
     models = {name: AnalyticalModel(system, message, opts) for name, opts in readings.items()}
 
+    # Each round promotes every scalar model to a fresh one-cell view, so
+    # it times a full saturation search per reading.
     benchmark(lambda: {name: find_saturation_load(m) for name, m in models.items()})
 
     knees = {name: find_saturation_load(m) for name, m in models.items()}

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import render_table
-from repro.validation import all_latency_figures, light_load_error
+from repro.validation import all_latency_figures, light_load_point
 
 from benchmarks.conftest import SessionCache, bench_window, emit
 
@@ -24,7 +24,7 @@ def test_accuracy_lightload(benchmark, sessions: SessionCache, out_dir):
     def one_point():
         fig = figures[0]
         msg = fig.messages[0]
-        return light_load_error(sessions.get(fig.system, msg), window=window)
+        return light_load_point(sessions.get(fig.system, msg), window=window)
 
     benchmark.pedantic(one_point, rounds=1, iterations=1)
 
@@ -32,7 +32,7 @@ def test_accuracy_lightload(benchmark, sessions: SessionCache, out_dir):
     errors = []
     for fig in figures:
         for msg in fig.messages:
-            point = light_load_error(sessions.get(fig.system, msg), window=window)
+            point = light_load_point(sessions.get(fig.system, msg), window=window)
             rows.append(
                 [
                     fig.figure,

@@ -26,7 +26,6 @@ def test_extension_nonuniform(benchmark, out_dir):
     model_mid = AnalyticalModel(SYSTEM, MESSAGE, pattern=LocalityTraffic(0.5))
     benchmark(model_mid.evaluate, 3e-4)
 
-    session = SimulationSession(SYSTEM, MESSAGE)
     window = MeasurementWindow.scaled_paper(max(4000, bench_messages() // 4))
     rows = []
     for locality in (0.2, 0.5, 0.8):
@@ -34,7 +33,8 @@ def test_extension_nonuniform(benchmark, out_dir):
         model = AnalyticalModel(SYSTEM, MESSAGE, pattern=pattern)
         lam = 0.2 * find_saturation_load(model)
         predicted = model.evaluate(lam).latency
-        sim = session.run(lam, seed=5, window=window, pattern=pattern)
+        session = SimulationSession(SYSTEM, MESSAGE, pattern=pattern)
+        sim = session.run(lam, seed=5, window=window)
         err = (predicted - sim.mean_latency) / sim.mean_latency
         rows.append(
             [locality, lam, predicted, sim.mean_latency, err,

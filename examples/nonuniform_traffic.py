@@ -59,10 +59,10 @@ def locality_study() -> None:
 def locality_validation() -> None:
     pattern = LocalityTraffic(0.6)
     model = AnalyticalModel(SYSTEM, MESSAGE, pattern=pattern)
-    session = SimulationSession(SYSTEM, MESSAGE)
+    session = SimulationSession(SYSTEM, MESSAGE, pattern=pattern)
     window = MeasurementWindow.scaled_paper(MESSAGES)
     lam = 0.25 * find_saturation_load(model)
-    sim = session.run(lam, seed=0, window=window, pattern=pattern)
+    sim = session.run(lam, seed=0, window=window)
     predicted = model.evaluate(lam).latency
     print(
         render_table(

@@ -26,7 +26,6 @@ import numpy as np
 from repro._util import require, require_positive
 from repro.analysis.whatif import scale_network
 from repro.core.batch import BatchedModel
-from repro.core.parameters import MessageSpec, ModelOptions, SystemConfig
 
 __all__ = ["CapacityPlan", "max_load_for_latency", "required_upgrade_factor"]
 
@@ -78,34 +77,35 @@ def max_load_for_latency(engine: BatchedModel, latency_budget: float) -> Capacit
 
 
 def required_upgrade_factor(
-    system: SystemConfig,
-    message: MessageSpec,
+    engine: BatchedModel,
     role: str,
     target_load: float,
     *,
-    options: ModelOptions | None = None,
     max_factor: float = 16.0,
     rel_tol: float = 1e-3,
 ) -> CapacityPlan:
     """Smallest bandwidth factor on *role* giving ``λ* >= target_load``.
 
-    Saturation load is monotone non-decreasing in any network's bandwidth,
-    so bisection applies; roles that cannot reach the target within
-    *max_factor* (they are not the binding resource) are reported
-    infeasible.  Every probed factor's saturation load is computed once
-    (closed form, via the vectorised engine) and cached — the reported
-    ``detail`` strings reuse the cached knees instead of re-running the
-    search.
+    The engine's system, message, options and traffic pattern are the
+    design upgraded: factor 1 is the engine itself, every other factor is
+    its design with *role* scaled.  Saturation load is monotone
+    non-decreasing in any network's bandwidth, so bisection applies;
+    roles that cannot reach the target within *max_factor* (they are not
+    the binding resource) are reported infeasible.  Every probed factor's
+    saturation load is computed once (closed form, via the vectorised
+    engine) and cached — the reported ``detail`` strings reuse the cached
+    knees instead of re-running the search.
     """
     require_positive(target_load, "target_load")
     require(max_factor > 1.0, "max_factor must exceed 1")
 
-    knees: dict[float, float] = {}
+    knees: dict[float, float] = {1.0: engine.saturation_load()}
 
     def knee(factor: float) -> float:
         if factor not in knees:
-            cfg = system if factor == 1.0 else scale_network(system, role, factor)
-            knees[factor] = BatchedModel(cfg, message, options).saturation_load()
+            system = scale_network(engine.system, role, factor)
+            variant = BatchedModel(system, engine.message, engine.options, engine.pattern)
+            knees[factor] = variant.saturation_load()
         return knees[factor]
 
     base = knee(1.0)

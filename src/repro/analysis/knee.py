@@ -41,19 +41,18 @@ def estimate_sim_knee(
     window: MeasurementWindow | None = None,
     seed: int = 0,
     iterations: int = 7,
-    pattern=None,
     **run_kwargs,
 ) -> KneeEstimate:
     """Bisect for the load where sim latency crosses ``factor × L(0)``.
 
     Brackets inside ``(0, λ*_model × 1.2]``; each probe is one simulation
-    run, so the default seven iterations cost seven runs.  A non-uniform
-    *pattern* shapes both the analytic reference (``λ*``, ``L(0)``) and the
-    simulated destination sampling.
+    run, so the default seven iterations cost seven runs.  The *session*'s
+    design, traffic pattern included, shapes both the analytic reference
+    (``λ*``, ``L(0)``) and the simulated runs.
     """
     require_positive(threshold_factor, "threshold_factor")
     require(threshold_factor > 1.0, "threshold_factor must exceed 1")
-    engine = BatchedModel(session.system_config, session.message, session.options, pattern)
+    engine = BatchedModel(*session.design)
     lam_star = engine.saturation_load()
     threshold = threshold_factor * engine.zero_load_latency()
     window = window or MeasurementWindow.scaled_paper(5_000)
@@ -61,7 +60,7 @@ def estimate_sim_knee(
     probes: list[tuple[float, float]] = []
 
     def latency_at(load: float) -> float:
-        result = session.run(load, seed=seed, window=window, pattern=pattern, **run_kwargs)
+        result = session.run(load, seed=seed, window=window, **run_kwargs)
         probes.append((load, result.mean_latency))
         return result.mean_latency
 

@@ -7,9 +7,8 @@ saturation, binding resource and zero-load latency, and
 arithmetic runs in :class:`repro.core.stacked.StackedModel`, which the
 view holds as a one-cell stack; this module only reads the stack's row
 back out and assembles the scalar result objects.  The scalar
-:class:`~repro.core.model.AnalyticalModel` stays available as
-:attr:`BatchedModel.reference_model`, the oracle ``tests/test_batch.py``
-compares against at 1e-9.
+:class:`~repro.core.model.AnalyticalModel` is the oracle
+``tests/test_batch.py`` compares the view against at 1e-9.
 """
 
 from __future__ import annotations
@@ -22,12 +21,7 @@ import numpy as np
 from repro._util import require
 from repro.core.inter import InterPairLatency
 from repro.core.intra import IntraClusterLatency
-from repro.core.model import (
-    AnalyticalModel,
-    ClusterBreakdown,
-    ModelResult,
-    TrafficPatternLike,
-)
+from repro.core.model import ClusterBreakdown, ModelResult, TrafficPatternLike
 from repro.core.parameters import MessageSpec, ModelOptions, SystemConfig
 from repro.core.stacked import StackedModel
 
@@ -42,7 +36,11 @@ __all__ = ["BatchedModel", "ENGINE_VERSION", "ResourceRates"]
 #: or the evaluation path that produces them (e.g. the cross-cell stacked
 #: engine in :mod:`repro.core.stacked`), so stale cached results can never
 #: be mistaken for fresh ones.
-ENGINE_VERSION = "batch/8"
+#:
+#: batch/9: the view has one constructor and reads its design back from
+#: its stack; the scalar oracle keeps no cached view.  No number moved;
+#: cached results miss once.
+ENGINE_VERSION = "batch/9"
 
 
 @dataclass(frozen=True)
@@ -62,9 +60,10 @@ class BatchedModel:
     capacity search reads ``stack.loads_at_budget``, load grids read
     ``stack.auto_load_grids``); every method reads that cell's row back
     as scalars, a :class:`~repro.core.sweep.LoadSweep` or
-    :class:`ResourceRates`.  The wrapped scalar model stays available as
-    :attr:`reference_model` (it is the semantics oracle the equivalence
-    tests compare against).
+    :class:`ResourceRates`.  The design attributes (``system``,
+    ``message``, ``options``, ``pattern``) and ``cluster_classes`` are read
+    back from the stacked cell, so ``options=None`` reads as
+    ``ModelOptions()``.
 
     Parameters match :class:`~repro.core.model.AnalyticalModel`.
     """
@@ -76,56 +75,12 @@ class BatchedModel:
         options: ModelOptions | None = None,
         pattern: TrafficPatternLike | None = None,
     ) -> None:
-        self._attach(AnalyticalModel(system, message, options, pattern))
-
-    def _attach(self, model: AnalyticalModel) -> None:
-        """Stack *model* as the view's single cell."""
-        self._model = model
-        self.system = model.system
-        self.message = model.message
-        self.options = model.options
-        self.pattern = model.pattern
-        self.stack = StackedModel([model])
-
-    @classmethod
-    def from_model(cls, model: AnalyticalModel) -> "BatchedModel":
-        """Batched engine wrapping an existing scalar model (cached on it).
-
-        The engine's :attr:`reference_model` *is* the given instance — no
-        duplicate :class:`AnalyticalModel` is constructed.  Repeated calls
-        with the same model reuse one stack, so rewired entry points
-        (``find_saturation_load``, ``sweep_load``, …) pack the cell
-        once per model object; if the model's attributes were reassigned
-        since the engine was cached, a fresh engine is built instead of
-        returning stale results.
-        """
-        require(isinstance(model, AnalyticalModel), "model must be an AnalyticalModel")
-        cached = getattr(model, "_batched_engine", None)
-        if cached is None or not cached._wraps(model):
-            cached = cls.__new__(cls)
-            cached._attach(model)
-            model._batched_engine = cached  # type: ignore[attr-defined]
-        return cached
-
-    def _wraps(self, model: AnalyticalModel) -> bool:
-        """True if this engine's stack still reflects *model*'s state."""
-        return (
-            self._model is model
-            and self.system is model.system
-            and self.message is model.message
-            and self.options is model.options
-            and self.pattern is model.pattern
+        self.stack = StackedModel([(system, message, options, pattern)])
+        cell = self.stack.plan.models[0]
+        self.system, self.message, self.options, self.pattern = (
+            cell.system, cell.message, cell.options, cell.pattern
         )
-
-    @property
-    def reference_model(self) -> AnalyticalModel:
-        """The scalar reference implementation this engine was built from."""
-        return self._model
-
-    @property
-    def cluster_classes(self):
-        """The class decomposition the engine evaluates over."""
-        return self._model.cluster_classes
+        self.cluster_classes = cell.cluster_classes
 
     # -- load curves ------------------------------------------------------------
 

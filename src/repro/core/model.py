@@ -158,26 +158,21 @@ class AnalyticalModel:
         """Weights over destination *classes* for the Σ_{j≠i} averages."""
         classes = self._classes
         if self.pattern is not None:
-            per_cluster = self.pattern.destination_cluster_weights(self.system, self._class_to_cluster_index(src_idx))
+            # Pattern mode: one singleton class per cluster, in cluster order.
+            per_cluster = self.pattern.destination_cluster_weights(self.system, src_idx)
             require(
                 len(per_cluster) == self.system.num_clusters,
                 "pattern weights must have one entry per cluster",
             )
-            return [per_cluster[self._class_to_cluster_index(j)] for j in range(len(classes))]
+            return list(per_cluster)
         weights = []
-        src = classes[src_idx]
         for j, dst in enumerate(classes):
             other_count = dst.count - (1 if j == src_idx else 0)
             if self.options.inter_average == "paper":
                 weights.append(float(other_count))  # Eq. 35: unweighted over clusters
             else:  # traffic_weighted: P(dest cluster) ∝ N_j under uniform traffic
                 weights.append(float(other_count) * dst.nodes)
-        _ = src
         return weights
-
-    def _class_to_cluster_index(self, class_idx: int) -> int:
-        """Map a singleton class index back to its cluster index (pattern mode)."""
-        return class_idx
 
     # -- evaluation -------------------------------------------------------------
 

@@ -10,9 +10,9 @@ The paper's figures plot mean latency against the traffic generation rate
 
 All three accept either a scalar :class:`~repro.core.model.AnalyticalModel`
 or a :class:`~repro.core.batch.BatchedModel`, the one-cell view of the
-stacked engine, and read that engine's single cell: scalar models are
-promoted to the view once and it is cached on the model instance, so
-repeated sweeps/searches pack the cell a single time (see
+stacked engine, and read that engine's single cell: a scalar model is
+promoted to a fresh view of its current design on every call, so pass
+the view itself to pack the cell once for repeated sweeps/searches (see
 ``docs/batched_engine.md``).
 """
 
@@ -50,10 +50,10 @@ class LoadSweep:
 
 
 def _engine(model: "AnalyticalModel | BatchedModel") -> BatchedModel:
-    """Promote *model* to its (cached) one-cell engine view."""
+    """Promote *model* to a one-cell engine view of its design."""
     if isinstance(model, BatchedModel):
         return model
-    return BatchedModel.from_model(model)
+    return BatchedModel(model.system, model.message, model.options, model.pattern)
 
 
 def sweep_load(

@@ -33,7 +33,6 @@ from repro.analysis.capacity import max_load_for_latency
 from repro.analysis.tables import render_series, render_table
 from repro.analysis.whatif import curve_label, scale_network
 from repro.core.batch import BatchedModel
-from repro.core.model import AnalyticalModel
 from repro.core.stacked import StackedModel
 from repro.core.sweep import sweep_load
 from repro.io.results import to_jsonable
@@ -154,11 +153,6 @@ class Experiment:
             self._engine = BatchedModel(s.system, s.message, s.options, s.pattern)
         return self._engine
 
-    @property
-    def model(self) -> AnalyticalModel:
-        """The scalar reference model behind :attr:`engine`."""
-        return self.engine.reference_model
-
     def load_grid(self) -> np.ndarray:
         """The spec's load grid, materialised once per experiment."""
         if self._grid is None:
@@ -166,12 +160,15 @@ class Experiment:
         return self._grid
 
     def session(self):
-        """Cached :class:`~repro.simulation.runner.SimulationSession`."""
+        """Cached :class:`~repro.simulation.runner.SimulationSession` of
+        the spec's design, traffic pattern included."""
         if self._session is None:
             from repro.simulation.runner import SimulationSession
 
             s = self.spec
-            self._session = SimulationSession(s.system, s.message, options=s.options)
+            self._session = SimulationSession(
+                s.system, s.message, options=s.options, pattern=s.pattern
+            )
         return self._session
 
     def _result(self, kind: str, data: dict, text: str) -> ExperimentResult:
@@ -423,7 +420,6 @@ class Experiment:
             window=MeasurementWindow.scaled_paper(messages),
             seed=seed,
             iterations=iterations,
-            pattern=self.spec.pattern,
         )
         text = (
             f"simulated knee ≈ {estimate.sim_knee:.4e} "
@@ -478,7 +474,6 @@ class Experiment:
             seed=seed,
             window=MeasurementWindow.scaled_paper(messages),
             granularity=granularity,
-            pattern=self.spec.pattern,
             engine=engine,
         )
         util = ", ".join(f"{k}={v:.3f}" for k, v in sorted(result.network_utilization.items()))
@@ -515,7 +510,6 @@ class Experiment:
             window=MeasurementWindow.scaled_paper(messages),
             jobs=jobs,
             granularity=granularity,
-            pattern=self.spec.pattern,
             engine=engine,
         )
         text = (
@@ -578,7 +572,6 @@ class Experiment:
             seed=seed,
             window=MeasurementWindow.scaled_paper(messages),
             granularity=granularity,
-            pattern=s.pattern,
             jobs=n_jobs,
             engine=engine,
         )

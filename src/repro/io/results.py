@@ -12,17 +12,21 @@ import csv
 import dataclasses
 import json
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro._util import require
+
+if TYPE_CHECKING:
+    from typing import Self
 
 __all__ = [
     "to_jsonable",
     "from_jsonable",
     "save_json",
     "load_json",
+    "JsonDocument",
     "save_curve_csv",
     "load_curve_csv",
 ]
@@ -83,6 +87,34 @@ def save_json(path: str | Path, payload: Any) -> Path:
 def load_json(path: str | Path) -> Any:
     """Load a JSON artifact saved by :func:`save_json` (restores inf/nan)."""
     return _restore_floats(json.loads(Path(path).read_text()))
+
+
+class JsonDocument:
+    """JSON text and file methods over a class's ``to_dict``/``from_dict``.
+
+    A declarative document class (scenario spec, design grid, failure
+    scenario) defines the mapping pair and inherits these four, so every
+    document is written by :func:`save_json` and read by
+    :func:`load_json` alike.
+    """
+
+    def to_json(self) -> str:
+        """Pretty JSON text of the document (non-finite floats tagged)."""
+        return json.dumps(to_jsonable(self.to_dict()), indent=2, sort_keys=True) + "\n"
+
+    @classmethod
+    def from_json(cls, text: str) -> Self:
+        """Inverse of :meth:`to_json` (restores tagged non-finite floats)."""
+        return cls.from_dict(from_jsonable(json.loads(text)))
+
+    def save(self, path: "str | Path") -> Path:
+        """Write the document as a JSON file."""
+        return save_json(path, self.to_dict())
+
+    @classmethod
+    def load(cls, path: "str | Path") -> Self:
+        """Read a document from a JSON file written by :meth:`save`."""
+        return cls.from_dict(load_json(path))
 
 
 def _format_csv_cell(value: Any) -> str:

@@ -25,13 +25,11 @@ SystemConfig` per availability state) happens in
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Any
 
 from repro._util import is_real, reject_unknown_keys, require, require_int
-from repro.io.results import from_jsonable, load_json, save_json, to_jsonable
+from repro.io.results import JsonDocument
 from repro.io.schemas import PERFORMABILITY_SCHEMA
 
 __all__ = ["FailureMode", "FailureScenario", "PERFORMABILITY_SCHEMA"]
@@ -205,7 +203,7 @@ class FailureMode:
 
 
 @dataclass(frozen=True)
-class FailureScenario:
+class FailureScenario(JsonDocument):
     """A set of failure modes plus the global concurrency truncation.
 
     modes:
@@ -286,21 +284,3 @@ class FailureScenario:
             max_concurrent=data.get("max_concurrent"),
             name=data.get("name", ""),
         )
-
-    def to_json(self) -> str:
-        """Pretty JSON text of the scenario (non-finite floats tagged)."""
-        return json.dumps(to_jsonable(self.to_dict()), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "FailureScenario":
-        """Inverse of :meth:`to_json` (restores tagged non-finite floats)."""
-        return cls.from_dict(from_jsonable(json.loads(text)))
-
-    def save(self, path: "str | Path") -> Path:
-        """Write the scenario as a JSON file."""
-        return save_json(path, self.to_dict())
-
-    @classmethod
-    def load(cls, path: "str | Path") -> "FailureScenario":
-        """Read a scenario from a JSON file written by :meth:`save`."""
-        return cls.from_dict(load_json(path))

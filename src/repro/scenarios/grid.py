@@ -32,14 +32,12 @@ so a whole study is one JSON file (the CLI's ``explore --grid``).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro._util import reject_unknown_keys, require
 from repro.core.parameters import MessageSpec, ModelOptions, SystemConfig
-from repro.io.results import from_jsonable, load_json, save_json, to_jsonable
+from repro.io.results import JsonDocument
 from repro.io.schemas import GRID_SCHEMA
 from repro.scenarios.spec import LoadGridPolicy, ScenarioSpec
 from repro.workloads.patterns import pattern_from_dict
@@ -197,7 +195,7 @@ class GridCell:
 
 
 @dataclass(frozen=True)
-class DesignGrid:
+class DesignGrid(JsonDocument):
     """A base scenario plus N parameter axes (their Cartesian product)."""
 
     base: ScenarioSpec
@@ -312,21 +310,3 @@ class DesignGrid:
             base=ScenarioSpec.from_dict(data["base"]),
             axes=tuple(AxisSpec.from_dict(a) for a in axes),
         )
-
-    def to_json(self) -> str:
-        """Pretty JSON text of the grid (non-finite floats tagged)."""
-        return json.dumps(to_jsonable(self.to_dict()), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "DesignGrid":
-        """Inverse of :meth:`to_json` (restores tagged non-finite floats)."""
-        return cls.from_dict(from_jsonable(json.loads(text)))
-
-    def save(self, path: "str | Path") -> Path:
-        """Write the grid as a JSON file."""
-        return save_json(path, self.to_dict())
-
-    @classmethod
-    def load(cls, path: "str | Path") -> "DesignGrid":
-        """Read a grid from a JSON file written by :meth:`save`."""
-        return cls.from_dict(load_json(path))

@@ -21,16 +21,14 @@ scenario registry (:mod:`repro.scenarios.registry`) stores named specs, the
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from repro._util import is_real, reject_unknown_keys, require, require_int
 from repro.core.parameters import MessageSpec, ModelOptions, SystemConfig
-from repro.io.results import from_jsonable, load_json, save_json, to_jsonable
+from repro.io.results import JsonDocument
 from repro.io.schemas import SCENARIO_SCHEMA
 from repro.workloads.patterns import pattern_from_dict, pattern_to_dict
 
@@ -86,7 +84,7 @@ class LoadGridPolicy:
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(JsonDocument):
     """One fully-described study: system + message + options + traffic + grid.
 
     name:
@@ -209,21 +207,3 @@ class ScenarioSpec:
             load_grid=LoadGridPolicy.from_dict(data["load_grid"]) if "load_grid" in data else LoadGridPolicy(),
             latency_budget=data.get("latency_budget", math.inf),
         )
-
-    def to_json(self) -> str:
-        """Pretty JSON text of the spec (non-finite floats tagged)."""
-        return json.dumps(to_jsonable(self.to_dict()), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        """Inverse of :meth:`to_json` (restores tagged non-finite floats)."""
-        return cls.from_dict(from_jsonable(json.loads(text)))
-
-    def save(self, path: "str | Path") -> Path:
-        """Write the spec as a JSON config file."""
-        return save_json(path, self.to_dict())
-
-    @classmethod
-    def load(cls, path: "str | Path") -> "ScenarioSpec":
-        """Read a spec from a JSON config file written by :meth:`save`."""
-        return cls.from_dict(load_json(path))

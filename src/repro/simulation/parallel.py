@@ -24,10 +24,11 @@ retries propagates its original exception to the caller — never a
 partial result list.  Callers that want partial results instead use
 :func:`repro.exec.run_supervised` directly.
 
-Workers keep a small per-process LRU session cache keyed by
-``(system, message, options)``, so fanning one scenario's load points
-across ``k`` workers builds at most ``k`` fabrics rather than one per
-point.
+Workers keep a small per-process LRU session cache keyed by the whole
+design, ``(system, message, options, pattern)``, so fanning one
+scenario's load points across ``k`` workers builds at most ``k`` fabrics
+rather than one per point, and a run never borrows a session of another
+traffic pattern.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from repro.simulation.runner import (
     SimulationResult,
     SimulationSession,
     _run_config,
+    _session,
 )
 
 __all__ = ["resolve_jobs", "run_work_item", "run_work_items"]
@@ -53,13 +55,12 @@ _SESSION_CACHE_MAX = 8
 
 
 def _session_for(config: SimulationConfig) -> SimulationSession:
-    key = (config.system, config.message, config.options)
-    session = _SESSION_CACHE.pop(key, None)
+    session = _SESSION_CACHE.pop(config.design, None)
     if session is None:
         if len(_SESSION_CACHE) >= _SESSION_CACHE_MAX:
             _SESSION_CACHE.pop(next(iter(_SESSION_CACHE)))
-        session = SimulationSession(config.system, config.message, options=config.options)
-    _SESSION_CACHE[key] = session
+        session = _session(config)
+    _SESSION_CACHE[config.design] = session
     return session
 
 
@@ -82,7 +83,8 @@ def run_work_items(
     ``jobs`` follows :func:`repro.exec.resolve_jobs`.  The pool never
     exceeds the item count.  With ``jobs <= 1`` every item runs in this
     process, preferring *session* (the caller's cached fabric) for items
-    that match its configuration.  Pooled execution is supervised by
+    of its design (system, message, options and pattern).  Pooled
+    execution is supervised by
     :func:`repro.exec.run_supervised`: worker crashes/failures are retried
     under *policy* (default :class:`~repro.exec.RunPolicy`), and an item
     that still fails after its retries re-raises its original exception
@@ -93,11 +95,8 @@ def run_work_items(
         require(isinstance(item, SimulationConfig), "items must be SimulationConfig instances")
     n_jobs = min(resolve_jobs(jobs), len(items))
     if n_jobs <= 1 and session is not None:
-        key = (session.system_config, session.message, session.options)
         return [
-            _run_config(session, item)
-            if (item.system, item.message, item.options) == key
-            else run_work_item(item)
+            _run_config(session, item) if item.design == session.design else run_work_item(item)
             for item in items
         ]
     outcomes = raise_on_failure(

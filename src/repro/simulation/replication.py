@@ -145,11 +145,13 @@ def replicate(
 ) -> ReplicatedResult:
     """Run *replicas* independent simulations and summarise the latency.
 
-    Per-replica seeds are spawned from *base_seed* (see
-    :func:`~repro.simulation.rng.replica_seeds`); all other run parameters
-    become fields of one :class:`~repro.simulation.runner.SimulationConfig`
-    per replica, and :func:`~repro.simulation.parallel.run_work_items`
-    runs them on *session*.  ``jobs`` fans the replicas across a process
+    The *session*'s design (system, message, options and traffic
+    pattern) is the one replicated.  Per-replica seeds are spawned from
+    *base_seed* (see :func:`~repro.simulation.rng.replica_seeds`); all
+    other run parameters become fields of one
+    :class:`~repro.simulation.runner.SimulationConfig` per replica, and
+    :func:`~repro.simulation.parallel.run_work_items` runs them on
+    *session*.  ``jobs`` fans the replicas across a process
     pool (``0``/``"auto"`` = one worker per CPU); results are bit-identical
     to serial execution for any worker count because each replica depends
     only on its own seed.
@@ -166,6 +168,7 @@ def replicate(
             system=session.system_config,
             message=session.message,
             options=session.options,
+            pattern=session.pattern,
             generation_rate=generation_rate,
             seed=seed,
             window=window,

@@ -89,7 +89,11 @@ ENGINES = ("reference", "array")
 #: the per-seed draw replay cache is gone; a run draws its arrival gaps and
 #: destinations from its own streams.  Trajectories are unchanged; cached
 #: simulator curves miss once.
-TRAJECTORY_VERSION = "sim/9"
+#:
+#: sim/10: the session holds the traffic pattern beside system, message and
+#: options, and ``SimulationSession.run`` takes none.  Trajectories are
+#: unchanged; cached simulator curves miss once.
+TRAJECTORY_VERSION = "sim/10"
 
 
 def _resolve_engine(granularity: str, engine: str | None) -> str:
@@ -131,6 +135,11 @@ class SimulationConfig:
         require_nonnegative(self.generation_rate, "generation_rate")
         require(self.generation_rate > 0, "generation_rate must be positive for a simulation")
 
+    @property
+    def design(self) -> tuple:
+        """``(system, message, options, pattern)``: the design the run simulates."""
+        return (self.system, self.message, self.options, self.pattern)
+
 
 @dataclass(frozen=True)
 class SimulationResult:
@@ -153,7 +162,13 @@ class SimulationResult:
 
 
 class SimulationSession:
-    """Reusable system+fabric for running many loads of one scenario."""
+    """Reusable system+fabric for running many loads of one design.
+
+    The design is the system, message, options and traffic *pattern*
+    (``None`` = the paper's uniform traffic); every run on the session
+    simulates it, and the validation and replication entry points read
+    all four off the session.
+    """
 
     def __init__(
         self,
@@ -161,12 +176,19 @@ class SimulationSession:
         message: MessageSpec,
         *,
         options: ModelOptions | None = None,
+        pattern: SimTrafficPattern | None = None,
     ) -> None:
         self.system_config = system
         self.message = message
         self.options = options or ModelOptions()
+        self.pattern = pattern
         self.system = HeterogeneousSystem(system)
         self.fabric = ResolvedFabric(self.system, message, self.options)
+
+    @property
+    def design(self) -> tuple:
+        """``(system, message, options, pattern)``: the key of the design simulated."""
+        return (self.system_config, self.message, self.options, self.pattern)
 
     def run(
         self,
@@ -175,22 +197,21 @@ class SimulationSession:
         seed: int = 0,
         window: MeasurementWindow | None = None,
         granularity: str = "message",
-        pattern: SimTrafficPattern | None = None,
         max_events: int = 500_000_000,
         engine: str | None = None,
     ) -> SimulationResult:
-        """Run one load point on the cached fabric (*engine* as in
-        :func:`_resolve_engine`)."""
+        """Run one load point of the session's design on the cached fabric
+        (*engine* as in :func:`_resolve_engine`)."""
         engine = _resolve_engine(granularity, engine)
         window = window or MeasurementWindow.scaled_paper(20_000)
         streams = make_streams(seed)
         if engine == "flit":
             from repro.simulation.flitsim import FlitLevelSimulator
 
-            sim = FlitLevelSimulator(self.fabric, window, generation_rate, streams, pattern)
+            sim = FlitLevelSimulator(self.fabric, window, generation_rate, streams, self.pattern)
         else:
             sim = MessageLevelWormholeSimulator(
-                self.fabric, window, generation_rate, streams, pattern, engine=engine
+                self.fabric, window, generation_rate, streams, self.pattern, engine=engine
             )
         raw = sim.run(max_events=max_events)
         return self._package(raw, generation_rate, granularity, seed)
@@ -222,19 +243,25 @@ class SimulationSession:
 
 
 def _run_config(session: SimulationSession, config: SimulationConfig) -> SimulationResult:
-    """Run *config* on *session* — the one place config fields map to run arguments."""
+    """Run *config* on *session*, a session of the same design — the one
+    place config fields map to run arguments."""
     return session.run(
         config.generation_rate,
         seed=config.seed,
         window=config.window,
         granularity=config.granularity,
-        pattern=config.pattern,
         max_events=config.max_events,
         engine=config.engine,
     )
 
 
+def _session(config: SimulationConfig) -> SimulationSession:
+    """A fresh session of *config*'s design."""
+    return SimulationSession(
+        config.system, config.message, options=config.options, pattern=config.pattern
+    )
+
+
 def simulate(config: SimulationConfig) -> SimulationResult:
     """Build the fabric and run one :class:`SimulationConfig` end to end."""
-    session = SimulationSession(config.system, config.message, options=config.options)
-    return _run_config(session, config)
+    return _run_config(_session(config), config)

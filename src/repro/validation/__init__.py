@@ -4,7 +4,7 @@ from repro.validation.report import ReproductionReport, reproduction_report
 from repro.validation.compare import (
     ValidationCurve,
     ValidationPoint,
-    light_load_error,
+    light_load_point,
     run_validation,
 )
 from repro.validation.scenarios import (
@@ -24,7 +24,7 @@ __all__ = [
     "ValidationCurve",
     "ValidationPoint",
     "run_validation",
-    "light_load_error",
+    "light_load_point",
     "FigureScenario",
     "figure3",
     "figure4",

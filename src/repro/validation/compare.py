@@ -22,7 +22,7 @@ from repro.simulation.metrics import MeasurementWindow
 from repro.simulation.parallel import resolve_jobs, run_work_items
 from repro.simulation.runner import SimulationConfig, SimulationResult, SimulationSession
 
-__all__ = ["ValidationPoint", "ValidationCurve", "run_validation", "light_load_error"]
+__all__ = ["ValidationPoint", "ValidationCurve", "run_validation", "light_load_point"]
 
 
 @dataclass(frozen=True)
@@ -94,18 +94,16 @@ def run_validation(
     seed: int = 0,
     window: MeasurementWindow | None = None,
     granularity: str = "message",
-    pattern=None,
     jobs: "int | str | None" = None,
     engine: str | None = None,
 ) -> ValidationCurve:
     """Evaluate model and simulator at every load in *loads*.
 
-    The *session*'s system, message and options are the design compared:
-    the simulator runs on its cached fabric and the model prices the same
-    three values.  A non-uniform *pattern* (see
-    :mod:`repro.workloads.patterns`) drives both sides of the comparison:
-    the model's destination weighting and the simulator's destination
-    sampling.
+    The *session*'s system, message, options and traffic pattern are the
+    design compared: the simulator runs on its cached fabric and the model
+    prices the same four values, so a non-uniform pattern (see
+    :mod:`repro.workloads.patterns`) drives both the model's destination
+    weighting and the simulator's destination sampling.
 
     ``jobs`` fans the per-point simulations across a process pool
     (``0``/``"auto"`` = one worker per CPU).  Point ``i`` keeps its
@@ -118,7 +116,7 @@ def run_validation(
     """
     loads = np.asarray(loads, dtype=np.float64)
     require(loads.ndim == 1 and loads.size > 0, "loads must be a non-empty 1-D sequence")
-    system, message, options = session.system_config, session.message, session.options
+    system, message, options, pattern = session.design
     window = window or MeasurementWindow.scaled_paper(20_000)
     configs = [
         SimulationConfig(
@@ -134,7 +132,7 @@ def run_validation(
         )
         for idx, lam in enumerate(loads)
     ]
-    model_latencies = StackedModel([(system, message, options, pattern)]).evaluate_latencies(loads)[0]
+    model_latencies = StackedModel([session.design]).evaluate_latencies(loads)[0]
     sim_results = run_work_items(configs, jobs=resolve_jobs(jobs), session=session)
     points = [
         ValidationPoint(
@@ -149,20 +147,21 @@ def run_validation(
     return ValidationCurve(label=label or f"{system.name}", points=tuple(points), sim_results=tuple(sim_results))
 
 
-def light_load_error(
+def light_load_point(
     session: SimulationSession,
     *,
     load_fraction: float = 0.2,
     seed: int = 0,
     window: MeasurementWindow | None = None,
 ) -> ValidationPoint:
-    """Model-vs-sim error at a light load (*fraction* of saturation) on
-    the *session*'s design.
+    """Model and simulation at a light load, *load_fraction* of the
+    model's saturation load on the *session*'s design (traffic pattern
+    included).
 
-    The paper's headline accuracy claim is stated in this regime.
+    The paper's headline accuracy claim is stated in this regime; the
+    point's :attr:`~ValidationPoint.relative_error` is that claim's error.
     """
     require(0.0 < load_fraction < 1.0, "load_fraction must be in (0, 1)")
-    model = StackedModel([(session.system_config, session.message, session.options, None)])
-    lam = load_fraction * float(model.saturation_load()[0])
+    lam = load_fraction * float(StackedModel([session.design]).saturation_load()[0])
     curve = run_validation(session, [lam], label="light-load", seed=seed, window=window)
     return curve.points[0]

@@ -192,23 +192,27 @@ class TestEvaluateManyContract:
         for lam, result in zip(grid, sweep.results):
             assert result.latency == pytest.approx(model.evaluate(lam).latency, rel=REL)
 
-    def test_from_model_caches_engine(self):
+    def test_promotion_prices_a_mutated_model_with_its_new_message(self):
+        """Regression: a view once cached on the scalar model survived its
+        mutation and answered for the old message geometry."""
         model = AnalyticalModel(paper_system_544(), MSG)
-        engine = BatchedModel.from_model(model)
-        assert engine is BatchedModel.from_model(model)
-        # The engine wraps the caller's instance, not a rebuilt copy.
-        assert engine.reference_model is model
-
-    def test_from_model_rebuilds_after_attribute_reassignment(self):
-        """Regression: the cached engine used to survive model mutation and
-        silently answer for the old message geometry."""
-        model = AnalyticalModel(paper_system_544(), MSG)
-        stale = BatchedModel.from_model(model)
+        before = find_saturation_load(model)
         model.message = MessageSpec(64, 256.0)
-        fresh = BatchedModel.from_model(model)
-        assert fresh is not stale
-        scalar = model.evaluate(1e-4).latency
-        assert fresh.evaluate(1e-4).latency == pytest.approx(scalar, rel=REL)
+        after = find_saturation_load(model)
+        assert after != before
+        assert after == BatchedModel(paper_system_544(), MessageSpec(64, 256.0)).saturation_load()
+        assert sweep_load(model, [1e-4]).latencies[0] == pytest.approx(
+            model.evaluate(1e-4).latency, rel=REL
+        )
+
+    def test_view_reads_its_design_back_from_the_stack(self):
+        """``options=None`` reads as ``ModelOptions()``, and a pattern gives
+        one singleton class per cluster, as on the stacked cell."""
+        pattern = HotspotTraffic(hot_cluster=15, hot_fraction=0.3)
+        engine = BatchedModel(paper_system_544(), MSG, None, pattern)
+        assert (engine.system, engine.message, engine.pattern) == (paper_system_544(), MSG, pattern)
+        assert engine.options == ModelOptions()
+        assert len(engine.cluster_classes) == paper_system_544().num_clusters
 
     def test_evaluate_single_point(self):
         engine = BatchedModel(paper_system_544(), MSG)
@@ -240,7 +244,7 @@ class TestClosedFormSaturation:
     def test_exact_value_brackets_scalar_saturation(self):
         for factory in (paper_system_1120, paper_system_544):
             model = AnalyticalModel(factory(), MSG)
-            lam_star = BatchedModel.from_model(model).saturation_load()
+            lam_star = find_saturation_load(model)
             assert not model.is_saturated(lam_star * 0.99999)
             assert model.is_saturated(lam_star * 1.00001)
 
@@ -274,7 +278,7 @@ class TestClosedFormSaturation:
 
         fast_icn2 = scale_network(hetero, "icn2", 50.0)
         model = AnalyticalModel(fast_icn2, MSG)
-        engine = BatchedModel.from_model(model)
+        engine = BatchedModel(fast_icn2, MSG)
         assert "concentrator" not in engine.binding_resource()
         exact = engine.saturation_load()
         bisected = bisect_saturation(model, rel_tol=1e-6)

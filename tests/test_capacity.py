@@ -67,19 +67,19 @@ class TestMaxLoadForLatency:
 class TestRequiredUpgrade:
     def test_icn2_upgrade_reaches_target(self, paper_544):
         base = find_saturation_load(AnalyticalModel(paper_544, MSG))
-        plan = required_upgrade_factor(paper_544, MSG, "icn2", 1.3 * base)
+        plan = required_upgrade_factor(BatchedModel(paper_544, MSG), "icn2", 1.3 * base)
         assert plan.feasible
         assert 1.0 < plan.achieved < 2.0
 
     def test_non_binding_roles_infeasible(self, paper_544):
         base = find_saturation_load(AnalyticalModel(paper_544, MSG))
         for role in ("ecn1", "icn1"):
-            plan = required_upgrade_factor(paper_544, MSG, role, 1.3 * base, max_factor=4.0)
+            plan = required_upgrade_factor(BatchedModel(paper_544, MSG), role, 1.3 * base, max_factor=4.0)
             assert not plan.feasible
 
     def test_no_upgrade_needed(self, paper_544):
         base = find_saturation_load(AnalyticalModel(paper_544, MSG))
-        plan = required_upgrade_factor(paper_544, MSG, "icn2", 0.5 * base)
+        plan = required_upgrade_factor(BatchedModel(paper_544, MSG), "icn2", 0.5 * base)
         assert plan.feasible
         assert plan.achieved == 1.0
 
@@ -88,7 +88,7 @@ class TestRequiredUpgrade:
 
         base = find_saturation_load(AnalyticalModel(paper_544, MSG))
         target = 1.25 * base
-        plan = required_upgrade_factor(paper_544, MSG, "icn2", target)
+        plan = required_upgrade_factor(BatchedModel(paper_544, MSG), "icn2", target)
         at = find_saturation_load(AnalyticalModel(scale_network(paper_544, "icn2", plan.achieved), MSG))
         below = find_saturation_load(
             AnalyticalModel(scale_network(paper_544, "icn2", plan.achieved * 0.98), MSG)
@@ -117,24 +117,28 @@ class TestUpgradeKneeCaching:
         return built
 
     def test_infeasible_path_builds_each_factor_once(self, paper_544, monkeypatch):
+        engine = BatchedModel(paper_544, MSG)
         built = self._record_built_systems(monkeypatch)
         base = find_saturation_load(AnalyticalModel(paper_544, MSG))
-        plan = required_upgrade_factor(paper_544, MSG, "icn1", 1.3 * base, max_factor=4.0)
+        plan = required_upgrade_factor(engine, "icn1", 1.3 * base, max_factor=4.0)
         assert not plan.feasible
-        # knee(1.0) and knee(max_factor) exactly once each; the detail string
-        # must reuse the cached max_factor knee instead of recomputing it.
-        assert len(built) == 2
-        assert len(built) == len(set(built))
+        # Factor 1 is the engine itself, so only knee(max_factor) is built,
+        # exactly once; the detail string must reuse that cached knee
+        # instead of recomputing it.
+        assert built == [f"{paper_544.name}+icn1x4"]
         assert "not the binding resource" in plan.detail
 
     def test_feasible_path_reuses_cached_knee_in_detail(self, paper_544, monkeypatch):
+        engine = BatchedModel(paper_544, MSG)
         built = self._record_built_systems(monkeypatch)
         base = find_saturation_load(AnalyticalModel(paper_544, MSG))
-        plan = required_upgrade_factor(paper_544, MSG, "icn2", 1.3 * base)
+        plan = required_upgrade_factor(engine, "icn2", 1.3 * base)
         assert plan.feasible
         # The final detail reuses the cached knee(hi): no system variant is
-        # ever constructed twice across the bisection + report.
+        # ever constructed twice across the bisection + report, and factor 1
+        # (the engine itself) is never rebuilt.
         assert len(built) == len(set(built))
+        assert paper_544.name not in built
         assert f"x{plan.achieved:.3f}" in plan.detail
 
 
@@ -160,3 +164,19 @@ class TestEnginePattern:
         assert plan.achieved == float(engine.stack.loads_at_budget([budget])[0])
         assert engine.evaluate(plan.achieved).latency <= budget
         assert plan.achieved != max_load_for_latency(BatchedModel(paper_544, MSG), budget).achieved
+
+    def test_upgrade_plans_the_engine_pattern(self, paper_544):
+        from repro.analysis import scale_network
+
+        engine = BatchedModel(paper_544, MSG, None, self.PATTERN)
+        target = 1.25 * engine.saturation_load()
+        plan = required_upgrade_factor(engine, "icn2", target)
+        assert plan.feasible
+
+        def knee(factor):
+            system = scale_network(paper_544, "icn2", factor)
+            return BatchedModel(system, MSG, None, self.PATTERN).saturation_load()
+
+        assert knee(plan.achieved) >= target > knee(plan.achieved * 0.98)
+        uniform = required_upgrade_factor(BatchedModel(paper_544, MSG), "icn2", target)
+        assert plan.achieved != uniform.achieved

@@ -31,7 +31,7 @@ from repro.simulation import (
     simulate,
 )
 from repro.simulation.flitsim import FlitLevelSimulator
-from repro.validation import light_load_error, reproduction_report, run_validation
+from repro.validation import light_load_point, reproduction_report, run_validation
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -138,8 +138,8 @@ class TestValidationLayer:
             no_wall(r) for r in reference.sim_results
         ]
 
-    def test_light_load_error(self, small_session, array_runs):
-        point = light_load_error(small_session, window=WINDOW)
+    def test_light_load_point(self, small_session, array_runs):
+        point = light_load_point(small_session, window=WINDOW)
         assert len(array_runs) == 1
         assert point.sim_completed
 

@@ -68,15 +68,14 @@ class TestShapeAgreement:
 
 
 class TestPatternIntegration:
-    def test_locality_pattern_model_vs_sim(self, small_system, small_message, small_session):
+    def test_locality_pattern_model_vs_sim(self, small_system, small_message):
         """The non-uniform extension validates the same way the paper's
         uniform baseline does."""
         pattern = LocalityTraffic(0.6)
         model = AnalyticalModel(small_system, small_message, pattern=pattern)
         lam = 0.15 * find_saturation_load(model)
-        sim = small_session.run(
-            lam, seed=6, window=MeasurementWindow(300, 4000, 300), pattern=pattern
-        )
+        session = SimulationSession(small_system, small_message, pattern=pattern)
+        sim = session.run(lam, seed=6, window=MeasurementWindow(300, 4000, 300))
         assert model.evaluate(lam).latency == pytest.approx(sim.mean_latency, rel=0.20)
         # Sanity: measured intra share reflects the pattern.
         intra_share = sim.stats.count_intra / sim.stats.count

@@ -140,6 +140,27 @@ class TestRunWorkItems:
         assert [r.seed for r in results] == [100, 101, 100]
         assert results[2].mean_latency != results[0].mean_latency
 
+    def test_configs_differing_only_in_pattern_run_their_own_design(
+        self, tiny_hetero_system, small_message
+    ):
+        """The pattern is part of the session reuse key: no path runs a
+        config on a session (cached, the caller's or a worker's) of
+        another traffic pattern."""
+        from repro.simulation import SimulationSession, simulate
+        from repro.workloads import HotspotTraffic, LocalityTraffic
+
+        base = SimulationConfig(
+            system=tiny_hetero_system, message=small_message, generation_rate=1e-3, seed=3, window=WINDOW
+        )
+        patterns = (None, HotspotTraffic(hot_cluster=3, hot_fraction=0.4), LocalityTraffic(0.8))
+        items = [replace(base, pattern=pattern) for pattern in patterns]
+        expected = [replace(simulate(item), wall_seconds=0.0) for item in items]
+        assert len({r.mean_latency for r in expected}) == len(items)
+        session = SimulationSession(tiny_hetero_system, small_message, pattern=patterns[1])
+        for kwargs in ({}, {"session": session}, {"jobs": 2}):
+            results = run_work_items(items, **kwargs)
+            assert [replace(r, wall_seconds=0.0) for r in results] == expected, kwargs
+
     def test_rejects_non_items(self):
         with pytest.raises(ValueError):
             run_work_items(["nope"])
@@ -193,6 +214,40 @@ class TestParallelReplication:
         assert [r.mean_latency for r in pooled.replicas] == [
             r.mean_latency for r in serial.replicas
         ]
+
+    def test_replicas_simulate_the_sessions_pattern(self, tiny_hetero_system, small_message):
+        """Each replica of a pattern session, serial or pooled, is the
+        pattern's own run at its seed, not the uniform design's."""
+        from repro.simulation import SimulationSession, replica_seeds, simulate
+        from repro.workloads import HotspotTraffic
+
+        hot = HotspotTraffic(hot_cluster=3, hot_fraction=0.4)
+        session = SimulationSession(tiny_hetero_system, small_message, pattern=hot)
+        expected = [
+            simulate(
+                SimulationConfig(
+                    system=tiny_hetero_system,
+                    message=small_message,
+                    pattern=hot,
+                    generation_rate=1e-3,
+                    seed=seed,
+                    window=WINDOW,
+                )
+            ).mean_latency
+            for seed in replica_seeds(5, 3)
+        ]
+        uniform = replicate(
+            SimulationSession(tiny_hetero_system, small_message),
+            1e-3,
+            replicas=3,
+            base_seed=5,
+            window=WINDOW,
+        )
+        for jobs in (None, 2):
+            rep = replicate(session, 1e-3, replicas=3, base_seed=5, window=WINDOW, jobs=jobs)
+            means = [r.mean_latency for r in rep.replicas]
+            assert means == expected, jobs
+            assert means != [r.mean_latency for r in uniform.replicas], jobs
 
 
 class TestParallelValidation:

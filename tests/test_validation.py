@@ -11,7 +11,7 @@ from repro.validation import (
     figure3,
     figure5,
     figure7_systems,
-    light_load_error,
+    light_load_point,
     run_validation,
 )
 from repro.workloads import HotspotTraffic, LocalityTraffic
@@ -120,7 +120,7 @@ class TestModelColumn:
         # Four loads up to 0.9·λ*, and one past saturation (infinite latency).
         grid = np.append(auto_load_grid(model, points=4, fraction_of_saturation=0.9), 1.2 * find_saturation_load(model))
         curve = run_validation(
-            SimulationSession(system, small_message), grid, window=MeasurementWindow(20, 200, 20), pattern=pattern
+            SimulationSession(system, small_message, pattern=pattern), grid, window=MeasurementWindow(20, 200, 20)
         )
         expected = [model.evaluate(float(lam)).latency for lam in grid]
         assert np.isinf(expected[-1])
@@ -133,23 +133,37 @@ class TestModelColumn:
         monkeypatch.setattr(AnalyticalModel, "evaluate", refuse)
         window = MeasurementWindow(20, 200, 20)
         curve = run_validation(small_session, [1e-4, 5e-4], window=window)
-        point = light_load_error(small_session, window=window)
+        point = light_load_point(small_session, window=window)
         assert all(np.isfinite(p.model_latency) for p in (*curve.points, point))
 
 
-class TestLightLoadError:
+class TestLightLoadPoint:
     def test_small_system_error_reasonable(self, small_session):
         """Model tracks the simulator at light load (paper: 4-8 % at scale)."""
-        point = light_load_error(small_session, window=MeasurementWindow(200, 2000, 200))
+        point = light_load_point(small_session, window=MeasurementWindow(200, 2000, 200))
         assert point.sim_completed
         assert abs(point.relative_error) < 0.20
 
     @pytest.mark.parametrize("options", [None, ModelOptions(tcn_convention="full_network_latency")])
     def test_light_load_is_a_fraction_of_saturation(self, small_system, small_message, options):
         session = SimulationSession(small_system, small_message, options=options)
-        point = light_load_error(session, load_fraction=0.3, window=MeasurementWindow(20, 200, 20))
+        point = light_load_point(session, load_fraction=0.3, window=MeasurementWindow(20, 200, 20))
         assert point.load == 0.3 * find_saturation_load(AnalyticalModel(small_system, small_message, options))
+
+    def test_light_load_is_a_fraction_of_the_pattern_saturation(self, tiny_hetero_system, small_message):
+        """A hotspot session's light load is a fraction of the hotspot
+        model's λ*, and both columns are priced and simulated under it."""
+        pattern = HotspotTraffic(hot_cluster=3, hot_fraction=0.3)
+        session = SimulationSession(tiny_hetero_system, small_message, pattern=pattern)
+        window = MeasurementWindow(20, 200, 20)
+        point = light_load_point(session, load_fraction=0.3, window=window)
+        model = AnalyticalModel(tiny_hetero_system, small_message, None, pattern)
+        lam = 0.3 * find_saturation_load(model)
+        assert lam != 0.3 * find_saturation_load(AnalyticalModel(tiny_hetero_system, small_message))
+        assert point.load == lam
+        assert point.model_latency == model.evaluate(lam).latency
+        assert point.sim_latency == session.run(lam, seed=0, window=window).mean_latency
 
     def test_rejects_bad_fraction(self, small_session):
         with pytest.raises(ValueError):
-            light_load_error(small_session, load_fraction=1.2)
+            light_load_point(small_session, load_fraction=1.2)
