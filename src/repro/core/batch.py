@@ -37,10 +37,10 @@ __all__ = ["BatchedModel", "ENGINE_VERSION", "ResourceRates"]
 #: engine in :mod:`repro.core.stacked`), so stale cached results can never
 #: be mistaken for fresh ones.
 #:
-#: batch/9: the view has one constructor and reads its design back from
-#: its stack; the scalar oracle keeps no cached view.  No number moved;
-#: cached results miss once.
-ENGINE_VERSION = "batch/9"
+#: batch/10: journey depth is per-row data, so one padded solver call
+#: prices the class pairs of several journey shapes and the classes of
+#: several depths.  No number moved; cached results miss once.
+ENGINE_VERSION = "batch/10"
 
 
 @dataclass(frozen=True)

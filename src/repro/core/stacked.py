@@ -29,20 +29,28 @@ the stack.  The mechanisms:
 * **grouping** — cells are partitioned by structure signature (switch
   arity, class decomposition, ICN2 depth), so within a group every cell
   has the same classes in the same order, and the Eq. 1/3/35/38 folds run
-  per group;
-* **blocks** — the rows that share a journey structure are stacked on
-  the rows axis across the whole stack: one block per intra depth
-  ``(switch_ports, tree_depth)`` and one per journey shape
-  ``(switch_ports, d_src, d_dst, n_c)``, holding every group's classes or
-  ordered class pairs of that structure (a group's pairs of a shape
-  member-major: row ``first + p · C + c`` is member ``p`` in cell ``c``).
-  A non-uniform pattern's C² singleton-class pairs cost one solve per
-  shape, not per pair, and the saturation search solves each structure
-  once per probe whatever group it sits in.  An evaluation solve takes at
-  most :data:`_PAIR_ROWS` rows of a group (whole members, at least one)
-  and a saturation solve at most :data:`_SOLVE_ELEMENTS` scratch elements,
-  which bounds the memory of large cell stacks; the Eq. 35/38 fold over
-  destinations reads the rows back in the scalar ``j`` order;
+  per group, over batches of source classes;
+* **blocks** — journey depth is per-row data.  The rows of the whole
+  stack live in journey families: one intra block for every class of
+  every depth, and one pair block per ICN2 depth ``n_c`` for every ordered
+  class pair, each the concatenation, shape by shape, of its journey
+  shapes' rows (an intra shape is a ``(switch_ports, tree_depth)``, a pair
+  shape a ``(switch_ports, d_src, d_dst, n_c)``; within a shape, group by
+  group, a group's pairs member-major: row ``first + p · C + c`` is member
+  ``p`` in cell ``c``).  Each row carries its depths, pmf weights and mean
+  journey links, so one solver call prices rows of several depths and
+  shapes: it pads its suffix chains to its own deepest ``d_src``,
+  ``d_dst`` and tree depth and sets every padded term to exactly 0.0
+  before the fold — never multiplying it by its zero weight, since ``0 ·
+  inf`` is NaN — so each valid lane keeps its scalar float sequence
+  (``x + 0.0 = x``).  One chunk rule (:func:`_solve_calls`) cuts a call's
+  rows: rows of several shapes share a call only while its padded scratch
+  stays within :data:`_SOLVE_ELEMENTS`, and a shape that alone exceeds it
+  gets calls of its own, of at most :data:`_PAIR_ROWS` rows (whole
+  members) in an evaluation and at most :data:`_SOLVE_ELEMENTS` elements
+  in the saturation search.  A one-cell evaluation or saturation probe of
+  ``544`` makes one intra and one pair call, a large cell group about one
+  call per class and shape;
 * **shared suffix chains** — journeys end in shared trailing stages, so
   the backward Eq. 13/14 recursion collapses to suffix chains
   (destination → ICN2 → source segments) touching each distinct column
@@ -79,7 +87,12 @@ the stack.  The mechanisms:
 * **fold order** — every accumulation that the scalar code runs as a
   Python-order fold (journey-weight sums, destination-weight averages, the
   Eq. 3 class combination) stays an explicit fold over the same index
-  order, never an ``np.sum`` reduction with a different association.
+  order, never an ``np.sum`` reduction with a different association.  The
+  Eq. 35/38 fold over destinations is one elementwise step per ``j``, in
+  the scalar ``j`` order, over a batch of source classes: every class of a
+  one-cell stack, and in larger groups as many classes as fit
+  :data:`_PAIR_ROWS` pair rows (at least one), so a group never holds more
+  pair planes at once than one batch.
 
 Closed-form saturation
 ----------------------
@@ -497,38 +510,43 @@ def _chain_step(
 
 
 def _solve_intra_stacked(
-    t_cs: np.ndarray,  # (C,)
-    t_cn: np.ndarray,  # (C,)
-    depth: int,
-    weights: np.ndarray,  # (depth,) journey pmf
-    eta_i1: np.ndarray,  # (C, L)
-    m_flits: np.ndarray,  # (C,)
+    t_cs: np.ndarray,  # (R,)
+    t_cn: np.ndarray,  # (R,)
+    depth: np.ndarray,  # (R,) tree depth per row
+    weights: np.ndarray,  # (R, deepest) journey pmf per row, 0 past its depth
+    eta_i1: np.ndarray,  # (R, L)
+    m_flits: np.ndarray,  # (R,)
 ) -> np.ndarray:
-    """Stacked Eq. 5 average via one shared suffix chain.
+    """Stacked Eq. 5 average via one shared suffix chain, padded to the deepest row.
 
     Intra journeys of every length end in the same stages (one ``t_cn``
     stage, then ``t_cs`` stages), so one backward chain serves them all:
     journey *h*'s ``T_0`` is the chain's ``T`` at depth ``2h − 1``.  Per
     journey the float sequence is the scalar per-journey recursion's —
     the sharing is common-subexpression elimination, not a
-    reformulation.
+    reformulation.  The chain runs to the call's deepest row.  A row's
+    journeys past its own depth are padded terms: each is set to exactly
+    0.0 before the fold, never multiplied by its zero weight (``0 · inf``
+    is NaN), so the row's total is its own depth's sum (``x + 0.0 = x``).
     """
+    deepest = weights.shape[1]
+    shallowest = int(depth.min())
     m_cn = (m_flits * t_cn)[:, None]
     m_cs = (m_flits * t_cs)[:, None]
     half_eta = 0.5 * eta_i1
     suffix = np.zeros_like(eta_i1)
     total = np.zeros_like(eta_i1)
-    t0_planes: list[np.ndarray] = []
     with np.errstate(invalid="ignore", over="ignore"):
-        for step in range(1, 2 * depth):
+        for step in range(1, 2 * deepest):
             t_col, over, suffix = _chain_step(
                 m_cn if step == 1 else m_cs, suffix, half_eta
             )
-            if step % 2 == 1:  # journey h = (step + 1) / 2 starts here
+            if step % 2 == 1:  # journey h + 1 = (step + 1) / 2 starts here
+                h = step // 2
                 t_col[over] = np.inf
-                t0_planes.append(t_col)
-        for h in range(depth):
-            total += weights[h] * t0_planes[h]
+                if h >= shallowest:
+                    np.copyto(t_col, 0.0, where=(depth <= h)[:, None])
+                total += weights[:, h, None] * t_col
     return total
 
 
@@ -557,18 +575,25 @@ def _mg1_wait_batched(
     return wait, utilization, saturated
 
 
-#: Row budget of one stacked class-pair solve in an evaluation (a journey
-#: shape's members are stacked until they fill this many rows, at least
-#: one member per call, however many cells) and of one saturation
-#: refinement (a run of consecutive searched rows, cut anywhere).
+#: Row budget of an evaluation's batch of source classes (as many classes
+#: as fit this many class-pair rows, at least one) and of its solves of a
+#: journey shape that alone exceeds :data:`_SOLVE_ELEMENTS` (whole
+#: members, at least one per call, however many cells); also the row
+#: budget of one saturation refinement (a run of consecutive searched
+#: rows, cut anywhere).
 _PAIR_ROWS = 256
 
-#: Working-set budget of one pair solve in the saturation search, in
-#: elements of its ``(n_c, d_dst, rows, loads)`` scratch (at least one row
-#: per call).  A row count alone does not bound it: with solves of up to
-#: :data:`_PAIR_ROWS` rows at any probe width, the saturation peak of a
-#: 90-cell ``544-hotspot`` explore grid rose from 6.7 to 11.7 MB (traced,
-#: 2-core host); a budget of 8,192 elements made explore no faster.
+#: Working-set budget of one solver call, in elements of its padded
+#: scratch: ``(n_c, d_dst, rows, loads)`` for a pair solve, ``(depth,
+#: rows, loads)`` for an intra solve, at the call's deepest row.  A call
+#: takes rows of several journey shapes only while it stays within this
+#: budget (:func:`_solve_calls`); a pair shape that alone exceeds it is
+#: cut into calls of this many elements in the saturation search (at
+#: least one row per call).  A row count alone does not bound it: with
+#: solves of up to :data:`_PAIR_ROWS` rows at any probe width, the
+#: saturation peak of a 90-cell ``544-hotspot`` explore grid rose from 6.7
+#: to 11.7 MB (traced, 2-core host); a budget of 8,192 elements made
+#: explore no faster.
 _SOLVE_ELEMENTS = 32_768
 
 #: One flat, grow-only buffer per scratch role of :func:`_solve_pair_stacked`,
@@ -621,17 +646,17 @@ def _pair_scratch(shape4: tuple[int, int, int, int]) -> dict[str, np.ndarray]:
 
 
 def _solve_pair_stacked(
-    src_cs: np.ndarray,  # (C,)
-    i2_cs: np.ndarray,  # (C,)
-    dst_cs: np.ndarray,  # (C,)
-    dst_cn: np.ndarray,  # (C,)
-    d_src: int,
-    d_dst: int,
+    src_cs: np.ndarray,  # (R,)
+    i2_cs: np.ndarray,  # (R,)
+    dst_cs: np.ndarray,  # (R,)
+    dst_cn: np.ndarray,  # (R,)
+    d_src: np.ndarray,  # (R,) source tree depth per row
+    d_dst: np.ndarray,  # (R,) destination tree depth per row
     n_c: int,
-    weights: np.ndarray,  # (J,) pmf products in (r, v, l) journey order
-    eta_e1: np.ndarray,  # (C, L)
-    eta_i2_eff: np.ndarray,  # (C, L)
-    m_flits: np.ndarray,  # (C,)
+    weights: np.ndarray,  # (R or 1, S, D, n_c) pmf products per row, 0 past its depths
+    eta_e1: np.ndarray,  # (R, L)
+    eta_i2_eff: np.ndarray,  # (R, L)
+    m_flits: np.ndarray,  # (R,)
 ) -> np.ndarray:
     """Stacked Eq. 20 average via shared suffix chains (dst → ICN2 → src).
 
@@ -639,16 +664,30 @@ def _solve_pair_stacked(
     t_cn``, ``v − 1`` dst ``t_cs``, ``2l − 1`` ICN2 ``t_cs`` (the relaxed
     η), ``r`` src ``t_cs``.  Journeys sharing a suffix share the backward
     recursion state exactly, so instead of one recursion per journey the
-    solver walks a three-level chain tree — ``d_dst`` dst depths, ×
-    ``n_c`` ICN2 depths, × ``d_src`` src depths — touching each distinct
-    column state once.  The independent branches are stacked on leading
-    axes (``(v, cells, loads)`` for the ICN2 chains, ``(l, v, cells,
-    loads)`` for the source chains) so each chain level is a handful of
-    large elementwise steps.  Every journey's ``T_0`` and the final
-    weighted fold (scalar ``(r, v, l)`` journey order) are those of the
-    scalar per-journey recursion.
+    solver walks a three-level chain tree — ``D`` dst depths, × ``n_c``
+    ICN2 depths, × ``S`` src depths — touching each distinct column state
+    once.  The independent branches are stacked on leading axes (``(v,
+    rows, loads)`` for the ICN2 chains, ``(l, v, rows, loads)`` for the
+    source chains) so each chain level is a handful of large elementwise
+    steps.  Every journey's ``T_0`` and the final weighted fold (scalar
+    ``(r, v, l)`` journey order) are those of the scalar per-journey
+    recursion.
+
+    The chain tree is padded to the call's deepest rows: ``S`` and ``D``
+    are the largest *d_src* and *d_dst*.  A row's journeys past its own
+    depths are padded terms, set to exactly 0.0 before the fold and never
+    multiplied by their zero weight (``0 · inf`` is NaN), so each row adds
+    its own journeys in its own ``(r, v, l)`` order and zeros in between
+    (``x + 0.0 = x``).
     """
     cells, loads = eta_e1.shape
+    deep_src, deep_dst = weights.shape[1], weights.shape[2]
+    # Padded journeys: destination depth past the row's d_dst, per (v, row),
+    # and from round r = min(d_src) on, source depth past the row's d_src.
+    pad_dst = np.arange(deep_dst)[:, None] >= d_dst
+    padded_dst = bool(pad_dst.any())
+    shallow_src = int(d_src.min())
+    w_rows = weights.transpose(1, 3, 2, 0)[..., None]  # (S, n_c, D, R, 1)
     m_src = (m_flits * src_cs)[:, None]
     m_i2 = (m_flits * i2_cs)[:, None]
     m_dst_cs = (m_flits * dst_cs)[:, None]
@@ -657,19 +696,19 @@ def _solve_pair_stacked(
     half_i2 = 0.5 * eta_i2_eff
     # Reusable working set (see _pair_scratch): fresh per-op temporaries
     # at these shapes would thrash the allocator; buffers carry no state.
-    shape4 = (n_c, d_dst, cells, loads)
+    shape4 = (n_c, deep_dst, cells, loads)
     s = _pair_scratch(shape4)
     t_buf, over_buf, clip_buf = s["t4"], s["o4"], s["c4"]
     t3, o3, c3 = s["t3"], s["o3"], s["c3"]
     with np.errstate(invalid="ignore", over="ignore"):
         suffix = np.zeros_like(eta_e1)
         dst_states = s["dst"]
-        for v in range(1, d_dst + 1):
+        for v in range(1, deep_dst + 1):
             _, _, suffix = _chain_step(
                 m_dst_cn if v == 1 else m_dst_cs, suffix, half_e1
             )
             dst_states[v - 1] = suffix
-        # ICN2 chains for every v at once: (v, cells, loads); odd chain
+        # ICN2 chains for every v at once: (v, rows, loads); odd chain
         # depths (journeys of l hops end there) seed the source chains.
         i2_a, i2_b = dst_states, s["w3"]
         src_start = s["wa4"]
@@ -688,18 +727,18 @@ def _solve_pair_stacked(
             i2_a, i2_b = i2_b, i2_a
             if step % 2 == 1:  # l = (step + 1) / 2 hops end here
                 src_start[(step + 1) // 2 - 1] = i2_a
-        # Source chains for every (l, v) at once: (l, v, cells, loads).
+        # Source chains for every (l, v) at once: (l, v, rows, loads).
         # Journey order is r-outermost, so each source depth's (v, l)
         # contributions fold into the total before the next depth — the
         # exact scalar (r, v, l) accumulation order.
         src_suffix = src_start
         w_buf = s["wb4"]
         total = np.zeros_like(eta_e1)
-        for r in range(d_src):
+        for r in range(deep_src):
             np.add(m_src[None, None], src_suffix, out=t_buf)
             np.greater(t_buf, _LATENCY_CAP, out=over_buf)
             over_any = bool(over_buf.any())
-            if r + 1 < d_src:  # the deepest column's W_k is never consumed
+            if r + 1 < deep_src:  # the deepest column's W_k is never consumed
                 np.multiply(half_e1[None, None], t_buf, out=w_buf)
                 w_buf *= t_buf
                 np.greater(w_buf, _LATENCY_CAP, out=clip_buf)
@@ -710,9 +749,12 @@ def _solve_pair_stacked(
                 w_buf += src_suffix
             if over_any:
                 np.copyto(t_buf, np.inf, where=over_buf)
-            w_r = weights[r * d_dst * n_c : (r + 1) * d_dst * n_c].reshape(d_dst, n_c)
-            t_buf *= w_r.T[:, :, None, None]
-            for v in range(d_dst):
+            if r >= shallow_src:
+                np.copyto(t_buf, 0.0, where=(pad_dst | (d_src <= r))[None, :, :, None])
+            elif padded_dst:
+                np.copyto(t_buf, 0.0, where=pad_dst[None, :, :, None])
+            t_buf *= w_rows[r]
+            for v in range(deep_dst):
                 for l_hops in range(n_c):
                     total += t_buf[l_hops, v]
             src_suffix, w_buf = w_buf, src_suffix
@@ -799,20 +841,28 @@ def _pair_structure(
 
 
 # ---------------------------------------------------------------------------
-# stacked parameter planes: stack-wide blocks, addressed by cell groups
+# stacked parameter planes: stack-wide journey families, addressed by cell groups
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _IntraBlock:
-    """The intra-cluster rows of one ``(switch_ports, tree_depth)`` across the stack.
+    """The intra-cluster rows of every class in the stack: one journey family.
 
-    One row per cell of every class of that depth in every cell group:
-    group-major, then class order, then cell.  The per-cell group flags
+    One row per cell of every class, shape by shape (a shape is a
+    ``(switch_ports, tree_depth)``, in order of first appearance), then
+    group-major, class order, cell.  Each row carries its shape — and
+    through it its depth and pmf weights — and its mean journey links, so
+    one solve prices rows of several depths.  The per-cell group flags
     (``m_flits``, ``var_paper``, ``sqr_per_node``) are tiled the same way.
     """
 
-    structure: _IntraStructure
+    structures: tuple[_IntraStructure, ...]  # per shape
+    depths: np.ndarray  # per shape: tree depth
+    weights: np.ndarray  # per shape: journey pmf, zero past its depth
+    scratch: np.ndarray  # per shape: solver scratch elements per row and load
+    shape: np.ndarray  # per row: its shape
+    mean_links: np.ndarray
     m_flits: np.ndarray
     var_paper: np.ndarray  # variance_approximation == "paper"
     sqr_per_node: np.ndarray  # source_queue_rate == "per_node"
@@ -833,15 +883,26 @@ class _IntraBlock:
 
 @dataclass(frozen=True)
 class _PairBlock:
-    """The ordered class pairs of one journey shape ``(switch_ports, d_src, d_dst, n_c)``.
+    """The ordered class pairs of one ICN2 depth ``n_c`` across the stack: one journey family.
 
-    One row per cell of every pair of that shape in every cell group:
-    group-major, then member-major (a group's members are its ``(i, j)``
-    pairs of the shape in row-major order), then cell.  The per-cell group
-    flags are tiled the same way.
+    One row per cell of every ordered class pair whose system has that
+    ICN2 depth, shape by shape (a shape is a ``(switch_ports, d_src,
+    d_dst, n_c)``, in order of first appearance), then group-major, then
+    member-major (a group's members of a shape are its ``(i, j)`` pairs of
+    that shape in row-major order), then cell.  Each row carries its shape
+    — and through it its depths and pmf weights — and its mean ECN1 and
+    ICN2 journey links, so one solve prices rows of several shapes.  The
+    per-cell group flags are tiled the same way.
     """
 
-    structure: _PairStructure
+    structures: tuple[_PairStructure, ...]  # per shape
+    n_c: int
+    depths: np.ndarray  # per shape: (d_src, d_dst)
+    weights: np.ndarray  # per shape: (d_src, d_dst, n_c) pmf products, zero past its depths
+    scratch: np.ndarray  # per shape: solver scratch elements per row and load
+    shape: np.ndarray  # per row: its shape
+    d_e1: np.ndarray  # mean ECN1 journey links of the source depth
+    d_i2: np.ndarray  # mean ICN2 journey links
     m_flits: np.ndarray
     var_paper: np.ndarray  # variance_approximation == "paper"
     sqr_aggregate: np.ndarray  # source_queue_rate == "aggregate_pair"
@@ -867,47 +928,86 @@ class _PairBlock:
 
     @property
     def eta_i2_divisor(self) -> float:
-        return 4.0 * self.structure.n_c
+        return 4.0 * self.n_c
 
     def outward(self) -> np.ndarray:
         """Rows whose queues can saturate: the source class sends outward to a positive weight."""
         return (self.src_u > 0.0) & (self.weight > 0.0)
 
 
-class _Span(NamedTuple):
-    """A cell group's rows in one block: *members* consecutive runs of the
-    group's cells, from row *first*."""
+def _solve_calls(
+    block: "_IntraBlock | _PairBlock", rows: np.ndarray, width: int, cut: "int | None"
+) -> list["np.ndarray | slice"]:
+    """The solver calls over block *rows* at *width* loads each: the chunk rule.
 
-    block: int
-    first: int
-    members: int
-
-
-def _span_rows(
-    span: _Span, cells: int, rows: "np.ndarray | None", first: int = 0, stop: int = 1
-) -> "np.ndarray | slice":
-    """Block rows of members ``first … stop − 1`` of *span* over the group's cell *rows* (all when ``None``)."""
-    base = span.first + first * cells
-    if rows is None:
-        return slice(base, span.first + stop * cells)
-    return (base + np.arange(stop - first)[:, None] * cells + rows[None, :]).ravel()
+    A call's padded scratch is its largest row scratch (a pair row's
+    ``n_c · d_dst``, an intra row's depth) × its rows × *width*.  All rows
+    are one call when that stays within :data:`_SOLVE_ELEMENTS`.
+    Otherwise the rows are taken shape by shape (in row order within a
+    shape), and consecutive shapes share a call only while its padded
+    scratch stays within the budget.  A shape that alone exceeds it gets
+    calls of its own: *cut* rows each, or, when *cut* is ``None``, as many
+    rows as the budget holds (at least one).  Returns each call's
+    positions in *rows* (``slice(None)`` for a single call).
+    """
+    shape = block.shape[rows]
+    scratch = block.scratch[shape]
+    if int(scratch.max()) * rows.size * width <= _SOLVE_ELEMENTS:
+        return [slice(None)]
+    order = np.argsort(shape, kind="stable")
+    ends = [*(np.flatnonzero(np.diff(shape[order])) + 1).tolist(), rows.size]
+    calls: list["np.ndarray | slice"] = []
+    begin = start = widest = 0
+    for stop in ends:
+        own = int(scratch[order[start]])
+        if own * (stop - start) * width > _SOLVE_ELEMENTS:
+            if begin < start:
+                calls.append(order[begin:start])
+            step = cut or max(1, _SOLVE_ELEMENTS // (own * width))
+            calls += [order[first : min(first + step, stop)] for first in range(start, stop, step)]
+            begin, widest = stop, 0
+        elif max(widest, own) * (stop - begin) * width > _SOLVE_ELEMENTS:
+            calls.append(order[begin:start])
+            begin, widest = start, own
+        else:
+            widest = max(widest, own)
+        start = stop
+    if begin < rows.size:
+        calls.append(order[begin:])
+    return calls if len(calls) > 1 else [slice(None)]
 
 
 @dataclass(frozen=True)
 class _CellGroup:
-    """All cells sharing one structure signature: class order and block rows."""
+    """All cells sharing one structure signature: class order and family rows.
+
+    Class ``i`` of cell ``c`` is intra row ``intra[i] + c``; the ordered
+    pair ``(i, j)`` of cell ``c`` is row ``pairs[i, j] + c`` of pair block
+    ``family``.
+    """
 
     indices: np.ndarray  # positions in the original cell list
     single_cluster: bool
     class_names: tuple[str, ...]
     total_nodes: np.ndarray  # (C,)
-    intra: tuple[_Span, ...]  # per class, in the plan's intra blocks
-    shapes: tuple[_Span, ...]  # per journey shape, in its pair block; () when single_cluster
-    pair_slots: dict[tuple[int, int], tuple[int, int]]  # (i, j) → (shape, member)
+    intra: np.ndarray  # (classes,) first intra row of each class
+    family: int  # its pair block; -1 when single_cluster
+    pairs: np.ndarray  # (classes, classes) first pair row of each ordered pair
 
     @property
     def size(self) -> int:
         return int(self.indices.size)
+
+    def batches(self, cells: int) -> Iterator[slice]:
+        """Consecutive source classes per evaluation batch over *cells* cells.
+
+        As many classes as fit :data:`_PAIR_ROWS` pair rows, at least one:
+        every class of a one-cell stack.
+        """
+        count = len(self.class_names)
+        per = count if self.single_cluster else max(1, _PAIR_ROWS // (count * cells))
+        for first in range(0, count, per):
+            yield slice(first, min(first + per, count))
 
 
 def _group_signature(model: AnalyticalModel) -> tuple:
@@ -921,34 +1021,81 @@ def _group_signature(model: AnalyticalModel) -> tuple:
     )
 
 
-def _add_part(
-    blocks: dict, key: tuple, structure: Any, part: dict[str, np.ndarray], members: int
-) -> _Span:
-    """Append one group's rows *part* to block *key* (of journey *structure*); returns their span."""
-    parts = blocks.setdefault(key, (structure, []))[1]
+def _add_part(shapes: dict, key: tuple, structure: Any, part: dict[str, np.ndarray]) -> tuple:
+    """Append one group's rows *part* to shape *key* (of journey *structure*).
+
+    Returns ``(key, first)``: the shape and the part's first row in it.
+    """
+    parts = shapes.setdefault(key, (structure, []))[1]
     first = sum(p["m_flits"].size for p in parts)
     parts.append(part)
-    return _Span(list(blocks).index(key), first, members)
+    return key, first
 
 
-def _joined(parts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+def _family(shapes: dict) -> tuple[dict[str, Any], dict[tuple, int]]:
+    """Concatenate *shapes* (key → (structure, parts)) in order into one family's planes.
+
+    Returns the planes, with ``structures`` and the per-row ``shape``, and
+    each shape's first row in the family.
+    """
+    structures = tuple(structure for structure, _ in shapes.values())
+    parts = [part for _, shape_parts in shapes.values() for part in shape_parts]
+    sizes = [sum(part["m_flits"].size for part in shape_parts) for _, shape_parts in shapes.values()]
+    offsets = dict(zip(shapes, np.cumsum([0, *sizes[:-1]]).tolist()))
+    planes: dict[str, Any] = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+    planes["structures"] = structures
+    planes["shape"] = np.repeat(np.arange(len(structures)), sizes)
+    return planes, offsets
+
+
+def _intra_block(shapes: dict) -> tuple[_IntraBlock, dict[tuple, int]]:
+    planes, offsets = _family(shapes)
+    structures = planes["structures"]
+    depths = np.array([s.tree_depth for s in structures])
+    weights = np.zeros((len(structures), int(depths.max())))
+    for k, structure in enumerate(structures):
+        weights[k, : structure.tree_depth] = structure.weights
+    mean_links = np.array([s.mean_links for s in structures])[planes["shape"]]
+    block = _IntraBlock(
+        depths=depths, weights=weights, scratch=depths, mean_links=mean_links, **planes
+    )
+    return block, offsets
+
+
+def _pair_block(shapes: dict) -> tuple[_PairBlock, dict[tuple, int]]:
+    planes, offsets = _family(shapes)
+    structures = planes["structures"]
+    n_c = structures[0].n_c
+    depths = np.array([(s.d_src, s.d_dst) for s in structures])
+    weights = np.zeros((len(structures), int(depths[:, 0].max()), int(depths[:, 1].max()), n_c))
+    for k, s in enumerate(structures):
+        weights[k, : s.d_src, : s.d_dst] = s.weights.reshape(s.d_src, s.d_dst, n_c)
+    block = _PairBlock(
+        n_c=n_c,
+        depths=depths,
+        weights=weights,
+        scratch=n_c * depths[:, 1],
+        d_e1=np.array([s.d_e1 for s in structures])[planes["shape"]],
+        d_i2=np.array([s.d_i2 for s in structures])[planes["shape"]],
+        **planes,
+    )
+    return block, offsets
 
 
 class ParameterPlan:
-    """Packed parameters of a cell list: stack-wide blocks, addressed by cell groups.
+    """Packed parameters of a cell list: stack-wide journey families, addressed by cell groups.
 
     Packing builds one scalar :class:`AnalyticalModel` per cell (only
     the cheap class decomposition and destination weighting) and groups
     the cells by structure signature, so cells whose class decompositions
     differ land in different groups.  Each group's per-cell parameter
-    planes are packed into stack-wide blocks, one :class:`_IntraBlock` per
-    ``(switch_ports, tree_depth)`` and one :class:`_PairBlock` per journey
-    shape ``(switch_ports, d_src, d_dst, n_c)``, each holding the rows of
-    every group: a journey structure is derived once, whatever group it
-    sits in.  The blocks are the only copy of a per-row plane; a group
-    keeps its class order and addresses its rows as :class:`_Span` ranges
-    of the blocks.
+    planes are packed into stack-wide journey families: one
+    :class:`_IntraBlock` for every class of every depth, and one
+    :class:`_PairBlock` per ICN2 depth ``n_c``, each holding its journey
+    shapes' rows of every group, shape by shape.  A journey structure is
+    derived once, whatever group it sits in.  The blocks are the only
+    copy of a per-row plane; a group keeps its class order and addresses
+    its rows by first row per class and per ordered class pair.
     """
 
     def __init__(self, models: Sequence[AnalyticalModel]) -> None:
@@ -964,15 +1111,36 @@ class ParameterPlan:
             by_sig.setdefault(_group_signature(model), []).append(pos)
         intra: dict[tuple, tuple[_IntraStructure, list[dict[str, np.ndarray]]]] = {}
         pairs: dict[tuple, tuple[_PairStructure, list[dict[str, np.ndarray]]]] = {}
-        self.groups: tuple[_CellGroup, ...] = tuple(
-            self._build_group(positions, intra, pairs) for positions in by_sig.values()
-        )
-        self.intra_blocks = tuple(
-            _IntraBlock(structure, **_joined(parts)) for structure, parts in intra.values()
-        )
-        self.pair_blocks = tuple(
-            _PairBlock(structure, **_joined(parts)) for structure, parts in pairs.values()
-        )
+        packed = [self._pack_group(positions, intra, pairs) for positions in by_sig.values()]
+        self.intra, intra_first = _intra_block(intra)
+        families: dict[int, dict[tuple, Any]] = {}
+        for key, entry in pairs.items():  # key = (switch_ports, d_src, d_dst, n_c)
+            families.setdefault(key[3], {})[key] = entry
+        blocks = [_pair_block(shapes) for shapes in families.values()]
+        self.pair_blocks: tuple[_PairBlock, ...] = tuple(block for block, _ in blocks)
+        pair_first = {
+            key: (family, first) for family, (_, firsts) in enumerate(blocks) for key, first in firsts.items()
+        }
+        groups = []
+        for positions, single, names, total_nodes, class_parts, pair_parts in packed:
+            family, pair_rows = -1, np.zeros((0, 0), dtype=np.intp)
+            if pair_parts:
+                family = pair_first[pair_parts[0][0]][0]
+                pair_rows = np.array(
+                    [pair_first[key][1] + first for key, first in pair_parts], dtype=np.intp
+                ).reshape(len(names), len(names))
+            groups.append(
+                _CellGroup(
+                    indices=np.asarray(positions, dtype=np.intp),
+                    single_cluster=single,
+                    class_names=names,
+                    total_nodes=total_nodes,
+                    intra=np.array([intra_first[key] + first for key, first in class_parts], dtype=np.intp),
+                    family=family,
+                    pairs=pair_rows,
+                )
+            )
+        self.groups: tuple[_CellGroup, ...] = tuple(groups)
 
     @property
     def cells(self) -> int:
@@ -980,8 +1148,13 @@ class ParameterPlan:
 
     # -- packing ---------------------------------------------------------------
 
-    def _build_group(self, positions: list[int], intra_blocks: dict, pair_blocks: dict) -> _CellGroup:
-        """Pack one group's cells into the blocks; returns the group's spans."""
+    def _pack_group(self, positions: list[int], intra_shapes: dict, pair_shapes: dict) -> tuple:
+        """Pack one group's cells into the journey shapes.
+
+        Returns the group's positions, single-cluster flag, class names and
+        total nodes, each class's ``(shape, first row)`` and each ordered
+        pair's ``(shape, first row)``, its member's first row in the shape.
+        """
         models = [self.models[p] for p in positions]
         rep = models[0]
         ports = rep.system.switch_ports
@@ -998,7 +1171,7 @@ class ParameterPlan:
             [m.options.source_queue_rate == "per_node" for m in models], dtype=bool
         )
 
-        intra: list[_Span] = []
+        class_parts: list[tuple] = []
         class_planes: list[tuple[np.ndarray, ...]] = []  # per class: (e_cs, e_cn, nodes, u)
         for i in range(n_cls):
             structure = _intra_structure(ports, classes0[i].tree_depth)
@@ -1038,10 +1211,9 @@ class ParameterPlan:
                 "min_service": m_flits * t_cn,
             }
             key = (ports, structure.tree_depth)
-            intra.append(_add_part(intra_blocks, key, structure, part, 1))
+            class_parts.append(_add_part(intra_shapes, key, structure, part))
 
-        shapes: list[_Span] = []
-        slots: dict[tuple[int, int], tuple[int, int]] = {}
+        slots: dict[tuple[int, int], tuple] = {}
         if not single:
             sqr_aggregate = np.array(
                 [m.options.source_queue_rate == "aggregate_pair" for m in models], dtype=bool
@@ -1077,8 +1249,6 @@ class ParameterPlan:
                     key = (classes0[i].tree_depth, classes0[j].tree_depth)
                     by_shape.setdefault(key, []).append((i, j))
             for (d_src, d_dst), members in by_shape.items():
-                for p, pair in enumerate(members):
-                    slots[pair] = (len(shapes), p)
                 src = [i for i, _ in members]
                 dst = [j for _, j in members]
                 structure = _pair_structure(ports, d_src, d_dst, n_c)
@@ -1123,22 +1293,13 @@ class ParameterPlan:
                     ),
                     "weight": dest_weights[src, dst].ravel(),
                 }
-                key = (ports, d_src, d_dst, n_c)
-                shapes.append(_add_part(pair_blocks, key, structure, part, len(members)))
+                key, first = _add_part(pair_shapes, (ports, d_src, d_dst, n_c), structure, part)
+                for p, pair in enumerate(members):
+                    slots[pair] = (key, first + p * len(models))
 
-        return _CellGroup(
-            indices=np.asarray(positions, dtype=np.intp),
-            single_cluster=single,
-            class_names=tuple(cls.name for cls in classes0),
-            total_nodes=total_nodes,
-            intra=tuple(intra),
-            shapes=tuple(shapes),
-            pair_slots=slots,
-        )
-
-
-def _take(array: np.ndarray, rows: "np.ndarray | slice | None") -> np.ndarray:
-    return array if rows is None else array[rows]
+        names = tuple(cls.name for cls in classes0)
+        pair_parts = [slots[i, j] for i in range(n_cls) for j in range(n_cls)] if slots else []
+        return positions, single, names, total_nodes, class_parts, pair_parts
 
 
 def _cell_slice(terms: Any, c: int) -> Any:
@@ -1189,115 +1350,145 @@ class StackedModel:
     # -- rates (the single source for evaluation AND inversion) ----------------
 
     def _intra_rates(
-        self, block: _IntraBlock, rows: "np.ndarray | slice | None", loads: np.ndarray
+        self, block: _IntraBlock, rows: "np.ndarray | slice", loads: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Eqs. 7–10: ``λ_I1`` and ``η_I1`` over block rows."""
-        lambda_i1 = (
-            _take(block.nodes, rows)[:, None] * loads
-        ) * _take(block.intra_fraction, rows)[:, None]
-        eta_i1 = (
-            lambda_i1 * block.structure.mean_links
-        ) / _take(block.eta_divisor, rows)[:, None]
+        lambda_i1 = (block.nodes[rows][:, None] * loads) * block.intra_fraction[rows][:, None]
+        eta_i1 = (lambda_i1 * block.mean_links[rows][:, None]) / block.eta_divisor[rows][:, None]
         return lambda_i1, eta_i1
 
     def _pair_rates(
-        self, shape: _PairBlock, rows: "np.ndarray | slice | None", loads: np.ndarray
+        self, block: _PairBlock, rows: "np.ndarray | slice", loads: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Eqs. 22–28: ``λ_E1, λ_I2, η_E1, η_I2, η_I2·δ`` over shape rows."""
-        lambda_e1 = loads * _take(shape.external, rows)[:, None]
+        """Eqs. 22–28: ``λ_E1, λ_I2, η_E1, η_I2, η_I2·δ`` over block rows."""
+        lambda_e1 = loads * block.external[rows][:, None]
         lambda_i2 = 0.5 * lambda_e1
-        eta_e1 = (lambda_e1 * shape.structure.d_e1) / _take(shape.eta_e1_divisor, rows)[
-            :, None
-        ]
-        eta_i2 = (lambda_i2 * shape.structure.d_i2) / shape.eta_i2_divisor
-        eta_i2_eff = eta_i2 * _take(shape.delta, rows)[:, None]
+        eta_e1 = (lambda_e1 * block.d_e1[rows][:, None]) / block.eta_e1_divisor[rows][:, None]
+        eta_i2 = (lambda_i2 * block.d_i2[rows][:, None]) / block.eta_i2_divisor
+        eta_i2_eff = eta_i2 * block.delta[rows][:, None]
         return lambda_e1, lambda_i2, eta_e1, eta_i2, eta_i2_eff
 
     def _intra_source_rate(
         self,
         block: _IntraBlock,
-        rows: "np.ndarray | slice | None",
+        rows: "np.ndarray | slice",
         loads: np.ndarray,
         lambda_i1: np.ndarray,
     ) -> np.ndarray:
         """Eq. 18 source-queue rate, option branch as a per-row mask."""
         return np.where(
-            _take(block.sqr_per_node, rows)[:, None],
-            loads * _take(block.intra_fraction, rows)[:, None],
+            block.sqr_per_node[rows][:, None],
+            loads * block.intra_fraction[rows][:, None],
             lambda_i1,
         )
 
     def _pair_source_rate(
         self,
-        shape: _PairBlock,
-        rows: "np.ndarray | slice | None",
+        block: _PairBlock,
+        rows: "np.ndarray | slice",
         loads: np.ndarray,
         lambda_e1: np.ndarray,
     ) -> np.ndarray:
         """Eq. 31 source-queue rate, option branch as a per-row mask."""
         return np.where(
-            _take(shape.sqr_aggregate, rows)[:, None],
+            block.sqr_aggregate[rows][:, None],
             lambda_e1,
-            loads * _take(shape.src_u, rows)[:, None],
+            loads * block.src_u[rows][:, None],
         )
 
     def _concentrator_rate(
         self,
-        shape: _PairBlock,
-        rows: "np.ndarray | slice | None",
+        block: _PairBlock,
+        rows: "np.ndarray | slice",
         loads: np.ndarray,
         lambda_e1: np.ndarray,
     ) -> np.ndarray:
         """Eq. 37 concentrator rate, option branch as a per-row mask."""
         return np.where(
-            _take(shape.conc_outgoing, rows)[:, None],
-            (loads * _take(shape.src_nodes, rows)[:, None])
-            * _take(shape.src_u, rows)[:, None],
+            block.conc_outgoing[rows][:, None],
+            (loads * block.src_nodes[rows][:, None]) * block.src_u[rows][:, None],
             0.5 * lambda_e1,
         )
 
-    # -- journey latencies ------------------------------------------------------
+    # -- journey latencies: one solver call over rows of any depths -------------
 
     def _intra_latency(
-        self, block: _IntraBlock, rows: "np.ndarray | slice | None", eta_i1: np.ndarray
+        self, block: _IntraBlock, rows: "np.ndarray | slice", eta_i1: np.ndarray
     ) -> np.ndarray:
+        shape = block.shape[rows]
+        depth = block.depths[shape]
         return _solve_intra_stacked(
-            _take(block.t_cs, rows),
-            _take(block.t_cn, rows),
-            block.structure.tree_depth,
-            block.structure.weights,
+            block.t_cs[rows],
+            block.t_cn[rows],
+            depth,
+            block.weights[shape, : int(depth.max())],
             eta_i1,
-            _take(block.m_flits, rows),
+            block.m_flits[rows],
         )
 
     def _pair_latency(
         self,
-        shape: _PairBlock,
-        rows: "np.ndarray | slice | None",
+        block: _PairBlock,
+        rows: "np.ndarray | slice",
         eta_e1: np.ndarray,
         eta_i2_eff: np.ndarray,
     ) -> np.ndarray:
-        structure = shape.structure
+        shape = block.shape[rows]
+        d_src, d_dst = block.depths[shape].T
+        if shape.min() == shape.max():
+            # One shape: its weights broadcast over rows and loads, which
+            # multiplies about 2.5× faster than a weight per row.
+            shape = shape[:1]
         return _solve_pair_stacked(
-            _take(shape.src_cs, rows),
-            _take(shape.i2_cs, rows),
-            _take(shape.dst_cs, rows),
-            _take(shape.dst_cn, rows),
-            structure.d_src,
-            structure.d_dst,
-            structure.n_c,
-            structure.weights,
+            block.src_cs[rows],
+            block.i2_cs[rows],
+            block.dst_cs[rows],
+            block.dst_cn[rows],
+            d_src,
+            d_dst,
+            block.n_c,
+            block.weights[shape, : int(d_src.max()), : int(d_dst.max())],
             eta_e1,
             eta_i2_eff,
-            _take(shape.m_flits, rows),
+            block.m_flits[rows],
         )
+
+    def _solved(
+        self,
+        terms: Callable[[Any, "np.ndarray | slice", np.ndarray], dict],
+        block: "_IntraBlock | _PairBlock",
+        rows: np.ndarray,
+        loads: np.ndarray,
+        cut: "int | None",
+        keys: "tuple[str, ...] | None" = None,
+    ) -> dict:
+        """``terms(block, rows, loads)`` in the solver calls of the chunk rule.
+
+        :func:`_solve_calls` cuts *rows* (and their *loads* rows) into
+        calls; each call's planes named in *keys* (all when ``None``) are
+        placed back at its rows, so the result is row for row what one
+        call over all *rows* would return.
+        """
+        calls = _solve_calls(block, rows, loads.shape[1], cut)
+        out: dict[str, np.ndarray] = {}
+        for at in calls:
+            part = terms(block, rows[at], loads[at])
+            if keys is not None:
+                part = {key: part[key] for key in keys}
+            if len(calls) == 1:
+                return part
+            for key, plane in part.items():
+                if key not in out:
+                    out[key] = np.empty((rows.size, *plane.shape[1:]), dtype=plane.dtype)
+                out[key][at] = plane
+        return out
 
     # -- per-term planes (Eqs. 1, 7–39, stacked) --------------------------------
 
     def _source_queue_terms(
         self,
-        plan: "_IntraBlock | _PairBlock",
-        rows: "np.ndarray | slice | None",
+        block: "_IntraBlock | _PairBlock",
+        rows: "np.ndarray | slice",
         source_rate: np.ndarray,
         network: np.ndarray,
     ) -> dict:
@@ -1308,12 +1499,12 @@ class StackedModel:
         """
         with np.errstate(invalid="ignore", over="ignore"):
             variance = np.where(
-                _take(plan.var_paper, rows)[:, None],
-                (network - _take(plan.min_service, rows)[:, None]) ** 2,  # Eq. 17
+                block.var_paper[rows][:, None],
+                (network - block.min_service[rows][:, None]) ** 2,  # Eq. 17
                 network**2,
             )
         wait, utilization, saturated = _mg1_wait_batched(source_rate, network, variance)
-        tail_time = _take(plan.tail_time, rows)
+        tail_time = block.tail_time[rows]
         return {
             "wait": wait,
             "network_latency": network,
@@ -1323,9 +1514,7 @@ class StackedModel:
             "saturated": saturated,
         }
 
-    def _intra_terms(
-        self, block: _IntraBlock, rows: "np.ndarray | slice | None", loads: np.ndarray
-    ) -> dict:
+    def _intra_terms(self, block: _IntraBlock, rows: "np.ndarray | slice", loads: np.ndarray) -> dict:
         """Eqs. 7–19 over block rows: every plane of an ``IntraClusterLatency``."""
         lambda_i1, eta_i1 = self._intra_rates(block, rows, loads)
         network = self._intra_latency(block, rows, eta_i1)
@@ -1336,26 +1525,22 @@ class StackedModel:
             "eta_i1": eta_i1,
         }
 
-    def _pair_terms(
-        self, shape: _PairBlock, rows: "np.ndarray | slice | None", loads: np.ndarray
-    ) -> dict:
-        """Eqs. 20–38 over shape rows: the ``InterPairLatency`` planes, the
+    def _pair_terms(self, block: _PairBlock, rows: "np.ndarray | slice", loads: np.ndarray) -> dict:
+        """Eqs. 20–38 over block rows: the ``InterPairLatency`` planes, the
         Eqs. 36–37 concentrator queue, the destination ``weight`` and the
         ``relaxing_factor``."""
-        lambda_e1, lambda_i2, eta_e1, eta_i2, eta_i2_eff = self._pair_rates(
-            shape, rows, loads
-        )
-        network = self._pair_latency(shape, rows, eta_e1, eta_i2_eff)
-        source_rate = self._pair_source_rate(shape, rows, loads, lambda_e1)
-        conc_rate = self._concentrator_rate(shape, rows, loads, lambda_e1)
+        lambda_e1, lambda_i2, eta_e1, eta_i2, eta_i2_eff = self._pair_rates(block, rows, loads)
+        network = self._pair_latency(block, rows, eta_e1, eta_i2_eff)
+        source_rate = self._pair_source_rate(block, rows, loads, lambda_e1)
+        conc_rate = self._concentrator_rate(block, rows, loads, lambda_e1)
         ones = np.ones_like(loads)
         conc_wait, conc_utilization, conc_saturated = _mg1_wait_batched(
             conc_rate,
-            ones * _take(shape.conc_service, rows)[:, None],
-            ones * _take(shape.conc_variance, rows)[:, None],
+            ones * block.conc_service[rows][:, None],
+            ones * block.conc_variance[rows][:, None],
         )
         return {
-            **self._source_queue_terms(shape, rows, source_rate, network),
+            **self._source_queue_terms(block, rows, source_rate, network),
             "lambda_e1": lambda_e1,
             "lambda_i2": lambda_i2,
             "eta_e1": eta_e1,
@@ -1363,130 +1548,121 @@ class StackedModel:
             "conc_utilization": conc_utilization,
             "conc_pair_wait": 2.0 * conc_wait,  # Eq. 38 summand (2 inf stays inf)
             "conc_saturated": conc_saturated,
-            "weight": _take(shape.weight, rows),
-            "relaxing_factor": _take(shape.delta, rows),
+            "weight": block.weight[rows],
+            "relaxing_factor": block.delta[rows],
         }
 
-    def _pair_reader(
+    def _batch_terms(
         self,
         group: _CellGroup,
-        rows: "np.ndarray | None",
+        cell_rows: np.ndarray,
         loads: np.ndarray,
-        keys: "tuple[str, ...] | None" = None,
-    ) -> Callable[[int, int], dict]:
-        """Lazy ``(i, j) → pair planes`` over the group's cell *rows*.
+        classes: slice,
+        intra_keys: "tuple[str, ...] | None",
+        pair_keys: "tuple[str, ...] | None",
+    ) -> tuple[np.ndarray, dict, "dict | None"]:
+        """A batch of source *classes* over the group's *cell_rows*: intra and pair planes.
 
-        A pair's shape is solved in chunks of consecutive members, at most
-        :data:`_PAIR_ROWS` stacked rows each.  A chunk is solved when one
-        of its pairs is first read and stays alive, with only its planes
-        named in *keys* (all when ``None``), until the next chunk of its
-        shape is read, so reading the pairs in scalar ``(i, j)`` order
-        solves each chunk once.  A one-member chunk is the pair itself: it
-        is returned as solved and kept nowhere.
+        Returns the batch's intra rows (class-major, then cell) and their
+        planes, and the planes of its ordered pairs ``(i, j)``, rows in
+        ``(i, j, cell)`` order (``None`` in a single-cluster group).  Each
+        is solved in the calls of the chunk rule: intra rows never cut, a
+        pair shape that alone exceeds the element budget cut into whole
+        members of at most :data:`_PAIR_ROWS` rows.
         """
-        cells = group.size if rows is None else rows.size
-        per_call = max(1, _PAIR_ROWS // cells)
-        alive: dict[int, tuple[int, dict]] = {}
+        cells = cell_rows.size
+        batch = classes.stop - classes.start
+        intra_rows = (group.intra[classes, None] + cell_rows).ravel()
+        intra = self._solved(
+            self._intra_terms,
+            self.plan.intra,
+            intra_rows,
+            np.tile(loads, (batch, 1)),
+            intra_rows.size,
+            intra_keys,
+        )
+        if group.single_cluster:
+            return intra_rows, intra, None
+        pair_rows = (group.pairs[classes, :, None] + cell_rows).ravel()
+        pairs = self._solved(
+            self._pair_terms,
+            self.plan.pair_blocks[group.family],
+            pair_rows,
+            np.tile(loads, (pair_rows.size // cells, 1)),
+            max(1, _PAIR_ROWS // cells) * cells,
+            pair_keys,
+        )
+        return intra_rows, intra, pairs
 
-        def read(i: int, j: int) -> dict:
-            s, p = group.pair_slots[i, j]
-            span = group.shapes[s]
-            shape = self.plan.pair_blocks[span.block]
-            chunk, offset = divmod(p, per_call)
-            first = chunk * per_call
-            stop = min(first + per_call, span.members)
-            if stop - first == 1:  # a lone member's planes are the pair's own
-                return self._pair_terms(shape, _span_rows(span, group.size, rows, p, p + 1), loads)
-            if s not in alive or alive[s][0] != chunk:
-                terms = self._pair_terms(
-                    shape,
-                    _span_rows(span, group.size, rows, first, stop),
-                    np.tile(loads, (stop - first, 1)),
-                )
-                alive[s] = (chunk, terms if keys is None else {k: terms[k] for k in keys})
-            block = slice(offset * cells, (offset + 1) * cells)
-            return {key: plane[block] for key, plane in alive[s][1].items()}
-
-        return read
-
-    def _class_rows(
-        self, group: _CellGroup, i: int, rows: "np.ndarray | None"
-    ) -> tuple[_IntraBlock, "np.ndarray | slice"]:
-        """Class *i*'s intra block and its rows there over the group's cell *rows*."""
-        span = group.intra[i]
-        return self.plan.intra_blocks[span.block], _span_rows(span, group.size, rows)
-
-    def _class_terms(
-        self,
-        group: _CellGroup,
-        rows: "np.ndarray | None",
-        loads: np.ndarray,
-        *,
-        keep_pairs: bool = False,
+    def _class_batches(
+        self, group: _CellGroup, rows: "np.ndarray | None", loads: np.ndarray, *, keep: bool = False
     ) -> Iterator[dict]:
-        """Yield each class's Eq. 1/35/38/39 planes, in class order.
+        """Yield each batch of source classes' Eq. 1/35/38/39 planes, in class order.
 
-        Mirrors the class loop of ``AnalyticalModel.evaluate``; the
-        per-cell ``U_i == 0`` / zero-weight control-flow skips of the
-        scalar path become post-hoc ``np.where`` selections, so a masked
-        cell's lanes never leak the ``0 · ∞`` artifacts of branches the
-        scalar code would not have executed.  Pairs come from shape
-        chunks (:meth:`_pair_reader`), folded in the scalar ``j`` order.
-        With *keep_pairs* every pair's term planes ride along under
-        ``"pairs"`` (the breakdown path); otherwise each pair's planes are
-        dropped once folded.
+        Mirrors the class loop of ``AnalyticalModel.evaluate`` over a batch
+        of classes at a time (:meth:`_CellGroup.batches`); planes are shaped
+        ``(classes, cells, loads)``.  The Eq. 35/38 fold over destinations
+        is one elementwise step per ``j``, in the scalar ``j`` order, over
+        the batch's source classes, cells and loads.  The per-cell ``U_i ==
+        0`` / zero-weight control-flow skips of the scalar path become
+        ``np.where`` selections, so a masked lane never leaks the ``0 · ∞``
+        artifacts of a branch the scalar code would not have executed.
+        With *keep* every intra and pair plane rides along under
+        ``"intra"`` and ``"pairs"`` (the breakdown path); otherwise only
+        the planes the folds read are kept.
         """
-        folded = ("weight", "total", "conc_pair_wait", "saturated", "conc_saturated")
-        read_pair = self._pair_reader(group, rows, loads, None if keep_pairs else folded)
-        for i in range(len(group.intra)):
-            block, class_rows = self._class_rows(group, i, rows)
-            intra = self._intra_terms(block, class_rows, loads)
-            inter_network = np.zeros_like(loads)
-            conc_wait = np.zeros_like(loads)
-            pair_saturated = np.zeros(loads.shape, dtype=bool)
-            pairs: list[dict] = []
-            u = block.u[class_rows]
-            active = (u > 0.0) & (not group.single_cluster)
-            if not group.single_cluster and bool(active.any()):
-                total_weight = np.zeros(u.shape, dtype=np.float64)
-                for j in range(len(group.intra)):
-                    pair = read_pair(i, j)
-                    w = pair["weight"]
-                    if keep_pairs:
-                        pairs.append(pair)
-                    with np.errstate(invalid="ignore", over="ignore"):
-                        inter_network = inter_network + np.where(
-                            (w > 0)[:, None], w[:, None] * pair["total"], 0.0
-                        )
-                        conc_wait = conc_wait + np.where(
-                            (w > 0)[:, None], w[:, None] * pair["conc_pair_wait"], 0.0
-                        )
-                    pair_saturated = pair_saturated | (
-                        (w > 0)[:, None] & (pair["saturated"] | pair["conc_saturated"])
-                    )
-                    total_weight = total_weight + w
+        cell_rows = np.arange(group.size) if rows is None else rows
+        cells = cell_rows.size
+        count = len(group.class_names)
+        intra_keys = None if keep else ("total", "saturated")
+        pair_keys = None if keep else ("weight", "total", "conc_pair_wait", "saturated", "conc_saturated")
+        block = self.plan.intra
+        for classes in group.batches(cells):
+            intra_rows, intra, pairs = self._batch_terms(
+                group, cell_rows, loads, classes, intra_keys, pair_keys
+            )
+            batch = classes.stop - classes.start
+            planes = (batch, cells, loads.shape[1])
+            u = block.u[intra_rows].reshape(batch, cells, 1)
+            active = (u > 0.0) & (pairs is not None)
+            inter_network = np.zeros(planes)
+            conc_wait = np.zeros(planes)
+            pair_saturated = np.zeros(planes, dtype=bool)
+            if pairs is not None:
+                pair_planes = (batch, count, cells, loads.shape[1])
+                w = pairs["weight"].reshape(batch, count, cells, 1)
+                positive = w > 0.0
+                with np.errstate(invalid="ignore", over="ignore"):
+                    network = np.where(positive, w * pairs["total"].reshape(pair_planes), 0.0)
+                    queued = np.where(positive, w * pairs["conc_pair_wait"].reshape(pair_planes), 0.0)
+                total_weight = np.zeros((batch, cells, 1))
+                for j in range(count):
+                    inter_network = inter_network + network[:, j]
+                    conc_wait = conc_wait + queued[:, j]
+                    total_weight = total_weight + w[:, j]
+                saturated = (pairs["saturated"] | pairs["conc_saturated"]).reshape(pair_planes)
+                pair_saturated = np.any(positive & saturated, axis=1) & active
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    inter_network = np.where(
-                        active[:, None], inter_network / total_weight[:, None], 0.0
-                    )
-                    conc_wait = np.where(
-                        active[:, None], conc_wait / total_weight[:, None], 0.0
-                    )
-                pair_saturated = pair_saturated & active[:, None]
+                    inter_network = np.where(active, inter_network / total_weight, 0.0)
+                    conc_wait = np.where(active, conc_wait / total_weight, 0.0)
             outward = inter_network + conc_wait  # Eq. 39
             with np.errstate(invalid="ignore", over="ignore"):
                 mean = (
-                    block.intra_fraction[class_rows][:, None] * intra["total"]
-                    + u[:, None] * outward
+                    block.intra_fraction[intra_rows].reshape(batch, cells, 1)
+                    * intra["total"].reshape(planes)
+                    + u * outward
                 )  # Eq. 1
             yield {
+                "classes": classes,
+                "intra_rows": intra_rows,
                 "intra": intra,
                 "pairs": pairs,
+                "active": active,
                 "inter_network": inter_network,
                 "conc_wait": conc_wait,
                 "outward": outward,
                 "mean": mean,
-                "saturated": intra["saturated"] | pair_saturated,
+                "saturated": intra["saturated"].reshape(planes) | pair_saturated,
             }
 
     def _fold_latency(
@@ -1494,25 +1670,29 @@ class StackedModel:
         group: _CellGroup,
         rows: "np.ndarray | None",
         loads: np.ndarray,
-        classes: Iterable[dict],
+        batches: Iterable[dict],
     ) -> np.ndarray:
-        """Eq. 3: node-weighted mean of the class means, ``inf`` if saturated."""
+        """Eq. 3: node-weighted mean of the class means in class order, ``inf`` if saturated."""
+        block = self.plan.intra
         latency = np.zeros_like(loads)
         any_saturated = np.zeros(loads.shape, dtype=bool)
-        for i, terms in enumerate(classes):
-            block, class_rows = self._class_rows(group, i, rows)
-            latency = latency + (
-                terms["mean"] * block.nodes[class_rows][:, None]
-            ) * block.count[class_rows][:, None]
-            any_saturated = any_saturated | terms["saturated"]
-        latency = latency / _take(group.total_nodes, rows)[:, None]
+        for batch in batches:
+            class_rows = batch["intra_rows"]
+            size = batch["mean"].shape[:2] + (1,)
+            weighted = (batch["mean"] * block.nodes[class_rows].reshape(size)) * block.count[
+                class_rows
+            ].reshape(size)
+            for plane in weighted:
+                latency = latency + plane
+            any_saturated |= np.any(batch["saturated"], axis=0)
+        latency = latency / (group.total_nodes if rows is None else group.total_nodes[rows])[:, None]
         return np.where(any_saturated, np.inf, latency)
 
     def _group_latencies(
         self, group: _CellGroup, rows: "np.ndarray | None", loads: np.ndarray
     ) -> np.ndarray:
         """Mean latency over per-cell load rows for one group (latency only)."""
-        return self._fold_latency(group, rows, loads, self._class_terms(group, rows, loads))
+        return self._fold_latency(group, rows, loads, self._class_batches(group, rows, loads))
 
     # -- public evaluation ------------------------------------------------------
 
@@ -1563,8 +1743,33 @@ class StackedModel:
         out: list[dict] = [{} for _ in range(self.cells)]
         for group in self.plan.groups:
             group_loads = np.ascontiguousarray(loads_arr[group.indices])
-            classes = list(self._class_terms(group, None, group_loads, keep_pairs=True))
-            latency = self._fold_latency(group, None, group_loads, classes)
+            batches = list(self._class_batches(group, None, group_loads, keep=True))
+            latency = self._fold_latency(group, None, group_loads, batches)
+            count, cells = len(group.class_names), group.size
+            classes = []
+            for batch in batches:
+                size = batch["classes"].stop - batch["classes"].start
+                intra = {key: plane.reshape(size, cells, *plane.shape[1:]) for key, plane in batch["intra"].items()}
+                pairs = {
+                    key: plane.reshape(size, count, cells, *plane.shape[1:])
+                    for key, plane in (batch["pairs"] or {}).items()
+                }
+                for k in range(size):
+                    # A class that sends nothing outward in any cell lists no pairs.
+                    outward = bool(batch["active"][k].any())
+                    classes.append(
+                        {
+                            "intra": {key: plane[k] for key, plane in intra.items()},
+                            "pairs": [
+                                {key: plane[k, j] for key, plane in pairs.items()}
+                                for j in range(count if outward else 0)
+                            ],
+                            **{
+                                key: batch[key][k]
+                                for key in ("inter_network", "conc_wait", "outward", "mean", "saturated")
+                            },
+                        }
+                    )
             for c, pos in enumerate(group.indices):
                 out[pos] = _cell_slice({"latency": latency, "classes": classes}, c)
         return out
@@ -1582,44 +1787,49 @@ class StackedModel:
         """
         loads_arr = self._as_rows(loads)
         out: list[list[tuple[str, str, np.ndarray]]] = [[] for _ in range(self.cells)]
+        intra_block = self.plan.intra
         for group in self.plan.groups:
             group_loads = np.ascontiguousarray(loads_arr[group.indices])
-            read_pair = self._pair_reader(
-                group, None, group_loads, ("utilization", "conc_utilization", "eta_e1", "eta_i2")
-            )
+            cells = np.arange(group.size)
+            names = group.class_names
             planes: list[tuple[str, str, np.ndarray]] = []
-            for i, name in enumerate(group.class_names):
-                block, class_rows = self._class_rows(group, i, None)
-                m_flits = block.m_flits[class_rows][:, None]
-                intra = self._intra_terms(block, class_rows, group_loads)
-                icn1_channels = intra["eta_i1"] * m_flits * block.t_cs[class_rows][:, None]
-                planes += [
-                    (f"{name}:icn1-source-queue", "source-queue", intra["utilization"]),
-                    (f"{name}:icn1-channels", "channel", icn1_channels),
-                ]
-                if group.single_cluster:
-                    continue
-                for j, dst in enumerate(group.class_names):
-                    s, p = group.pair_slots[i, j]
-                    span = group.shapes[s]
-                    cell_rows = _span_rows(span, group.size, None, p, p + 1)
-                    shape = self.plan.pair_blocks[span.block]
-                    pair = read_pair(i, j)
-                    pair_name = f"{name}->{dst}"
-                    planes += [
-                        (f"{pair_name}:ecn1-source-queue", "source-queue", pair["utilization"]),
-                        (f"{pair_name}:concentrator", "concentrator", pair["conc_utilization"]),
-                        (
-                            f"{pair_name}:ecn1-channels",
-                            "channel",
-                            pair["eta_e1"] * m_flits * shape.src_cs[cell_rows, None],
-                        ),
-                        (
-                            f"{pair_name}:icn2-channels",
-                            "channel",
-                            pair["eta_i2"] * m_flits * shape.i2_cs[cell_rows, None],
-                        ),
+            for classes in group.batches(group.size):
+                intra_rows, intra, pairs = self._batch_terms(
+                    group,
+                    cells,
+                    group_loads,
+                    classes,
+                    ("utilization", "eta_i1"),
+                    ("utilization", "conc_utilization", "eta_e1", "eta_i2"),
+                )
+                size = (classes.stop - classes.start, group.size, -1)
+                m_flits = intra_block.m_flits[intra_rows][:, None]
+                icn1 = intra["eta_i1"] * m_flits * intra_block.t_cs[intra_rows][:, None]
+                queues, icn1 = intra["utilization"].reshape(size), icn1.reshape(size)
+                if pairs is not None:
+                    block = self.plan.pair_blocks[group.family]
+                    pair_rows = (group.pairs[classes, :, None] + cells).ravel()
+                    m_flits = block.m_flits[pair_rows][:, None]
+                    pair_size = (size[0], len(names), group.size, -1)
+                    pair_planes = [
+                        ("ecn1-source-queue", "source-queue", pairs["utilization"]),
+                        ("concentrator", "concentrator", pairs["conc_utilization"]),
+                        ("ecn1-channels", "channel", pairs["eta_e1"] * m_flits * block.src_cs[pair_rows][:, None]),
+                        ("icn2-channels", "channel", pairs["eta_i2"] * m_flits * block.i2_cs[pair_rows][:, None]),
                     ]
+                    pair_planes = [(role, kind, plane.reshape(pair_size)) for role, kind, plane in pair_planes]
+                for k, i in enumerate(range(classes.start, classes.stop)):
+                    name = names[i]
+                    planes += [
+                        (f"{name}:icn1-source-queue", "source-queue", queues[k]),
+                        (f"{name}:icn1-channels", "channel", icn1[k]),
+                    ]
+                    if pairs is None:
+                        continue
+                    for j, dst in enumerate(names):
+                        planes += [
+                            (f"{name}->{dst}:{role}", kind, plane[k, j]) for role, kind, plane in pair_planes
+                        ]
             for c, pos in enumerate(group.indices):
                 out[pos] = [(name, kind, plane[c]) for name, kind, plane in planes]
         return out
@@ -1641,27 +1851,25 @@ class StackedModel:
             return self._intra_source_rate(block, rows, loads, lambda_i1)
         return self._pair_source_rate(block, rows, loads, loads * block.external[rows][:, None])
 
+    def _network(self, block: "_IntraBlock | _PairBlock", rows: "np.ndarray | slice", loads: np.ndarray) -> dict:
+        """The journey latency a source queue serves over block rows, in one solver call."""
+        if isinstance(block, _IntraBlock):
+            _, eta_i1 = self._intra_rates(block, rows, loads)
+            return {"latency": self._intra_latency(block, rows, eta_i1)}
+        _, _, eta_e1, _, eta_i2_eff = self._pair_rates(block, rows, loads)
+        return {"latency": self._pair_latency(block, rows, eta_e1, eta_i2_eff)}
+
     def _queue_latency(
         self, block: "_IntraBlock | _PairBlock", rows: np.ndarray, loads: np.ndarray
     ) -> np.ndarray:
         """The latency a source queue serves over block rows: its own journey set.
 
-        Pair blocks solve in calls of at most :data:`_SOLVE_ELEMENTS`
-        working-set elements.
+        Solved in the calls of the chunk rule: intra rows never cut, a
+        pair shape that alone exceeds :data:`_SOLVE_ELEMENTS` cut into
+        calls of at most that many working-set elements.
         """
-        if isinstance(block, _IntraBlock):
-            _, eta_i1 = self._intra_rates(block, rows, loads)
-            return self._intra_latency(block, rows, eta_i1)
-        planes = block.structure.n_c * block.structure.d_dst * loads.shape[1]
-        per_call = max(1, _SOLVE_ELEMENTS // planes)
-        parts = []
-        for start in range(0, rows.size, per_call):
-            part = rows[start : start + per_call]
-            _, _, eta_e1, _, eta_i2_eff = self._pair_rates(
-                block, part, loads[start : start + per_call]
-            )
-            parts.append(self._pair_latency(block, part, eta_e1, eta_i2_eff))
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        cut = rows.size if isinstance(block, _IntraBlock) else None
+        return self._solved(self._network, block, rows, loads, cut)["latency"]
 
     def _saturation_probe(
         self,
@@ -1675,8 +1883,9 @@ class StackedModel:
         The rate is ``slope · λ``, so ``λ/ρ = 1 / (slope · T(λ))``, which
         is finite at ``λ = 0`` too.  With the Eq. 15 form ``ρ = aλ/(1 −
         bλ)`` the score is linear in λ; an infinite latency scores
-        ``−inf``.  The probe splits its rows by block and makes one solver
-        call per block present.
+        ``−inf``.  The probe splits its rows by journey family and solves
+        each family's rows in the calls of the chunk rule: one call per
+        family when they fit the element budget.
         """
 
         def crossed(sub: np.ndarray, loads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1699,7 +1908,7 @@ class StackedModel:
         return crossed
 
     def _source_queue_saturation_rows(self) -> list[np.ndarray]:
-        """λ* of every source queue in the stack: one plane per block, intra blocks first.
+        """λ* of every source queue in the stack: one plane per journey family, intra first.
 
         A source queue saturates where ``rate(λ) · T(λ) = 1`` (Eq. 15):
         ``rate`` is its arrival rate (linear in ``λ_g``, shared with the
@@ -1710,12 +1919,12 @@ class StackedModel:
         sending outward, positive pair weight) of positive rate slope; the
         rest never saturate and get ``inf``.  They are refined to 1e-13
         relative width in runs of at most :data:`_PAIR_ROWS` consecutive
-        block-major rows, one :func:`_refine_rows` per run, whose probe
+        family-major rows, one :func:`_refine_rows` per run, whose probe
         evaluates the queues' own journey recursions (not the whole model,
         :meth:`_saturation_probe`).  Rows are independent, so how the rows
         are cut into runs never changes a λ*.
         """
-        blocks = (*self.plan.intra_blocks, *self.plan.pair_blocks)
+        blocks = (self.plan.intra, *self.plan.pair_blocks)
         out = [np.full(block.size, np.inf) for block in blocks]
         ids, rows, slopes, upper = [], [], [], []
         for b, block in enumerate(blocks):
@@ -1755,13 +1964,14 @@ class StackedModel:
             plane[all_rows[at]] = found[at]
         return out
 
-    def _concentrator_saturation(self, shape: _PairBlock) -> np.ndarray:
+    def _concentrator_saturation(self, block: _PairBlock) -> np.ndarray:
         """Per-row concentrator λ*: a constant service time ⇒ closed form, as in the scalar path."""
-        ones = np.ones((shape.size, 1))
-        slope = self._concentrator_rate(shape, None, ones, ones * shape.external[:, None])[:, 0]
-        out = np.full(shape.size, np.inf)
-        inc = shape.outward() & (slope > 0.0)
-        out[inc] = 1.0 / (slope[inc] * shape.conc_service[inc])
+        ones = np.ones((block.size, 1))
+        every = slice(None)
+        slope = self._concentrator_rate(block, every, ones, ones * block.external[:, None])[:, 0]
+        out = np.full(block.size, np.inf)
+        inc = block.outward() & (slope > 0.0)
+        out[inc] = 1.0 / (slope[inc] * block.conc_service[inc])
         return out
 
     def _resource_planes(
@@ -1770,28 +1980,27 @@ class StackedModel:
         queues: Sequence[np.ndarray],
         concentrators: Sequence[np.ndarray],
     ) -> tuple[list[str], np.ndarray]:
-        """A group's per-resource λ* planes, resources in the scalar insertion order."""
-        size = group.size
-        intra_queues = queues[: len(self.plan.intra_blocks)]
-        pair_queues = queues[len(self.plan.intra_blocks) :]
+        """A group's per-resource λ* planes, resources in the scalar insertion order.
+
+        Per source class: its ICN1 queue, then per destination class the
+        pair's ECN1 queue and concentrator.
+        """
+        cells = np.arange(group.size)
+        intra_queues = queues[0][group.intra[:, None] + cells]
+        if group.single_cluster:
+            return [f"{name}:icn1-source-queue" for name in group.class_names], intra_queues
+        count = len(group.class_names)
+        pair_rows = group.pairs[:, :, None] + cells
+        values = np.empty((count, 1 + 2 * count, group.size))
+        values[:, 0] = intra_queues
+        values[:, 1::2] = queues[1 + group.family][pair_rows]
+        values[:, 2::2] = concentrators[group.family][pair_rows]
         names: list[str] = []
-        values: list[np.ndarray] = []
-        for i, name in enumerate(group.class_names):
-            span = group.intra[i]
+        for name in group.class_names:
             names.append(f"{name}:icn1-source-queue")
-            values.append(intra_queues[span.block][_span_rows(span, size, None)])
-            if group.single_cluster:
-                continue
-            for j, dst_name in enumerate(group.class_names):
-                s, p = group.pair_slots[i, j]
-                span = group.shapes[s]
-                pair_rows = _span_rows(span, size, None, p, p + 1)
-                names += [
-                    f"{name}->{dst_name}:ecn1-source-queue",
-                    f"{name}->{dst_name}:concentrator",
-                ]
-                values += [pair_queues[span.block][pair_rows], concentrators[span.block][pair_rows]]
-        return names, np.stack(values, axis=0)
+            for dst in group.class_names:
+                names += [f"{name}->{dst}:ecn1-source-queue", f"{name}->{dst}:concentrator"]
+        return names, values.reshape(-1, group.size)
 
     def saturation_loads(self) -> list[dict[str, float]]:
         """Per-cell ``{resource: λ*}`` maps, keyed like ``ModelResult.saturated_resources``.
@@ -1804,7 +2013,7 @@ class StackedModel:
         """
         if self._saturation is None:
             queues = self._source_queue_saturation_rows()
-            concentrators = [self._concentrator_saturation(shape) for shape in self.plan.pair_blocks]
+            concentrators = [self._concentrator_saturation(block) for block in self.plan.pair_blocks]
             per_cell: list[dict[str, float]] = [dict() for _ in range(self.cells)]
             binding: list[str] = [""] * self.cells
             for group in self.plan.groups:

@@ -207,6 +207,15 @@ class HotspotTraffic(RegisteredPattern):
     hot cluster; otherwise it is uniform over all other nodes (the paper's
     baseline).  Models the "popular file server cluster" scenario that
     motivates non-uniform analysis.
+
+    Known gap: the model prices a pair's concentrator from the sending
+    clusters' rates, ``λ_g (N_i U_i + N_j U_j) / 2``
+    (:func:`~repro.core.concentrator.concentrator_pair_wait` with
+    :func:`~repro.core.inter.pair_rates`, and their stacked twins), so the
+    hot cluster's inbound dispatcher load is never modelled.  On
+    ``544-hotspot``, ``validate --points 5 --messages 10000`` gives model
+    56.42 against simulation 936.5 at λ_g = 3.796e-04 (−94 %), and −5 % at
+    1.898e-04.
     """
 
     pattern_name = "hotspot"

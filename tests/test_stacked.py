@@ -328,77 +328,198 @@ class TestPerformabilityDegradedStates:
         assert_stack_matches(cells, ["C1-d1", "C4-d1", "C1-d2"])
 
 
+class SolverCalls:
+    """Records every solver call: ``(kind, shapes, rows, padded scratch)``.
+
+    A call's shapes are its distinct journey depths (pair calls:
+    ``(d_src, d_dst)``), its padded scratch the elements of its
+    ``(n_c, d_dst, rows, loads)`` or ``(depth, rows, loads)`` working set
+    at its deepest row.
+    """
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        pair, intra = stacked._solve_pair_stacked, stacked._solve_intra_stacked
+
+        def pair_call(*args):
+            d_src, d_dst, n_c, eta_e1 = args[4], args[5], args[6], args[8]
+            shapes = len(set(zip(d_src.tolist(), d_dst.tolist())))
+            self.calls.append(("pair", shapes, d_src.size, n_c * int(d_dst.max()) * eta_e1.size))
+            return pair(*args)
+
+        def intra_call(*args):
+            depth, eta_i1 = args[2], args[4]
+            self.calls.append(("intra", len(set(depth.tolist())), depth.size, int(depth.max()) * eta_i1.size))
+            return intra(*args)
+
+        monkeypatch.setattr(stacked, "_solve_pair_stacked", pair_call)
+        monkeypatch.setattr(stacked, "_solve_intra_stacked", intra_call)
+
+    def count(self, kind):
+        return sum(call[0] == kind for call in self.calls)
+
+
+def grid_270_specs():
+    """The 270-cell, 3-group explore grid on ``544`` of the explore benchmark."""
+    grid = DesignGrid(
+        base=get_scenario("544"),
+        axes=(
+            AxisSpec("system.clusters.0.tree_depth", (3, 4, 5)),
+            AxisSpec("system.clusters.15.tree_depth", (3, 4, 5)),
+            AxisSpec("system.icn2.bandwidth", (250.0, 375.0, 500.0, 625.0, 750.0)),
+            AxisSpec("message.length_flits", (16, 32, 64)),
+            AxisSpec("message.flit_bytes", (128.0, 256.0)),
+        ),
+    )
+    return [cell.spec for cell in grid.cells()]
+
+
 class TestClassPairShapes:
-    """Class pairs sharing a journey shape are solved as rows of one call."""
-
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        counts = {"solves": 0, "refinements": 0}
-
-        def counting(name, key):
-            original = getattr(stacked, name)
-
-            def wrapper(*args, **kwargs):
-                counts[key] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(stacked, name, wrapper)
-
-        counting("_solve_pair_stacked", "solves")
-        counting("_refine_rows", "refinements")
-        return counts
+    """Class pairs of every journey shape are rows of one padded solver call."""
 
     @pytest.mark.parametrize(
-        "name, solves, refinements",
+        "name, loads",
         [
-            # 16 singleton classes: 256 pairs in 9 (d_src, d_dst) shapes;
-            # the 16 ICN1 queues and 240 outward ECN1 queues are one run.
-            ("544-hotspot", 9, 1),
-            # 3 classes: 9 pairs, 9 shapes of one member each; 12 queues.
-            ("544", 9, 1),
+            # 3 classes of depths 3, 4 and 5: 9 pairs in 9 shapes.
+            ("544", np.linspace(0.0, 5e-4, 33)),
+            # 16 singleton classes: 256 pairs in 9 shapes, 16 classes of 3
+            # depths.  At 33 loads its pairs exceed the element budget.
+            ("544-hotspot", np.array([2e-4])),
         ],
     )
-    def test_one_call_per_shape_for_one_cell(self, calls, name, solves, refinements):
-        stack = StackedModel.from_specs([get_scenario(name)])
-        stack.evaluate_latencies([2e-4])
-        assert calls["solves"] == solves
-        stack.saturation_loads()
-        assert calls["refinements"] == refinements
+    def test_one_cell_evaluation_makes_one_pair_and_one_intra_solve(self, monkeypatch, name, loads):
+        calls = SolverCalls(monkeypatch)
+        StackedModel.from_specs([get_scenario(name)]).evaluate_latencies(loads)
+        assert (calls.count("pair"), calls.count("intra")) == (1, 1)
+        assert all(shapes > 1 for _, shapes, _, _ in calls.calls)
 
-    def test_chunks_hold_at_most_the_row_budget(self, calls, monkeypatch):
-        # With an evaluation budget of 10 rows, a 64-member shape over 3
-        # cells runs in chunks of 3 members.  With a saturation budget of
-        # 2,000 elements, no pair solve of the search holds more (n_c,
-        # d_dst, rows, loads) scratch.  Every cell stays bit-identical to
-        # the cell priced alone under the default budgets.
+    def test_one_cell_saturation_probe_makes_at_most_two_solves(self, monkeypatch):
+        # 544: 3 ICN1 queues of 3 depths and 9 ECN1 queues of 9 shapes,
+        # one refinement; every probe call solves each family once.
+        calls = SolverCalls(monkeypatch)
+        per_probe = []
+        refine = stacked._refine_rows
+
+        def recording(lo, hi, probe, **kwargs):
+            def counted(rows, loads):
+                before = len(calls.calls)
+                out = probe(rows, loads)
+                per_probe.append(len(calls.calls) - before)
+                return out
+
+            return refine(lo, hi, counted, **kwargs)
+
+        monkeypatch.setattr(stacked, "_refine_rows", recording)
+        StackedModel.from_specs([get_scenario("544")]).saturation_loads()
+        assert per_probe and max(per_probe) <= 2
+
+    def test_grid_evaluations_make_no_more_solves_than_one_per_shape(self, monkeypatch):
+        # The 270-cell grid's 33-load evaluations: 3 groups of 90 cells,
+        # each 3 source classes of 3 pair shapes.  Solving each class and
+        # each shape on its own made 9 intra and 27 pair solves; the knee
+        # and budget searches' evaluations made 63 intra and 189 pair.
+        stack = StackedModel.from_specs(grid_270_specs())
+        stack.saturation_loads()
+        calls = SolverCalls(monkeypatch)
+        stack.evaluate_latencies(np.linspace(0.0, 2e-4, 33))
+        assert calls.count("pair") <= 27 and calls.count("intra") <= 9
+        calls.calls.clear()
+        stack.knee_loads(4.0)
+        stack.loads_at_budget(np.full(stack.cells, 200.0))
+        assert calls.count("pair") <= 189 and calls.count("intra") <= 63
+
+    def test_chunks_hold_at_most_the_row_budget(self, monkeypatch):
+        # Under a 10-row and 4,000-element budget, three 544-hotspot cells:
+        # no call holding rows of two or more shapes has padded scratch
+        # above the element budget; a shape that alone exceeds it is cut
+        # into whole members of at most 10 rows (3 members of 3 cells) in
+        # an evaluation, and into calls within the element budget (or of
+        # one row) in the saturation search.  Every cell stays
+        # bit-identical to the cell priced alone under the default budgets.
         spec = get_scenario("544-hotspot")
         cells = [(spec.system, spec.message, spec.options, spec.pattern)] * 3
-        grid = np.linspace(0.0, 9e-4, 7)
+        grids = (np.linspace(0.0, 9e-4, 7), np.linspace(0.0, 9e-4, 33))
         alone = StackedModel(cells[:1])
-        reference = alone.evaluate_latencies(grid)[0]
+        references = [alone.evaluate_latencies(grid)[0] for grid in grids]
         reference_saturation = alone.saturation_loads()[0]
-        with monkeypatch.context() as patch:
-            patch.setattr(stacked, "_PAIR_ROWS", 10)
-            stack = StackedModel(cells)
-            chunks = sum(-(-span.members // 3) for span in stack.plan.groups[0].shapes)
-            calls["solves"] = 0
-            latencies = stack.evaluate_latencies(grid)
-        assert calls["solves"] == chunks
-        for row in latencies:
-            assert np.array_equal(row, reference)
+        monkeypatch.setattr(stacked, "_PAIR_ROWS", 10)
+        monkeypatch.setattr(stacked, "_SOLVE_ELEMENTS", 4_000)
+        stack = StackedModel(cells)
+        calls = SolverCalls(monkeypatch)
+        for grid, reference in zip(grids, references):
+            for row in stack.evaluate_latencies(grid):
+                assert np.array_equal(row, reference)
+        merged = [call for call in calls.calls if call[1] > 1]
+        cut = [rows for kind, shapes, rows, scratch in calls.calls if kind == "pair" and shapes == 1 and scratch > 4_000]
+        assert merged and cut
+        assert all(scratch <= 4_000 for _, _, _, scratch in merged)
+        assert all(rows <= 9 and rows % 3 == 0 for rows in cut)
 
-        elements = []
-        solve = stacked._solve_pair_stacked
-
-        def measured(*args):
-            d_dst, n_c, eta_e1 = args[5], args[6], args[8]
-            elements.append(n_c * d_dst * eta_e1.size)
-            return solve(*args)
-
-        monkeypatch.setattr(stacked, "_solve_pair_stacked", measured)
-        monkeypatch.setattr(stacked, "_SOLVE_ELEMENTS", 2_000)
+        calls.calls.clear()
         assert stack.saturation_loads() == [reference_saturation] * 3
-        assert 1_000 < max(elements) <= 2_000
+        pairs = [call for call in calls.calls if call[0] == "pair"]
+        assert any(shapes > 1 for _, shapes, _, _ in pairs)
+        assert all(scratch <= 4_000 or (shapes == 1 and rows == 1) for _, shapes, rows, scratch in pairs)
+        assert max(scratch for _, _, _, scratch in pairs) > 2_000
+        assert all(scratch <= 4_000 for _, shapes, _, scratch in calls.calls if shapes > 1)
+
+
+def planes_of(value):
+    """Every float or bool plane in a nested mapping, list or tuple of planes."""
+    if isinstance(value, dict):
+        return [plane for item in value.values() for plane in planes_of(item)]
+    if isinstance(value, (list, tuple)):
+        return [plane for item in value for plane in planes_of(item)]
+    return [np.asarray(value)] if not isinstance(value, str) else []
+
+
+def padding_cases():
+    """Every registry scenario in one stack, a 3-cell 544-hotspot stack and the 3-group grid."""
+    hotspot = get_scenario("544-hotspot")
+    return {
+        "registry": [(s.system, s.message, s.options, s.pattern) for _, s in REGISTRY],
+        "544-hotspot-x3": [(hotspot.system, hotspot.message, hotspot.options, hotspot.pattern)] * 3,
+        "three-groups": three_group_cells(),
+    }
+
+
+class TestPaddedCalls:
+    """Rows of several journey shapes in one padded call keep every lane."""
+
+    @staticmethod
+    def results(cells):
+        stack = StackedModel(cells)
+        lam = stack.saturation_load()
+        # Past 1.2 λ* every latency is infinite; far past it the padded
+        # journeys of the shallow rows overflow too, beside valid lanes.
+        loads = lam[:, None] * np.array([0.0, 0.3, 0.6, 0.9, 1.0, 1.2, 4.0, 30.0, 1e3])
+        zero = stack.zero_load_latencies()
+        return {
+            "latencies": stack.evaluate_latencies(loads),
+            "terms": stack.evaluate_terms(loads),
+            "utilizations": stack.resource_utilizations(loads),
+            "saturation": stack.saturation_loads(),
+            "knees": stack.knee_loads(4.0),
+            "budgets": stack.loads_at_budget(2.5 * zero),
+        }
+
+    @pytest.mark.parametrize("case", ["registry", "544-hotspot-x3", "three-groups"])
+    def test_unmerged_calls_equal_padded_calls_bit_for_bit(self, monkeypatch, case):
+        cells = padding_cases()[case]
+        calls = SolverCalls(monkeypatch)
+        padded = self.results(cells)
+        assert any(shapes > 1 for _, shapes, _, _ in calls.calls)
+        calls.calls.clear()
+        monkeypatch.setattr(stacked, "_SOLVE_ELEMENTS", 1)
+        alone = self.results(cells)
+        assert all(shapes == 1 for _, shapes, _, _ in calls.calls)
+        assert padded["saturation"] == alone["saturation"]
+        for key in ("latencies", "terms", "utilizations", "knees", "budgets"):
+            ours, theirs = planes_of(padded[key]), planes_of(alone[key])
+            assert len(ours) == len(theirs), key
+            for mine, other in zip(ours, theirs):
+                assert mine.dtype == other.dtype and np.array_equal(mine, other), key
+                assert not (mine.dtype.kind == "f" and np.isnan(mine).any()), key
 
 
 def three_group_cells():
@@ -417,7 +538,7 @@ def three_group_cells():
 
 
 class TestStackWideBlocks:
-    """Each depth and journey shape is one block of rows across cell groups."""
+    """Each journey family is one block of rows across cell groups, shape by shape."""
 
     @pytest.fixture(scope="class")
     def cells(self):
@@ -426,12 +547,15 @@ class TestStackWideBlocks:
     def test_groups_share_blocks_in_their_own_class_orders(self, cells):
         plan = StackedModel(cells).plan
         assert len(plan.groups) == 3
-        assert [block.structure.tree_depth for block in plan.intra_blocks] == [3, 4, 5]
-        assert len(plan.pair_blocks) == 9
+        assert plan.intra.depths.tolist() == [3, 4, 5]
+        assert len(plan.pair_blocks) == 1
+        pairs = plan.pair_blocks[0]
+        assert pairs.n_c == 3 and len(pairs.structures) == 9
         for group in plan.groups:
-            assert sorted(span.block for span in group.intra) == [0, 1, 2]
-            assert sorted(span.block for span in group.shapes) == list(range(9))
-        orders = {tuple(span.block for span in group.intra) for group in plan.groups}
+            assert group.family == 0
+            assert sorted(plan.intra.shape[group.intra].tolist()) == [0, 1, 2]
+            assert sorted(pairs.shape[group.pairs.ravel()].tolist()) == list(range(9))
+        orders = {tuple(plan.intra.shape[group.intra].tolist()) for group in plan.groups}
         assert len(orders) == 3
 
     def test_every_cell_equals_the_cell_priced_alone(self, cells):
@@ -444,38 +568,31 @@ class TestStackWideBlocks:
             assert alone.knee_loads(4.0)[0] == knees[idx], idx
             assert alone.loads_at_budget(budgets[idx : idx + 1])[0] == achieved[idx], idx
 
-    def test_one_search_makes_one_solver_call_per_block_in_each_probe(self, cells, monkeypatch):
-        # 144 searched rows: 3 ICN1 queues and 9 ECN1 queues per cell, in
-        # 3 intra and 9 pair blocks of 12 rows each.  Runs of 50 rows are
-        # cut across blocks, so a probe's rows span several blocks.
+    def test_one_search_makes_one_solver_call_per_family_in_each_probe(self, cells, monkeypatch):
+        # 144 searched rows: 3 ICN1 queues and 9 ECN1 queues per cell, 36
+        # rows of the intra family (3 depths) and 108 of the pair family
+        # (9 shapes).  Runs of 50 rows are cut across families, so a
+        # probe's rows may span both; with an element budget every probe
+        # fits, each family present is one solver call.
         monkeypatch.setattr(stacked, "_PAIR_ROWS", 50)
+        monkeypatch.setattr(stacked, "_SOLVE_ELEMENTS", 10**7)
         stack = StackedModel(cells)
         plan = stack.plan
-        sizes = [block.size for block in plan.intra_blocks]
-        sizes += [int(np.count_nonzero(block.outward())) for block in plan.pair_blocks]
-        block_of = np.repeat(np.arange(len(sizes)), sizes)
-        assert block_of.size == 144
-        solves = [0]
-        for name in ("_solve_pair_stacked", "_solve_intra_stacked"):
-            solver = getattr(stacked, name)
-
-            def counted(*args, _solver=solver):
-                solves[0] += 1
-                return _solver(*args)
-
-            monkeypatch.setattr(stacked, name, counted)
+        family_of = np.repeat([0, 1], [plan.intra.size, int(np.count_nonzero(plan.pair_blocks[0].outward()))])
+        assert family_of.size == 144
+        calls = SolverCalls(monkeypatch)
         runs = []
         refine = stacked._refine_rows
 
         def recording(lo, hi, probe, **kwargs):
-            run = block_of[50 * len(runs) : 50 * len(runs) + len(lo)]
-            calls = []
-            runs.append(calls)
+            run = family_of[50 * len(runs) : 50 * len(runs) + len(lo)]
+            made = []
+            runs.append(made)
 
             def counted_probe(rows, loads):
-                before = solves[0]
+                before = len(calls.calls)
                 out = probe(rows, loads)
-                calls.append((np.count_nonzero(np.bincount(run[rows])), solves[0] - before))
+                made.append((np.count_nonzero(np.bincount(run[rows])), len(calls.calls) - before))
                 return out
 
             return refine(lo, hi, counted_probe, **kwargs)
@@ -483,19 +600,21 @@ class TestStackWideBlocks:
         monkeypatch.setattr(stacked, "_refine_rows", recording)
         stack.saturation_loads()
         assert len(runs) == 3 and all(runs)  # ceil(144 / 50) refinements
-        for calls in runs:
-            for present, made in calls:
-                assert made == present
+        for made in runs:
+            for present, solves in made:
+                assert solves == present
+        assert max(shapes for _, shapes, _, _ in calls.calls) == 9
 
-    def test_intra_classes_of_one_cell_stack_by_depth(self):
+    def test_intra_classes_of_one_cell_share_one_family(self):
         # 544-hotspot's 16 singleton classes have depths 3 (8 classes), 4
-        # (3) and 5 (5): three blocks, so a saturation probe makes at most
-        # three intra solves.
+        # (3) and 5 (5): three shapes of one family, so an evaluation or a
+        # saturation probe makes one intra solve.
         plan = StackedModel.from_specs([get_scenario("544-hotspot")]).plan
-        assert [(b.structure.tree_depth, b.size) for b in plan.intra_blocks] == [(3, 8), (4, 3), (5, 5)]
+        assert plan.intra.depths.tolist() == [3, 4, 5]
+        assert np.bincount(plan.intra.shape).tolist() == [8, 3, 5]
         group = plan.groups[0]
-        assert [span.block for span in group.intra] == [0] * 8 + [1] * 3 + [2] * 5
-        assert [span.first for span in group.intra] == list(range(8)) + list(range(3)) + list(range(5))
+        assert group.intra.tolist() == list(range(16))
+        assert plan.intra.shape[group.intra].tolist() == [0] * 8 + [1] * 3 + [2] * 5
 
 
 def row_probe(conditions):
@@ -703,17 +822,7 @@ class TestPredictedProbes:
         # holds a load strictly inside that bracket.  The oracle replays
         # those verdicts, costing no model evaluation, and must end on the
         # same bracket.
-        grid = DesignGrid(
-            base=get_scenario("544"),
-            axes=(
-                AxisSpec("system.clusters.0.tree_depth", (3, 4, 5)),
-                AxisSpec("system.clusters.15.tree_depth", (3, 4, 5)),
-                AxisSpec("system.icn2.bandwidth", (250.0, 375.0, 500.0, 625.0, 750.0)),
-                AxisSpec("message.length_flits", (16, 32, 64)),
-                AxisSpec("message.flit_bytes", (128.0, 256.0)),
-            ),
-        )
-        specs = [cell.spec for cell in grid.cells()]
+        specs = grid_270_specs()
         original = stacked._refine_rows
         work = {"calls": 0, "loads": 0, "plain": 0}
 
