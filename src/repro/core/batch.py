@@ -40,7 +40,11 @@ __all__ = ["BatchedModel", "ENGINE_VERSION", "ResourceRates"]
 #: batch/10: journey depth is per-row data, so one padded solver call
 #: prices the class pairs of several journey shapes and the classes of
 #: several depths.  No number moved; cached results miss once.
-ENGINE_VERSION = "batch/10"
+#:
+#: batch/11: λ* and the binding resource come from a bounded search that
+#: refines only the source queues that can still be their cell's least.
+#: No number moved; cached results miss once.
+ENGINE_VERSION = "batch/11"
 
 
 @dataclass(frozen=True)
@@ -202,14 +206,19 @@ class BatchedModel:
         Concentrator entries are exact closed forms, source-queue entries
         invert the single-resource monotone utilisation (see
         :mod:`repro.core.stacked`).  Only resources that can saturate the
-        model are listed.
+        model are listed.  This is the full search; ask for it before
+        :meth:`saturation_load` to run one search for both.
         """
         return self.stack.saturation_loads()[0]
 
     def saturation_load(self) -> float:
-        """Smallest ``λ_g`` at which any modelled queue reaches ρ = 1."""
+        """Smallest ``λ_g`` at which any modelled queue reaches ρ = 1.
+
+        Read off :meth:`saturation_loads` when it has run, else found by
+        the bounded search (:meth:`StackedModel.saturation_load`).
+        """
         return float(self.stack.saturation_load()[0])
 
     def binding_resource(self) -> str:
-        """Name of the resource whose saturation rate is smallest."""
+        """Name of the resource whose saturation rate is smallest (first in scalar order)."""
         return self.stack.binding_resources()[0]

@@ -104,6 +104,22 @@ t_cs^{I2})`` exactly; source queues serve the load-dependent pipeline
 latency ``T(λ_g)`` (Eqs. 18/31), so ``λ* = ρ⁻¹(1)`` is found by refining
 the bracket below the linearised bound ``1 / (rate_slope · T(0))`` over
 the queue's own journey recursion.
+
+The *full search* (:meth:`StackedModel.saturation_loads`) refines every
+source queue to 1e-13 relative width.  The cell's λ* is the least of its
+queues' λ*, and the binding resource the first queue at that least, so
+:meth:`StackedModel.saturation_load` and
+:meth:`StackedModel.binding_resources` run a *bounded search* unless the
+full maps are cached: each cell keeps a ceiling — the least of its
+concentrators' λ* and its searched queues' current upper bracket ends —
+and a source queue stops once it provably cannot be the cell's least
+(probed once at the ceiling and not saturated there, or its ``lo``
+strictly above it).  A refinement reports its first upper end or a
+saturated grid point, so by the monotonicity above a stopped queue's λ*
+is strictly above the ceiling, which is at least the cell's least λ*:
+every queue at the least, ties included, runs to its exact λ*, and the
+least and its first argmin in scalar order are the full search's bit
+for bit.
 """
 
 from __future__ import annotations
@@ -288,6 +304,13 @@ class _Plan(NamedTuple):
     length: np.ndarray
 
 
+class _Ceiling(NamedTuple):
+    """A bounded search's per-cell ceilings, as one refinement reads and lowers them."""
+
+    bound: np.ndarray  # per cell: at least the least value the cell's rows report
+    cell: np.ndarray  # per refined row: its cell
+
+
 def _refine_rows(
     lo: np.ndarray,
     hi: np.ndarray,
@@ -296,6 +319,7 @@ def _refine_rows(
     rel_tol: float,
     points: int = 33,
     max_rounds: int = 100,
+    ceiling: "_Ceiling | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Narrow each row's ``[lo, hi]`` to the cell where a monotone condition flips.
 
@@ -331,12 +355,31 @@ def _refine_rows(
     Rows drop out independently, so each row's final ``(lo, hi)`` equals
     the one-row loop's bit for bit (the scalar oracle in
     ``tests/test_stacked.py``).
+
+    With a *ceiling* the refinement is bounded: only rows that can still
+    report their cell's least ``hi`` run to the end.  Before its first
+    grid, a row whose ``hi`` is above its cell's bound is probed once at
+    the bound, in one call for all such rows, and stops if not crossed
+    there; later, a row stops as soon as its ``lo`` is strictly above the
+    bound.  Every probe call lowers each cell's bound to its rows' ``hi``.
+    A refinement reports ``hi`` either as its first upper end or as a
+    crossed load, so by monotonicity the ``hi`` a stopped row would have
+    reported, and its current one, which is no lower, are strictly above
+    the bound, which is at least the cell's least reported ``hi``.  Rows
+    that report that least value, ties included, run to the end with
+    their one-row ``(lo, hi)``.
     """
     lo = np.array(lo, dtype=np.float64)
     hi = np.array(hi, dtype=np.float64)
     size = lo.size
     alive = np.ones(size, dtype=bool)
     rounds = np.zeros(size, dtype=np.int64)
+    if ceiling is not None:
+        bound = ceiling.bound[ceiling.cell]
+        test = np.flatnonzero(bound < hi)
+        if test.size:
+            crossed, _ = probe(test, bound[test, None])
+            alive[test[~crossed[:, 0]]] = False
     windowed = size >= _WINDOW_MIN_ROWS
     whole = np.ones(size, dtype=bool)  # rows whose next plan opens with the whole grid
     # Each row's two tightest distinct sampled loads of finite score on
@@ -414,6 +457,9 @@ def _refine_rows(
         advance(rows[sel], loads[sel, col], loads[sel, col + 1])
 
     while True:
+        if ceiling is not None:
+            np.minimum.at(ceiling.bound, ceiling.cell, hi)
+            alive &= ~(lo > ceiling.bound[ceiling.cell])
         alive &= ~(hi - lo <= rel_tol * hi) & (rounds < max_rounds)
         rows = np.flatnonzero(alive)
         if not rows.size:
@@ -1021,12 +1067,19 @@ def _group_signature(model: AnalyticalModel) -> tuple:
     )
 
 
-def _add_part(shapes: dict, key: tuple, structure: Any, part: dict[str, np.ndarray]) -> tuple:
-    """Append one group's rows *part* to shape *key* (of journey *structure*).
+def _journey_shape(shapes: dict, key: tuple, derive: Callable[..., Any]) -> Any:
+    """The journey structure of shape *key* in *shapes*, ``derive(*key)`` on its first use."""
+    if key not in shapes:
+        shapes[key] = (derive(*key), [])
+    return shapes[key][0]
+
+
+def _add_part(shapes: dict, key: tuple, part: dict[str, np.ndarray]) -> tuple:
+    """Append one group's rows *part* to shape *key* of *shapes*.
 
     Returns ``(key, first)``: the shape and the part's first row in it.
     """
-    parts = shapes.setdefault(key, (structure, []))[1]
+    parts = shapes[key][1]
     first = sum(p["m_flits"].size for p in parts)
     parts.append(part)
     return key, first
@@ -1174,7 +1227,8 @@ class ParameterPlan:
         class_parts: list[tuple] = []
         class_planes: list[tuple[np.ndarray, ...]] = []  # per class: (e_cs, e_cn, nodes, u)
         for i in range(n_cls):
-            structure = _intra_structure(ports, classes0[i].tree_depth)
+            key = (ports, classes0[i].tree_depth)
+            structure = _journey_shape(intra_shapes, key, _intra_structure)
             count = len(models)
             t_cs = np.empty(count)
             t_cn = np.empty(count)
@@ -1210,8 +1264,7 @@ class ParameterPlan:
                 "tail_time": np.sum(terms, axis=1),
                 "min_service": m_flits * t_cn,
             }
-            key = (ports, structure.tree_depth)
-            class_parts.append(_add_part(intra_shapes, key, structure, part))
+            class_parts.append(_add_part(intra_shapes, key, part))
 
         slots: dict[tuple[int, int], tuple] = {}
         if not single:
@@ -1251,7 +1304,8 @@ class ParameterPlan:
             for (d_src, d_dst), members in by_shape.items():
                 src = [i for i, _ in members]
                 dst = [j for _, j in members]
-                structure = _pair_structure(ports, d_src, d_dst, n_c)
+                key = (ports, d_src, d_dst, n_c)
+                structure = _journey_shape(pair_shapes, key, _pair_structure)
                 flits = np.tile(m_flits, len(members))
                 paper = np.tile(var_paper, len(members))
                 src_cs = e_cs[src].ravel()
@@ -1293,7 +1347,7 @@ class ParameterPlan:
                     ),
                     "weight": dest_weights[src, dst].ravel(),
                 }
-                key, first = _add_part(pair_shapes, (ports, d_src, d_dst, n_c), structure, part)
+                _, first = _add_part(pair_shapes, key, part)
                 for p, pair in enumerate(members):
                     slots[pair] = (key, first + p * len(models))
 
@@ -1335,6 +1389,7 @@ class StackedModel:
         ]
         self.plan = ParameterPlan(models)
         self._saturation: "list[dict[str, float]] | None" = None
+        self._lam_star: "np.ndarray | None" = None
         self._binding: "list[str] | None" = None
         self._zero_load: "np.ndarray | None" = None
 
@@ -1907,7 +1962,19 @@ class StackedModel:
 
         return crossed
 
-    def _source_queue_saturation_rows(self) -> list[np.ndarray]:
+    def _row_cells(self) -> list[np.ndarray]:
+        """Each row's position in the cell list: one plane per journey family, intra first."""
+        out = [np.empty(block.size, dtype=np.intp) for block in (self.plan.intra, *self.plan.pair_blocks)]
+        for group in self.plan.groups:
+            cells = np.arange(group.size)
+            out[0][group.intra[:, None] + cells] = group.indices
+            if not group.single_cluster:
+                out[1 + group.family][group.pairs[..., None] + cells] = group.indices
+        return out
+
+    def _source_queue_saturation_rows(
+        self, concentrators: "Sequence[np.ndarray] | None" = None
+    ) -> list[np.ndarray]:
         """λ* of every source queue in the stack: one plane per journey family, intra first.
 
         A source queue saturates where ``rate(λ) · T(λ) = 1`` (Eq. 15):
@@ -1923,10 +1990,19 @@ class StackedModel:
         evaluates the queues' own journey recursions (not the whole model,
         :meth:`_saturation_probe`).  Rows are independent, so how the rows
         are cut into runs never changes a λ*.
+
+        Given the pair blocks' *concentrators* λ* planes, the search is
+        bounded: each cell's ceiling starts at the least of its
+        concentrators' λ* and its queues' upper ends, and every run refines
+        under it (:class:`_Ceiling`), lowering it for the runs after it.  A
+        queue that cannot be its cell's least then stops early and reports
+        a value strictly above that least, while every queue that can runs
+        to its exact λ*.
         """
         blocks = (self.plan.intra, *self.plan.pair_blocks)
         out = [np.full(block.size, np.inf) for block in blocks]
-        ids, rows, slopes, upper = [], [], [], []
+        row_cells = self._row_cells()
+        ids, rows, slopes, upper, cells = [], [], [], [], []
         for b, block in enumerate(blocks):
             if isinstance(block, _IntraBlock):
                 searched = np.arange(block.size)
@@ -1947,17 +2023,29 @@ class StackedModel:
             # Same tiny headroom as the scalar path: ρ(hi) >= 1 even when the
             # pipeline latency is load-independent and the bound is the root.
             upper.append((1.0 / (slope * zero_latency)) * (1.0 + 1e-9))
+            cells.append(row_cells[b][searched])
         if not ids:
             return out
-        all_ids, all_rows, all_slopes, all_upper = (
-            np.concatenate(parts) for parts in (ids, rows, slopes, upper)
+        all_ids, all_rows, all_slopes, all_upper, all_cells = (
+            np.concatenate(parts) for parts in (ids, rows, slopes, upper, cells)
         )
+        ceiling: "np.ndarray | None" = None
+        if concentrators is not None:
+            ceiling = np.full(self.cells, np.inf)
+            for plane, plane_cells in zip(concentrators, row_cells[1:]):
+                np.minimum.at(ceiling, plane_cells, plane)
+            np.minimum.at(ceiling, all_cells, all_upper)
         found = np.empty(all_ids.size)
         for start in range(0, all_ids.size, _PAIR_ROWS):
             run = slice(start, start + _PAIR_ROWS)
             probe = self._saturation_probe(blocks, all_ids[run], all_rows[run], all_slopes[run])
             _, found[run] = _refine_rows(
-                np.zeros(found[run].size), all_upper[run], probe, rel_tol=1e-13, points=33
+                np.zeros(found[run].size),
+                all_upper[run],
+                probe,
+                rel_tol=1e-13,
+                points=33,
+                ceiling=None if ceiling is None else _Ceiling(ceiling, all_cells[run]),
             )
         for b, plane in enumerate(out):
             at = all_ids == b
@@ -2002,54 +2090,83 @@ class StackedModel:
                 names += [f"{name}->{dst}:ecn1-source-queue", f"{name}->{dst}:concentrator"]
         return names, values.reshape(-1, group.size)
 
+    def _least_saturation(
+        self, queues: Sequence[np.ndarray], concentrators: Sequence[np.ndarray], *, maps: bool
+    ) -> list[dict[str, float]]:
+        """Cache each cell's least λ* and binding resource (first minimum, scalar order).
+
+        Returns the per-cell ``{resource: λ*}`` maps of the finite entries
+        with *maps*, and empty maps without.
+        """
+        lam_star = np.empty(self.cells)
+        binding: list[str] = [""] * self.cells
+        per_cell: list[dict[str, float]] = [{} for _ in range(self.cells)]
+        for group in self.plan.groups:
+            names, values = self._resource_planes(group, queues, concentrators)
+            with np.errstate(invalid="ignore"):
+                argmin = np.argmin(values, axis=0)
+            least = values[argmin, np.arange(group.size)]
+            lam_star[group.indices] = least
+            finite = np.isfinite(values)
+            for c, pos in enumerate(group.indices):
+                if finite[argmin[c], c]:
+                    binding[pos] = names[int(argmin[c])]
+                if maps:
+                    per_cell[pos] = {names[r]: float(values[r, c]) for r in range(len(names)) if finite[r, c]}
+        self._lam_star, self._binding = lam_star, binding
+        return per_cell
+
     def saturation_loads(self) -> list[dict[str, float]]:
         """Per-cell ``{resource: λ*}`` maps, keyed like ``ModelResult.saturated_resources``.
 
-        Concentrator entries are the exact closed forms, source-queue
-        entries the per-resource inversion (see the module docstring).
-        Only resources that can saturate the cell are listed: zero-rate
-        queues, zero-weight pairs and ``U_i == 0`` classes are omitted,
-        mirroring the saturation scope of ``AnalyticalModel.evaluate``.
+        The full search: concentrator entries are the exact closed forms,
+        source-queue entries every queue's inversion to 1e-13 relative
+        width (see the module docstring), computed once per stack.  Only
+        resources that can saturate the cell are listed: zero-rate queues,
+        zero-weight pairs and ``U_i == 0`` classes are omitted, mirroring
+        the saturation scope of ``AnalyticalModel.evaluate``.
         """
         if self._saturation is None:
             queues = self._source_queue_saturation_rows()
             concentrators = [self._concentrator_saturation(block) for block in self.plan.pair_blocks]
-            per_cell: list[dict[str, float]] = [dict() for _ in range(self.cells)]
-            binding: list[str] = [""] * self.cells
-            for group in self.plan.groups:
-                names, values = self._resource_planes(group, queues, concentrators)
-                finite = np.isfinite(values)
-                with np.errstate(invalid="ignore"):
-                    argmin = np.argmin(values, axis=0)
-                for c, pos in enumerate(group.indices):
-                    cell_map = {
-                        names[r]: float(values[r, c])
-                        for r in range(len(names))
-                        if finite[r, c]
-                    }
-                    per_cell[pos] = cell_map
-                    if cell_map:
-                        binding[pos] = names[int(argmin[c])]
-            self._saturation = per_cell
-            self._binding = binding
+            self._saturation = self._least_saturation(queues, concentrators, maps=True)
         return [dict(m) for m in self._saturation]
 
+    def _bounded_saturation(self) -> None:
+        """Each cell's least λ* and binding resource by the bounded search.
+
+        The source-queue search refines only the queues that can still be
+        their cell's least (:meth:`_source_queue_saturation_rows`), so the
+        least values and their first argmins in scalar order are the full
+        search's bit for bit, ties included.
+        """
+        concentrators = [self._concentrator_saturation(block) for block in self.plan.pair_blocks]
+        queues = self._source_queue_saturation_rows(concentrators)
+        self._least_saturation(queues, concentrators, maps=False)
+
     def saturation_load(self) -> np.ndarray:
-        """Per-cell smallest saturating load, shape ``(cells,)``."""
-        table = self.saturation_loads()
-        out = np.empty(self.cells)
-        for idx, cell_map in enumerate(table):
-            lam = min(cell_map.values(), default=float("inf"))
-            require(
-                np.isfinite(lam),
-                "could not find a saturating load (system unsaturable?)",
-            )
-            out[idx] = lam
-        return out
+        """Per-cell smallest saturating load, shape ``(cells,)``.
+
+        Read off the full maps when :meth:`saturation_loads` has run, and
+        otherwise found by the bounded search, which refines only the
+        queues that can still bind; either way computed once per stack.
+        """
+        if self._lam_star is None:
+            self._bounded_saturation()
+        assert self._lam_star is not None
+        require(
+            bool(np.all(np.isfinite(self._lam_star))),
+            "could not find a saturating load (system unsaturable?)",
+        )
+        return self._lam_star.copy()
 
     def binding_resources(self) -> list[str]:
-        """Per-cell binding resource names (first minimum, scalar order)."""
-        self.saturation_loads()
+        """Per-cell binding resource names (first minimum, scalar order).
+
+        From the same search as :meth:`saturation_load`.
+        """
+        if self._binding is None:
+            self._bounded_saturation()
         assert self._binding is not None
         require("" not in self._binding, "no saturable resources in this system")
         return list(self._binding)

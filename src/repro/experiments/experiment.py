@@ -271,8 +271,9 @@ class Experiment:
     def saturation(self) -> ExperimentResult:
         """Saturation load λ*, binding resource and per-resource rates."""
         engine = self.engine
-        lam_star = engine.saturation_load()
+        # The map first: λ* is then read off it, so this runs one search.
         per_resource = dict(sorted(engine.saturation_loads().items(), key=lambda kv: kv[1]))
+        lam_star = engine.saturation_load()
         binding = model_bottlenecks(engine, 0.9 * lam_star).binding
         rows = [[name, f"{lam:.4e}"] for name, lam in list(per_resource.items())[:5]]
         table = render_table(

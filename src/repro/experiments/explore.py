@@ -3,10 +3,11 @@
 This is the scaffolding the paper's §4 promise ("help system designers
 explore the design space") runs on: a grid of derived scenario variants is
 evaluated **entirely through the batched closed forms** — per cell one
-load-independent decomposition, the exact per-resource saturation
-inversion, a vectorised knee search and (when the spec carries a finite
-``latency_budget``) the capacity planner — so thousands of design points
-cost milliseconds each, no simulation.
+load-independent decomposition, the exact saturation load λ* and its
+binding resource (a bounded search that refines only the queues that
+can still bind), a vectorised knee search and (when the spec carries a
+finite ``latency_budget``) the capacity planner — so thousands of design
+points cost milliseconds each, no simulation.
 
 Per-cell metrics (the ``metrics`` mapping of each cell record and the
 columns of the long-format table):

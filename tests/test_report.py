@@ -62,13 +62,14 @@ class TestModelOnlyReport:
         # The figure grids search λ* once per curve (8 searches) and the
         # Fig. 7 study 4 times.  The audit's (system, M=32, 256 B) cells
         # are figure curves, so it reads their engines instead of searching
-        # again, and hands each engine to model_bottlenecks.
+        # again, and hands each engine to model_bottlenecks.  A search is
+        # bounded (given the concentrator planes) or full; each is one call.
         searches = []
         original = StackedModel._source_queue_saturation_rows
 
-        def counting(stack):
+        def counting(stack, *args):
             searches.append(stack)
-            return original(stack)
+            return original(stack, *args)
 
         monkeypatch.setattr(StackedModel, "_source_queue_saturation_rows", counting)
         reproduction_report(points_per_curve=2, include_simulation=False)

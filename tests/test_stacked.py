@@ -273,27 +273,32 @@ class TestOptionSpace:
             assert np.array_equal(reference, curves[idx]), names[idx]
 
 
+def degraded_state_specs():
+    """``544`` and its degraded states under node, ICN2 switch and link failures."""
+    spec = get_scenario("544")
+    failures = FailureScenario(
+        modes=(
+            FailureMode(kind="node", failure_rate=1e-4, repair_rate=1e-2),
+            FailureMode(kind="switch", role="icn2", failure_rate=1e-5, repair_rate=1e-2),
+            FailureMode(kind="link", role="icn2", failure_rate=1e-5, repair_rate=1e-2),
+        ),
+        max_concurrent=2,
+        name="equivalence",
+    )
+    states = expand_states(spec.system, failures)
+    specs = [
+        ScenarioSpec.from_dict({**spec.to_dict(), "system": st.system.to_dict()})
+        for st in states
+    ]
+    return spec, states, specs
+
+
 class TestPerformabilityDegradedStates:
     """Degraded-system stacks: what performability_analysis prices."""
 
     @pytest.fixture(scope="class")
     def degraded_specs(self):
-        spec = get_scenario("544")
-        failures = FailureScenario(
-            modes=(
-                FailureMode(kind="node", failure_rate=1e-4, repair_rate=1e-2),
-                FailureMode(kind="switch", role="icn2", failure_rate=1e-5, repair_rate=1e-2),
-                FailureMode(kind="link", role="icn2", failure_rate=1e-5, repair_rate=1e-2),
-            ),
-            max_concurrent=2,
-            name="equivalence",
-        )
-        states = expand_states(spec.system, failures)
-        specs = [
-            ScenarioSpec.from_dict({**spec.to_dict(), "system": st.system.to_dict()})
-            for st in states
-        ]
-        return spec, states, specs
+        return degraded_state_specs()
 
     def test_degraded_states_match_per_state_engine(self, degraded_specs):
         spec, states, specs = degraded_specs
@@ -821,12 +826,15 @@ class TestPredictedProbes:
         # load at or above hi is, and no whole grid of the row's rounds
         # holds a load strictly inside that bracket.  The oracle replays
         # those verdicts, costing no model evaluation, and must end on the
-        # same bracket.
+        # same bracket.  saturation_loads() is the full search, with no
+        # ceiling; knee and budget then read λ* off its maps.
         specs = grid_270_specs()
         original = stacked._refine_rows
         work = {"calls": 0, "loads": 0, "plain": 0}
 
-        def counting(lo, hi, probe, **kwargs):
+        def counting(lo, hi, probe, *, ceiling=None, **kwargs):
+            assert ceiling is None
+
             def counted(rows, loads):
                 work["calls"] += 1
                 work["loads"] += loads.size
@@ -848,6 +856,7 @@ class TestPredictedProbes:
         monkeypatch.setattr(stacked, "_refine_rows", counting)
         stack = StackedModel.from_specs(specs)
         stack.saturation_loads()
+        assert work["calls"] <= 78
         stack.knee_loads(4.0)
         stack.loads_at_budget(np.full(stack.cells, 200.0))
         assert work["loads"] <= work["plain"] / 2
@@ -903,3 +912,155 @@ class TestOneCellSearches:
             assert stack.loads_at_budget(np.array([budget]))[0] == model_budget(engine, budget)
         assert not evaluations
         assert stack.loads_at_budget(np.array([1e9]))[0] == stack.saturation_load()[0] * 0.9999
+
+
+def ecn1_bound_specs():
+    """90 cells of ``544`` with an over-provisioned ICN2 (bandwidth 5,000 to
+    80,000): every cell binds on an ECN1 source queue, not a concentrator."""
+    grid = DesignGrid(
+        base=get_scenario("544"),
+        axes=(
+            AxisSpec("system.icn2.bandwidth", tuple(5000.0 * 2.0 ** (k / 11) for k in range(45))),
+            AxisSpec("message.length_flits", (16, 64)),
+        ),
+    )
+    return [cell.spec for cell in grid.cells()]
+
+
+#: Cell lists, built on demand, whose bounded λ* and binding resources
+#: must equal the full search's.
+BOUNDED_CASES = {
+    "registry": lambda: [spec for _, spec in REGISTRY],
+    **{name: (lambda spec=spec: [spec]) for name, spec in REGISTRY},
+    "grid-270": grid_270_specs,
+    "ecn1-bound": ecn1_bound_specs,
+    "three-groups": three_group_cells,
+    "degraded": lambda: degraded_state_specs()[2],
+}
+
+
+def as_cells(items):
+    """Stack cells from specs or ``(system, message, options, pattern)`` tuples."""
+    return [
+        item if isinstance(item, tuple) else (item.system, item.message, item.options, item.pattern)
+        for item in items
+    ]
+
+
+def full_least(cells):
+    """λ* and binding resource from a fresh stack's full maps: minimum and first argmin."""
+    maps = StackedModel(cells).saturation_loads()
+    return [min(m.values()) for m in maps], [min(m, key=m.get) for m in maps]
+
+
+class TestBoundedSaturation:
+    """λ* and the binding resource by the bounded search equal the full search's."""
+
+    @pytest.mark.parametrize("case", list(BOUNDED_CASES))
+    def test_bounded_search_equals_the_full_maps(self, case):
+        cells = as_cells(BOUNDED_CASES[case]())
+        stack = StackedModel(cells)
+        lam, binding = stack.saturation_load(), stack.binding_resources()
+        full_lam, full_binding = full_least(cells)
+        assert lam.tolist() == full_lam
+        assert binding == full_binding
+        if case == "ecn1-bound":
+            assert all(name.endswith("ecn1-source-queue") for name in binding)
+        if len(cells) > 1:
+            for idx, cell in enumerate(cells):
+                alone = StackedModel([cell])
+                assert alone.saturation_load()[0] == lam[idx], (case, idx)
+                assert alone.binding_resources()[0] == binding[idx], (case, idx)
+
+    @pytest.mark.parametrize("name, ties", [("544-local", "icn1-source-queue"), ("544-hotspot", "concentrator")])
+    def test_tied_minima_keep_the_first_argmin(self, name, ties):
+        # The tie cases are real: several resources share the minimum, and
+        # the bounded search names the first of them in scalar order.
+        cells = as_cells([get_scenario(name)])
+        (saturation,) = StackedModel(cells).saturation_loads()
+        least = min(saturation.values())
+        tied = [resource for resource, value in saturation.items() if value == least]
+        assert len(tied) >= 2 and all(resource.endswith(ties) for resource in tied)
+        assert StackedModel(cells).binding_resources() == [tied[0]]
+
+    def test_bounded_search_stops_every_queue_that_cannot_bind(self, monkeypatch):
+        # Every cell of the 270-cell grid binds on a concentrator, so each
+        # of its 3,240 searched queues is probed once at its cell's ceiling
+        # and stops: one call per run of 256 rows.  The full search makes
+        # 78 calls and evaluates 334,434 row-loads.
+        work = {"calls": 0, "loads": 0}
+        original = stacked._refine_rows
+
+        def counting(lo, hi, probe, **kwargs):
+            def counted(rows, loads):
+                work["calls"] += 1
+                work["loads"] += loads.size
+                return probe(rows, loads)
+
+            return original(lo, hi, counted, **kwargs)
+
+        monkeypatch.setattr(stacked, "_refine_rows", counting)
+        stack = StackedModel.from_specs(grid_270_specs())
+        stack.saturation_load()
+        assert work["calls"] <= 13 and work["loads"] <= 3_240
+        assert all(name.endswith("concentrator") for name in stack.binding_resources())
+
+    def test_each_stack_makes_one_search(self, monkeypatch):
+        # λ* and the binding resource are read off the full maps once they
+        # exist, and a bounded search is never repeated on one stack.
+        searches = []
+        original = StackedModel._source_queue_saturation_rows
+
+        def counting(stack, *args):
+            searches.append(args)
+            return original(stack, *args)
+
+        monkeypatch.setattr(StackedModel, "_source_queue_saturation_rows", counting)
+        cells = three_group_cells()
+        stack = StackedModel(cells)
+        stack.saturation_loads()
+        stack.saturation_load()
+        stack.binding_resources()
+        assert searches == [()]
+        searches.clear()
+        stack = StackedModel(cells)
+        stack.binding_resources()
+        stack.saturation_load()
+        stack.knee_loads(4.0)
+        assert len(searches) == 1 and len(searches[0]) == 1
+
+
+class TestJourneyStructures:
+    """A journey structure is derived once per shape, whatever group it sits in."""
+
+    @pytest.mark.parametrize(
+        "cells, shapes",
+        [
+            # 16 singleton classes of 3 depths, 256 pairs of 9 shapes: the
+            # classes were derived 16 times.
+            (lambda: as_cells([get_scenario("544-hotspot")]), (3, 9)),
+            # 3 groups of 90 cells, each 3 classes of 3 depths and 9 pair
+            # shapes: each group derived its own, 9 + 27 times.
+            (lambda: as_cells(grid_270_specs()), (3, 9)),
+        ],
+        ids=["544-hotspot", "grid-270"],
+    )
+    def test_one_derivation_per_shape(self, monkeypatch, cells, shapes):
+        derived = {"intra": [], "pair": []}
+        intra, pair = stacked._intra_structure, stacked._pair_structure
+
+        def counting_intra(*key):
+            derived["intra"].append(key)
+            return intra(*key)
+
+        def counting_pair(*key):
+            derived["pair"].append(key)
+            return pair(*key)
+
+        cells = cells()
+        monkeypatch.setattr(stacked, "_intra_structure", counting_intra)
+        monkeypatch.setattr(stacked, "_pair_structure", counting_pair)
+        plan = StackedModel(cells).plan
+        assert (len(derived["intra"]), len(derived["pair"])) == shapes
+        assert len(set(derived["intra"])) == len(plan.intra.structures) == shapes[0]
+        assert len(set(derived["pair"])) == sum(len(block.structures) for block in plan.pair_blocks) == shapes[1]
