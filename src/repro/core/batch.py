@@ -44,7 +44,11 @@ __all__ = ["BatchedModel", "ENGINE_VERSION", "ResourceRates"]
 #: batch/11: λ* and the binding resource come from a bounded search that
 #: refines only the source queues that can still be their cell's least.
 #: No number moved; cached results miss once.
-ENGINE_VERSION = "batch/11"
+#:
+#: batch/12: the knee and budget searches are one latency-crossing search
+#: that refines a whole stack's rows in one pass.  No number moved; cached
+#: results miss once.
+ENGINE_VERSION = "batch/12"
 
 
 @dataclass(frozen=True)

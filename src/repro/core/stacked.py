@@ -28,8 +28,10 @@ the stack.  The mechanisms:
 
 * **grouping** — cells are partitioned by structure signature (switch
   arity, class decomposition, ICN2 depth), so within a group every cell
-  has the same classes in the same order, and the Eq. 1/3/35/38 folds run
-  per group, over batches of source classes;
+  has the same classes in the same order.  The Eq. 1/3/35/38 folds run
+  per group, over batches of source classes; the searches run per stack,
+  each one refinement over the searched rows of every group, whose probe
+  evaluates each group's live rows in turn;
 * **blocks** — journey depth is per-row data.  The rows of the whole
   stack live in journey families: one intra block for every class of
   every depth, and one pair block per ICN2 depth ``n_c`` for every ordered
@@ -183,7 +185,9 @@ def _linspace_rows(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
 #: rows costs its call overhead at any width, while a large one pays per
 #: row-load: on a 2-core host a one-row latency evaluation of ``544`` took
 #: 2.4-3.7 ms at 1 load and at 33 alike, a 90-row one 2.5 ms at 1 load and
-#: 10.1 ms at 33.
+#: 10.1 ms at 33.  The count is the refinement's rows, whatever cell groups
+#: they sit in, while a knee or budget probe call over rows of G groups
+#: costs G group evaluations.
 _WINDOW_MIN_ROWS = 16
 
 #: Grid indices the first round of a windowed plan evaluates around the
@@ -1194,6 +1198,12 @@ class ParameterPlan:
                 )
             )
         self.groups: tuple[_CellGroup, ...] = tuple(groups)
+        # Each cell's group and its position in the group.
+        self.cell_group = np.empty(self.cells, dtype=np.intp)
+        self.cell_position = np.empty(self.cells, dtype=np.intp)
+        for g, group in enumerate(self.groups):
+            self.cell_group[group.indices] = g
+            self.cell_position[group.indices] = np.arange(group.size)
 
     @property
     def cells(self) -> int:
@@ -1588,11 +1598,10 @@ class StackedModel:
         network = self._pair_latency(block, rows, eta_e1, eta_i2_eff)
         source_rate = self._pair_source_rate(block, rows, loads, lambda_e1)
         conc_rate = self._concentrator_rate(block, rows, loads, lambda_e1)
-        ones = np.ones_like(loads)
         conc_wait, conc_utilization, conc_saturated = _mg1_wait_batched(
             conc_rate,
-            ones * block.conc_service[rows][:, None],
-            ones * block.conc_variance[rows][:, None],
+            np.broadcast_to(block.conc_service[rows][:, None], loads.shape),
+            np.broadcast_to(block.conc_variance[rows][:, None], loads.shape),
         )
         return {
             **self._source_queue_terms(block, rows, source_rate, network),
@@ -1650,23 +1659,24 @@ class StackedModel:
         return intra_rows, intra, pairs
 
     def _class_batches(
-        self, group: _CellGroup, rows: "np.ndarray | None", loads: np.ndarray, *, keep: bool = False
+        self, group: _CellGroup, cell_rows: np.ndarray, loads: np.ndarray, *, keep: bool = False
     ) -> Iterator[dict]:
         """Yield each batch of source classes' Eq. 1/35/38/39 planes, in class order.
 
         Mirrors the class loop of ``AnalyticalModel.evaluate`` over a batch
-        of classes at a time (:meth:`_CellGroup.batches`); planes are shaped
-        ``(classes, cells, loads)``.  The Eq. 35/38 fold over destinations
-        is one elementwise step per ``j``, in the scalar ``j`` order, over
-        the batch's source classes, cells and loads.  The per-cell ``U_i ==
-        0`` / zero-weight control-flow skips of the scalar path become
-        ``np.where`` selections, so a masked lane never leaks the ``0 · ∞``
-        artifacts of a branch the scalar code would not have executed.
+        of classes at a time (:meth:`_CellGroup.batches`) for the group's
+        cells at positions *cell_rows* (which may repeat), one row of
+        *loads* each; planes are shaped ``(classes, cells, loads)``.  The
+        Eq. 35/38 fold over destinations is one elementwise step per ``j``,
+        in the scalar ``j`` order, over the batch's source classes, cells
+        and loads.  The per-cell ``U_i == 0`` / zero-weight control-flow
+        skips of the scalar path become ``np.where`` selections, so a
+        masked lane never leaks the ``0 · ∞`` artifacts of a branch the
+        scalar code would not have executed.
         With *keep* every intra and pair plane rides along under
         ``"intra"`` and ``"pairs"`` (the breakdown path); otherwise only
         the planes the folds read are kept.
         """
-        cell_rows = np.arange(group.size) if rows is None else rows
         cells = cell_rows.size
         count = len(group.class_names)
         intra_keys = None if keep else ("total", "saturated")
@@ -1721,11 +1731,7 @@ class StackedModel:
             }
 
     def _fold_latency(
-        self,
-        group: _CellGroup,
-        rows: "np.ndarray | None",
-        loads: np.ndarray,
-        batches: Iterable[dict],
+        self, group: _CellGroup, cell_rows: np.ndarray, loads: np.ndarray, batches: Iterable[dict]
     ) -> np.ndarray:
         """Eq. 3: node-weighted mean of the class means in class order, ``inf`` if saturated."""
         block = self.plan.intra
@@ -1740,14 +1746,23 @@ class StackedModel:
             for plane in weighted:
                 latency = latency + plane
             any_saturated |= np.any(batch["saturated"], axis=0)
-        latency = latency / (group.total_nodes if rows is None else group.total_nodes[rows])[:, None]
+        latency = latency / group.total_nodes[cell_rows][:, None]
         return np.where(any_saturated, np.inf, latency)
 
-    def _group_latencies(
-        self, group: _CellGroup, rows: "np.ndarray | None", loads: np.ndarray
-    ) -> np.ndarray:
-        """Mean latency over per-cell load rows for one group (latency only)."""
-        return self._fold_latency(group, rows, loads, self._class_batches(group, rows, loads))
+    def _latencies(self, cells: np.ndarray, loads: np.ndarray) -> np.ndarray:
+        """Mean latency (Eq. 3) of the cells at positions *cells* over their *loads* rows.
+
+        *cells* may repeat; *loads* holds one row per entry.  The entries
+        of each cell group are priced together, one group after another.
+        """
+        out = np.empty_like(loads)
+        groups, positions = self.plan.cell_group[cells], self.plan.cell_position[cells]
+        for g in np.flatnonzero(np.bincount(groups)):
+            at = np.flatnonzero(groups == g)
+            group, cell_rows, group_loads = self.plan.groups[g], positions[at], loads[at]
+            batches = self._class_batches(group, cell_rows, group_loads)
+            out[at] = self._fold_latency(group, cell_rows, group_loads, batches)
+        return out
 
     # -- public evaluation ------------------------------------------------------
 
@@ -1773,13 +1788,7 @@ class StackedModel:
         *loads* is either one shared grid ``(loads,)`` or per-cell rows
         ``(cells, loads)``.
         """
-        loads_arr = self._as_rows(loads)
-        out = np.empty_like(loads_arr)
-        for group in self.plan.groups:
-            out[group.indices] = self._group_latencies(
-                group, None, np.ascontiguousarray(loads_arr[group.indices])
-            )
-        return out
+        return self._latencies(np.arange(self.cells), self._as_rows(loads))
 
     def evaluate_terms(self, loads: "np.ndarray | Sequence[float]") -> list[dict]:
         """Per-cell term planes behind the ``ModelResult`` breakdowns.
@@ -1798,8 +1807,9 @@ class StackedModel:
         out: list[dict] = [{} for _ in range(self.cells)]
         for group in self.plan.groups:
             group_loads = np.ascontiguousarray(loads_arr[group.indices])
-            batches = list(self._class_batches(group, None, group_loads, keep=True))
-            latency = self._fold_latency(group, None, group_loads, batches)
+            cell_rows = np.arange(group.size)
+            batches = list(self._class_batches(group, cell_rows, group_loads, keep=True))
+            latency = self._fold_latency(group, cell_rows, group_loads, batches)
             count, cells = len(group.class_names), group.size
             classes = []
             for batch in batches:
@@ -2171,7 +2181,33 @@ class StackedModel:
         require("" not in self._binding, "no saturable resources in this system")
         return list(self._binding)
 
-    # -- knee and capacity searches ---------------------------------------------
+    # -- knee and capacity searches: one latency-crossing search ----------------
+
+    def _latency_crossings(
+        self, cells: np.ndarray, limits: np.ndarray, fraction: float, *, rel_tol: float, inclusive: bool
+    ) -> np.ndarray:
+        """Where the mean latency of the cells at positions *cells* crosses their *limits*.
+
+        The knee and budget searches' one implementation: the cells are
+        refined together, one row each, in one :func:`_refine_rows` over
+        ``[0, fraction · λ*]``, where a load is within its row's limit when
+        its latency is finite and below it (at or below it when
+        *inclusive*), and each row achieves its bracket's low end.  The
+        probe prices each cell group's live rows in turn
+        (:meth:`_latencies`), and rows are independent, so every load is
+        the one the cell's search alone would find, bit for bit.
+        """
+        pole = self.saturation_load()[cells]
+        within = np.less_equal if inclusive else np.less
+
+        def beyond(sub: np.ndarray, loads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            latencies = self._latencies(cells[sub], loads)
+            limit = limits[sub][:, None]
+            score = _pole_score(limit, latencies, pole[sub], loads)
+            return ~(np.isfinite(latencies) & within(latencies, limit)), score
+
+        lo, _ = _refine_rows(np.zeros(cells.size), pole * fraction, beyond, rel_tol=rel_tol)
+        return lo
 
     def knee_loads(self, knee_threshold_factor: float) -> np.ndarray:
         """Per-cell load where latency reaches ``factor ×`` its floor.
@@ -2180,23 +2216,10 @@ class StackedModel:
         (``model_knee``): the same bracket ``[0, λ*·(1 − 1e-9)]``,
         threshold test and 1e-6 relative refinement.
         """
-        lam_star = self.saturation_load()
-        zero = self.zero_load_latencies()
-        threshold = knee_threshold_factor * zero
-        out = np.empty(self.cells)
-        for group in self.plan.groups:
-            idx = group.indices
-            thr, pole = threshold[idx], lam_star[idx]
-
-            def beyond(sub: np.ndarray, loads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                latencies = self._group_latencies(group, sub, loads)
-                limit = thr[sub][:, None]
-                score = _pole_score(limit, latencies, pole[sub], loads)
-                return ~(np.isfinite(latencies) & (latencies < limit)), score
-
-            lo, _ = _refine_rows(np.zeros(group.size), pole * (1.0 - 1e-9), beyond, rel_tol=1e-6)
-            out[idx] = lo
-        return out
+        limits = knee_threshold_factor * self.zero_load_latencies()
+        return self._latency_crossings(
+            np.arange(self.cells), limits, 1.0 - 1e-9, rel_tol=1e-6, inclusive=False
+        )
 
     def loads_at_budget(self, budgets: np.ndarray) -> np.ndarray:
         """Per-cell largest load whose latency meets the budget; NaN budgets pass through.
@@ -2220,26 +2243,12 @@ class StackedModel:
         out = np.full(self.cells, np.nan)
         if not has_budget.any():
             return out
-        lam_star = self.saturation_load()
-        zero = self.zero_load_latencies()
-        infeasible = has_budget & (budgets < zero)
+        infeasible = has_budget & (budgets < self.zero_load_latencies())
         out[infeasible] = 0.0
-        search = has_budget & ~infeasible
-        for group in self.plan.groups:
-            idx = group.indices
-            rows = np.flatnonzero(search[idx])
-            if rows.size == 0:
-                continue
-            limits, pole = budgets[idx][rows], lam_star[idx][rows]
-
-            def beyond(sub: np.ndarray, loads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                latencies = self._group_latencies(group, rows[sub], loads)
-                limit = limits[sub][:, None]
-                score = _pole_score(limit, latencies, pole[sub], loads)
-                return ~(np.isfinite(latencies) & (latencies <= limit)), score
-
-            lo, _ = _refine_rows(np.zeros(rows.size), pole * 0.9999, beyond, rel_tol=1e-4)
-            out[idx[rows]] = lo
+        search = np.flatnonzero(has_budget & ~infeasible)
+        out[search] = self._latency_crossings(
+            search, budgets[search], 0.9999, rel_tol=1e-4, inclusive=True
+        )
         return out
 
     def auto_load_grids(

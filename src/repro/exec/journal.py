@@ -7,9 +7,10 @@ completes, a run killed at any instant leaves a journal describing
 exactly the completed prefix — a later ``--resume`` replays those items
 from the cache and evaluates only the remainder.
 
-Torn final lines (the process died mid-write) are expected and skipped;
-re-recording an already-journaled key is a no-op, so resumed runs can
-blindly record everything they touch.  The journal lives beside the
+Torn final lines (the process died mid-write) are expected and skipped,
+and the next record starts a line of its own after one; re-recording an
+already-journaled key is a no-op, so resumed runs can blindly record
+everything they touch.  The journal lives beside the
 cache entries it refers to (``<cache root>/journal/<run key>.jsonl``),
 keyed by a content hash of the run's full work list: the same study
 resumes itself, a different study gets a fresh journal.
@@ -33,6 +34,7 @@ class RunJournal:
     def __init__(self, path: "str | Path") -> None:
         self.path = Path(path)
         self._seen: "set[str] | None" = None
+        self._torn = False  # the file ends in a line without its newline
 
     @classmethod
     def for_cache(cls, store: Any, run_key: str) -> "RunJournal":
@@ -56,6 +58,7 @@ class RunJournal:
         except OSError:
             self._seen = seen
             return set(seen)
+        self._torn = not text.endswith("\n") and bool(text)
         for line in text.splitlines():
             if not line.strip():
                 continue
@@ -75,7 +78,9 @@ class RunJournal:
 
         The line is flushed and fsynced before returning, so a kill
         immediately after an item's cache write cannot lose the fact that
-        the item completed.  Already-recorded keys are skipped.
+        the item completed.  After a torn final line the entry starts with
+        a newline, so the fragment never swallows it.  Already-recorded
+        keys are skipped.
         """
         seen = self.completed_keys()
         if key in seen:
@@ -84,8 +89,9 @@ class RunJournal:
         entry.update(meta)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
+            handle.write(("\n" if self._torn else "") + json.dumps(entry, sort_keys=True) + "\n")
             handle.flush()
             os.fsync(handle.fileno())
         assert self._seen is not None
         self._seen.add(key)
+        self._torn = False

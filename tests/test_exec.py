@@ -227,6 +227,9 @@ class TestRunJournal:
             handle.write('{"schema": "other/1", "key": "k2"}\n')
             handle.write('{"schema": "repro.run-journal/1", "key"')  # torn write
         assert RunJournal(path).completed_keys() == {"k1"}
+        # A resumed run's first record must not be glued onto the torn tail.
+        RunJournal(path).record("k3")
+        assert RunJournal(path).completed_keys() == {"k1", "k3"}
 
     def test_for_cache_lives_beside_the_entries(self, tmp_path):
         store = ResultCache(tmp_path / "cache")

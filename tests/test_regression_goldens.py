@@ -16,7 +16,8 @@ is replayed here — message-granularity entries under *both* event engines
 The closed forms are locked the same way by the model-output corpus
 (``tests/goldens/model_outputs.json``): one digest per case over the exact
 float ``repr`` of saturation loads, binding resource, zero-load latency,
-full ``ModelResult`` breakdowns and resource utilisations.  It carries no
+full ``ModelResult`` breakdowns and resource utilisations, and a second
+over the knee and latency-budget search loads.  It carries no
 engine version, so a refactor of the engine must reproduce every number
 bit for bit.
 """
@@ -40,6 +41,7 @@ from tools.regen_goldens import (  # noqa: E402
     golden_digest,
     model_cases,
     model_digest,
+    search_digest,
 )
 
 GOLDENS = [
@@ -166,6 +168,17 @@ class TestModelOutputCorpus:
             f"its pinned saturation/breakdown/utilisation digest.  The "
             f"closed forms' numbers changed; if that is intentional, follow "
             f"the regen protocol in tools/regen_goldens.py."
+        )
+
+    @pytest.mark.parametrize(
+        "entry", [pytest.param(e, id=e["case"]) for e in _model_corpus()["entries"]]
+    )
+    def test_pinned_search_digest(self, entry):
+        assert search_digest(entry["case"]) == entry["search_digest"], (
+            f"model output drift: case {entry['case']!r} no longer reproduces "
+            f"its pinned knee/budget search digest.  The searches' loads "
+            f"changed; if that is intentional, follow the regen protocol in "
+            f"tools/regen_goldens.py."
         )
 
 

@@ -542,6 +542,34 @@ def three_group_cells():
     return [(c.spec.system, c.spec.message, c.spec.options, c.spec.pattern) for c in grid.cells()]
 
 
+def grid_36_specs():
+    """The 36-cell, 2-group grid on ``544`` of the explore-smoke CI step."""
+    grid = DesignGrid(
+        base=get_scenario("544"),
+        axes=(
+            AxisSpec("system.clusters.0.tree_depth", (3, 4)),
+            AxisSpec("system.clusters.15.tree_depth", (3, 4)),
+            AxisSpec("system.icn2.bandwidth", (400.0, 500.0, 600.0)),
+            AxisSpec("message.length_flits", (16, 32, 64)),
+        ),
+    )
+    return [cell.spec for cell in grid.cells()]
+
+
+def small_group_specs():
+    """18 cells of ``544`` in 3 cell groups of 6: a group searched alone
+    opens whole-grid plans, the stack's 18 rows open windows."""
+    grid = DesignGrid(
+        base=get_scenario("544"),
+        axes=(
+            AxisSpec("system.clusters.0.tree_depth", (3, 4, 5)),
+            AxisSpec("system.clusters.15.tree_depth", (3, 5)),
+            AxisSpec("system.icn2.bandwidth", (400.0, 500.0, 600.0)),
+        ),
+    )
+    return [cell.spec for cell in grid.cells()]
+
+
 class TestStackWideBlocks:
     """Each journey family is one block of rows across cell groups, shape by shape."""
 
@@ -563,15 +591,23 @@ class TestStackWideBlocks:
         orders = {tuple(plan.intra.shape[group.intra].tolist()) for group in plan.groups}
         assert len(orders) == 3
 
-    def test_every_cell_equals_the_cell_priced_alone(self, cells):
-        stack, _ = assert_stack_matches(cells)
+    @pytest.mark.parametrize(
+        "grid",
+        [three_group_cells, grid_270_specs, grid_36_specs, small_group_specs],
+        ids=["three-groups", "grid-270", "grid-36", "small-groups"],
+    )
+    def test_every_cell_equals_the_cell_priced_alone(self, grid):
+        # Knee and budget search each stack in one refinement: the grids
+        # hold 3 groups of 4 cells, 3 of 90, 2 of 18 and 3 of 6.
+        stack, engines = assert_stack_matches(as_cells(grid()))
         knees = stack.knee_loads(4.0)
         budgets = 2.5 * stack.zero_load_latencies()
         achieved = stack.loads_at_budget(budgets)
-        for idx, cell in enumerate(cells):
-            alone = StackedModel([cell])
-            assert alone.knee_loads(4.0)[0] == knees[idx], idx
-            assert alone.loads_at_budget(budgets[idx : idx + 1])[0] == achieved[idx], idx
+        for idx, engine in enumerate(engines):
+            lam, zero, budget = engine.saturation_load(), engine.zero_load_latency(), float(budgets[idx])
+            assert engine.stack.knee_loads(4.0)[0] == knees[idx] == model_knee(engine, lam, zero, 4.0), idx
+            assert engine.stack.loads_at_budget(budgets[idx : idx + 1])[0] == achieved[idx], idx
+            assert model_budget(engine, budget) == achieved[idx], idx
 
     def test_one_search_makes_one_solver_call_per_family_in_each_probe(self, cells, monkeypatch):
         # 144 searched rows: 3 ICN1 queues and 9 ECN1 queues per cell, 36
@@ -1064,3 +1100,38 @@ class TestJourneyStructures:
         assert (len(derived["intra"]), len(derived["pair"])) == shapes
         assert len(set(derived["intra"])) == len(plan.intra.structures) == shapes[0]
         assert len(set(derived["pair"])) == sum(len(block.structures) for block in plan.pair_blocks) == shapes[1]
+
+
+class TestLatencyCrossings:
+    """Knee and budget are one latency-crossing search, one refinement per stack."""
+
+    def test_small_groups_open_windows_only_together(self):
+        sizes = [group.size for group in StackedModel.from_specs(small_group_specs()).plan.groups]
+        assert len(sizes) == 3 and max(sizes) < stacked._WINDOW_MIN_ROWS <= sum(sizes)
+
+    def test_one_refinement_per_search_on_the_270_cell_grid(self, monkeypatch):
+        # Three groups of 90 cells.  Each search made one refinement of 3
+        # probe calls per group; the stack's rows are one refinement, and
+        # independent rows evaluate the same row-loads.
+        stack = StackedModel.from_specs(grid_270_specs())
+        stack.saturation_load()
+        stack.zero_load_latencies()
+        work = []
+        original = stacked._refine_rows
+
+        def counting(lo, hi, probe, **kwargs):
+            work.append([0, 0])
+
+            def counted(rows, loads):
+                work[-1][0] += 1
+                work[-1][1] += loads.size
+                return probe(rows, loads)
+
+            return original(lo, hi, counted, **kwargs)
+
+        monkeypatch.setattr(stacked, "_refine_rows", counting)
+        stack.knee_loads(4.0)
+        assert work == [[3, 13_770]]
+        work.clear()
+        stack.loads_at_budget(np.full(stack.cells, 200.0))
+        assert work == [[3, 11_258]]

@@ -11,9 +11,11 @@ Two corpora live under ``tests/goldens/``:
   case (:func:`model_cases`) over the exact ``repr`` of every number in
   the per-resource saturation map, the binding resource, the zero-load
   latency, every ``ModelResult`` breakdown on a load grid from 0 to 1.15
-  λ* and the resource utilisations at 0.9 λ*.  The digest leaves
-  ``ENGINE_VERSION`` out on purpose: a refactor that bumps the version
-  without changing a number keeps every digest.
+  λ* and the resource utilisations at 0.9 λ*, and a second digest per
+  case (:func:`search_digest`) over the knee loads at 2× and 4× the
+  floor and the loads at budgets of 0.5×, 1.5× and 3× the floor and 1e9.
+  The digests leave ``ENGINE_VERSION`` out on purpose: a refactor that
+  bumps the version without changing a number keeps every digest.
 
 ``python -m tools.regen_goldens`` rewrites both files; ``--check`` only
 compares them against a fresh build and exits 1 when either is stale.
@@ -59,7 +61,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDENS_PATH = ROOT / "tests" / "goldens" / "trajectories.json"
 GOLDENS_SCHEMA = "repro.goldens.trajectories/1"
 MODEL_GOLDENS_PATH = ROOT / "tests" / "goldens" / "model_outputs.json"
-MODEL_GOLDENS_SCHEMA = "repro.goldens.model_outputs/1"
+MODEL_GOLDENS_SCHEMA = "repro.goldens.model_outputs/2"
 
 #: The corpus: (scenario, seed, granularity, load, (warmup, measured, drain)).
 #: Message points span the registry's topology/traffic families; flit
@@ -221,12 +223,33 @@ def model_digest(case: str) -> str:
     return hashlib.sha256(_canonical(outputs).encode("utf-8")).hexdigest()
 
 
+def search_digest(case: str) -> str:
+    """Digest of one model corpus entry's knee and budget searches.
+
+    The budgets below the floor pin the infeasible-to-0 rule, and 1e9 a
+    budget met at the search's 0.9999 λ* bound.
+    """
+    import numpy as np
+
+    stack = model_engine(case).stack
+    floor = stack.zero_load_latencies()
+    budgets = (0.5 * floor, 1.5 * floor, 3.0 * floor, np.full(stack.cells, 1e9))
+    outputs = (
+        [stack.knee_loads(factor) for factor in (2.0, 4.0)],
+        [stack.loads_at_budget(budget) for budget in budgets],
+    )
+    return hashlib.sha256(_canonical(outputs).encode("utf-8")).hexdigest()
+
+
 def build_model_corpus() -> dict:
     """Compute every model corpus entry (no engine version: see the module doc)."""
     return {
         "schema": MODEL_GOLDENS_SCHEMA,
         "regen": "PYTHONPATH=src python -m tools.regen_goldens  (see the module docstring for the protocol)",
-        "entries": [{"case": case, "digest": model_digest(case)} for case in model_cases()],
+        "entries": [
+            {"case": case, "digest": model_digest(case), "search_digest": search_digest(case)}
+            for case in model_cases()
+        ],
     }
 
 
