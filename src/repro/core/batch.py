@@ -48,7 +48,11 @@ __all__ = ["BatchedModel", "ENGINE_VERSION", "ResourceRates"]
 #: batch/12: the knee and budget searches are one latency-crossing search
 #: that refines a whole stack's rows in one pass.  No number moved; cached
 #: results miss once.
-ENGINE_VERSION = "batch/12"
+#:
+#: batch/13: a knee or budget search predicts from priors, the latencies
+#: earlier searches on its stack evaluated.  No number moved; cached
+#: results miss once.
+ENGINE_VERSION = "batch/13"
 
 
 @dataclass(frozen=True)

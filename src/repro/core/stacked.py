@@ -85,7 +85,15 @@ the stack.  The mechanisms:
   The scalar one-bracket loop the refinement replicates decision for
   decision is kept as a test oracle (``tests/test_stacked.py``), as is
   :func:`numpy.linspace`, whose internal ``step == 0`` branch
-  :func:`_linspace_rows` reproduces per row;
+  :func:`_linspace_rows` reproduces per row.  A refinement may also start
+  from a *prior*: samples of its rows from earlier evaluations, such as
+  the latencies an earlier knee or budget search on the same stack
+  evaluated, judged against this search's own limit.  A row they give an
+  estimate opens with a predicted plan instead of a whole grid, so the
+  budget search after the knee evaluates only the loads that verify it.
+  A prior only chooses which loads a probe evaluates: a round counts only
+  on the verdicts the probe itself returns, by the argument above, so no
+  prior can move a bracket;
 * **fold order** — every accumulation that the scalar code runs as a
   Python-order fold (journey-weight sums, destination-weight averages, the
   Eq. 3 class combination) stays an explicit fold over the same index
@@ -126,6 +134,7 @@ for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -324,6 +333,7 @@ def _refine_rows(
     points: int = 33,
     max_rounds: int = 100,
     ceiling: "_Ceiling | None" = None,
+    prior: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Narrow each row's ``[lo, hi]`` to the cell where a monotone condition flips.
 
@@ -372,6 +382,19 @@ def _refine_rows(
     the bound, which is at least the cell's least reported ``hi``.  Rows
     that report that least value, ties included, run to the end with
     their one-row ``(lo, hi)``.
+
+    A *prior* is ``(loads, crossed, score)``, each shaped ``(rows,
+    samples)``: each row's samples from earlier evaluations, padded with
+    NaN scores.  The refinement observes them before its first plan, so a
+    row they give an estimate opens with a predicted plan instead of a
+    whole grid: a window at and above :data:`_WINDOW_MIN_ROWS` rows, the
+    whole grid below, each followed by its later rounds' pairs.  A first
+    window through ``hi`` that reads no crossing ends its row as a whole
+    grid crossed nowhere would: by monotonicity nothing below ``hi``
+    crossed either.  A prior only chooses which loads a probe evaluates.
+    Every round still counts on the probe's own verdicts, by the rules
+    above, so no prior, not even one whose verdicts contradict the probe,
+    can move a bracket; a row without an estimate runs as without a prior.
     """
     lo = np.array(lo, dtype=np.float64)
     hi = np.array(hi, dtype=np.float64)
@@ -385,7 +408,9 @@ def _refine_rows(
             crossed, _ = probe(test, bound[test, None])
             alive[test[~crossed[:, 0]]] = False
     windowed = size >= _WINDOW_MIN_ROWS
-    whole = np.ones(size, dtype=bool)  # rows whose next plan opens with the whole grid
+    # Rows whose next plan opens with the whole grid; a row without an
+    # estimate opens with it anyway.
+    whole = np.full(size, not windowed)
     # Each row's two tightest distinct sampled loads of finite score on
     # either side, b2 <= b1 (not crossed) < a1 <= a2 (crossed), and their scores.
     near = np.tile([-np.inf, -np.inf, np.inf, np.inf], (size, 1))
@@ -408,6 +433,9 @@ def _refine_rows(
         near[rows] = np.stack([low[take, b2], b1_load, a1_load, high[take, a2]], axis=1)
         near_score[rows] = np.stack([f[take, b2], f[take, b1], f[take, a1], f[take, a2]], axis=1)
 
+    if prior is not None:
+        observe(np.arange(size), *prior)
+
     def advance(rows: np.ndarray, new_lo: np.ndarray, new_hi: np.ndarray) -> None:
         # The round update for rows whose first crossed index is >= 1.
         rounds[rows] += 1
@@ -428,12 +456,13 @@ def _refine_rows(
         seen = head[np.arange(rows.size), hit]
         if window == points:
             never = rows[~seen]  # crossed nowhere up to hi
-            lo[never] = hi[never]
-            alive[never] = False
             whole[rows] = not windowed
         else:
+            never = rows[~seen & (start == points - window)]  # a window through hi
             seen &= (hit > 0) | (start == 0)
             whole[rows[~seen]] = True
+        lo[never] = hi[never]
+        alive[never] = False
         first = start + hit
         alive[rows[seen & (first == 0)]] = False  # bracket degenerated
         sel = np.flatnonzero(seen & (first != 0))
@@ -608,21 +637,27 @@ def _mg1_wait_batched(
     Returns ``(wait, utilization, saturated)`` arrays with the scalar
     function's exact semantics: an infinite service time (blown-up upstream
     pipeline) counts as saturation whenever any traffic arrives, and a
-    zero-rate queue never waits regardless of its service time.
+    zero-rate queue never waits regardless of its service time.  The wait
+    is computed in place, with the scalar's operations in its order.
     """
     finite = np.isfinite(mean_service) & np.isfinite(variance)
     service = np.where(finite, mean_service, 0.0)
-    var = np.where(finite, variance, 0.0)
     rho = rate * service
     infinite_service = ~finite & (rate > 0.0)
     saturated = infinite_service | (rho >= 1.0)
-    second_moment = service * service + var
+    wait = service * service
+    del service
+    wait += np.where(finite, variance, 0.0)  # the second moment
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        wait = rate * second_moment / (2.0 * (1.0 - rho))
-    wait = np.where(saturated, np.inf, wait)
-    wait = np.where(rate == 0.0, 0.0, wait)
-    utilization = np.where(infinite_service, np.inf, rho)
-    return wait, utilization, saturated
+        wait *= rate  # rate · second moment
+        denominator = 1.0 - rho
+        denominator *= 2.0
+        wait /= denominator
+    del denominator
+    np.copyto(wait, np.inf, where=saturated)
+    np.copyto(wait, 0.0, where=rate == 0.0)
+    np.copyto(rho, np.inf, where=infinite_service)  # the utilisation
+    return wait, rho, saturated
 
 
 #: Row budget of an evaluation's batch of source classes (as many classes
@@ -1402,6 +1437,9 @@ class StackedModel:
         self._lam_star: "np.ndarray | None" = None
         self._binding: "list[str] | None" = None
         self._zero_load: "np.ndarray | None" = None
+        # The mean latencies the latency-crossing searches' probes evaluated:
+        # each probe call's (cells, loads, latencies) (see _sampled).
+        self._samples: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     @classmethod
     def from_specs(cls, specs: Sequence) -> "StackedModel":
@@ -1424,14 +1462,20 @@ class StackedModel:
 
     def _pair_rates(
         self, block: _PairBlock, rows: "np.ndarray | slice", loads: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Eqs. 22–28: ``λ_E1, λ_I2, η_E1, η_I2, η_I2·δ`` over block rows."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Eqs. 22–28: ``λ_E1, η_E1, η_I2·δ`` over block rows."""
         lambda_e1 = loads * block.external[rows][:, None]
-        lambda_i2 = 0.5 * lambda_e1
         eta_e1 = (lambda_e1 * block.d_e1[rows][:, None]) / block.eta_e1_divisor[rows][:, None]
-        eta_i2 = (lambda_i2 * block.d_i2[rows][:, None]) / block.eta_i2_divisor
-        eta_i2_eff = eta_i2 * block.delta[rows][:, None]
-        return lambda_e1, lambda_i2, eta_e1, eta_i2, eta_i2_eff
+        _, eta_i2_eff = self._icn2_rates(block, rows, lambda_e1)
+        eta_i2_eff *= block.delta[rows][:, None]
+        return lambda_e1, eta_e1, eta_i2_eff
+
+    def _icn2_rates(
+        self, block: _PairBlock, rows: "np.ndarray | slice", lambda_e1: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Eqs. 24 and 26: ``λ_I2, η_I2`` over block rows."""
+        lambda_i2 = 0.5 * lambda_e1
+        return lambda_i2, (lambda_i2 * block.d_i2[rows][:, None]) / block.eta_i2_divisor
 
     def _intra_source_rate(
         self,
@@ -1590,27 +1634,35 @@ class StackedModel:
             "eta_i1": eta_i1,
         }
 
-    def _pair_terms(self, block: _PairBlock, rows: "np.ndarray | slice", loads: np.ndarray) -> dict:
+    def _pair_terms(
+        self, block: _PairBlock, rows: "np.ndarray | slice", loads: np.ndarray, *, rates: bool = True
+    ) -> dict:
         """Eqs. 20–38 over block rows: the ``InterPairLatency`` planes, the
         Eqs. 36–37 concentrator queue, the destination ``weight`` and the
-        ``relaxing_factor``."""
-        lambda_e1, lambda_i2, eta_e1, eta_i2, eta_i2_eff = self._pair_rates(block, rows, loads)
+        ``relaxing_factor``.  The rate planes ``lambda_e1``, ``lambda_i2``,
+        ``eta_e1`` and ``eta_i2``, which the latency fold never reads, only
+        with *rates*; every plane is dropped after its last use."""
+        lambda_e1, eta_e1, eta_i2_eff = self._pair_rates(block, rows, loads)
         network = self._pair_latency(block, rows, eta_e1, eta_i2_eff)
-        source_rate = self._pair_source_rate(block, rows, loads, lambda_e1)
-        conc_rate = self._concentrator_rate(block, rows, loads, lambda_e1)
+        del eta_i2_eff
+        planes: dict[str, np.ndarray] = {}
+        if rates:
+            lambda_i2, eta_i2 = self._icn2_rates(block, rows, lambda_e1)
+            planes = {"lambda_e1": lambda_e1, "lambda_i2": lambda_i2, "eta_e1": eta_e1, "eta_i2": eta_i2}
+        del eta_e1
         conc_wait, conc_utilization, conc_saturated = _mg1_wait_batched(
-            conc_rate,
+            self._concentrator_rate(block, rows, loads, lambda_e1),
             np.broadcast_to(block.conc_service[rows][:, None], loads.shape),
             np.broadcast_to(block.conc_variance[rows][:, None], loads.shape),
         )
+        conc_wait *= 2.0  # Eq. 38 summand (2 inf stays inf)
+        source_rate = self._pair_source_rate(block, rows, loads, lambda_e1)
+        del lambda_e1
         return {
             **self._source_queue_terms(block, rows, source_rate, network),
-            "lambda_e1": lambda_e1,
-            "lambda_i2": lambda_i2,
-            "eta_e1": eta_e1,
-            "eta_i2": eta_i2,
+            **planes,
             "conc_utilization": conc_utilization,
-            "conc_pair_wait": 2.0 * conc_wait,  # Eq. 38 summand (2 inf stays inf)
+            "conc_pair_wait": conc_wait,
             "conc_saturated": conc_saturated,
             "weight": block.weight[rows],
             "relaxing_factor": block.delta[rows],
@@ -1648,8 +1700,9 @@ class StackedModel:
         if group.single_cluster:
             return intra_rows, intra, None
         pair_rows = (group.pairs[classes, :, None] + cell_rows).ravel()
+        rates = pair_keys is None or not {"lambda_e1", "lambda_i2", "eta_e1", "eta_i2"}.isdisjoint(pair_keys)
         pairs = self._solved(
-            self._pair_terms,
+            functools.partial(self._pair_terms, rates=rates),
             self.plan.pair_blocks[group.family],
             pair_rows,
             np.tile(loads, (pair_rows.size // cells, 1)),
@@ -1769,7 +1822,8 @@ class StackedModel:
     def _as_rows(self, loads: "np.ndarray | Sequence[float]") -> np.ndarray:
         """Validated ``(cells, loads)`` rows from one shared grid or per-cell rows.
 
-        The engine's one load check: non-empty, non-negative and finite.
+        The engine's one load check: non-empty, finite and non-negative
+        (finiteness first, so a NaN load reads as not finite).
         """
         loads_arr = np.asarray(loads, dtype=np.float64)
         if loads_arr.ndim == 1:
@@ -1778,8 +1832,8 @@ class StackedModel:
             loads_arr.ndim == 2 and loads_arr.shape[0] == self.cells and loads_arr.size > 0,
             "loads must be a non-empty (loads,) or (cells, loads) array",
         )
-        require(bool(np.all(loads_arr >= 0)), "loads must be non-negative")
         require(bool(np.all(np.isfinite(loads_arr))), "loads must be finite")
+        require(bool(np.all(loads_arr >= 0)), "loads must be non-negative")
         return loads_arr
 
     def evaluate_latencies(self, loads: "np.ndarray | Sequence[float]") -> np.ndarray:
@@ -1921,7 +1975,7 @@ class StackedModel:
         if isinstance(block, _IntraBlock):
             _, eta_i1 = self._intra_rates(block, rows, loads)
             return {"latency": self._intra_latency(block, rows, eta_i1)}
-        _, _, eta_e1, _, eta_i2_eff = self._pair_rates(block, rows, loads)
+        _, eta_e1, eta_i2_eff = self._pair_rates(block, rows, loads)
         return {"latency": self._pair_latency(block, rows, eta_e1, eta_i2_eff)}
 
     def _queue_latency(
@@ -2196,18 +2250,104 @@ class StackedModel:
         probe prices each cell group's live rows in turn
         (:meth:`_latencies`), and rows are independent, so every load is
         the one the cell's search alone would find, bit for bit.
+
+        The probe records every latency it evaluates, and a later search on
+        this stack reads each searched cell's recorded latencies
+        (:meth:`_sampled`) as its row's prior: each is judged against this
+        search's own limit and comparison, which is exact, since it
+        compares a stored number, and scored like a probed one, and the two
+        on either side of the crossing are passed.  A prior only chooses
+        which loads the probe evaluates, so the loads found stay the same
+        whatever ran before.  Passing every recorded sample instead held
+        0.21 MB more at the budget search's traced peak on a 270-cell grid.
         """
         pole = self.saturation_load()[cells]
         within = np.less_equal if inclusive else np.less
 
-        def beyond(sub: np.ndarray, loads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            latencies = self._latencies(cells[sub], loads)
+        def judged(
+            sub: np.ndarray, loads: np.ndarray, latencies: np.ndarray
+        ) -> tuple[np.ndarray, np.ndarray]:
             limit = limits[sub][:, None]
             score = _pole_score(limit, latencies, pole[sub], loads)
             return ~(np.isfinite(latencies) & within(latencies, limit)), score
 
-        lo, _ = _refine_rows(np.zeros(cells.size), pole * fraction, beyond, rel_tol=rel_tol)
+        def beyond(sub: np.ndarray, loads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            latencies = self._latencies(cells[sub], loads)
+            self._samples.append((cells[sub], loads, latencies))
+            return judged(sub, loads, latencies)
+
+        prior: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
+        sampled = self._sampled(cells)
+        if sampled is not None:
+            # A recorded row's loads increase and its verdicts with them, so
+            # columns k − 2 … k + 1 (k samples within the limit) hold the
+            # two samples on either side of its crossing, all the prior
+            # needs (:func:`_refine_rows` predicts from no others).
+            loads, latencies = sampled
+            crossed, _ = judged(np.arange(cells.size), loads, latencies)
+            # k: the first sample beyond the limit, past the last if none is.
+            k = np.where(crossed[:, -1], np.argmax(crossed, axis=1), crossed.shape[1])
+            near = k[:, None] + np.arange(-2, 2)
+            np.clip(near, 0, loads.shape[1] - 1, out=near)
+            loads = np.take_along_axis(loads, near, axis=1)
+            latencies = np.take_along_axis(latencies, near, axis=1)
+            prior = (loads, *judged(np.arange(cells.size), loads, latencies))
+            del sampled, loads, latencies, crossed
+        lo, _ = _refine_rows(
+            np.zeros(cells.size), pole * fraction, beyond, rel_tol=rel_tol, prior=prior
+        )
         return lo
+
+    def _sampled(self, cells: np.ndarray) -> "tuple[np.ndarray, np.ndarray] | None":
+        """The recorded samples of the cells at positions *cells*, one row per cell.
+
+        Returns ``(loads, latencies)`` shaped ``(cells, samples)``: each
+        row the cell's distinct recorded loads in increasing order and
+        their latencies, padded with infinite loads of NaN latency;
+        ``None`` when nothing is recorded.  The record's probe calls are
+        folded into one such row per stack cell, kept as the record, so a
+        search repeated on one stack does not grow it.  They are folded
+        only when a search reads them, so a stack's last search (explore's
+        budget search, a one-cell capacity query) folds nothing.
+        """
+        if not self._samples:
+            return None
+        # Each recorded row's first column in its cell's row.  A probe call
+        # may hold several rows of one cell (a whole grid packed into
+        # windows); they take consecutive places.
+        fill = np.zeros(self.cells, dtype=np.intp)
+        starts = []
+        for owner, loads, _ in self._samples:
+            order = np.argsort(owner, kind="stable")
+            ranked = owner[order]
+            count = np.bincount(ranked, minlength=self.cells)
+            earlier = np.arange(ranked.size) - (np.cumsum(count) - count)[ranked]  # the cell's rows before it
+            start = np.empty_like(owner)
+            start[order] = fill[ranked] + earlier * loads.shape[1]
+            starts.append(start)
+            fill += count * loads.shape[1]
+        shape = (self.cells, int(fill.max()))
+        by_load, by_latency = np.full(shape, np.inf), np.full(shape, np.nan)
+        for (owner, loads, latencies), start in zip(self._samples, starts):
+            columns = start[:, None] + np.arange(loads.shape[1])
+            by_load[owner[:, None], columns] = loads
+            by_latency[owner[:, None], columns] = latencies
+        # The mean latency is non-decreasing in the load (the monotonicity
+        # of the module docstring), so sorting a row's loads and its
+        # latencies apart keeps every sample's pair, and the padding sorts
+        # last.  A repeated load keeps one sample.
+        by_load.sort(axis=1)
+        by_latency.sort(axis=1)
+        repeated = np.zeros(shape, dtype=bool)
+        np.equal(by_load[:, 1:], by_load[:, :-1], out=repeated[:, 1:])
+        by_load[repeated] = np.inf
+        by_latency[repeated] = np.nan
+        by_load.sort(axis=1)
+        by_latency.sort(axis=1)
+        width = np.count_nonzero(np.any(by_load < np.inf, axis=0))
+        by_load, by_latency = by_load[:, :width], by_latency[:, :width]
+        self._samples = [(np.arange(self.cells), by_load, by_latency)]
+        return by_load[cells], by_latency[cells]
 
     def knee_loads(self, knee_threshold_factor: float) -> np.ndarray:
         """Per-cell load where latency reaches ``factor ×`` its floor.

@@ -168,13 +168,14 @@ class TestScalarEquivalence:
 class TestEvaluateManyContract:
     def test_rejects_negative_and_empty(self):
         engine = BatchedModel(paper_system_1120(), MSG)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="loads must be non-negative"):
             engine.evaluate_many([-1e-5])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="loads must be a non-empty"):
             engine.evaluate_many([])
-        with pytest.raises(ValueError):
+        # Finiteness is checked first: a NaN load is not finite, not negative.
+        with pytest.raises(ValueError, match="loads must be finite"):
             engine.evaluate_many([float("nan")])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="loads must be non-negative"):
             engine.resource_utilizations([-1e-5])
 
     def test_with_results_false_skips_breakdowns(self):

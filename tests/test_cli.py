@@ -112,6 +112,14 @@ class TestLatency:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("command", ["latency", "bottlenecks"])
+    @pytest.mark.parametrize("load", ["nan", "inf"])
+    def test_non_finite_load_names_the_finite_rule(self, capsys, command, load):
+        # A NaN load used to fail the sign check first: "loads must be non-negative".
+        code, _, err = run_cli(capsys, command, "--scenario", "544", "--load", load)
+        assert code == 2
+        assert err == "error: loads must be finite\n"
+
 
 class TestSaturation:
     def test_reports_knee_and_binding(self, capsys):

@@ -777,6 +777,58 @@ class TestRowKernels:
         ]
         assert_rows_match_oracle(lo0, hi0, conditions, rel_tol=rel_tol)
 
+    @settings(max_examples=60)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 1.0),
+                st.floats(1e-6, 10.0),
+                st.one_of(st.sampled_from([0.0, 1 / 32, 0.5, 1.0, 1.5]), st.floats(0.0, 1.0)),
+                st.lists(
+                    st.tuples(
+                        st.floats(-0.5, 1.5),
+                        st.one_of(
+                            st.none(),
+                            st.floats(-2.0, 2.0),
+                            st.sampled_from([np.nan, np.inf, -np.inf]),
+                        ),
+                        st.booleans(),
+                    ),
+                    max_size=8,
+                ),
+            ),
+            min_size=1,
+            max_size=32,
+        ),
+        st.sampled_from([1e-13, 1e-6, 1e-4]),
+    )
+    def test_priors_never_move_a_bracket(self, rows, rel_tol):
+        # Each row's prior samples sit inside and outside its bracket, at a
+        # bracket fraction in [-0.5, 1.5]; each is scored as the probe would
+        # (None), with a misleading finite score, or NaN or ±inf, and its
+        # verdict is the condition's or its contradiction.  A threshold at
+        # 1.5 brackets is crossed nowhere, so an exact prior leads a window
+        # through hi.  Rows are padded with NaN scores, which carry no sample.
+        lo0 = [lo for lo, _, _, _ in rows]
+        hi0 = [lo + width for lo, width, _, _ in rows]
+        conditions = [at_least(lo + at * width) for lo, width, at, _ in rows]
+        width = max(len(samples) for _, _, _, samples in rows)
+        loads = np.zeros((len(rows), width))
+        crossed = np.zeros((len(rows), width), dtype=bool)
+        score = np.full((len(rows), width), np.nan)
+        for r, ((lo, span, _, samples), (condition, exact)) in enumerate(zip(rows, conditions)):
+            for k, (at, given, contradict) in enumerate(samples):
+                load = np.array([lo + at * span])
+                loads[r, k] = load[0]
+                crossed[r, k] = bool(condition(load)[0]) != contradict
+                score[r, k] = exact(load)[0] if given is None else given
+        out = _refine_rows(
+            np.array(lo0), np.array(hi0), row_probe(conditions), rel_tol=rel_tol, prior=(loads, crossed, score)
+        )
+        for row, (condition, _) in enumerate(conditions):
+            expected = refine_monotone_crossing(lo0[row], hi0[row], condition, rel_tol=rel_tol)
+            assert (out[0][row], out[1][row]) == expected, row
+
     @pytest.mark.parametrize("num", [2, 12, 33])
     def test_linspace_rows_equal_numpy_per_row(self, num):
         # Normal rows next to a start == stop row and denormal-width rows,
@@ -863,12 +915,14 @@ class TestPredictedProbes:
         # holds a load strictly inside that bracket.  The oracle replays
         # those verdicts, costing no model evaluation, and must end on the
         # same bracket.  saturation_loads() is the full search, with no
-        # ceiling; knee and budget then read λ* off its maps.
+        # ceiling; knee and budget then read λ* off its maps, and the budget
+        # search reads the knee's samples as its prior, which the plain loop
+        # has no use for.
         specs = grid_270_specs()
         original = stacked._refine_rows
         work = {"calls": 0, "loads": 0, "plain": 0}
 
-        def counting(lo, hi, probe, *, ceiling=None, **kwargs):
+        def counting(lo, hi, probe, *, ceiling=None, prior=None, **kwargs):
             assert ceiling is None
 
             def counted(rows, loads):
@@ -876,7 +930,7 @@ class TestPredictedProbes:
                 work["loads"] += loads.size
                 return probe(rows, loads)
 
-            out = original(lo, hi, counted, **kwargs)
+            out = original(lo, hi, counted, prior=prior, **kwargs)
             ends, _ = probe(np.arange(len(lo)), np.stack(out, axis=1))
             assert not ends[:, 0].any()
             assert np.array_equal(ends[:, 1], out[0] < out[1])
@@ -907,7 +961,9 @@ class TestOneCellSearches:
         # Saturation searches 2 to 12 queues per registry scenario (256 on
         # 544-hotspot and 544-local), knee and budget one row.  The plain
         # loop makes 9-10, 4-5 and 3 calls, and the budget search also
-        # evaluated every cell at 0.9999 λ* before it refined.
+        # evaluated every cell at 0.9999 λ* before it refined.  After the
+        # knee, the budget search predicts from the knee's samples from its
+        # first call (1-2 calls); searched alone it takes 2-3.
         calls = []
         original = stacked._refine_rows
 
@@ -939,8 +995,13 @@ class TestOneCellSearches:
         calls.clear()
         evaluations.clear()
         stack.loads_at_budget(2.0 * zero)
-        assert len(calls) == 1 and calls[0] <= 3
+        assert len(calls) == 1 and calls[0] <= 2
         assert not evaluations
+        alone = StackedModel.from_specs([spec])
+        alone.saturation_load()
+        calls.clear()
+        alone.loads_at_budget(2.0 * zero)
+        assert len(calls) == 1 and calls[0] <= 3
 
         # Below the floor, inside the range and met at 0.9999 λ*.
         engine = BatchedModel(spec.system, spec.message, spec.options, spec.pattern)
@@ -1109,13 +1170,9 @@ class TestLatencyCrossings:
         sizes = [group.size for group in StackedModel.from_specs(small_group_specs()).plan.groups]
         assert len(sizes) == 3 and max(sizes) < stacked._WINDOW_MIN_ROWS <= sum(sizes)
 
-    def test_one_refinement_per_search_on_the_270_cell_grid(self, monkeypatch):
-        # Three groups of 90 cells.  Each search made one refinement of 3
-        # probe calls per group; the stack's rows are one refinement, and
-        # independent rows evaluate the same row-loads.
-        stack = StackedModel.from_specs(grid_270_specs())
-        stack.saturation_load()
-        stack.zero_load_latencies()
+    @staticmethod
+    def counted_refinements(monkeypatch):
+        """``[probe calls, row-loads]`` of each ``_refine_rows`` from now on."""
         work = []
         original = stacked._refine_rows
 
@@ -1130,8 +1187,70 @@ class TestLatencyCrossings:
             return original(lo, hi, counted, **kwargs)
 
         monkeypatch.setattr(stacked, "_refine_rows", counting)
-        stack.knee_loads(4.0)
+        return work
+
+    @staticmethod
+    def fresh_270_stack():
+        """The 270-cell grid's stack with its λ* and floors priced, and no search run."""
+        stack = StackedModel.from_specs(grid_270_specs())
+        stack.saturation_load()
+        stack.zero_load_latencies()
+        return stack
+
+    def test_one_refinement_per_search_on_the_270_cell_grid(self, monkeypatch):
+        # Three groups of 90 cells.  Each search made one refinement of 3
+        # probe calls per group; the stack's rows are one refinement, and
+        # independent rows evaluate the same row-loads.  Each search runs
+        # on a fresh stack, so neither has a prior.
+        stacks = [self.fresh_270_stack() for _ in range(2)]
+        work = self.counted_refinements(monkeypatch)
+        stacks[0].knee_loads(4.0)
         assert work == [[3, 13_770]]
         work.clear()
-        stack.loads_at_budget(np.full(stack.cells, 200.0))
+        stacks[1].loads_at_budget(np.full(stacks[1].cells, 200.0))
         assert work == [[3, 11_258]]
+
+    def test_a_budget_after_the_knee_predicts_from_its_samples(self, monkeypatch):
+        # The knee evaluates each cell at 51 loads over [0, λ*).  A budget
+        # search after it on the same stack reads them as its prior, so
+        # each row opens with a window and its later rounds' pairs instead
+        # of a whole grid: 2 calls and 3,048 row-loads for budget 200.  A
+        # budget of 1e9 is met at 0.9999 λ*: each window through hi reads
+        # no crossing and ends its row, in the one call a whole grid takes.
+        stacks = [self.fresh_270_stack() for _ in range(2)]
+        work = self.counted_refinements(monkeypatch)
+        for stack, budget in zip(stacks, (200.0, 1e9)):
+            work.clear()
+            stack.knee_loads(4.0)
+            assert work == [[3, 13_770]]
+            work.clear()
+            stack.loads_at_budget(np.full(stack.cells, budget))
+            assert len(work) == 1
+            if budget == 200.0:
+                assert work[0][0] == 2 and work[0][1] <= 3_100
+            else:
+                assert work[0][0] == 1
+
+    @pytest.mark.parametrize(
+        "specs",
+        [grid_270_specs, grid_36_specs, *[(lambda spec=spec: [spec]) for _, spec in REGISTRY]],
+        ids=["grid-270", "grid-36", *[name for name, _ in REGISTRY]],
+    )
+    def test_search_order_never_moves_a_load(self, specs):
+        # Each search alone on a fresh stack, then all of them on one stack
+        # in one order and in the reverse: every later search reads the
+        # earlier ones' samples as its prior, which chooses the loads it
+        # evaluates and never the load it finds.  Budgets 1.2x the floor
+        # put most knee samples on the crossed side; 1e9 is met at 0.9999 λ*.
+        searches = {
+            "knee 4x": lambda stack: stack.knee_loads(4.0),
+            "knee 2x": lambda stack: stack.knee_loads(2.0),
+            "budget 1.2x": lambda stack: stack.loads_at_budget(1.2 * stack.zero_load_latencies()),
+            "budget 1e9": lambda stack: stack.loads_at_budget(np.full(stack.cells, 1e9)),
+        }
+        specs = specs()
+        alone = {name: search(StackedModel.from_specs(specs)) for name, search in searches.items()}
+        for order in (list(searches), list(reversed(searches))):
+            stack = StackedModel.from_specs(specs)
+            for name in order:
+                assert np.array_equal(searches[name](stack), alone[name]), (order, name)
