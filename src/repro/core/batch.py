@@ -52,7 +52,10 @@ __all__ = ["BatchedModel", "ENGINE_VERSION", "ResourceRates"]
 #: batch/13: a knee or budget search predicts from priors, the latencies
 #: earlier searches on its stack evaluated.  No number moved; cached
 #: results miss once.
-ENGINE_VERSION = "batch/13"
+#:
+#: batch/14: one working-set budget; no number moved; cached results miss
+#: once.
+ENGINE_VERSION = "batch/14"
 
 
 @dataclass(frozen=True)

@@ -46,13 +46,13 @@ the stack.  The mechanisms:
   before the fold — never multiplying it by its zero weight, since ``0 ·
   inf`` is NaN — so each valid lane keeps its scalar float sequence
   (``x + 0.0 = x``).  One chunk rule (:func:`_solve_calls`) cuts a call's
-  rows: rows of several shapes share a call only while its padded scratch
-  stays within :data:`_SOLVE_ELEMENTS`, and a shape that alone exceeds it
-  gets calls of its own, of at most :data:`_PAIR_ROWS` rows (whole
-  members) in an evaluation and at most :data:`_SOLVE_ELEMENTS` elements
-  in the saturation search.  A one-cell evaluation or saturation probe of
-  ``544`` makes one intra and one pair call, a large cell group about one
-  call per class and shape;
+  rows, in evaluations and searches and for both families alike: rows of
+  several shapes share a call only while its padded scratch stays within
+  :data:`_SOLVE_ELEMENTS`, the engine's one working-set budget, and a
+  shape that alone exceeds it is cut into calls of as many rows as the
+  budget holds (at least one).  A one-cell evaluation or saturation probe
+  of ``544`` makes one intra and one pair call, a large cell group a call
+  or two per shape;
 * **shared suffix chains** — journeys end in shared trailing stages, so
   the backward Eq. 13/14 recursion collapses to suffix chains
   (destination → ICN2 → source segments) touching each distinct column
@@ -99,10 +99,9 @@ the stack.  The mechanisms:
   Eq. 3 class combination) stays an explicit fold over the same index
   order, never an ``np.sum`` reduction with a different association.  The
   Eq. 35/38 fold over destinations is one elementwise step per ``j``, in
-  the scalar ``j`` order, over a batch of source classes: every class of a
-  one-cell stack, and in larger groups as many classes as fit
-  :data:`_PAIR_ROWS` pair rows (at least one), so a group never holds more
-  pair planes at once than one batch.
+  the scalar ``j`` order, over a batch of source classes: as many classes
+  as fit :data:`_SOLVE_ELEMENTS` pair row-loads (at least one), so a group
+  never holds more pair planes at once than one batch.
 
 Closed-form saturation
 ----------------------
@@ -135,7 +134,6 @@ for bit.
 from __future__ import annotations
 
 import functools
-import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import Any, NamedTuple
@@ -660,74 +658,19 @@ def _mg1_wait_batched(
     return wait, rho, saturated
 
 
-#: Row budget of an evaluation's batch of source classes (as many classes
-#: as fit this many class-pair rows, at least one) and of its solves of a
-#: journey shape that alone exceeds :data:`_SOLVE_ELEMENTS` (whole
-#: members, at least one per call, however many cells); also the row
-#: budget of one saturation refinement (a run of consecutive searched
-#: rows, cut anywhere).
-_PAIR_ROWS = 256
-
-#: Working-set budget of one solver call, in elements of its padded
-#: scratch: ``(n_c, d_dst, rows, loads)`` for a pair solve, ``(depth,
-#: rows, loads)`` for an intra solve, at the call's deepest row.  A call
-#: takes rows of several journey shapes only while it stays within this
-#: budget (:func:`_solve_calls`); a pair shape that alone exceeds it is
-#: cut into calls of this many elements in the saturation search (at
-#: least one row per call).  A row count alone does not bound it: with
-#: solves of up to :data:`_PAIR_ROWS` rows at any probe width, the
-#: saturation peak of a 90-cell ``544-hotspot`` explore grid rose from 6.7
-#: to 11.7 MB (traced, 2-core host); a budget of 8,192 elements made
-#: explore no faster.
+#: The engine's one working-set budget, in elements.  It bounds three
+#: things: a solver call's padded scratch, ``(n_c, d_dst, rows, loads)``
+#: for a pair solve and ``(depth, rows, loads)`` for an intra solve at the
+#: call's deepest row (:func:`_solve_calls`); an evaluation's batch of
+#: source classes, as pair row-loads (:meth:`_CellGroup.batches`); and a
+#: saturation run's first round, as row-loads
+#: (:meth:`StackedModel._source_queue_saturation_rows`).  Each derived
+#: size is at least one row or class.  A row count alone does not bound a
+#: solve: with solves of up to 256 rows at any probe width, the saturation
+#: peak of a 90-cell ``544-hotspot`` explore grid rose from 6.7 to 11.7 MB
+#: (traced, 2-core host); a budget of 8,192 elements made explore no
+#: faster.
 _SOLVE_ELEMENTS = 32_768
-
-#: One flat, grow-only buffer per scratch role of :func:`_solve_pair_stacked`,
-#: and the views handed out of the current buffers, per solve shape.
-_SCRATCH: dict[str, np.ndarray] = {}
-_SCRATCH_VIEWS: dict[tuple[int, int, int, int], dict[str, np.ndarray]] = {}
-
-
-def _pair_scratch(shape4: tuple[int, int, int, int]) -> dict[str, np.ndarray]:
-    """Reusable buffers for :func:`_solve_pair_stacked`, as contiguous views.
-
-    A pair solve needs ~six multi-megabyte temporaries; allocating them
-    fresh per call dominates the solve at design-space sizes (hundreds of
-    map/unmap cycles per refinement).  Solves are strictly sequential
-    within a process (the repo parallelises with processes, not threads)
-    and never hold buffer references across calls, so each role keeps one
-    flat buffer and hands out its front, reshaped.  A buffer only grows:
-    the process retains one working set at the largest solve it has run,
-    which the budgets :data:`_PAIR_ROWS` and :data:`_SOLVE_ELEMENTS` bound.  The
-    views are memoised per shape and dropped whenever a buffer grows, so
-    they never pin a replaced buffer.
-    """
-    views = _SCRATCH_VIEWS.get(shape4)
-    if views is not None:
-        return views
-    if len(_SCRATCH_VIEWS) >= 64:
-        _SCRATCH_VIEWS.clear()
-    shape3 = shape4[1:]
-    views = {}
-    for role, shape, dtype in (
-        ("t4", shape4, np.float64),
-        ("wa4", shape4, np.float64),
-        ("wb4", shape4, np.float64),
-        ("o4", shape4, np.bool_),
-        ("c4", shape4, np.bool_),
-        ("dst", shape3, np.float64),
-        ("w3", shape3, np.float64),
-        ("t3", shape3, np.float64),
-        ("o3", shape3, np.bool_),
-        ("c3", shape3, np.bool_),
-    ):
-        size = math.prod(shape)
-        buf = _SCRATCH.get(role)
-        if buf is None or buf.size < size:
-            buf = _SCRATCH[role] = np.empty(size, dtype=dtype)
-            _SCRATCH_VIEWS.clear()
-        views[role] = buf[:size].reshape(shape)
-    _SCRATCH_VIEWS[shape4] = views
-    return views
 
 
 def _solve_pair_stacked(
@@ -779,15 +722,16 @@ def _solve_pair_stacked(
     m_dst_cn = (m_flits * dst_cn)[:, None]
     half_e1 = 0.5 * eta_e1
     half_i2 = 0.5 * eta_i2_eff
-    # Reusable working set (see _pair_scratch): fresh per-op temporaries
-    # at these shapes would thrash the allocator; buffers carry no state.
+    # The call's working set, reused step by step through ``out=``: fresh
+    # per-op temporaries at these shapes would thrash the allocator.
     shape4 = (n_c, deep_dst, cells, loads)
-    s = _pair_scratch(shape4)
-    t_buf, over_buf, clip_buf = s["t4"], s["o4"], s["c4"]
-    t3, o3, c3 = s["t3"], s["o3"], s["c3"]
+    shape3 = shape4[1:]
+    t_buf, src_start, w_buf = np.empty(shape4), np.empty(shape4), np.empty(shape4)
+    over_buf, clip_buf = np.empty(shape4, dtype=bool), np.empty(shape4, dtype=bool)
+    dst_states, i2_b, t3 = np.empty(shape3), np.empty(shape3), np.empty(shape3)
+    o3, c3 = np.empty(shape3, dtype=bool), np.empty(shape3, dtype=bool)
     with np.errstate(invalid="ignore", over="ignore"):
         suffix = np.zeros_like(eta_e1)
-        dst_states = s["dst"]
         for v in range(1, deep_dst + 1):
             _, _, suffix = _chain_step(
                 m_dst_cn if v == 1 else m_dst_cs, suffix, half_e1
@@ -795,8 +739,7 @@ def _solve_pair_stacked(
             dst_states[v - 1] = suffix
         # ICN2 chains for every v at once: (v, rows, loads); odd chain
         # depths (journeys of l hops end there) seed the source chains.
-        i2_a, i2_b = dst_states, s["w3"]
-        src_start = s["wa4"]
+        i2_a = dst_states
         for step in range(1, 2 * n_c):
             np.add(m_i2[None], i2_a, out=t3)
             np.greater(t3, _LATENCY_CAP, out=o3)
@@ -817,7 +760,6 @@ def _solve_pair_stacked(
         # contributions fold into the total before the next depth — the
         # exact scalar (r, v, l) accumulation order.
         src_suffix = src_start
-        w_buf = s["wb4"]
         total = np.zeros_like(eta_e1)
         for r in range(deep_src):
             np.add(m_src[None, None], src_suffix, out=t_buf)
@@ -855,8 +797,7 @@ def _solve_pair_stacked(
 class _IntraStructure:
     """Journey layout of one class's intra-cluster model (cell-independent)."""
 
-    weights: np.ndarray  # (depth,) journey pmf
-    pmf: np.ndarray  # (depth,)
+    pmf: np.ndarray  # (depth,) journey pmf
     two_h_minus_1: np.ndarray  # (depth,) = 2·(h − 1), the tail-time slopes
     mean_links: float
     tree_depth: int
@@ -878,12 +819,9 @@ class _PairStructure:
 
 
 def _intra_structure(switch_ports: int, depth: int) -> _IntraStructure:
-    pmf = journey_length_pmf(switch_ports, depth)
-    weights = np.array([float(p) for p in pmf], dtype=np.float64)
     h_values = np.arange(1, depth + 1, dtype=np.float64)
     return _IntraStructure(
-        weights=weights,
-        pmf=np.asarray(pmf, dtype=np.float64),
+        pmf=journey_length_pmf(switch_ports, depth),
         two_h_minus_1=2.0 * (h_values - 1.0),
         mean_links=mean_journey_links(switch_ports, depth),
         tree_depth=depth,
@@ -1021,19 +959,20 @@ class _PairBlock:
 
 
 def _solve_calls(
-    block: "_IntraBlock | _PairBlock", rows: np.ndarray, width: int, cut: "int | None"
+    block: "_IntraBlock | _PairBlock", rows: np.ndarray, width: int
 ) -> list["np.ndarray | slice"]:
     """The solver calls over block *rows* at *width* loads each: the chunk rule.
 
-    A call's padded scratch is its largest row scratch (a pair row's
-    ``n_c · d_dst``, an intra row's depth) × its rows × *width*.  All rows
-    are one call when that stays within :data:`_SOLVE_ELEMENTS`.
+    One rule for intra and pair families, in evaluations and searches
+    alike.  A call's padded scratch is its largest row scratch (a pair
+    row's ``n_c · d_dst``, an intra row's depth) × its rows × *width*.
+    All rows are one call when that stays within :data:`_SOLVE_ELEMENTS`.
     Otherwise the rows are taken shape by shape (in row order within a
     shape), and consecutive shapes share a call only while its padded
-    scratch stays within the budget.  A shape that alone exceeds it gets
-    calls of its own: *cut* rows each, or, when *cut* is ``None``, as many
-    rows as the budget holds (at least one).  Returns each call's
-    positions in *rows* (``slice(None)`` for a single call).
+    scratch stays within the budget.  A shape that alone exceeds it is cut
+    into calls of its own, of as many rows as the budget holds at that
+    shape's scratch (at least one).  Returns each call's positions in
+    *rows* (``slice(None)`` for a single call).
     """
     shape = block.shape[rows]
     scratch = block.scratch[shape]
@@ -1048,7 +987,7 @@ def _solve_calls(
         if own * (stop - start) * width > _SOLVE_ELEMENTS:
             if begin < start:
                 calls.append(order[begin:start])
-            step = cut or max(1, _SOLVE_ELEMENTS // (own * width))
+            step = max(1, _SOLVE_ELEMENTS // (own * width))
             calls += [order[first : min(first + step, stop)] for first in range(start, stop, step)]
             begin, widest = stop, 0
         elif max(widest, own) * (stop - begin) * width > _SOLVE_ELEMENTS:
@@ -1083,14 +1022,16 @@ class _CellGroup:
     def size(self) -> int:
         return int(self.indices.size)
 
-    def batches(self, cells: int) -> Iterator[slice]:
-        """Consecutive source classes per evaluation batch over *cells* cells.
+    def batches(self, cells: int, width: int) -> Iterator[slice]:
+        """Consecutive source classes per evaluation batch over *cells* cells at *width* loads.
 
-        As many classes as fit :data:`_PAIR_ROWS` pair rows, at least one:
-        every class of a one-cell stack.
+        As many classes as fit :data:`_SOLVE_ELEMENTS` pair row-loads (a
+        class holds ``classes · cells`` pair rows of *width* loads each),
+        at least one; every class of a single-cluster group, which has no
+        pairs.
         """
         count = len(self.class_names)
-        per = count if self.single_cluster else max(1, _PAIR_ROWS // (count * cells))
+        per = count if self.single_cluster else max(1, _SOLVE_ELEMENTS // (count * cells * width))
         for first in range(0, count, per):
             yield slice(first, min(first + per, count))
 
@@ -1146,7 +1087,7 @@ def _intra_block(shapes: dict) -> tuple[_IntraBlock, dict[tuple, int]]:
     depths = np.array([s.tree_depth for s in structures])
     weights = np.zeros((len(structures), int(depths.max())))
     for k, structure in enumerate(structures):
-        weights[k, : structure.tree_depth] = structure.weights
+        weights[k, : structure.tree_depth] = structure.pmf
     mean_links = np.array([s.mean_links for s in structures])[planes["shape"]]
     block = _IntraBlock(
         depths=depths, weights=weights, scratch=depths, mean_links=mean_links, **planes
@@ -1420,6 +1361,10 @@ class StackedModel:
     grids, the per-term planes behind the ``ModelResult`` breakdowns,
     resource utilisations, the per-resource saturation inversion, the
     knee search and the latency-budget capacity search.
+
+    The engine keeps no state outside its instances, so separate
+    instances may run in separate threads.  One instance, with its λ*,
+    floor and sample caches, must not be shared between threads.
     """
 
     def __init__(
@@ -1568,7 +1513,6 @@ class StackedModel:
         block: "_IntraBlock | _PairBlock",
         rows: np.ndarray,
         loads: np.ndarray,
-        cut: "int | None",
         keys: "tuple[str, ...] | None" = None,
     ) -> dict:
         """``terms(block, rows, loads)`` in the solver calls of the chunk rule.
@@ -1578,7 +1522,7 @@ class StackedModel:
         placed back at its rows, so the result is row for row what one
         call over all *rows* would return.
         """
-        calls = _solve_calls(block, rows, loads.shape[1], cut)
+        calls = _solve_calls(block, rows, loads.shape[1])
         out: dict[str, np.ndarray] = {}
         for at in calls:
             part = terms(block, rows[at], loads[at])
@@ -1682,20 +1626,13 @@ class StackedModel:
         Returns the batch's intra rows (class-major, then cell) and their
         planes, and the planes of its ordered pairs ``(i, j)``, rows in
         ``(i, j, cell)`` order (``None`` in a single-cluster group).  Each
-        is solved in the calls of the chunk rule: intra rows never cut, a
-        pair shape that alone exceeds the element budget cut into whole
-        members of at most :data:`_PAIR_ROWS` rows.
+        is solved in the calls of the chunk rule (:func:`_solve_calls`).
         """
         cells = cell_rows.size
         batch = classes.stop - classes.start
         intra_rows = (group.intra[classes, None] + cell_rows).ravel()
         intra = self._solved(
-            self._intra_terms,
-            self.plan.intra,
-            intra_rows,
-            np.tile(loads, (batch, 1)),
-            intra_rows.size,
-            intra_keys,
+            self._intra_terms, self.plan.intra, intra_rows, np.tile(loads, (batch, 1)), intra_keys
         )
         if group.single_cluster:
             return intra_rows, intra, None
@@ -1706,7 +1643,6 @@ class StackedModel:
             self.plan.pair_blocks[group.family],
             pair_rows,
             np.tile(loads, (pair_rows.size // cells, 1)),
-            max(1, _PAIR_ROWS // cells) * cells,
             pair_keys,
         )
         return intra_rows, intra, pairs
@@ -1735,7 +1671,7 @@ class StackedModel:
         intra_keys = None if keep else ("total", "saturated")
         pair_keys = None if keep else ("weight", "total", "conc_pair_wait", "saturated", "conc_saturated")
         block = self.plan.intra
-        for classes in group.batches(cells):
+        for classes in group.batches(cells, loads.shape[1]):
             intra_rows, intra, pairs = self._batch_terms(
                 group, cell_rows, loads, classes, intra_keys, pair_keys
             )
@@ -1912,7 +1848,7 @@ class StackedModel:
             cells = np.arange(group.size)
             names = group.class_names
             planes: list[tuple[str, str, np.ndarray]] = []
-            for classes in group.batches(group.size):
+            for classes in group.batches(group.size, group_loads.shape[1]):
                 intra_rows, intra, pairs = self._batch_terms(
                     group,
                     cells,
@@ -1983,12 +1919,9 @@ class StackedModel:
     ) -> np.ndarray:
         """The latency a source queue serves over block rows: its own journey set.
 
-        Solved in the calls of the chunk rule: intra rows never cut, a
-        pair shape that alone exceeds :data:`_SOLVE_ELEMENTS` cut into
-        calls of at most that many working-set elements.
+        Solved in the calls of the chunk rule (:func:`_solve_calls`).
         """
-        cut = rows.size if isinstance(block, _IntraBlock) else None
-        return self._solved(self._network, block, rows, loads, cut)["latency"]
+        return self._solved(self._network, block, rows, loads)["latency"]
 
     def _saturation_probe(
         self,
@@ -2049,11 +1982,14 @@ class StackedModel:
         class's ICN1 queue and every outward pair's ECN1 queue (source class
         sending outward, positive pair weight) of positive rate slope; the
         rest never saturate and get ``inf``.  They are refined to 1e-13
-        relative width in runs of at most :data:`_PAIR_ROWS` consecutive
-        family-major rows, one :func:`_refine_rows` per run, whose probe
-        evaluates the queues' own journey recursions (not the whole model,
-        :meth:`_saturation_probe`).  Rows are independent, so how the rows
-        are cut into runs never changes a λ*.
+        relative width in runs of consecutive family-major rows, one
+        :func:`_refine_rows` per run, whose probe evaluates the queues' own
+        journey recursions (not the whole model, :meth:`_saturation_probe`).
+        A run's first round evaluates its rows × 33 grid points, so a run
+        holds at most ``_SOLVE_ELEMENTS // 33`` rows (at least one): one run
+        of all 23,040 queues of a 90-cell ``544-hotspot`` grid held a traced
+        peak of 51 MB.  Rows are independent, so how the rows are cut into
+        runs never changes a λ*.
 
         Given the pair blocks' *concentrators* λ* planes, the search is
         bounded: each cell's ceiling starts at the least of its
@@ -2100,15 +2036,17 @@ class StackedModel:
                 np.minimum.at(ceiling, plane_cells, plane)
             np.minimum.at(ceiling, all_cells, all_upper)
         found = np.empty(all_ids.size)
-        for start in range(0, all_ids.size, _PAIR_ROWS):
-            run = slice(start, start + _PAIR_ROWS)
+        points = 33
+        length = max(1, _SOLVE_ELEMENTS // points)
+        for start in range(0, all_ids.size, length):
+            run = slice(start, start + length)
             probe = self._saturation_probe(blocks, all_ids[run], all_rows[run], all_slopes[run])
             _, found[run] = _refine_rows(
                 np.zeros(found[run].size),
                 all_upper[run],
                 probe,
                 rel_tol=1e-13,
-                points=33,
+                points=points,
                 ceiling=None if ceiling is None else _Ceiling(ceiling, all_cells[run]),
             )
         for b, plane in enumerate(out):

@@ -19,6 +19,11 @@ ablation space and performability degraded states including
 single-cluster/single-stage edge systems.
 """
 
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +37,7 @@ from repro.core import stacked
 from repro.core.parameters import ModelOptions
 from repro.core.stacked import StackedModel, _grid_points, _linspace_rows, _refine_rows
 from repro.core.sweep import auto_load_grid
+from repro.experiments.explore import explore_grid
 from repro.performability import FailureMode, FailureScenario, expand_states
 from repro.scenarios import AxisSpec, DesignGrid, ScenarioSpec, get_scenario
 from repro.scenarios.registry import iter_scenarios
@@ -420,53 +426,52 @@ class TestClassPairShapes:
 
     def test_grid_evaluations_make_no_more_solves_than_one_per_shape(self, monkeypatch):
         # The 270-cell grid's 33-load evaluations: 3 groups of 90 cells,
-        # each 3 source classes of 3 pair shapes.  Solving each class and
-        # each shape on its own made 9 intra and 27 pair solves; the knee
-        # and budget searches' evaluations made 63 intra and 189 pair.
+        # each 3 source classes of 9 pair shapes of 90 rows.  All 3 classes
+        # fit one batch of the element budget; its intra rows take 2 calls
+        # per group and each pair shape 1 or 2 (one at n_c · d_dst = 9, cut
+        # in two above): 6 intra and 45 pair solves.  The knee and budget
+        # searches' evaluations make 21 intra and 87 pair solves.
         stack = StackedModel.from_specs(grid_270_specs())
         stack.saturation_loads()
         calls = SolverCalls(monkeypatch)
         stack.evaluate_latencies(np.linspace(0.0, 2e-4, 33))
-        assert calls.count("pair") <= 27 and calls.count("intra") <= 9
+        assert calls.count("pair") <= 45 and calls.count("intra") <= 6
         calls.calls.clear()
         stack.knee_loads(4.0)
         stack.loads_at_budget(np.full(stack.cells, 200.0))
-        assert calls.count("pair") <= 189 and calls.count("intra") <= 63
+        assert calls.count("pair") <= 87 and calls.count("intra") <= 21
 
     def test_chunks_hold_at_most_the_row_budget(self, monkeypatch):
-        # Under a 10-row and 4,000-element budget, three 544-hotspot cells:
-        # no call holding rows of two or more shapes has padded scratch
-        # above the element budget; a shape that alone exceeds it is cut
-        # into whole members of at most 10 rows (3 members of 3 cells) in
-        # an evaluation, and into calls within the element budget (or of
-        # one row) in the saturation search.  Every cell stays
-        # bit-identical to the cell priced alone under the default budgets.
+        # Under a 4,000-element budget, three 544-hotspot cells: every
+        # solver call, intra or pair, in an evaluation as in the saturation
+        # search, has padded scratch within the budget, or holds one row of
+        # a shape that alone exceeds it.  Calls fill the budget rather than
+        # holding a row each.  The search's 48 intra rows exceed it at a
+        # whole grid, so intra rows are cut too.  Every cell stays
+        # bit-identical to the cell priced alone under the default budget.
         spec = get_scenario("544-hotspot")
         cells = [(spec.system, spec.message, spec.options, spec.pattern)] * 3
         grids = (np.linspace(0.0, 9e-4, 7), np.linspace(0.0, 9e-4, 33))
         alone = StackedModel(cells[:1])
         references = [alone.evaluate_latencies(grid)[0] for grid in grids]
         reference_saturation = alone.saturation_loads()[0]
-        monkeypatch.setattr(stacked, "_PAIR_ROWS", 10)
         monkeypatch.setattr(stacked, "_SOLVE_ELEMENTS", 4_000)
         stack = StackedModel(cells)
         calls = SolverCalls(monkeypatch)
+
+        def within_budget(filled):
+            assert any(shapes > 1 for _, shapes, _, _ in calls.calls)
+            assert all(scratch <= 4_000 or (shapes == 1 and rows == 1) for _, shapes, rows, scratch in calls.calls)
+            for kind in filled:
+                assert max(scratch for call, _, _, scratch in calls.calls if call == kind) > 2_000, kind
+
         for grid, reference in zip(grids, references):
             for row in stack.evaluate_latencies(grid):
                 assert np.array_equal(row, reference)
-        merged = [call for call in calls.calls if call[1] > 1]
-        cut = [rows for kind, shapes, rows, scratch in calls.calls if kind == "pair" and shapes == 1 and scratch > 4_000]
-        assert merged and cut
-        assert all(scratch <= 4_000 for _, _, _, scratch in merged)
-        assert all(rows <= 9 and rows % 3 == 0 for rows in cut)
-
+        within_budget(("pair",))
         calls.calls.clear()
         assert stack.saturation_loads() == [reference_saturation] * 3
-        pairs = [call for call in calls.calls if call[0] == "pair"]
-        assert any(shapes > 1 for _, shapes, _, _ in pairs)
-        assert all(scratch <= 4_000 or (shapes == 1 and rows == 1) for _, shapes, rows, scratch in pairs)
-        assert max(scratch for _, _, _, scratch in pairs) > 2_000
-        assert all(scratch <= 4_000 for _, shapes, _, scratch in calls.calls if shapes > 1)
+        within_budget(("intra", "pair"))
 
 
 def planes_of(value):
@@ -525,6 +530,86 @@ class TestPaddedCalls:
             for mine, other in zip(ours, theirs):
                 assert mine.dtype == other.dtype and np.array_equal(mine, other), key
                 assert not (mine.dtype.kind == "f" and np.isnan(mine).any()), key
+
+
+def hotspot_grid():
+    """The serial 90-cell ``544-hotspot`` explore grid: 45 ICN2 bandwidths
+    from 300 to 900 × message lengths 32 and 64, budget 200."""
+    return DesignGrid(
+        base=replace(get_scenario("544-hotspot"), latency_budget=200.0),
+        axes=(
+            AxisSpec("system.icn2.bandwidth", tuple(float(b) for b in np.linspace(300.0, 900.0, 45))),
+            AxisSpec("message.length_flits", (32, 64)),
+        ),
+    )
+
+
+def traced_peak(call):
+    """tracemalloc's peak, in MB, of the allocations *call* makes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """The engine holds no state outside its stacks, and one budget bounds its memory."""
+
+    def test_separate_stacks_in_two_threads_equal_serial_runs(self):
+        # One thread prices three 544-hotspot cells, the other a 6-cell 544
+        # grid, each three times on a fresh stack.  State shared between
+        # stacks, such as one scratch buffer for every solve of the
+        # process, would mix the two threads' numbers.
+        hotspot = get_scenario("544-hotspot")
+        grid = DesignGrid(
+            base=get_scenario("544"),
+            axes=(
+                AxisSpec("system.icn2.bandwidth", (300.0, 500.0, 700.0)),
+                AxisSpec("message.length_flits", (16, 64)),
+            ),
+        )
+        stacks = (
+            [(hotspot.system, hotspot.message, hotspot.options, hotspot.pattern)] * 3,
+            as_cells(cell.spec for cell in grid.cells()),
+        )
+
+        def priced(cells):
+            out = []
+            for _ in range(3):
+                stack = StackedModel(cells)
+                lam = stack.saturation_load()
+                latencies = stack.evaluate_latencies(lam[:, None] * np.linspace(0.0, 0.95, 33))
+                out.append((lam, latencies, stack.knee_loads(4.0)))
+            return out
+
+        serial = [priced(cells) for cells in stacks]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(priced, cells) for cells in stacks]
+                threaded = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        wrong = [
+            (s, k)
+            for s, (alone, together) in enumerate(zip(serial, threaded))
+            for k, (mine, other) in enumerate(zip(alone, together))
+            if not all(np.array_equal(a, b) for a, b in zip(mine, other))
+        ]
+        assert not wrong
+
+    def test_hotspot_grid_peaks_stay_within_the_budget(self):
+        # Traced peaks of a warm explore of the hotspot grid and of the full
+        # saturation search on its stack: 9.0 and 5.9 MB.  One run of all
+        # 23,040 searched queues peaked at 51 MB.
+        grid = hotspot_grid()
+        explore_grid(replace(grid, axes=(AxisSpec("system.icn2.bandwidth", (300.0,)),)))
+        assert traced_peak(lambda: explore_grid(grid)) < 18.0
+        stack = StackedModel.from_specs([cell.spec for cell in grid.cells()])
+        assert traced_peak(stack.saturation_loads) < 12.0
 
 
 def three_group_cells():
@@ -612,10 +697,9 @@ class TestStackWideBlocks:
     def test_one_search_makes_one_solver_call_per_family_in_each_probe(self, cells, monkeypatch):
         # 144 searched rows: 3 ICN1 queues and 9 ECN1 queues per cell, 36
         # rows of the intra family (3 depths) and 108 of the pair family
-        # (9 shapes).  Runs of 50 rows are cut across families, so a
-        # probe's rows may span both; with an element budget every probe
-        # fits, each family present is one solver call.
-        monkeypatch.setattr(stacked, "_PAIR_ROWS", 50)
+        # (9 shapes), in one run, so a probe's rows may span both; with an
+        # element budget every probe fits, each family present is one
+        # solver call.
         monkeypatch.setattr(stacked, "_SOLVE_ELEMENTS", 10**7)
         stack = StackedModel(cells)
         plan = stack.plan
@@ -626,24 +710,22 @@ class TestStackWideBlocks:
         refine = stacked._refine_rows
 
         def recording(lo, hi, probe, **kwargs):
-            run = family_of[50 * len(runs) : 50 * len(runs) + len(lo)]
             made = []
             runs.append(made)
 
             def counted_probe(rows, loads):
                 before = len(calls.calls)
                 out = probe(rows, loads)
-                made.append((np.count_nonzero(np.bincount(run[rows])), len(calls.calls) - before))
+                made.append((np.count_nonzero(np.bincount(family_of[rows])), len(calls.calls) - before))
                 return out
 
             return refine(lo, hi, counted_probe, **kwargs)
 
         monkeypatch.setattr(stacked, "_refine_rows", recording)
         stack.saturation_loads()
-        assert len(runs) == 3 and all(runs)  # ceil(144 / 50) refinements
-        for made in runs:
-            for present, solves in made:
-                assert solves == present
+        assert len(runs) == 1 and runs[0]
+        for present, solves in runs[0]:
+            assert solves == present
         assert max(shapes for _, shapes, _, _ in calls.calls) == 9
 
     def test_intra_classes_of_one_cell_share_one_family(self):
@@ -946,11 +1028,11 @@ class TestPredictedProbes:
         monkeypatch.setattr(stacked, "_refine_rows", counting)
         stack = StackedModel.from_specs(specs)
         stack.saturation_loads()
-        assert work["calls"] <= 78
+        assert work["calls"] <= 26
         stack.knee_loads(4.0)
         stack.loads_at_budget(np.full(stack.cells, 200.0))
         assert work["loads"] <= work["plain"] / 2
-        assert work["loads"] < 401_194 and work["calls"] <= 99
+        assert work["loads"] < 401_194 and work["calls"] <= 31
 
 
 class TestOneCellSearches:
@@ -1083,8 +1165,8 @@ class TestBoundedSaturation:
     def test_bounded_search_stops_every_queue_that_cannot_bind(self, monkeypatch):
         # Every cell of the 270-cell grid binds on a concentrator, so each
         # of its 3,240 searched queues is probed once at its cell's ceiling
-        # and stops: one call per run of 256 rows.  The full search makes
-        # 78 calls and evaluates 334,434 row-loads.
+        # and stops: one call per run of 992 rows.  The full search makes
+        # 26 calls and evaluates 345,138 row-loads.
         work = {"calls": 0, "loads": 0}
         original = stacked._refine_rows
 
@@ -1099,7 +1181,7 @@ class TestBoundedSaturation:
         monkeypatch.setattr(stacked, "_refine_rows", counting)
         stack = StackedModel.from_specs(grid_270_specs())
         stack.saturation_load()
-        assert work["calls"] <= 13 and work["loads"] <= 3_240
+        assert work["calls"] <= 4 and work["loads"] <= 3_240
         assert all(name.endswith("concentrator") for name in stack.binding_resources())
 
     def test_each_stack_makes_one_search(self, monkeypatch):
