@@ -55,7 +55,11 @@ __all__ = ["BatchedModel", "ENGINE_VERSION", "ResourceRates"]
 #:
 #: batch/14: one working-set budget; no number moved; cached results miss
 #: once.
-ENGINE_VERSION = "batch/14"
+#:
+#: batch/15: knee and budget rows open at the pole of the mean latency, and
+#: journey structures are derived once per process.  No number moved;
+#: cached results miss once.
+ENGINE_VERSION = "batch/15"
 
 
 @dataclass(frozen=True)

@@ -87,13 +87,18 @@ the stack.  The mechanisms:
   :func:`numpy.linspace`, whose internal ``step == 0`` branch
   :func:`_linspace_rows` reproduces per row.  A refinement may also start
   from a *prior*: samples of its rows from earlier evaluations, such as
-  the latencies an earlier knee or budget search on the same stack
-  evaluated, judged against this search's own limit.  A row they give an
-  estimate opens with a predicted plan instead of a whole grid, so the
-  budget search after the knee evaluates only the loads that verify it.
-  A prior only chooses which loads a probe evaluates: a round counts only
-  on the verdicts the probe itself returns, by the argument above, so no
-  prior can move a bracket;
+  each cell's floor at load 0 and the latencies an earlier knee or
+  budget search on the same stack evaluated, judged against this
+  search's own limit.  A row they give an estimate opens with a
+  predicted plan instead of a whole grid, so the budget search after the
+  knee evaluates only the loads that verify it.  A row with no sample
+  inside its bracket that did not cross opens, in refinements of at
+  least :data:`_WINDOW_MIN_ROWS` rows, with a *pole window*: the top of
+  its first grid, from a bound below which the mean latency's pole at λ*
+  keeps it under its limit, so the knee no longer evaluates whole first
+  grids.  Prior and bound only choose which loads a probe evaluates: a
+  round counts only on the verdicts the probe itself returns, by the
+  argument above, so neither can move a bracket;
 * **fold order** — every accumulation that the scalar code runs as a
   Python-order fold (journey-weight sums, destination-weight averages, the
   Eq. 3 class combination) stays an explicit fold over the same index
@@ -234,6 +239,26 @@ def _first_at_or_above(
         first = first - down + (up & ~down)  # a row only ever steps one way
 
 
+def _pole_window(
+    lo: np.ndarray, hi: np.ndarray, bottom: np.ndarray, top: np.ndarray, points: int
+) -> tuple[int, np.ndarray]:
+    """The pole windows of rows: one width and each row's first grid index.
+
+    A row's window holds the grid indices of ``_linspace_rows(lo, hi,
+    points)`` from the last below *bottom* (0 where *bottom* is at or
+    below ``lo`` or NaN; ``points − 1``, ``hi`` itself, where it is above
+    ``hi``) to the first at or above *top* (``hi`` where *top* is above
+    it).  The rows share the widest such window, each moved down from its
+    own start only as far as the grid's end makes it.
+    """
+    inside = (bottom > lo) & (bottom <= hi)
+    first, _ = _first_at_or_above(lo, hi, np.where(inside, bottom, hi), points)
+    start = np.where(inside, first - 1, np.where(bottom > hi, points - 1, 0))
+    end, _ = _first_at_or_above(lo, hi, np.minimum(np.maximum(top, np.nextafter(lo, np.inf)), hi), points)
+    window = int(np.max(end - start, initial=0)) + 1
+    return window, np.minimum(start, points - window)
+
+
 def _predicted_plan(
     lo: np.ndarray,
     hi: np.ndarray,
@@ -243,6 +268,7 @@ def _predicted_plan(
     rel_tol: float,
     points: int,
     window: int,
+    start: "np.ndarray | None" = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The loads each row's next rounds evaluate if its condition first holds at *guess*.
 
@@ -254,11 +280,13 @@ def _predicted_plan(
     (the first round's *window* grid points from index ``start`` — the
     whole grid when *window* is *points* — then each later round's pair
     at grid indices ``first − 1, first``) and the number of rounds
-    walked.  A row whose walk has ended keeps its bracket, so its later
-    columns hold valid loads that no round reads.
+    walked.  The window is centred on the first round's predicted index
+    unless *start* is given.  A row whose walk has ended keeps its
+    bracket, so its later columns hold valid loads that no round reads.
     """
     first, cell = _first_at_or_above(lo, hi, guess, points)
-    start = np.minimum(np.maximum(first - window // 2, 0), points - window)
+    if start is None:
+        start = np.minimum(np.maximum(first - window // 2, 0), points - window)
     columns = [_grid_points(lo, hi, start + np.arange(window)[:, None], points)]
     lo, hi = lo.copy(), hi.copy()
     length = np.ones(lo.size, dtype=np.int64)
@@ -332,6 +360,7 @@ def _refine_rows(
     max_rounds: int = 100,
     ceiling: "_Ceiling | None" = None,
     prior: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None,
+    pole_bound: "np.ndarray | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Narrow each row's ``[lo, hi]`` to the cell where a monotone condition flips.
 
@@ -352,21 +381,22 @@ def _refine_rows(
 
     Every iteration makes one probe call, in which each live row evaluates
     its own plan (:func:`_predicted_plan`).  A row's first plan is its
-    whole first grid.  From then on it estimates its crossing from its
-    tightest sampled loads of finite score (:func:`_estimate`), and its
-    plan adds each later round's straddling pair around that estimate.
-    In a refinement of fewer than :data:`_WINDOW_MIN_ROWS` rows every plan
+    whole first grid, unless a prior or a pole bound (below) opens it
+    otherwise.  From then on it estimates its crossing from its tightest
+    sampled loads of finite score (:func:`_estimate`), and its plan adds
+    each later round's straddling pair around that estimate.  In a
+    refinement of fewer than :data:`_WINDOW_MIN_ROWS` rows every plan
     opens with the round's whole grid, which decides that round.  In a
     larger one a plan opens with the :data:`_WINDOW` grid indices around
     the estimate; a row whose window misses evaluates its whole grid
     alone in its next call, then predicts again.  A window counts when
     its first ``True`` follows a ``False`` (or sits at grid index 0), and
-    a later round when it reads ``False`` then ``True`` at grid indices
-    ``first − 1, first``: by monotonicity, ``first`` is then the round's
-    first crossed index, and the round update runs as for a whole grid.
-    Rows drop out independently, so each row's final ``(lo, hi)`` equals
-    the one-row loop's bit for bit (the scalar oracle in
-    ``tests/test_stacked.py``).
+    a later round when the first counted and it reads ``False`` then
+    ``True`` at grid indices ``first − 1, first``: by monotonicity,
+    ``first`` is then the round's first crossed index, and the round
+    update runs as for a whole grid.  Rows drop out independently, so
+    each row's final ``(lo, hi)`` equals the one-row loop's bit for bit
+    (the scalar oracle in ``tests/test_stacked.py``).
 
     With a *ceiling* the refinement is bounded: only rows that can still
     report their cell's least ``hi`` run to the end.  Before its first
@@ -393,6 +423,21 @@ def _refine_rows(
     Every round still counts on the probe's own verdicts, by the rules
     above, so no prior, not even one whose verdicts contradict the probe,
     can move a bracket; a row without an estimate runs as without a prior.
+
+    A *pole_bound* gives each row a load at or above which its crossing
+    is expected (the latency searches' bound from the pole at λ*).  In a
+    refinement of at least :data:`_WINDOW_MIN_ROWS` rows, a row whose
+    samples hold no load inside its bracket that did not cross, and so
+    give it no estimate or only one extrapolated from its low end, opens
+    with a *pole window* instead: the grid points from the last below the
+    bound, or below its tightest sample that did not cross where that is
+    higher, to the first at or above its tightest crossed sample (``hi``
+    without one); a bound at or above that sample is refuted and not
+    used.  Rows opening so in one call share the widest such window, and
+    a row with an estimate adds its later rounds' pairs.  A pole window
+    is a window like any other: one through ``hi`` that reads no crossing
+    ends its row, and one that misses sends its row to its whole grid in
+    the next call.
     """
     lo = np.array(lo, dtype=np.float64)
     hi = np.array(hi, dtype=np.float64)
@@ -470,10 +515,11 @@ def _refine_rows(
         # predicted for each earlier round, so by monotonicity that cell
         # held the crossing and the row's bracket is the one the walk
         # planned the round from.  The walk stopped where the update would
-        # stop.
+        # stop.  (A pole window need not hold the first round's predicted
+        # cell, so the first round must have counted on its own.)
         pairs = crossed[:, window:]
         kept = np.zeros((rows.size, pairs.shape[1] // 2 + 1), dtype=bool)
-        kept[:, :-1] = ~pairs[:, 0::2] & pairs[:, 1::2]
+        kept[:, :-1] = ~pairs[:, 0::2] & pairs[:, 1::2] & seen[:, None]
         kept[:, :-1] &= np.arange(1, kept.shape[1]) < length[:, None]
         count = np.argmin(kept, axis=1)  # the leading run of kept rounds
         sel = np.flatnonzero(count)
@@ -499,10 +545,29 @@ def _refine_rows(
         guess = _estimate(near[rows], near_score[rows])
         known = np.isfinite(guess)
         guess = np.where(known, np.minimum(np.maximum(guess, np.nextafter(row_lo, np.inf)), row_hi), row_hi)
-        opens_whole = whole[rows] | ~known
+        b1, a1 = near[rows, 1], near[rows, 2]
+        # In the first call, a row opens at its pole unless a sampled load
+        # inside its bracket, not crossed, gives it an estimate.
+        at_pole = (~known | (b1 <= row_lo)) & (windowed and pole_bound is not None)
+        opens_whole = (whole[rows] | ~known) & ~at_pole
         # A row without an estimate plans one round, and so does a whole
         # grid where plans open with windows.
         rounds_left = np.where(known & ~(windowed & opens_whole), max_rounds - rounds[rows], 1)
+        # Each opening: its window, its rows' first grid index (None: the
+        # window centred on the estimate's cell) and its rows.
+        openings: list[tuple[int, "np.ndarray | None", np.ndarray]] = [
+            (points, None, opens_whole),
+            (_WINDOW, None, ~(opens_whole | at_pole)),
+        ]
+        if np.count_nonzero(at_pole):
+            # From the pole bound, or the tightest load sampled not crossed
+            # above it, to the tightest sampled crossed (a bound at or above
+            # that is refuted).
+            assert pole_bound is not None
+            bound, below, above = pole_bound[rows[at_pole]], b1[at_pole], a1[at_pole]
+            bottom = np.where(bound < above, np.maximum(bound, below), below)
+            openings.append((*_pole_window(row_lo[at_pole], row_hi[at_pole], bottom, above, points), at_pole))
+        pole_bound = None
         plans = [
             _Plan(
                 rows[sel],
@@ -515,33 +580,37 @@ def _refine_rows(
                     rel_tol=rel_tol,
                     points=points,
                     window=window,
+                    start=start,
                 ),
             )
-            for window, sel in ((points, opens_whole), (_WINDOW, ~opens_whole))
+            for window, start, sel in openings
             if np.count_nonzero(sel)
         ]
-        if len(plans) == 1:
-            decide(plans[0], *probe(plans[0].rows, plans[0].loads))
-            continue
-        # One rectangle as wide as the windowed plans; a whole grid takes
+        # One rectangle as wide as the narrowest plan; a wider plan takes
         # as many of its rows as it needs, padded with its last load.
-        width = plans[1].loads.shape[1]
-        count, length = plans[0].loads.shape
-        reps = -(-length // width)
-        packed = np.empty((count, reps * width))
-        packed[:, :length] = plans[0].loads
-        packed[:, length:] = plans[0].loads[:, -1:]
+        width = min(plan.loads.shape[1] for plan in plans)
+        reps = [-(-plan.loads.shape[1] // width) for plan in plans]
+        packed = []
+        for plan, rep in zip(plans, reps):
+            length = plan.loads.shape[1]
+            loads = np.empty((plan.rows.size, rep * width))
+            loads[:, :length] = plan.loads
+            loads[:, length:] = plan.loads[:, -1:]
+            packed.append(loads.reshape(-1, width))
         crossed, score = probe(
-            np.concatenate([np.repeat(plans[0].rows, reps), plans[1].rows]),
-            np.concatenate([packed.reshape(-1, width), plans[1].loads]),
+            np.concatenate([np.repeat(plan.rows, rep) for plan, rep in zip(plans, reps)]),
+            np.concatenate(packed),
         )
-        cut = count * reps
-        decide(
-            plans[0],
-            crossed[:cut].reshape(count, -1)[:, :length],
-            score[:cut].reshape(count, -1)[:, :length],
-        )
-        decide(plans[1], crossed[cut:], score[cut:])
+        end = 0
+        for plan, rep in zip(plans, reps):
+            count, length = plan.loads.shape
+            cut = slice(end, end + count * rep)
+            end = cut.stop
+            decide(
+                plan,
+                crossed[cut].reshape(count, -1)[:, :length],
+                score[cut].reshape(count, -1)[:, :length],
+            )
     return lo, hi
 
 
@@ -794,7 +863,17 @@ def _solve_pair_stacked(
 
 
 @dataclass(frozen=True)
-class _IntraStructure:
+class _Structure:
+    """A journey layout: shared by every plan of the process, so its arrays are read-only."""
+
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+
+@dataclass(frozen=True)
+class _IntraStructure(_Structure):
     """Journey layout of one class's intra-cluster model (cell-independent)."""
 
     pmf: np.ndarray  # (depth,) journey pmf
@@ -804,7 +883,7 @@ class _IntraStructure:
 
 
 @dataclass(frozen=True)
-class _PairStructure:
+class _PairStructure(_Structure):
     """Journey layout of one ordered class pair (cell-independent)."""
 
     weights: np.ndarray  # (J,) journey pmf products (r, v, l order)
@@ -818,6 +897,12 @@ class _PairStructure:
     d_i2: float
 
 
+#: Distinct journey structures a process keeps; the registry's 16 scenarios
+#: derive 60.
+_STRUCTURES = 256
+
+
+@functools.lru_cache(maxsize=_STRUCTURES)
 def _intra_structure(switch_ports: int, depth: int) -> _IntraStructure:
     h_values = np.arange(1, depth + 1, dtype=np.float64)
     return _IntraStructure(
@@ -828,6 +913,7 @@ def _intra_structure(switch_ports: int, depth: int) -> _IntraStructure:
     )
 
 
+@functools.lru_cache(maxsize=_STRUCTURES)
 def _pair_structure(
     switch_ports: int, depth_src: int, depth_dst: int, n_c: int
 ) -> _PairStructure:
@@ -1126,7 +1212,8 @@ class ParameterPlan:
     :class:`_IntraBlock` for every class of every depth, and one
     :class:`_PairBlock` per ICN2 depth ``n_c``, each holding its journey
     shapes' rows of every group, shape by shape.  A journey structure is
-    derived once, whatever group it sits in.  The blocks are the only
+    derived once per process, whatever plan and group it sits in, and
+    shared read-only.  The blocks are the only
     copy of a per-row plane; a group keeps its class order and addresses
     its rows by first row per class and per ordered class pair.
     """
@@ -1305,9 +1392,8 @@ class ParameterPlan:
                     + structure.v_minus_1[None, :] * dst_cs[:, None]
                     + structure.two_l[None, :] * i2[:, None]
                 ) + dst_cn[:, None]
-                tail_time = np.zeros(src_cs.size, dtype=np.float64)
-                for jj in range(structure.weights.size):
-                    tail_time = tail_time + structure.weights[jj] * tails[:, jj]
+                # The journey-weight sum as a left fold in journey order.
+                tail_time = np.add.accumulate(structure.weights * tails, axis=1)[:, -1]
                 conc_service = flits * i2
                 part = {
                     "m_flits": flits,
@@ -1362,9 +1448,10 @@ class StackedModel:
     resource utilisations, the per-resource saturation inversion, the
     knee search and the latency-budget capacity search.
 
-    The engine keeps no state outside its instances, so separate
-    instances may run in separate threads.  One instance, with its λ*,
-    floor and sample caches, must not be shared between threads.
+    Instances share only the read-only journey structures, derived once
+    per process, so separate instances may run in separate threads.  One
+    instance, with its λ*, floor and sample caches, must not be shared
+    between threads.
     """
 
     def __init__(
@@ -2189,15 +2276,26 @@ class StackedModel:
         (:meth:`_latencies`), and rows are independent, so every load is
         the one the cell's search alone would find, bit for bit.
 
-        The probe records every latency it evaluates, and a later search on
-        this stack reads each searched cell's recorded latencies
-        (:meth:`_sampled`) as its row's prior: each is judged against this
-        search's own limit and comparison, which is exact, since it
+        Each row's prior holds its exact sample at load 0, the stack's
+        cached floor, and, once the probe has recorded latencies on this
+        stack, the recorded ones (:meth:`_sampled`): each is judged against
+        this search's own limit and comparison, which is exact, since it
         compares a stored number, and scored like a probed one, and the two
-        on either side of the crossing are passed.  A prior only chooses
-        which loads the probe evaluates, so the loads found stay the same
-        whatever ran before.  Passing every recorded sample instead held
-        0.21 MB more at the budget search's traced peak on a 270-cell grid.
+        on either side of the crossing are passed.  Passing every recorded
+        sample instead held 0.21 MB more at the budget search's traced peak
+        on a 270-cell grid.  With ``T = T0 + cλ/(λ* − λ)`` and ``c <= 2
+        T0``, a limit ``L`` is first exceeded at or above ``λ*·(L − T0)/(L
+        + T0)``, 0.6 λ* for the knee at 4× the floor: each row's pole
+        bound.  In a refinement of 16 rows and more, a row whose samples
+        give it no estimate, or only one extrapolated from the floor,
+        opens with a pole window from that bound (:func:`_refine_rows`).
+        The bound held for every knee row of four 270-cell explore grids
+        at 2× and 4× the floor, and for 87.5 % (2×) and 92.0 % (4×) of 336
+        rows built from the scenario registry, whose pole windows hit for
+        91.7 % and 93.8 % (a window starts at the grid point below the
+        bound); a row whose window misses evaluates its whole grid in the
+        next call.  Prior and bound only choose which loads the probe
+        evaluates, so the loads found stay the same whatever ran before.
         """
         pole = self.saturation_load()[cells]
         within = np.less_equal if inclusive else np.less
@@ -2214,25 +2312,29 @@ class StackedModel:
             self._samples.append((cells[sub], loads, latencies))
             return judged(sub, loads, latencies)
 
-        prior: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
+        # Every row's exact sample at load 0, its floor, then its recorded ones.
+        floor = self.zero_load_latencies()[cells]
+        loads, latencies = np.zeros((cells.size, 1)), floor[:, None]
         sampled = self._sampled(cells)
         if sampled is not None:
             # A recorded row's loads increase and its verdicts with them, so
             # columns k − 2 … k + 1 (k samples within the limit) hold the
             # two samples on either side of its crossing, all the prior
             # needs (:func:`_refine_rows` predicts from no others).
-            loads, latencies = sampled
-            crossed, _ = judged(np.arange(cells.size), loads, latencies)
+            crossed, _ = judged(np.arange(cells.size), *sampled)
             # k: the first sample beyond the limit, past the last if none is.
             k = np.where(crossed[:, -1], np.argmax(crossed, axis=1), crossed.shape[1])
             near = k[:, None] + np.arange(-2, 2)
-            np.clip(near, 0, loads.shape[1] - 1, out=near)
-            loads = np.take_along_axis(loads, near, axis=1)
-            latencies = np.take_along_axis(latencies, near, axis=1)
-            prior = (loads, *judged(np.arange(cells.size), loads, latencies))
-            del sampled, loads, latencies, crossed
+            np.clip(near, 0, crossed.shape[1] - 1, out=near)
+            loads = np.concatenate([loads, np.take_along_axis(sampled[0], near, axis=1)], axis=1)
+            latencies = np.concatenate([latencies, np.take_along_axis(sampled[1], near, axis=1)], axis=1)
+            del sampled, crossed
+        prior = (loads, *judged(np.arange(cells.size), loads, latencies))
+        # With T = T0 + cλ/(λ* − λ) and c <= 2 T0, T first exceeds L at or
+        # above λ*·(L − T0)/(L + T0): each row's pole bound.
+        bound = pole * (limits - floor) / (limits + floor)
         lo, _ = _refine_rows(
-            np.zeros(cells.size), pole * fraction, beyond, rel_tol=rel_tol, prior=prior
+            np.zeros(cells.size), pole * fraction, beyond, rel_tol=rel_tol, prior=prior, pole_bound=bound
         )
         return lo
 

@@ -655,6 +655,20 @@ def small_group_specs():
     return [cell.spec for cell in grid.cells()]
 
 
+def pole_miss_specs():
+    """16 cells of ``544-icn2-x0.5`` (ICN2 bandwidth 62.5–750, message lengths
+    16–128): as many rows as open windows, and 6 of their knees at 4× the
+    floor lie below the pole bound, so their pole windows miss."""
+    grid = DesignGrid(
+        base=get_scenario("544-icn2-x0.5"),
+        axes=(
+            AxisSpec("system.icn2.bandwidth", (62.5, 125.0, 500.0, 750.0)),
+            AxisSpec("message.length_flits", (16, 32, 64, 128)),
+        ),
+    )
+    return [cell.spec for cell in grid.cells()]
+
+
 class TestStackWideBlocks:
     """Each journey family is one block of rows across cell groups, shape by shape."""
 
@@ -911,6 +925,101 @@ class TestRowKernels:
             expected = refine_monotone_crossing(lo0[row], hi0[row], condition, rel_tol=rel_tol)
             assert (out[0][row], out[1][row]) == expected, row
 
+    @settings(max_examples=60)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 1.0),
+                st.floats(1e-6, 10.0),
+                st.one_of(st.sampled_from([0.0, 1 / 32, 0.5, 1.0, 1.5]), st.floats(0.0, 1.0)),
+                st.one_of(st.floats(-0.5, 1.5), st.sampled_from([np.nan, np.inf, -np.inf])),
+                st.lists(st.tuples(st.floats(0.0, 1.5), st.booleans()), max_size=4),
+            ),
+            min_size=16,
+            max_size=24,
+        ),
+        st.sampled_from([1e-13, 1e-6, 1e-4]),
+    )
+    def test_pole_windows_never_move_a_bracket(self, rows, rel_tol):
+        # 16 rows and more, so rows open with windows.  Each row's pole
+        # bound sits at a bracket fraction in [-0.5, 1.5] or is NaN or
+        # ±inf: below its threshold its window holds the crossing, above it
+        # the window misses.  Each row's prior holds a sample at lo, as the
+        # latency searches pass, and up to four more, some contradicting the
+        # condition, so some rows open with estimates extrapolated from lo
+        # and some with windows cut at a sampled crossed load.
+        lo0 = [lo for lo, *_ in rows]
+        hi0 = [lo + width for lo, width, *_ in rows]
+        conditions = [at_least(lo + at * width) for lo, width, at, _, _ in rows]
+        bound = np.array([lo + at * width for lo, width, _, at, _ in rows])
+        width = 1 + max(len(samples) for *_, samples in rows)
+        loads = np.zeros((len(rows), width))
+        crossed = np.zeros((len(rows), width), dtype=bool)
+        score = np.full((len(rows), width), np.nan)
+        for r, ((lo, span, _, _, samples), (condition, exact)) in enumerate(zip(rows, conditions)):
+            for k, (at, contradict) in enumerate([(0.0, False), *samples]):
+                load = np.array([lo + at * span])
+                loads[r, k] = load[0]
+                crossed[r, k] = bool(condition(load)[0]) != contradict
+                score[r, k] = exact(load)[0]
+        out = _refine_rows(
+            np.array(lo0),
+            np.array(hi0),
+            row_probe(conditions),
+            rel_tol=rel_tol,
+            prior=(loads, crossed, score),
+            pole_bound=bound,
+        )
+        for row, (condition, _) in enumerate(conditions):
+            expected = refine_monotone_crossing(lo0[row], hi0[row], condition, rel_tol=rel_tol)
+            assert (out[0][row], out[1][row]) == expected, row
+
+    def test_pole_windows_open_at_the_bound_and_a_miss_takes_the_whole_grid(self):
+        # 16 rows over [0, 1] with pole bound 0.5: 12 cross at 0.7, inside
+        # their windows (grid points 15/32 to 1), and 4 at 0.3, whose windows
+        # read crossed at their first load and miss, so each evaluates its
+        # whole grid in the second call.  No row has a prior.
+        thresholds = [0.7] * 12 + [0.3] * 4
+        conditions = [at_least(t) for t in thresholds]
+        probe = row_probe(conditions)
+        calls = []
+
+        def recording(rows, loads):
+            calls.append((rows, loads))
+            return probe(rows, loads)
+
+        lo, hi = _refine_rows(np.zeros(16), np.ones(16), recording, rel_tol=1e-6, pole_bound=np.full(16, 0.5))
+        grid = np.linspace(0.0, 1.0, 33)
+        rows, loads = calls[0]
+        assert rows.tolist() == list(range(16)) and np.array_equal(loads, np.tile(grid[15:], (16, 1)))
+        rows, loads = calls[1]
+        for row in range(12, 16):
+            assert set(grid) <= set(loads[rows == row].ravel())
+        assert all(loads[rows < 12].min(initial=np.inf) >= grid[15] for rows, loads in calls)
+        for row, condition in enumerate(conditions):
+            assert (lo[row], hi[row]) == refine_monotone_crossing(0.0, 1.0, condition[0], rel_tol=1e-6)
+
+    @pytest.mark.parametrize("max_rounds", [2, 3])
+    def test_a_missed_pole_window_counts_no_later_round(self, max_rounds):
+        # Each row's exact prior puts its estimate at its crossing, 0.3, so
+        # the later rounds' pairs read not crossed, then crossed, while its
+        # pole window (from 0.5) misses.  The round the window did not
+        # decide must not be skipped: counting those pairs ran one round
+        # past max_rounds.
+        conditions = [at_least(0.3)] * 16
+        prior = (np.tile([0.0, 0.8], (16, 1)), np.tile([False, True], (16, 1)), np.tile([0.3, -0.5], (16, 1)))
+        lo, hi = _refine_rows(
+            np.zeros(16),
+            np.ones(16),
+            row_probe(conditions),
+            rel_tol=1e-13,
+            max_rounds=max_rounds,
+            prior=prior,
+            pole_bound=np.full(16, 0.5),
+        )
+        expected = refine_monotone_crossing(0.0, 1.0, conditions[0][0], rel_tol=1e-13, max_rounds=max_rounds)
+        assert all((a, b) == expected for a, b in zip(lo, hi))
+
     @pytest.mark.parametrize("num", [2, 12, 33])
     def test_linspace_rows_equal_numpy_per_row(self, num):
         # Normal rows next to a start == stop row and denormal-width rows,
@@ -997,22 +1106,23 @@ class TestPredictedProbes:
         # holds a load strictly inside that bracket.  The oracle replays
         # those verdicts, costing no model evaluation, and must end on the
         # same bracket.  saturation_loads() is the full search, with no
-        # ceiling; knee and budget then read λ* off its maps, and the budget
-        # search reads the knee's samples as its prior, which the plain loop
-        # has no use for.
+        # ceiling; knee and budget then read λ* off its maps, and pass a
+        # prior and a pole bound, which only choose the loads they probe:
+        # the plain loop takes only its own arguments.
         specs = grid_270_specs()
         original = stacked._refine_rows
         work = {"calls": 0, "loads": 0, "plain": 0}
 
-        def counting(lo, hi, probe, *, ceiling=None, prior=None, **kwargs):
-            assert ceiling is None
+        def counting(lo, hi, probe, **kwargs):
+            assert kwargs.get("ceiling") is None
 
             def counted(rows, loads):
                 work["calls"] += 1
                 work["loads"] += loads.size
                 return probe(rows, loads)
 
-            out = original(lo, hi, counted, prior=prior, **kwargs)
+            out = original(lo, hi, counted, **kwargs)
+            own = {key: kwargs[key] for key in ("rel_tol", "points", "max_rounds") if key in kwargs}
             ends, _ = probe(np.arange(len(lo)), np.stack(out, axis=1))
             assert not ends[:, 0].any()
             assert np.array_equal(ends[:, 1], out[0] < out[1])
@@ -1022,7 +1132,7 @@ class TestPredictedProbes:
                     work["plain"] += loads.size
                     return (loads >= hi1) & (lo1 < hi1)
 
-                assert refine_monotone_crossing(lo0, hi0, replay, **kwargs) == (lo1, hi1)
+                assert refine_monotone_crossing(lo0, hi0, replay, **own) == (lo1, hi1)
             return out
 
         monkeypatch.setattr(stacked, "_refine_rows", counting)
@@ -1244,6 +1354,45 @@ class TestJourneyStructures:
         assert len(set(derived["intra"])) == len(plan.intra.structures) == shapes[0]
         assert len(set(derived["pair"])) == sum(len(block.structures) for block in plan.pair_blocks) == shapes[1]
 
+    def test_a_second_plan_derives_no_structure(self):
+        # Structures are memoised per process: after a first plan of every
+        # registry scenario, a second derives none of its 60.
+        specs = [spec for _, spec in REGISTRY]
+        for spec in specs:
+            StackedModel.from_specs([spec])
+        derivations = stacked._intra_structure.cache_info().misses + stacked._pair_structure.cache_info().misses
+        plans = [StackedModel.from_specs([spec]).plan for spec in specs]
+        assert stacked._intra_structure.cache_info().misses + stacked._pair_structure.cache_info().misses == derivations
+        shapes = {id(s) for plan in plans for s in plan.intra.structures}
+        shapes |= {id(s) for plan in plans for block in plan.pair_blocks for s in block.structures}
+        assert len(shapes) == 60
+
+    def test_memoised_arrays_refuse_writes(self):
+        structures = [stacked._intra_structure(4, 3), stacked._pair_structure(4, 3, 5, 2)]
+        arrays = [value for s in structures for value in vars(s).values() if isinstance(value, np.ndarray)]
+        assert len(arrays) == 6
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_the_accumulated_tail_time_equals_the_loop_fold(self):
+        # Each pair row's E_ex (Eq. 33) is one np.add.accumulate over its
+        # journeys: a strict left fold from 0.0 in journey order, as the
+        # scalar loop runs it, on every shape of every registry scenario.
+        for name, spec in REGISTRY:
+            for block in StackedModel.from_specs([spec]).plan.pair_blocks:
+                for k, structure in enumerate(block.structures):
+                    rows = block.shape == k
+                    tails = (
+                        structure.r_minus_1[None, :] * block.src_cs[rows, None]
+                        + structure.v_minus_1[None, :] * block.dst_cs[rows, None]
+                        + structure.two_l[None, :] * block.i2_cs[rows, None]
+                    ) + block.dst_cn[rows, None]
+                    folded = np.zeros(tails.shape[0])
+                    for jj in range(structure.weights.size):
+                        folded = folded + structure.weights[jj] * tails[:, jj]
+                    assert np.array_equal(block.tail_time[rows], folded), (name, k)
+
 
 class TestLatencyCrossings:
     """Knee and budget are one latency-crossing search, one refinement per stack."""
@@ -1272,6 +1421,19 @@ class TestLatencyCrossings:
         return work
 
     @staticmethod
+    def recorded_plans(monkeypatch):
+        """``(window, rows, opens at the pole)`` of each plan from now on."""
+        plans = []
+        original = stacked._predicted_plan
+
+        def recording(lo, hi, guess, rounds_left, **kwargs):
+            plans.append((kwargs["window"], lo.size, kwargs.get("start") is not None))
+            return original(lo, hi, guess, rounds_left, **kwargs)
+
+        monkeypatch.setattr(stacked, "_predicted_plan", recording)
+        return plans
+
+    @staticmethod
     def fresh_270_stack():
         """The 270-cell grid's stack with its λ* and floors priced, and no search run."""
         stack = StackedModel.from_specs(grid_270_specs())
@@ -1280,31 +1442,38 @@ class TestLatencyCrossings:
         return stack
 
     def test_one_refinement_per_search_on_the_270_cell_grid(self, monkeypatch):
-        # Three groups of 90 cells.  Each search made one refinement of 3
-        # probe calls per group; the stack's rows are one refinement, and
-        # independent rows evaluate the same row-loads.  Each search runs
-        # on a fresh stack, so neither has a prior.
+        # Three groups of 90 cells, one refinement per search.  Each search
+        # runs on a fresh stack, so its only prior is each row's floor.  The
+        # knee's rows open with pole windows, the 14 grid points from 0.59
+        # λ* up, which all hold their crossings, so no row evaluates a whole
+        # grid: 8,640 row-loads in 3 probe calls (13,770 with whole first
+        # grids).  The budget's open with the widest of theirs, 19 points.
         stacks = [self.fresh_270_stack() for _ in range(2)]
         work = self.counted_refinements(monkeypatch)
+        plans = self.recorded_plans(monkeypatch)
         stacks[0].knee_loads(4.0)
-        assert work == [[3, 13_770]]
+        assert work == [[3, 8_640]]
+        assert plans[0] == (14, 270, True) and all(window < 33 for window, _, _ in plans)
         work.clear()
+        plans.clear()
         stacks[1].loads_at_budget(np.full(stacks[1].cells, 200.0))
-        assert work == [[3, 11_258]]
+        assert work == [[3, 7_478]]
+        assert plans[0] == (19, 270, True)
 
     def test_a_budget_after_the_knee_predicts_from_its_samples(self, monkeypatch):
-        # The knee evaluates each cell at 51 loads over [0, λ*).  A budget
-        # search after it on the same stack reads them as its prior, so
-        # each row opens with a window and its later rounds' pairs instead
-        # of a whole grid: 2 calls and 3,048 row-loads for budget 200.  A
-        # budget of 1e9 is met at 0.9999 λ*: each window through hi reads
-        # no crossing and ends its row, in the one call a whole grid takes.
+        # The knee evaluates each cell at 32 loads over [0.59 λ*, λ*).  A
+        # budget search after it on the same stack reads them as its prior,
+        # so each row opens with a window and its later rounds' pairs
+        # instead of a whole grid: 2 calls and 3,048 row-loads for budget
+        # 200.  A budget of 1e9 is met at 0.9999 λ*: each window through hi
+        # reads no crossing and ends its row, in the one call a whole grid
+        # takes.
         stacks = [self.fresh_270_stack() for _ in range(2)]
         work = self.counted_refinements(monkeypatch)
         for stack, budget in zip(stacks, (200.0, 1e9)):
             work.clear()
             stack.knee_loads(4.0)
-            assert work == [[3, 13_770]]
+            assert work == [[3, 8_640]]
             work.clear()
             stack.loads_at_budget(np.full(stack.cells, budget))
             assert len(work) == 1
@@ -1313,10 +1482,33 @@ class TestLatencyCrossings:
             else:
                 assert work[0][0] == 1
 
+    def test_a_missed_pole_window_costs_its_row_one_whole_grid(self, monkeypatch):
+        # 6 of the 16 knees at 4× the floor lie below 0.6 λ*, the pole
+        # bound: their windows read crossed at their first load, and those
+        # rows evaluate their whole grids in the knee's second call.  Every
+        # knee and budget load still equals the cell searched alone and the
+        # scalar oracles, bit for bit.
+        specs = pole_miss_specs()
+        stack = StackedModel.from_specs(specs)
+        lam = stack.saturation_load()
+        stack.zero_load_latencies()
+        plans = self.recorded_plans(monkeypatch)
+        knees = stack.knee_loads(4.0)
+        assert np.count_nonzero(knees < 0.6 * lam) == 6
+        assert plans[0] == (14, 16, True) and (33, 6, False) in plans[1:]
+        achieved = stack.loads_at_budget(np.full(stack.cells, 200.0))
+        monkeypatch.undo()
+        for idx, spec in enumerate(specs):
+            engine = BatchedModel(spec.system, spec.message, spec.options, spec.pattern)
+            zero = engine.zero_load_latency()
+            assert engine.stack.knee_loads(4.0)[0] == knees[idx] == model_knee(engine, lam[idx], zero, 4.0), idx
+            assert engine.stack.loads_at_budget(np.array([200.0]))[0] == achieved[idx], idx
+            assert model_budget(engine, 200.0) == achieved[idx], idx
+
     @pytest.mark.parametrize(
         "specs",
-        [grid_270_specs, grid_36_specs, *[(lambda spec=spec: [spec]) for _, spec in REGISTRY]],
-        ids=["grid-270", "grid-36", *[name for name, _ in REGISTRY]],
+        [grid_270_specs, grid_36_specs, pole_miss_specs, *[(lambda spec=spec: [spec]) for _, spec in REGISTRY]],
+        ids=["grid-270", "grid-36", "pole-miss", *[name for name, _ in REGISTRY]],
     )
     def test_search_order_never_moves_a_load(self, specs):
         # Each search alone on a fresh stack, then all of them on one stack
