@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro._util import require, require_positive
+from repro._util import require, require_int, require_positive
 from repro.core.batch import BatchedModel
 from repro.simulation.metrics import MeasurementWindow
 from repro.simulation.runner import SimulationSession
@@ -46,12 +46,14 @@ def estimate_sim_knee(
     """Bisect for the load where sim latency crosses ``factor × L(0)``.
 
     Brackets inside ``(0, λ*_model × 1.2]``; each probe is one simulation
-    run, so the default seven iterations cost seven runs.  The *session*'s
+    run: one at the bracket top, then one per iteration, of which there
+    must be at least one.  The *session*'s
     design, traffic pattern included, shapes both the analytic reference
     (``λ*``, ``L(0)``) and the simulated runs.
     """
     require_positive(threshold_factor, "threshold_factor")
     require(threshold_factor > 1.0, "threshold_factor must exceed 1")
+    require_int(iterations, "iterations", minimum=1)
     engine = BatchedModel(*session.design)
     lam_star = engine.saturation_load()
     threshold = threshold_factor * engine.zero_load_latency()

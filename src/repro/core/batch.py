@@ -33,33 +33,12 @@ __all__ = ["BatchedModel", "ENGINE_VERSION", "ResourceRates"]
 #: Version tag of the engine's numerics, embedded in on-disk cache keys
 #: (:mod:`repro.io.cache`).  Bump whenever a change alters any number the
 #: closed forms produce — saturation loads, latencies, resource rates —
-#: or the evaluation path that produces them (e.g. the cross-cell stacked
-#: engine in :mod:`repro.core.stacked`), so stale cached results can never
-#: be mistaken for fresh ones.
-#:
-#: batch/10: journey depth is per-row data, so one padded solver call
-#: prices the class pairs of several journey shapes and the classes of
-#: several depths.  No number moved; cached results miss once.
-#:
-#: batch/11: λ* and the binding resource come from a bounded search that
-#: refines only the source queues that can still be their cell's least.
-#: No number moved; cached results miss once.
-#:
-#: batch/12: the knee and budget searches are one latency-crossing search
-#: that refines a whole stack's rows in one pass.  No number moved; cached
-#: results miss once.
-#:
-#: batch/13: a knee or budget search predicts from priors, the latencies
-#: earlier searches on its stack evaluated.  No number moved; cached
-#: results miss once.
-#:
-#: batch/14: one working-set budget; no number moved; cached results miss
-#: once.
-#:
-#: batch/15: knee and budget rows open at the pole of the mean latency, and
-#: journey structures are derived once per process.  No number moved;
-#: cached results miss once.
-ENGINE_VERSION = "batch/15"
+#: or the evaluation path that produces them (the stacked engine:
+#: :mod:`repro.core.stacked`, :mod:`repro.core.plan` and
+#: :mod:`repro.core.refine`), so stale cached results can never be
+#: mistaken for fresh ones.  Each tag's change is recorded in CHANGES.md;
+#: ``tools/regen_goldens.py --check`` proves which left the numbers alone.
+ENGINE_VERSION = "batch/16"
 
 
 @dataclass(frozen=True)

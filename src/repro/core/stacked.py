@@ -3,13 +3,14 @@
 :class:`StackedModel` evaluates the paper's closed forms — the Eq. 13/14
 stage recursion, the Eq. 15 M/G/1 waits, the Eq. 36-38 concentrator
 queues and the per-resource saturation load λ* — for a whole list of
-design cells at once.  A :class:`ParameterPlan` packs the cells into
-parameter arrays with a leading *cells* axis; every intermediate array is
-shaped ``(cells, …)`` or ``(cells, loads)``, so the Python and NumPy call
-overhead is paid once per cell set instead of once per cell.
-:class:`~repro.core.batch.BatchedModel` is the one-cell view of this
-engine, and the scalar :class:`~repro.core.model.AnalyticalModel` stays
-the readable oracle.
+design cells at once.  It prices the parameter planes of a
+:class:`~repro.core.plan.ParameterPlan`; every intermediate array is
+shaped ``(rows, …)`` or ``(rows, loads)``, so the Python and NumPy call
+overhead is paid once per cell set instead of once per cell.  Its three
+searches (λ*, knee, latency budget) run on the refinement kernel of
+:mod:`repro.core.refine`.  :class:`~repro.core.batch.BatchedModel` is the
+one-cell view of this engine, and the scalar
+:class:`~repro.core.model.AnalyticalModel` stays the readable oracle.
 
 Contracts
 ---------
@@ -19,94 +20,41 @@ Contracts
   same cell inside any stack (``tests/test_stacked.py``, ``==`` rather
   than ``allclose``);
 * **pinned outputs** — ``tests/goldens/model_outputs.json`` pins the
-  exact float ``repr`` of saturation maps, breakdowns and utilisations
-  (``tools/regen_goldens.py``).
+  exact float ``repr`` of saturation maps, breakdowns, utilisations and
+  search loads (``tools/regen_goldens.py``).
 
 Lane independence holds because every float operation is elementwise, so
 each cell's lane computes the same scalar sequence whatever else shares
-the stack.  The mechanisms:
+the stack:
 
-* **grouping** — cells are partitioned by structure signature (switch
-  arity, class decomposition, ICN2 depth), so within a group every cell
-  has the same classes in the same order.  The Eq. 1/3/35/38 folds run
-  per group, over batches of source classes; the searches run per stack,
-  each one refinement over the searched rows of every group, whose probe
-  evaluates each group's live rows in turn;
-* **blocks** — journey depth is per-row data.  The rows of the whole
-  stack live in journey families: one intra block for every class of
-  every depth, and one pair block per ICN2 depth ``n_c`` for every ordered
-  class pair, each the concatenation, shape by shape, of its journey
-  shapes' rows (an intra shape is a ``(switch_ports, tree_depth)``, a pair
-  shape a ``(switch_ports, d_src, d_dst, n_c)``; within a shape, group by
-  group, a group's pairs member-major: row ``first + p · C + c`` is member
-  ``p`` in cell ``c``).  Each row carries its depths, pmf weights and mean
-  journey links, so one solver call prices rows of several depths and
-  shapes: it pads its suffix chains to its own deepest ``d_src``,
+* **padded calls** — one solver call prices rows of several depths and
+  shapes.  It pads its suffix chains to its own deepest ``d_src``,
   ``d_dst`` and tree depth and sets every padded term to exactly 0.0
-  before the fold — never multiplying it by its zero weight, since ``0 ·
-  inf`` is NaN — so each valid lane keeps its scalar float sequence
-  (``x + 0.0 = x``).  One chunk rule (:func:`_solve_calls`) cuts a call's
-  rows, in evaluations and searches and for both families alike: rows of
-  several shapes share a call only while its padded scratch stays within
-  :data:`_SOLVE_ELEMENTS`, the engine's one working-set budget, and a
-  shape that alone exceeds it is cut into calls of as many rows as the
-  budget holds (at least one).  A one-cell evaluation or saturation probe
-  of ``544`` makes one intra and one pair call, a large cell group a call
-  or two per shape;
+  before the fold, never multiplying it by its zero weight (``0 · inf``
+  is NaN), so each valid lane keeps its scalar float sequence (``x + 0.0
+  = x``);
 * **shared suffix chains** — journeys end in shared trailing stages, so
   the backward Eq. 13/14 recursion collapses to suffix chains
   (destination → ICN2 → source segments) touching each distinct column
-  state once, with temporaries shaped ``(cells, loads)`` instead of
-  ``(cells, journeys, loads)``: common-subexpression elimination of the
-  scalar per-journey recursion, not a reformulation;
+  state once: common-subexpression elimination of the scalar per-journey
+  recursion, not a reformulation;
 * **masks** — per-cell *control flow* of the scalar code (option
   branches, ``U_i == 0`` and zero-weight skips) becomes ``np.where``
   masks selecting between fully-evaluated branches;
-* **predicted probes** — the bracket refinements (saturation inversion,
-  knee and budget searches) run per-cell brackets with per-cell
-  round/termination state (:func:`_refine_rows`), so a cell's bracket
-  never depends on when its neighbours converge.  Each round keeps the
-  cell of the row's 33-point grid that holds its first crossed load.
-  After its first whole grid, a row predicts its crossing from scores in
-  which the paper's poles are linear and evaluates, besides its current
-  round (the whole grid, or in refinements of at least
-  :data:`_WINDOW_MIN_ROWS` rows a window), only the pair of loads around
-  the predicted crossing in each later round.  A predicted round counts
-  only when it reads not crossed, then crossed, at grid indices ``k − 1,
-  k``: ``k`` is then the round's first crossed index, so the round update
-  is the full grid's, and one probe call decides several rounds.  That
-  needs the verdict to be weakly monotone in the load *in floating
-  point*, and it is: every step from load to verdict is a correctly
-  rounded ``+``, ``×`` or ``÷`` on non-negative operands that grow with
-  the load — the rates, linear in ``λ_g``; the Eq. 13/14 recursion; the
-  Eq. 15 wait, whose ``1 − ρ`` shrinks; the Eq. 36-38 concentrator terms
-  — the relaxing factor ``δ`` is a constant multiplier, every clamp goes
-  to ``inf``, and :func:`_linspace_rows` is non-decreasing in its index.
-  The scalar one-bracket loop the refinement replicates decision for
-  decision is kept as a test oracle (``tests/test_stacked.py``), as is
-  :func:`numpy.linspace`, whose internal ``step == 0`` branch
-  :func:`_linspace_rows` reproduces per row.  A refinement may also start
-  from a *prior*: samples of its rows from earlier evaluations, such as
-  each cell's floor at load 0 and the latencies an earlier knee or
-  budget search on the same stack evaluated, judged against this
-  search's own limit.  A row they give an estimate opens with a
-  predicted plan instead of a whole grid, so the budget search after the
-  knee evaluates only the loads that verify it.  A row with no sample
-  inside its bracket that did not cross opens, in refinements of at
-  least :data:`_WINDOW_MIN_ROWS` rows, with a *pole window*: the top of
-  its first grid, from a bound below which the mean latency's pole at λ*
-  keeps it under its limit, so the knee no longer evaluates whole first
-  grids.  Prior and bound only choose which loads a probe evaluates: a
-  round counts only on the verdicts the probe itself returns, by the
-  argument above, so neither can move a bracket;
 * **fold order** — every accumulation that the scalar code runs as a
   Python-order fold (journey-weight sums, destination-weight averages, the
   Eq. 3 class combination) stays an explicit fold over the same index
   order, never an ``np.sum`` reduction with a different association.  The
-  Eq. 35/38 fold over destinations is one elementwise step per ``j``, in
-  the scalar ``j`` order, over a batch of source classes: as many classes
-  as fit :data:`_SOLVE_ELEMENTS` pair row-loads (at least one), so a group
-  never holds more pair planes at once than one batch.
+  Eq. 35/38 fold over destinations is one elementwise step per ``j`` over
+  a batch of source classes (:meth:`~repro.core.plan._CellGroup.batches`).
+
+The searches need the verdict to be weakly monotone in the load *in
+floating point* (:mod:`repro.core.refine`), and it is: every step from
+load to verdict is a correctly rounded ``+``, ``×`` or ``÷`` on
+non-negative operands that grow with the load — the rates, linear in
+``λ_g``; the Eq. 13/14 recursion; the Eq. 15 wait, whose ``1 − ρ``
+shrinks; the Eq. 36-38 concentrator terms — the relaxing factor ``δ`` is
+a constant multiplier and every clamp goes to ``inf``.
 
 Closed-form saturation
 ----------------------
@@ -140,478 +88,19 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
-from typing import Any, NamedTuple
+from typing import Any
 
 import numpy as np
 
 from repro._util import require
+from repro.core import plan as packing
 from repro.core.model import AnalyticalModel, TrafficPatternLike
 from repro.core.parameters import MessageSpec, ModelOptions, SystemConfig
-from repro.core.service_times import ServiceTimes
+from repro.core.plan import ParameterPlan, _CellGroup, _IntraBlock, _PairBlock, _solve_calls
+from repro.core.refine import _Ceiling, _linspace_rows, _refine_rows
 from repro.core.stages import _LATENCY_CAP
-from repro.core.topology_math import journey_length_pmf, mean_journey_links
 
-__all__ = ["ParameterPlan", "StackedModel"]
-
-
-# ---------------------------------------------------------------------------
-# per-row numerical kernels (cells axis leading)
-# ---------------------------------------------------------------------------
-
-
-def _grid_points(
-    start: np.ndarray, stop: np.ndarray, index: np.ndarray, num: int
-) -> np.ndarray:
-    """Points ``index`` of ``np.linspace(start, stop, num)``, elementwise, bit for bit.
-
-    ``index · step + start``, or ``(index / (num − 1)) · delta + start``
-    where ``step`` is 0 (numpy's denormal branch, gh-5437), and ``stop``
-    at the last index; the arguments broadcast against each other.
-    ``np.linspace`` with *array* endpoints would take its ``step == 0``
-    branch for **all** rows whenever any one row's step is zero, diverging
-    from the scalar call of a row refined alone; here each element takes
-    its own row's branch.
-    """
-    div = num - 1
-    delta = stop - start
-    step = delta / div
-    base = np.asarray(index, dtype=np.float64)
-    value = base * step
-    if np.count_nonzero(step) < step.size:
-        value = np.where(step == 0.0, (base / div) * delta, value)
-    value += start
-    np.copyto(value, stop, where=index == div)
-    return value
-
-
-def _linspace_rows(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
-    """Row-wise ``np.linspace(start[r], stop[r], num)`` — bit-identical."""
-    return _grid_points(start[:, None], stop[:, None], np.arange(num), num)
-
-
-#: Refinements of at least this many rows open a predicted plan with a
-#: window of :data:`_WINDOW` grid indices around the estimate; smaller ones
-#: open it with the round's whole grid, which decides that round whatever
-#: the estimate, so their misses never cost a call.  A probe call of a few
-#: rows costs its call overhead at any width, while a large one pays per
-#: row-load: on a 2-core host a one-row latency evaluation of ``544`` took
-#: 2.4-3.7 ms at 1 load and at 33 alike, a 90-row one 2.5 ms at 1 load and
-#: 10.1 ms at 33.  The count is the refinement's rows, whatever cell groups
-#: they sit in, while a knee or budget probe call over rows of G groups
-#: costs G group evaluations.
-_WINDOW_MIN_ROWS = 16
-
-#: Grid indices the first round of a windowed plan evaluates around the
-#: estimate's cell; every later round evaluates its straddling pair.
-_WINDOW = 4
-
-
-def _first_at_or_above(
-    start: np.ndarray, stop: np.ndarray, guess: np.ndarray, num: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """First grid index at or above *guess* per row, with the cell it closes.
-
-    The grid is ``_linspace_rows(start, stop, num)``, which is
-    non-decreasing along each row, and ``start < guess <= stop``.  The
-    index is first estimated by division, then stepped until grid point
-    ``first − 1`` is below *guess* and grid point ``first`` is not.
-    Returns ``first`` and the grid points ``[first − 1, first]``, shaped
-    ``(2, rows)`` — :func:`_grid_points`' arithmetic, inlined.
-    """
-    div = num - 1
-    delta = stop - start
-    step = delta / div
-    first = np.ceil((guess - start) / delta * div)
-    np.minimum(np.maximum(first, 1.0, out=first), div, out=first)
-    denormal = np.count_nonzero(step) < step.size
-    while True:
-        index = np.stack((first - 1.0, first))
-        cell = index * step
-        if denormal:
-            cell = np.where(step == 0.0, (index / div) * delta, cell)
-        cell += start
-        np.copyto(cell[1], stop, where=first == div)
-        down = cell[0] >= guess
-        up = cell[1] < guess
-        if not np.count_nonzero(down | up):
-            return first.astype(np.int64), cell
-        first = first - down + (up & ~down)  # a row only ever steps one way
-
-
-def _pole_window(
-    lo: np.ndarray, hi: np.ndarray, bottom: np.ndarray, top: np.ndarray, points: int
-) -> tuple[int, np.ndarray]:
-    """The pole windows of rows: one width and each row's first grid index.
-
-    A row's window holds the grid indices of ``_linspace_rows(lo, hi,
-    points)`` from the last below *bottom* (0 where *bottom* is at or
-    below ``lo`` or NaN; ``points − 1``, ``hi`` itself, where it is above
-    ``hi``) to the first at or above *top* (``hi`` where *top* is above
-    it).  The rows share the widest such window, each moved down from its
-    own start only as far as the grid's end makes it.
-    """
-    inside = (bottom > lo) & (bottom <= hi)
-    first, _ = _first_at_or_above(lo, hi, np.where(inside, bottom, hi), points)
-    start = np.where(inside, first - 1, np.where(bottom > hi, points - 1, 0))
-    end, _ = _first_at_or_above(lo, hi, np.minimum(np.maximum(top, np.nextafter(lo, np.inf)), hi), points)
-    window = int(np.max(end - start, initial=0)) + 1
-    return window, np.minimum(start, points - window)
-
-
-def _predicted_plan(
-    lo: np.ndarray,
-    hi: np.ndarray,
-    guess: np.ndarray,
-    rounds_left: np.ndarray,
-    *,
-    rel_tol: float,
-    points: int,
-    window: int,
-    start: "np.ndarray | None" = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The loads each row's next rounds evaluate if its condition first holds at *guess*.
-
-    Walks the round update from ``(lo, hi)`` with each round's first
-    crossed index taken as the first grid point at or above *guess*
-    (``lo < guess <= hi``), until the update would stop the row: no
-    progress, the relative width test, or *rounds_left* rounds.
-    Returns ``(loads, start, length)``: per row, the loads to evaluate
-    (the first round's *window* grid points from index ``start`` — the
-    whole grid when *window* is *points* — then each later round's pair
-    at grid indices ``first − 1, first``) and the number of rounds
-    walked.  The window is centred on the first round's predicted index
-    unless *start* is given.  A row whose walk has ended keeps its
-    bracket, so its later columns hold valid loads that no round reads.
-    """
-    first, cell = _first_at_or_above(lo, hi, guess, points)
-    if start is None:
-        start = np.minimum(np.maximum(first - window // 2, 0), points - window)
-    columns = [_grid_points(lo, hi, start + np.arange(window)[:, None], points)]
-    lo, hi = lo.copy(), hi.copy()
-    length = np.ones(lo.size, dtype=np.int64)
-    walking = np.ones(lo.size, dtype=bool)
-    for walked in range(1, int(rounds_left.max()) + 1):
-        walking &= (cell[0] > lo) | (cell[1] < hi)  # else no progress: the row stops
-        np.copyto(lo, cell[0], where=walking)
-        np.copyto(hi, cell[1], where=walking)
-        walking &= (hi - lo > rel_tol * hi) & (rounds_left > walked)
-        if not np.count_nonzero(walking):
-            break
-        _, cell = _first_at_or_above(lo, hi, guess, points)
-        columns.append(cell)
-        length += walking
-    return np.concatenate(columns).T, start, length
-
-
-def _estimate(near: np.ndarray, score: np.ndarray) -> np.ndarray:
-    """Each row's estimate of its crossing from samples ``b2 <= b1 < a1 <= a2``.
-
-    *near* holds the loads as columns, *score* their scores.  The
-    estimate is the inverse quadratic interpolation of the score's zero
-    through ``b1``, ``a1`` and the nearer of ``b2`` and ``a2``; where that
-    falls outside ``(b1, a1]`` or the third sample is missing, it is
-    regula falsi between ``b1`` and ``a1``.  It is not finite where either
-    of those is missing.  With regula falsi alone, the 256-queue saturation
-    searches of ``544-hotspot`` and ``544-local`` took 7 probe calls
-    instead of 6, and the knee searches of seven registry scenarios 4
-    instead of 3.
-    """
-    b2, b1, a1, a2 = near.T
-    f_b2, f_b1, f_a1, f_a2 = score.T
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        from_below = b1 - b2 <= a2 - a1
-        x2 = np.where(from_below, b2, a2)
-        f2 = np.where(from_below, f_b2, f_a2)
-        d01, d02, d12 = f_b1 - f_a1, f_b1 - f2, f_a1 - f2
-        quadratic = (
-            b1 * f_a1 * f2 / (d01 * d02)
-            - a1 * f_b1 * f2 / (d01 * d12)
-            + x2 * f_b1 * f_a1 / (d02 * d12)
-        )
-        secant = b1 + (a1 - b1) * (f_b1 / d01)
-    return np.where((quadratic > b1) & (quadratic <= a1), quadratic, secant)
-
-
-class _Plan(NamedTuple):
-    """One probe call's loads for the rows whose plans open with the same window."""
-
-    rows: np.ndarray
-    window: int
-    loads: np.ndarray
-    start: np.ndarray
-    length: np.ndarray
-
-
-class _Ceiling(NamedTuple):
-    """A bounded search's per-cell ceilings, as one refinement reads and lowers them."""
-
-    bound: np.ndarray  # per cell: at least the least value the cell's rows report
-    cell: np.ndarray  # per refined row: its cell
-
-
-def _refine_rows(
-    lo: np.ndarray,
-    hi: np.ndarray,
-    probe: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-    *,
-    rel_tol: float,
-    points: int = 33,
-    max_rounds: int = 100,
-    ceiling: "_Ceiling | None" = None,
-    prior: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None,
-    pole_bound: "np.ndarray | None" = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Narrow each row's ``[lo, hi]`` to the cell where a monotone condition flips.
-
-    ``probe(rows, loads)`` evaluates the condition for the given rows
-    (which may repeat) over per-row loads shaped ``(len(rows), width)``
-    and returns ``(crossed, score)``: the verdicts, and a score that falls
-    through 0 where the condition flips, used only to predict the
-    crossing.  The bracket invariant is ``not crossed(lo)`` and
-    ``crossed(hi)``; a row whose first grid crosses nowhere, not even at
-    ``hi``, stops with ``lo = hi``.  Each round keeps the cell of the
-    row's *points*-point grid ``_linspace_rows(lo, hi, points)`` that holds
-    its first ``True``, shrinking the bracket by ``points - 1``.  A row
-    stops when ``hi - lo <= rel_tol * hi``, when its first probe is
-    already crossed, when the bracket stops making progress at float64
-    resolution, or after *max_rounds* rounds (the relative test alone
-    cannot terminate when the crossing sits at ``lo == 0`` exactly, where
-    the bracket can only shrink toward a denormal ``hi``).
-
-    Every iteration makes one probe call, in which each live row evaluates
-    its own plan (:func:`_predicted_plan`).  A row's first plan is its
-    whole first grid, unless a prior or a pole bound (below) opens it
-    otherwise.  From then on it estimates its crossing from its tightest
-    sampled loads of finite score (:func:`_estimate`), and its plan adds
-    each later round's straddling pair around that estimate.  In a
-    refinement of fewer than :data:`_WINDOW_MIN_ROWS` rows every plan
-    opens with the round's whole grid, which decides that round.  In a
-    larger one a plan opens with the :data:`_WINDOW` grid indices around
-    the estimate; a row whose window misses evaluates its whole grid
-    alone in its next call, then predicts again.  A window counts when
-    its first ``True`` follows a ``False`` (or sits at grid index 0), and
-    a later round when the first counted and it reads ``False`` then
-    ``True`` at grid indices ``first − 1, first``: by monotonicity,
-    ``first`` is then the round's first crossed index, and the round
-    update runs as for a whole grid.  Rows drop out independently, so
-    each row's final ``(lo, hi)`` equals the one-row loop's bit for bit
-    (the scalar oracle in ``tests/test_stacked.py``).
-
-    With a *ceiling* the refinement is bounded: only rows that can still
-    report their cell's least ``hi`` run to the end.  Before its first
-    grid, a row whose ``hi`` is above its cell's bound is probed once at
-    the bound, in one call for all such rows, and stops if not crossed
-    there; later, a row stops as soon as its ``lo`` is strictly above the
-    bound.  Every probe call lowers each cell's bound to its rows' ``hi``.
-    A refinement reports ``hi`` either as its first upper end or as a
-    crossed load, so by monotonicity the ``hi`` a stopped row would have
-    reported, and its current one, which is no lower, are strictly above
-    the bound, which is at least the cell's least reported ``hi``.  Rows
-    that report that least value, ties included, run to the end with
-    their one-row ``(lo, hi)``.
-
-    A *prior* is ``(loads, crossed, score)``, each shaped ``(rows,
-    samples)``: each row's samples from earlier evaluations, padded with
-    NaN scores.  The refinement observes them before its first plan, so a
-    row they give an estimate opens with a predicted plan instead of a
-    whole grid: a window at and above :data:`_WINDOW_MIN_ROWS` rows, the
-    whole grid below, each followed by its later rounds' pairs.  A first
-    window through ``hi`` that reads no crossing ends its row as a whole
-    grid crossed nowhere would: by monotonicity nothing below ``hi``
-    crossed either.  A prior only chooses which loads a probe evaluates.
-    Every round still counts on the probe's own verdicts, by the rules
-    above, so no prior, not even one whose verdicts contradict the probe,
-    can move a bracket; a row without an estimate runs as without a prior.
-
-    A *pole_bound* gives each row a load at or above which its crossing
-    is expected (the latency searches' bound from the pole at λ*).  In a
-    refinement of at least :data:`_WINDOW_MIN_ROWS` rows, a row whose
-    samples hold no load inside its bracket that did not cross, and so
-    give it no estimate or only one extrapolated from its low end, opens
-    with a *pole window* instead: the grid points from the last below the
-    bound, or below its tightest sample that did not cross where that is
-    higher, to the first at or above its tightest crossed sample (``hi``
-    without one); a bound at or above that sample is refuted and not
-    used.  Rows opening so in one call share the widest such window, and
-    a row with an estimate adds its later rounds' pairs.  A pole window
-    is a window like any other: one through ``hi`` that reads no crossing
-    ends its row, and one that misses sends its row to its whole grid in
-    the next call.
-    """
-    lo = np.array(lo, dtype=np.float64)
-    hi = np.array(hi, dtype=np.float64)
-    size = lo.size
-    alive = np.ones(size, dtype=bool)
-    rounds = np.zeros(size, dtype=np.int64)
-    if ceiling is not None:
-        bound = ceiling.bound[ceiling.cell]
-        test = np.flatnonzero(bound < hi)
-        if test.size:
-            crossed, _ = probe(test, bound[test, None])
-            alive[test[~crossed[:, 0]]] = False
-    windowed = size >= _WINDOW_MIN_ROWS
-    # Rows whose next plan opens with the whole grid; a row without an
-    # estimate opens with it anyway.
-    whole = np.full(size, not windowed)
-    # Each row's two tightest distinct sampled loads of finite score on
-    # either side, b2 <= b1 (not crossed) < a1 <= a2 (crossed), and their scores.
-    near = np.tile([-np.inf, -np.inf, np.inf, np.inf], (size, 1))
-    near_score = np.full((size, 4), np.nan)
-    near_crossed = np.array([False, False, True, True])
-
-    def observe(rows: np.ndarray, loads: np.ndarray, crossed: np.ndarray, score: np.ndarray) -> None:
-        take = np.arange(rows.size)
-        x = np.concatenate([near[rows], loads], axis=1)
-        f = np.concatenate([near_score[rows], score], axis=1)
-        c = np.concatenate([np.broadcast_to(near_crossed, (rows.size, 4)), crossed], axis=1)
-        finite = np.isfinite(f)
-        low = np.where(~c & finite, x, -np.inf)
-        high = np.where(c & finite, x, np.inf)
-        b1, a1 = np.argmax(low, axis=1), np.argmin(high, axis=1)
-        b1_load, a1_load = low[take, b1], high[take, a1]
-        low[low == b1_load[:, None]] = -np.inf
-        high[high == a1_load[:, None]] = np.inf
-        b2, a2 = np.argmax(low, axis=1), np.argmin(high, axis=1)
-        near[rows] = np.stack([low[take, b2], b1_load, a1_load, high[take, a2]], axis=1)
-        near_score[rows] = np.stack([f[take, b2], f[take, b1], f[take, a1], f[take, a2]], axis=1)
-
-    if prior is not None:
-        observe(np.arange(size), *prior)
-
-    def advance(rows: np.ndarray, new_lo: np.ndarray, new_hi: np.ndarray) -> None:
-        # The round update for rows whose first crossed index is >= 1.
-        rounds[rows] += 1
-        stalled = (new_lo <= lo[rows]) & (new_hi >= hi[rows])  # float64 floor
-        alive[rows[stalled]] = False
-        moved = ~stalled
-        lo[rows[moved]] = new_lo[moved]
-        hi[rows[moved]] = new_hi[moved]
-
-    def decide(plan: _Plan, crossed: np.ndarray, score: np.ndarray) -> None:
-        rows, window, loads, start, length = plan
-        observe(rows, loads, crossed, score)
-        # The first round.  A whole grid's first True decides it; a window
-        # decides it when its first True follows a False (or sits at grid
-        # index 0), and otherwise missed.
-        head = crossed[:, :window]
-        hit = np.argmax(head, axis=1)
-        seen = head[np.arange(rows.size), hit]
-        if window == points:
-            never = rows[~seen]  # crossed nowhere up to hi
-            whole[rows] = not windowed
-        else:
-            never = rows[~seen & (start == points - window)]  # a window through hi
-            seen &= (hit > 0) | (start == 0)
-            whole[rows[~seen]] = True
-        lo[never] = hi[never]
-        alive[never] = False
-        first = start + hit
-        alive[rows[seen & (first == 0)]] = False  # bracket degenerated
-        sel = np.flatnonzero(seen & (first != 0))
-        advance(rows[sel], loads[sel, hit[sel] - 1], loads[sel, hit[sel]])
-        # A later round counts when it reads False, True at its pair and
-        # every earlier round counted: its loads lie in the cell the walk
-        # predicted for each earlier round, so by monotonicity that cell
-        # held the crossing and the row's bracket is the one the walk
-        # planned the round from.  The walk stopped where the update would
-        # stop.  (A pole window need not hold the first round's predicted
-        # cell, so the first round must have counted on its own.)
-        pairs = crossed[:, window:]
-        kept = np.zeros((rows.size, pairs.shape[1] // 2 + 1), dtype=bool)
-        kept[:, :-1] = ~pairs[:, 0::2] & pairs[:, 1::2] & seen[:, None]
-        kept[:, :-1] &= np.arange(1, kept.shape[1]) < length[:, None]
-        count = np.argmin(kept, axis=1)  # the leading run of kept rounds
-        sel = np.flatnonzero(count)
-        if not sel.size:
-            return
-        col = window + 2 * (count[sel] - 1)
-        # Every kept round before the last moved the bracket: a stall ends a walk.
-        moved = count[sel] > 1
-        lo[rows[sel[moved]]] = loads[sel[moved], col[moved] - 2]
-        hi[rows[sel[moved]]] = loads[sel[moved], col[moved] - 1]
-        rounds[rows[sel]] += count[sel] - 1
-        advance(rows[sel], loads[sel, col], loads[sel, col + 1])
-
-    while True:
-        if ceiling is not None:
-            np.minimum.at(ceiling.bound, ceiling.cell, hi)
-            alive &= ~(lo > ceiling.bound[ceiling.cell])
-        alive &= ~(hi - lo <= rel_tol * hi) & (rounds < max_rounds)
-        rows = np.flatnonzero(alive)
-        if not rows.size:
-            break
-        row_lo, row_hi = lo[rows], hi[rows]
-        guess = _estimate(near[rows], near_score[rows])
-        known = np.isfinite(guess)
-        guess = np.where(known, np.minimum(np.maximum(guess, np.nextafter(row_lo, np.inf)), row_hi), row_hi)
-        b1, a1 = near[rows, 1], near[rows, 2]
-        # In the first call, a row opens at its pole unless a sampled load
-        # inside its bracket, not crossed, gives it an estimate.
-        at_pole = (~known | (b1 <= row_lo)) & (windowed and pole_bound is not None)
-        opens_whole = (whole[rows] | ~known) & ~at_pole
-        # A row without an estimate plans one round, and so does a whole
-        # grid where plans open with windows.
-        rounds_left = np.where(known & ~(windowed & opens_whole), max_rounds - rounds[rows], 1)
-        # Each opening: its window, its rows' first grid index (None: the
-        # window centred on the estimate's cell) and its rows.
-        openings: list[tuple[int, "np.ndarray | None", np.ndarray]] = [
-            (points, None, opens_whole),
-            (_WINDOW, None, ~(opens_whole | at_pole)),
-        ]
-        if np.count_nonzero(at_pole):
-            # From the pole bound, or the tightest load sampled not crossed
-            # above it, to the tightest sampled crossed (a bound at or above
-            # that is refuted).
-            assert pole_bound is not None
-            bound, below, above = pole_bound[rows[at_pole]], b1[at_pole], a1[at_pole]
-            bottom = np.where(bound < above, np.maximum(bound, below), below)
-            openings.append((*_pole_window(row_lo[at_pole], row_hi[at_pole], bottom, above, points), at_pole))
-        pole_bound = None
-        plans = [
-            _Plan(
-                rows[sel],
-                window,
-                *_predicted_plan(
-                    row_lo[sel],
-                    row_hi[sel],
-                    guess[sel],
-                    rounds_left[sel],
-                    rel_tol=rel_tol,
-                    points=points,
-                    window=window,
-                    start=start,
-                ),
-            )
-            for window, start, sel in openings
-            if np.count_nonzero(sel)
-        ]
-        # One rectangle as wide as the narrowest plan; a wider plan takes
-        # as many of its rows as it needs, padded with its last load.
-        width = min(plan.loads.shape[1] for plan in plans)
-        reps = [-(-plan.loads.shape[1] // width) for plan in plans]
-        packed = []
-        for plan, rep in zip(plans, reps):
-            length = plan.loads.shape[1]
-            loads = np.empty((plan.rows.size, rep * width))
-            loads[:, :length] = plan.loads
-            loads[:, length:] = plan.loads[:, -1:]
-            packed.append(loads.reshape(-1, width))
-        crossed, score = probe(
-            np.concatenate([np.repeat(plan.rows, rep) for plan, rep in zip(plans, reps)]),
-            np.concatenate(packed),
-        )
-        end = 0
-        for plan, rep in zip(plans, reps):
-            count, length = plan.loads.shape
-            cut = slice(end, end + count * rep)
-            end = cut.stop
-            decide(
-                plan,
-                crossed[cut].reshape(count, -1)[:, :length],
-                score[cut].reshape(count, -1)[:, :length],
-            )
-    return lo, hi
+__all__ = ["StackedModel"]
 
 
 def _pole_score(
@@ -725,21 +214,6 @@ def _mg1_wait_batched(
     np.copyto(wait, 0.0, where=rate == 0.0)
     np.copyto(rho, np.inf, where=infinite_service)  # the utilisation
     return wait, rho, saturated
-
-
-#: The engine's one working-set budget, in elements.  It bounds three
-#: things: a solver call's padded scratch, ``(n_c, d_dst, rows, loads)``
-#: for a pair solve and ``(depth, rows, loads)`` for an intra solve at the
-#: call's deepest row (:func:`_solve_calls`); an evaluation's batch of
-#: source classes, as pair row-loads (:meth:`_CellGroup.batches`); and a
-#: saturation run's first round, as row-loads
-#: (:meth:`StackedModel._source_queue_saturation_rows`).  Each derived
-#: size is at least one row or class.  A row count alone does not bound a
-#: solve: with solves of up to 256 rows at any probe width, the saturation
-#: peak of a 90-cell ``544-hotspot`` explore grid rose from 6.7 to 11.7 MB
-#: (traced, 2-core host); a budget of 8,192 elements made explore no
-#: faster.
-_SOLVE_ELEMENTS = 32_768
 
 
 def _solve_pair_stacked(
@@ -857,577 +331,6 @@ def _solve_pair_stacked(
     return total
 
 
-# ---------------------------------------------------------------------------
-# group-constant journey structure (shapes shared by every cell of a group)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Structure:
-    """A journey layout: shared by every plan of the process, so its arrays are read-only."""
-
-    def __post_init__(self) -> None:
-        for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class _IntraStructure(_Structure):
-    """Journey layout of one class's intra-cluster model (cell-independent)."""
-
-    pmf: np.ndarray  # (depth,) journey pmf
-    two_h_minus_1: np.ndarray  # (depth,) = 2·(h − 1), the tail-time slopes
-    mean_links: float
-    tree_depth: int
-
-
-@dataclass(frozen=True)
-class _PairStructure(_Structure):
-    """Journey layout of one ordered class pair (cell-independent)."""
-
-    weights: np.ndarray  # (J,) journey pmf products (r, v, l order)
-    r_minus_1: np.ndarray  # (J,)
-    v_minus_1: np.ndarray  # (J,)
-    two_l: np.ndarray  # (J,)
-    d_src: int
-    d_dst: int
-    n_c: int
-    d_e1: float
-    d_i2: float
-
-
-#: Distinct journey structures a process keeps; the registry's 16 scenarios
-#: derive 60.
-_STRUCTURES = 256
-
-
-@functools.lru_cache(maxsize=_STRUCTURES)
-def _intra_structure(switch_ports: int, depth: int) -> _IntraStructure:
-    h_values = np.arange(1, depth + 1, dtype=np.float64)
-    return _IntraStructure(
-        pmf=journey_length_pmf(switch_ports, depth),
-        two_h_minus_1=2.0 * (h_values - 1.0),
-        mean_links=mean_journey_links(switch_ports, depth),
-        tree_depth=depth,
-    )
-
-
-@functools.lru_cache(maxsize=_STRUCTURES)
-def _pair_structure(
-    switch_ports: int, depth_src: int, depth_dst: int, n_c: int
-) -> _PairStructure:
-    pmf_r = journey_length_pmf(switch_ports, depth_src)
-    pmf_v = journey_length_pmf(switch_ports, depth_dst)
-    pmf_l = journey_length_pmf(switch_ports, n_c)
-    count = depth_src * depth_dst * n_c
-    weights = np.empty(count, dtype=np.float64)
-    r_m1 = np.empty(count, dtype=np.float64)
-    v_m1 = np.empty(count, dtype=np.float64)
-    two_l = np.empty(count, dtype=np.float64)
-    j = 0
-    for r in range(1, depth_src + 1):
-        p_r = float(pmf_r[r - 1])
-        for v in range(1, depth_dst + 1):
-            p_rv = p_r * float(pmf_v[v - 1])
-            for l_hops in range(1, n_c + 1):
-                weights[j] = p_rv * float(pmf_l[l_hops - 1])
-                r_m1[j] = float(r - 1)
-                v_m1[j] = float(v - 1)
-                two_l[j] = float(2 * l_hops)
-                j += 1
-    return _PairStructure(
-        weights=weights,
-        r_minus_1=r_m1,
-        v_minus_1=v_m1,
-        two_l=two_l,
-        d_src=depth_src,
-        d_dst=depth_dst,
-        n_c=n_c,
-        d_e1=mean_journey_links(switch_ports, depth_src),
-        d_i2=mean_journey_links(switch_ports, n_c),
-    )
-
-
-# ---------------------------------------------------------------------------
-# stacked parameter planes: stack-wide journey families, addressed by cell groups
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _IntraBlock:
-    """The intra-cluster rows of every class in the stack: one journey family.
-
-    One row per cell of every class, shape by shape (a shape is a
-    ``(switch_ports, tree_depth)``, in order of first appearance), then
-    group-major, class order, cell.  Each row carries its shape — and
-    through it its depth and pmf weights — and its mean journey links, so
-    one solve prices rows of several depths.  The per-cell group flags
-    (``m_flits``, ``var_paper``, ``sqr_per_node``) are tiled the same way.
-    """
-
-    structures: tuple[_IntraStructure, ...]  # per shape
-    depths: np.ndarray  # per shape: tree depth
-    weights: np.ndarray  # per shape: journey pmf, zero past its depth
-    scratch: np.ndarray  # per shape: solver scratch elements per row and load
-    shape: np.ndarray  # per row: its shape
-    mean_links: np.ndarray
-    m_flits: np.ndarray
-    var_paper: np.ndarray  # variance_approximation == "paper"
-    sqr_per_node: np.ndarray  # source_queue_rate == "per_node"
-    t_cs: np.ndarray  # ICN1 switch-stage channel time
-    t_cn: np.ndarray  # ICN1 final-stage channel time
-    nodes: np.ndarray  # N_i (float64, exact)
-    u: np.ndarray  # U_i
-    count: np.ndarray
-    intra_fraction: np.ndarray  # 1 − U_i
-    eta_divisor: np.ndarray  # 4 n_i N_i
-    tail_time: np.ndarray  # E_in (Eq. 19)
-    min_service: np.ndarray  # M t_cn
-
-    @property
-    def size(self) -> int:
-        return int(self.t_cs.size)
-
-
-@dataclass(frozen=True)
-class _PairBlock:
-    """The ordered class pairs of one ICN2 depth ``n_c`` across the stack: one journey family.
-
-    One row per cell of every ordered class pair whose system has that
-    ICN2 depth, shape by shape (a shape is a ``(switch_ports, d_src,
-    d_dst, n_c)``, in order of first appearance), then group-major, then
-    member-major (a group's members of a shape are its ``(i, j)`` pairs of
-    that shape in row-major order), then cell.  Each row carries its shape
-    — and through it its depths and pmf weights — and its mean ECN1 and
-    ICN2 journey links, so one solve prices rows of several shapes.  The
-    per-cell group flags are tiled the same way.
-    """
-
-    structures: tuple[_PairStructure, ...]  # per shape
-    n_c: int
-    depths: np.ndarray  # per shape: (d_src, d_dst)
-    weights: np.ndarray  # per shape: (d_src, d_dst, n_c) pmf products, zero past its depths
-    scratch: np.ndarray  # per shape: solver scratch elements per row and load
-    shape: np.ndarray  # per row: its shape
-    d_e1: np.ndarray  # mean ECN1 journey links of the source depth
-    d_i2: np.ndarray  # mean ICN2 journey links
-    m_flits: np.ndarray
-    var_paper: np.ndarray  # variance_approximation == "paper"
-    sqr_aggregate: np.ndarray  # source_queue_rate == "aggregate_pair"
-    conc_outgoing: np.ndarray  # concentrator_rate == "source_outgoing"
-    src_cs: np.ndarray  # source ECN1 switch-stage channel time
-    i2_cs: np.ndarray  # ICN2 switch-stage channel time
-    dst_cs: np.ndarray  # destination ECN1 switch-stage channel time
-    dst_cn: np.ndarray  # destination ECN1 final-stage channel time
-    external: np.ndarray  # N_i U_i + N_j U_j (Eq. 22 slope)
-    src_nodes: np.ndarray
-    src_u: np.ndarray
-    eta_e1_divisor: np.ndarray
-    delta: np.ndarray  # Eq. 28 relaxing factor
-    tail_time: np.ndarray  # E_ex (Eq. 33)
-    min_service: np.ndarray  # M t_cn^{E1(i)}
-    conc_service: np.ndarray  # M t_cs^{I2}
-    conc_variance: np.ndarray  # Eq. 36 variance
-    weight: np.ndarray  # destination weight of j in the Eq. 35/38 averages
-
-    @property
-    def size(self) -> int:
-        return int(self.weight.size)
-
-    @property
-    def eta_i2_divisor(self) -> float:
-        return 4.0 * self.n_c
-
-    def outward(self) -> np.ndarray:
-        """Rows whose queues can saturate: the source class sends outward to a positive weight."""
-        return (self.src_u > 0.0) & (self.weight > 0.0)
-
-
-def _solve_calls(
-    block: "_IntraBlock | _PairBlock", rows: np.ndarray, width: int
-) -> list["np.ndarray | slice"]:
-    """The solver calls over block *rows* at *width* loads each: the chunk rule.
-
-    One rule for intra and pair families, in evaluations and searches
-    alike.  A call's padded scratch is its largest row scratch (a pair
-    row's ``n_c · d_dst``, an intra row's depth) × its rows × *width*.
-    All rows are one call when that stays within :data:`_SOLVE_ELEMENTS`.
-    Otherwise the rows are taken shape by shape (in row order within a
-    shape), and consecutive shapes share a call only while its padded
-    scratch stays within the budget.  A shape that alone exceeds it is cut
-    into calls of its own, of as many rows as the budget holds at that
-    shape's scratch (at least one).  Returns each call's positions in
-    *rows* (``slice(None)`` for a single call).
-    """
-    shape = block.shape[rows]
-    scratch = block.scratch[shape]
-    if int(scratch.max()) * rows.size * width <= _SOLVE_ELEMENTS:
-        return [slice(None)]
-    order = np.argsort(shape, kind="stable")
-    ends = [*(np.flatnonzero(np.diff(shape[order])) + 1).tolist(), rows.size]
-    calls: list["np.ndarray | slice"] = []
-    begin = start = widest = 0
-    for stop in ends:
-        own = int(scratch[order[start]])
-        if own * (stop - start) * width > _SOLVE_ELEMENTS:
-            if begin < start:
-                calls.append(order[begin:start])
-            step = max(1, _SOLVE_ELEMENTS // (own * width))
-            calls += [order[first : min(first + step, stop)] for first in range(start, stop, step)]
-            begin, widest = stop, 0
-        elif max(widest, own) * (stop - begin) * width > _SOLVE_ELEMENTS:
-            calls.append(order[begin:start])
-            begin, widest = start, own
-        else:
-            widest = max(widest, own)
-        start = stop
-    if begin < rows.size:
-        calls.append(order[begin:])
-    return calls if len(calls) > 1 else [slice(None)]
-
-
-@dataclass(frozen=True)
-class _CellGroup:
-    """All cells sharing one structure signature: class order and family rows.
-
-    Class ``i`` of cell ``c`` is intra row ``intra[i] + c``; the ordered
-    pair ``(i, j)`` of cell ``c`` is row ``pairs[i, j] + c`` of pair block
-    ``family``.
-    """
-
-    indices: np.ndarray  # positions in the original cell list
-    single_cluster: bool
-    class_names: tuple[str, ...]
-    total_nodes: np.ndarray  # (C,)
-    intra: np.ndarray  # (classes,) first intra row of each class
-    family: int  # its pair block; -1 when single_cluster
-    pairs: np.ndarray  # (classes, classes) first pair row of each ordered pair
-
-    @property
-    def size(self) -> int:
-        return int(self.indices.size)
-
-    def batches(self, cells: int, width: int) -> Iterator[slice]:
-        """Consecutive source classes per evaluation batch over *cells* cells at *width* loads.
-
-        As many classes as fit :data:`_SOLVE_ELEMENTS` pair row-loads (a
-        class holds ``classes · cells`` pair rows of *width* loads each),
-        at least one; every class of a single-cluster group, which has no
-        pairs.
-        """
-        count = len(self.class_names)
-        per = count if self.single_cluster else max(1, _SOLVE_ELEMENTS // (count * cells * width))
-        for first in range(0, count, per):
-            yield slice(first, min(first + per, count))
-
-
-def _group_signature(model: AnalyticalModel) -> tuple:
-    """Cells with equal signatures share every journey-plane shape."""
-    classes = model.cluster_classes
-    return (
-        model.system.switch_ports,
-        model.system.num_clusters == 1,
-        model.system.icn2_tree_depth,
-        tuple((cls.tree_depth, cls.name) for cls in classes),
-    )
-
-
-def _journey_shape(shapes: dict, key: tuple, derive: Callable[..., Any]) -> Any:
-    """The journey structure of shape *key* in *shapes*, ``derive(*key)`` on its first use."""
-    if key not in shapes:
-        shapes[key] = (derive(*key), [])
-    return shapes[key][0]
-
-
-def _add_part(shapes: dict, key: tuple, part: dict[str, np.ndarray]) -> tuple:
-    """Append one group's rows *part* to shape *key* of *shapes*.
-
-    Returns ``(key, first)``: the shape and the part's first row in it.
-    """
-    parts = shapes[key][1]
-    first = sum(p["m_flits"].size for p in parts)
-    parts.append(part)
-    return key, first
-
-
-def _family(shapes: dict) -> tuple[dict[str, Any], dict[tuple, int]]:
-    """Concatenate *shapes* (key → (structure, parts)) in order into one family's planes.
-
-    Returns the planes, with ``structures`` and the per-row ``shape``, and
-    each shape's first row in the family.
-    """
-    structures = tuple(structure for structure, _ in shapes.values())
-    parts = [part for _, shape_parts in shapes.values() for part in shape_parts]
-    sizes = [sum(part["m_flits"].size for part in shape_parts) for _, shape_parts in shapes.values()]
-    offsets = dict(zip(shapes, np.cumsum([0, *sizes[:-1]]).tolist()))
-    planes: dict[str, Any] = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
-    planes["structures"] = structures
-    planes["shape"] = np.repeat(np.arange(len(structures)), sizes)
-    return planes, offsets
-
-
-def _intra_block(shapes: dict) -> tuple[_IntraBlock, dict[tuple, int]]:
-    planes, offsets = _family(shapes)
-    structures = planes["structures"]
-    depths = np.array([s.tree_depth for s in structures])
-    weights = np.zeros((len(structures), int(depths.max())))
-    for k, structure in enumerate(structures):
-        weights[k, : structure.tree_depth] = structure.pmf
-    mean_links = np.array([s.mean_links for s in structures])[planes["shape"]]
-    block = _IntraBlock(
-        depths=depths, weights=weights, scratch=depths, mean_links=mean_links, **planes
-    )
-    return block, offsets
-
-
-def _pair_block(shapes: dict) -> tuple[_PairBlock, dict[tuple, int]]:
-    planes, offsets = _family(shapes)
-    structures = planes["structures"]
-    n_c = structures[0].n_c
-    depths = np.array([(s.d_src, s.d_dst) for s in structures])
-    weights = np.zeros((len(structures), int(depths[:, 0].max()), int(depths[:, 1].max()), n_c))
-    for k, s in enumerate(structures):
-        weights[k, : s.d_src, : s.d_dst] = s.weights.reshape(s.d_src, s.d_dst, n_c)
-    block = _PairBlock(
-        n_c=n_c,
-        depths=depths,
-        weights=weights,
-        scratch=n_c * depths[:, 1],
-        d_e1=np.array([s.d_e1 for s in structures])[planes["shape"]],
-        d_i2=np.array([s.d_i2 for s in structures])[planes["shape"]],
-        **planes,
-    )
-    return block, offsets
-
-
-class ParameterPlan:
-    """Packed parameters of a cell list: stack-wide journey families, addressed by cell groups.
-
-    Packing builds one scalar :class:`AnalyticalModel` per cell (only
-    the cheap class decomposition and destination weighting) and groups
-    the cells by structure signature, so cells whose class decompositions
-    differ land in different groups.  Each group's per-cell parameter
-    planes are packed into stack-wide journey families: one
-    :class:`_IntraBlock` for every class of every depth, and one
-    :class:`_PairBlock` per ICN2 depth ``n_c``, each holding its journey
-    shapes' rows of every group, shape by shape.  A journey structure is
-    derived once per process, whatever plan and group it sits in, and
-    shared read-only.  The blocks are the only
-    copy of a per-row plane; a group keeps its class order and addresses
-    its rows by first row per class and per ordered class pair.
-    """
-
-    def __init__(self, models: Sequence[AnalyticalModel]) -> None:
-        require(len(models) > 0, "ParameterPlan needs at least one cell")
-        for model in models:
-            require(
-                isinstance(model, AnalyticalModel),
-                "ParameterPlan cells must be AnalyticalModel instances",
-            )
-        self.models = tuple(models)
-        by_sig: dict[tuple, list[int]] = {}
-        for pos, model in enumerate(self.models):
-            by_sig.setdefault(_group_signature(model), []).append(pos)
-        intra: dict[tuple, tuple[_IntraStructure, list[dict[str, np.ndarray]]]] = {}
-        pairs: dict[tuple, tuple[_PairStructure, list[dict[str, np.ndarray]]]] = {}
-        packed = [self._pack_group(positions, intra, pairs) for positions in by_sig.values()]
-        self.intra, intra_first = _intra_block(intra)
-        families: dict[int, dict[tuple, Any]] = {}
-        for key, entry in pairs.items():  # key = (switch_ports, d_src, d_dst, n_c)
-            families.setdefault(key[3], {})[key] = entry
-        blocks = [_pair_block(shapes) for shapes in families.values()]
-        self.pair_blocks: tuple[_PairBlock, ...] = tuple(block for block, _ in blocks)
-        pair_first = {
-            key: (family, first) for family, (_, firsts) in enumerate(blocks) for key, first in firsts.items()
-        }
-        groups = []
-        for positions, single, names, total_nodes, class_parts, pair_parts in packed:
-            family, pair_rows = -1, np.zeros((0, 0), dtype=np.intp)
-            if pair_parts:
-                family = pair_first[pair_parts[0][0]][0]
-                pair_rows = np.array(
-                    [pair_first[key][1] + first for key, first in pair_parts], dtype=np.intp
-                ).reshape(len(names), len(names))
-            groups.append(
-                _CellGroup(
-                    indices=np.asarray(positions, dtype=np.intp),
-                    single_cluster=single,
-                    class_names=names,
-                    total_nodes=total_nodes,
-                    intra=np.array([intra_first[key] + first for key, first in class_parts], dtype=np.intp),
-                    family=family,
-                    pairs=pair_rows,
-                )
-            )
-        self.groups: tuple[_CellGroup, ...] = tuple(groups)
-        # Each cell's group and its position in the group.
-        self.cell_group = np.empty(self.cells, dtype=np.intp)
-        self.cell_position = np.empty(self.cells, dtype=np.intp)
-        for g, group in enumerate(self.groups):
-            self.cell_group[group.indices] = g
-            self.cell_position[group.indices] = np.arange(group.size)
-
-    @property
-    def cells(self) -> int:
-        return len(self.models)
-
-    # -- packing ---------------------------------------------------------------
-
-    def _pack_group(self, positions: list[int], intra_shapes: dict, pair_shapes: dict) -> tuple:
-        """Pack one group's cells into the journey shapes.
-
-        Returns the group's positions, single-cluster flag, class names and
-        total nodes, each class's ``(shape, first row)`` and each ordered
-        pair's ``(shape, first row)``, its member's first row in the shape.
-        """
-        models = [self.models[p] for p in positions]
-        rep = models[0]
-        ports = rep.system.switch_ports
-        classes0 = rep.cluster_classes
-        n_cls = len(classes0)
-        single = rep.system.num_clusters == 1
-        n_c = rep.system.icn2_tree_depth
-        m_flits = np.array([m.message.length_flits for m in models], dtype=np.float64)
-        total_nodes = np.array([m.system.total_nodes for m in models], dtype=np.float64)
-        var_paper = np.array(
-            [m.options.variance_approximation == "paper" for m in models], dtype=bool
-        )
-        sqr_per_node = np.array(
-            [m.options.source_queue_rate == "per_node" for m in models], dtype=bool
-        )
-
-        class_parts: list[tuple] = []
-        class_planes: list[tuple[np.ndarray, ...]] = []  # per class: (e_cs, e_cn, nodes, u)
-        for i in range(n_cls):
-            key = (ports, classes0[i].tree_depth)
-            structure = _journey_shape(intra_shapes, key, _intra_structure)
-            count = len(models)
-            t_cs = np.empty(count)
-            t_cn = np.empty(count)
-            e_cs = np.empty(count)
-            e_cn = np.empty(count)
-            nodes = np.empty(count)
-            u = np.empty(count)
-            counts = np.empty(count)
-            for c, model in enumerate(models):
-                src = model.cluster_classes[i]
-                st = ServiceTimes.for_network(src.icn1, model.message, model.options)
-                t_cs[c], t_cn[c] = st.t_cs, st.t_cn
-                st_e = ServiceTimes.for_network(src.ecn1, model.message, model.options)
-                e_cs[c], e_cn[c] = st_e.t_cs, st_e.t_cn
-                nodes[c] = src.nodes
-                u[c] = src.u
-                counts[c] = src.count
-            class_planes.append((e_cs, e_cn, nodes, u))
-            terms = structure.pmf[None, :] * (
-                structure.two_h_minus_1[None, :] * t_cs[:, None] + t_cn[:, None]
-            )
-            part = {
-                "m_flits": m_flits,
-                "var_paper": var_paper,
-                "sqr_per_node": sqr_per_node,
-                "t_cs": t_cs,
-                "t_cn": t_cn,
-                "nodes": nodes,
-                "u": u,
-                "count": counts,
-                "intra_fraction": 1.0 - u,
-                "eta_divisor": 4.0 * structure.tree_depth * nodes,
-                "tail_time": np.sum(terms, axis=1),
-                "min_service": m_flits * t_cn,
-            }
-            class_parts.append(_add_part(intra_shapes, key, part))
-
-        slots: dict[tuple[int, int], tuple] = {}
-        if not single:
-            sqr_aggregate = np.array(
-                [m.options.source_queue_rate == "aggregate_pair" for m in models], dtype=bool
-            )
-            conc_outgoing = np.array(
-                [m.options.concentrator_rate == "source_outgoing" for m in models], dtype=bool
-            )
-            i2_cs = np.array(
-                [
-                    ServiceTimes.for_network(m.system.icn2, m.message, m.options).t_cs
-                    for m in models
-                ]
-            )
-            relax = np.array([m.options.relaxing_factor for m in models], dtype=bool)
-            i2_beta = np.array([m.system.icn2.beta for m in models])
-            src_beta = np.array(
-                [[m.cluster_classes[i].ecn1.beta for m in models] for i in range(n_cls)]
-            )
-            with np.errstate(divide="ignore", invalid="ignore"):
-                delta = np.where(relax, i2_beta / src_beta, 1.0)  # (classes, C)
-            dest_weights = np.empty((n_cls, n_cls, len(models)))
-            for c, model in enumerate(models):
-                for i in range(n_cls):
-                    row = model._destination_weights(i)
-                    if model.cluster_classes[i].u > 0.0:
-                        require(sum(row) > 0, "destination weights must not all be zero")
-                    dest_weights[i, :, c] = [float(w) for w in row]
-            # Per-class planes, (classes, C); a shape gathers its members' rows.
-            e_cs, e_cn, nodes, u = (np.array(planes) for planes in zip(*class_planes))
-            by_shape: dict[tuple[int, int], list[tuple[int, int]]] = {}
-            for i in range(n_cls):
-                for j in range(n_cls):
-                    key = (classes0[i].tree_depth, classes0[j].tree_depth)
-                    by_shape.setdefault(key, []).append((i, j))
-            for (d_src, d_dst), members in by_shape.items():
-                src = [i for i, _ in members]
-                dst = [j for _, j in members]
-                key = (ports, d_src, d_dst, n_c)
-                structure = _journey_shape(pair_shapes, key, _pair_structure)
-                flits = np.tile(m_flits, len(members))
-                paper = np.tile(var_paper, len(members))
-                src_cs = e_cs[src].ravel()
-                dst_cs = e_cs[dst].ravel()
-                dst_cn = e_cn[dst].ravel()
-                src_nodes = nodes[src].ravel()
-                src_u = u[src].ravel()
-                i2 = np.tile(i2_cs, len(members))
-                tails = (
-                    structure.r_minus_1[None, :] * src_cs[:, None]
-                    + structure.v_minus_1[None, :] * dst_cs[:, None]
-                    + structure.two_l[None, :] * i2[:, None]
-                ) + dst_cn[:, None]
-                # The journey-weight sum as a left fold in journey order.
-                tail_time = np.add.accumulate(structure.weights * tails, axis=1)[:, -1]
-                conc_service = flits * i2
-                part = {
-                    "m_flits": flits,
-                    "var_paper": paper,
-                    "sqr_aggregate": np.tile(sqr_aggregate, len(members)),
-                    "conc_outgoing": np.tile(conc_outgoing, len(members)),
-                    "src_cs": src_cs,
-                    "i2_cs": i2,
-                    "dst_cs": dst_cs,
-                    "dst_cn": dst_cn,
-                    "external": src_nodes * src_u + nodes[dst].ravel() * u[dst].ravel(),
-                    "src_nodes": src_nodes,
-                    "src_u": src_u,
-                    "eta_e1_divisor": 4.0 * d_src * src_nodes,
-                    "delta": delta[src].ravel(),
-                    "tail_time": tail_time,
-                    "min_service": flits * e_cn[src].ravel(),
-                    "conc_service": conc_service,
-                    "conc_variance": np.where(
-                        paper,
-                        (conc_service - flits * src_cs) ** 2,  # Eq. 36
-                        conc_service**2,
-                    ),
-                    "weight": dest_weights[src, dst].ravel(),
-                }
-                _, first = _add_part(pair_shapes, key, part)
-                for p, pair in enumerate(members):
-                    slots[pair] = (key, first + p * len(models))
-
-        names = tuple(cls.name for cls in classes0)
-        pair_parts = [slots[i, j] for i in range(n_cls) for j in range(n_cls)] if slots else []
-        return positions, single, names, total_nodes, class_parts, pair_parts
-
-
 def _cell_slice(terms: Any, c: int) -> Any:
     """Row *c* of every plane in a nested mapping/list of ``(cells, …)`` planes."""
     if isinstance(terms, dict):
@@ -1507,7 +410,7 @@ class StackedModel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Eqs. 24 and 26: ``λ_I2, η_I2`` over block rows."""
         lambda_i2 = 0.5 * lambda_e1
-        return lambda_i2, (lambda_i2 * block.d_i2[rows][:, None]) / block.eta_i2_divisor
+        return lambda_i2, (lambda_i2 * block.d_i2[rows][:, None]) / (4.0 * block.n_c)
 
     def _intra_source_rate(
         self,
@@ -1994,21 +897,12 @@ class StackedModel:
         return self._pair_source_rate(block, rows, loads, loads * block.external[rows][:, None])
 
     def _network(self, block: "_IntraBlock | _PairBlock", rows: "np.ndarray | slice", loads: np.ndarray) -> dict:
-        """The journey latency a source queue serves over block rows, in one solver call."""
+        """The latency a source queue serves over block rows, its own journey set, in one solver call."""
         if isinstance(block, _IntraBlock):
             _, eta_i1 = self._intra_rates(block, rows, loads)
             return {"latency": self._intra_latency(block, rows, eta_i1)}
         _, eta_e1, eta_i2_eff = self._pair_rates(block, rows, loads)
         return {"latency": self._pair_latency(block, rows, eta_e1, eta_i2_eff)}
-
-    def _queue_latency(
-        self, block: "_IntraBlock | _PairBlock", rows: np.ndarray, loads: np.ndarray
-    ) -> np.ndarray:
-        """The latency a source queue serves over block rows: its own journey set.
-
-        Solved in the calls of the chunk rule (:func:`_solve_calls`).
-        """
-        return self._solved(self._network, block, rows, loads)["latency"]
 
     def _saturation_probe(
         self,
@@ -2034,7 +928,7 @@ class StackedModel:
             for b in np.flatnonzero(np.bincount(sub_ids)):
                 at = np.flatnonzero(sub_ids == b)
                 block, block_rows, block_loads = blocks[b], sub_rows[at], loads[at]
-                t = self._queue_latency(block, block_rows, block_loads)
+                t = self._solved(self._network, block, block_rows, block_loads)["latency"]
                 finite = np.isfinite(t)
                 with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
                     rate = self._queue_rate(block, block_rows, block_loads)
@@ -2099,7 +993,7 @@ class StackedModel:
             searched, slope = searched[slope > 0.0], slope[slope > 0.0]
             if not searched.size:
                 continue
-            zero_latency = self._queue_latency(block, searched, np.zeros((searched.size, 1)))[:, 0]
+            zero_latency = self._solved(self._network, block, searched, np.zeros((searched.size, 1)))["latency"][:, 0]
             require(
                 bool(np.all(np.isfinite(zero_latency) & (zero_latency > 0.0))),
                 "zero-load pipeline latency must be positive",
@@ -2124,7 +1018,7 @@ class StackedModel:
             np.minimum.at(ceiling, all_cells, all_upper)
         found = np.empty(all_ids.size)
         points = 33
-        length = max(1, _SOLVE_ELEMENTS // points)
+        length = max(1, packing._SOLVE_ELEMENTS // points)
         for start in range(0, all_ids.size, length):
             run = slice(start, start + length)
             probe = self._saturation_probe(blocks, all_ids[run], all_rows[run], all_slopes[run])

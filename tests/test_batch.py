@@ -336,32 +336,12 @@ class TestBottleneckEngineReuse:
 
 
 class TestRefineMonotoneCrossing:
-    """The stacked engine's bracket refinement, one row at a time."""
-
-    def test_converges_to_known_crossing(self):
-        from repro.core.stacked import _refine_rows
-
-        lo, hi = _refine_rows(
-            np.zeros(1), np.ones(1), lambda rows, grid: (grid >= 0.3, 0.3 - grid), rel_tol=1e-10
-        )
-        assert lo[0] < 0.3 <= hi[0]
-        assert hi[0] - lo[0] <= 1e-10 * hi[0]
-
-    def test_terminates_when_crossing_sits_at_zero(self):
-        """Regression: a crossing at exactly lo == 0 used to spin forever
-        (hi - lo > rel_tol * hi never fails while lo == 0 and rel_tol * hi
-        underflows for denormal hi)."""
-        from repro.core.stacked import _refine_rows
-
-        lo, hi = _refine_rows(
-            np.zeros(1), np.ones(1), lambda rows, grid: (grid > 0, -grid), rel_tol=1e-4
-        )
-        assert lo[0] == 0.0
-        assert 0.0 < hi[0] < 1e-60  # driven to (effectively) the crossing
+    """The bracket refinement through the capacity search (the kernel alone: ``tests/test_refine.py``)."""
 
     def test_budget_exactly_at_zero_load_latency_terminates(self):
-        """End-to-end shape of the same hang: a budget equal to the
-        zero-load latency means every positive load busts it."""
+        """End-to-end shape of a crossing at lo == 0, which used to spin
+        forever: a budget equal to the zero-load latency means every
+        positive load busts it."""
         from repro.analysis import max_load_for_latency
 
         system = paper_system_544()

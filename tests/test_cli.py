@@ -525,6 +525,13 @@ class TestKnee:
         }
         assert len(cols["sim_knee"]) == 1
 
+    def test_no_iterations_is_a_clean_error(self, capsys, tiny_config):
+        code, out, err = run_cli(
+            capsys, "knee", "--config", tiny_config, "--messages", "150", "--iterations", "0"
+        )
+        assert code == 2
+        assert out == "" and err == "error: iterations must be >= 1, got 0\n"
+
     def test_bad_out_extension_rejected_before_compute(self, capsys, tmp_path):
         path = tmp_path / "knee.txt"
         code, _, err = run_cli(

@@ -5,14 +5,18 @@ process; these tests import each public module in a *fresh* interpreter so
 any cycle fails loudly regardless of ordering.
 """
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 MODULES = [
     "repro",
     "repro.core",
+    "repro.core.plan",
+    "repro.core.refine",
     "repro.topology",
     "repro.cluster",
     "repro.simulation",
@@ -37,6 +41,39 @@ def test_module_imports_in_isolation(module):
         timeout=120,
     )
     assert proc.returncode == 0, f"importing {module} failed:\n{proc.stderr}"
+
+
+CORE = Path(__file__).resolve().parent.parent / "src" / "repro" / "core"
+
+
+def imported(path: Path) -> set[str]:
+    """Every module an import in *path*, a module of ``repro.core``, names.
+
+    ``from m import n`` names ``m`` and ``m.n``, and a relative import is
+    resolved against ``repro.core``.
+    """
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            package = ".".join(["repro", "core"][: 3 - node.level]) if node.level else ""
+            module = ".".join(part for part in (package, node.module) if part)
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_engine_layers_import_downward_only():
+    # The refinement kernel takes a verdict callback and needs nothing of
+    # the model; the plan packs parameters and needs neither the kernel
+    # nor the closed forms that read it.
+    refine = imported(CORE / "refine.py")
+    assert refine and {name.split(".")[0] for name in refine} <= set(sys.stdlib_module_names) | {"numpy"}
+    plan = imported(CORE / "plan.py")
+    assert "repro.core.model" in plan
+    for layer in ("repro.core.refine", "repro.core.stacked"):
+        assert not any(name == layer or name.startswith(layer + ".") for name in plan), layer
 
 
 def test_cli_entrypoint_runs_in_isolation():

@@ -46,6 +46,23 @@ class TestEstimateSimKnee:
         )
         assert relaxed.sim_knee >= estimate.sim_knee * 0.99
 
-    def test_rejects_bad_threshold(self, small_session):
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"threshold_factor": 0.5},
+            {"iterations": 0},
+            {"iterations": -2},
+            {"iterations": 2.5},
+            {"iterations": True},
+        ],
+        ids=lambda bad: "{}={}".format(*next(iter(bad.items()))),
+    )
+    def test_rejects_bad_arguments_before_simulating(self, small_session, monkeypatch, bad):
+        # Zero or negative iterations used to report the bracket top, 1.2 λ*,
+        # as the knee after one simulation, and 2.5 raised TypeError after it.
+        def run(*args, **kwargs):
+            raise AssertionError("simulated before validating its arguments")
+
+        monkeypatch.setattr(small_session, "run", run)
         with pytest.raises(ValueError):
-            estimate_sim_knee(small_session, threshold_factor=0.5)
+            estimate_sim_knee(small_session, **bad)

@@ -361,17 +361,25 @@ class TestFingerprints:
         )
         assert check_fingerprints(root, manifest) == []
 
-    def test_mutated_closed_form_without_bump_is_rf001(self, tmp_path):
+    @pytest.mark.parametrize(
+        "rel, before, after",
+        [
+            ("src/repro/core/stacked.py", "lambda_i2 = 0.5 * lambda_e1", "lambda_i2 = 0.51 * lambda_e1"),
+            ("src/repro/core/refine.py", "_WINDOW_MIN_ROWS = 16", "_WINDOW_MIN_ROWS = 17"),
+        ],
+        ids=["closed-form", "refinement-kernel"],
+    )
+    def test_mutated_engine_without_bump_is_rf001(self, tmp_path, rel, before, after):
         root = copy_surface_tree(tmp_path)
         manifest = tmp_path / "fingerprints.json"
         write_manifest(root, manifest)
-        stacked = root / "src/repro/core/stacked.py"
-        text = stacked.read_text()
-        assert "lambda_i2 = 0.5 * lambda_e1" in text
-        stacked.write_text(text.replace("lambda_i2 = 0.5 * lambda_e1", "lambda_i2 = 0.51 * lambda_e1"))
+        path = root / rel
+        text = path.read_text()
+        assert before in text
+        path.write_text(text.replace(before, after))
         diags = check_fingerprints(root, manifest)
         assert [d.code for d in diags] == ["RF001"]
-        assert diags[0].path == "src/repro/core/stacked.py"
+        assert diags[0].path == rel
         assert "ENGINE_VERSION" in diags[0].message
 
     def test_mutated_simulator_without_bump_is_rf002(self, tmp_path):

@@ -9,10 +9,10 @@ contract is that a cell priced alone equals the same cell inside any
 stack *bit for bit* — not round-off closeness — for every metric those
 consumers read: per-resource saturation dictionaries, binding resources, λ*,
 zero-load floors, auto load grids, latency curves, knee loads and budget
-capacities.  The per-row refinement and grid kernels are also pinned
-against their scalar oracles: :func:`refine_monotone_crossing` (the
-one-bracket loop every search replicates), :func:`model_budget` (the
-one-cell capacity search) and :func:`numpy.linspace`.  The suite locks that contract across the full scenario
+capacities.  The searches are also pinned against scalar oracles:
+:func:`refine_monotone_crossing` (the one-bracket loop every search
+replicates, ``tests/test_refine.py``) and :func:`model_budget` (the
+one-cell capacity search).  The suite locks that contract across the full scenario
 registry (which includes the m=8 heterogeneity ladder), ragged
 mixed-topology cell sets (grouping + masks), the ``ModelOptions``
 ablation space and performability degraded states including
@@ -33,44 +33,18 @@ from repro.analysis.capacity import max_load_for_latency
 from repro.cluster import homogeneous_system
 from repro.core import MessageSpec
 from repro.core.batch import BatchedModel
-from repro.core import stacked
+from repro.core import plan as packing
+from repro.core import refine, stacked
 from repro.core.parameters import ModelOptions
-from repro.core.stacked import StackedModel, _grid_points, _linspace_rows, _refine_rows
+from repro.core.stacked import StackedModel
 from repro.core.sweep import auto_load_grid
 from repro.experiments.explore import explore_grid
 from repro.performability import FailureMode, FailureScenario, expand_states
 from repro.scenarios import AxisSpec, DesignGrid, ScenarioSpec, get_scenario
 from repro.scenarios.registry import iter_scenarios
+from tests.test_refine import refine_monotone_crossing
 
 REGISTRY = list(iter_scenarios())
-
-
-def refine_monotone_crossing(lo, hi, crossed, *, rel_tol, points=33, max_rounds=100):
-    """Scalar bracket refinement: the one-row loop ``_refine_rows`` replicates.
-
-    ``crossed(grid) -> bool array`` is monotone with ``not crossed(lo)``
-    and ``crossed(hi)``.  Each round probes *points* evenly spaced loads
-    and keeps the cell containing the first ``True``, until ``hi - lo <=
-    rel_tol * hi``, the first probe is already crossed, the bracket stops
-    shrinking at float64 resolution, or *max_rounds* rounds have run.  A
-    grid crossed nowhere, not even at ``hi``, stops with ``lo = hi``.
-    """
-    for _ in range(max_rounds):
-        if hi - lo <= rel_tol * hi:
-            break
-        grid = np.linspace(lo, hi, points)
-        above = crossed(grid)
-        if not above.any():
-            lo = hi
-            break
-        first = int(np.argmax(above))
-        if first == 0:
-            break
-        new_lo, new_hi = float(grid[first - 1]), float(grid[first])
-        if new_lo <= lo and new_hi >= hi:
-            break
-        lo, hi = new_lo, new_hi
-    return lo, hi
 
 
 def model_budget(engine: BatchedModel, budget: float) -> float:
@@ -409,7 +383,7 @@ class TestClassPairShapes:
         # one refinement; every probe call solves each family once.
         calls = SolverCalls(monkeypatch)
         per_probe = []
-        refine = stacked._refine_rows
+        original = stacked._refine_rows
 
         def recording(lo, hi, probe, **kwargs):
             def counted(rows, loads):
@@ -418,7 +392,7 @@ class TestClassPairShapes:
                 per_probe.append(len(calls.calls) - before)
                 return out
 
-            return refine(lo, hi, counted, **kwargs)
+            return original(lo, hi, counted, **kwargs)
 
         monkeypatch.setattr(stacked, "_refine_rows", recording)
         StackedModel.from_specs([get_scenario("544")]).saturation_loads()
@@ -440,38 +414,6 @@ class TestClassPairShapes:
         stack.knee_loads(4.0)
         stack.loads_at_budget(np.full(stack.cells, 200.0))
         assert calls.count("pair") <= 87 and calls.count("intra") <= 21
-
-    def test_chunks_hold_at_most_the_row_budget(self, monkeypatch):
-        # Under a 4,000-element budget, three 544-hotspot cells: every
-        # solver call, intra or pair, in an evaluation as in the saturation
-        # search, has padded scratch within the budget, or holds one row of
-        # a shape that alone exceeds it.  Calls fill the budget rather than
-        # holding a row each.  The search's 48 intra rows exceed it at a
-        # whole grid, so intra rows are cut too.  Every cell stays
-        # bit-identical to the cell priced alone under the default budget.
-        spec = get_scenario("544-hotspot")
-        cells = [(spec.system, spec.message, spec.options, spec.pattern)] * 3
-        grids = (np.linspace(0.0, 9e-4, 7), np.linspace(0.0, 9e-4, 33))
-        alone = StackedModel(cells[:1])
-        references = [alone.evaluate_latencies(grid)[0] for grid in grids]
-        reference_saturation = alone.saturation_loads()[0]
-        monkeypatch.setattr(stacked, "_SOLVE_ELEMENTS", 4_000)
-        stack = StackedModel(cells)
-        calls = SolverCalls(monkeypatch)
-
-        def within_budget(filled):
-            assert any(shapes > 1 for _, shapes, _, _ in calls.calls)
-            assert all(scratch <= 4_000 or (shapes == 1 and rows == 1) for _, shapes, rows, scratch in calls.calls)
-            for kind in filled:
-                assert max(scratch for call, _, _, scratch in calls.calls if call == kind) > 2_000, kind
-
-        for grid, reference in zip(grids, references):
-            for row in stack.evaluate_latencies(grid):
-                assert np.array_equal(row, reference)
-        within_budget(("pair",))
-        calls.calls.clear()
-        assert stack.saturation_loads() == [reference_saturation] * 3
-        within_budget(("intra", "pair"))
 
 
 def planes_of(value):
@@ -520,7 +462,7 @@ class TestPaddedCalls:
         padded = self.results(cells)
         assert any(shapes > 1 for _, shapes, _, _ in calls.calls)
         calls.calls.clear()
-        monkeypatch.setattr(stacked, "_SOLVE_ELEMENTS", 1)
+        monkeypatch.setattr(packing, "_SOLVE_ELEMENTS", 1)
         alone = self.results(cells)
         assert all(shapes == 1 for _, shapes, _, _ in calls.calls)
         assert padded["saturation"] == alone["saturation"]
@@ -670,25 +612,14 @@ def pole_miss_specs():
 
 
 class TestStackWideBlocks:
-    """Each journey family is one block of rows across cell groups, shape by shape."""
+    """Searches over stack-wide blocks: one solver call per family, every cell as priced alone.
+
+    The blocks' layout is pinned in ``tests/test_plan.py``.
+    """
 
     @pytest.fixture(scope="class")
     def cells(self):
         return three_group_cells()
-
-    def test_groups_share_blocks_in_their_own_class_orders(self, cells):
-        plan = StackedModel(cells).plan
-        assert len(plan.groups) == 3
-        assert plan.intra.depths.tolist() == [3, 4, 5]
-        assert len(plan.pair_blocks) == 1
-        pairs = plan.pair_blocks[0]
-        assert pairs.n_c == 3 and len(pairs.structures) == 9
-        for group in plan.groups:
-            assert group.family == 0
-            assert sorted(plan.intra.shape[group.intra].tolist()) == [0, 1, 2]
-            assert sorted(pairs.shape[group.pairs.ravel()].tolist()) == list(range(9))
-        orders = {tuple(plan.intra.shape[group.intra].tolist()) for group in plan.groups}
-        assert len(orders) == 3
 
     @pytest.mark.parametrize(
         "grid",
@@ -714,14 +645,14 @@ class TestStackWideBlocks:
         # (9 shapes), in one run, so a probe's rows may span both; with an
         # element budget every probe fits, each family present is one
         # solver call.
-        monkeypatch.setattr(stacked, "_SOLVE_ELEMENTS", 10**7)
+        monkeypatch.setattr(packing, "_SOLVE_ELEMENTS", 10**7)
         stack = StackedModel(cells)
         plan = stack.plan
         family_of = np.repeat([0, 1], [plan.intra.size, int(np.count_nonzero(plan.pair_blocks[0].outward()))])
         assert family_of.size == 144
         calls = SolverCalls(monkeypatch)
         runs = []
-        refine = stacked._refine_rows
+        original = stacked._refine_rows
 
         def recording(lo, hi, probe, **kwargs):
             made = []
@@ -733,7 +664,7 @@ class TestStackWideBlocks:
                 made.append((np.count_nonzero(np.bincount(family_of[rows])), len(calls.calls) - before))
                 return out
 
-            return refine(lo, hi, counted_probe, **kwargs)
+            return original(lo, hi, counted_probe, **kwargs)
 
         monkeypatch.setattr(stacked, "_refine_rows", recording)
         stack.saturation_loads()
@@ -741,298 +672,6 @@ class TestStackWideBlocks:
         for present, solves in runs[0]:
             assert solves == present
         assert max(shapes for _, shapes, _, _ in calls.calls) == 9
-
-    def test_intra_classes_of_one_cell_share_one_family(self):
-        # 544-hotspot's 16 singleton classes have depths 3 (8 classes), 4
-        # (3) and 5 (5): three shapes of one family, so an evaluation or a
-        # saturation probe makes one intra solve.
-        plan = StackedModel.from_specs([get_scenario("544-hotspot")]).plan
-        assert plan.intra.depths.tolist() == [3, 4, 5]
-        assert np.bincount(plan.intra.shape).tolist() == [8, 3, 5]
-        group = plan.groups[0]
-        assert group.intra.tolist() == list(range(16))
-        assert plan.intra.shape[group.intra].tolist() == [0] * 8 + [1] * 3 + [2] * 5
-
-
-def row_probe(conditions):
-    """Probe over per-row ``(crossed, score)`` functions of the load; rows may repeat."""
-
-    def probe(rows: np.ndarray, loads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        crossed = np.stack([conditions[r][0](loads[k]) for k, r in enumerate(rows)])
-        score = np.stack([conditions[r][1](loads[k]) for k, r in enumerate(rows)])
-        return crossed, score
-
-    return probe
-
-
-def at_least(threshold, power=1.0, zero=None):
-    """``load >= threshold``, scored ``±|zero − load|**power``.
-
-    The score falls through 0 at *zero*, which defaults to the threshold;
-    elsewhere it misleads the prediction, which may cost probes but never
-    change a bracket.
-    """
-    zero = threshold if zero is None else zero
-    return (lambda g: g >= threshold, lambda g: np.sign(zero - g) * np.abs(zero - g) ** power)
-
-
-def assert_rows_match_oracle(lo0, hi0, conditions, **kwargs):
-    lo, hi = _refine_rows(np.array(lo0), np.array(hi0), row_probe(conditions), **kwargs)
-    for row, (crossed, _) in enumerate(conditions):
-        assert (lo[row], hi[row]) == refine_monotone_crossing(lo0[row], hi0[row], crossed, **kwargs), row
-
-
-class TestRowKernels:
-    """``_refine_rows`` and ``_linspace_rows`` against their scalar oracles."""
-
-    def test_rows_stop_in_different_rounds_and_match_the_oracle(self):
-        # Row 0 converges in a few rounds, which its exact score predicts
-        # from its second call on.  Row 1's crossing sits at lo == 0 and
-        # its score is NaN, so it has no estimate: it evaluates one whole
-        # grid per call, shrinking toward a denormal hi until max_rounds,
-        # long after row 0 stops.
-        conditions = [at_least(0.3), (lambda g: g > 0, lambda g: np.full(g.shape, np.nan))]
-        live = []
-        probe = row_probe(conditions)
-
-        def recording(rows: np.ndarray, grid: np.ndarray):
-            live.append(rows.tolist())
-            return probe(rows, grid)
-
-        lo, hi = _refine_rows(np.zeros(2), np.ones(2), recording, rel_tol=1e-4)
-        last_call = [max(k for k, rows in enumerate(live) if row in rows) for row in (0, 1)]
-        assert live[0] == [0, 1] and last_call[0] < last_call[1]
-        for row, (condition, _) in enumerate(conditions):
-            assert (lo[row], hi[row]) == refine_monotone_crossing(
-                0.0, 1.0, condition, rel_tol=1e-4
-            )
-
-    #: Edge rows ``(lo, hi, condition)``: a crossing at lo == 0 that shrinks
-    #: toward a denormal hi until it stalls, one at lo == 0 that stops at
-    #: max_rounds, a start == stop row, a row crossed at its first probe
-    #: and a row crossed nowhere, not even at hi.
-    EDGE_ROWS = [
-        (0.0, 1e-300, (lambda g: g > 0, lambda g: -g)),
-        (0.0, 1.0, (lambda g: g > 0, lambda g: -g)),
-        (0.5, 0.5, at_least(0.5)),
-        (0.2, 0.9, at_least(0.1)),
-        (0.0, 0.9, at_least(2.0)),
-    ]
-
-    @pytest.mark.parametrize("rel_tol", [1e-13, 1e-6, 1e-4])
-    def test_predicted_refinement_edge_rows_match_the_oracle(self, rel_tol):
-        # 21 rows, so plans open with windows: the edge rows next to 16
-        # ordinary rows with curved scores.
-        rng = np.random.default_rng(22)
-        conditions = [at_least(t, p) for t, p in zip(rng.uniform(0, 1, 16), rng.uniform(0.3, 3, 16))]
-        conditions += [condition for _, _, condition in self.EDGE_ROWS]
-        lo0 = [0.0] * 16 + [lo for lo, _, _ in self.EDGE_ROWS]
-        hi0 = [1.0] * 16 + [hi for _, hi, _ in self.EDGE_ROWS]
-        assert_rows_match_oracle(lo0, hi0, conditions, rel_tol=rel_tol)
-
-    @pytest.mark.parametrize("rel_tol", [1e-13, 1e-6, 1e-4])
-    @pytest.mark.parametrize("edge", range(len(EDGE_ROWS)))
-    def test_one_row_refinement_edge_rows_match_the_oracle(self, edge, rel_tol):
-        # Refined alone, each plan opens with the row's whole grid.
-        lo, hi, condition = self.EDGE_ROWS[edge]
-        assert_rows_match_oracle([lo], [hi], [condition], rel_tol=rel_tol)
-
-    def test_rows_stopped_by_max_rounds_match_the_oracle(self):
-        # Every row needs about nine rounds at 1e-13; six are allowed.
-        rng = np.random.default_rng(23)
-        conditions = [at_least(t, 2.0) for t in rng.uniform(0.01, 1, 18)]
-        assert_rows_match_oracle([0.0] * 18, [1.0] * 18, conditions, rel_tol=1e-13, max_rounds=6)
-
-    @settings(max_examples=40)
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(0.0, 1.0),
-                st.floats(1e-6, 10.0),
-                st.one_of(st.sampled_from([0.0, 1 / 32, 0.5, 1.0]), st.floats(0.0, 1.0)),
-                st.floats(0.25, 4.0),
-                st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
-            ),
-            min_size=1,
-            max_size=32,
-        ),
-        st.sampled_from([1e-13, 1e-6, 1e-4]),
-    )
-    def test_predicted_refinement_equals_the_plain_loop(self, rows, rel_tol):
-        # Random brackets (lo, lo + width), thresholds at a fraction of the
-        # bracket (its ends and a grid point included), score curvatures,
-        # and scores whose zero is shifted off the threshold by up to a
-        # bracket, so windows and pairs miss on either side.  Fewer than 16
-        # rows open every plan with the whole grid, more open it with a
-        # window.
-        lo0 = [lo for lo, _, _, _, _ in rows]
-        hi0 = [lo + width for lo, width, _, _, _ in rows]
-        conditions = [
-            at_least(lo + at * width, power, lo + (at + shift) * width)
-            for lo, width, at, power, shift in rows
-        ]
-        assert_rows_match_oracle(lo0, hi0, conditions, rel_tol=rel_tol)
-
-    @settings(max_examples=60)
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(0.0, 1.0),
-                st.floats(1e-6, 10.0),
-                st.one_of(st.sampled_from([0.0, 1 / 32, 0.5, 1.0, 1.5]), st.floats(0.0, 1.0)),
-                st.lists(
-                    st.tuples(
-                        st.floats(-0.5, 1.5),
-                        st.one_of(
-                            st.none(),
-                            st.floats(-2.0, 2.0),
-                            st.sampled_from([np.nan, np.inf, -np.inf]),
-                        ),
-                        st.booleans(),
-                    ),
-                    max_size=8,
-                ),
-            ),
-            min_size=1,
-            max_size=32,
-        ),
-        st.sampled_from([1e-13, 1e-6, 1e-4]),
-    )
-    def test_priors_never_move_a_bracket(self, rows, rel_tol):
-        # Each row's prior samples sit inside and outside its bracket, at a
-        # bracket fraction in [-0.5, 1.5]; each is scored as the probe would
-        # (None), with a misleading finite score, or NaN or ±inf, and its
-        # verdict is the condition's or its contradiction.  A threshold at
-        # 1.5 brackets is crossed nowhere, so an exact prior leads a window
-        # through hi.  Rows are padded with NaN scores, which carry no sample.
-        lo0 = [lo for lo, _, _, _ in rows]
-        hi0 = [lo + width for lo, width, _, _ in rows]
-        conditions = [at_least(lo + at * width) for lo, width, at, _ in rows]
-        width = max(len(samples) for _, _, _, samples in rows)
-        loads = np.zeros((len(rows), width))
-        crossed = np.zeros((len(rows), width), dtype=bool)
-        score = np.full((len(rows), width), np.nan)
-        for r, ((lo, span, _, samples), (condition, exact)) in enumerate(zip(rows, conditions)):
-            for k, (at, given, contradict) in enumerate(samples):
-                load = np.array([lo + at * span])
-                loads[r, k] = load[0]
-                crossed[r, k] = bool(condition(load)[0]) != contradict
-                score[r, k] = exact(load)[0] if given is None else given
-        out = _refine_rows(
-            np.array(lo0), np.array(hi0), row_probe(conditions), rel_tol=rel_tol, prior=(loads, crossed, score)
-        )
-        for row, (condition, _) in enumerate(conditions):
-            expected = refine_monotone_crossing(lo0[row], hi0[row], condition, rel_tol=rel_tol)
-            assert (out[0][row], out[1][row]) == expected, row
-
-    @settings(max_examples=60)
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(0.0, 1.0),
-                st.floats(1e-6, 10.0),
-                st.one_of(st.sampled_from([0.0, 1 / 32, 0.5, 1.0, 1.5]), st.floats(0.0, 1.0)),
-                st.one_of(st.floats(-0.5, 1.5), st.sampled_from([np.nan, np.inf, -np.inf])),
-                st.lists(st.tuples(st.floats(0.0, 1.5), st.booleans()), max_size=4),
-            ),
-            min_size=16,
-            max_size=24,
-        ),
-        st.sampled_from([1e-13, 1e-6, 1e-4]),
-    )
-    def test_pole_windows_never_move_a_bracket(self, rows, rel_tol):
-        # 16 rows and more, so rows open with windows.  Each row's pole
-        # bound sits at a bracket fraction in [-0.5, 1.5] or is NaN or
-        # ±inf: below its threshold its window holds the crossing, above it
-        # the window misses.  Each row's prior holds a sample at lo, as the
-        # latency searches pass, and up to four more, some contradicting the
-        # condition, so some rows open with estimates extrapolated from lo
-        # and some with windows cut at a sampled crossed load.
-        lo0 = [lo for lo, *_ in rows]
-        hi0 = [lo + width for lo, width, *_ in rows]
-        conditions = [at_least(lo + at * width) for lo, width, at, _, _ in rows]
-        bound = np.array([lo + at * width for lo, width, _, at, _ in rows])
-        width = 1 + max(len(samples) for *_, samples in rows)
-        loads = np.zeros((len(rows), width))
-        crossed = np.zeros((len(rows), width), dtype=bool)
-        score = np.full((len(rows), width), np.nan)
-        for r, ((lo, span, _, _, samples), (condition, exact)) in enumerate(zip(rows, conditions)):
-            for k, (at, contradict) in enumerate([(0.0, False), *samples]):
-                load = np.array([lo + at * span])
-                loads[r, k] = load[0]
-                crossed[r, k] = bool(condition(load)[0]) != contradict
-                score[r, k] = exact(load)[0]
-        out = _refine_rows(
-            np.array(lo0),
-            np.array(hi0),
-            row_probe(conditions),
-            rel_tol=rel_tol,
-            prior=(loads, crossed, score),
-            pole_bound=bound,
-        )
-        for row, (condition, _) in enumerate(conditions):
-            expected = refine_monotone_crossing(lo0[row], hi0[row], condition, rel_tol=rel_tol)
-            assert (out[0][row], out[1][row]) == expected, row
-
-    def test_pole_windows_open_at_the_bound_and_a_miss_takes_the_whole_grid(self):
-        # 16 rows over [0, 1] with pole bound 0.5: 12 cross at 0.7, inside
-        # their windows (grid points 15/32 to 1), and 4 at 0.3, whose windows
-        # read crossed at their first load and miss, so each evaluates its
-        # whole grid in the second call.  No row has a prior.
-        thresholds = [0.7] * 12 + [0.3] * 4
-        conditions = [at_least(t) for t in thresholds]
-        probe = row_probe(conditions)
-        calls = []
-
-        def recording(rows, loads):
-            calls.append((rows, loads))
-            return probe(rows, loads)
-
-        lo, hi = _refine_rows(np.zeros(16), np.ones(16), recording, rel_tol=1e-6, pole_bound=np.full(16, 0.5))
-        grid = np.linspace(0.0, 1.0, 33)
-        rows, loads = calls[0]
-        assert rows.tolist() == list(range(16)) and np.array_equal(loads, np.tile(grid[15:], (16, 1)))
-        rows, loads = calls[1]
-        for row in range(12, 16):
-            assert set(grid) <= set(loads[rows == row].ravel())
-        assert all(loads[rows < 12].min(initial=np.inf) >= grid[15] for rows, loads in calls)
-        for row, condition in enumerate(conditions):
-            assert (lo[row], hi[row]) == refine_monotone_crossing(0.0, 1.0, condition[0], rel_tol=1e-6)
-
-    @pytest.mark.parametrize("max_rounds", [2, 3])
-    def test_a_missed_pole_window_counts_no_later_round(self, max_rounds):
-        # Each row's exact prior puts its estimate at its crossing, 0.3, so
-        # the later rounds' pairs read not crossed, then crossed, while its
-        # pole window (from 0.5) misses.  The round the window did not
-        # decide must not be skipped: counting those pairs ran one round
-        # past max_rounds.
-        conditions = [at_least(0.3)] * 16
-        prior = (np.tile([0.0, 0.8], (16, 1)), np.tile([False, True], (16, 1)), np.tile([0.3, -0.5], (16, 1)))
-        lo, hi = _refine_rows(
-            np.zeros(16),
-            np.ones(16),
-            row_probe(conditions),
-            rel_tol=1e-13,
-            max_rounds=max_rounds,
-            prior=prior,
-            pole_bound=np.full(16, 0.5),
-        )
-        expected = refine_monotone_crossing(0.0, 1.0, conditions[0][0], rel_tol=1e-13, max_rounds=max_rounds)
-        assert all((a, b) == expected for a, b in zip(lo, hi))
-
-    @pytest.mark.parametrize("num", [2, 12, 33])
-    def test_linspace_rows_equal_numpy_per_row(self, num):
-        # Normal rows next to a start == stop row and denormal-width rows,
-        # which take numpy's step == 0 branch.  The walk of a predicted
-        # plan reads single grid points, one index per row.
-        start = np.array([1.25e-4, 3.0e-4, 0.0, 0.0, 0.1])
-        stop = np.array([9.5e-4, 3.0e-4, 5e-324, 1e-322, 0.1 + 2**-50])
-        grid = _linspace_rows(start, stop, num)
-        expected = np.stack([np.linspace(a, b, num) for a, b in zip(start, stop)])
-        assert np.array_equal(grid, expected)
-        for index in range(num):
-            points = _grid_points(start, stop, np.full(start.size, index), num)
-            assert np.array_equal(points, expected[:, index])
 
 
 def search_cells(count):
@@ -1319,87 +958,12 @@ class TestBoundedSaturation:
         assert len(searches) == 1 and len(searches[0]) == 1
 
 
-class TestJourneyStructures:
-    """A journey structure is derived once per shape, whatever group it sits in."""
-
-    @pytest.mark.parametrize(
-        "cells, shapes",
-        [
-            # 16 singleton classes of 3 depths, 256 pairs of 9 shapes: the
-            # classes were derived 16 times.
-            (lambda: as_cells([get_scenario("544-hotspot")]), (3, 9)),
-            # 3 groups of 90 cells, each 3 classes of 3 depths and 9 pair
-            # shapes: each group derived its own, 9 + 27 times.
-            (lambda: as_cells(grid_270_specs()), (3, 9)),
-        ],
-        ids=["544-hotspot", "grid-270"],
-    )
-    def test_one_derivation_per_shape(self, monkeypatch, cells, shapes):
-        derived = {"intra": [], "pair": []}
-        intra, pair = stacked._intra_structure, stacked._pair_structure
-
-        def counting_intra(*key):
-            derived["intra"].append(key)
-            return intra(*key)
-
-        def counting_pair(*key):
-            derived["pair"].append(key)
-            return pair(*key)
-
-        cells = cells()
-        monkeypatch.setattr(stacked, "_intra_structure", counting_intra)
-        monkeypatch.setattr(stacked, "_pair_structure", counting_pair)
-        plan = StackedModel(cells).plan
-        assert (len(derived["intra"]), len(derived["pair"])) == shapes
-        assert len(set(derived["intra"])) == len(plan.intra.structures) == shapes[0]
-        assert len(set(derived["pair"])) == sum(len(block.structures) for block in plan.pair_blocks) == shapes[1]
-
-    def test_a_second_plan_derives_no_structure(self):
-        # Structures are memoised per process: after a first plan of every
-        # registry scenario, a second derives none of its 60.
-        specs = [spec for _, spec in REGISTRY]
-        for spec in specs:
-            StackedModel.from_specs([spec])
-        derivations = stacked._intra_structure.cache_info().misses + stacked._pair_structure.cache_info().misses
-        plans = [StackedModel.from_specs([spec]).plan for spec in specs]
-        assert stacked._intra_structure.cache_info().misses + stacked._pair_structure.cache_info().misses == derivations
-        shapes = {id(s) for plan in plans for s in plan.intra.structures}
-        shapes |= {id(s) for plan in plans for block in plan.pair_blocks for s in block.structures}
-        assert len(shapes) == 60
-
-    def test_memoised_arrays_refuse_writes(self):
-        structures = [stacked._intra_structure(4, 3), stacked._pair_structure(4, 3, 5, 2)]
-        arrays = [value for s in structures for value in vars(s).values() if isinstance(value, np.ndarray)]
-        assert len(arrays) == 6
-        for array in arrays:
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 1.0
-
-    def test_the_accumulated_tail_time_equals_the_loop_fold(self):
-        # Each pair row's E_ex (Eq. 33) is one np.add.accumulate over its
-        # journeys: a strict left fold from 0.0 in journey order, as the
-        # scalar loop runs it, on every shape of every registry scenario.
-        for name, spec in REGISTRY:
-            for block in StackedModel.from_specs([spec]).plan.pair_blocks:
-                for k, structure in enumerate(block.structures):
-                    rows = block.shape == k
-                    tails = (
-                        structure.r_minus_1[None, :] * block.src_cs[rows, None]
-                        + structure.v_minus_1[None, :] * block.dst_cs[rows, None]
-                        + structure.two_l[None, :] * block.i2_cs[rows, None]
-                    ) + block.dst_cn[rows, None]
-                    folded = np.zeros(tails.shape[0])
-                    for jj in range(structure.weights.size):
-                        folded = folded + structure.weights[jj] * tails[:, jj]
-                    assert np.array_equal(block.tail_time[rows], folded), (name, k)
-
-
 class TestLatencyCrossings:
     """Knee and budget are one latency-crossing search, one refinement per stack."""
 
     def test_small_groups_open_windows_only_together(self):
         sizes = [group.size for group in StackedModel.from_specs(small_group_specs()).plan.groups]
-        assert len(sizes) == 3 and max(sizes) < stacked._WINDOW_MIN_ROWS <= sum(sizes)
+        assert len(sizes) == 3 and max(sizes) < refine._WINDOW_MIN_ROWS <= sum(sizes)
 
     @staticmethod
     def counted_refinements(monkeypatch):
@@ -1424,13 +988,13 @@ class TestLatencyCrossings:
     def recorded_plans(monkeypatch):
         """``(window, rows, opens at the pole)`` of each plan from now on."""
         plans = []
-        original = stacked._predicted_plan
+        original = refine._predicted_plan
 
         def recording(lo, hi, guess, rounds_left, **kwargs):
             plans.append((kwargs["window"], lo.size, kwargs.get("start") is not None))
             return original(lo, hi, guess, rounds_left, **kwargs)
 
-        monkeypatch.setattr(stacked, "_predicted_plan", recording)
+        monkeypatch.setattr(refine, "_predicted_plan", recording)
         return plans
 
     @staticmethod

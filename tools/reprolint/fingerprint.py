@@ -85,7 +85,9 @@ SURFACES: dict[str, Surface] = {
             "src/repro/core/inter.py",
             "src/repro/core/intra.py",
             "src/repro/core/model.py",
+            "src/repro/core/plan.py",
             "src/repro/core/queueing.py",
+            "src/repro/core/refine.py",
             "src/repro/core/service_times.py",
             "src/repro/core/stacked.py",
             "src/repro/core/stages.py",
