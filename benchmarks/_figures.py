@@ -10,6 +10,7 @@ per run and reported alongside.
 from __future__ import annotations
 
 from repro.core import AnalyticalModel
+from repro.core.stacked import StackedModel
 from repro.io import format_validation_curve
 from repro.validation import FigureScenario, run_validation
 from repro.core.sweep import sweep_load
@@ -19,7 +20,9 @@ from benchmarks.conftest import SessionCache, bench_points, bench_window, emit
 
 def run_figure(figure: FigureScenario, sessions: SessionCache, out_dir, benchmark) -> None:
     """Regenerate one latency figure: model sweep (timed) + sim points."""
-    grids = {msg: figure.load_grid(msg, points=bench_points()) for msg in figure.messages}
+    stack = StackedModel([(figure.system, msg, None, None) for msg in figure.messages])
+    rows = stack.auto_load_grids(points=bench_points(), fraction_of_saturation=0.92)
+    grids = dict(zip(figure.messages, rows))
 
     def model_sweeps():
         out = {}

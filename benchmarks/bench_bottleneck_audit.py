@@ -9,7 +9,8 @@ Table 1 systems.  The timed core is the model-side audit.
 import pytest
 
 from repro.analysis import model_bottlenecks, render_table, sim_bottlenecks
-from repro.core import AnalyticalModel, BatchedModel, MessageSpec, find_saturation_load
+from repro.core import AnalyticalModel, MessageSpec, find_saturation_load
+from repro.core.stacked import StackedModel
 from repro.cluster import paper_organizations
 
 from benchmarks.conftest import SessionCache, bench_window, emit
@@ -20,14 +21,16 @@ def test_bottleneck_audit(benchmark, sessions: SessionCache, out_dir):
     message = MessageSpec(32, 256.0)
     systems = paper_organizations()
 
-    report = benchmark(lambda: model_bottlenecks(BatchedModel(systems[0], message), 3e-4))
+    report = benchmark(
+        lambda: model_bottlenecks(StackedModel([(systems[0], message, None, None)]), 3e-4)
+    )
     assert report.binding.kind == "concentrator"
 
     blocks = []
     payload = {}
     for system in systems:
         lam = 0.5 * find_saturation_load(AnalyticalModel(system, message))
-        model_view = model_bottlenecks(BatchedModel(system, message), lam)
+        model_view = model_bottlenecks(StackedModel([(system, message, None, None)]), lam)
         sim = sessions.get(system, message).run(lam, seed=0, window=bench_window())
         sim_view = sim_bottlenecks(sim)
 

@@ -27,7 +27,7 @@ from repro.analysis.bottleneck import (
     model_bottlenecks,
     sim_bottlenecks,
 )
-from repro.analysis.tables import render_curves, render_series, render_table
+from repro.analysis.tables import render_series, render_table
 from repro.analysis.whatif import (
     WhatIfCurve,
     WhatIfStudy,
@@ -64,5 +64,4 @@ __all__ = [
     "scale_network",
     "render_table",
     "render_series",
-    "render_curves",
 ]

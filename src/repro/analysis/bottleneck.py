@@ -11,9 +11,9 @@ Two complementary views:
 
 The audit bench cross-checks the two.
 
-The model view runs on the vectorised engine
-(:meth:`repro.core.batch.BatchedModel.resource_utilizations`, read off the
-stacked engine's per-term planes), sharing the packed cell with sweeps and
+The model view prices a one-cell :class:`repro.core.stacked.StackedModel`
+(:meth:`~repro.core.stacked.StackedModel.resource_utilizations`, read off
+the engine's per-term planes), sharing the packed cell with sweeps and
 saturation searches instead of re-deriving every pair's rates from
 scratch; the attached saturation load is the engine's exact per-resource
 minimum.
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.batch import BatchedModel
+from repro._util import require
+from repro.core.stacked import StackedModel
 from repro.simulation.runner import SimulationResult
 
 __all__ = ["ResourceUtilization", "BottleneckReport", "model_bottlenecks", "sim_bottlenecks"]
@@ -58,21 +59,22 @@ class BottleneckReport:
         return self.resources[:count]
 
 
-def model_bottlenecks(engine: BatchedModel, load: float) -> BottleneckReport:
+def model_bottlenecks(engine: StackedModel, load: float) -> BottleneckReport:
     """Enumerate and rank every modelled queue/channel utilisation at *load*.
 
-    The engine's system, message, options and traffic pattern are the
-    design ranked (a non-uniform pattern ranks the pattern-aware
+    The one-cell *engine*'s system, message, options and traffic pattern
+    are the design ranked (a non-uniform pattern ranks the pattern-aware
     utilisations), and its packed cell and saturation cache are reused.
     """
-    entries = engine.resource_utilizations(np.array([load], dtype=np.float64))
+    require(engine.cells == 1, f"engine must hold one cell, got {engine.cells}")
+    entries = engine.resource_utilizations(np.array([load], dtype=np.float64))[0]
     resources = [
-        ResourceUtilization(entry.resource, float(entry.utilization[0]), entry.kind)
-        for entry in entries
+        ResourceUtilization(resource, float(utilization[0]), kind)
+        for resource, kind, utilization in entries
     ]
     ranked = tuple(sorted(resources, key=lambda r: r.utilization, reverse=True))
-    saturation_load = engine.saturation_load()
-    binding = engine.binding_resource()
+    saturation_load = float(engine.saturation_load()[0])
+    binding = engine.binding_resources()[0]
     return BottleneckReport(
         load=load,
         resources=ranked,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro._util import require, require_int, require_positive
-from repro.core.batch import BatchedModel
+from repro.core.stacked import StackedModel
 from repro.simulation.metrics import MeasurementWindow
 from repro.simulation.runner import SimulationSession
 
@@ -54,9 +54,9 @@ def estimate_sim_knee(
     require_positive(threshold_factor, "threshold_factor")
     require(threshold_factor > 1.0, "threshold_factor must exceed 1")
     require_int(iterations, "iterations", minimum=1)
-    engine = BatchedModel(*session.design)
-    lam_star = engine.saturation_load()
-    threshold = threshold_factor * engine.zero_load_latency()
+    engine = StackedModel([session.design])
+    lam_star = float(engine.saturation_load()[0])
+    threshold = threshold_factor * float(engine.zero_load_latencies()[0])
     window = window or MeasurementWindow.scaled_paper(5_000)
 
     probes: list[tuple[float, float]] = []

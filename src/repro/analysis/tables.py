@@ -11,7 +11,7 @@ from collections.abc import Iterable, Sequence
 
 from repro._util import format_float, require
 
-__all__ = ["render_table", "render_series", "render_curves"]
+__all__ = ["render_table", "render_series"]
 
 
 def render_table(headers: Sequence[str], rows: Iterable[Sequence], *, title: str = "") -> str:
@@ -39,14 +39,6 @@ def render_series(title: str, x_label: str, x_values, columns: dict[str, Sequenc
     for i, x in enumerate(x_values):
         rows.append([x, *[col[i] for col in columns.values()]])
     return render_table(headers, rows, title=title)
-
-
-def render_curves(title: str, curves: Iterable[tuple[str, Sequence[float], Sequence[float]]]) -> str:
-    """Multiple (label, x, y) curves stacked as one table per curve."""
-    parts = [title]
-    for label, xs, ys in curves:
-        parts.append(render_series(f"-- {label}", "load", xs, {"latency": list(ys)}))
-    return "\n\n".join(parts)
 
 
 def _cell(value) -> str:

@@ -6,10 +6,9 @@ module generalises that study to arbitrary scaling factors and any of the
 three network roles, using the analytical model (as the paper does —
 "The results of analysis ... are depicted in Fig. 7").
 
-Each system variant is evaluated through the batched engine
-(:mod:`repro.core.batch`): one precompute per variant, one vectorised pass
-over the shared load grid, and closed-form saturation loads — the study
-no longer pays a bisection search per curve.
+The base systems and their variants are priced as one
+:class:`~repro.core.stacked.StackedModel`: one packing, one vectorised
+pass over the shared load grid and one saturation search for every curve.
 
 Curve labels embed the system *name* alongside its node count: two
 distinct systems can easily share a total node count (e.g. a base system
@@ -24,9 +23,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro._util import require, require_positive
-from repro.core.batch import BatchedModel
+from repro._util import require, require_int, require_positive
 from repro.core.parameters import MessageSpec, ModelOptions, SystemConfig
+from repro.core.stacked import StackedModel
 
 __all__ = ["WhatIfCurve", "WhatIfStudy", "curve_label", "icn2_bandwidth_study", "scale_network"]
 
@@ -113,31 +112,30 @@ def icn2_bandwidth_study(
 ) -> WhatIfStudy:
     """Paper Fig. 7: base vs +20 % ICN2 bandwidth for each system.
 
-    All curves share a load grid derived from the *least* saturable base
-    system so the figure is directly comparable across systems, exactly as
-    the paper plots both systems on one axis.
+    All curves share the load grid of the *least* saturable base system
+    (its :meth:`~repro.core.stacked.StackedModel.auto_load_grids` row at
+    *grid_fraction* of λ*), so the figure is directly comparable across
+    systems, exactly as the paper plots both systems on one axis.
     """
     require(len(systems) >= 1, "at least one system required")
-    base_engines = [BatchedModel(s, message, options) for s in systems]
-    lam_min = min(engine.saturation_load() for engine in base_engines)
-    grid = np.linspace(grid_fraction * lam_min / points, grid_fraction * lam_min, points)
+    # The grid's own check takes any number >= 2 as a point count.
+    require_int(points, "points", minimum=2)
+    variants = [scale_network(s, "icn2", factor) for s in systems]
+    stack = StackedModel([(s, message, options, None) for s in (*systems, *variants)])
+    grids = stack.auto_load_grids(points=points, fraction_of_saturation=grid_fraction)
+    lam_star = stack.saturation_load()
+    grid = grids[np.argmin(lam_star[: len(systems)])]
+    latencies = stack.evaluate_latencies(grid)
 
     curves: list[WhatIfCurve] = []
-    for system, base_engine in zip(systems, base_engines):
-        for label_suffix, engine in (
-            ("base", base_engine),
-            (
-                f"icn2 x{factor:g}",
-                BatchedModel(scale_network(system, "icn2", factor), message, options),
-            ),
-        ):
-            sweep = engine.evaluate_many(grid, with_results=False)
+    for i, system in enumerate(systems):
+        for label_suffix, cell in (("base", i), (f"icn2 x{factor:g}", len(systems) + i)):
             curves.append(
                 WhatIfCurve(
                     label=curve_label(system, label_suffix),
-                    loads=sweep.loads,
-                    latencies=sweep.latencies,
-                    saturation_load=engine.saturation_load(),
+                    loads=grid,
+                    latencies=latencies[cell],
+                    saturation_load=float(lam_star[cell]),
                 )
             )
     return WhatIfStudy(title=f"ICN2 bandwidth study (M={message.length_flits}, d_m={message.flit_bytes:g})", curves=tuple(curves))

@@ -68,7 +68,7 @@ from repro.experiments.experiment import ExperimentResult
 from repro.io.cache import ResultCache, spec_key
 from repro.io.schemas import CALIBRATION_SCHEMA, SIM_CURVE_SCHEMA
 from repro.scenarios.grid import as_axis, format_axis_value
-from repro.scenarios.registry import get_scenario
+from repro.scenarios.registry import get_scenarios
 from repro.scenarios.spec import ScenarioSpec
 
 __all__ = [
@@ -293,12 +293,8 @@ def calibrate_options(
     from repro.simulation.parallel import resolve_jobs, run_work_item
     from repro.simulation.runner import SimulationConfig
 
-    specs = [get_scenario(s) if isinstance(s, str) else s for s in scenarios]
-    require(len(specs) > 0, "calibrate needs at least one scenario")
-    for spec in specs:
-        require(isinstance(spec, ScenarioSpec), "scenarios must be names or ScenarioSpec")
+    specs = get_scenarios(scenarios, "calibrate")
     names = [spec.name for spec in specs]
-    require(len(set(names)) == len(names), f"duplicate scenario names: {names}")
     spec_dicts = [spec.to_dict() for spec in specs]  # fail fast if unserialisable
 
     fractions = tuple(float(f) for f in fractions)

@@ -1,23 +1,24 @@
 """One facade over every workflow: ``Experiment(spec)``.
 
 Each analysis entry point names its design once, by the handle it runs
-on: model queries take the engine they price (``sweep_load(engine,
-grid)``, ``max_load_for_latency(engine, budget)``,
-``model_bottlenecks(engine, load)``) and validation takes the session it
-simulates (``run_validation(session, grid, ...)``).
-:class:`Experiment` consumes one declarative
-:class:`~repro.scenarios.ScenarioSpec`, holds those two handles and
-exposes each workflow as a method; all methods share a single cached
-:class:`~repro.core.batch.BatchedModel` (one load-independent precompute
-per experiment) and return a uniform :class:`ExperimentResult` that
-serialises through :func:`repro.io.results.to_jsonable` with a stable
-schema.
+on: model queries take the one-cell
+:class:`~repro.core.stacked.StackedModel` they price
+(``max_load_for_latency(stack, budget)``, ``model_bottlenecks(stack,
+load)``) and validation takes the session it simulates
+(``run_validation(session, grid, ...)``).  :class:`Experiment` consumes
+one declarative :class:`~repro.scenarios.ScenarioSpec`, holds those two
+handles and exposes each workflow as a method; all methods share one
+cached :class:`~repro.core.batch.BatchedModel`, :attr:`Experiment.engine`,
+whose ``stack`` is the one-cell stack every query prices (one
+load-independent precompute per experiment), and return a uniform
+:class:`ExperimentResult` that serialises through
+:func:`repro.io.results.to_jsonable` with a stable schema.
 
 The numeric outputs are *identical* to the direct calls — ``.sweep()`` is
 ``sweep_load`` on the spec's grid, ``.capacity()`` is
 ``max_load_for_latency``, ``.bottlenecks()`` is ``model_bottlenecks`` —
 because each method delegates to those functions with the shared engine
-(locked by ``tests/test_experiment.py``).
+or its stack (locked by ``tests/test_experiment.py``).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.core.stacked import StackedModel
 from repro.core.sweep import sweep_load
 from repro.io.results import to_jsonable
 from repro.io.schemas import EXPERIMENT_SCHEMA
-from repro.scenarios.registry import get_scenario
+from repro.scenarios.registry import get_scenario, get_scenarios
 from repro.scenarios.spec import ScenarioSpec
 
 __all__ = ["Experiment", "ExperimentResult", "EXPERIMENT_SCHEMA"]
@@ -125,8 +126,8 @@ class Experiment:
     """All of the library's workflows, driven by one scenario spec.
 
     Accepts a :class:`~repro.scenarios.ScenarioSpec` or a registered
-    scenario name.  The batched engine, its load grid and the simulation
-    session are built lazily and cached, so e.g. ``.sweep()`` followed by
+    scenario name.  The engine, its load grid and the simulation session
+    are built lazily and cached, so e.g. ``.sweep()`` followed by
     ``.bottlenecks()`` pays the load-independent precompute once.
     """
 
@@ -147,7 +148,11 @@ class Experiment:
 
     @property
     def engine(self) -> BatchedModel:
-        """The experiment's cached batched engine (one precompute)."""
+        """The experiment's cached one-cell view (one precompute).
+
+        Its ``stack`` is the one-cell :class:`StackedModel` the model
+        queries and the load grid read.
+        """
         if self._engine is None:
             s = self.spec
             self._engine = BatchedModel(s.system, s.message, s.options, s.pattern)
@@ -156,7 +161,7 @@ class Experiment:
     def load_grid(self) -> np.ndarray:
         """The spec's load grid, materialised once per experiment."""
         if self._grid is None:
-            self._grid = self.spec.load_grid.grid(self.engine)
+            self._grid = self.spec.load_grid.grid(self.engine.stack)[0]
         return self._grid
 
     def session(self):
@@ -274,7 +279,7 @@ class Experiment:
         # The map first: λ* is then read off it, so this runs one search.
         per_resource = dict(sorted(engine.saturation_loads().items(), key=lambda kv: kv[1]))
         lam_star = engine.saturation_load()
-        binding = model_bottlenecks(engine, 0.9 * lam_star).binding
+        binding = model_bottlenecks(engine.stack, 0.9 * lam_star).binding
         rows = [[name, f"{lam:.4e}"] for name, lam in list(per_resource.items())[:5]]
         table = render_table(
             ["resource", "λ* (ρ=1)"], rows, title="tightest per-resource saturation rates"
@@ -304,7 +309,7 @@ class Experiment:
                 f"scenario {self.spec.name!r} sets no latency_budget; pass one explicitly",
             )
         require_positive(budget, "budget")
-        plan = max_load_for_latency(self.engine, budget)
+        plan = max_load_for_latency(self.engine.stack, budget)
         status = "feasible" if plan.feasible else "INFEASIBLE"
         text = f"{status}: λ_max = {plan.achieved:.4e}\n{plan.detail}"
         data = {
@@ -324,7 +329,7 @@ class Experiment:
         """Ranked resource utilisations at *load* (default: 0.9 λ*)."""
         if load is None:
             load = 0.9 * self.engine.saturation_load()
-        report = model_bottlenecks(self.engine, load)
+        report = model_bottlenecks(self.engine.stack, load)
         rows = [[r.resource, r.kind, f"{r.utilization:.4f}"] for r in report.top(8)]
         table = render_table(
             ["resource", "kind", "ρ"], rows, title=f"utilisations at λ_g={load:.4e}"
@@ -361,22 +366,22 @@ class Experiment:
         """
         s = self.spec
         grid = self.load_grid()
-        variant_system = scale_network(s.system, role, factor)
-        variant_engine = BatchedModel(variant_system, s.message, s.options, s.pattern)
+        variant = StackedModel(
+            [(scale_network(s.system, role, factor), s.message, s.options, s.pattern)]
+        )
         curves = []
         series: dict[str, list[float]] = {}
-        for label, engine in (
-            (curve_label(s.system, "base"), self.engine),
-            (curve_label(s.system, f"{role} x{factor:g}"), variant_engine),
+        for label, stack in (
+            (curve_label(s.system, "base"), self.engine.stack),
+            (curve_label(s.system, f"{role} x{factor:g}"), variant),
         ):
-            result = engine.evaluate_many(grid, with_results=False)
-            latencies = [float(v) for v in result.latencies]
+            latencies = [float(v) for v in stack.evaluate_latencies(grid)[0]]
             curves.append(
                 {
                     "label": label,
-                    "loads": [float(v) for v in result.loads],
+                    "loads": [float(v) for v in grid],
                     "latencies": latencies,
-                    "saturation_load": engine.saturation_load(),
+                    "saturation_load": float(stack.saturation_load()[0]),
                 }
             )
             series[label] = latencies
@@ -562,7 +567,7 @@ class Experiment:
         if points is None:
             grid = self.load_grid()
         else:
-            grid = replace(s.load_grid, points=points).grid(self.engine)
+            grid = replace(s.load_grid, points=points).grid(self.engine.stack)[0]
         # Cap at the point count so the reported jobs matches the workers
         # that could actually run (run_work_items applies the same cap).
         n_jobs = min(resolve_jobs(jobs), len(grid))
@@ -697,12 +702,8 @@ class Experiment:
         long-format table (``scenario``/``load``/``latency`` columns plus a
         per-scenario summary, in input order) with a stable schema.
         """
-        specs = [get_scenario(s) if isinstance(s, str) else s for s in scenarios]
-        require(len(specs) > 0, "sweep_many needs at least one scenario")
-        for spec in specs:
-            require(isinstance(spec, ScenarioSpec), "scenarios must be names or ScenarioSpec")
+        specs = get_scenarios(scenarios, "sweep_many")
         names = [spec.name for spec in specs]
-        require(len(set(names)) == len(names), f"duplicate scenario names: {names}")
         spec_dicts = [spec.to_dict() for spec in specs]
         policies = [
             spec.load_grid if points is None else replace(spec.load_grid, points=points)
@@ -712,7 +713,7 @@ class Experiment:
         for policy in dict.fromkeys(policies):
             members = [idx for idx, p in enumerate(policies) if p == policy]
             stack = StackedModel.from_specs([specs[idx] for idx in members])
-            grids = stack.auto_load_grids(**policy.to_dict())
+            grids = policy.grid(stack)
             latencies = stack.evaluate_latencies(grids)
             lam_star = stack.saturation_load()
             for row, idx in enumerate(members):

@@ -18,9 +18,11 @@ decomposition of Kirsal & Ever and Thomasian's review):
   "which failure hurts most" ranking
   (:func:`performability_analysis`).
 
-The whole pipeline runs on :class:`~repro.core.BatchedModel` closed
-forms — no simulation — so even many-state studies cost milliseconds per
-state, cache on disk, and fan out across the shared process pool.
+The whole pipeline runs on the closed forms — no simulation: the study
+executor prices the states in :class:`~repro.core.stacked.StackedModel`
+passes or shards (:func:`~repro.performability.evaluate._price_states`),
+so even many-state studies cost milliseconds per state, cache on disk,
+and fan out across the shared process pool.
 """
 
 from repro.performability.degrade import (

@@ -3,8 +3,8 @@
 This is the glue of the hierarchical decomposition: every state of the
 availability chain (:mod:`repro.performability.states`) becomes a concrete
 :class:`~repro.core.parameters.SystemConfig` that the existing
-:class:`~repro.core.BatchedModel` evaluates unchanged — no simulator, no
-new model equations.
+:class:`~repro.core.stacked.StackedModel` prices unchanged — no simulator,
+no new model equations.
 
 Degradation semantics (the documented approximations):
 

@@ -2,10 +2,10 @@
 
 The top of the hierarchical decomposition (Thomasian's framing): the CTMC
 of :mod:`repro.performability.states` says how much steady-state time the
-system spends in each degraded configuration, the closed forms of
-:class:`~repro.core.BatchedModel` price each configuration, and this
-module combines the two into the quantities a capacity planner actually
-asks for:
+system spends in each degraded configuration, the stacked closed forms of
+:class:`~repro.core.stacked.StackedModel` price each configuration, and
+this module combines the two into the quantities a capacity planner
+actually asks for:
 
 ``availability``
     steady-state probability of the pristine (no-failure) state.
@@ -56,7 +56,7 @@ import numpy as np
 
 from repro._util import require
 from repro.analysis.tables import render_table
-from repro.core.batch import ENGINE_VERSION, BatchedModel
+from repro.core.batch import ENGINE_VERSION
 from repro.core.stacked import StackedModel
 from repro.exec import RunPolicy
 from repro.exec.study import Study
@@ -199,8 +199,8 @@ def performability_analysis(
     Expands the failure scenario's availability states against the spec's
     system (hard-validated — see
     :func:`~repro.performability.degrade.expand_states`), solves the CTMC
-    for steady-state probabilities, evaluates every distinct degraded
-    system through the batched closed forms, and aggregates the
+    for steady-state probabilities, prices every distinct degraded
+    system through the stacked closed forms, and aggregates the
     availability-weighted metrics described in the module docstring.
 
     ``jobs`` prices the uncached states as one stacked shard per worker
@@ -232,8 +232,8 @@ def performability_analysis(
     populations = resolve_populations(spec.system, failures)
     probs = steady_state(failures, populations)
 
-    engine = BatchedModel(spec.system, spec.message, spec.options, spec.pattern)
-    loads = [float(v) for v in spec.load_grid.grid(engine)]
+    pristine = StackedModel([(spec.system, spec.message, spec.options, spec.pattern)])
+    loads = [float(v) for v in spec.load_grid.grid(pristine)[0]]
 
     degraded = [dataclasses.replace(spec, system=st.system) for st in states]
     keys = [state_cache_key(d, tuple(loads)) for d in degraded]

@@ -22,7 +22,7 @@ user factories; names are unique.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro._util import require
 from repro.analysis.whatif import scale_network
@@ -40,6 +40,7 @@ __all__ = [
     "register_scenario",
     "scenario_names",
     "get_scenario",
+    "get_scenarios",
     "iter_scenarios",
     "PAPER_PRESETS",
 ]
@@ -76,6 +77,21 @@ def get_scenario(name: str) -> ScenarioSpec:
     spec = _REGISTRY[name]()
     require(isinstance(spec, ScenarioSpec), f"factory for {name!r} did not return a ScenarioSpec")
     return spec
+
+
+def get_scenarios(scenarios: Iterable[str | ScenarioSpec], workflow: str) -> list[ScenarioSpec]:
+    """The specs of *scenarios*, registered names and/or specs, for *workflow*.
+
+    At least one, each a name or a :class:`ScenarioSpec`, and no name
+    twice: a multi-scenario result keys its rows by scenario name.
+    """
+    specs = [get_scenario(s) if isinstance(s, str) else s for s in scenarios]
+    require(len(specs) > 0, f"{workflow} needs at least one scenario")
+    for spec in specs:
+        require(isinstance(spec, ScenarioSpec), "scenarios must be names or ScenarioSpec")
+    names = [spec.name for spec in specs]
+    require(len(set(names)) == len(names), f"duplicate scenario names: {names}")
+    return specs
 
 
 def iter_scenarios():

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro._util import is_real, reject_unknown_keys, require, require_int
 from repro.core.parameters import MessageSpec, ModelOptions, SystemConfig
+from repro.core.stacked import StackedModel
 from repro.io.results import JsonDocument
 from repro.io.schemas import SCENARIO_SCHEMA
 from repro.workloads.patterns import pattern_from_dict, pattern_to_dict
@@ -39,10 +40,9 @@ __all__ = ["LoadGridPolicy", "ScenarioSpec", "SCENARIO_SCHEMA"]
 class LoadGridPolicy:
     """How a scenario turns its saturation load into a figure-ready grid.
 
-    Mirrors :func:`repro.core.sweep.auto_load_grid`: *points* evenly spaced
-    loads covering ``(0, fraction_of_saturation · λ*]`` (from 0 when
-    *include_zero* is set).  The defaults match ``auto_load_grid``'s, so a
-    default-policy sweep is identical to the pre-spec workflow.
+    The keywords of :meth:`~repro.core.stacked.StackedModel.auto_load_grids`:
+    *points* evenly spaced loads covering ``(0, fraction_of_saturation ·
+    λ*]`` (from 0 when *include_zero* is set), with its defaults.
     """
 
     points: int = 12
@@ -57,16 +57,9 @@ class LoadGridPolicy:
         )
         require(isinstance(self.include_zero, bool), "include_zero must be a bool")
 
-    def grid(self, model) -> np.ndarray:
-        """Materialise the grid for *model* (scalar or batched engine)."""
-        from repro.core.sweep import auto_load_grid
-
-        return auto_load_grid(
-            model,
-            points=self.points,
-            fraction_of_saturation=self.fraction_of_saturation,
-            include_zero=self.include_zero,
-        )
+    def grid(self, stack: StackedModel) -> np.ndarray:
+        """Every cell's grid under this policy, shape ``(cells, points)``."""
+        return stack.auto_load_grids(**self.to_dict())
 
     def to_dict(self) -> dict:
         """JSON-ready mapping; :meth:`from_dict` inverts it exactly."""

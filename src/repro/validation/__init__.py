@@ -10,7 +10,6 @@ from repro.validation.compare import (
 from repro.validation.scenarios import (
     FigureScenario,
     all_latency_figures,
-    default_load_grid,
     figure3,
     figure4,
     figure5,
@@ -32,5 +31,4 @@ __all__ = [
     "figure6",
     "figure7_systems",
     "all_latency_figures",
-    "default_load_grid",
 ]

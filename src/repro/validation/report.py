@@ -18,7 +18,7 @@ from repro._util import require_int
 from repro.analysis import icn2_bandwidth_study, model_bottlenecks, render_table
 from repro.cluster import paper_organizations, table1_rows
 from repro.core import NET1, NET2, MessageSpec
-from repro.core.batch import BatchedModel
+from repro.core.stacked import StackedModel
 from repro.io.reporting import (
     format_table1,
     format_table2,
@@ -72,33 +72,30 @@ def reproduction_report(
     sections.append(format_table2([NET1, NET2]))
     payload["table1"] = table1_rows()
 
-    # One engine per (system, message): a curve's load grid and the audit
-    # read the same λ* search.
-    engines: dict = {}
-    sessions: dict = {}
-    for figure in all_latency_figures():
+    # The eight Figs. 3-6 curves are one stack: one λ* search gives every
+    # curve its load grid and, model-only, one pass its latencies.
+    figures = all_latency_figures()
+    stack = StackedModel(
+        [(figure.system, message, None, None) for figure in figures for message in figure.messages]
+    )
+    grids = stack.auto_load_grids(points=points_per_curve, fraction_of_saturation=0.92)
+    latencies = None if include_simulation else stack.evaluate_latencies(grids)
+    cell = 0
+    for figure in figures:
         blocks = [f"{figure.title} (paper x-axis to {figure.paper_x_max:g})"]
         for message in figure.messages:
-            key = (figure.system, message)
-            if key not in engines:
-                engines[key] = BatchedModel(figure.system, message)
-            # The figure's default_load_grid, from the shared engine.
-            grid = engines[key].stack.auto_load_grids(
-                points=points_per_curve, fraction_of_saturation=0.92
-            )[0]
+            grid = grids[cell]
             label = f"{figure.system.name}, M={message.length_flits}, Lm={message.flit_bytes:g}"
             if include_simulation:
-                if key not in sessions:
-                    sessions[key] = SimulationSession(figure.system, message)
+                session = SimulationSession(figure.system, message)
                 curve = run_validation(
-                    sessions[key], grid, label=label, seed=seed, window=window, jobs=jobs
+                    session, grid, label=label, seed=seed, window=window, jobs=jobs
                 )
                 blocks.append(format_validation_curve(curve, figure=figure.figure))
                 light_errors.append(abs(curve.points[0].relative_error))
                 payload[f"{figure.figure}:{label}"] = curve.as_rows()
             else:
-                latencies = engines[key].stack.evaluate_latencies(grid)[0]
-                rows = list(zip(grid.tolist(), latencies.tolist()))
+                rows = list(zip(grid.tolist(), latencies[cell].tolist()))
                 blocks.append(
                     render_table(
                         ["lambda_g", "model"],
@@ -107,6 +104,7 @@ def reproduction_report(
                     )
                 )
                 payload[f"{figure.figure}:{label}"] = rows
+            cell += 1
         sections.append("\n\n".join(blocks))
 
     fig7 = icn2_bandwidth_study(paper_organizations()[::-1], MessageSpec(128, 256.0), points=8)
@@ -115,9 +113,8 @@ def reproduction_report(
 
     audit_rows = []
     for system in paper_organizations():
-        message = MessageSpec(32, 256.0)
-        engine = engines.get((system, message)) or BatchedModel(system, message)
-        lam_star = engine.saturation_load()
+        engine = StackedModel([(system, MessageSpec(32, 256.0), None, None)])
+        lam_star = float(engine.saturation_load()[0])
         report = model_bottlenecks(engine, 0.5 * lam_star)
         audit_rows.append([system.name, f"{lam_star:.3e}", report.binding.resource, report.binding.kind])
     sections.append(

@@ -1,19 +1,18 @@
 """Scenario definitions for the paper's validation figures (Figs. 3–7).
 
 Each scenario bundles the system organisation (Table 1), the network
-characteristics (Table 2), a message geometry and a load grid shaped like
-the figure's x-axis.  The benches and EXPERIMENTS.md are generated from
-these definitions, so the mapping figure → code lives in exactly one place.
+characteristics (Table 2), the message geometries of its curves and the
+figure's x-axis bound.  A curve's load grid is its row of
+:meth:`~repro.core.stacked.StackedModel.auto_load_grids` on a stack of the
+curves' designs.  The benches and EXPERIMENTS.md are generated from these
+definitions, so the mapping figure → code lives in exactly one place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.parameters import MessageSpec, SystemConfig, paper_system_544, paper_system_1120
-from repro.core.stacked import StackedModel
 
 __all__ = [
     "FigureScenario",
@@ -23,7 +22,6 @@ __all__ = [
     "figure6",
     "figure7_systems",
     "all_latency_figures",
-    "default_load_grid",
 ]
 
 
@@ -36,27 +34,6 @@ class FigureScenario:
     system: SystemConfig
     messages: tuple[MessageSpec, ...]  # one curve pair (model+sim) per spec
     paper_x_max: float  # the figure's x-axis upper bound in the paper
-
-    def load_grid(self, message: MessageSpec, *, points: int = 10, fraction: float = 0.92) -> np.ndarray:
-        """Loads from light traffic up to just below model saturation."""
-        return default_load_grid(self.system, message, points=points, fraction=fraction)
-
-
-def default_load_grid(
-    system: SystemConfig,
-    message: MessageSpec,
-    *,
-    points: int = 10,
-    fraction: float = 0.92,
-) -> np.ndarray:
-    """Evenly spaced grid in ``(0, fraction·λ*]`` like the paper's figures.
-
-    The one-row :meth:`~repro.core.stacked.StackedModel.auto_load_grids` of
-    the default-options model at *fraction* of saturation.
-    """
-    return StackedModel([(system, message, None, None)]).auto_load_grids(
-        points=points, fraction_of_saturation=fraction
-    )[0]
 
 
 def figure3() -> FigureScenario:

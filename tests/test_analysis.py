@@ -13,36 +13,42 @@ from repro.analysis import (
     scale_network,
     sim_bottlenecks,
 )
-from repro.core import BatchedModel, MessageSpec, paper_system_544, paper_system_1120
+from repro.core import MessageSpec, paper_system_544, paper_system_1120
+from repro.core.stacked import StackedModel
 from repro.simulation import MeasurementWindow
 
 MSG = MessageSpec(32, 256.0)
+
+
+def one_cell(system):
+    """The one-cell stack ``model_bottlenecks`` prices."""
+    return StackedModel([(system, MSG, None, None)])
 
 
 class TestModelBottlenecks:
     def test_concentrator_binds_paper_systems(self):
         """Paper §4: the ICN2 path (concentrator) is the bottleneck."""
         for system in (paper_system_1120(), paper_system_544()):
-            report = model_bottlenecks(BatchedModel(system, MSG), 3e-4)
+            report = model_bottlenecks(one_cell(system), 3e-4)
             assert report.binding.kind == "concentrator"
 
     def test_biggest_cluster_binds(self):
-        report = model_bottlenecks(BatchedModel(paper_system_1120(), MSG), 3e-4)
+        report = model_bottlenecks(one_cell(paper_system_1120()), 3e-4)
         assert "c28" in report.binding.resource  # the 128-node class
 
     def test_utilizations_scale_linearly(self):
-        engine = BatchedModel(paper_system_544(), MSG)
+        engine = one_cell(paper_system_544())
         low = model_bottlenecks(engine, 1e-4)
         high = model_bottlenecks(engine, 2e-4)
         assert high.binding.utilization == pytest.approx(2 * low.binding.utilization, rel=1e-6)
 
     def test_top_is_sorted(self):
-        report = model_bottlenecks(BatchedModel(paper_system_544(), MSG), 2e-4)
+        report = model_bottlenecks(one_cell(paper_system_544()), 2e-4)
         tops = report.top(8)
         assert all(a.utilization >= b.utilization for a, b in zip(tops, tops[1:]))
 
     def test_saturation_load_attached(self):
-        report = model_bottlenecks(BatchedModel(paper_system_544(), MSG), 2e-4)
+        report = model_bottlenecks(one_cell(paper_system_544()), 2e-4)
         assert report.saturation_load == pytest.approx(1.04e-3, rel=0.05)
 
 
@@ -103,6 +109,23 @@ class TestIcn2Study:
             by_label["N544-m4-C16: N=544, base"].latencies[-1]
             < by_label["N1120-m8-C32: N=1120, base"].latencies[-1]
         )
+
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            ({"points": 0}, "points must be >= 2"),
+            ({"points": 1}, "points must be >= 2"),
+            ({"points": 2.5}, "points must be an integer"),
+            ({"grid_fraction": 1.5}, r"fraction_of_saturation must be in \(0, 1\)"),
+        ],
+        ids=["points=0", "points=1", "points=2.5", "grid_fraction=1.5"],
+    )
+    def test_rejects_a_grid_no_other_study_accepts(self, kwargs, match):
+        """Regression: points=0 raised ZeroDivisionError, points=1 or a grid
+        reaching past λ* were silently accepted, and a fractional point
+        count must not stretch the grid past its top."""
+        with pytest.raises(ValueError, match=match):
+            icn2_bandwidth_study((paper_system_544(),), MSG, **kwargs)
 
 
 class TestWhatIfLabels:

@@ -311,8 +311,8 @@ class TestBottleneckEngineReuse:
         system = paper_system_544()
         engine = BatchedModel(system, MSG)
         saturation = engine.saturation_load()
-        report = model_bottlenecks(engine, 2e-4)
-        fresh = model_bottlenecks(BatchedModel(system, MSG), 2e-4)
+        report = model_bottlenecks(engine.stack, 2e-4)
+        fresh = model_bottlenecks(BatchedModel(system, MSG).stack, 2e-4)
         assert report.binding == fresh.binding
         assert report.resources == fresh.resources
         assert report.saturation_load == fresh.saturation_load == saturation
@@ -326,12 +326,12 @@ class TestBottleneckEngineReuse:
         system = paper_system_544()
         opts = ModelOptions(source_queue_rate="per_node")
         engine = BatchedModel(system, MSG, opts)
-        report = model_bottlenecks(engine, 2e-4)
+        report = model_bottlenecks(engine.stack, 2e-4)
         reference = {
             r.resource: float(r.utilization[0]) for r in engine.resource_utilizations([2e-4])
         }
         assert {r.resource: r.utilization for r in report.resources} == reference
-        default = model_bottlenecks(BatchedModel(system, MSG), 2e-4)
+        default = model_bottlenecks(BatchedModel(system, MSG).stack, 2e-4)
         assert report.resources != default.resources
 
 
@@ -346,6 +346,6 @@ class TestRefineMonotoneCrossing:
 
         system = paper_system_544()
         zero = AnalyticalModel(system, MSG).zero_load_latency()
-        plan = max_load_for_latency(BatchedModel(system, MSG), zero)
+        plan = max_load_for_latency(BatchedModel(system, MSG).stack, zero)
         assert plan.feasible
         assert plan.achieved == pytest.approx(0.0, abs=1e-12)

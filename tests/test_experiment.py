@@ -10,6 +10,7 @@ import pytest
 
 from repro.analysis import max_load_for_latency, model_bottlenecks
 from repro.core import BatchedModel, MessageSpec, paper_system_1120
+from repro.core.stacked import StackedModel
 from repro.core.sweep import auto_load_grid, sweep_load
 from repro.experiments import EXPERIMENT_SCHEMA, Experiment
 from repro.io import to_jsonable
@@ -65,7 +66,9 @@ class TestMatchesDirectCalls:
         assert facade.data["columns"]["latency"] == [float(v) for v in direct.latencies]
 
     def test_capacity_matches_max_load_for_latency(self, exp_1120):
-        direct = max_load_for_latency(BatchedModel(paper_system_1120(), MessageSpec(32, 256.0)), 80.0)
+        direct = max_load_for_latency(
+            StackedModel([(paper_system_1120(), MessageSpec(32, 256.0), None, None)]), 80.0
+        )
         facade = exp_1120.capacity(80.0)
         assert facade.data["achieved"] == direct.achieved
         assert facade.data["feasible"] == direct.feasible
@@ -73,7 +76,9 @@ class TestMatchesDirectCalls:
 
     def test_bottlenecks_matches_model_bottlenecks(self, exp_1120):
         lam = 0.9 * exp_1120.engine.saturation_load()
-        direct = model_bottlenecks(BatchedModel(paper_system_1120(), MessageSpec(32, 256.0)), lam)
+        direct = model_bottlenecks(
+            StackedModel([(paper_system_1120(), MessageSpec(32, 256.0), None, None)]), lam
+        )
         facade = exp_1120.bottlenecks()
         assert facade.data["binding"]["resource"] == direct.binding.resource
         assert facade.data["binding"]["utilization"] == direct.binding.utilization

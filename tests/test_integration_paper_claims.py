@@ -9,12 +9,13 @@ import pytest
 from repro.analysis import icn2_bandwidth_study, model_bottlenecks
 from repro.core import (
     AnalyticalModel,
-    BatchedModel,
     MessageSpec,
+    auto_load_grid,
     find_saturation_load,
     paper_system_544,
     paper_system_1120,
 )
+from repro.core.stacked import StackedModel
 from repro.validation import all_latency_figures
 
 
@@ -57,7 +58,7 @@ class TestLatencyOrdering:
         for fig in all_latency_figures():
             model_small = AnalyticalModel(fig.system, fig.messages[0])
             model_large = AnalyticalModel(fig.system, fig.messages[1])
-            grid = fig.load_grid(fig.messages[1], points=4)
+            grid = auto_load_grid(model_large, points=4, fraction_of_saturation=0.92)
             for lam in grid:
                 assert model_large.evaluate(lam).latency > model_small.evaluate(lam).latency
 
@@ -75,7 +76,8 @@ class TestBottleneckClaim:
         bottlenecks of the system'."""
         for system in (paper_system_1120(), paper_system_544()):
             for m_flits in (32, 64):
-                report = model_bottlenecks(BatchedModel(system, MessageSpec(m_flits, 256.0)), 1e-4)
+                engine = StackedModel([(system, MessageSpec(m_flits, 256.0), None, None)])
+                report = model_bottlenecks(engine, 1e-4)
                 assert report.binding.kind == "concentrator"
 
 

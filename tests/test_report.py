@@ -59,21 +59,21 @@ class TestModelOnlyReport:
         assert len([k for k in report.payload if k.startswith("Fig.")]) == 8
 
     def test_audit_searches_each_organisation_once(self, monkeypatch):
-        # The figure grids search λ* once per curve (8 searches) and the
-        # Fig. 7 study 4 times.  The audit's (system, M=32, 256 B) cells
-        # are figure curves, so it reads their engines instead of searching
-        # again, and hands each engine to model_bottlenecks.  A search is
-        # bounded (given the concentrator planes) or full; each is one call.
+        # The figure grids search λ* once for the stack of the eight curves
+        # and the Fig. 7 study once for its stack of four; the audit then
+        # searches each organisation once, on the one-cell stack it hands
+        # to model_bottlenecks.  A search is bounded (given the
+        # concentrator planes) or full; each is one call.
         searches = []
         original = StackedModel._source_queue_saturation_rows
 
         def counting(stack, *args):
-            searches.append(stack)
+            searches.append(stack.cells)
             return original(stack, *args)
 
         monkeypatch.setattr(StackedModel, "_source_queue_saturation_rows", counting)
         reproduction_report(points_per_curve=2, include_simulation=False)
-        assert len(searches) == 8 + 4
+        assert searches == [8, 4, 1, 1]
 
     def test_bottleneck_rows_name_concentrators(self, report):
         for row in report.payload["bottlenecks"]:

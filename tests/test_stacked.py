@@ -174,7 +174,7 @@ class TestRegistryEquivalence:
                 assert np.isnan(achieved[idx]), name
             else:
                 assert model_budget(engines[idx], float(budgets[idx])) == achieved[idx], name
-                plan = max_load_for_latency(engines[idx], float(budgets[idx]))
+                plan = max_load_for_latency(engines[idx].stack, float(budgets[idx]))
                 assert plan.achieved == achieved[idx], name
 
 
@@ -282,9 +282,9 @@ class TestPerformabilityDegradedStates:
 
     def test_degraded_states_match_per_state_engine(self, degraded_specs):
         spec, states, specs = degraded_specs
-        pristine = BatchedModel(spec.system, spec.message, spec.options, spec.pattern)
+        pristine = StackedModel.from_specs([spec])
         loads = np.asarray(
-            [float(v) for v in spec.load_grid.grid(pristine)], dtype=np.float64
+            [float(v) for v in spec.load_grid.grid(pristine)[0]], dtype=np.float64
         )
         stack = StackedModel.from_specs(specs)
         latencies = stack.evaluate_latencies(loads)

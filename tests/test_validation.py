@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core import AnalyticalModel, ModelOptions, auto_load_grid, find_saturation_load
+from repro.core.stacked import StackedModel
+from repro.scenarios import LoadGridPolicy
 from repro.simulation import MeasurementWindow, SimulationSession
 from repro.validation import (
     all_latency_figures,
-    default_load_grid,
     figure3,
     figure5,
     figure7_systems,
@@ -37,7 +38,8 @@ class TestScenarios:
 
     def test_load_grid_below_saturation(self):
         fig = figure5()
-        grid = fig.load_grid(fig.messages[0], points=6)
+        stack = StackedModel([(fig.system, message, None, None) for message in fig.messages])
+        grid = stack.auto_load_grids(points=6, fraction_of_saturation=0.92)[0]
         model = AnalyticalModel(fig.system, fig.messages[0])
         assert len(grid) == 6
         assert all(not model.is_saturated(x) for x in grid)
@@ -47,21 +49,30 @@ class TestScenarios:
         assert small.total_nodes == 544
         assert big.total_nodes == 1120
 
-    def test_default_load_grid_monotone(self, small_system, small_message):
-        grid = default_load_grid(small_system, small_message, points=5)
-        assert np.all(np.diff(grid) > 0)
+    def test_policy_grid_rows_are_monotone(self, small_system, small_message, tiny_hetero_system):
+        stack = StackedModel(
+            [(system, small_message, None, None) for system in (small_system, tiny_hetero_system)]
+        )
+        grids = LoadGridPolicy(points=5, fraction_of_saturation=0.92).grid(stack)
+        assert grids.shape == (2, 5)
+        assert np.all(np.diff(grids, axis=1) > 0)
 
     @pytest.mark.parametrize("figure", all_latency_figures(), ids=lambda f: f.figure)
     def test_figure_grids_equal_the_model_grid(self, figure):
-        for message in figure.messages:
+        """A figure stack's grid rows are each curve's one-design grid."""
+        stack = StackedModel([(figure.system, message, None, None) for message in figure.messages])
+        grids = stack.auto_load_grids(points=5, fraction_of_saturation=0.92)
+        for row, message in zip(grids, figure.messages):
             model = AnalyticalModel(figure.system, message)
             expected = auto_load_grid(model, points=5, fraction_of_saturation=0.92)
-            assert figure.load_grid(message, points=5).tolist() == expected.tolist()
+            assert row.tolist() == expected.tolist()
 
 
 class TestRunValidation:
     def test_curve_structure(self, small_system, small_message, small_session):
-        grid = default_load_grid(small_system, small_message, points=3, fraction=0.5)
+        grid = auto_load_grid(
+            AnalyticalModel(small_system, small_message), points=3, fraction_of_saturation=0.5
+        )
         curve = run_validation(small_session, grid, window=MeasurementWindow(100, 1000, 100))
         assert len(curve.points) == 3
         for point in curve.points:
