@@ -60,10 +60,11 @@ persist the result as JSON or CSV (by extension) via
 :mod:`repro.io.results`; the extension is validated before any compute
 runs.  ``simulate``, ``validate``, ``calibrate`` and ``report`` accept
 ``--jobs N`` to fan their simulations across a process pool
-(``--jobs 0`` = one worker per CPU); ``explore``/``performability``
-``--jobs`` prices the pending cells/states as one stacked shard per
-worker instead of one in-process stacked pass.  Results are bit-identical for any
-worker count (see ``docs/parallel_validation.md``).
+(``--jobs 0`` = one worker per CPU this process may run on);
+``explore``/``performability`` ``--jobs`` prices the pending
+cells/states as one stacked shard per worker instead of one in-process
+stacked pass.  Results are bit-identical for any worker count (see
+``docs/parallel_validation.md``).
 
 The three study commands — ``explore``, ``calibrate`` and
 ``performability`` — run under the supervised execution runtime
@@ -147,7 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--jobs",
             type=int,
             default=None,
-            help=f"{workers} (0 = one per CPU; results are identical for any worker count)",
+            help=(
+                f"{workers} (0 = one per CPU this process may run on; "
+                "results are identical for any worker count)"
+            ),
         )
 
     def resilience_flags(p: argparse.ArgumentParser) -> None:

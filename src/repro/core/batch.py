@@ -38,7 +38,7 @@ __all__ = ["BatchedModel", "ENGINE_VERSION", "ResourceRates"]
 #: :mod:`repro.core.refine`), so stale cached results can never be
 #: mistaken for fresh ones.  Each tag's change is recorded in CHANGES.md;
 #: ``tools/regen_goldens.py --check`` proves which left the numbers alone.
-ENGINE_VERSION = "batch/16"
+ENGINE_VERSION = "batch/17"
 
 
 @dataclass(frozen=True)

@@ -92,7 +92,7 @@ from typing import Any
 
 import numpy as np
 
-from repro._util import require
+from repro._util import require, require_int
 from repro.core import plan as packing
 from repro.core.model import AnalyticalModel, TrafficPatternLike
 from repro.core.parameters import MessageSpec, ModelOptions, SystemConfig
@@ -1339,7 +1339,7 @@ class StackedModel:
         λ*_c``; :func:`repro.core.sweep.auto_load_grid` is the one-cell
         row.
         """
-        require(points >= 2, "points must be >= 2")
+        require_int(points, "points", minimum=2)
         require(
             0.0 < fraction_of_saturation < 1.0, "fraction_of_saturation must be in (0, 1)"
         )

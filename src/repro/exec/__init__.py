@@ -8,7 +8,8 @@ multi-hour study needs:
 * :func:`run_supervised` — retries, per-item timeouts, bounded pool
   respawn after worker crashes, graceful degradation to serial
   execution, typed :class:`ItemOutcome` records instead of
-  batch-aborting exceptions (:mod:`repro.exec.supervisor`);
+  batch-aborting exceptions, workers pinned in turn to the CPUs of the
+  caller's affinity mask (:mod:`repro.exec.supervisor`);
 * :class:`RunPolicy` — the retry count and the per-item timeout
   (:mod:`repro.exec.policy`); a broken pool is rebuilt at most twice,
   then the run finishes serially;

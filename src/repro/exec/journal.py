@@ -50,14 +50,18 @@ class RunJournal:
         Unparseable lines (a torn final write from a killed process) are
         skipped, not fatal.
         """
+        return set(self._keys())
+
+    def _keys(self) -> "set[str]":
+        """The journal's own key set, read from the file on first use."""
         if self._seen is not None:
-            return set(self._seen)
+            return self._seen
         seen: "set[str]" = set()
         try:
             text = self.path.read_text(encoding="utf-8")
         except OSError:
             self._seen = seen
-            return set(seen)
+            return seen
         self._torn = not text.endswith("\n") and bool(text)
         for line in text.splitlines():
             if not line.strip():
@@ -71,7 +75,7 @@ class RunJournal:
                 if isinstance(key, str):
                     seen.add(key)
         self._seen = seen
-        return set(seen)
+        return seen
 
     def record(self, key: str, **meta: Any) -> None:
         """Durably append *key* (with optional metadata) to the journal.
@@ -82,7 +86,7 @@ class RunJournal:
         a newline, so the fragment never swallows it.  Already-recorded
         keys are skipped.
         """
-        seen = self.completed_keys()
+        seen = self._keys()
         if key in seen:
             return
         entry = {"schema": RUN_JOURNAL_SCHEMA, "key": key}
@@ -92,6 +96,5 @@ class RunJournal:
             handle.write(("\n" if self._torn else "") + json.dumps(entry, sort_keys=True) + "\n")
             handle.flush()
             os.fsync(handle.fileno())
-        assert self._seen is not None
-        self._seen.add(key)
+        seen.add(key)
         self._torn = False

@@ -31,6 +31,10 @@ that the run degrades to serial in-process execution of the remaining
 items.  Serial execution cannot preempt a running call, so per-item
 timeouts are not enforced there.
 
+Once a wave has submitted its items, worker ``k`` of the pool is pinned
+to the ``k``-th CPU of the caller's affinity mask (wrapping round), so a
+cpuset without load balancing still gives each worker a core of its own.
+
 ``KeyboardInterrupt`` is never absorbed into an outcome: the pool is
 shut down with ``cancel_futures=True`` and its workers killed (no
 orphaned children), then the interrupt propagates to the caller.
@@ -70,18 +74,28 @@ _TICK = 0.05
 _POOL_RESTARTS = 2
 
 
+def _allowed_cpus() -> "list[int]":
+    """The CPUs this process may run on, sorted; empty where the platform
+    has no affinity mask."""
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except AttributeError:
+        return []
+
+
 def resolve_jobs(jobs: "int | str | None") -> int:
     """Normalise a ``--jobs`` value to a worker count.
 
     ``None``/``1`` mean serial in-process execution; ``0`` or ``"auto"``
-    mean one worker per available CPU; any other positive int is taken
-    as-is.
+    mean one worker per CPU this process may run on (its affinity mask,
+    or ``os.cpu_count()`` where the platform has none); any other
+    positive int is taken as-is.
     """
     if jobs is None:
         return 1
     require(not isinstance(jobs, bool), "jobs must be an int or 'auto', not a bool")
     if jobs == "auto" or jobs == 0:
-        return max(1, os.cpu_count() or 1)
+        return max(1, len(_allowed_cpus()) or os.cpu_count() or 1)
     require_int(jobs, "jobs", minimum=1)
     return int(jobs)
 
@@ -183,9 +197,34 @@ def _run_serial(
             )
 
 
+def _workers(pool: ProcessPoolExecutor) -> list:
+    """The pool's worker processes, in launch order."""
+    return list((getattr(pool, "_processes", None) or {}).values())
+
+
+def _place_workers(pool: ProcessPoolExecutor) -> None:
+    """Pin worker ``k`` of *pool* to the ``k``-th CPU of this process's mask.
+
+    Where the cpuset does not balance load, a forked worker stays on its
+    parent's CPU, and two workers then share one core while another idles.
+    Workers are taken in launch order and wrap round when they outnumber
+    the CPUs; a one-CPU mask places nothing.  A worker that refuses the
+    move (already dead, or on a platform that refuses it) stays where the
+    kernel put it: a dead pool is the wave's to notice.
+    """
+    cpus = _allowed_cpus()
+    if len(cpus) < 2:
+        return
+    for k, proc in enumerate(_workers(pool)):
+        try:
+            os.sched_setaffinity(proc.pid, {cpus[k % len(cpus)]})
+        except OSError:
+            pass
+
+
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
     """Tear a (possibly broken or hung) pool down without orphaning workers."""
-    procs = list((getattr(pool, "_processes", None) or {}).values())
+    procs = _workers(pool)
     pool.shutdown(wait=False, cancel_futures=True)
     for proc in procs:
         if proc.is_alive():
@@ -217,6 +256,9 @@ def _run_wave(
             futs[pool.submit(_invoke, task)] = index
     except BrokenExecutor:
         disrupted = True
+    # Every worker exists once the wave's items are in: fork launches them
+    # all at the first submit, spawn one per item up to max_workers.
+    _place_workers(pool)
     charged: "set[int]" = set()
     timed_out: "set[int]" = set()
     started: "dict[Future[Any], float]" = {}

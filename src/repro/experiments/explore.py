@@ -173,11 +173,11 @@ def explore_grid(
     """Evaluate every cell of *grid*; returns a uniform ``explore`` result.
 
     ``jobs`` prices the uncached cells as one stacked shard per worker
-    of a supervised process pool (``0``/"auto" = one worker per CPU); the
-    table is bit-identical for any worker count.  ``cache`` (a directory path or
-    :class:`ResultCache`) memoises per-cell metrics on disk — a repeated
-    run re-evaluates nothing and an enlarged grid only evaluates its new
-    cells.  With ``frontier=True`` the result additionally carries the
+    of a supervised process pool (``0``/"auto" = one worker per CPU this
+    process may run on); the table is bit-identical for any worker count.
+    ``cache`` (a directory path or :class:`ResultCache`) memoises per-cell
+    metrics on disk — a repeated run re-evaluates nothing and an enlarged
+    grid only evaluates its new cells.  With ``frontier=True`` the result additionally carries the
     Pareto frontier (min ``cost_proxy``, max ``saturation_load``) and the
     per-axis sensitivity ranking of λ*.
 

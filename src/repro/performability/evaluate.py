@@ -204,10 +204,10 @@ def performability_analysis(
     availability-weighted metrics described in the module docstring.
 
     ``jobs`` prices the uncached states as one stacked shard per worker
-    of a process pool (``0``/"auto" = one worker per CPU); tables are
-    bit-identical for any worker count.  ``cache`` (a directory path or
-    :class:`~repro.io.cache.ResultCache`) memoises per-state metrics on
-    disk, so a repeated run evaluates nothing.
+    of a process pool (``0``/"auto" = one worker per CPU this process may
+    run on); tables are bit-identical for any worker count.  ``cache`` (a
+    directory path or :class:`~repro.io.cache.ResultCache`) memoises
+    per-state metrics on disk, so a repeated run evaluates nothing.
 
     ``policy`` tunes retries/timeouts/pool respawn
     (:class:`~repro.exec.RunPolicy`).  States still failing after

@@ -152,9 +152,9 @@ def replicate(
     :class:`~repro.simulation.runner.SimulationConfig` per replica, and
     :func:`~repro.simulation.parallel.run_work_items` runs them on
     *session*.  ``jobs`` fans the replicas across a process
-    pool (``0``/``"auto"`` = one worker per CPU); results are bit-identical
-    to serial execution for any worker count because each replica depends
-    only on its own seed.
+    pool (``0``/``"auto"`` = one worker per CPU this process may run on);
+    results are bit-identical to serial execution for any worker count
+    because each replica depends only on its own seed.
     """
     require(replicas >= 2, "at least two replicas are needed for a CI")
     require(0.0 < confidence < 1.0, "confidence must be in (0, 1)")

@@ -106,13 +106,13 @@ def run_validation(
     weighting and the simulator's destination sampling.
 
     ``jobs`` fans the per-point simulations across a process pool
-    (``0``/``"auto"`` = one worker per CPU).  Point ``i`` keeps its
-    historical seed ``seed + i`` — the points are *different operating
-    conditions*, not replicas of one stream — so the curve is bit-identical
-    for any worker count.  *engine* names the message-level event engine
-    (``"reference"``/``"array"``, see :mod:`repro.simulation.eventcore`);
-    left as ``None`` a message-level curve runs the compiled array core.
-    Both produce the identical curve.
+    (``0``/``"auto"`` = one worker per CPU this process may run on).
+    Point ``i`` keeps its historical seed ``seed + i`` — the points are
+    *different operating conditions*, not replicas of one stream — so the
+    curve is bit-identical for any worker count.  *engine* names the
+    message-level event engine (``"reference"``/``"array"``, see
+    :mod:`repro.simulation.eventcore`); left as ``None`` a message-level
+    curve runs the compiled array core.  Both produce the identical curve.
     """
     loads = np.asarray(loads, dtype=np.float64)
     require(loads.ndim == 1 and loads.size > 0, "loads must be a non-empty 1-D sequence")

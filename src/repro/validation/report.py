@@ -59,7 +59,8 @@ def reproduction_report(
     ``messages_per_point`` scales the simulation protocol (paper: 100 000);
     ``include_simulation=False`` produces a model-only report in seconds;
     ``jobs`` fans each validation curve's simulations across a process pool
-    (``0``/``"auto"`` = one worker per CPU) without changing any number.
+    (``0``/``"auto"`` = one worker per CPU this process may run on)
+    without changing any number.
     """
     require_int(messages_per_point, "messages_per_point", minimum=100)
     require_int(points_per_curve, "points_per_curve", minimum=2)

@@ -9,6 +9,7 @@ crashes, hangs and raises exactly reproducible.
 import json
 import os
 import subprocess
+import time
 
 import pytest
 
@@ -43,6 +44,19 @@ def _pid(payload):
 
 def _boom(payload):
     raise ValueError(f"boom {payload}")
+
+
+def _placed(payload):
+    # Slow enough that each worker takes one item and the parent has
+    # placed both before the mask is read.
+    time.sleep(0.3)
+    return os.getpid(), sorted(os.sched_getaffinity(0))
+
+
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="placement needs an affinity mask of at least two CPUs",
+)
 
 
 def _arm(monkeypatch, *faults):
@@ -148,6 +162,38 @@ class TestPooledExecution:
         assert resolve_jobs(None) == 1
         assert resolve_jobs(3) == 3
 
+    @needs_two_cpus
+    def test_each_worker_runs_on_its_own_cpu(self):
+        mask = set(os.sched_getaffinity(0))
+        (pid0, cpus0), (pid1, cpus1) = [o.value for o in run_supervised(_placed, [0, 1], jobs=2)]
+        assert pid0 != pid1
+        assert len(cpus0) == len(cpus1) == 1
+        assert cpus0 != cpus1
+        assert set(cpus0 + cpus1) <= mask
+
+    @needs_two_cpus
+    def test_a_rebuilt_pool_is_placed_again(self, monkeypatch):
+        _arm(monkeypatch, {"op": "crash", "index": 0, "attempt": 0})
+        mask = set(os.sched_getaffinity(0))
+        outcomes = run_supervised(_placed, [0, 1], jobs=2)
+        assert all(o.ok for o in outcomes)
+        assert outcomes[0].attempts >= 2  # its value comes from a rebuilt pool
+        _, cpus = outcomes[0].value
+        assert len(cpus) == 1 and set(cpus) <= mask
+
+    @needs_two_cpus
+    def test_a_refused_move_changes_no_outcome(self, monkeypatch):
+        placed = run_supervised(_double, list(range(6)), jobs=2)
+        refusals = []
+
+        def refuse(pid, cpus):
+            refusals.append(pid)
+            raise OSError("refused")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        assert run_supervised(_double, list(range(6)), jobs=2) == placed
+        assert refusals  # the supervisor did try to place the workers
+
 
 class TestFaultPlans:
     def test_unarmed_is_a_no_op(self, monkeypatch):
@@ -230,6 +276,26 @@ class TestRunJournal:
         # A resumed run's first record must not be glued onto the torn tail.
         RunJournal(path).record("k3")
         assert RunJournal(path).completed_keys() == {"k1", "k3"}
+
+    def test_record_does_not_copy_the_key_set(self, tmp_path, monkeypatch):
+        # record() once copied the whole key set per call: quadratic in
+        # the length of the run.
+        journal = RunJournal(tmp_path / "run.jsonl")
+        calls = []
+        completed_keys = RunJournal.completed_keys
+
+        def counted(self):
+            calls.append(1)
+            return completed_keys(self)
+
+        monkeypatch.setattr(RunJournal, "completed_keys", counted)
+        keys = [f"k{i}" for i in range(1000)]
+        for key in keys:
+            journal.record(key)
+        journal.record("k0")
+        assert len(calls) <= 1
+        assert completed_keys(journal) == set(keys)
+        assert len((tmp_path / "run.jsonl").read_text().splitlines()) == 1000
 
     def test_for_cache_lives_beside_the_entries(self, tmp_path):
         store = ResultCache(tmp_path / "cache")

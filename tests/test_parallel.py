@@ -7,6 +7,7 @@ worker count, worker exceptions propagate, and the aggregate accounting
 so the whole module stays test-suite-speed.
 """
 
+import os
 from dataclasses import replace
 
 import pytest
@@ -39,6 +40,18 @@ class TestResolveJobs:
     def test_auto_uses_cpu_count(self):
         assert resolve_jobs(0) >= 1
         assert resolve_jobs("auto") == resolve_jobs(0)
+
+    def test_auto_counts_only_the_cpus_this_process_may_run_on(self, monkeypatch):
+        # A run confined to one of 64 CPUs starts one worker, not 64.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert resolve_jobs(0) == 1
+        assert resolve_jobs("auto") == 1
+
+    def test_auto_falls_back_to_cpu_count_without_a_mask(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert resolve_jobs(0) == 5
 
     def test_rejects_negative_and_bool(self):
         with pytest.raises(ValueError):

@@ -140,6 +140,15 @@ class TestRegistryEquivalence:
             assert engine.zero_load_latency() == zero[idx], name
             assert np.array_equal(auto_load_grid(engine), grids[idx]), name
 
+    def test_grids_take_only_an_integer_point_count(self, stack):
+        # points=2.5 once gave 3 loads per row, the last past λ*.
+        for points in (2.5, 3.0, 1, True):
+            with pytest.raises(ValueError, match="points"):
+                stack.auto_load_grids(points=points)
+        assert np.array_equal(
+            stack.auto_load_grids(points=np.int64(5)), stack.auto_load_grids(points=5)
+        )
+
     def test_latency_curves_bitwise(self, stack, engines):
         grids = stack.auto_load_grids()
         curves = stack.evaluate_latencies(grids)
